@@ -14,7 +14,7 @@ s/ms slip is a finding, not a silently corrupted figure.
 CI's uploaded pytest-benchmark reports run-over-run and prints a warn-only
 wall-time delta, so speed regressions surface on the PR instead of hiding in
 an unopened artifact.  :mod:`repro.devtools.bench_trajectory` keeps the
-longer view: every CI run appends its report (means plus per-backend
+longer view: every CI run appends its report (means plus each benchmark's
 ``extra_info``) to a rolling ``BENCH_trajectory.json``, so slow drifts that
 never trip the pairwise delta threshold show up as a series.
 """

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..netsim import (
-    DEFAULT_BACKEND,
     DEFAULT_MSS,
     FlowSpec,
-    create_simulator,
+    Simulator,
     single_bottleneck,
 )
 from ..units import BPS_PER_MBPS, MS_PER_S
@@ -70,10 +69,9 @@ def run_pair(
     duration: float = 25.0,
     seed: int = 3,
     mss: int = DEFAULT_MSS,
-    backend: str = DEFAULT_BACKEND,
 ) -> float:
     """Run one protocol over one pair's emulated reserved path; Mbps goodput."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim,
         bandwidth_bps=reserved_bandwidth_bps,
@@ -90,7 +88,6 @@ def run_table(
     pairs: Optional[Sequence[InterDCPair]] = None,
     reserved_bandwidth_bps: float = 200e6,
     duration: float = 25.0,
-    backend: str = DEFAULT_BACKEND,
 ) -> List[dict]:
     """Regenerate Table 1: one row per pair, one column per scheme (Mbps)."""
     rows = []
@@ -100,7 +97,7 @@ def run_table(
         for scheme in schemes:
             row[scheme] = run_pair(
                 pair, scheme, reserved_bandwidth_bps=reserved_bandwidth_bps,
-                duration=duration, backend=backend,
+                duration=duration,
             )
         rows.append(row)
     return rows

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..netsim import (
-    DEFAULT_BACKEND,
     FlowSpec,
+    Simulator,
     bdp_bytes,
-    create_simulator,
     single_bottleneck,
 )
 from ..units import BPS_PER_MBPS, MS_PER_S
@@ -93,9 +92,9 @@ def sample_paths(count: int, seed: int = 7,
 
 
 def run_path(config: InternetPathConfig, scheme: str, duration: float = 15.0,
-             backend: str = DEFAULT_BACKEND, **controller_kwargs) -> float:
+             **controller_kwargs) -> float:
     """Run one protocol over one synthetic path; returns goodput in Mbps."""
-    sim = create_simulator(backend, seed=config.seed)
+    sim = Simulator(seed=config.seed)
     topo = single_bottleneck(
         sim,
         bandwidth_bps=config.bandwidth_bps,
@@ -113,15 +112,13 @@ def improvement_ratios(
     baseline_scheme: str,
     duration: float = 15.0,
     pcc_kwargs: Optional[dict] = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> List[float]:
     """PCC-over-baseline goodput ratio for every path (Figure 5's x axis)."""
     ratios = []
     for config in paths:
-        pcc = run_path(config, "pcc", duration=duration, backend=backend,
+        pcc = run_path(config, "pcc", duration=duration,
                        **(pcc_kwargs or {}))
-        baseline = run_path(config, baseline_scheme, duration=duration,
-                            backend=backend)
+        baseline = run_path(config, baseline_scheme, duration=duration)
         ratios.append(pcc / baseline if baseline > 0 else float("inf"))
     return ratios
 

@@ -16,16 +16,15 @@ from typing import Dict, Optional, Sequence
 from ..core import LatencyUtility, LossResilientUtility
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S
 from ..netsim import (
-    DEFAULT_BACKEND,
     CoDelQueue,
     FairQueue,
     FlowSpec,
     InfiniteQueue,
     LinkConfig,
     RandomLinkDynamics,
+    Simulator,
     TraceLinkDynamics,
     bdp_bytes,
-    create_simulator,
     dumbbell,
     make_qdisc,
     make_synthetic_trace,
@@ -112,11 +111,10 @@ def satellite_scenario(
     rtt: float = 0.8,
     loss_rate: float = 0.0074,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> ScenarioOutcome:
     """The WINDS satellite link of §4.1.3: 42 Mbps, 800 ms RTT, 0.74% loss."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=buffer_bytes, loss_rate=loss_rate,
@@ -136,11 +134,10 @@ def lossy_link_scenario(
     bandwidth_bps: float = 100e6,
     rtt: float = 0.03,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> ScenarioOutcome:
     """The §4.1.4 lossy link: 100 Mbps, 30 ms RTT, loss on both directions."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt),
@@ -161,11 +158,10 @@ def shallow_buffer_scenario(
     bandwidth_bps: float = 100e6,
     rtt: float = 0.03,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> ScenarioOutcome:
     """The §4.1.6 shallow-buffer bottleneck: 100 Mbps, 30 ms, clean link."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt, buffer_bytes=buffer_bytes,
     )
@@ -185,7 +181,6 @@ def rtt_unfairness_scenario(
     long_flow_head_start: float = 5.0,
     duration: float = 60.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """The §4.1.5 RTT-unfairness experiment.
@@ -194,7 +189,7 @@ def rtt_unfairness_scenario(
     bottleneck (buffer = one short-flow BDP).  Returns the long/short
     throughput ratio measured after the short flow joins.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     bottleneck = LinkConfig(
         bandwidth_bps=bandwidth_bps,
         delay_s=short_rtt / 4.0,
@@ -239,11 +234,10 @@ def dynamic_network_scenario(
     duration: float = 100.0,
     change_period: float = 5.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """The §4.1.7 rapidly changing network: bw/RTT/loss re-drawn every period."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=100e6, rtt=0.03, buffer_bytes=375_000.0,
     )
@@ -281,7 +275,6 @@ def parking_lot_scenario(
     duration: float = 30.0,
     cross_start: float = 0.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """One long flow crossing ``num_hops`` bottlenecks against per-hop cross
@@ -293,7 +286,7 @@ def parking_lot_scenario(
     flow's goodput, the per-hop cross goodputs and the long flow's share of
     its fair allocation (``bandwidth_bps / 2`` with one cross flow per hop).
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = parking_lot(
         sim,
         num_hops=num_hops,
@@ -341,7 +334,6 @@ def variable_bandwidth_scenario(
     rtt: float = 0.03,
     seed: int = 1,
     trace_seed: int = 0,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """A bottleneck whose capacity follows a bundled synthetic trace.
@@ -355,7 +347,7 @@ def variable_bandwidth_scenario(
     across schemes keeps the capacity trace identical.  Returns goodput
     against the time-weighted optimal.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=peak_bandwidth_bps, rtt=rtt,
         buffer_bytes=bdp_bytes(peak_bandwidth_bps, rtt),
@@ -397,7 +389,6 @@ def convergence_scenario(
     rtt: float = 0.03,
     bin_width: float = 1.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> ScenarioResult:
     """Staggered long-lived flows on a dumbbell (paper: 100 Mbps / 500 s spacing).
@@ -405,7 +396,7 @@ def convergence_scenario(
     Scaled down (20 Mbps bottleneck, 25 s spacing by default) so the packet
     count stays tractable; the convergence/stability *shape* is preserved.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     bottleneck = LinkConfig(
         bandwidth_bps=bandwidth_bps, delay_s=rtt / 2.0 - 0.001,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt), name="bottleneck",
@@ -450,7 +441,6 @@ def friendliness_scenario(
     rtt: float = 0.020,
     duration: float = 40.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """One normal TCP flow competing with ``num_selfish`` selfish flows.
 
@@ -458,7 +448,7 @@ def friendliness_scenario(
     ``"parallel_tcp"`` (each selfish flow is a bundle of 10 TCP connections,
     the §4.3.1 "TCP-Selfish").  Returns the normal TCP flow's goodput.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt),
@@ -494,11 +484,10 @@ def short_flow_scenario(
     rtt: float = 0.060,
     flow_size_bytes: float = 100_000.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """The §4.3.2 short-flow FCT experiment: 100 KB flows, Poisson arrivals."""
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt) * 2.0,
@@ -526,14 +515,13 @@ def tradeoff_scenario(
     measure_duration: float = 60.0,
     bin_width: float = 1.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
     **controller_kwargs,
 ) -> dict:
     """Two flows sharing a bottleneck; measures the second flow's convergence
     time (±25% of fair share held for 5 s) and its post-convergence rate
     standard deviation — the two axes of Figure 16.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo_cfg = LinkConfig(
         bandwidth_bps=bandwidth_bps, delay_s=rtt / 2.0 - 0.001,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt), name="bottleneck",
@@ -576,14 +564,13 @@ def extreme_loss_scenario(
     bandwidth_bps: float = RESPONSIVENESS_BANDWIDTH_BPS,
     rtt: float = 0.03,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> ScenarioOutcome:
     """§4.4.2: a fair-queueing bottleneck with 10–50% forward loss.
 
     PCC runs the loss-resilient utility ``T (1 - L)``; the comparison point is
     CUBIC on the same link.
     """
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=bdp_bytes(bandwidth_bps, rtt),
@@ -610,7 +597,6 @@ def aqm_power_scenario(
     duration: float = 30.0,
     num_flows: int = 2,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """§4.4.1 / Figure 17: interactive flows under the AQM/FQ matrix.
 
@@ -637,7 +623,7 @@ def aqm_power_scenario(
         # fq_codel / third-party disciplines) flows through the same
         # scenario without touching this module again.
         queue_factory = lambda: make_qdisc(aqm, 5_000_000.0)  # noqa: E731
-    sim = create_simulator(backend, seed=seed)
+    sim = Simulator(seed=seed)
     topo = single_bottleneck(
         sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
         buffer_bytes=5_000_000.0, queue_factory=queue_factory,
@@ -678,7 +664,6 @@ def utility_ablation_scenario(
     buffer_bytes: float = 2_000_000.0,
     duration: float = 20.0,
     seed: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, ScenarioOutcome]:
     """§4.4: the same PCC machinery under each registered utility function.
 
@@ -707,7 +692,7 @@ def utility_ablation_scenario(
         raise ValueError("environment must be 'lossy' or 'deep_buffer'")
     outcomes: Dict[str, ScenarioOutcome] = {}
     for utility in utilities:
-        sim = create_simulator(backend, seed=seed)
+        sim = Simulator(seed=seed)
         topo = single_bottleneck(sim, bandwidth_bps=bandwidth_bps, rtt=rtt, **link)
         kwargs = {} if utility is None else {"utility": utility}
         name = utility or "safe"

@@ -6,8 +6,8 @@ need richer arrival processes: Poisson flow arrivals with drawn sizes,
 heavy-tailed (Pareto) size distributions, web-style short-flow storms,
 N-sender incast waves, and mixed long/short tenant traffic.  This module puts
 those generators behind a :class:`~repro.registry.NameRegistry` — the same
-pluggable-by-JSON-name pattern schemes, topologies, backends and queue
-disciplines use — so a sweep cell selects its traffic with a ``workload``
+pluggable-by-JSON-name pattern schemes, topologies and queue disciplines
+use — so a sweep cell selects its traffic with a ``workload``
 name plus declarative kwargs.
 
 Determinism contract: :func:`build_workload` hands every builder a private

@@ -86,7 +86,6 @@ class Simulator:
         self._seq = 0
         self._events_processed = 0
         self._cancelled_pending = 0
-        self._running = False
         self._stopped = False
 
     # ------------------------------------------------------------------ #
@@ -122,7 +121,7 @@ class Simulator:
 
         In-place (slice assignment) so that a compaction triggered from inside
         an event callback is seen by the local heap reference held by
-        :meth:`run` / :meth:`run_until_idle`.
+        :meth:`_drain`.
         """
         self._queue[:] = [event for event in self._queue if not event.cancelled]
         heapq.heapify(self._queue)
@@ -140,47 +139,39 @@ class Simulator:
         """
         if until < self.now:
             raise SimulationError(f"cannot run backwards to t={until} from t={self.now}")
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        try:
-            while queue and not self._stopped:
-                event = queue[0]
-                if event.time > until:
-                    break
-                heapq.heappop(queue)
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                # Detach fired events so a late cancel() (a handle cancelled
-                # after firing) cannot inflate the heap-backlog counter.
-                event.sim = None
-                self.now = event.time
-                event.callback(*event.args)
-                self._events_processed += 1
-        finally:
-            self._running = False
+        self._drain(until)
         if not self._stopped:
             self.now = until
 
     def run_until_idle(self, max_time: float = math.inf) -> None:
         """Run until there are no pending events (or ``max_time`` is reached)."""
+        self._drain(max_time)
+
+    def _drain(self, limit: float) -> None:
+        """Fire events in time order up to ``limit`` or until :meth:`stop`.
+
+        A ``stop()`` ends only the run it interrupted: the flag is cleared on
+        entry, so the next ``run`` / ``run_until_idle`` resumes normally.
+        """
+        self._stopped = False
         queue = self._queue
         while queue and not self._stopped:
             event = queue[0]
-            if event.time > max_time:
+            if event.time > limit:
                 break
             heapq.heappop(queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
+            # Detach fired events so a late cancel() (a handle cancelled
+            # after firing) cannot inflate the heap-backlog counter.
             event.sim = None
             self.now = event.time
             event.callback(*event.args)
             self._events_processed += 1
 
     def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event completes."""
+        """Stop the current run after the in-flight event completes."""
         self._stopped = True
 
     # ------------------------------------------------------------------ #

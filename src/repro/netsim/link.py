@@ -18,9 +18,7 @@ modelled by rescheduling parameter changes (see :mod:`repro.netsim.dynamics`).
 
 from __future__ import annotations
 
-import math
-
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
 from .engine import Event, Simulator
@@ -48,39 +46,11 @@ class LinkStats:
         self.packets_queue_dropped = 0
         self.busy_time = 0.0
 
-    def utilization(self, elapsed: float, bandwidth_bps: float) -> float:
+    def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the link spent serializing packets."""
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
-
-
-class _FluidLinkState:
-    """Per-link state for the hybrid backend's analytic (fluid) service mode.
-
-    ``engaged`` flips the link between its two personalities: packet mode
-    (the exact event-per-serialization reference behavior) and fluid mode,
-    where arrivals are served by the closed-form FIFO recurrence and
-    delivered in batches.  While not engaged the state is pure bookkeeping —
-    a couple of attribute reads per arrival, no events, no RNG draws — so a
-    hybrid run whose links never engage is byte-identical to a packet run.
-    """
-
-    __slots__ = ("quiescence_window_s", "batch_window_s", "engaged",
-                 "quiet_since", "next_free_at", "pending", "flush_event")
-
-    def __init__(self, quiescence_window_s: Seconds, batch_window_s: Seconds):
-        self.quiescence_window_s = quiescence_window_s
-        self.batch_window_s = batch_window_s
-        self.engaged = False
-        #: Start of the current run of idle arrivals (packet mode only).
-        self.quiet_since = 0.0
-        #: Analytic time the link finishes serializing everything accepted.
-        self.next_free_at = 0.0
-        #: Served-but-undelivered packets, each stamped with its analytic
-        #: delivery time in ``virtual_time``; nondecreasing delivery order.
-        self.pending: List[Packet] = []
-        self.flush_event: Optional[Event] = None
 
 
 class Link:
@@ -147,21 +117,6 @@ class Link:
         #: Optional hook invoked for every packet lost on this link (random loss
         #: or queue drop); receives the packet.  Used by per-flow statistics.
         self.on_loss: Optional[Callable[[Packet], None]] = None
-        #: Fluid-mode state, present only under the hybrid backend and only
-        #: for plain FIFO queues whose tail-drop rule has a closed form; AQM
-        #: and fair-queueing links always stay in packet mode.  Links with
-        #: nonzero random loss keep the state but never engage (see the
-        #: engage test in :meth:`enqueue`): resampling the loss process in
-        #: batches changes which packets die, and PCC's converge-vs-collapse
-        #: trajectory under loss is seed-fragile enough that the figure-7
-        #: spec pins its base seed — lossy links must replay the packet
-        #: backend's exact per-serialization draws.
-        self._fluid: Optional[_FluidLinkState] = None
-        fluid_config = getattr(sim, "fluid_config", None)
-        if fluid_config is not None and getattr(self.queue, "fluid_eligible",
-                                                False):
-            self._fluid = _FluidLinkState(fluid_config.quiescence_window_s,
-                                          fluid_config.batch_window_s)
 
     # ------------------------------------------------------------------ #
     # Parameter mutation (Figure 11 dynamics, Table 1 rate limiting)
@@ -170,38 +125,19 @@ class Link:
         """Change the serialization rate; takes effect for the next packet."""
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be positive")
-        self._fluid_dynamics_changed()
         self.bandwidth_bps = float(bandwidth_bps)
 
     def set_delay(self, delay_s: Seconds) -> None:
         """Change the propagation delay; packets already in flight are unaffected."""
         if delay_s < 0:
             raise ValueError("delay_s must be non-negative")
-        self._fluid_dynamics_changed()
         self.delay_s = float(delay_s)
 
     def set_loss_rate(self, loss_rate: float) -> None:
         """Change the Bernoulli random-loss probability."""
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        self._fluid_dynamics_changed()
         self.loss_rate = float(loss_rate)
-
-    def _fluid_dynamics_changed(self) -> None:
-        """A parameter change makes queue dynamics matter: leave fluid mode.
-
-        The revert happens *before* the new value is stored, so analytic
-        serializations already committed keep the rate they were served at —
-        exactly like packet mode, where in-flight events were scheduled under
-        the old parameters.
-        """
-        fluid = self._fluid
-        if fluid is None:
-            return
-        if fluid.engaged:
-            self._fluid_revert(self.sim.now)
-        else:
-            fluid.quiet_since = self.sim.now
 
     # ------------------------------------------------------------------ #
     # Data path
@@ -209,51 +145,6 @@ class Link:
     def enqueue(self, packet: Packet) -> None:
         """Offer ``packet`` to the link: queue it and start serializing if idle."""
         now = self.sim.now
-        fluid = self._fluid
-        if fluid is not None:
-            if fluid.engaged:
-                if self._fluid_serve(packet, now):
-                    return
-                # _fluid_serve reverted to packet mode; fall through and run
-                # this packet through the real queue.
-            else:
-                # Packet mode: judge quiescence with the same analytic FIFO
-                # recurrence fluid mode uses, keyed on the packet's virtual
-                # (analytic) send time when it carries one.  Batched flushes
-                # on *other* links compress a window of ack-clocked
-                # responses into a single event-clock instant; judging by
-                # the real queue would read that compression as congestion
-                # and keep this link stuck in packet mode forever.  While
-                # disengaged, ``next_free_at`` is the shadow analytic
-                # horizon.
-                arrival = packet.virtual_time
-                if arrival < 0.0:
-                    arrival = now
-                start = fluid.next_free_at
-                if start < arrival:
-                    start = arrival
-                if start - arrival > fluid.batch_window_s:
-                    # Analytic backlog: offered load is genuinely near or
-                    # above capacity.  Restart the quiescence clock.
-                    fluid.quiet_since = now
-                elif (now - fluid.quiet_since >= fluid.quiescence_window_s
-                      and self.queue.packets_queued == 0
-                      and self.loss_rate == 0.0):
-                    # Analytically idle for a full quiescence window and the
-                    # real queue has drained: switch to analytic service.
-                    # ``next_free_at`` must not precede the end of any
-                    # serialization still in progress (its delivery event is
-                    # already scheduled).
-                    fluid.engaged = True
-                    if fluid.next_free_at < self._busy_until:
-                        fluid.next_free_at = self._busy_until
-                    if self._fluid_serve(packet, now):
-                        return
-                # Still packet mode: advance the shadow horizon past this
-                # packet's analytic serialization.
-                fluid.next_free_at = (
-                    start + packet.size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-                )
         accepted = self.queue.enqueue(packet, now)
         if not accepted:
             return
@@ -304,131 +195,6 @@ class Link:
         if route is None:
             raise RuntimeError("packet has no route attached")
         route.advance(packet)
-
-    # ------------------------------------------------------------------ #
-    # Fluid (analytic) service — hybrid backend only
-    # ------------------------------------------------------------------ #
-    def _fluid_serve(self, packet: Packet, now: float) -> bool:
-        """Serve one arrival analytically; ``False`` means the link reverted
-        to packet mode and the caller must run the packet through the queue.
-
-        The arrival time is the packet's virtual timestamp when it has one
-        (set by an upstream fluid hop or a batching sender), else ``now`` —
-        so consecutive fluid hops compose exactly.  Departures follow the
-        FIFO recurrence ``depart = max(arrival, next_free) + serialization``;
-        the implied backlog doubles as the exact drop-tail occupancy test.
-        """
-        fluid = self._fluid
-        virtual = packet.virtual_time
-        arrival = virtual if virtual >= 0.0 else now
-        start = fluid.next_free_at if fluid.next_free_at > arrival else arrival
-        backlog_s = start - arrival
-        capacity_bytes = getattr(self.queue, "capacity_bytes", math.inf)
-        if (backlog_s > fluid.batch_window_s
-                or backlog_s * self.bandwidth_bps / BITS_PER_BYTE
-                + packet.size_bytes > capacity_bytes):
-            # Backlog at the scale of the batch window, or a would-be tail
-            # drop: queue dynamics matter again.  Fall back to packet mode
-            # (pending deliveries keep their exact analytic times) and replay
-            # this packet through the real queue.
-            self._fluid_revert(now)
-            return False
-        serialization = packet.size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-        fluid.next_free_at = start + serialization
-        self.stats.busy_time += serialization
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        packet.virtual_time = fluid.next_free_at + self.delay_s
-        if virtual < 0.0 and not fluid.pending:
-            # Event-clock packet (packet-mode upstream hop, non-batching
-            # sender): deliver at the exact analytic time instead of
-            # batching.  Batching would trade timing exactness for nothing —
-            # an uncongested packet-mode link already costs one event per
-            # packet — and a lone fluid link on an otherwise packet-timed
-            # path (e.g. the ACK return path of a congested AQM bottleneck)
-            # must not quantize its deliveries.  The packet stays on the
-            # pure event clock (no virtual stamp: the delivery event IS the
-            # analytic time), so exactness propagates — a downstream fluid
-            # hop exact-delivers too, and the sender does not start
-            # ack-clock batching off a path that is only partially fluid.
-            # Only taken while no batched delivery is pending, so FIFO
-            # order with virtually-timed traffic sharing the link is
-            # preserved.
-            deliver_at = packet.virtual_time
-            packet.virtual_time = -1.0
-            self.sim.schedule_at(deliver_at if deliver_at > now else now,
-                                 self._deliver, packet)
-            return True
-        fluid.pending.append(packet)
-        if fluid.flush_event is None:
-            flush_at = packet.virtual_time + fluid.batch_window_s
-            fluid.flush_event = self.sim.schedule_at(
-                flush_at if flush_at > now else now, self._fluid_flush)
-        return True
-
-    def _fluid_flush(self) -> None:
-        """Release every pending delivery that is analytically due by now."""
-        fluid = self._fluid
-        fluid.flush_event = None
-        if not fluid.engaged:
-            return
-        now = self.sim.now
-        pending = fluid.pending
-        split = 0
-        while split < len(pending) and pending[split].virtual_time <= now:
-            split += 1
-        due = pending[:split]
-        fluid.pending = pending[split:]
-        self._fluid_deliver_batch(due)
-        # Delivering can re-enter this link (an ACKed sender transmitting
-        # back into it), which may have scheduled a flush or even reverted
-        # the link; only chain the next flush if neither happened.
-        if fluid.engaged and fluid.pending and fluid.flush_event is None:
-            fluid.flush_event = self.sim.schedule_at(
-                max(now, fluid.pending[0].virtual_time + fluid.batch_window_s),
-                self._fluid_flush)
-
-    def _fluid_deliver_batch(self, batch: List[Packet]) -> None:
-        """Deliver a batch in analytic (nondecreasing virtual-time) order.
-
-        No loss draw happens here: only loss-free links ever engage fluid
-        mode, so every analytically served packet is delivered.
-        """
-        for packet in batch:
-            self._deliver(packet)
-
-    def _fluid_revert(self, now: float) -> None:
-        """Drop back to packet mode without losing analytic exactness.
-
-        Pending deliveries are scheduled at their exact analytic times, and
-        the committed analytic busy period becomes the packet-mode
-        ``_busy_until`` so the next queued packet waits its true turn.
-        """
-        fluid = self._fluid
-        fluid.engaged = False
-        fluid.quiet_since = now
-        if fluid.flush_event is not None:
-            fluid.flush_event.cancel()
-            fluid.flush_event = None
-        if fluid.next_free_at > self._busy_until:
-            self._busy_until = fluid.next_free_at
-        for packet in fluid.pending:
-            self.sim.schedule_at(
-                packet.virtual_time if packet.virtual_time > now else now,
-                self._deliver, packet)
-        fluid.pending = []
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def busy(self) -> bool:
-        """Whether the link is currently serializing a packet."""
-        return self.sim.now < self._busy_until
-
-    def queueing_delay_estimate(self) -> Seconds:
-        """Current queue drain time at the present bandwidth (seconds)."""
-        return self.queue.bytes_queued * BITS_PER_BYTE / self.bandwidth_bps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "link"

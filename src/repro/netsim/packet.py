@@ -50,7 +50,6 @@ class Packet:
         "mi_id",
         "is_retransmission",
         "is_probe",
-        "virtual_time",
         "ecn_marked",
         "ecn_echo",
     )
@@ -91,12 +90,6 @@ class Packet:
         # ``ecn_echo`` so the sender's congestion response can react.
         self.ecn_marked = False
         self.ecn_echo = False
-        # Analytic timestamp used by the hybrid engine backend: the exact
-        # (unbatched) time this packet was sent or delivered.  Negative means
-        # "no virtual time": the packet lives purely on the event clock.
-        # Links in fluid mode propagate it exactly across hops; admission
-        # into a real (packet-mode) queue invalidates it.
-        self.virtual_time = -1.0
 
     def make_ack(self, packet_id: int, ack_size: int, now: float) -> "Packet":
         """Build the acknowledgement for this data packet.
@@ -121,10 +114,6 @@ class Packet:
         # Echo a congestion-experienced mark back to the sender (RFC 3168's
         # ECE signal, collapsed to a per-ACK boolean).
         ack.ecn_echo = self.ecn_marked
-        # The ACK leaves at the data packet's analytic arrival time when the
-        # data packet travelled in fluid mode (batched delivery means ``now``
-        # may be up to one batch window later than that).
-        ack.virtual_time = self.virtual_time
         return ack
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

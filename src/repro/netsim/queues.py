@@ -93,13 +93,6 @@ class QueueDiscipline:
         self.packets_queued = 0
         #: Optional hook invoked with every dropped packet (used by per-flow stats).
         self.on_drop: Optional[Callable[[Packet], None]] = None
-        #: Whether the hybrid backend's fluid mode may serve this queue
-        #: analytically.  Only the plain tail-drop FIFO (and the infinite
-        #: queue) have the closed-form service the fluid recurrence assumes;
-        #: AQM, fair-queueing, ECN-marking and head/random drop-policy
-        #: disciplines must stay packet-exact, so the default is ``False``
-        #: and eligible FIFOs opt in explicitly.
-        self.fluid_eligible = False
         #: Seeded RNG for randomized drop decisions; ``None`` until
         #: :meth:`attach_rng` is called (links attach ``sim.rng``).
         self.rng: Optional[random.Random] = None
@@ -129,10 +122,6 @@ class QueueDiscipline:
     # -- shared helpers ------------------------------------------------------
     def _admit(self, packet: Packet, now: float) -> None:
         packet.enqueue_time = now
-        # Entering a real queue puts the packet back on the event clock: any
-        # analytic timestamp from an upstream fluid-mode link no longer
-        # describes when this hop will serve it.
-        packet.virtual_time = -1.0
         self.bytes_queued += packet.size_bytes
         self.packets_queued += 1
         self.stats.enqueued += 1
@@ -169,8 +158,7 @@ class DropTailQueue(QueueDiscipline):
     random victims, which de-synchronizes loss across flows; needs an
     attached RNG).  ``ecn_threshold_bytes`` optionally marks arrivals once
     occupancy exceeds the threshold (DCTCP-style mark-on-threshold) — drops
-    above capacity still drop.  Only the plain tail-drop configuration is
-    eligible for the hybrid backend's fluid mode.
+    above capacity still drop.
     """
 
     def __init__(self, capacity_bytes: Bytes, drop_policy: str = "tail",
@@ -188,8 +176,6 @@ class DropTailQueue(QueueDiscipline):
         self.capacity_bytes = capacity_bytes
         self.drop_policy = drop_policy
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self.fluid_eligible = (drop_policy == "tail"
-                               and ecn_threshold_bytes is None)
         self._fifo: Deque[Packet] = deque()
 
     def _evict_victims(self, needed_bytes: float) -> bool:
@@ -238,7 +224,6 @@ class InfiniteQueue(QueueDiscipline):
 
     def __init__(self) -> None:
         super().__init__()
-        self.fluid_eligible = True
         self._fifo: Deque[Packet] = deque()
 
     def enqueue(self, packet: Packet, now: float) -> bool:

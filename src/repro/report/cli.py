@@ -27,12 +27,7 @@ from ..experiments.execute import PROFILE_TOP_N
 from ..experiments.executors import DEFAULT_EXECUTOR, executor_names
 from ..experiments.store import CellStore
 from ..experiments.workload import DEFAULT_WORKLOAD, workload_names
-from ..netsim import (
-    DEFAULT_BACKEND,
-    DEFAULT_QDISC,
-    engine_backend_names,
-    qdisc_names,
-)
+from ..netsim import DEFAULT_QDISC, qdisc_names
 from .render import matrix_drift, render_matrix, render_report
 from .run import SpecOutcome, run_report_spec
 from .spec import ReportSpec, list_report_specs, report_spec_ids
@@ -52,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes per spec (rendered output is "
                              "identical for any value)")
-    parser.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=engine_backend_names(),
-                        help="engine backend every simulating cell runs "
-                             "under; recorded in cell identities when "
-                             "non-default")
     parser.add_argument("--qdisc", default=DEFAULT_QDISC,
                         choices=qdisc_names(),
                         help="queue discipline every grid cell's bottleneck "
@@ -212,7 +202,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 outcome = run_report_spec(spec, workers=args.workers,
                                           jsonl_path=jsonl_path,
                                           resume_from=resume_path,
-                                          backend=args.backend,
                                           qdisc=args.qdisc,
                                           workload=args.workload,
                                           profile=args.profile,

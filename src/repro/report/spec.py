@@ -46,7 +46,6 @@ __all__ = [
     "register_scenario_runner",
     "report_spec_ids",
     "scenario_runner_names",
-    "scenario_runner_simulates",
 ]
 
 #: The three claim-ledger verdicts: the claim held as asserted (``PASS``),
@@ -214,12 +213,6 @@ _SCENARIO_RUNNERS: NameRegistry[Callable[..., Dict[str, Any]]] = (
     NameRegistry("report scenario runner")
 )
 
-#: Runner names whose metrics come from closed-form math, not the packet
-#: simulator (the theorem checks).  The report layer never threads an engine
-#: ``backend`` into these, so their cell identities — and cached results —
-#: are shared by every backend.
-_ANALYTIC_RUNNERS: set = set()
-
 _catalog_loaded = False
 
 
@@ -238,7 +231,6 @@ def _ensure_catalog() -> None:
     _catalog_loaded = True
     specs_before = list(_SPEC_ORDER)
     runners_before = set(_SCENARIO_RUNNERS.names())
-    analytic_before = set(_ANALYTIC_RUNNERS)
     try:
         from . import specs  # noqa: F401  (registration side effects)
     except BaseException:
@@ -248,7 +240,6 @@ def _ensure_catalog() -> None:
         _SPEC_ORDER[:] = specs_before
         for name in sorted(set(_SCENARIO_RUNNERS.names()) - runners_before):
             _SCENARIO_RUNNERS.discard(name)
-        _ANALYTIC_RUNNERS.intersection_update(analytic_before)
         raise
 
 
@@ -263,8 +254,7 @@ def register_report_spec(spec: ReportSpec) -> None:
 
 
 def register_scenario_runner(name: str,
-                             fn: Callable[..., Dict[str, Any]],
-                             simulates: bool = True) -> None:
+                             fn: Callable[..., Dict[str, Any]]) -> None:
     """Register ``fn`` as a scenario runner resolvable from worker processes.
 
     The runner is called as ``fn(seed=cell.seed, **cell.kwargs)`` (the
@@ -273,16 +263,8 @@ def register_scenario_runner(name: str,
     arguments — that purity is what makes report output byte-identical across
     worker counts and resume.  Like scheme/topology builders, runners must be
     registered at module import time.
-
-    Runners that build a network simulator must accept a ``backend`` keyword
-    (the registered engine backend name) so reports can run under any
-    backend; pass ``simulates=False`` for purely analytic runners (the
-    theorem checks), which are then never handed a backend and keep one cell
-    identity across backends.
     """
     _SCENARIO_RUNNERS.register(name, fn)
-    if not simulates:
-        _ANALYTIC_RUNNERS.add(name)
 
 
 def get_report_spec(spec_id: str) -> ReportSpec:
@@ -301,13 +283,6 @@ def scenario_runner_names() -> List[str]:
     """All registered scenario-runner names, sorted."""
     _ensure_catalog()
     return _SCENARIO_RUNNERS.names()
-
-
-def scenario_runner_simulates(name: str) -> bool:
-    """Whether the named runner builds a simulator (vs closed-form math)."""
-    _ensure_catalog()
-    _SCENARIO_RUNNERS.get(name)  # canonical unknown-name error
-    return name not in _ANALYTIC_RUNNERS
 
 
 def report_spec_ids() -> List[str]:

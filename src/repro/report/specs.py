@@ -43,7 +43,7 @@ from ..experiments.scenarios import (
     utility_ablation_scenario,
 )
 from ..experiments.sweep import SweepGrid
-from ..netsim import DEFAULT_BACKEND, DEFAULT_MSS, SYNTHETIC_TRACES
+from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES
 from ..units import BPS_PER_GBPS, BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
 from .spec import (
     Claim,
@@ -97,15 +97,13 @@ _F45_PATHS = sample_paths(5, seed=11, rtt_range=(0.010, 0.150))
 
 def _run_internet_path(seed: int, path: int, bandwidth_bps: float, rtt: float,
                        loss_rate: float, buffer_fraction: float, scheme: str,
-                       duration: float,
-                       backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                       duration: float) -> Dict[str, Any]:
     """Run one scheme over one synthetic wild-Internet path."""
     config = InternetPathConfig(
         bandwidth_bps=bandwidth_bps, rtt=rtt, loss_rate=loss_rate,
         buffer_fraction_of_bdp=buffer_fraction, seed=seed,
     )
-    return {"goodput_mbps": run_path(config, scheme, duration=duration,
-                                     backend=backend)}
+    return {"goodput_mbps": run_path(config, scheme, duration=duration)}
 
 
 def _fig45_cells() -> List[ScenarioCell]:
@@ -206,13 +204,12 @@ _T1_DURATION = 8.0
 
 
 def _run_interdc(seed: int, pair: str, rtt: float, scheme: str,
-                 bandwidth_bps: float, duration: float,
-                 backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                 bandwidth_bps: float, duration: float) -> Dict[str, Any]:
     """Run one scheme over one emulated reserved inter-DC path."""
     config = InterDCPair(name=pair, rtt=rtt, paper_throughput_mbps={})
     return {"goodput_mbps": run_pair(
         config, scheme, reserved_bandwidth_bps=bandwidth_bps,
-        duration=duration, seed=seed, backend=backend,
+        duration=duration, seed=seed,
     )}
 
 
@@ -443,12 +440,11 @@ _F8_LONG_RTTS = (0.040, 0.080)
 
 
 def _run_rtt_fairness(seed: int, scheme: str, long_rtt: float,
-                      bandwidth_bps: float, duration: float,
-                      backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                      bandwidth_bps: float, duration: float) -> Dict[str, Any]:
     """Run the short-vs-long-RTT fairness scenario for one scheme."""
     outcome = rtt_unfairness_scenario(
         scheme, long_rtt=long_rtt, bandwidth_bps=bandwidth_bps,
-        duration=duration, seed=seed, backend=backend,
+        duration=duration, seed=seed,
     )
     return {"ratio": outcome["ratio"], "long_mbps": outcome["long_mbps"],
             "short_mbps": outcome["short_mbps"]}
@@ -589,12 +585,10 @@ _F10_BLOCKS = (64_000.0, 256_000.0)
 
 
 def _run_incast_cell(seed: int, scheme: str, senders: int, block_bytes: float,
-                     buffer_bytes: float,
-                     backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                     buffer_bytes: float) -> Dict[str, Any]:
     """Run one incast barrier transfer."""
     outcome = run_incast(scheme, senders, block_bytes,
-                         buffer_bytes=buffer_bytes, seed=seed,
-                         backend=backend)
+                         buffer_bytes=buffer_bytes, seed=seed)
     return {"goodput_mbps": outcome["goodput_mbps"],
             "completed": outcome["completed"]}
 
@@ -683,11 +677,9 @@ register_report_spec(ReportSpec(
 _F11_SCHEMES = ("pcc", "cubic", "illinois")
 
 
-def _run_dynamic_network(seed: int, scheme: str, duration: float,
-                         backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+def _run_dynamic_network(seed: int, scheme: str, duration: float) -> Dict[str, Any]:
     """Run one scheme over the randomly re-drawn dynamic network."""
-    outcome = dynamic_network_scenario(scheme, duration=duration, seed=seed,
-                                       backend=backend)
+    outcome = dynamic_network_scenario(scheme, duration=duration, seed=seed)
     return {"goodput_mbps": outcome["goodput_mbps"],
             "optimal_mbps": outcome["optimal_mbps"],
             "fraction_of_optimal": outcome["fraction_of_optimal"]}
@@ -761,13 +753,11 @@ _F12_BANDWIDTH = CONTENTION_BANDWIDTH_BPS
 
 def _run_convergence_stats(seed: int, scheme: str, num_flows: int,
                            stagger: float, flow_duration: float,
-                           bandwidth_bps: float,
-                           backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                           bandwidth_bps: float) -> Dict[str, Any]:
     """Run the staggered-flows scenario and summarize steady-state rates."""
     outcome = convergence_scenario(
         scheme, num_flows=num_flows, stagger=stagger,
         flow_duration=flow_duration, bandwidth_bps=bandwidth_bps, seed=seed,
-        backend=backend,
     )
     start = stagger * (num_flows - 1) + 5.0
     end = outcome.duration - 1.0
@@ -849,13 +839,11 @@ _F13_TIMESCALES = (1.0, 5.0, 15.0, 30.0)
 
 def _run_jain_timescales(seed: int, scheme: str, num_flows: int,
                          stagger: float, flow_duration: float,
-                         bandwidth_bps: float, timescales: List[float],
-                         backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                         bandwidth_bps: float, timescales: List[float]) -> Dict[str, Any]:
     """Run the convergence scenario and compute Jain indices per time scale."""
     outcome = convergence_scenario(
         scheme, num_flows=num_flows, stagger=stagger,
         flow_duration=flow_duration, bandwidth_bps=bandwidth_bps, seed=seed,
-        backend=backend,
     )
     indices = fairness_index_over_timescales(outcome, tuple(timescales))
     return {"jain": {f"{t:g}": value for t, value in indices.items()}}
@@ -919,12 +907,10 @@ _F14_COUNTS = (1, 2)
 
 
 def _run_friendliness(seed: int, selfish_kind: str, num_selfish: int,
-                      duration: float,
-                      backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                      duration: float) -> Dict[str, Any]:
     """Run one normal TCP flow against N selfish competitors."""
     outcome = friendliness_scenario(selfish_kind, num_selfish,
-                                    duration=duration, seed=seed,
-                                    backend=backend)
+                                    duration=duration, seed=seed)
     return {"normal_tcp_mbps": outcome["normal_tcp_mbps"]}
 
 
@@ -1002,11 +988,10 @@ register_report_spec(ReportSpec(
 _F15_LOADS = (0.25, 0.5)
 
 
-def _run_short_flows(seed: int, scheme: str, load: float, duration: float,
-                     backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+def _run_short_flows(seed: int, scheme: str, load: float, duration: float) -> Dict[str, Any]:
     """Run the Poisson short-flow workload for one scheme and load."""
     summary = short_flow_scenario(scheme, load=load, duration=duration,
-                                  seed=seed, backend=backend)
+                                  seed=seed)
     return {"median": summary["median"], "p95": summary["p95"],
             "count": summary["count"]}
 
@@ -1089,12 +1074,11 @@ _F16_TCP_SCHEMES = ("cubic", "reno", "vegas", "westwood")
 
 def _run_tradeoff(seed: int, scheme: str, label: str,
                   controller_kwargs: Dict[str, Any], bandwidth_bps: float,
-                  measure_duration: float,
-                  backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                  measure_duration: float) -> Dict[str, Any]:
     """Run the two-flow trade-off scenario for one configuration."""
     outcome = tradeoff_scenario(
         scheme, bandwidth_bps=bandwidth_bps,
-        measure_duration=measure_duration, seed=seed, backend=backend,
+        measure_duration=measure_duration, seed=seed,
         **controller_kwargs,
     )
     return {"convergence_time": outcome["convergence_time"],
@@ -1187,11 +1171,9 @@ register_report_spec(ReportSpec(
 # --------------------------------------------------------------------------- #
 # Figure 17 — AQM/FQ power
 # --------------------------------------------------------------------------- #
-def _run_aqm_power(seed: int, scheme: str, aqm: str, duration: float,
-                   backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+def _run_aqm_power(seed: int, scheme: str, aqm: str, duration: float) -> Dict[str, Any]:
     """Run the AQM/FQ power comparison for one (scheme, AQM) pair."""
-    outcome = aqm_power_scenario(scheme, aqm, duration=duration, seed=seed,
-                                 backend=backend)
+    outcome = aqm_power_scenario(scheme, aqm, duration=duration, seed=seed)
     return {"mean_power": outcome["mean_power"],
             "mean_rtt_ms": outcome["mean_rtt_ms"]}
 
@@ -1370,12 +1352,10 @@ _S442_BANDWIDTH = RESPONSIVENESS_BANDWIDTH_BPS
 
 
 def _run_extreme_loss(seed: int, scheme: str, loss: float,
-                      bandwidth_bps: float, duration: float,
-                      backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                      bandwidth_bps: float, duration: float) -> Dict[str, Any]:
     """Run one scheme on the fair-queueing extreme-loss bottleneck."""
     outcome = extreme_loss_scenario(loss, scheme=scheme, duration=duration,
-                                    bandwidth_bps=bandwidth_bps, seed=seed,
-                                    backend=backend)
+                                    bandwidth_bps=bandwidth_bps, seed=seed)
     return {"goodput_mbps": outcome.goodput_mbps}
 
 
@@ -1457,13 +1437,12 @@ _S44_LOSS = 0.3
 
 def _run_utility_ablation(seed: int, environment: str, utility: Any,
                           bandwidth_bps: float, loss_rate: float,
-                          buffer_bytes: float, duration: float,
-                          backend: str = DEFAULT_BACKEND) -> Dict[str, Any]:
+                          buffer_bytes: float, duration: float) -> Dict[str, Any]:
     """Run the PCC machinery under one utility in one environment."""
     outcomes = utility_ablation_scenario(
         environment, utilities=(utility,), bandwidth_bps=bandwidth_bps,
         loss_rate=loss_rate, buffer_bytes=buffer_bytes, duration=duration,
-        seed=seed, backend=backend,
+        seed=seed,
     )
     (outcome,) = outcomes.values()
     return {"goodput_mbps": outcome.goodput_mbps,
@@ -1776,10 +1755,8 @@ def _theorem2_claim(rows: List[Dict[str, Any]], result: ResultSet) -> tuple:
         f"{[round(r, 2) for r in metrics['final_rates']]}")
 
 
-register_scenario_runner("theorem1_equilibrium", _run_theorem1,
-                         simulates=False)
-register_scenario_runner("theorem2_dynamics", _run_theorem2,
-                         simulates=False)
+register_scenario_runner("theorem1_equilibrium", _run_theorem1)
+register_scenario_runner("theorem2_dynamics", _run_theorem2)
 register_report_spec(ReportSpec(
     spec_id="theorems",
     title="Theorem 1 (equilibrium) and Theorem 2 (dynamics)",

@@ -28,6 +28,7 @@ from repro.experiments.store import CellStore
 from repro.experiments.sweep import SweepGrid
 from repro.experiments.sweep import main as sweep_main
 from repro.experiments.sweep import sweep
+from repro.report.cli import main as report_main
 from repro.report.run import run_report_spec
 
 
@@ -263,6 +264,43 @@ class TestProfileGuard:
         with pytest.raises(ValueError, match="local"):
             execute_cells(fake_cells(2), run_fake, base_seed=7,
                           profile=True, executor="sharded")
+
+
+class TestProfileFlag:
+    def test_execute_cells_profile_requires_serial(self):
+        with pytest.raises(ValueError, match="profile requires workers=1"):
+            execute_cells([], lambda cell: {}, base_seed=0, workers=2,
+                          profile=True)
+
+    def test_sweep_cli_profile_requires_serial(self, capsys):
+        with pytest.raises(SystemExit):
+            sweep_main(["--schemes", "cubic", "--duration", "1",
+                        "--profile", "--workers", "2"])
+        assert "--workers 1" in capsys.readouterr().err
+
+    def test_report_cli_profile_requires_serial(self, capsys):
+        with pytest.raises(SystemExit):
+            report_main(["--only", "theorems", "--report", "/dev/null",
+                         "--profile", "--workers", "2"])
+        assert "--workers 1" in capsys.readouterr().err
+
+    def test_profile_prints_stats_to_stderr_not_stdout(self, tmp_path,
+                                                       capsys):
+        """The canonical JSON is byte-identical with and without --profile;
+        the cProfile tables go to stderr only."""
+        args = ["--schemes", "cubic", "--bandwidth-mbps", "5",
+                "--duration", "1"]
+        plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+        assert sweep_main([*args, "--output", str(plain)]) == 0
+        captured = capsys.readouterr()
+        assert "cumulative" not in captured.err
+        assert sweep_main([*args, "--output", str(profiled),
+                           "--profile"]) == 0
+        captured = capsys.readouterr()
+        assert "profile: cell" in captured.err
+        assert "cumulative" in captured.err
+        assert "profile: cell" not in captured.out
+        assert plain.read_bytes() == profiled.read_bytes()
 
 
 class TestCli:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.experiments.execute import execute_cells
 from repro.experiments.sweep import (
     SweepGrid,
     derive_seed,
@@ -457,26 +458,38 @@ class TestCli:
         assert cell["flows"][0]["goodput_mbps"] > 0.0
 
 
+#: Fixed-seed grids whose canonical JSON is committed under ``data/``: the
+#: default PCC grid (rate-paced senders, captured before the
+#: RateControlPolicy extraction) and four CUBIC flows over a lossy link behind
+#: droptail and CoDel (windowed senders, ACK loss, AQM drops).
+GOLDEN_GRIDS = {
+    "golden_pcc_sweep_seed7.json": (
+        SweepGrid(schemes=("pcc",), bandwidths_bps=(5e6, 20e6), rtts=(0.03,),
+                  loss_rates=(0.0, 0.01), flow_counts=(1, 2), duration=3.0,
+                  stagger=0.5),
+    ),
+    "golden_cubic_aqm_seed7.json": tuple(
+        SweepGrid(schemes=("cubic",), bandwidths_bps=(20e6,), rtts=(0.03,),
+                  loss_rates=(0.005,), flow_counts=(4,), duration=2.0,
+                  reverse_loss=True, qdisc=qdisc)
+        for qdisc in ("droptail", "codel")
+    ),
+}
+
+
 class TestGoldenBehaviorPreservation:
-    def test_default_pcc_grid_matches_pre_refactor_golden_json(self, tmp_path):
-        """The policy/utility refactor must change structure, not
-        trajectories: a fixed-seed default-PCC grid reproduces the JSON
-        captured *before* the RateControlPolicy extraction, byte for byte,
-        at any worker count."""
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_GRIDS))
+    def test_default_pcc_grid_matches_pre_refactor_golden_json(self, golden,
+                                                               tmp_path):
+        """Refactors must change structure, not trajectories: each
+        fixed-seed grid reproduces its committed JSON byte for byte, at any
+        worker count."""
         import pathlib
 
-        golden_path = (pathlib.Path(__file__).parent / "data"
-                       / "golden_pcc_sweep_seed7.json")
-        grid = SweepGrid(
-            schemes=("pcc",),
-            bandwidths_bps=(5e6, 20e6),
-            rtts=(0.03,),
-            loss_rates=(0.0, 0.01),
-            flow_counts=(1, 2),
-            duration=3.0,
-            stagger=0.5,
-        )
-        result = sweep(grid, base_seed=7, workers=2)
+        golden_path = pathlib.Path(__file__).parent / "data" / golden
+        cells = [cell for grid in GOLDEN_GRIDS[golden]
+                 for cell in grid.cells(7)]
+        result = execute_cells(cells, run_cell, base_seed=7, workers=2)
         out = tmp_path / "sweep.json"
         result.write(str(out))
         assert out.read_bytes() == golden_path.read_bytes()

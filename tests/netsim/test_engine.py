@@ -130,6 +130,17 @@ class TestRunSemantics:
         # The clock is left at the stop point, not advanced to `until`.
         assert sim.now == 1.0
 
+    def test_run_until_idle_resumes_after_a_stopped_run(self):
+        """stop() ends only the run it interrupted, whichever method follows."""
+        sim = Simulator()
+        hits = []
+        sim.schedule(1, sim.stop)
+        sim.schedule(2, hits.append, 2)
+        sim.run(5)
+        assert hits == [] and sim.now == 1.0
+        sim.run_until_idle()
+        assert hits == [2] and sim.now == 2.0
+
     def test_run_until_idle_drains_queue(self):
         sim = Simulator()
         fired = []

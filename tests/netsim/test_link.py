@@ -126,7 +126,7 @@ class TestLinkMutation:
         sim = Simulator()
         link = Link(sim, bandwidth_bps=12_000, delay_s=0.0)
         send_over(sim, [link], [make_packet(0)])
-        assert link.stats.utilization(2.0, link.bandwidth_bps) == pytest.approx(0.5)
+        assert link.stats.utilization(2.0) == pytest.approx(0.5)
 
 
 class TestPath:
