@@ -25,8 +25,8 @@ Packages
     analysis (Jain's index, convergence time, power, FCT statistics).
 ``repro.experiments``
     Scenario builders, the experiment runner, the sweep subsystem and the
-    streaming/resumable ``ResultSet`` API used by the examples, benchmarks
-    and the report layer.
+    streaming/resumable ``ResultSet`` API used by the examples and the
+    report layer.
 ``repro.report``
     The declarative report layer: every paper figure/table as a registered
     spec, regenerated by ``python -m repro.report`` into the REPORT.md claim

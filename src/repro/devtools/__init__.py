@@ -10,13 +10,6 @@ that depend on completion order) are caught before a sweep ever runs.
 :mod:`repro.devtools.units` extends the same machinery to units of measure —
 dimension- and scale-checking every rate, size and time so a bits/bytes or
 s/ms slip is a finding, not a silently corrupted figure.
-:mod:`repro.devtools.bench_delta` closes the performance loop: it compares
-CI's uploaded pytest-benchmark reports run-over-run and prints a warn-only
-wall-time delta, so speed regressions surface on the PR instead of hiding in
-an unopened artifact.  :mod:`repro.devtools.bench_trajectory` keeps the
-longer view: every CI run appends its report (means plus each benchmark's
-``extra_info``) to a rolling ``BENCH_trajectory.json``, so slow drifts that
-never trip the pairwise delta threshold show up as a series.
 """
 
-__all__ = ["bench_delta", "bench_trajectory", "lint", "units"]
+__all__ = ["lint", "units"]

@@ -9,7 +9,7 @@ literal quietly shadows a configured constant (the seed's duplicated 8 kbps
 MI floor was exactly that bug).  This module turns those unwritten contracts
 into a standalone static-analysis pass::
 
-    python -m repro.devtools.lint src benchmarks
+    python -m repro.devtools.lint src
     python -m repro.devtools.lint --explain RPL003
     python -m repro.devtools.lint --json src
 

@@ -8,7 +8,7 @@ corrupts every downstream number, and nothing at runtime can notice — the
 arithmetic is perfectly legal Python.  This module makes the unit contracts
 machine-checked::
 
-    python -m repro.devtools.units src benchmarks
+    python -m repro.devtools.units src
     python -m repro.devtools.units --explain RPL012
     python -m repro.devtools.units --json src
 

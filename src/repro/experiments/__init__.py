@@ -1,4 +1,4 @@
-"""Experiment scenarios, the runner, and the figure/table registry."""
+"""Experiment scenarios, the runner, and the sweep/result machinery."""
 
 from .runner import FlowResult, ScenarioResult, available_schemes, run_flows
 from .scenarios import (
@@ -9,27 +9,14 @@ from .scenarios import (
     extreme_loss_scenario,
     fairness_index_over_timescales,
     friendliness_scenario,
-    lossy_link_scenario,
-    parking_lot_scenario,
     rtt_unfairness_scenario,
-    satellite_scenario,
-    shallow_buffer_scenario,
     short_flow_scenario,
     tradeoff_scenario,
-    utility_ablation_scenario,
-    variable_bandwidth_scenario,
 )
-from .internet import (
-    InternetPathConfig,
-    improvement_ratios,
-    ratio_cdf,
-    run_path,
-    sample_paths,
-)
-from .interdc import PAPER_PAIRS, InterDCPair, run_pair, run_table
+from .internet import InternetPathConfig, ratio_cdf, sample_paths
+from .interdc import PAPER_PAIRS, InterDCPair
 from .incast import run_incast
-from .registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
-from .results import ResultSet, ResultSetWriter, SweepResult, cell_identity_key
+from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore, store_key
 from .executors import (
     DEFAULT_EXECUTOR,
@@ -89,32 +76,17 @@ __all__ = [
     "extreme_loss_scenario",
     "fairness_index_over_timescales",
     "friendliness_scenario",
-    "lossy_link_scenario",
-    "parking_lot_scenario",
     "rtt_unfairness_scenario",
-    "satellite_scenario",
-    "shallow_buffer_scenario",
     "short_flow_scenario",
     "tradeoff_scenario",
-    "utility_ablation_scenario",
-    "variable_bandwidth_scenario",
     "InternetPathConfig",
-    "improvement_ratios",
     "ratio_cdf",
-    "run_path",
     "sample_paths",
     "PAPER_PAIRS",
     "InterDCPair",
-    "run_pair",
-    "run_table",
     "run_incast",
-    "EXPERIMENTS",
-    "Experiment",
-    "get_experiment",
-    "list_experiments",
     "ResultSet",
     "ResultSetWriter",
-    "SweepResult",
     "cell_identity_key",
     "CellStore",
     "store_key",

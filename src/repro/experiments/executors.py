@@ -159,7 +159,8 @@ def _sharded_executor(pending: Sequence[PendingCell], run_one: RunOneFn,
     own ``shard-<i>.jsonl``; the parent folds the files back through
     :meth:`ResultSet.load` + :meth:`ResultSet.merge` (the same dedup/
     conflict semantics every other result path uses) and maps records to
-    positions by cell identity.
+    positions by cell identity.  A shard that exits non-zero fails the run,
+    but only after every finished cell — its own included — was yielded.
     """
     _reject_unknown_options("sharded", options, ())
     num_shards = max(1, min(workers, len(pending)))
@@ -182,19 +183,34 @@ def _sharded_executor(pending: Sequence[PendingCell], run_one: RunOneFn,
             proc.join()
         failed = [shard for shard, proc in enumerate(procs)
                   if proc.exitcode != 0]
+        # Fold every readable shard file back *before* reporting a failure:
+        # the dispatcher streams/stores each yielded record, so one crashed
+        # shard costs only the cells it never finished.
+        loaded = []
+        for shard, path in enumerate(paths):
+            try:
+                loaded.append(ResultSet.load(path))
+            except (OSError, ValueError):
+                # A shard that died before its first record leaves no
+                # usable file; only a shard that exited cleanly owes one.
+                if shard not in failed:
+                    raise
+        if loaded:
+            position_of = {cell_identity_key(cell.params()): position
+                           for position, cell in pending}
+            merged = ResultSet.merge(loaded)
+            for record, wall in zip(merged.cells, merged.timings,
+                                    strict=True):
+                outcome = dict(record)
+                outcome["wall_time_s"] = wall
+                yield position_of[cell_identity_key(record["cell"])], outcome
         if failed:
             raise RuntimeError(
-                f"sharded executor: shard(s) {failed} exited non-zero; "
-                f"finished cells remain in their per-shard JSONL under "
-                f"{tmpdir} — note the temp dir is removed, re-run to recover"
+                f"sharded executor: shard(s) {failed} exited non-zero; the "
+                f"cells finished before the crash were handed back first, so "
+                f"a re-run over the same store or resume file executes only "
+                f"the rest"
             )
-        position_of = {cell_identity_key(cell.params()): position
-                       for position, cell in pending}
-        merged = ResultSet.merge([ResultSet.load(path) for path in paths])
-        for record, wall in zip(merged.cells, merged.timings, strict=True):
-            outcome = dict(record)
-            outcome["wall_time_s"] = wall
-            yield position_of[cell_identity_key(record["cell"])], outcome
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 

@@ -7,26 +7,18 @@ bandwidth-reserving rate limiter has a *small buffer*: TCP repeatedly overflows
 it and backs off, while PCC tracks the reserved rate.
 
 We model each pair as a dedicated path whose bottleneck is a rate limiter with
-a buffer of a handful of packets.  Bandwidth is scaled down (default 200 Mbps
-instead of 800 Mbps) to keep pure-Python packet simulation tractable; the RTTs
-are the paper's measured values.  EXPERIMENTS.md records the scaling.
+a buffer of a handful of packets (the ``table1`` report spec lists one
+single-flow sweep cell per pair and scheme).  Bandwidth is scaled down from
+800 Mbps to keep pure-Python packet simulation tractable; the RTTs are the
+paper's measured values.  EXPERIMENTS.md records the scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..netsim import (
-    DEFAULT_MSS,
-    FlowSpec,
-    Simulator,
-    single_bottleneck,
-)
-from ..units import BPS_PER_MBPS, MS_PER_S
-from .runner import run_flows
-
-__all__ = ["InterDCPair", "PAPER_PAIRS", "run_pair", "run_table"]
+__all__ = ["InterDCPair", "PAPER_PAIRS"]
 
 
 @dataclass
@@ -59,45 +51,3 @@ PAPER_PAIRS: List[InterDCPair] = [
     InterDCPair("NYSERNet -> Illinois", 0.0361,
                 {"pcc": 808, "sabul": 674, "cubic": 141, "illinois": 141}),
 ]
-
-
-def run_pair(
-    pair: InterDCPair,
-    scheme: str,
-    reserved_bandwidth_bps: float = 200e6,
-    limiter_buffer_packets: int = 8,
-    duration: float = 25.0,
-    seed: int = 3,
-    mss: int = DEFAULT_MSS,
-) -> float:
-    """Run one protocol over one pair's emulated reserved path; Mbps goodput."""
-    sim = Simulator(seed=seed)
-    topo = single_bottleneck(
-        sim,
-        bandwidth_bps=reserved_bandwidth_bps,
-        rtt=pair.rtt,
-        buffer_bytes=limiter_buffer_packets * mss,
-    )
-    spec = FlowSpec(scheme=scheme, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration, mss=mss)
-    return result.flow(0).goodput_bps(duration) / BPS_PER_MBPS
-
-
-def run_table(
-    schemes: Sequence[str] = ("pcc", "sabul", "cubic", "illinois"),
-    pairs: Optional[Sequence[InterDCPair]] = None,
-    reserved_bandwidth_bps: float = 200e6,
-    duration: float = 25.0,
-) -> List[dict]:
-    """Regenerate Table 1: one row per pair, one column per scheme (Mbps)."""
-    rows = []
-    for pair in (pairs if pairs is not None else PAPER_PAIRS):
-        row = {"pair": pair.name, "rtt_ms": pair.rtt * MS_PER_S,
-               "paper": pair.paper_throughput_mbps}
-        for scheme in schemes:
-            row[scheme] = run_pair(
-                pair, scheme, reserved_bandwidth_bps=reserved_bandwidth_bps,
-                duration=duration,
-            )
-        rows.append(row)
-    return rows

@@ -13,27 +13,20 @@ identifies as responsible for TCP's poor showing:
   rate shapers and wireless segments;
 * optional background cross traffic occupying part of the bottleneck.
 
-Each sampled path is run once per protocol under identical conditions, and the
-improvement ratio distribution is reported exactly as Figure 5 does.
+Each sampled path is run once per protocol under identical conditions (the
+``fig4_5`` report spec lists one single-flow sweep cell per path and scheme),
+and the improvement ratio distribution is reported exactly as Figure 5 does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..netsim import (
-    FlowSpec,
-    Simulator,
-    bdp_bytes,
-    single_bottleneck,
-)
-from ..units import BPS_PER_MBPS, MS_PER_S
-from .runner import run_flows
+from ..netsim import bdp_bytes
 
-__all__ = ["InternetPathConfig", "sample_paths", "run_path", "improvement_ratios",
-           "ratio_cdf"]
+__all__ = ["InternetPathConfig", "sample_paths", "ratio_cdf"]
 
 
 @dataclass
@@ -51,18 +44,6 @@ class InternetPathConfig:
         """Bottleneck buffer size implied by the BDP fraction (>= 2 packets)."""
         return max(3_000.0, self.buffer_fraction_of_bdp * bdp_bytes(
             self.bandwidth_bps, self.rtt))
-
-    @property
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of the path in bytes."""
-        return bdp_bytes(self.bandwidth_bps, self.rtt)
-
-    def describe(self) -> str:
-        """Short description used in benchmark printouts."""
-        return (
-            f"{self.bandwidth_bps / BPS_PER_MBPS:.0f} Mbps, {self.rtt * MS_PER_S:.0f} ms, "
-            f"loss {self.loss_rate * 100:.2f}%, buffer {self.buffer_fraction_of_bdp:.2f} BDP"
-        )
 
 
 def sample_paths(count: int, seed: int = 7,
@@ -89,38 +70,6 @@ def sample_paths(count: int, seed: int = 7,
             )
         )
     return paths
-
-
-def run_path(config: InternetPathConfig, scheme: str, duration: float = 15.0,
-             **controller_kwargs) -> float:
-    """Run one protocol over one synthetic path; returns goodput in Mbps."""
-    sim = Simulator(seed=config.seed)
-    topo = single_bottleneck(
-        sim,
-        bandwidth_bps=config.bandwidth_bps,
-        rtt=config.rtt,
-        buffer_bytes=config.buffer_bytes,
-        loss_rate=config.loss_rate,
-    )
-    spec = FlowSpec(scheme=scheme, controller_kwargs=controller_kwargs, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration)
-    return result.flow(0).goodput_bps(duration) / BPS_PER_MBPS
-
-
-def improvement_ratios(
-    paths: Sequence[InternetPathConfig],
-    baseline_scheme: str,
-    duration: float = 15.0,
-    pcc_kwargs: Optional[dict] = None,
-) -> List[float]:
-    """PCC-over-baseline goodput ratio for every path (Figure 5's x axis)."""
-    ratios = []
-    for config in paths:
-        pcc = run_path(config, "pcc", duration=duration,
-                       **(pcc_kwargs or {}))
-        baseline = run_path(config, baseline_scheme, duration=duration)
-        ratios.append(pcc / baseline if baseline > 0 else float("inf"))
-    return ratios
 
 
 def ratio_cdf(ratios: Sequence[float],

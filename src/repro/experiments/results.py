@@ -16,10 +16,9 @@ that model with a two-layer results API:
   :meth:`~ResultSet.aggregate`.
 
 The canonical view is preserved exactly: :meth:`ResultSet.to_json` emits the
-same sorted-key, cell-index-ordered payload the old all-in-memory
-``SweepResult`` did, so the byte-identical-across-worker-counts guarantee —
-and every archived golden file — survives the migration.  ``SweepResult``
-itself remains as a thin deprecated alias.
+same sorted-key, cell-index-ordered payload the old all-in-memory result
+class did, so the byte-identical-across-worker-counts guarantee — and every
+archived golden file — survives the migration.
 
 A record's **identity** is the canonical JSON of its ``cell`` parameters
 (everything but the measured outcome).  ``sweep(..., resume_from=path)``
@@ -38,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import warnings
 from typing import (
     Any,
     Callable,
@@ -55,7 +53,6 @@ __all__ = [
     "RESULTSET_FORMAT",
     "ResultSet",
     "ResultSetWriter",
-    "SweepResult",
     "cell_identity_key",
 ]
 
@@ -534,20 +531,3 @@ class ResultSetWriter:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class SweepResult(ResultSet):
-    """Deprecated alias of :class:`ResultSet` (the pre-streaming API's name).
-
-    Kept so pre-migration code constructing ``SweepResult(base_seed, cells,
-    timings)`` keeps working; new code should use :class:`ResultSet`, whose
-    constructor takes the same ``(base_seed, records, timings)``.
-    """
-
-    def __init__(self, base_seed: int, cells: List[Dict[str, Any]],
-                 timings: List[float]) -> None:
-        warnings.warn(
-            "SweepResult is deprecated; use repro.experiments.results.ResultSet",
-            DeprecationWarning, stacklevel=2,
-        )
-        super().__init__(base_seed, records=cells, timings=timings)

@@ -3,9 +3,9 @@
 Scheme names (the strings used in :class:`repro.netsim.flows.FlowSpec`,
 including ``"pcc:gradient"``-style variant specs) are resolved against the
 :mod:`repro.schemes` registry — a scheme registered once there is usable here,
-in sweep grids and in the sweep CLI with no further edits.  Every benchmark
-and example goes through :func:`run_flows`, so scenarios stay declarative:
-build a topology, list the flows, pick a duration.
+in sweep grids and in the sweep CLI with no further edits.  Every sweep cell,
+scenario and example goes through :func:`run_flows`, so scenarios stay
+declarative: build a topology, list the flows, pick a duration.
 """
 
 from __future__ import annotations
@@ -216,13 +216,8 @@ def run_flows(
     duration: float,
     mss: int = DEFAULT_MSS,
     bin_width: float = 1.0,
-    warmup: float = 0.0,
 ) -> ScenarioResult:
-    """Attach every flow spec to its path, run the simulation, return results.
-
-    ``warmup`` only affects the convenience summaries computed later by callers
-    (the runner itself always simulates the full ``duration``).
-    """
+    """Attach every flow spec to its path, run the simulation, return results."""
     if not paths:
         raise ValueError("run_flows needs at least one path")
     flows: List[FlowResult] = []

@@ -11,7 +11,7 @@ conditions.  EXPERIMENTS.md records the scaling per experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..core import LatencyUtility, LossResilientUtility
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S
@@ -23,12 +23,9 @@ from ..netsim import (
     LinkConfig,
     RandomLinkDynamics,
     Simulator,
-    TraceLinkDynamics,
     bdp_bytes,
     dumbbell,
     make_qdisc,
-    make_synthetic_trace,
-    parking_lot,
     poisson_short_flows,
     single_bottleneck,
 )
@@ -42,13 +39,8 @@ from .runner import ScenarioResult, run_flows
 
 __all__ = [
     "ScenarioOutcome",
-    "satellite_scenario",
-    "lossy_link_scenario",
-    "shallow_buffer_scenario",
     "rtt_unfairness_scenario",
     "dynamic_network_scenario",
-    "parking_lot_scenario",
-    "variable_bandwidth_scenario",
     "convergence_scenario",
     "fairness_index_over_timescales",
     "friendliness_scenario",
@@ -56,7 +48,6 @@ __all__ = [
     "tradeoff_scenario",
     "extreme_loss_scenario",
     "aqm_power_scenario",
-    "utility_ablation_scenario",
     "CONTENTION_BANDWIDTH_BPS",
     "RESPONSIVENESS_BANDWIDTH_BPS",
 ]
@@ -64,13 +55,10 @@ __all__ = [
 #: Default bottleneck capacities shared between the scenario signatures here
 #: and the report specs that re-state them (named so the two can never drift
 #: apart): 20 Mbps for the multi-flow contention scenarios (convergence,
-#: fairness timescales, utility ablation), 50 Mbps for the single-flow
+#: fairness timescales, FCT vs load), 50 Mbps for the single-flow
 #: responsiveness scenarios (stability/reactiveness trade-off, extreme loss).
 CONTENTION_BANDWIDTH_BPS = 20e6
 RESPONSIVENESS_BANDWIDTH_BPS = 50e6
-
-#: Scheme -> PCC-specific keyword arguments injected automatically.
-_PCC_DEFAULTS: Dict[str, object] = {}
 
 
 @dataclass
@@ -98,76 +86,6 @@ def _single_flow_outcome(scheme: str, result: ScenarioResult) -> ScenarioOutcome
         mean_rtt_ms=flow.mean_rtt * MS_PER_S,
         result=result,
     )
-
-
-# --------------------------------------------------------------------------- #
-# Figure 6 — satellite link
-# --------------------------------------------------------------------------- #
-def satellite_scenario(
-    scheme: str,
-    buffer_bytes: float = 7_500.0,
-    duration: float = 60.0,
-    bandwidth_bps: float = 42e6,
-    rtt: float = 0.8,
-    loss_rate: float = 0.0074,
-    seed: int = 1,
-    **controller_kwargs,
-) -> ScenarioOutcome:
-    """The WINDS satellite link of §4.1.3: 42 Mbps, 800 ms RTT, 0.74% loss."""
-    sim = Simulator(seed=seed)
-    topo = single_bottleneck(
-        sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
-        buffer_bytes=buffer_bytes, loss_rate=loss_rate,
-    )
-    spec = FlowSpec(scheme=scheme, controller_kwargs=controller_kwargs, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration)
-    return _single_flow_outcome(scheme, result)
-
-
-# --------------------------------------------------------------------------- #
-# Figure 7 — random loss
-# --------------------------------------------------------------------------- #
-def lossy_link_scenario(
-    scheme: str,
-    loss_rate: float,
-    duration: float = 30.0,
-    bandwidth_bps: float = 100e6,
-    rtt: float = 0.03,
-    seed: int = 1,
-    **controller_kwargs,
-) -> ScenarioOutcome:
-    """The §4.1.4 lossy link: 100 Mbps, 30 ms RTT, loss on both directions."""
-    sim = Simulator(seed=seed)
-    topo = single_bottleneck(
-        sim, bandwidth_bps=bandwidth_bps, rtt=rtt,
-        buffer_bytes=bdp_bytes(bandwidth_bps, rtt),
-        loss_rate=loss_rate, reverse_loss_rate=loss_rate,
-    )
-    spec = FlowSpec(scheme=scheme, controller_kwargs=controller_kwargs, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration)
-    return _single_flow_outcome(scheme, result)
-
-
-# --------------------------------------------------------------------------- #
-# Figure 9 — shallow buffers
-# --------------------------------------------------------------------------- #
-def shallow_buffer_scenario(
-    scheme: str,
-    buffer_bytes: float,
-    duration: float = 30.0,
-    bandwidth_bps: float = 100e6,
-    rtt: float = 0.03,
-    seed: int = 1,
-    **controller_kwargs,
-) -> ScenarioOutcome:
-    """The §4.1.6 shallow-buffer bottleneck: 100 Mbps, 30 ms, clean link."""
-    sim = Simulator(seed=seed)
-    topo = single_bottleneck(
-        sim, bandwidth_bps=bandwidth_bps, rtt=rtt, buffer_bytes=buffer_bytes,
-    )
-    spec = FlowSpec(scheme=scheme, controller_kwargs=controller_kwargs, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration)
-    return _single_flow_outcome(scheme, result)
 
 
 # --------------------------------------------------------------------------- #
@@ -257,120 +175,6 @@ def dynamic_network_scenario(
         "optimal_mbps": optimal_mbps,
         "fraction_of_optimal": (flow.goodput_bps(duration) / BPS_PER_MBPS) / optimal_mbps
         if optimal_mbps > 0 else 0.0,
-        "rate_series": flow.stats.rate_series,
-        "dynamics": dynamics,
-        "result": result,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# §4.3 — multi-bottleneck parking lot with per-hop cross traffic
-# --------------------------------------------------------------------------- #
-def parking_lot_scenario(
-    scheme: str,
-    num_hops: int = 3,
-    cross_scheme: Optional[str] = None,
-    bandwidth_bps: float = 30e6,
-    hop_rtt: float = 0.010,
-    duration: float = 30.0,
-    cross_start: float = 0.0,
-    seed: int = 1,
-    **controller_kwargs,
-) -> dict:
-    """One long flow crossing ``num_hops`` bottlenecks against per-hop cross
-    traffic — the paper's multi-hop/RTT-diversity conditions (§4.3).
-
-    The long flow (scheme ``scheme``) traverses every hop; each hop also
-    carries one cross flow (``cross_scheme``, defaulting to the same scheme)
-    that enters just before it and leaves right after.  Returns the long
-    flow's goodput, the per-hop cross goodputs and the long flow's share of
-    its fair allocation (``bandwidth_bps / 2`` with one cross flow per hop).
-    """
-    sim = Simulator(seed=seed)
-    topo = parking_lot(
-        sim,
-        num_hops=num_hops,
-        bandwidth_bps=bandwidth_bps,
-        hop_delay=hop_rtt / 2.0,
-        buffer_bytes=bdp_bytes(bandwidth_bps, num_hops * hop_rtt),
-    )
-    cross = cross_scheme or scheme
-    specs = [
-        FlowSpec(scheme=scheme, path_index=0, label="long",
-                 controller_kwargs=dict(controller_kwargs)),
-    ]
-    for i in range(num_hops):
-        specs.append(
-            FlowSpec(scheme=cross, start_time=cross_start, path_index=1 + i,
-                     label=f"cross-{i}")
-        )
-    result = run_flows(sim, topo.paths, specs, duration=duration)
-    long_mbps = result.by_label("long").goodput_bps(duration) / BPS_PER_MBPS
-    cross_mbps = [
-        result.by_label(f"cross-{i}").goodput_bps(duration) / BPS_PER_MBPS
-        for i in range(num_hops)
-    ]
-    fair_share_mbps = bandwidth_bps / 2.0 / BPS_PER_MBPS
-    return {
-        "scheme": scheme,
-        "cross_scheme": cross,
-        "num_hops": num_hops,
-        "long_mbps": long_mbps,
-        "cross_mbps": cross_mbps,
-        "fair_share_mbps": fair_share_mbps,
-        "long_share_of_fair": long_mbps / fair_share_mbps if fair_share_mbps else 0.0,
-        "result": result,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# §4.1.7 complement — trace-driven time-varying capacity
-# --------------------------------------------------------------------------- #
-def variable_bandwidth_scenario(
-    scheme: str,
-    trace: str = "step",
-    duration: float = 60.0,
-    peak_bandwidth_bps: float = 100e6,
-    rtt: float = 0.03,
-    seed: int = 1,
-    trace_seed: int = 0,
-    **controller_kwargs,
-) -> dict:
-    """A bottleneck whose capacity follows a bundled synthetic trace.
-
-    Complements :func:`dynamic_network_scenario` (which re-draws parameters at
-    random): here the capacity follows the named piecewise-constant trace
-    (``step``, ``sawtooth`` or ``cellular`` — see
-    :func:`repro.netsim.make_synthetic_trace`), so runs are comparable across
-    schemes point by point.  The cellular walk is seeded by ``trace_seed``,
-    deliberately separate from the simulator ``seed``, so varying the latter
-    across schemes keeps the capacity trace identical.  Returns goodput
-    against the time-weighted optimal.
-    """
-    sim = Simulator(seed=seed)
-    topo = single_bottleneck(
-        sim, bandwidth_bps=peak_bandwidth_bps, rtt=rtt,
-        buffer_bytes=bdp_bytes(peak_bandwidth_bps, rtt),
-    )
-    dynamics = TraceLinkDynamics(
-        sim, topo.forward,
-        bandwidth_trace=make_synthetic_trace(
-            trace, peak_bps=peak_bandwidth_bps, duration=duration,
-            seed=trace_seed,
-        ),
-    )
-    dynamics.start()
-    spec = FlowSpec(scheme=scheme, controller_kwargs=controller_kwargs, label=scheme)
-    result = run_flows(sim, [topo.path], [spec], duration=duration)
-    flow = result.flow(0)
-    optimal_mbps = dynamics.mean_optimal_rate(0.0, duration) / BPS_PER_MBPS
-    goodput_mbps = flow.goodput_bps(duration) / BPS_PER_MBPS
-    return {
-        "scheme": scheme,
-        "trace": trace,
-        "goodput_mbps": goodput_mbps,
-        "optimal_mbps": optimal_mbps,
-        "fraction_of_optimal": goodput_mbps / optimal_mbps if optimal_mbps > 0 else 0.0,
         "rate_series": flow.stats.rate_series,
         "dynamics": dynamics,
         "result": result,
@@ -650,53 +454,3 @@ def aqm_power_scenario(
         "mean_rtt_ms": sum(f.mean_rtt for f in result.flows) / len(result.flows) * MS_PER_S,
         "result": result,
     }
-
-
-# --------------------------------------------------------------------------- #
-# §4.4 — utility-function ablation
-# --------------------------------------------------------------------------- #
-def utility_ablation_scenario(
-    environment: str = "lossy",
-    utilities: Sequence[Optional[str]] = (None, "loss_resilient", "latency"),
-    bandwidth_bps: float = CONTENTION_BANDWIDTH_BPS,
-    rtt: float = 0.03,
-    loss_rate: float = 0.3,
-    buffer_bytes: float = 2_000_000.0,
-    duration: float = 20.0,
-    seed: int = 1,
-) -> Dict[str, ScenarioOutcome]:
-    """§4.4: the same PCC machinery under each registered utility function.
-
-    Two environments stress the two flexibility claims:
-
-    * ``"lossy"`` — a BDP-buffered bottleneck with heavy random loss
-      (§4.4.2): the loss-resilient utility should keep most of the achievable
-      ``(1 - loss) * bandwidth`` goodput while the safe utility's 5% loss cap
-      makes it collapse.
-    * ``"deep_buffer"`` — a bufferbloated drop-tail bottleneck (§4.4.1): the
-      latency utility should keep mean RTT near the base RTT while the safe
-      utility fills the buffer.
-
-    ``utilities`` entries are registered utility names (``None`` means the
-    scheme default, i.e. the safe utility).  Returns one
-    :class:`ScenarioOutcome` per utility, keyed by name (``None`` → "safe").
-    Every comparison runs from the same seed, so the utilities face identical
-    random loss and MI-length draws as far as trajectories allow.
-    """
-    if environment == "lossy":
-        link = dict(loss_rate=loss_rate,
-                    buffer_bytes=bdp_bytes(bandwidth_bps, rtt))
-    elif environment == "deep_buffer":
-        link = dict(loss_rate=0.0, buffer_bytes=buffer_bytes)
-    else:
-        raise ValueError("environment must be 'lossy' or 'deep_buffer'")
-    outcomes: Dict[str, ScenarioOutcome] = {}
-    for utility in utilities:
-        sim = Simulator(seed=seed)
-        topo = single_bottleneck(sim, bandwidth_bps=bandwidth_bps, rtt=rtt, **link)
-        kwargs = {} if utility is None else {"utility": utility}
-        name = utility or "safe"
-        spec = FlowSpec(scheme="pcc", controller_kwargs=kwargs, label=name)
-        result = run_flows(sim, [topo.path], [spec], duration=duration)
-        outcomes[name] = _single_flow_outcome("pcc", result)
-    return outcomes

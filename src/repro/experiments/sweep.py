@@ -31,8 +31,9 @@ place that fan-out lives:
 * ``python -m repro.experiments.sweep`` exposes the same machinery as a CLI
   (``--jsonl`` / ``--resume-from`` included).
 
-The per-figure benchmarks in ``benchmarks/`` build their grids here instead of
-hand-rolling serial loops over :func:`repro.experiments.run_flows`.
+The report catalog (:mod:`repro.report.specs`) declares its grids and pinned
+cells here instead of hand-rolling serial loops over
+:func:`repro.experiments.run_flows`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from ..schemes import (
 from .execute import PROFILE_TOP_N, execute_cells
 from .executors import DEFAULT_EXECUTOR as DEFAULT_EXECUTOR_NAME
 from .executors import executor_names
-from .results import ResultSet, ResultSetWriter, SweepResult, cell_identity_key
+from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore
 from ..netsim import (
     DEFAULT_QDISC,
@@ -91,7 +92,6 @@ __all__ = [
     "ResultSetWriter",
     "SweepCell",
     "SweepGrid",
-    "SweepResult",
     "cell_identity_key",
     "derive_seed",
     "register_scheme_variant",

@@ -26,8 +26,6 @@ from typing import List, Optional, Sequence
 from ..experiments.execute import PROFILE_TOP_N
 from ..experiments.executors import DEFAULT_EXECUTOR, executor_names
 from ..experiments.store import CellStore
-from ..experiments.workload import DEFAULT_WORKLOAD, workload_names
-from ..netsim import DEFAULT_QDISC, qdisc_names
 from .render import matrix_drift, render_matrix, render_report
 from .run import SpecOutcome, run_report_spec
 from .spec import ReportSpec, list_report_specs, report_spec_ids
@@ -47,17 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes per spec (rendered output is "
                              "identical for any value)")
-    parser.add_argument("--qdisc", default=DEFAULT_QDISC,
-                        choices=qdisc_names(),
-                        help="queue discipline every grid cell's bottleneck "
-                             "runs (scenario cells fix their own queueing); "
-                             "recorded in cell identities when non-default")
-    parser.add_argument("--workload", default=DEFAULT_WORKLOAD,
-                        choices=workload_names(),
-                        help="workload generator emitting every grid cell's "
-                             "flow schedule (scenario cells fix their own "
-                             "traffic); recorded in cell identities when "
-                             "non-default")
     parser.add_argument("--profile", action="store_true",
                         help="profile each cell with cProfile and print the "
                              f"top {PROFILE_TOP_N} cumulative entries to "
@@ -84,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed cell store shared by every "
                              "spec: stored cells skip execution (across "
-                             "runs, sweeps and benchmarks alike), fresh "
+                             "runs and sweeps alike), fresh "
                              "cells are stored back")
     parser.add_argument("--progress", action="store_true",
                         help="force the live progress/ETA line on stderr "
@@ -166,7 +153,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if report_path is None:
         if args.only is not None:
             # A subset ledger written to the default path would replace the
-            # checked-in 19-spec REPORT.md without any warning.
+            # checked-in full-catalog REPORT.md without any warning.
             parser.error("--only produces a partial ledger; name its "
                          "destination explicitly with --report PATH")
         report_path = "REPORT.md"
@@ -202,8 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 outcome = run_report_spec(spec, workers=args.workers,
                                           jsonl_path=jsonl_path,
                                           resume_from=resume_path,
-                                          qdisc=args.qdisc,
-                                          workload=args.workload,
                                           profile=args.profile,
                                           executor=args.executor,
                                           store=store,

@@ -1,15 +1,15 @@
 """Execute report specs into result sets, rows, and evaluated claims.
 
-Both execution modes funnel through
-:func:`repro.experiments.execute.execute_cells`, so every spec — sweep-grid
-or scenario-list — inherits the sweep layer's guarantees verbatim: streaming
-JSONL as cells complete, cell-exact resume from a prior (possibly
-interrupted) run, and results that are byte-identical for any worker count.
+Every spec's cells funnel through
+:func:`repro.experiments.execute.execute_cells` under one ``run_one``, so
+every spec — sweep cells or scenario cells — inherits the sweep layer's
+guarantees verbatim: streaming JSONL as cells complete, cell-exact resume
+from a prior (possibly interrupted) run, and results that are byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
@@ -18,12 +18,9 @@ from ..experiments.execute import execute_cells
 from ..experiments.executors import DEFAULT_EXECUTOR
 from ..experiments.results import ResultSet
 from ..experiments.store import CellStore
-from ..experiments.sweep import run_cell
-from ..experiments.workload import DEFAULT_WORKLOAD
-from ..netsim import DEFAULT_QDISC
+from ..experiments.sweep import SweepCell, run_cell
 from .spec import (
     ClaimResult,
-    GridRun,
     ReportSpec,
     ScenarioCell,
     get_report_spec,
@@ -33,15 +30,19 @@ from .spec import (
 __all__ = ["SpecOutcome", "evaluate_claims", "run_report_spec"]
 
 
-def _run_scenario_cell(cell: ScenarioCell) -> Dict[str, Any]:
-    """Run one scenario cell and return its JSON-friendly record.
+def _run_report_cell(cell: Union[SweepCell, ScenarioCell]) -> Dict[str, Any]:
+    """Run one catalog cell and return its JSON-friendly record.
 
-    The registered runner is resolved by name inside the worker process
+    A :class:`SweepCell` simulates through
+    :func:`repro.experiments.sweep.run_cell`.  A :class:`ScenarioCell`'s
+    registered runner is resolved by name inside the worker process
     (spawn-method workers re-import the catalog, mirroring how sweep workers
-    resolve topology/scheme names).  The record carries the cell identity,
+    resolve topology/scheme names); its record carries the cell identity,
     the runner's metrics dict, and the non-deterministic ``wall_time_s`` that
     the executor strips into :attr:`ResultSet.timings`.
     """
+    if isinstance(cell, SweepCell):
+        return run_cell(cell)
     # repro-lint: disable=RPL001 wall-time telemetry; stripped into ResultSet.timings, never canonical JSON
     start = time.perf_counter()
     fn = get_scenario_runner(cell.runner)
@@ -103,8 +104,6 @@ def run_report_spec(
     executor: str = DEFAULT_EXECUTOR,
     store: Union[str, CellStore, None] = None,
     progress: Optional[bool] = None,
-    qdisc: str = DEFAULT_QDISC,
-    workload: str = DEFAULT_WORKLOAD,
 ) -> SpecOutcome:
     """Execute one spec (by id or instance) and evaluate its claims.
 
@@ -119,38 +118,16 @@ def run_report_spec(
     are byte-identical for any ``workers`` value, any executor, and for
     resumed versus uninterrupted runs.
 
-    ``qdisc`` and ``workload`` override the bottleneck queue discipline and
-    the flow-schedule generator of every *grid* cell — scenario cells fix
-    their queueing/traffic as part of what they reproduce and are left
-    untouched.  ``profile`` prints each cell's hottest functions to stderr
-    (serial only; see :func:`repro.experiments.execute.execute_cells`).
+    ``profile`` prints each cell's hottest functions to stderr (serial only;
+    see :func:`repro.experiments.execute.execute_cells`).
     """
     if isinstance(spec, str):
         spec = get_report_spec(spec)
     run = spec.run
-    if isinstance(run, GridRun):
-        # A default qdisc/workload argument must not clobber a grid that
-        # fixes its own non-default value (the FCT-vs-load spec pins a web
-        # workload); only an explicit override replaces it.
-        overrides: Dict[str, Any] = {}
-        if qdisc != DEFAULT_QDISC:
-            overrides["qdisc"] = qdisc
-        if workload != DEFAULT_WORKLOAD:
-            overrides["workload"] = workload
-        cells: List[Any] = [
-            cell
-            for grid in run.grids
-            for cell in dataclasses.replace(grid, **overrides)
-            .cells(run.base_seed)
-        ]
-        run_one = run_cell
-    else:
-        cells = run.cells()
-        run_one = _run_scenario_cell
-    result = execute_cells(cells, run_one, run.base_seed, workers=workers,
-                           jsonl_path=jsonl_path, resume_from=resume_from,
-                           profile=profile, executor=executor, store=store,
-                           progress=progress)
+    result = execute_cells(run.cells(), _run_report_cell, run.base_seed,
+                           workers=workers, jsonl_path=jsonl_path,
+                           resume_from=resume_from, profile=profile,
+                           executor=executor, store=store, progress=progress)
     rows = spec.rows(result)
     claims = evaluate_claims(spec, rows, result)
     return SpecOutcome(spec=spec, result=result, rows=rows, claims=claims)

@@ -4,9 +4,11 @@ A spec bundles everything needed to regenerate one piece of the paper's
 evidence as a machine-checkable artifact:
 
 * **what to run** — either a :class:`GridRun` (one or more
-  :class:`~repro.experiments.sweep.SweepGrid`\\ s executed by the sweep
-  machinery) or a :class:`ScenarioRun` (a list of :class:`ScenarioCell`\\ s,
-  each naming a registered scenario runner plus JSON-friendly parameters);
+  :class:`~repro.experiments.sweep.SweepGrid`\\ s enumerated under one base
+  seed) or a :class:`ScenarioRun` (an explicit list of pinned-seed cells:
+  :class:`~repro.experiments.sweep.SweepCell`\\ s, or
+  :class:`ScenarioCell`\\ s naming a registered scenario runner plus
+  JSON-friendly parameters);
 * **what to extract** — a ``rows`` function turning the resulting
   :class:`~repro.experiments.results.ResultSet` into the table the figure
   plots;
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments.results import ResultSet
-from ..experiments.sweep import SweepGrid
+from ..experiments.sweep import SweepCell, SweepGrid
 from ..registry import NameRegistry
 
 __all__ = [
@@ -138,8 +140,8 @@ class ScenarioCell:
     :func:`register_scenario_runner`; ``kwargs`` are its JSON-serializable
     keyword arguments and — together with ``index``, the runner name and the
     ``seed`` — form the cell's identity for resume deduplication.  Unlike
-    sweep cells, the seed is pinned explicitly per cell (not derived), because
-    the benchmarks pin seeds per scenario where trajectories are
+    grid cells, the seed is pinned explicitly per cell (not derived), because
+    the catalog pins seeds per scenario where trajectories are
     seed-sensitive.
     """
 
@@ -170,16 +172,20 @@ class ScenarioCell:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Scenario-list execution: explicit cells, each with a pinned seed.
+    """Explicit-cell execution: listed cells, each with a pinned seed.
 
-    ``base_seed`` is recorded in the stream header and checked on resume; the
-    per-cell seeds live in the cell identities.
+    A cell is either a :class:`ScenarioCell` or a hand-listed
+    :class:`~repro.experiments.sweep.SweepCell` (a figure that is one
+    single-bottleneck cell per point but pins its seeds instead of deriving
+    them from a grid position).  ``base_seed`` is recorded in the stream
+    header and checked on resume; the per-cell seeds live in the cell
+    identities.
     """
 
-    cells_list: Tuple[ScenarioCell, ...]
+    cells_list: Tuple[Union[ScenarioCell, SweepCell], ...]
     base_seed: int
 
-    def cells(self) -> List[ScenarioCell]:
+    def cells(self) -> List[Union[ScenarioCell, SweepCell]]:
         """The cells in execution (and canonical) order."""
         return list(self.cells_list)
 

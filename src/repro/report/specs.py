@@ -1,32 +1,24 @@
 """The built-in report-spec catalog: every paper figure/table as a spec.
 
-Each spec mirrors the corresponding ``benchmarks/bench_*.py`` file exactly —
-same scenario parameters, same pinned seeds, same claim thresholds — so the
-benchmarks can run as thin wrappers over the catalog without changing what
-they measure.  Scenario runners registered here execute inside worker
-processes; everything they return must be JSON-serializable and a pure
-function of ``(seed, **kwargs)``.
+This catalog is the one place a paper experiment is named and described:
+scenario parameters, pinned seeds and claim thresholds all live here, and
+:func:`repro.report.run_report_spec` is the one way to run them.  Scenario
+runners registered here execute inside worker processes; everything they
+return must be JSON-serializable and a pure function of ``(seed, **kwargs)``.
 
-Registration order is the paper's presentation order (the same order as
-``repro.experiments.registry``); an import-time check keeps the two indexes
-aligned so neither can drift without failing loudly.
+Registration order is the paper's presentation order.
 """
 
 from __future__ import annotations
 
 import statistics
+from itertools import product
 from typing import Any, Dict, List
 
 from ..analysis import FluidModel, find_equilibrium, percentile, simulate_dynamics
 from ..experiments.incast import run_incast
-from ..experiments.interdc import PAPER_PAIRS, InterDCPair, run_pair
-from ..experiments.internet import (
-    InternetPathConfig,
-    ratio_cdf,
-    run_path,
-    sample_paths,
-)
-from ..experiments.registry import EXPERIMENTS
+from ..experiments.interdc import PAPER_PAIRS
+from ..experiments.internet import ratio_cdf, sample_paths
 from ..experiments.results import ResultSet
 from ..experiments.scenarios import (
     CONTENTION_BANDWIDTH_BPS,
@@ -40,9 +32,8 @@ from ..experiments.scenarios import (
     rtt_unfairness_scenario,
     short_flow_scenario,
     tradeoff_scenario,
-    utility_ablation_scenario,
 )
-from ..experiments.sweep import SweepGrid
+from ..experiments.sweep import SweepCell, SweepGrid
 from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES
 from ..units import BPS_PER_GBPS, BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
 from .spec import (
@@ -53,15 +44,9 @@ from .spec import (
     ScenarioRun,
     register_report_spec,
     register_scenario_runner,
-    report_spec_ids,
 )
 
 __all__: List[str] = []
-
-# Specs registered before this module loads (third-party extensions, test
-# fixtures) are not part of the built-in catalog and exempt from the
-# catalog-vs-experiment-registry drift check at the bottom of this file.
-_PRE_REGISTERED = set(report_spec_ids())
 
 #: Shorthand deviation-note pointers into EXPERIMENTS.md.
 _SCALING = "EXPERIMENTS.md § per-experiment scaling notes"
@@ -91,53 +76,31 @@ _F45_SCHEMES = ("pcc", "cubic", "pcp", "sabul")
 _F45_BASELINES = ("cubic", "pcp", "sabul")
 _F45_DURATION = 12.0
 # RTTs capped at 150 ms so the scaled 12 s runs give every protocol enough
-# round trips to converge (same sampler call as the benchmark).
+# round trips to converge.
 _F45_PATHS = sample_paths(5, seed=11, rtt_range=(0.010, 0.150))
 
 
-def _run_internet_path(seed: int, path: int, bandwidth_bps: float, rtt: float,
-                       loss_rate: float, buffer_fraction: float, scheme: str,
-                       duration: float) -> Dict[str, Any]:
-    """Run one scheme over one synthetic wild-Internet path."""
-    config = InternetPathConfig(
-        bandwidth_bps=bandwidth_bps, rtt=rtt, loss_rate=loss_rate,
-        buffer_fraction_of_bdp=buffer_fraction, seed=seed,
-    )
-    return {"goodput_mbps": run_path(config, scheme, duration=duration)}
-
-
-def _fig45_cells() -> List[ScenarioCell]:
-    """One cell per (sampled path, scheme); PCC runs once per path."""
-    cells = []
-    for path_index, config in enumerate(_F45_PATHS):
-        for scheme in _F45_SCHEMES:
-            cells.append(ScenarioCell(
-                index=len(cells), runner="internet_path", seed=config.seed,
-                kwargs={
-                    "path": path_index,
-                    "bandwidth_bps": config.bandwidth_bps,
-                    "rtt": config.rtt,
-                    "loss_rate": config.loss_rate,
-                    "buffer_fraction": config.buffer_fraction_of_bdp,
-                    "scheme": scheme,
-                    "duration": _F45_DURATION,
-                },
-            ))
-    return cells
+def _fig45_cells() -> List[SweepCell]:
+    """One single-flow cell per (sampled path, scheme), seeded by its path."""
+    return [
+        SweepCell(index=index, scheme=scheme, bandwidth_bps=path.bandwidth_bps,
+                  rtt=path.rtt, loss_rate=path.loss_rate,
+                  buffer_bytes=path.buffer_bytes, num_flows=1,
+                  duration=_F45_DURATION, seed=path.seed)
+        for index, (path, scheme)
+        in enumerate(product(_F45_PATHS, _F45_SCHEMES))
+    ]
 
 
 def _fig45_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per baseline: the PCC improvement-ratio distribution."""
-    def goodput(path: int, scheme: str) -> float:
-        """The measured goodput of one (path, scheme) cell."""
-        return _metrics(result, path=path, scheme=scheme)["goodput_mbps"]
-
     rows = []
     for baseline in _F45_BASELINES:
         ratios = []
-        for path_index in range(len(_F45_PATHS)):
-            base = goodput(path_index, baseline)
-            pcc = goodput(path_index, "pcc")
+        for path in _F45_PATHS:
+            # Every sampled path carries its own seed, which names it here.
+            base = result.goodput_mbps(scheme=baseline, seed=path.seed)
+            pcc = result.goodput_mbps(scheme="pcc", seed=path.seed)
             ratios.append(pcc / base if base > 0 else float("inf"))
         cdf = ratio_cdf(ratios)
         rows.append({
@@ -150,7 +113,6 @@ def _fig45_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_scenario_runner("internet_path", _run_internet_path)
 register_report_spec(ReportSpec(
     spec_id="fig4_5",
     title="Wild-Internet throughput improvement over baselines",
@@ -201,40 +163,27 @@ _T1_SCHEMES = ("pcc", "sabul", "cubic", "illinois")
 _T1_PAIRS = PAPER_PAIRS[:4]
 _T1_BANDWIDTH = 100e6
 _T1_DURATION = 8.0
+# The bandwidth-reserving rate limiter buffers only a handful of packets.
+_T1_BUFFER = 8.0 * DEFAULT_MSS
 
 
-def _run_interdc(seed: int, pair: str, rtt: float, scheme: str,
-                 bandwidth_bps: float, duration: float) -> Dict[str, Any]:
-    """Run one scheme over one emulated reserved inter-DC path."""
-    config = InterDCPair(name=pair, rtt=rtt, paper_throughput_mbps={})
-    return {"goodput_mbps": run_pair(
-        config, scheme, reserved_bandwidth_bps=bandwidth_bps,
-        duration=duration, seed=seed,
-    )}
-
-
-def _table1_cells() -> List[ScenarioCell]:
-    """One cell per (site pair, scheme)."""
-    cells = []
-    for pair in _T1_PAIRS:
-        for scheme in _T1_SCHEMES:
-            cells.append(ScenarioCell(
-                index=len(cells), runner="interdc_pair", seed=3,
-                kwargs={"pair": pair.name, "rtt": pair.rtt, "scheme": scheme,
-                        "bandwidth_bps": _T1_BANDWIDTH,
-                        "duration": _T1_DURATION},
-            ))
-    return cells
+def _table1_cells() -> List[SweepCell]:
+    """One single-flow cell per (site pair, scheme) on the reserved path."""
+    return [
+        SweepCell(index=index, scheme=scheme, bandwidth_bps=_T1_BANDWIDTH,
+                  rtt=pair.rtt, loss_rate=0.0, buffer_bytes=_T1_BUFFER,
+                  num_flows=1, duration=_T1_DURATION, seed=3)
+        for index, (pair, scheme) in enumerate(product(_T1_PAIRS, _T1_SCHEMES))
+    ]
 
 
 def _table1_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per site pair with every scheme's goodput."""
+    """One row per site pair (named by its RTT) with every scheme's goodput."""
     rows = []
     for pair in _T1_PAIRS:
         row: Dict[str, Any] = {"pair": pair.name, "rtt_ms": pair.rtt * MS_PER_S}
         for scheme in _T1_SCHEMES:
-            row[scheme] = _metrics(result, pair=pair.name,
-                                   scheme=scheme)["goodput_mbps"]
+            row[scheme] = result.goodput_mbps(scheme=scheme, rtt=pair.rtt)
         rows.append(row)
     return rows
 
@@ -245,7 +194,6 @@ def _table1_means(rows: List[Dict[str, Any]]) -> Dict[str, float]:
             for scheme in _T1_SCHEMES}
 
 
-register_scenario_runner("interdc_pair", _run_interdc)
 register_report_spec(ReportSpec(
     spec_id="table1",
     title="Inter-data-center reserved-bandwidth transfers",
@@ -1433,51 +1381,36 @@ register_report_spec(ReportSpec(
 _S44_UTILITIES = (None, "loss_resilient", "latency")
 _S44_BANDWIDTH = 20e6
 _S44_LOSS = 0.3
+# environment -> (loss rate, buffer): heavy random loss into a BDP buffer
+# (§4.4.2), or a clean bufferbloated drop-tail link (§4.4.1).
+_S44_ENVIRONMENTS = {"lossy": (_S44_LOSS, None),
+                     "deep_buffer": (0.0, 2_000_000.0)}
 
 
-def _run_utility_ablation(seed: int, environment: str, utility: Any,
-                          bandwidth_bps: float, loss_rate: float,
-                          buffer_bytes: float, duration: float) -> Dict[str, Any]:
-    """Run the PCC machinery under one utility in one environment."""
-    outcomes = utility_ablation_scenario(
-        environment, utilities=(utility,), bandwidth_bps=bandwidth_bps,
-        loss_rate=loss_rate, buffer_bytes=buffer_bytes, duration=duration,
-        seed=seed,
-    )
-    (outcome,) = outcomes.values()
-    return {"goodput_mbps": outcome.goodput_mbps,
-            "loss_rate": outcome.loss_rate,
-            "mean_rtt_ms": outcome.mean_rtt_ms}
-
-
-def _sec44_cells() -> List[ScenarioCell]:
-    """One cell per (environment, utility)."""
-    cells = []
-    for environment in ("lossy", "deep_buffer"):
-        for utility in _S44_UTILITIES:
-            cells.append(ScenarioCell(
-                index=len(cells), runner="utility_ablation", seed=5,
-                kwargs={"environment": environment, "utility": utility,
-                        "bandwidth_bps": _S44_BANDWIDTH,
-                        "loss_rate": _S44_LOSS,
-                        "buffer_bytes": 2_000_000.0, "duration": 20.0},
-            ))
-    return cells
+def _sec44_cells() -> List[SweepCell]:
+    """One PCC cell per (environment, utility), all from the same seed."""
+    return [
+        SweepCell(index=index, scheme="pcc", bandwidth_bps=_S44_BANDWIDTH,
+                  rtt=0.03, loss_rate=loss, buffer_bytes=buffer_bytes,
+                  num_flows=1, duration=20.0, seed=5, utility=utility)
+        for index, ((loss, buffer_bytes), utility)
+        in enumerate(product(_S44_ENVIRONMENTS.values(), _S44_UTILITIES))
+    ]
 
 
 def _sec44_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per (environment, utility)."""
     rows = []
-    for environment in ("lossy", "deep_buffer"):
+    for environment, (loss, _buffer) in _S44_ENVIRONMENTS.items():
         for utility in _S44_UTILITIES:
-            metrics = _metrics(result, environment=environment,
-                               utility=utility)
+            (record,) = result.find(loss_rate=loss, utility=utility)
+            (flow,) = record["flows"]
             rows.append({
                 "environment": environment,
                 "utility": utility or "safe",
-                "goodput_mbps": metrics["goodput_mbps"],
-                "loss_rate": metrics["loss_rate"],
-                "mean_rtt_ms": metrics["mean_rtt_ms"],
+                "goodput_mbps": flow["goodput_mbps"],
+                "loss_rate": flow["loss_rate"],
+                "mean_rtt_ms": flow["mean_rtt_ms"],
             })
     return rows
 
@@ -1491,7 +1424,6 @@ def _sec44_value(rows: List[Dict[str, Any]], environment: str, utility: str,
     raise KeyError(f"no ablation row for {environment}/{utility}")
 
 
-register_scenario_runner("utility_ablation", _run_utility_ablation)
 register_report_spec(ReportSpec(
     spec_id="sec44_ablation",
     title="Utility-function ablation across environments",
@@ -1909,16 +1841,3 @@ register_report_spec(ReportSpec(
     ),
     sim_seconds=len(_FCT_SCHEMES) * len(_FCT_LOADS) * 10.0,
 ))
-
-
-# The experiment index (EXPERIMENTS.md's machine-readable form) and this
-# catalog describe the same set of paper artifacts; fail at import time if
-# either gains an entry the other lacks.
-_CATALOG_IDS = set(report_spec_ids()) - _PRE_REGISTERED
-_EXPERIMENT_IDS = set(EXPERIMENTS)
-if _CATALOG_IDS != _EXPERIMENT_IDS:
-    raise RuntimeError(
-        f"report spec catalog and experiment registry drifted: "
-        f"specs without experiments {sorted(_CATALOG_IDS - _EXPERIMENT_IDS)}, "
-        f"experiments without specs {sorted(_EXPERIMENT_IDS - _CATALOG_IDS)}"
-    )

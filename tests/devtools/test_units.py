@@ -378,9 +378,8 @@ class TestCli:
 
 
 class TestSelfCheck:
-    def test_src_and_benchmarks_are_units_finding_free(self):
-        findings = units_paths([str(REPO_ROOT / "src"),
-                                str(REPO_ROOT / "benchmarks")])
+    def test_src_is_units_finding_free(self):
+        findings = units_paths([str(REPO_ROOT / "src")])
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_units_rules_are_registered_with_lint(self):

@@ -158,6 +158,30 @@ class TestExecutorEquivalence:
             assert len(loaded) == 5
 
 
+class TestSharded:
+    def test_crashed_shard_keeps_every_finished_cell(self, tmp_path):
+        """One shard dying mid-slice fails the run — but only after every
+        finished cell (the crashed shard's own included) reached the store,
+        so the re-run executes just the cells nobody finished."""
+        store_dir = str(tmp_path / "store")
+        # Two shards: shard 0 owns cells 0/2/4, shard 1 owns 1/3/5 and dies
+        # on cell 3, after finishing 1 and before starting 5.
+        cells = [CrashOnceCell(index, 7, str(tmp_path), crash=(index == 3))
+                 for index in range(6)]
+        with pytest.raises(RuntimeError, match=r"shard\(s\) \[1\]"):
+            execute_cells(cells, run_crash_once, base_seed=7, workers=2,
+                          executor="sharded", store=store_dir)
+        with CellStore(store_dir) as store:
+            assert [store.contains(cell.params()) for cell in cells] == [
+                True, True, True, False, True, False]
+        rerun = execute_cells(cells, run_crash_once, base_seed=7, workers=2,
+                              executor="sharded", store=store_dir)
+        assert rerun.reuse == {"cells": 6, "resume_hits": 0,
+                               "store_hits": 4, "executed": 2}
+        assert rerun.to_json() == execute_cells(
+            fake_cells(6), run_fake, base_seed=7).to_json()
+
+
 class TestWorkQueue:
     def test_crashed_worker_cells_are_re_leased(self, tmp_path, capsys):
         """A worker dying mid-cell must not lose the cell: its lease expires

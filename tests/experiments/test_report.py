@@ -5,15 +5,16 @@ inherit them) keep the packet-level work small enough for the tier-1 suite:
 a 2x2 one-second grid and a pure-arithmetic scenario runner.
 """
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.results import ResultSet
-from repro.experiments.sweep import SweepGrid
+from repro.experiments.sweep import SweepCell, SweepGrid, run_cell
 from repro.report import (
     Claim,
     GridRun,
@@ -21,6 +22,8 @@ from repro.report import (
     ScenarioCell,
     ScenarioRun,
     evaluate_claims,
+    get_report_spec,
+    list_report_specs,
     register_report_spec,
     register_scenario_runner,
     render_report,
@@ -28,6 +31,7 @@ from repro.report import (
     run_report_spec,
 )
 from repro.report.cli import main as report_main
+from repro.schemes import SchemeSpec
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -116,27 +120,56 @@ register_report_spec(ReportSpec(
 
 
 class TestCatalog:
-    def test_catalog_matches_experiment_registry(self):
-        ids = set(report_spec_ids())
-        assert set(EXPERIMENTS) <= ids
-        # The only extras are the tiny specs this module registers.
-        assert ids - set(EXPERIMENTS) == {"tiny_grid", "tiny_scenario"}
+    def test_catalog_covers_the_paper_and_names_only_registered_schemes(self):
+        """The catalog is the only index of paper artifacts: every
+        figure/table id is a spec, and every scheme any cell names — a sweep
+        cell's ``scheme`` or a scenario cell's scheme-valued kwarg — resolves
+        against the scheme registry."""
+        assert {"fig4_5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10",
+                "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+                "fig17", "sec442", "theorems"} <= set(report_spec_ids())
+        for spec in list_report_specs():
+            for cell in spec.run.cells():
+                if isinstance(cell, SweepCell):
+                    named = [cell.scheme]
+                else:
+                    named = [cell.kwargs[key]
+                             for key in ("scheme", "selfish_kind")
+                             if key in cell.kwargs]
+                for scheme in named:
+                    SchemeSpec.parse(scheme).info()  # raises when unknown
 
     def test_unknown_spec_id_lists_valid_ids(self):
         with pytest.raises(ValueError, match="fig7"):
             run_report_spec("no_such_spec")
 
-    def test_experiment_registry_links_to_report_specs(self):
-        assert EXPERIMENTS["fig7"].report_spec().spec_id == "fig7"
-
     def test_every_catalog_spec_enumerates_cells(self):
-        from repro.report import list_report_specs
         for spec in list_report_specs():
             cells = spec.run.cells()
             assert cells, spec.spec_id
             identities = [str(sorted(cell.params().items()))
                           for cell in cells]
             assert len(set(identities)) == len(identities), spec.spec_id
+
+
+class TestPinnedCellPort:
+    def test_sweep_cells_match_the_scenario_runners_they_replaced(self):
+        """The golden file holds what the ``internet_path`` /
+        ``interdc_pair`` / ``utility_ablation`` scenario runners measured at
+        the last commit that had them (first ``fig4_5`` path, first
+        ``table1`` pair, every ``sec44_ablation`` cell; durations capped);
+        the pinned-seed sweep cells that replaced them must reproduce every
+        number exactly."""
+        with open(os.path.join(_DATA_DIR, "golden_pinned_cells.json")) as fh:
+            golden = json.load(fh)
+        for entry in golden["cells"]:
+            cell = get_report_spec(entry["spec"]).run.cells()[entry["index"]]
+            assert cell.seed == entry["seed"]
+            capped = dataclasses.replace(
+                cell, duration=min(cell.duration, golden["max_duration_s"]))
+            (flow,) = run_cell(capped)["flows"]
+            assert {key: flow[key] for key in entry["metrics"]} \
+                == entry["metrics"], (entry["spec"], entry["index"])
 
 
 class TestClaimEvaluation:

@@ -1,22 +1,26 @@
-"""Tests for the experiment runner, scenario builders and registry."""
+"""Tests for the experiment runner and the scenario builders."""
 
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     available_schemes,
-    get_experiment,
-    list_experiments,
-    lossy_link_scenario,
-    parking_lot_scenario,
     run_flows,
     run_incast,
     sample_paths,
-    shallow_buffer_scenario,
-    utility_ablation_scenario,
-    variable_bandwidth_scenario,
 )
+from repro.experiments.sweep import SweepCell, run_cell
 from repro.netsim import FlowSpec, Simulator, single_bottleneck
+
+
+def _single_flow(scheme, duration, loss_rate=0.0, buffer_bytes=None,
+                 reverse_loss=False):
+    """The flow summary of one 100 Mbps / 30 ms single-bottleneck cell."""
+    cell = SweepCell(index=0, scheme=scheme, bandwidth_bps=100e6, rtt=0.03,
+                     loss_rate=loss_rate, buffer_bytes=buffer_bytes,
+                     num_flows=1, duration=duration, seed=1,
+                     reverse_loss=reverse_loss)
+    (flow,) = run_cell(cell)["flows"]
+    return flow
 
 
 class TestRunner:
@@ -100,44 +104,21 @@ class TestRunner:
 
 class TestScenarios:
     def test_lossy_link_scenario_pcc_beats_cubic(self):
-        pcc = lossy_link_scenario("pcc", loss_rate=0.01, duration=8.0)
-        cubic = lossy_link_scenario("cubic", loss_rate=0.01, duration=8.0)
-        assert pcc.goodput_mbps > 2.0 * cubic.goodput_mbps
+        pcc = _single_flow("pcc", 8.0, loss_rate=0.01, reverse_loss=True)
+        cubic = _single_flow("cubic", 8.0, loss_rate=0.01, reverse_loss=True)
+        assert pcc["goodput_mbps"] > 2.0 * cubic["goodput_mbps"]
 
     def test_shallow_buffer_scenario_outcome_fields(self):
-        outcome = shallow_buffer_scenario("pcc", buffer_bytes=9_000, duration=6.0)
-        assert outcome.scheme == "pcc"
-        assert outcome.goodput_bps == pytest.approx(outcome.goodput_mbps * 1e6)
-        assert 0.0 <= outcome.loss_rate < 1.0
+        flow = _single_flow("pcc", 6.0, buffer_bytes=9_000)
+        assert flow["scheme"] == "pcc"
+        assert flow["goodput_mbps"] > 0.0
+        assert 0.0 <= flow["loss_rate"] < 1.0
 
     def test_incast_all_flows_complete(self):
         outcome = run_incast("pcc", 8, 64_000.0)
         assert outcome["completed"] == 8
         assert outcome["barrier_time"] is not None
         assert outcome["goodput_mbps"] > 0
-
-    def test_parking_lot_scenario_outcome_fields(self):
-        out = parking_lot_scenario("cubic", num_hops=2, bandwidth_bps=5e6,
-                                   duration=3.0, seed=1)
-        assert out["num_hops"] == 2
-        assert len(out["cross_mbps"]) == 2
-        assert out["long_mbps"] > 0.0
-        assert all(cross > 0.0 for cross in out["cross_mbps"])
-        assert out["fair_share_mbps"] == pytest.approx(2.5)
-        assert out["long_share_of_fair"] == pytest.approx(
-            out["long_mbps"] / 2.5)
-        # The long flow crosses both bottlenecks and is squeezed below the
-        # single-hop cross flows.
-        assert out["long_mbps"] < max(out["cross_mbps"])
-
-    def test_variable_bandwidth_scenario_tracks_trace(self):
-        out = variable_bandwidth_scenario("cubic", trace="step", duration=6.0,
-                                          peak_bandwidth_bps=5e6, seed=1)
-        assert out["trace"] == "step"
-        # The step trace averages (peak + peak/4) / 2 = 0.625 * peak.
-        assert out["optimal_mbps"] == pytest.approx(0.625 * 5.0)
-        assert 0.0 < out["goodput_mbps"] <= out["optimal_mbps"] + 0.5
-        assert out["fraction_of_optimal"] > 0.3
 
     def test_internet_path_sampler_in_ranges(self):
         paths = sample_paths(30, seed=1)
@@ -153,51 +134,3 @@ class TestScenarios:
         b = sample_paths(5, seed=9)
         assert [(p.bandwidth_bps, p.rtt) for p in a] == [
             (p.bandwidth_bps, p.rtt) for p in b]
-
-
-class TestRegistry:
-    def test_every_figure_and_table_registered(self):
-        ids = set(EXPERIMENTS)
-        expected = {"fig4_5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10",
-                    "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-                    "sec442", "theorems"}
-        assert expected <= ids
-
-    def test_get_experiment(self):
-        exp = get_experiment("fig7")
-        assert "loss" in exp.title.lower() or "random" in exp.title.lower()
-        assert exp.bench.endswith(".py")
-
-    def test_every_experiment_has_bench_file(self):
-        import os
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
-        for exp in list_experiments():
-            assert os.path.exists(os.path.join(root, exp.bench)), exp.bench
-
-
-class TestUtilityAblationExperiment:
-    def test_sec44_ablation_registered(self):
-        exp = get_experiment("sec44_ablation")
-        assert exp.scenario.endswith("utility_ablation_scenario")
-        assert exp.bench == "benchmarks/bench_utility_ablation.py"
-        assert "pcc:latency" in exp.schemes
-
-    def test_unknown_experiment_id_lists_valid_ids(self):
-        with pytest.raises(KeyError, match="fig7"):
-            get_experiment("no-such-experiment")
-
-    def test_lossy_environment_orders_utilities(self):
-        outcomes = utility_ablation_scenario("lossy", duration=6.0)
-        assert set(outcomes) == {"safe", "loss_resilient", "latency"}
-        assert (outcomes["loss_resilient"].goodput_mbps
-                > 3.0 * outcomes["safe"].goodput_mbps)
-
-    def test_deep_buffer_environment_orders_rtts(self):
-        outcomes = utility_ablation_scenario(
-            "deep_buffer", utilities=(None, "latency"), duration=6.0)
-        assert (outcomes["latency"].mean_rtt_ms
-                < outcomes["safe"].mean_rtt_ms)
-
-    def test_unknown_environment_rejected(self):
-        with pytest.raises(ValueError, match="lossy"):
-            utility_ablation_scenario("upside_down")

@@ -235,6 +235,11 @@ class TestSweepDeterminism:
             assert len(cell["flows"]) == 3
             # Every path carries traffic: the long flow and both cross flows.
             assert all(flow["goodput_mbps"] > 0.0 for flow in cell["flows"])
+            # The long flow (flow 0) crosses both bottlenecks and is
+            # squeezed below the single-hop cross flows.
+            long_flow, *cross = cell["flows"]
+            assert long_flow["goodput_mbps"] < max(
+                flow["goodput_mbps"] for flow in cross)
 
     def test_trace_workers_do_not_change_results(self):
         """The cellular trace is seeded per cell, so worker fan-out cannot
@@ -269,7 +274,7 @@ class TestSweepDeterminism:
             sweep(tiny_grid(), workers=0)
 
 
-class TestSweepResults:
+class TestSweepRecords:
     def test_cell_payload_shape(self):
         result = sweep(tiny_grid(schemes=("cubic",), loss_rates=(0.0,)), base_seed=0)
         (cell,) = result.cells

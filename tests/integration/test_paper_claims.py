@@ -1,52 +1,60 @@
 """Integration tests: scaled-down versions of the paper's headline claims.
 
-These are small/cheap versions of the benchmark scenarios, run as part of the
-normal test suite so regressions in the qualitative results are caught early.
+These are small/cheap versions of the report catalog's scenarios, run as part
+of the normal test suite so regressions in the qualitative results are caught
+early.
 """
 
 
 from repro.core import make_pcc_sender
 from repro.experiments import (
     dynamic_network_scenario,
-    lossy_link_scenario,
     rtt_unfairness_scenario,
     run_flows,
-    shallow_buffer_scenario,
 )
+from repro.experiments.sweep import SweepCell, run_cell
 from repro.netsim import FlowSpec, FlowStats, Simulator, bdp_bytes, single_bottleneck
+
+
+def _goodput_mbps(scheme, bandwidth_bps, duration, seed=1, loss_rate=0.0,
+                  buffer_bytes=None):
+    """Goodput of one flow on a 30 ms single bottleneck (BDP buffer unless
+    given); a lossy cell loses ACKs too, as in §4.1.4."""
+    cell = SweepCell(index=0, scheme=scheme, bandwidth_bps=bandwidth_bps,
+                     rtt=0.03, loss_rate=loss_rate, buffer_bytes=buffer_bytes,
+                     num_flows=1, duration=duration, seed=seed,
+                     reverse_loss=loss_rate > 0.0)
+    (flow,) = run_cell(cell)["flows"]
+    return flow["goodput_mbps"]
 
 
 class TestRandomLossClaim:
     """§4.1.4: PCC is highly resilient to random loss, TCP collapses."""
 
     def test_pcc_beats_cubic_by_large_factor_at_one_percent_loss(self):
-        pcc = lossy_link_scenario("pcc", 0.01, duration=10.0, bandwidth_bps=50e6)
-        cubic = lossy_link_scenario("cubic", 0.01, duration=10.0, bandwidth_bps=50e6)
-        assert pcc.goodput_mbps > 0.7 * 50.0
-        assert pcc.goodput_mbps > 3.0 * cubic.goodput_mbps
+        pcc = _goodput_mbps("pcc", 50e6, 10.0, loss_rate=0.01)
+        cubic = _goodput_mbps("cubic", 50e6, 10.0, loss_rate=0.01)
+        assert pcc > 0.7 * 50.0
+        assert pcc > 3.0 * cubic
 
     def test_illinois_also_collapses(self):
-        pcc = lossy_link_scenario("pcc", 0.02, duration=12.0, bandwidth_bps=100e6,
-                                  seed=2)
-        illinois = lossy_link_scenario("illinois", 0.02, duration=12.0,
-                                       bandwidth_bps=100e6, seed=2)
-        assert pcc.goodput_mbps > 2.0 * illinois.goodput_mbps
+        pcc = _goodput_mbps("pcc", 100e6, 12.0, seed=2, loss_rate=0.02)
+        illinois = _goodput_mbps("illinois", 100e6, 12.0, seed=2,
+                                 loss_rate=0.02)
+        assert pcc > 2.0 * illinois
 
 
 class TestShallowBufferClaim:
     """§4.1.6: PCC fills a shallow-buffered link that TCP cannot."""
 
     def test_pcc_reaches_most_of_capacity_with_six_packet_buffer(self):
-        outcome = shallow_buffer_scenario("pcc", buffer_bytes=9_000,
-                                          duration=10.0, bandwidth_bps=50e6)
-        assert outcome.goodput_mbps > 0.75 * 50.0
+        pcc = _goodput_mbps("pcc", 50e6, 10.0, buffer_bytes=9_000)
+        assert pcc > 0.75 * 50.0
 
     def test_pcc_beats_cubic_with_tiny_buffer(self):
-        pcc = shallow_buffer_scenario("pcc", buffer_bytes=4_500, duration=10.0,
-                                      bandwidth_bps=50e6)
-        cubic = shallow_buffer_scenario("cubic", buffer_bytes=4_500, duration=10.0,
-                                        bandwidth_bps=50e6)
-        assert pcc.goodput_mbps > cubic.goodput_mbps
+        pcc = _goodput_mbps("pcc", 50e6, 10.0, buffer_bytes=4_500)
+        cubic = _goodput_mbps("cubic", 50e6, 10.0, buffer_bytes=4_500)
+        assert pcc > cubic
 
 
 class TestRTTFairnessClaim:

@@ -196,22 +196,6 @@ class TestBundleSchemes:
             run_flows(sim, [topo.path], [spec], duration=1.0)
 
 
-class TestExperimentIndexIntegration:
-    def test_experiment_schemes_resolve_against_the_registry(self):
-        from repro.experiments import list_experiments
-
-        for experiment in list_experiments():
-            for parsed in experiment.scheme_specs():
-                assert parsed.base in scheme_names()
-
-    def test_sec44_ablation_resolves_variant_kwargs(self):
-        from repro.experiments import get_experiment
-
-        specs = {spec.spec: spec for spec
-                 in get_experiment("sec44_ablation").scheme_specs()}
-        assert specs["pcc:latency"].kwargs == {"utility": "latency"}
-
-
 class TestBundleSubSchemeDefaults:
     def test_subflow_controllers_receive_the_subscheme_registry_defaults(self):
         """The bundle path must merge the sub-scheme's kwarg_defaults exactly
