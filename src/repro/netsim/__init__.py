@@ -32,7 +32,6 @@ from .endpoints import (
     RateBasedSender,
     Receiver,
     SenderBase,
-    SentPacketRecord,
     WindowedSender,
     connect,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "RateBasedSender",
     "Receiver",
     "SenderBase",
-    "SentPacketRecord",
     "WindowedSender",
     "connect",
     "FlowSpec",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Sequence
 
 from ..units import BITS_PER_BYTE
 from .engine import Event, Simulator
@@ -38,7 +38,6 @@ from .route import Path
 from .stats import FlowStats, RTTEstimator, SequenceTracker
 
 __all__ = [
-    "SentPacketRecord",
     "Receiver",
     "SenderBase",
     "WindowedSender",
@@ -49,31 +48,6 @@ __all__ = [
 #: Number of later ACKs after which an unacknowledged packet is declared lost
 #: (the classic triple-duplicate-ACK threshold).
 DUPACK_THRESHOLD = 3
-
-
-class SentPacketRecord:
-    """Book-keeping for one transmitted (and not yet acknowledged) packet."""
-
-    __slots__ = ("packet_id", "data_seq", "size_bytes", "sent_time", "mi_id",
-                 "is_retransmission", "is_probe")
-
-    def __init__(
-        self,
-        packet_id: int,
-        data_seq: int,
-        size_bytes: int,
-        sent_time: float,
-        mi_id: Optional[int],
-        is_retransmission: bool,
-        is_probe: bool,
-    ):
-        self.packet_id = packet_id
-        self.data_seq = data_seq
-        self.size_bytes = size_bytes
-        self.sent_time = sent_time
-        self.mi_id = mi_id
-        self.is_retransmission = is_retransmission
-        self.is_probe = is_probe
 
 
 class Receiver:
@@ -101,15 +75,13 @@ class Receiver:
             is_new = False
         else:
             is_new = self.delivered.add(packet.data_seq)
-        self.stats.record_delivery(self.sim.now, packet.size_bytes, is_new)
-        if self._reverse_route is None:
+        now = self.sim.now
+        self.stats.record_delivery(now, packet.size_bytes, is_new)
+        route = self._reverse_route
+        if route is None:
             return
-        ack = packet.make_ack(self._next_ack_id(), self.ack_size, self.sim.now)
-        self._reverse_route.send(ack)
-
-    def _next_ack_id(self) -> int:
         self._ack_packet_id += 1
-        return self._ack_packet_id
+        route.send(packet.make_ack(self._ack_packet_id, self.ack_size, now))
 
 
 class SenderBase:
@@ -140,7 +112,12 @@ class SenderBase:
         # Transmission state.
         self._next_packet_id = 0
         self._next_new_seq = 0
-        self._outstanding: "OrderedDict[int, SentPacketRecord]" = OrderedDict()
+        #: Transmitted-but-unacknowledged packets by ``packet_id``.  The
+        #: :class:`Packet` is its own sent-record: the fields the sender and
+        #: the controllers read back (``packet_id``, ``data_seq``,
+        #: ``size_bytes``, ``sent_time``, ``mi_id``, ``is_retransmission``,
+        #: ``is_probe``) are never written after construction.
+        self._outstanding: "OrderedDict[int, Packet]" = OrderedDict()
         self._retransmit_queue: Deque[int] = deque()
         self._retransmit_pending: set[int] = set()
         self._acked_segments = SequenceTracker()
@@ -217,28 +194,24 @@ class SenderBase:
             seq, retransmission = choice
         packet_id = self._next_packet_id
         self._next_packet_id += 1
-        send_time = self.sim.now
+        sim = self.sim
+        now = sim.now
+        mss = self.mss
         packet = Packet(
-            flow_id=self.flow_id,
-            packet_id=packet_id,
-            data_seq=seq,
-            size_bytes=self.mss,
-            sent_time=send_time,
-            mi_id=mi_id,
-            is_retransmission=retransmission,
-            is_probe=is_probe,
+            self.flow_id, packet_id, seq, mss, now,
+            mi_id=mi_id, is_retransmission=retransmission, is_probe=is_probe,
         )
-        record = SentPacketRecord(
-            packet_id, seq, self.mss, send_time, mi_id, retransmission, is_probe
-        )
-        self._outstanding[packet_id] = record
-        self.stats.record_send(send_time, self.mss, retransmission)
-        self._ensure_rto_timer()
+        self._outstanding[packet_id] = packet
+        self.stats.record_send(now, mss, retransmission)
+        # Push the RTO deadline out; arm the timer only if none is pending.
+        self._rto_deadline = deadline = now + self.rtt.rto
+        if self._rto_event is None:
+            self._rto_event = sim.schedule_at(deadline, self._handle_rto)
         self.path.forward_route.send(packet)
-        self._on_packet_sent(record)
+        self._on_packet_sent(packet)
         return packet
 
-    def _on_packet_sent(self, record: SentPacketRecord) -> None:
+    def _on_packet_sent(self, record: Packet) -> None:
         """Hook for subclasses (e.g. notify the rate controller)."""
 
     # ------------------------------------------------------------------ #
@@ -258,9 +231,8 @@ class SenderBase:
             self.stats.record_ack(record.size_bytes, rtt_sample)
             if not record.is_probe:
                 newly_acked = self._acked_segments.add(record.data_seq)
-            self._highest_acked_packet_id = max(
-                self._highest_acked_packet_id, record.packet_id
-            )
+            if record.packet_id > self._highest_acked_packet_id:
+                self._highest_acked_packet_id = record.packet_id
         # Loss inference: everything sent DUPACK_THRESHOLD packet-ids before the
         # highest acknowledged transmission is declared lost.
         lost = self._detect_losses()
@@ -278,20 +250,23 @@ class SenderBase:
         if not self.completed:
             self._after_ack_processing()
 
-    def _detect_losses(self) -> list[SentPacketRecord]:
-        lost: list[SentPacketRecord] = []
+    def _detect_losses(self) -> Sequence[Packet]:
+        outstanding = self._outstanding
         threshold = self._highest_acked_packet_id - DUPACK_THRESHOLD
-        while self._outstanding:
-            first_id = next(iter(self._outstanding))
+        if not outstanding or next(iter(outstanding)) >= threshold:
+            return ()  # the usual ACK exposes no loss: no list to build
+        lost: list[Packet] = []
+        while outstanding:
+            first_id = next(iter(outstanding))
             if first_id >= threshold:
                 break
-            record = self._outstanding.pop(first_id)
+            record = outstanding.pop(first_id)
             lost.append(record)
             self.stats.record_loss()
             self._queue_retransmission(record)
         return lost
 
-    def _queue_retransmission(self, record: SentPacketRecord) -> None:
+    def _queue_retransmission(self, record: Packet) -> None:
         if record.is_probe:
             return
         seq = record.data_seq
@@ -321,16 +296,12 @@ class SenderBase:
     # common case (an ACK pushing the deadline out) costs one attribute write
     # instead of a cancel + reschedule per ACK: the timer fires, notices the
     # deadline moved, and re-arms itself for the remaining interval.
-    def _ensure_rto_timer(self) -> None:
-        self._rto_deadline = self.sim.now + self.rtt.rto
-        if self._rto_event is None:
-            self._rto_event = self.sim.schedule(self.rtt.rto, self._handle_rto)
-
     def _restart_rto_timer(self) -> None:
         if self._outstanding or self.has_data_to_send():
-            self._rto_deadline = self.sim.now + self.rtt.rto
+            sim = self.sim
+            self._rto_deadline = deadline = sim.now + self.rtt.rto
             if self._rto_event is None:
-                self._rto_event = self.sim.schedule(self.rtt.rto, self._handle_rto)
+                self._rto_event = sim.schedule_at(deadline, self._handle_rto)
         else:
             self._cancel_rto_timer()
 
@@ -369,17 +340,17 @@ class SenderBase:
     # ------------------------------------------------------------------ #
     # Subclass hooks
     # ------------------------------------------------------------------ #
-    def _on_ack(self, record: Optional[SentPacketRecord], rtt_sample: float,
+    def _on_ack(self, record: Optional[Packet], rtt_sample: float,
                 newly_acked: bool) -> None:
         raise NotImplementedError
 
-    def _on_loss(self, record: SentPacketRecord) -> None:
+    def _on_loss(self, record: Packet) -> None:
         raise NotImplementedError
 
-    def _on_timeout(self, expired: list[SentPacketRecord]) -> None:
+    def _on_timeout(self, expired: list[Packet]) -> None:
         raise NotImplementedError
 
-    def _on_ecn(self, record: SentPacketRecord) -> None:
+    def _on_ecn(self, record: Packet) -> None:
         """Congestion signal: the acked packet was ECN-marked by an AQM.
 
         Default is to ignore the signal (schemes predating ECN keep their
@@ -448,9 +419,12 @@ class WindowedSender(SenderBase):
         if self.pacing:
             self._schedule_paced_send()
             return
-        while (
-            self.inflight_packets < self._cwnd_packets() and self.has_data_to_send()
-        ):
+        # Nothing inside the loop moves cwnd (the controller only hears ACKs,
+        # losses and timeouts), and _transmit() returns None exactly when
+        # has_data_to_send() would be false.
+        cwnd = self._cwnd_packets()
+        outstanding = self._outstanding
+        while len(outstanding) < cwnd:
             if self._transmit() is None:
                 break
 
@@ -540,14 +514,20 @@ class RateBasedSender(SenderBase):
         super().__init__(sim, flow_id, path, stats, total_bytes, mss, start_time,
                          min_rto=min_rto, initial_rto=initial_rto)
         self.controller = controller
+        # Optional controller hooks, resolved once: a bound method or None.
+        self._controller_mi_id = getattr(controller, "current_mi_id", None)
+        self._controller_packet_sent = getattr(controller, "on_packet_sent", None)
+        self._controller_ecn = getattr(controller, "on_ecn", None)
+        self._controller_timeout = getattr(controller, "on_timeout", None)
+        self._controller_flow_start = getattr(controller, "on_flow_start", None)
         self.max_inflight_packets = max_inflight_packets
         self._pacing_timer: Optional[Event] = None
         self._last_recorded_rate: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
     def _on_start(self) -> None:
-        if hasattr(self.controller, "on_flow_start"):
-            self.controller.on_flow_start(self, self.sim.now)
+        if self._controller_flow_start is not None:
+            self._controller_flow_start(self, self.sim.now)
         self._record_rate()
         self._schedule_tick()
 
@@ -571,7 +551,8 @@ class RateBasedSender(SenderBase):
         if self._pacing_timer is not None or self.completed:
             return
         interval = self.mss * BITS_PER_BYTE / self.current_rate_bps()
-        self._pacing_timer = self.sim.schedule(interval, self._tick)
+        sim = self.sim
+        self._pacing_timer = sim.schedule_at(sim.now + interval, self._tick)
 
     def _tick(self) -> None:
         self._pacing_timer = None
@@ -580,12 +561,14 @@ class RateBasedSender(SenderBase):
         self._record_rate()
         if (
             self.has_data_to_send()
-            and self.inflight_packets < self.max_inflight_packets
+            and len(self._outstanding) < self.max_inflight_packets
         ):
             mi_id = None
-            if hasattr(self.controller, "current_mi_id"):
-                mi_id = self.controller.current_mi_id(self.sim.now)
+            if self._controller_mi_id is not None:
+                mi_id = self._controller_mi_id(self.sim.now)
             self._transmit(mi_id=mi_id)
+        # Not the rate read by _record_rate() above: _transmit() can open a
+        # new monitor interval in between and change it.
         self._schedule_tick()
 
     def send_probe_train(self, count: int) -> list[Packet]:
@@ -599,9 +582,9 @@ class RateBasedSender(SenderBase):
         return packets
 
     # -- controller callbacks -------------------------------------------------
-    def _on_packet_sent(self, record: SentPacketRecord) -> None:
-        if hasattr(self.controller, "on_packet_sent"):
-            self.controller.on_packet_sent(record, record.sent_time)
+    def _on_packet_sent(self, record: Packet) -> None:
+        if self._controller_packet_sent is not None:
+            self._controller_packet_sent(record, record.sent_time)
 
     def _on_ack(self, record, rtt_sample: float, newly_acked: bool) -> None:
         if record is None:
@@ -615,12 +598,12 @@ class RateBasedSender(SenderBase):
         # Rate-based schemes see ECN only if their controller opts in (PCC
         # folds marks into its monitor-interval loss term); schemes without
         # an on_ecn hook keep their exact pre-ECN behavior.
-        if hasattr(self.controller, "on_ecn"):
-            self.controller.on_ecn(record, self.sim.now)
+        if self._controller_ecn is not None:
+            self._controller_ecn(record, self.sim.now)
 
     def _on_timeout(self, expired) -> None:
-        if hasattr(self.controller, "on_timeout"):
-            self.controller.on_timeout(expired, self.sim.now)
+        if self._controller_timeout is not None:
+            self._controller_timeout(expired, self.sim.now)
         else:
             for record in expired:
                 self.controller.on_loss(record, self.sim.now)

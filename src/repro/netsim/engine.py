@@ -1,10 +1,13 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar-queue simulator built on :mod:`heapq`.  It is
-deliberately small and allocation-light because every packet transmission,
-propagation, queue service and timer in the network simulator turns into one
-or more events, and the PCC evaluation scenarios push hundreds of thousands of
-packets through it.
+The engine is a classic binary-heap event-list simulator built on
+:mod:`heapq`.  It is deliberately small and allocation-light because every
+packet transmission, propagation, queue service and timer in the network
+simulator turns into one or more events, and the PCC evaluation scenarios push
+hundreds of thousands of packets through it.  Heap entries are
+``(time, seq, event)`` tuples, so ordering is C tuple comparison that never
+looks past the unique ``seq``, and :meth:`Simulator.schedule_at` is the one
+place that pushes.
 
 Determinism matters: two runs with the same seed must produce identical
 results so that experiments and tests are reproducible.  Ties in event time are
@@ -38,12 +41,11 @@ class Event:
     per-MI completion timers) cannot inflate heap operations for a whole run.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
+    __slots__ = ("time", "callback", "args", "cancelled", "sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple,
                  sim: "Optional[Simulator]" = None):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -55,11 +57,6 @@ class Event:
             self.cancelled = True
             if self.sim is not None:
                 self.sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -82,7 +79,9 @@ class Simulator:
     def __init__(self, seed: Optional[int] = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._queue: list[Event] = []
+        #: Heap of ``(time, seq, event)``; ``seq`` is unique, so comparison
+        #: never reaches the event.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -105,9 +104,9 @@ class Simulator:
             )
         if not math.isfinite(time):
             raise SimulationError("event time must be finite")
-        event = Event(time, self._seq, callback, args, sim=self)
+        event = Event(time, callback, args, self)
+        heapq.heappush(self._queue, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         if self._cancelled_pending > 256 and self._cancelled_pending * 2 > len(self._queue):
             self._compact()
         return event
@@ -123,7 +122,7 @@ class Simulator:
         an event callback is seen by the local heap reference held by
         :meth:`_drain`.
         """
-        self._queue[:] = [event for event in self._queue if not event.cancelled]
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -137,6 +136,10 @@ class Simulator:
         completes, even if the event queue drains early, so that metrics based
         on elapsed time (throughput over a run) are well defined.
         """
+        if not math.isfinite(until):
+            raise SimulationError(
+                f"run() needs a finite end time, got {until}; use run_until_idle()"
+            )
         if until < self.now:
             raise SimulationError(f"cannot run backwards to t={until} from t={self.now}")
         self._drain(until)
@@ -155,18 +158,18 @@ class Simulator:
         """
         self._stopped = False
         queue = self._queue
+        heappop = heapq.heappop
         while queue and not self._stopped:
-            event = queue[0]
-            if event.time > limit:
+            if queue[0][0] > limit:
                 break
-            heapq.heappop(queue)
+            time, _, event = heappop(queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
             # Detach fired events so a late cancel() (a handle cancelled
             # after firing) cannot inflate the heap-backlog counter.
             event.sim = None
-            self.now = event.time
+            self.now = time
             event.callback(*event.args)
             self._events_processed += 1
 

@@ -169,32 +169,34 @@ class Link:
         self._serve_next()
 
     def _serve_next(self) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         packet = self.queue.dequeue(now)
         if packet is None:
             return
-        serialization = packet.size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-        self.stats.busy_time += serialization
-        self._busy_until = now + serialization
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
+        route = packet.route
+        if route is None:
+            raise RuntimeError("packet has no route attached")
+        size_bytes = packet.size_bytes
+        serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
+        stats = self.stats
+        stats.busy_time += serialization
+        self._busy_until = busy_until = now + serialization
+        stats.packets_sent += 1
+        stats.bytes_sent += size_bytes
         # Chain the next service completion BEFORE invoking the loss hook: a
         # re-entrant enqueue from on_loss must see either the chain event or a
         # consistent busy window, never overwrite the handle set below.
         if self.queue.packets_queued > 0:
-            self._service_event = self.sim.schedule(serialization, self._service_done)
-        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            self.stats.packets_randomly_lost += 1
+            self._service_event = sim.schedule_at(busy_until, self._service_done)
+        if self.loss_rate > 0.0 and sim.rng.random() < self.loss_rate:
+            stats.packets_randomly_lost += 1
             if self.on_loss is not None:
                 self.on_loss(packet)
         else:
-            self.sim.schedule(serialization + self.delay_s, self._deliver, packet)
-
-    def _deliver(self, packet: Packet) -> None:
-        route = packet.route
-        if route is None:
-            raise RuntimeError("packet has no route attached")
-        route.advance(packet)
+            # ``now + delay`` is the addition ``schedule(delay, ...)`` performs,
+            # so event times are bit-identical to going through it.
+            sim.schedule_at(now + (serialization + self.delay_s), route.advance, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "link"

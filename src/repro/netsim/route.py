@@ -3,9 +3,9 @@
 All experiments in the paper use static paths (an Emulab/GENI path does not
 re-route during a run), so instead of modelling routers and forwarding tables
 we attach a :class:`Route` to every packet: an ordered list of links ending at
-a destination callback.  Links call :meth:`Route.advance` after propagation;
-the route either injects the packet into the next link or hands it to the
-endpoint.
+a destination callback.  Links schedule :meth:`Route.advance` as the delivery
+event itself (no link-side frame in between); the route either injects the
+packet into the next link or hands it to the endpoint.
 
 The same mechanism is used for the forward (data) and reverse (ACK) direction;
 a :class:`Path` bundles the two for convenience.
@@ -40,10 +40,11 @@ class Route:
         self.links[0].enqueue(packet)
 
     def advance(self, packet: Packet) -> None:
-        """Move ``packet`` to its next hop (called by links after propagation)."""
-        packet.hop += 1
-        if packet.hop < len(self.links):
-            self.links[packet.hop].enqueue(packet)
+        """Move ``packet`` to its next hop (the event a link schedules per delivery)."""
+        packet.hop = hop = packet.hop + 1
+        links = self.links
+        if hop < len(links):
+            links[hop].enqueue(packet)
         else:
             self.destination(packet)
 

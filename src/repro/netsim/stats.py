@@ -92,7 +92,11 @@ class SequenceTracker:
 
 
 class RTTEstimator:
-    """RFC 6298 smoothed RTT / RTT variance estimator with a minimum RTO."""
+    """RFC 6298 smoothed RTT / RTT variance estimator with a minimum RTO.
+
+    ``rto`` is a plain attribute recomputed once per accepted sample, so the
+    per-packet timer code reads it without evaluating anything.
+    """
 
     def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0,
                  initial_rto: float = 1.0):
@@ -103,27 +107,26 @@ class RTTEstimator:
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.initial_rto = initial_rto
+        #: Current retransmission timeout (seconds).
+        self.rto = max(initial_rto, min_rto)
 
     def update(self, sample: float) -> None:
-        """Fold one RTT sample into the smoothed estimate."""
+        """Fold one RTT sample into the smoothed estimate and the RTO."""
         if sample <= 0:
             return
         self.latest_rtt = sample
-        self.min_rtt = min(self.min_rtt, sample)
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2.0
+        if sample < self.min_rtt:
+            self.min_rtt = sample
+        srtt = self.srtt
+        if srtt is None:
+            srtt = sample
+            rttvar = sample / 2.0
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout."""
-        if self.srtt is None:
-            return max(self.initial_rto, self.min_rto)
-        rto = self.srtt + max(4.0 * (self.rttvar or 0.0), 0.001)
-        return min(self.max_rto, max(self.min_rto, rto))
+            rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - sample)
+            srtt = 0.875 * srtt + 0.125 * sample
+        self.srtt = srtt
+        self.rttvar = rttvar
+        self.rto = min(self.max_rto, max(self.min_rto, srtt + max(4.0 * rttvar, 0.001)))
 
 
 class FlowStats:

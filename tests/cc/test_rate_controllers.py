@@ -5,17 +5,17 @@ import pytest
 from repro.cc import ParallelTcpBundle, PcpController, SabulController
 from repro.netsim import (
     FlowStats,
+    Packet,
     RateBasedSender,
     Receiver,
     Simulator,
     connect,
     single_bottleneck,
 )
-from repro.netsim.endpoints import SentPacketRecord
 
 
 def record(packet_id=0, is_probe=False):
-    return SentPacketRecord(packet_id, packet_id, 1500, 0.0, None, False, is_probe)
+    return Packet(0, packet_id, packet_id, 1500, 0.0, is_probe=is_probe)
 
 
 class TestSabulUnit:

@@ -32,6 +32,13 @@ class TestLinkTiming:
         assert len(arrivals) == 1
         assert arrivals[0][1] == pytest.approx(1.0 + 0.1)
 
+    def test_packet_without_a_route_is_refused_when_serialization_starts(self):
+        sim = Simulator()
+        link = Link(sim, bandwidth_bps=12_000, delay_s=0.1)
+        with pytest.raises(RuntimeError, match="no route attached"):
+            link.enqueue(make_packet())
+        assert sim.pending_events == 0
+
     def test_back_to_back_packets_spaced_by_serialization_time(self):
         sim = Simulator()
         link = Link(sim, bandwidth_bps=12_000_000, delay_s=0.01)  # 1ms per 1500B

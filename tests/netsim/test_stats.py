@@ -118,6 +118,29 @@ class TestRTTEstimator:
     def test_default_rto_before_samples(self):
         assert RTTEstimator().rto == pytest.approx(1.0)
 
+    def test_rto_attribute_tracks_the_rfc6298_formula(self):
+        """``rto`` is recomputed in update(); it must read what the former
+        property computed from srtt/rttvar at every point."""
+        def formula(est):
+            if est.srtt is None:
+                return max(est.initial_rto, est.min_rto)
+            rto = est.srtt + max(4.0 * (est.rttvar or 0.0), 0.001)
+            return min(est.max_rto, max(est.min_rto, rto))
+
+        rtt = RTTEstimator(min_rto=0.2, initial_rto=1.0)
+        rtt.update(0.0)
+        rtt.update(-3.0)
+        assert rtt.rto == formula(rtt) == 1.0  # ignored samples change nothing
+        rtt.update(0.5)
+        assert rtt.rto == formula(rtt) == 1.5  # first sample: srtt + 4 * srtt / 2
+        rtt.update(-1.0)
+        assert rtt.rto == 1.5
+        rtt.update(0.7)
+        assert rtt.rto == formula(rtt)
+        for _ in range(200):
+            rtt.update(0.001)
+        assert rtt.rto == formula(rtt) == 0.2  # clamped to min_rto
+
 
 class TestFlowStats:
     def test_loss_rate_and_throughput(self):
