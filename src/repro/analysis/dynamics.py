@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from .equilibrium import symmetric_equilibrium_rate
 from .model import FluidModel
 
@@ -32,23 +30,27 @@ __all__ = ["DynamicsResult", "simulate_dynamics", "theorem2_band"]
 class DynamicsResult:
     """Trajectory and convergence summary of the §2.2 update dynamics."""
 
-    trajectory: np.ndarray          # shape (steps + 1, n)
+    trajectory: List[List[float]]   # steps + 1 rows of n rates
     equilibrium_rate: float
     epsilon: float
     converged_step: Optional[int]   # first step at which all senders are in band
     band: tuple[float, float]
-    history_utilities: List[np.ndarray] = field(default_factory=list)
+    history_utilities: List[List[float]] = field(default_factory=list)
 
     @property
-    def final_rates(self) -> np.ndarray:
+    def final_rates(self) -> List[float]:
         """Rates after the final step."""
         return self.trajectory[-1]
 
     @property
     def converged(self) -> bool:
         """Whether all senders ended inside the Theorem 2 band."""
-        lo, hi = self.band
-        return bool(np.all((self.final_rates > lo) & (self.final_rates < hi)))
+        return _all_in_band(self.final_rates, self.band)
+
+
+def _all_in_band(rates: Sequence[float], band: tuple[float, float]) -> bool:
+    lo, hi = band
+    return all(lo < rate < hi for rate in rates)
 
 
 def theorem2_band(equilibrium_rate: float, epsilon: float) -> tuple[float, float]:
@@ -77,19 +79,18 @@ def simulate_dynamics(
         step.  Directions are +1/-1.  Used to verify that heterogeneous
         AIAD/AIMD/MIMD mixes still converge to the same point.
     """
-    rates = np.array(initial_rates, dtype=float)
+    rates = [float(rate) for rate in initial_rates]
     n = len(rates)
     equilibrium = symmetric_equilibrium_rate(model, n)
     band = theorem2_band(equilibrium, epsilon)
-    trajectory = np.empty((steps + 1, n))
-    trajectory[0] = rates
-    utilities: List[np.ndarray] = []
+    trajectory = [rates]
+    utilities: List[List[float]] = []
     converged_step: Optional[int] = None
     for step in range(1, steps + 1):
-        new_rates = rates.copy()
+        new_rates = list(rates)
         for j in range(n):
-            up = rates.copy()
-            down = rates.copy()
+            up = list(rates)
+            down = list(rates)
             up[j] = rates[j] * (1.0 + epsilon)
             down[j] = rates[j] * (1.0 - epsilon)
             direction = 1 if model.utility(up, j) > model.utility(down, j) else -1
@@ -98,10 +99,10 @@ def simulate_dynamics(
             else:
                 new_rates[j] = rates[j] * (1.0 + direction * epsilon)
         rates = new_rates
-        trajectory[step] = rates
+        trajectory.append(rates)
         if record_utilities:
             utilities.append(model.utilities(rates))
-        if converged_step is None and np.all((rates > band[0]) & (rates < band[1])):
+        if converged_step is None and _all_in_band(rates, band):
             converged_step = step
     return DynamicsResult(
         trajectory=trajectory,

@@ -14,11 +14,9 @@ numerically by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-from .model import FluidModel
+from .model import FluidModel, sequential_sum
 
 __all__ = ["EquilibriumResult", "find_equilibrium", "best_response_iteration",
            "symmetric_equilibrium_rate"]
@@ -28,22 +26,22 @@ __all__ = ["EquilibriumResult", "find_equilibrium", "best_response_iteration",
 class EquilibriumResult:
     """Outcome of a best-response iteration."""
 
-    rates: np.ndarray
+    rates: List[float]
     iterations: int
     converged: bool
 
     @property
     def total_rate(self) -> float:
         """Aggregate sending rate at the final profile."""
-        return float(self.rates.sum())
+        return sequential_sum(self.rates)
 
     @property
     def max_relative_spread(self) -> float:
         """max_i |x_i - mean| / mean — zero for a perfectly fair profile."""
-        mean = float(self.rates.mean())
+        mean = self.total_rate / len(self.rates)
         if mean == 0:
             return 0.0
-        return float(np.max(np.abs(self.rates - mean)) / mean)
+        return max(abs(rate - mean) for rate in self.rates) / mean
 
 
 def symmetric_equilibrium_rate(model: FluidModel, n: int,
@@ -86,14 +84,15 @@ def best_response_iteration(
     tolerance: float = 1e-6,
 ) -> EquilibriumResult:
     """Iterate best responses (round robin) until the profile stops moving."""
-    rates = np.array(initial_rates, dtype=float)
+    rates = [float(rate) for rate in initial_rates]
     n = len(rates)
     for iteration in range(1, max_iterations + 1):
-        previous = rates.copy()
+        previous = list(rates)
         for i in range(n):
             rates[i] = model.best_response(rates, i, lo=1e-9,
                                            hi=2.0 * model.capacity)
-        if np.max(np.abs(rates - previous)) < tolerance * model.capacity:
+        if max(abs(new - old) for new, old in zip(rates, previous)) \
+                < tolerance * model.capacity:
             return EquilibriumResult(rates=rates, iterations=iteration, converged=True)
     return EquilibriumResult(rates=rates, iterations=max_iterations, converged=False)
 

@@ -16,11 +16,21 @@ numerically and benchmarked against the packet-level simulator.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 __all__ = ["FluidModel"]
+
+
+def sequential_sum(values: Sequence[float]) -> float:
+    """Sum ``values`` left to right.
+
+    Not ``sum()``: from Python 3.12 on it compensates float sums, and the last
+    bits of the theorem cells in ``REPORT.md`` would depend on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class FluidModel:
@@ -41,7 +51,7 @@ class FluidModel:
     # ------------------------------------------------------------------ #
     def loss(self, rates: Sequence[float]) -> float:
         """Per-packet loss probability L(x) = max(0, 1 - C / sum(x))."""
-        total = float(sum(rates))
+        total = sequential_sum(rates)
         if total <= self.capacity or total <= 0:
             return 0.0
         return 1.0 - self.capacity / total
@@ -65,9 +75,9 @@ class FluidModel:
         throughput = rates[i] * (1.0 - loss)
         return throughput * self.sigmoid(loss - self.loss_threshold) - rates[i] * loss
 
-    def utilities(self, rates: Sequence[float]) -> np.ndarray:
-        """Vector of all senders' utilities at the rate profile ``rates``."""
-        return np.array([self.utility(rates, i) for i in range(len(rates))])
+    def utilities(self, rates: Sequence[float]) -> List[float]:
+        """All senders' utilities at the rate profile ``rates``."""
+        return [self.utility(rates, i) for i in range(len(rates))]
 
     # ------------------------------------------------------------------ #
     # Helpers used by the theorem checks

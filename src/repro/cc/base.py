@@ -12,8 +12,10 @@ Two families of controllers drive the two sender types in
 
 :class:`RateController`
     A sending-rate abstraction used by PCC and the other rate-based baselines
-    (SABUL/UDT, PCP).  The controller owns a target rate in bits per second and
-    receives per-packet send/ACK/loss callbacks plus flow-start notification.
+    (SABUL/UDT, PCP).  The controller owns a target rate in bits per second
+    (``rate_bps``, an attribute the sender reads exactly as it reads ``cwnd``)
+    and receives per-packet send/ACK/loss callbacks plus flow-start
+    notification.
 
 The senders are duck-typed, so these classes exist to document and enforce the
 protocol (and to hold shared numeric guards), not for mandatory inheritance.
@@ -67,11 +69,18 @@ class WindowController(ABC):
 
 
 class RateController(ABC):
-    """Interface for rate-based congestion control (PCC, SABUL, PCP)."""
+    """Interface for rate-based congestion control (PCC, SABUL, PCP).
 
-    @abstractmethod
-    def rate_bps(self) -> float:
-        """Current target sending rate in bits per second."""
+    ``rate_bps`` is an attribute, like :attr:`WindowController.cwnd`: the
+    controller writes it when it changes its rate and the sender reads it three
+    times per packet, so reading it must not compute anything that only moves
+    once per control decision (PCC publishes it once per monitor interval;
+    SABUL and PCP, whose rate moves on ACKs and losses, expose a read-only
+    property that floors ``_rate_bps``).
+    """
+
+    #: Current target sending rate in bits per second.
+    rate_bps: float
 
     @abstractmethod
     def on_ack(self, record, rtt: float, now: float) -> None:

@@ -54,6 +54,7 @@ class PcpController(RateController):
         self._collecting = False
 
     # ------------------------------------------------------------------ #
+    @property
     def rate_bps(self) -> float:
         return self._floor_rate(self._rate_bps)
 

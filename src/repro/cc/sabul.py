@@ -71,6 +71,7 @@ class SabulController(RateController):
         self._last_decrease_time = -1.0
 
     # ------------------------------------------------------------------ #
+    @property
     def rate_bps(self) -> float:
         return self._floor_rate(self._rate_bps)
 

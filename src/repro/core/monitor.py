@@ -80,7 +80,11 @@ class PerformanceMonitor:
         #: normal completion so long runs do not accumulate one dead event per
         #: MI in the simulator heap.
         self._deadline_events: Dict[int, Event] = {}
-        self._current: Optional[MonitorIntervalStats] = None
+        #: The MI currently being used to tag outgoing packets.  A plain
+        #: attribute: :class:`~repro.core.sender.PCCScheme` reads it once per
+        #: transmitted packet.  Only :meth:`current_mi_id` and :meth:`realign`
+        #: replace it.
+        self.current_interval: Optional[MonitorIntervalStats] = None
         self._next_id = 0
         self._last_completed: Optional[MonitorIntervalStats] = None
         #: Completed MIs in completion order (kept for analysis/plots).  Bounded:
@@ -97,11 +101,11 @@ class PerformanceMonitor:
     # ------------------------------------------------------------------ #
     def current_mi_id(self, now: float, rtt_estimate: float) -> int:
         """Return the MI id new packets should carry, opening a new MI if needed."""
-        current = self._current
+        current = self.current_interval
         if current is None or now >= current.send_end_time:
             self._close_current(now, rtt_estimate)
-            self._open_new(now, rtt_estimate)
-        return self._current.mi_id
+            current = self._open_new(now, rtt_estimate)
+        return current.mi_id
 
     def realign(self, now: float, rtt_estimate: float) -> int:
         """Abort the current MI and start a fresh one immediately (§3.1).
@@ -112,10 +116,9 @@ class PerformanceMonitor:
         overshoot, so the MI is closed now and a new one begins at the new rate.
         """
         self._close_current(now, rtt_estimate)
-        self._open_new(now, rtt_estimate)
-        return self._current.mi_id
+        return self._open_new(now, rtt_estimate).mi_id
 
-    def _open_new(self, now: float, rtt_estimate: float) -> None:
+    def _open_new(self, now: float, rtt_estimate: float) -> MonitorIntervalStats:
         rate_bps, purpose = self._rate_provider(now)
         rate_bps = max(rate_bps, self.min_rate_bps)
         min_duration = self.min_packets_per_mi * self.mss * BITS_PER_BYTE / rate_bps
@@ -131,10 +134,11 @@ class PerformanceMonitor:
         )
         self._next_id += 1
         self._active[mi.mi_id] = mi
-        self._current = mi
+        self.current_interval = mi
+        return mi
 
     def _close_current(self, now: float, rtt_estimate: float) -> None:
-        mi = self._current
+        mi = self.current_interval
         if mi is None:
             return
         mi.send_phase_over = True
@@ -143,39 +147,41 @@ class PerformanceMonitor:
         self._deadline_events[mi.mi_id] = self.sim.schedule(
             deadline, self._force_complete, mi.mi_id
         )
-        self._maybe_complete(mi)
+        if mi.all_packets_accounted:
+            self._complete(mi)
 
     # ------------------------------------------------------------------ #
     # Feedback
     # ------------------------------------------------------------------ #
+    # One frame per packet event: each hook finds the MI (``None`` and the ids
+    # of completed MIs are simply not in ``_active``), moves its counters and —
+    # where the counters it moved can finish the MI — tests
+    # ``MonitorIntervalStats.all_packets_accounted``'s condition in place.
     def record_send(self, mi_id: Optional[int], size_bytes: int) -> None:
         """Account a transmitted packet to its MI."""
-        if mi_id is None:
-            return
         mi = self._active.get(mi_id)
         if mi is not None:
-            mi.record_send(size_bytes)
+            mi.packets_sent += 1
+            mi.bytes_sent += size_bytes
 
     def record_ack(self, mi_id: Optional[int], size_bytes: int, rtt: float,
                    ack_time: Optional[float] = None) -> None:
         """Account an acknowledgement to its MI and check for completion."""
-        if mi_id is None:
-            return
         mi = self._active.get(mi_id)
         if mi is None:
             return
         mi.record_ack(size_bytes, rtt, ack_time if ack_time is not None else self.sim.now)
-        self._maybe_complete(mi)
+        if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
+            self._complete(mi)
 
     def record_loss(self, mi_id: Optional[int]) -> None:
         """Account a declared loss to its MI and check for completion."""
-        if mi_id is None:
-            return
         mi = self._active.get(mi_id)
         if mi is None:
             return
-        mi.record_loss()
-        self._maybe_complete(mi)
+        mi.packets_lost += 1
+        if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
+            self._complete(mi)
 
     def record_ecn_mark(self, mi_id: Optional[int]) -> None:
         """Account an ECN mark to its MI.
@@ -183,8 +189,6 @@ class PerformanceMonitor:
         Marks never change :attr:`MonitorIntervalStats.accounted_packets`
         (the marked packet was acked), so no completion check is needed.
         """
-        if mi_id is None:
-            return
         mi = self._active.get(mi_id)
         if mi is not None:
             mi.record_ecn_mark()
@@ -201,10 +205,6 @@ class PerformanceMonitor:
         # events before invoking their callbacks.
         mi.force_account_missing_as_lost()
         self._complete(mi)
-
-    def _maybe_complete(self, mi: MonitorIntervalStats) -> None:
-        if mi.all_packets_accounted:
-            self._complete(mi)
 
     def _complete(self, mi: MonitorIntervalStats) -> None:
         if mi.completed:
@@ -234,11 +234,6 @@ class PerformanceMonitor:
         :attr:`dropped_history`.
         """
         return self.completed_intervals.maxlen
-
-    @property
-    def current_interval(self) -> Optional[MonitorIntervalStats]:
-        """The MI currently being used to tag outgoing packets."""
-        return self._current
 
     @property
     def active_interval_count(self) -> int:

@@ -86,6 +86,11 @@ class PCCScheme:
             initial_rate_bps is None and (policy is None or isinstance(policy, str))
         )
         self.mss = mss
+        #: The pacing rate (:class:`repro.cc.base.RateController`), published
+        #: rather than computed: §3.1 fixes it for a whole monitor interval, so
+        #: it is written at flow start and wherever an MI opens
+        #: (:meth:`_open_mi`) and the sender reads it on every tick and ACK.
+        self.rate_bps: float = self.policy.rate_bps
         self.monitor: Optional[PerformanceMonitor] = None
         self._sender: Optional[RateBasedSender] = None
         self._sim: Optional[Simulator] = None
@@ -190,12 +195,9 @@ class PCCScheme:
             # floor, so the two layers never disagree about the slowest rate.
             min_rate_bps=self.policy.min_rate_bps,
         )
-
-    def rate_bps(self) -> float:
-        """Rate of the MI currently being sent (falls back to controller state)."""
-        if self.monitor is not None and self.monitor.current_interval is not None:
-            return self.monitor.current_interval.target_rate_bps
-        return self.policy.rate_bps
+        # Until the first packet opens the first MI the flow paces at the
+        # policy's (just reset) starting rate.
+        self.rate_bps = self.policy.rate_bps
 
     def current_mi_id(self, now: float) -> Optional[int]:
         """MI tag for a packet sent now (opens a new MI at interval boundaries).
@@ -205,16 +207,25 @@ class PCCScheme:
         wrong, e.g. when exiting the starting state), the MI is re-aligned: the
         stale interval is closed and a new one starts at the new rate (§3.1).
         """
-        if self.monitor is None:
+        monitor = self.monitor
+        if monitor is None:
             return None
-        rtt = self._rtt_estimate()
-        mi_id = self.monitor.current_mi_id(now, rtt)
+        # Both tests run here, once per packet; the monitor is only entered
+        # when an MI actually opens.
+        current = monitor.current_interval
+        if current is None or now >= current.send_end_time:
+            current = self._open_mi(monitor.current_mi_id, now)
+        target = current.target_rate_bps
+        if target > 0 and abs(self.policy.rate_bps - target) / target > 0.25:
+            current = self._open_mi(monitor.realign, now)
+        return current.mi_id
+
+    def _open_mi(self, open_mi, now: float) -> MonitorIntervalStats:
+        """Open the next MI with ``open_mi`` and publish its rate."""
+        open_mi(now, self._rtt_estimate())
         current = self.monitor.current_interval
-        if current is not None and current.target_rate_bps > 0:
-            drift = abs(self.policy.rate_bps - current.target_rate_bps)
-            if drift / current.target_rate_bps > 0.25:
-                mi_id = self.monitor.realign(now, rtt)
-        return mi_id
+        self.rate_bps = current.target_rate_bps
+        return current
 
     def on_packet_sent(self, record, now: float) -> None:
         if self.monitor is not None:

@@ -486,11 +486,15 @@ class WindowedSender(SenderBase):
 class RateBasedSender(SenderBase):
     """Paced sender driven by a rate controller (PCC, SABUL, PCP).
 
-    The controller exposes ``rate_bps()`` plus feedback hooks; see
+    The controller exposes ``rate_bps`` plus feedback hooks; see
     :class:`repro.cc.base.RateController`.  The sender keeps a self-rescheduling
     pacing timer: each tick transmits one MSS-sized packet and re-arms the timer
     using the controller's *current* rate, so rate changes take effect within
-    one packet time.
+    one packet time.  ``rate_bps`` is read as an attribute — the rate-paced
+    counterpart of the windowed sender's ``controller.cwnd`` — three times per
+    packet (before the tick's transmission, after it, after each ACK): the
+    controller publishes its rate when it changes it, the per-packet path never
+    asks for it to be worked out.
     """
 
     def __init__(
@@ -528,7 +532,8 @@ class RateBasedSender(SenderBase):
     def _on_start(self) -> None:
         if self._controller_flow_start is not None:
             self._controller_flow_start(self, self.sim.now)
-        self._record_rate()
+        rate = self.controller.rate_bps
+        self._record_rate(1e3 if rate < 1e3 else rate)
         self._schedule_tick()
 
     def _on_flow_complete(self) -> None:
@@ -537,28 +542,37 @@ class RateBasedSender(SenderBase):
             self._pacing_timer = None
 
     # -- pacing ---------------------------------------------------------------
-    def current_rate_bps(self) -> float:
-        """The controller's current target sending rate (bits per second)."""
-        return max(float(self.controller.rate_bps()), 1e3)
-
-    def _record_rate(self) -> None:
-        rate = self.current_rate_bps()
-        if rate != self._last_recorded_rate:
-            self.stats.record_rate(self.sim.now, rate)
-            self._last_recorded_rate = rate
+    # The controller's rate is floored at 1 kbps so the tick interval stays
+    # finite.  It is read at three points per packet — before a tick's
+    # transmission, after it, after each ACK — with a compare, not
+    # ``max(float(...), 1e3)``: two builtin calls cost as much as five frames.
+    def _record_rate(self, rate: float) -> None:
+        self.stats.record_rate(self.sim.now, float(rate))
+        self._last_recorded_rate = rate
 
     def _schedule_tick(self) -> None:
-        if self._pacing_timer is not None or self.completed:
-            return
-        interval = self.mss * BITS_PER_BYTE / self.current_rate_bps()
+        """Arm the pacing timer one packet time ahead at the controller's rate.
+
+        Only a starting flow and a tick that just fired call this, so no tick
+        is ever pending here; from then on the timer is re-armed by every tick
+        until completion cancels it, and ACKs and timeouts need not look at it.
+        """
+        rate = self.controller.rate_bps
+        if rate < 1e3:
+            rate = 1e3
         sim = self.sim
+        interval = self.mss * BITS_PER_BYTE / rate
         self._pacing_timer = sim.schedule_at(sim.now + interval, self._tick)
 
     def _tick(self) -> None:
         self._pacing_timer = None
         if self.completed:
             return
-        self._record_rate()
+        rate = self.controller.rate_bps
+        if rate < 1e3:
+            rate = 1e3
+        if rate != self._last_recorded_rate:
+            self._record_rate(rate)
         if (
             self.has_data_to_send()
             and len(self._outstanding) < self.max_inflight_packets
@@ -567,8 +581,8 @@ class RateBasedSender(SenderBase):
             if self._controller_mi_id is not None:
                 mi_id = self._controller_mi_id(self.sim.now)
             self._transmit(mi_id=mi_id)
-        # Not the rate read by _record_rate() above: _transmit() can open a
-        # new monitor interval in between and change it.
+        # _schedule_tick() reads the rate again: _transmit() can open a new
+        # monitor interval in between and change it.
         self._schedule_tick()
 
     def send_probe_train(self, count: int) -> list[Packet]:
@@ -609,11 +623,11 @@ class RateBasedSender(SenderBase):
                 self.controller.on_loss(record, self.sim.now)
 
     def _after_ack_processing(self) -> None:
-        self._record_rate()
-        self._schedule_tick()
-
-    def _after_timeout(self, had_outstanding: bool) -> None:
-        self._schedule_tick()
+        rate = self.controller.rate_bps
+        if rate < 1e3:
+            rate = 1e3
+        if rate != self._last_recorded_rate:
+            self._record_rate(rate)
 
 
 def connect(sender: SenderBase, receiver: Receiver, path: Path) -> None:

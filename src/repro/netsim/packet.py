@@ -95,18 +95,10 @@ class Packet:
         """Build the acknowledgement for this data packet.
 
         The ACK echoes the data packet's ``packet_id``, ``data_seq`` and send
-        timestamp so that the sender can compute an exact RTT sample and credit
-        the right PCC monitor interval.
+        timestamp so that the sender can compute an exact RTT sample.
         """
-        ack = Packet(
-            flow_id=self.flow_id,
-            packet_id=packet_id,
-            data_seq=self.data_seq,
-            size_bytes=ack_size,
-            sent_time=now,
-            is_ack=True,
-            mi_id=self.mi_id,
-        )
+        ack = Packet(self.flow_id, packet_id, self.data_seq, ack_size, now,
+                     is_ack=True)
         ack.acked_packet_id = self.packet_id
         ack.acked_data_seq = self.data_seq
         ack.ack_sent_time = self.sent_time

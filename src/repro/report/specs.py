@@ -1605,7 +1605,7 @@ def _run_theorem1(seed: int, n: int, capacity: float) -> Dict[str, Any]:
     """Find the symmetric best-response equilibrium for ``n`` senders."""
     res = find_equilibrium(capacity=capacity, n=n)
     return {
-        "per_sender_rate": float(res.rates.mean()),
+        "per_sender_rate": float(res.total_rate / n),
         "total_rate": float(res.total_rate),
         "relative_spread": float(res.max_relative_spread),
         "converged": bool(res.converged),

@@ -1,6 +1,5 @@
 """Tests for the fluid model, Theorem 1 equilibrium and Theorem 2 dynamics."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -83,20 +82,20 @@ class TestTheorem1:
         model = FluidModel(100.0, alpha=100.0)
         result = simulate_dynamics(model, [80.0, 20.0], epsilon=0.05, steps=1000)
         final = result.final_rates
-        assert abs(final[0] - final[1]) / final.mean() < 0.25
+        assert abs(final[0] - final[1]) / (sum(final) / len(final)) < 0.25
 
     def test_uniqueness_from_different_starting_points(self):
         model = FluidModel(100.0, alpha=100.0)
         a = best_response_iteration(model, [10.0, 10.0, 10.0, 10.0])
         b = best_response_iteration(model, [90.0, 5.0, 1.0, 60.0])
         assert a.converged and b.converged
-        assert np.allclose(a.rates, b.rates, rtol=1e-3)
+        assert a.rates == pytest.approx(b.rates, rel=1e-3)
 
     def test_symmetric_rate_matches_iteration(self):
         model = FluidModel(50.0, alpha=100.0)
         x_hat = symmetric_equilibrium_rate(model, 4)
         iterated = best_response_iteration(model, [5.0, 10.0, 15.0, 20.0])
-        assert np.allclose(iterated.rates, x_hat, rtol=1e-3)
+        assert iterated.rates == pytest.approx([x_hat] * 4, rel=1e-3)
 
     def test_scales_linearly_with_capacity(self):
         small = symmetric_equilibrium_rate(FluidModel(10.0), 3)
@@ -126,7 +125,7 @@ class TestTheorem2:
         model = FluidModel(100.0, alpha=100.0)
         result = simulate_dynamics(model, [95.0, 5.0], epsilon=0.05, steps=1000)
         final = result.final_rates
-        assert abs(final[0] - final[1]) / final.mean() < 0.25
+        assert abs(final[0] - final[1]) / (sum(final) / len(final)) < 0.25
 
     def test_heterogeneous_step_policies_still_converge(self):
         """§2.2: the argument is independent of the step function mix."""
@@ -139,9 +138,10 @@ class TestTheorem2:
                                    step_policies=policies)
         final = result.final_rates
         # Both senders end near the fair share despite different step rules.
-        assert abs(final[0] - final[1]) / final.mean() < 0.3
+        assert abs(final[0] - final[1]) / (sum(final) / len(final)) < 0.3
 
     def test_trajectory_shape(self):
         model = FluidModel(100.0, alpha=100.0)
         result = simulate_dynamics(model, [50.0, 50.0], epsilon=0.01, steps=10)
-        assert result.trajectory.shape == (11, 2)
+        assert len(result.trajectory) == 11
+        assert all(len(row) == 2 for row in result.trajectory)

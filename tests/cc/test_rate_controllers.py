@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.cc import ParallelTcpBundle, PcpController, SabulController
+from repro.cc import MIN_RATE_BPS, ParallelTcpBundle, PcpController, SabulController
+from repro.core import PCCScheme
+from repro.core.monitor import PerformanceMonitor
 from repro.netsim import (
     FlowStats,
     Packet,
+    Path,
     RateBasedSender,
     Receiver,
     Simulator,
@@ -26,7 +29,7 @@ class TestSabulUnit:
         for i in range(500):
             now += 0.002
             controller.on_ack(record(i), 0.02, now)
-        assert controller.rate_bps() > 1e6
+        assert controller.rate_bps > 1e6
 
     def test_first_loss_exits_slow_start(self):
         controller = SabulController(initial_rate_bps=10e6)
@@ -37,11 +40,11 @@ class TestSabulUnit:
     def test_loss_decreases_rate_multiplicatively(self):
         controller = SabulController(initial_rate_bps=10e6)
         controller.in_slow_start = False
-        before = controller.rate_bps()
+        before = controller.rate_bps
         loss = record()
         loss.sent_time = 1.0
         controller.on_loss(loss, 1.5)
-        assert controller.rate_bps() == pytest.approx(before / 1.125)
+        assert controller.rate_bps == pytest.approx(before / 1.125)
 
     def test_one_decrease_per_congestion_event(self):
         controller = SabulController(initial_rate_bps=10e6)
@@ -49,13 +52,13 @@ class TestSabulUnit:
         first = record(0)
         first.sent_time = 1.0
         controller.on_loss(first, 1.5)
-        after_first = controller.rate_bps()
+        after_first = controller.rate_bps
         # A second loss of a packet sent *before* the cut belongs to the same
         # congestion event and must not cut the rate again.
         second = record(1)
         second.sent_time = 1.2
         controller.on_loss(second, 1.6)
-        assert controller.rate_bps() == pytest.approx(after_first)
+        assert controller.rate_bps == pytest.approx(after_first)
 
     def test_increase_frozen_right_after_loss(self):
         controller = SabulController(initial_rate_bps=10e6)
@@ -64,10 +67,10 @@ class TestSabulUnit:
         loss = record()
         loss.sent_time = 0.4
         controller.on_loss(loss, 0.5)
-        after_loss = controller.rate_bps()
+        after_loss = controller.rate_bps
         # Within the freeze window, SYN ticks must not raise the rate.
         controller.on_ack(record(1), 0.02, 0.505)
-        assert controller.rate_bps() <= after_loss
+        assert controller.rate_bps <= after_loss
 
     def test_rate_never_below_floor(self):
         controller = SabulController(initial_rate_bps=10_000)
@@ -76,7 +79,7 @@ class TestSabulUnit:
             loss = record(i)
             loss.sent_time = float(i)
             controller.on_loss(loss, float(i) + 0.5)
-        assert controller.rate_bps() >= 8_000.0
+        assert controller.rate_bps >= 8_000.0
 
 
 class TestSabulEndToEnd:
@@ -118,7 +121,7 @@ class TestPcpUnit:
     def test_data_loss_small_backoff(self):
         controller = PcpController(initial_rate_bps=10e6)
         controller.on_loss(record(), 1.0)
-        assert controller.rate_bps() == pytest.approx(9.5e6)
+        assert controller.rate_bps == pytest.approx(9.5e6)
 
     def test_delay_growth_causes_backoff(self):
         controller = PcpController(initial_rate_bps=10e6, train_length=4,
@@ -129,7 +132,7 @@ class TestPcpUnit:
         for i, (t, rtt) in enumerate([(1.0, 0.03), (1.001, 0.034),
                                       (1.002, 0.038), (1.003, 0.045)]):
             controller.on_ack(record(i, is_probe=True), rtt, t)
-        assert controller.rate_bps() < 10e6
+        assert controller.rate_bps < 10e6
 
     def test_clean_train_moves_toward_dispersion_estimate(self):
         controller = PcpController(initial_rate_bps=1e6, train_length=4, gain=1.0)
@@ -138,7 +141,7 @@ class TestPcpUnit:
         # Probe ACKs arrive 1 ms apart with flat RTT -> estimate 12 Mbps.
         for i, t in enumerate([1.000, 1.001, 1.002, 1.003]):
             controller.on_ack(record(i, is_probe=True), 0.03, t)
-        assert controller.rate_bps() == pytest.approx(4e6, rel=0.01)  # capped at 4x
+        assert controller.rate_bps == pytest.approx(4e6, rel=0.01)  # capped at 4x
 
 
 class TestPcpEndToEnd:
@@ -157,6 +160,138 @@ class TestPcpEndToEnd:
         sim.run(20.0)
         goodput = stats.goodput_bps(20.0)
         assert goodput < 0.85 * 100e6
+
+
+class TestPublishedRate:
+    """``rate_bps`` is an attribute the sender reads three times per packet:
+    whatever a controller publishes there must be what the old ``rate_bps()``
+    call would have computed at that moment."""
+
+    def test_pcc_publishes_the_current_interval_rate_at_every_read(self, monkeypatch):
+        """Four lossy PCC flows; at both reads of every tick and at every ACK
+        the published rate equals the pull it replaced — across the window
+        before the first MI, re-aligned MIs and deadline-completed MIs."""
+        realigned, forced = [], []
+        realign, force_complete = (PerformanceMonitor.realign,
+                                   PerformanceMonitor._force_complete)
+
+        def counting_realign(monitor, now, rtt_estimate):
+            realigned.append(now)
+            return realign(monitor, now, rtt_estimate)
+
+        def counting_force_complete(monitor, mi_id):
+            if mi_id in monitor._active:
+                forced.append(mi_id)
+            force_complete(monitor, mi_id)
+
+        monkeypatch.setattr(PerformanceMonitor, "realign", counting_realign)
+        monkeypatch.setattr(PerformanceMonitor, "_force_complete",
+                            counting_force_complete)
+        reads = {"before_first_mi": 0, "total": 0}
+
+        class CheckedSender(RateBasedSender):
+            def check(self):
+                scheme = self.controller
+                current = scheme.monitor.current_interval
+                if current is None:
+                    reads["before_first_mi"] += 1
+                    pulled = scheme.policy.rate_bps
+                else:
+                    pulled = current.target_rate_bps
+                reads["total"] += 1
+                assert scheme.rate_bps == pulled
+
+            def _tick(self):
+                self.check()    # the read that records the rate
+                super()._tick()
+                self.check()    # the read that sets the next tick's interval
+
+            def _after_ack_processing(self):
+                self.check()
+                super()._after_ack_processing()
+
+        sim = Simulator(seed=2)
+        topo = single_bottleneck(sim, 100e6, 0.03, 375_000, loss_rate=0.01,
+                                 reverse_loss_rate=0.01)
+        schemes = []
+        for flow_id in range(1, 5):
+            path = Path(topo.path.forward_links, topo.path.reverse_links)
+            stats = FlowStats(flow_id)
+            schemes.append(PCCScheme())
+            sender = CheckedSender(sim, flow_id, path, schemes[-1], stats)
+            connect(sender, Receiver(sim, flow_id, stats), path)
+            sender.start()
+        sim.run(2.0)
+        assert reads["before_first_mi"] == 4  # each flow's first tick
+        assert reads["total"] > 10_000
+        assert realigned and forced
+        assert all(len(scheme.completed_intervals) > 10 for scheme in schemes)
+
+    def test_pcc_rate_is_readable_before_the_flow_starts(self):
+        scheme = PCCScheme(initial_rate_bps=3e6)
+        assert scheme.rate_bps == scheme.policy.rate_bps == 3e6
+
+    @staticmethod
+    def published(controller):
+        """Assert the property is the floored ``_rate_bps``; return the raw one."""
+        assert controller.rate_bps == max(controller._rate_bps, MIN_RATE_BPS)
+        return controller._rate_bps
+
+    def test_sabul_property_follows_every_rate_mutation(self):
+        controller = SabulController(initial_rate_bps=1_000.0)
+        assert controller.rate_bps == MIN_RATE_BPS  # floored, never the raw 1 kbps
+        controller = SabulController(initial_rate_bps=1e6)
+        controller.on_flow_start(None, 0.0)
+        seen = [self.published(controller)]
+
+        def mutated():
+            seen.append(self.published(controller))
+            return seen[-1] != seen[-2]
+
+        now = 0.0
+        for i in range(100):        # slow-start rounds: rate *= gain
+            now += 0.002
+            controller.on_ack(record(i), 0.02, now)
+        assert mutated() and controller.in_slow_start
+        controller.on_loss(record(), now)       # slow-start exit: measured rate
+        assert mutated() and not controller.in_slow_start
+        for i in range(100):        # DAIMD increase once the freeze is over
+            now += 0.002
+            controller.on_packet_sent(record(i), now)
+        assert mutated() and seen[-1] > seen[-2]
+        late = record()
+        late.sent_time = now
+        controller.on_loss(late, now + 0.01)    # congestion event: rate /= 1.125
+        assert mutated() and seen[-1] == pytest.approx(seen[-2] / 1.125)
+        with pytest.raises(AttributeError):
+            controller.rate_bps = 5e6           # read-only: mutate _rate_bps
+
+    def test_pcp_property_follows_every_rate_mutation(self):
+        controller = PcpController(initial_rate_bps=1_000.0)
+        assert controller.rate_bps == MIN_RATE_BPS
+        controller = PcpController(initial_rate_bps=10e6, train_length=4,
+                                   delay_threshold=0.001)
+        seen = [self.published(controller)]
+
+        def train(rtts):
+            controller._collecting = True
+            controller._train_acks = []
+            for i, rtt in enumerate(rtts):
+                controller.on_ack(record(i, is_probe=True), rtt, 1.0 + 0.001 * i)
+            seen.append(self.published(controller))
+
+        controller.on_loss(record(), 1.0)           # data loss: * 0.95
+        seen.append(self.published(controller))
+        assert seen[-1] == pytest.approx(seen[-2] * 0.95)
+        train([0.03, 0.034, 0.038, 0.045])          # delay growth: * 0.9
+        assert seen[-1] == pytest.approx(seen[-2] * 0.9)
+        train([0.03, 0.03, 0.03, 0.03])             # clean train: toward 12 Mbps
+        assert seen[-1] > seen[-2]
+        controller.train_length = 1                 # a one-ACK train: probes lost
+        train([0.03])
+        assert seen[-1] == pytest.approx(seen[-2] * 0.8)
+        with pytest.raises(AttributeError):
+            controller.rate_bps = 5e6
 
 
 class TestParallelBundle:

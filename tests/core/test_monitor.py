@@ -149,6 +149,92 @@ class TestFeedbackAccounting:
         assert completed[0].mi_id == mi_id
         assert completed[0].utility is not None
 
+    @pytest.mark.parametrize("last", ["ack", "loss"])
+    def test_interval_completes_inside_the_call_that_accounts_its_last_packet(self, last):
+        sim = Simulator()
+        monitor, _, completed = make_monitor(sim)
+        mi_id = monitor.current_mi_id(0.0, 0.03)
+        for _ in range(5):
+            monitor.record_send(mi_id, 1500)
+        sim.run(monitor.current_interval.send_end_time + 0.001)
+        monitor.current_mi_id(sim.now, 0.03)
+        for _ in range(4):
+            monitor.record_ack(mi_id, 1500, 0.03)
+        assert completed == []
+        if last == "ack":
+            monitor.record_ack(mi_id, 1500, 0.03)
+        else:
+            monitor.record_loss(mi_id)
+        assert [mi.mi_id for mi in completed] == [mi_id]
+        assert completed[0].completed and completed[0].complete_time == sim.now
+        sim.run(sim.now + 1.0)  # the cancelled deadline must not complete it again
+        assert len(completed) == 1
+
+    @pytest.mark.parametrize("close", ["boundary", "realign"])
+    def test_closing_a_fully_accounted_interval_completes_it_once(self, close):
+        sim = Simulator()
+        monitor, _, completed = make_monitor(sim)
+        mi_id = monitor.current_mi_id(0.0, 0.03)
+        for _ in range(3):
+            monitor.record_send(mi_id, 1500)
+        monitor.record_ack(mi_id, 1500, 0.03)
+        monitor.record_ack(mi_id, 1500, 0.03)
+        monitor.record_loss(mi_id)
+        assert completed == []  # everything accounted, but the send phase is open
+        if close == "boundary":
+            sim.run(monitor.current_interval.send_end_time + 0.001)
+            next_id = monitor.current_mi_id(sim.now, 0.03)
+        else:
+            next_id = monitor.realign(sim.now, 0.03)
+        assert next_id == mi_id + 1
+        assert [mi.mi_id for mi in completed] == [mi_id]
+        assert not monitor._deadline_events
+        sim.run(sim.now + 1.0)
+        assert len(completed) == 1
+
+    @pytest.mark.parametrize("target", [None, 999, "completed"])
+    def test_feedback_for_an_inactive_id_changes_nothing(self, target):
+        sim = Simulator()
+        monitor, _, completed = make_monitor(sim)
+        done_id = monitor.current_mi_id(0.0, 0.03)
+        monitor.record_send(done_id, 1500)
+        sim.run(monitor.current_interval.send_end_time + 0.001)
+        live_id = monitor.current_mi_id(sim.now, 0.03)
+        monitor.record_ack(done_id, 1500, 0.03)
+        assert len(completed) == 1
+        monitor.record_send(live_id, 1500)
+        mi_id = done_id if target == "completed" else target
+        monitor.record_send(mi_id, 1500)
+        monitor.record_ack(mi_id, 1500, 0.03)
+        monitor.record_loss(mi_id)
+        monitor.record_ecn_mark(mi_id)
+        assert len(completed) == 1
+        done, live = completed[0], monitor.current_interval
+        assert (done.packets_sent, done.packets_acked, done.packets_lost,
+                done.ecn_marked) == (1, 1, 0, 0)
+        assert (live.packets_sent, live.packets_acked, live.packets_lost,
+                live.ecn_marked) == (1, 0, 0, 0)
+        assert monitor.active_interval_count == 1
+
+    def test_ecn_mark_never_completes_an_interval(self):
+        sim = Simulator()
+        monitor, _, completed = make_monitor(sim)
+        mi_id = monitor.current_mi_id(0.0, 0.03)
+        monitor.record_send(mi_id, 1500)
+        monitor.record_send(mi_id, 1500)
+        sim.run(monitor.current_interval.send_end_time + 0.001)
+        monitor.current_mi_id(sim.now, 0.03)
+        monitor.record_ack(mi_id, 1500, 0.03)
+        # A mark rides on a delivered packet: it is not a second fate for it.
+        monitor.record_ecn_mark(mi_id)
+        monitor.record_ecn_mark(mi_id)
+        assert completed == []
+        monitor.record_ack(mi_id, 1500, 0.03)
+        assert len(completed) == 1
+        assert completed[0].ecn_marked == 2
+        assert completed[0].packets_lost == 0
+        assert completed[0].loss_rate == 1.0
+
     def test_force_completion_after_deadline(self):
         sim = Simulator()
         monitor, _, completed = make_monitor(sim, completion_timeout_rtts=2.0)

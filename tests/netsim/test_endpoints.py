@@ -18,12 +18,9 @@ class FixedRateController:
     """Minimal rate controller used to exercise RateBasedSender in isolation."""
 
     def __init__(self, rate_bps):
-        self._rate = rate_bps
+        self.rate_bps = rate_bps
         self.acked = 0
         self.lost = 0
-
-    def rate_bps(self):
-        return self._rate
 
     def on_ack(self, record, rtt, now):
         self.acked += 1
