@@ -3,15 +3,8 @@
 from .runner import FlowResult, ScenarioResult, available_schemes, run_flows
 from .scenarios import (
     ScenarioOutcome,
-    aqm_power_scenario,
-    convergence_scenario,
-    dynamic_network_scenario,
     extreme_loss_scenario,
-    fairness_index_over_timescales,
-    friendliness_scenario,
-    rtt_unfairness_scenario,
     short_flow_scenario,
-    tradeoff_scenario,
 )
 from .internet import InternetPathConfig, ratio_cdf, sample_paths
 from .interdc import PAPER_PAIRS, InterDCPair
@@ -70,15 +63,8 @@ __all__ = [
     "available_schemes",
     "run_flows",
     "ScenarioOutcome",
-    "aqm_power_scenario",
-    "convergence_scenario",
-    "dynamic_network_scenario",
     "extreme_loss_scenario",
-    "fairness_index_over_timescales",
-    "friendliness_scenario",
-    "rtt_unfairness_scenario",
     "short_flow_scenario",
-    "tradeoff_scenario",
     "InternetPathConfig",
     "ratio_cdf",
     "sample_paths",

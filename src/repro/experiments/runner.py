@@ -76,16 +76,13 @@ class FlowResult:
             return None
         return max(fcts)
 
-    def throughput_series_mbps(self, start: float = 0.0,
-                               end: Optional[float] = None) -> List[float]:
-        """Per-bin goodput (Mbps) summed across the bundle."""
-        series_list = [
-            stats.throughput_series_mbps(start, end) for stats in self.stats_list
-        ]
-        length = max((len(s) for s in series_list), default=0)
-        combined = [0.0] * length
-        for series in series_list:
-            for i, value in enumerate(series):
+    def delivered_bytes(self, end: float) -> List[float]:
+        """Receiver-side unique bytes per bin over ``[0, end]`` (one value per
+        bin, zeros included), summed across the bundle."""
+        width = self.stats.delivered_bins.bin_width
+        combined = [0.0] * (int(end / width) + 1)
+        for stats in self.stats_list:
+            for i, value in enumerate(stats.delivered_bins.bin_values(0.0, end)):
                 combined[i] += value
         return combined
 

@@ -7,8 +7,9 @@ place that fan-out lives:
 
 * :class:`SweepGrid` declares the grid declaratively; its ``topology`` names a
   registered **topology builder** (``single_bottleneck`` by default, plus
-  ``parking_lot`` multi-bottleneck chains and ``trace_bottleneck``
-  time-varying links; extendable via :func:`register_topology`);
+  ``parking_lot`` multi-bottleneck chains, ``dumbbell`` per-flow access
+  links, and the ``trace_bottleneck`` / ``random_dynamics`` time-varying
+  links; extendable via :func:`register_topology`);
 * scheme entries are **scheme specs** resolved against the
   :mod:`repro.schemes` registry — any registered base name plus optional
   variant suffix (``"pcc:gradient"``, ``"pcc:latency"``, …) naming controller
@@ -45,7 +46,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import make_utility, policy_names, utility_names
 from ..registry import NameRegistry
@@ -65,11 +66,14 @@ from .store import CellStore
 from ..netsim import (
     DEFAULT_QDISC,
     SYNTHETIC_TRACES,
+    LinkConfig,
     Path,
     QueueDiscipline,
+    RandomLinkDynamics,
     Simulator,
     TraceLinkDynamics,
     bdp_bytes,
+    dumbbell,
     make_qdisc,
     make_synthetic_trace,
     parking_lot,
@@ -78,12 +82,14 @@ from ..netsim import (
     single_bottleneck,
     validate_trace_repeat_period,
 )
+from ..netsim.topology import SingleBottleneck
 from .runner import run_flows
 from .workload import (
     DEFAULT_WORKLOAD,
     build_workload,
     register_workload,
     resolve_workload_kwargs,
+    validate_workload,
     workload_names,
 )
 
@@ -170,6 +176,32 @@ class SweepCell:
     #: Extra JSON-serializable arguments for the workload builder
     #: (e.g. ``{"load": 0.7}`` for poisson/web storms).
     workload_kwargs: Dict[str, Any] = field(default_factory=dict)
+    #: Record each flow's receiver-side delivered bytes per 1 s bin over
+    #: ``[0, duration]`` as ``delivered_bytes`` in its flow row, for specs
+    #: that window the series themselves (byte ratios, rate stddev, Jain
+    #: index, convergence time).  Part of the identity when on.
+    delivered_series: bool = False
+
+    def __post_init__(self) -> None:
+        """Reject here what would otherwise fail, or be recorded wrongly,
+        in a worker; a grid validates by enumerating its cells."""
+        if self.controller_kwargs:
+            try:
+                json.dumps(self.controller_kwargs)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"controller_kwargs are recorded in the cell identity and "
+                    f"must be JSON-serializable: {exc}") from None
+        topology = _TOPOLOGIES.get(self.topology)
+        kwargs = resolve_topology_kwargs(self.topology,
+                                         dict(self.topology_kwargs))
+        if self.reverse_loss and not topology.supports_reverse_loss:
+            raise ValueError(
+                f"topology {self.topology!r} does not support reverse_loss"
+            )
+        if topology.validate is not None:
+            topology.validate(self, kwargs)
+        validate_workload(self)
 
     def resolved_scheme_kwargs(self) -> Dict[str, Any]:
         """Controller kwargs this cell's scheme spec + utility resolve to.
@@ -177,10 +209,10 @@ class SweepCell:
         The scheme registry's declared kwarg defaults come first (resolved
         into the identity so archived sweeps keep their meaning even if a
         registry default changes later), then the variant's kwargs, then the
-        ``utilities`` axis value; grid-level ``controller_kwargs`` are layered
-        on top at simulation time (they may contain non-JSON objects, so they
-        are not part of the identity — :class:`SweepGrid` rejects ones that
-        would override a recorded key).  Empty for a plain default cell.
+        ``utilities`` axis value; ``controller_kwargs`` are layered on top at
+        simulation time and recorded under their own identity key
+        (:class:`SweepGrid` rejects ones that would override a key recorded
+        here).  Empty for a plain default cell.
         """
         parsed = SchemeSpec.parse(self.scheme)
         kwargs = {**parsed.info().kwarg_defaults, **parsed.kwargs}
@@ -233,6 +265,12 @@ class SweepCell:
             out["workload"] = self.workload
             out["workload_kwargs"] = resolve_workload_kwargs(
                 self.workload, dict(self.workload_kwargs))
+        # Both change what is simulated or recorded, so both are identity:
+        # two cells differing only here must not share a store key.
+        if self.controller_kwargs:
+            out["controller_kwargs"] = dict(self.controller_kwargs)
+        if self.delivered_series:
+            out["delivered_series"] = True
         return out
 
     def queue_factory(self) -> Optional[Callable[[], QueueDiscipline]]:
@@ -253,10 +291,15 @@ class SweepCell:
 # --------------------------------------------------------------------------- #
 # Topology builder registry
 # --------------------------------------------------------------------------- #
-#: A topology builder lays a cell's links out inside ``sim`` and returns the
-#: flow paths.  Flow ``i`` of the cell is attached to ``paths[i % len(paths)]``,
-#: so the order paths are returned in is part of the builder's contract.
-TopologyBuilder = Callable[[Simulator, SweepCell], Sequence[Path]]
+#: A topology builder lays a cell's links out inside ``sim`` and returns
+#: ``(paths, link_metrics)``.  Flow ``i`` of the cell is attached to
+#: ``paths[i % len(paths)]``, so the order paths are returned in is part of
+#: the builder's contract.  ``link_metrics`` is ``None``, or a callable
+#: evaluated after the run whose JSON-friendly dict becomes the record's
+#: ``link`` entry (what a time-varying link measured about itself).
+LinkMetrics = Optional[Callable[[], Dict[str, float]]]
+TopologyBuilder = Callable[[Simulator, SweepCell],
+                           Tuple[Sequence[Path], LinkMetrics]]
 
 
 @dataclass(frozen=True)
@@ -264,10 +307,11 @@ class _Topology:
     builder: TopologyBuilder
     kwarg_defaults: Dict[str, Any]
     supports_reverse_loss: bool
-    #: Optional validator called as ``validate(grid, resolved_kwargs)`` from
-    #: :meth:`SweepGrid.__post_init__`, so topology-specific
-    #: mis-configurations fail at grid construction, not mid-sweep in a worker.
-    validate_grid: Optional[Callable[["SweepGrid", Dict[str, Any]], None]]
+    #: Optional validator called as ``validate(cell, resolved_kwargs)`` from
+    #: :meth:`SweepCell.__post_init__`, so topology-specific
+    #: mis-configurations fail when the cell (or the grid enumerating it) is
+    #: constructed, not mid-sweep in a worker.
+    validate: Optional[Callable[[SweepCell, Dict[str, Any]], None]]
 
 
 _TOPOLOGIES: NameRegistry[_Topology] = NameRegistry("topology")
@@ -278,7 +322,7 @@ def register_topology(
     builder: TopologyBuilder,
     kwarg_defaults: Optional[Dict[str, Any]] = None,
     supports_reverse_loss: bool = True,
-    validate_grid: Optional[Callable[["SweepGrid", Dict[str, Any]], None]] = None,
+    validate: Optional[Callable[[SweepCell, Dict[str, Any]], None]] = None,
 ) -> None:
     """Register ``builder`` under ``name`` for use as a grid's ``topology``.
 
@@ -286,11 +330,12 @@ def register_topology(
     accepts together with its default value.  :meth:`SweepGrid.cells` merges
     the defaults under the grid's explicit kwargs, so the *resolved* values
     are recorded in each cell's identity JSON (archived sweeps keep their
-    meaning even if a builder default changes later), and rejects unknown
-    keys at grid construction time.  Builders that do not honor the grid's
-    ``reverse_loss`` flag register with ``supports_reverse_loss=False`` so a
-    grid combining the two is rejected at construction rather than mid-sweep
-    in a worker.
+    meaning even if a builder default changes later), and unknown keys are
+    rejected when a cell is constructed.  Builders that do not honor
+    ``reverse_loss`` register with ``supports_reverse_loss=False`` so a cell
+    combining the two is rejected at construction rather than mid-sweep in a
+    worker; ``validate(cell, resolved_kwargs)`` does the same for
+    topology-specific mis-configurations.
 
     Builders must be deterministic given ``(sim, cell)``.  Cells cross the
     process boundary carrying only the topology *name*; each worker resolves
@@ -304,7 +349,7 @@ def register_topology(
         builder=builder,
         kwarg_defaults=dict(kwarg_defaults or {}),
         supports_reverse_loss=supports_reverse_loss,
-        validate_grid=validate_grid,
+        validate=validate,
     ))
 
 
@@ -325,10 +370,9 @@ def topology_names() -> List[str]:
     return _TOPOLOGIES.names()
 
 
-def _build_single_bottleneck(sim: Simulator, cell: SweepCell) -> List[Path]:
-    """One bottleneck link pair; every flow shares the single path."""
-    resolve_topology_kwargs("single_bottleneck", dict(cell.topology_kwargs))
-    topo = single_bottleneck(
+def _single_bottleneck(sim: Simulator, cell: SweepCell) -> SingleBottleneck:
+    """The cell's one bottleneck link pair."""
+    return single_bottleneck(
         sim,
         bandwidth_bps=cell.bandwidth_bps,
         rtt=cell.rtt,
@@ -337,7 +381,12 @@ def _build_single_bottleneck(sim: Simulator, cell: SweepCell) -> List[Path]:
         reverse_loss_rate=cell.loss_rate if cell.reverse_loss else None,
         queue_factory=cell.queue_factory(),
     )
-    return [topo.path]
+
+
+def _build_single_bottleneck(sim: Simulator,
+                             cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+    """One bottleneck link pair; every flow shares the single path."""
+    return [_single_bottleneck(sim, cell).path], None
 
 
 def _parking_lot_hop_delay(rtt: float, num_hops: int, access_delay: float) -> float:
@@ -359,7 +408,8 @@ def _parking_lot_hop_delay(rtt: float, num_hops: int, access_delay: float) -> fl
     return hop_delay
 
 
-def _build_parking_lot(sim: Simulator, cell: SweepCell) -> List[Path]:
+def _build_parking_lot(sim: Simulator,
+                       cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
     """A multi-bottleneck chain: path 0 crosses every hop, path ``1 + i`` only
     hop ``i``.  ``cell.rtt`` is the *long* flow's base RTT; each hop gets an
     equal share of it, so cross flows are RTT-diverse by construction.  The
@@ -371,12 +421,6 @@ def _build_parking_lot(sim: Simulator, cell: SweepCell) -> List[Path]:
     kwargs = resolve_topology_kwargs("parking_lot", dict(cell.topology_kwargs))
     num_hops = int(kwargs["num_hops"])
     access_delay = float(kwargs["access_delay"])
-    if cell.reverse_loss:
-        # The parking lot builds clean ACK hops; silently recording
-        # reverse_loss=true in the cell identity while not simulating it
-        # would lie to downstream analysis.
-        raise ValueError("reverse_loss is not supported by the parking_lot "
-                         "topology (ACK hops are loss-free)")
     hop_delay = _parking_lot_hop_delay(cell.rtt, num_hops, access_delay)
     topo = parking_lot(
         sim,
@@ -388,10 +432,11 @@ def _build_parking_lot(sim: Simulator, cell: SweepCell) -> List[Path]:
         access_delay=access_delay,
         queue_factory=cell.queue_factory(),
     )
-    return topo.paths
+    return topo.paths, None
 
 
-def _build_trace_bottleneck(sim: Simulator, cell: SweepCell) -> List[Path]:
+def _build_trace_bottleneck(sim: Simulator,
+                            cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
     """A single bottleneck whose capacity follows a bundled synthetic trace.
 
     ``cell.bandwidth_bps`` is the trace's peak rate; the ``trace`` kwarg picks
@@ -403,15 +448,7 @@ def _build_trace_bottleneck(sim: Simulator, cell: SweepCell) -> List[Path]:
     kwargs = resolve_topology_kwargs("trace_bottleneck", dict(cell.topology_kwargs))
     trace_name = str(kwargs["trace"])
     repeat_every = kwargs["repeat_every"]
-    topo = single_bottleneck(
-        sim,
-        bandwidth_bps=cell.bandwidth_bps,
-        rtt=cell.rtt,
-        buffer_bytes=cell.resolved_buffer_bytes(),
-        loss_rate=cell.loss_rate,
-        reverse_loss_rate=cell.loss_rate if cell.reverse_loss else None,
-        queue_factory=cell.queue_factory(),
-    )
+    topo = _single_bottleneck(sim, cell)
     trace = make_synthetic_trace(
         trace_name, peak_bps=cell.bandwidth_bps, duration=cell.duration,
         seed=int(kwargs["trace_seed"]),
@@ -419,32 +456,83 @@ def _build_trace_bottleneck(sim: Simulator, cell: SweepCell) -> List[Path]:
     TraceLinkDynamics(
         sim, topo.forward, bandwidth_trace=trace, repeat_every=repeat_every,
     ).start()
-    return [topo.path]
+    return [topo.path], None
 
 
-def _validate_parking_lot_grid(grid: "SweepGrid", kwargs: Dict[str, Any]) -> None:
-    num_hops = int(kwargs["num_hops"])
-    access_delay = float(kwargs["access_delay"])
-    for rtt in grid.rtts:
-        _parking_lot_hop_delay(float(rtt), num_hops, access_delay)
+def _build_dumbbell(sim: Simulator,
+                    cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+    """Per-flow access links into one shared bottleneck: flow ``i`` gets
+    path ``i``, whose base RTT is ``2 * (access_delays[i] +
+    bottleneck_delay)``.  ``cell.rtt`` only sizes the default one-BDP
+    buffer; the delays themselves are the topology's kwargs."""
+    kwargs = resolve_topology_kwargs("dumbbell", dict(cell.topology_kwargs))
+    bottleneck = LinkConfig(
+        bandwidth_bps=cell.bandwidth_bps,
+        delay_s=float(kwargs["bottleneck_delay"]),
+        loss_rate=cell.loss_rate,
+        buffer_bytes=cell.resolved_buffer_bytes(),
+        queue_factory=cell.queue_factory(),
+        name="bottleneck",
+    )
+    return dumbbell(sim, bottleneck, kwargs["access_delays"]).paths, None
 
 
-def _validate_trace_bottleneck_grid(grid: "SweepGrid", kwargs: Dict[str, Any]) -> None:
+def _build_random_dynamics(sim: Simulator,
+                           cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+    """The §4.1.7 rapidly changing network: a single bottleneck whose
+    bandwidth, RTT and loss are re-drawn from the simulator RNG every 5 s
+    (:class:`RandomLinkDynamics`' defaults are the paper's ranges: 10-100
+    Mbps, 10-100 ms, 0-1 %).  The first draw happens here, before the
+    workload attaches any flow, so ``cell.bandwidth_bps`` / ``cell.rtt`` only
+    size the buffer and fix the ACK link's rate.  Reports the time-weighted
+    mean capacity of the run."""
+    topo = _single_bottleneck(sim, cell)
+    dynamics = RandomLinkDynamics(sim, topo.forward, reverse_link=topo.reverse)
+    dynamics.start()
+    return [topo.path], lambda: {
+        "mean_optimal_mbps":
+            dynamics.mean_optimal_rate(0.0, cell.duration) / BPS_PER_MBPS,
+    }
+
+
+def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    _parking_lot_hop_delay(cell.rtt, int(kwargs["num_hops"]),
+                           float(kwargs["access_delay"]))
+
+
+def _validate_trace_bottleneck(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
     # Building the trace validates the name; its entry *times* depend only on
-    # the duration (never the seed), so the repeat_every check holds per cell.
+    # the duration (never the seed).
     trace = make_synthetic_trace(str(kwargs["trace"]), peak_bps=1.0,
-                                 duration=grid.duration)
+                                 duration=cell.duration)
     validate_trace_repeat_period(kwargs["repeat_every"], trace)
+
+
+def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    delays = kwargs["access_delays"]
+    if kwargs["bottleneck_delay"] is None or delays is None:
+        raise ValueError("the dumbbell topology needs topology_kwargs "
+                         "'access_delays' (one per flow) and "
+                         "'bottleneck_delay'")
+    if len(delays) != cell.num_flows:
+        raise ValueError(
+            f"dumbbell access_delays lists {len(delays)} delays for "
+            f"{cell.num_flows} flows; name one per flow")
 
 
 register_topology("single_bottleneck", _build_single_bottleneck)
 register_topology("parking_lot", _build_parking_lot,
                   {"num_hops": 3, "access_delay": 0.0005},
                   supports_reverse_loss=False,
-                  validate_grid=_validate_parking_lot_grid)
+                  validate=_validate_parking_lot)
 register_topology("trace_bottleneck", _build_trace_bottleneck,
                   {"trace": "step", "repeat_every": None, "trace_seed": 0},
-                  validate_grid=_validate_trace_bottleneck_grid)
+                  validate=_validate_trace_bottleneck)
+register_topology("dumbbell", _build_dumbbell,
+                  {"access_delays": None, "bottleneck_delay": None},
+                  supports_reverse_loss=False,
+                  validate=_validate_dumbbell)
+register_topology("random_dynamics", _build_random_dynamics)
 
 
 @dataclass
@@ -562,16 +650,10 @@ class SweepGrid:
                         f"scheme spec {spec!r} already fixes the utility; "
                         f"it cannot be crossed with a utilities axis"
                     )
-        # Fail fast on unknown topology names, undeclared kwargs, or
-        # topology-specific mis-configurations.
-        resolved = resolve_topology_kwargs(self.topology, dict(self.topology_kwargs))
-        topology = _TOPOLOGIES.get(self.topology)
-        if self.reverse_loss and not topology.supports_reverse_loss:
-            raise ValueError(
-                f"topology {self.topology!r} does not support reverse_loss"
-            )
-        if topology.validate_grid is not None:
-            topology.validate_grid(self, resolved)
+        # Every cell validates its own topology, workload and
+        # controller_kwargs when it is built, so enumerating once fails fast
+        # on whatever a hand-listed cell would be rejected for.
+        self.cells(0)
 
     def cells(self, base_seed: int) -> List[SweepCell]:
         """Enumerate the grid with deterministic per-cell seeds."""
@@ -625,7 +707,8 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     attached to path ``i % len(paths)`` (for ``single_bottleneck`` every flow
     shares the one path; for ``parking_lot`` flow 0 is the long flow and flow
     ``1 + i`` the hop-``i`` cross flow).  The returned dict contains the
-    deterministic payload (cell identity, flow summaries, engine counters)
+    deterministic payload (cell identity, flow summaries, engine counters,
+    and a ``link`` entry when the topology reports metrics of its own)
     plus the non-deterministic ``wall_time_s``, which :func:`sweep` strips
     into :attr:`~repro.experiments.results.ResultSet.timings` so that the
     canonical JSON stays byte-identical run to run.
@@ -633,7 +716,7 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     # repro-lint: disable=RPL001 wall-time telemetry; stripped into ResultSet.timings, never canonical JSON
     start = time.perf_counter()
     sim = Simulator(seed=cell.seed)
-    paths = _TOPOLOGIES.get(cell.topology).builder(sim, cell)
+    paths, link_metrics = _TOPOLOGIES.get(cell.topology).builder(sim, cell)
     # The full scheme spec goes to the runner, which resolves any variant
     # against the scheme registry — the identical resolution recorded in the
     # cell identity.  The utilities-axis value and grid-level
@@ -650,9 +733,13 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
         spec.controller_kwargs = {**scheme_kwargs, **spec.controller_kwargs}
     result = run_flows(sim, paths, specs, duration=cell.duration)
     wall = time.perf_counter() - start  # repro-lint: disable=RPL001 wall-time telemetry
-    return {
+    flows = result.summary_rows()
+    if cell.delivered_series:
+        for row, flow in zip(flows, result.flows, strict=True):
+            row["delivered_bytes"] = flow.delivered_bytes(cell.duration)
+    record = {
         "cell": cell.params(),
-        "flows": result.summary_rows(),
+        "flows": flows,
         "engine": {
             "events_processed": sim.events_processed,
             "pending_events": sim.pending_events,
@@ -660,6 +747,9 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
         },
         "wall_time_s": wall,
     }
+    if link_metrics is not None:
+        record["link"] = link_metrics()
+    return record
 
 
 def sweep(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..registry import NameRegistry
+from ..schemes import SchemeSpec
 from ..units import BITS_PER_BYTE, BYTES_PER_KB
 from ..netsim import DEFAULT_MSS, FlowSpec
 
@@ -44,6 +45,7 @@ __all__ = [
     "build_workload",
     "register_workload",
     "resolve_workload_kwargs",
+    "validate_workload",
     "workload_names",
 ]
 
@@ -104,6 +106,34 @@ def resolve_workload_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]
     return {**defaults, **kwargs}
 
 
+def validate_workload(cell: "SweepCell") -> None:
+    """Reject, when the cell is constructed, workload kwargs it cannot run.
+
+    Undeclared keys raise ``ValueError``, and so does a per-flow ``schemes``
+    list (``bulk``) that names an unknown scheme, has another length than
+    ``num_flows``, or puts a non-PCC flow under the cell's ``utility`` — each
+    would otherwise fail in a worker.
+    """
+    if not cell.workload_kwargs:
+        return
+    kwargs = resolve_workload_kwargs(cell.workload, dict(cell.workload_kwargs))
+    schemes = kwargs.get("schemes")
+    if schemes is None:
+        return
+    if len(schemes) != cell.num_flows:
+        raise ValueError(
+            f"workload {cell.workload!r} lists {len(schemes)} schemes for "
+            f"{cell.num_flows} flows; name one per flow")
+    for spec in schemes:
+        base = SchemeSpec.parse(spec).base
+        # The rule a grid applies to its scheme axis: a utility only
+        # configures PCC flows.
+        if cell.utility is not None and base != "pcc":
+            raise ValueError(
+                f"the utilities axis applies only to pcc-based schemes; "
+                f"workload scheme {spec!r} resolves to base {base!r}")
+
+
 def build_workload(cell: "SweepCell") -> List[FlowSpec]:
     """Emit the cell's flow schedule from its registered workload.
 
@@ -130,18 +160,22 @@ def workload_names() -> List[str]:
 # --------------------------------------------------------------------------- #
 
 
-def _bulk(cell: "SweepCell", rng: random.Random) -> List[FlowSpec]:
+def _bulk(cell: "SweepCell", rng: random.Random,
+          schemes: Optional[List[str]] = None) -> List[FlowSpec]:
     """The classic sweep traffic: ``num_flows`` long-running flows, flow ``i``
     starting at ``i * stagger`` on path ``i`` — exactly the schedule every
-    archived grid ran, so the default workload changes nothing."""
+    archived grid ran, so the default workload changes nothing.  ``schemes``
+    names flow ``i``'s scheme where the flows differ (Figure 14's one TCP flow
+    against selfish competitors); by default every flow runs ``cell.scheme``.
+    """
     return [
         FlowSpec(
-            scheme=cell.scheme,
+            scheme=scheme,
             start_time=i * cell.stagger,
             path_index=i,
-            label=f"{cell.scheme}-{i}",
+            label=f"{scheme}-{i}",
         )
-        for i in range(cell.num_flows)
+        for i, scheme in enumerate(schemes or [cell.scheme] * cell.num_flows)
     ]
 
 
@@ -270,7 +304,7 @@ def _mixed(cell: "SweepCell", rng: random.Random, num_long: int = 1,
     return specs
 
 
-register_workload("bulk", _bulk)
+register_workload("bulk", _bulk, {"schemes": None})
 register_workload("poisson", _poisson,
                   {"load": 0.5, "mean_size_kb": 100.0})
 register_workload("pareto", _pareto,

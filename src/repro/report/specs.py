@@ -15,27 +15,35 @@ import statistics
 from itertools import product
 from typing import Any, Dict, List
 
-from ..analysis import FluidModel, find_equilibrium, percentile, simulate_dynamics
+from ..analysis import (
+    FluidModel,
+    convergence_time,
+    find_equilibrium,
+    jain_index_over_timescales,
+    percentile,
+    power,
+    rate_std_dev,
+    simulate_dynamics,
+    throughput_ratio,
+)
 from ..experiments.incast import run_incast
 from ..experiments.interdc import PAPER_PAIRS
 from ..experiments.internet import ratio_cdf, sample_paths
 from ..experiments.results import ResultSet
 from ..experiments.scenarios import (
-    CONTENTION_BANDWIDTH_BPS,
     RESPONSIVENESS_BANDWIDTH_BPS,
-    aqm_power_scenario,
-    convergence_scenario,
-    dynamic_network_scenario,
     extreme_loss_scenario,
-    fairness_index_over_timescales,
-    friendliness_scenario,
-    rtt_unfairness_scenario,
     short_flow_scenario,
-    tradeoff_scenario,
 )
 from ..experiments.sweep import SweepCell, SweepGrid
-from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES
-from ..units import BPS_PER_GBPS, BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
+from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES, bdp_bytes
+from ..units import (
+    BITS_PER_BYTE,
+    BPS_PER_GBPS,
+    BPS_PER_MBPS,
+    BYTES_PER_KB,
+    MS_PER_S,
+)
 from .spec import (
     Claim,
     GridRun,
@@ -53,12 +61,54 @@ _SCALING = "EXPERIMENTS.md § per-experiment scaling notes"
 _DEVIATIONS = "EXPERIMENTS.md § documented deviations"
 
 
-def _metrics(result: ResultSet, **params: Any) -> Dict[str, Any]:
-    """Return the metrics dict of the single record matching ``params``."""
+def _record(result: ResultSet, **params: Any) -> Dict[str, Any]:
+    """Return the single record matching ``params``."""
     matches = result.find(**params)
     if len(matches) != 1:
         raise KeyError(f"{len(matches)} records match {params!r}, expected 1")
-    return matches[0]["metrics"]
+    return matches[0]
+
+
+def _metrics(result: ResultSet, **params: Any) -> Dict[str, Any]:
+    """Return the metrics dict of the single scenario record matching."""
+    return _record(result, **params)["metrics"]
+
+
+def _mbps_series(flow: Dict[str, Any], start: float, end: float) -> List[float]:
+    """Return a flow row's per-second goodput (Mbps) from ``start`` to ``end``.
+
+    Both bounds name the 1 s bin that holds them; the row comes from a cell
+    with ``delivered_series`` on.
+    """
+    return [delivered * BITS_PER_BYTE / BPS_PER_MBPS
+            for delivered in flow["delivered_bytes"][int(start):int(end) + 1]]
+
+
+#: Bottleneck capacity of the multi-flow contention specs (convergence,
+#: fairness time scales, FCT vs load).
+_CONTENTION_BANDWIDTH = 20e6
+
+
+def _staggered_dumbbell_cell(index: int, scheme: str, *, seed: int,
+                             num_flows: int, stagger: float,
+                             flow_duration: float, bandwidth_bps: float,
+                             controller_kwargs: Dict[str, Any]) -> SweepCell:
+    """Build the cell shape Figures 12, 13 and 16 share.
+
+    ``num_flows`` flows of one scheme join a symmetric 30 ms dumbbell
+    (one-BDP buffer) ``stagger`` seconds apart, the last one running for
+    ``flow_duration``; every flow row carries its delivered-bytes series.
+    """
+    rtt = 0.03
+    return SweepCell(
+        index=index, scheme=scheme, bandwidth_bps=bandwidth_bps, rtt=rtt,
+        loss_rate=0.0, buffer_bytes=None, num_flows=num_flows,
+        duration=stagger * (num_flows - 1) + flow_duration, seed=seed,
+        stagger=stagger, controller_kwargs=dict(controller_kwargs),
+        topology="dumbbell",
+        topology_kwargs={"access_delays": [0.0005] * num_flows,
+                         "bottleneck_delay": rtt / 2.0 - 0.001},
+        delivered_series=True)
 
 
 def _row(rows: List[Dict[str, Any]], key: str, value: Any) -> Dict[str, Any]:
@@ -385,30 +435,43 @@ register_report_spec(ReportSpec(
 # --------------------------------------------------------------------------- #
 _F8_SCHEMES = ("pcc", "cubic", "reno")
 _F8_LONG_RTTS = (0.040, 0.080)
+_F8_SHORT_RTT = 0.010
 
 
-def _run_rtt_fairness(seed: int, scheme: str, long_rtt: float,
-                      bandwidth_bps: float, duration: float) -> Dict[str, Any]:
-    """Run the short-vs-long-RTT fairness scenario for one scheme."""
-    outcome = rtt_unfairness_scenario(
-        scheme, long_rtt=long_rtt, bandwidth_bps=bandwidth_bps,
-        duration=duration, seed=seed,
-    )
-    return {"ratio": outcome["ratio"], "long_mbps": outcome["long_mbps"],
-            "short_mbps": outcome["short_mbps"]}
+def _fig8_cells() -> List[SweepCell]:
+    """One two-flow dumbbell cell per (long RTT, scheme).
+
+    The long-RTT flow starts first and the short-RTT flow joins 5 s later,
+    into a buffer of one short-flow BDP.  ``rtt`` records the long flow's
+    RTT.
+    """
+    bandwidth_bps = 30e6
+    return [
+        SweepCell(index=index, scheme=scheme, bandwidth_bps=bandwidth_bps,
+                  rtt=long_rtt, loss_rate=0.0,
+                  buffer_bytes=bdp_bytes(bandwidth_bps, _F8_SHORT_RTT),
+                  num_flows=2, duration=40.0, seed=4, stagger=5.0,
+                  topology="dumbbell",
+                  # Access-link delays make up the per-flow RTT difference.
+                  topology_kwargs={
+                      "access_delays": [(long_rtt - _F8_SHORT_RTT / 2.0) / 2.0,
+                                        _F8_SHORT_RTT / 4.0],
+                      "bottleneck_delay": _F8_SHORT_RTT / 4.0},
+                  delivered_series=True)
+        for index, (long_rtt, scheme)
+        in enumerate(product(_F8_LONG_RTTS, _F8_SCHEMES))
+    ]
 
 
-def _fig8_cells() -> List[ScenarioCell]:
-    """One cell per (long RTT, scheme)."""
-    cells = []
-    for long_rtt in _F8_LONG_RTTS:
-        for scheme in _F8_SCHEMES:
-            cells.append(ScenarioCell(
-                index=len(cells), runner="rtt_fairness", seed=4,
-                kwargs={"scheme": scheme, "long_rtt": long_rtt,
-                        "bandwidth_bps": 30e6, "duration": 40.0},
-            ))
-    return cells
+def _fig8_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """Long/short delivered-byte ratio once the short flow has joined.
+
+    Counted from one second after it joins to the end of the run.
+    """
+    first = int(record["cell"]["stagger"] + 1.0)
+    long_bytes, short_bytes = (sum(flow["delivered_bytes"][first:])
+                               for flow in record["flows"])
+    return {"ratio": throughput_ratio(long_bytes, short_bytes)}
 
 
 def _fig8_rows(result: ResultSet) -> List[Dict[str, Any]]:
@@ -417,13 +480,12 @@ def _fig8_rows(result: ResultSet) -> List[Dict[str, Any]]:
     for long_rtt in _F8_LONG_RTTS:
         row: Dict[str, Any] = {"long_rtt_ms": long_rtt * MS_PER_S}
         for scheme in _F8_SCHEMES:
-            row[scheme] = _metrics(result, scheme=scheme,
-                                   long_rtt=long_rtt)["ratio"]
+            row[scheme] = _fig8_metrics(
+                _record(result, scheme=scheme, rtt=long_rtt))["ratio"]
         rows.append(row)
     return rows
 
 
-register_scenario_runner("rtt_fairness", _run_rtt_fairness)
 register_report_spec(ReportSpec(
     spec_id="fig8",
     title="RTT fairness between a short-RTT and a long-RTT flow",
@@ -625,17 +687,19 @@ register_report_spec(ReportSpec(
 _F11_SCHEMES = ("pcc", "cubic", "illinois")
 
 
-def _run_dynamic_network(seed: int, scheme: str, duration: float) -> Dict[str, Any]:
-    """Run one scheme over the randomly re-drawn dynamic network."""
-    outcome = dynamic_network_scenario(scheme, duration=duration, seed=seed)
-    return {"goodput_mbps": outcome["goodput_mbps"],
-            "optimal_mbps": outcome["optimal_mbps"],
-            "fraction_of_optimal": outcome["fraction_of_optimal"]}
+def _fig11_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The flow's goodput against the link's time-weighted mean capacity."""
+    (flow,) = record["flows"]
+    goodput = flow["goodput_mbps"]
+    optimal = record["link"]["mean_optimal_mbps"]
+    return {"goodput_mbps": goodput, "optimal_mbps": optimal,
+            "fraction_of_optimal": goodput / optimal if optimal > 0 else 0.0}
 
 
 def _fig11_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per scheme with goodput vs the time-weighted optimum."""
-    return [{"scheme": scheme, **_metrics(result, scheme=scheme)}
+    return [{"scheme": scheme,
+             **_fig11_metrics(_record(result, scheme=scheme))}
             for scheme in _F11_SCHEMES]
 
 
@@ -653,14 +717,16 @@ def _fig11_tracking_claim(rows: List[Dict[str, Any]],
     return ok, f"pcc {pcc:.1f}, cubic {cubic:.1f}, illinois {illinois:.1f} Mbps"
 
 
-register_scenario_runner("dynamic_network", _run_dynamic_network)
 register_report_spec(ReportSpec(
     spec_id="fig11",
     title="Rapidly changing network rate tracking",
     paper_section="4.1.7",
+    # The link starts as 100 Mbps / 30 ms with a one-BDP buffer; the
+    # topology re-draws it at t = 0 and every 5 s after.
     run=ScenarioRun(cells_list=tuple(
-        ScenarioCell(index=i, runner="dynamic_network", seed=7,
-                     kwargs={"scheme": scheme, "duration": 50.0})
+        SweepCell(index=i, scheme=scheme, bandwidth_bps=100e6, rtt=0.03,
+                  loss_rate=0.0, buffer_bytes=None, num_flows=1,
+                  duration=50.0, seed=7, topology="random_dynamics")
         for i, scheme in enumerate(_F11_SCHEMES)
     ), base_seed=7),
     rows=_fig11_rows,
@@ -696,32 +762,28 @@ register_report_spec(ReportSpec(
 _F12_FLOWS = 4
 _F12_STAGGER = 20.0
 _F12_FLOW_DURATION = 60.0
-_F12_BANDWIDTH = CONTENTION_BANDWIDTH_BPS
+_F12_BANDWIDTH = _CONTENTION_BANDWIDTH
 
 
-def _run_convergence_stats(seed: int, scheme: str, num_flows: int,
-                           stagger: float, flow_duration: float,
-                           bandwidth_bps: float) -> Dict[str, Any]:
-    """Run the staggered-flows scenario and summarize steady-state rates."""
-    outcome = convergence_scenario(
-        scheme, num_flows=num_flows, stagger=stagger,
-        flow_duration=flow_duration, bandwidth_bps=bandwidth_bps, seed=seed,
-    )
-    start = stagger * (num_flows - 1) + 5.0
-    end = outcome.duration - 1.0
-    means, deviations = [], []
-    for flow in outcome.flows:
-        series = flow.throughput_series_mbps(start, end)
-        means.append(statistics.mean(series))
-        deviations.append(statistics.pstdev(series))
-    return {"flow_means": means, "rate_stddevs": deviations}
+def _fig12_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """Each flow's mean and stddev of per-second goodput at steady state.
+
+    Steady state runs from 5 s after the last flow joins to 1 s before the
+    end.
+    """
+    cell = record["cell"]
+    start = cell["stagger"] * (cell["num_flows"] - 1) + 5.0
+    series = [_mbps_series(flow, start, cell["duration"] - 1.0)
+              for flow in record["flows"]]
+    return {"flow_means": [statistics.mean(s) for s in series],
+            "rate_stddevs": [statistics.pstdev(s) for s in series]}
 
 
 def _fig12_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per scheme with per-flow steady-state statistics."""
     rows = []
     for scheme in ("pcc", "cubic"):
-        metrics = _metrics(result, scheme=scheme)
+        metrics = _fig12_metrics(_record(result, scheme=scheme))
         rows.append({
             "scheme": scheme,
             "min_flow_mean": min(metrics["flow_means"]),
@@ -732,17 +794,15 @@ def _fig12_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_scenario_runner("convergence_stats", _run_convergence_stats)
 register_report_spec(ReportSpec(
     spec_id="fig12",
     title="Convergence of four staggered flows",
     paper_section="4.2.1",
     run=ScenarioRun(cells_list=tuple(
-        ScenarioCell(index=i, runner="convergence_stats", seed=8,
-                     kwargs={"scheme": scheme, "num_flows": _F12_FLOWS,
-                             "stagger": _F12_STAGGER,
-                             "flow_duration": _F12_FLOW_DURATION,
-                             "bandwidth_bps": _F12_BANDWIDTH})
+        _staggered_dumbbell_cell(
+            i, scheme, seed=8, num_flows=_F12_FLOWS, stagger=_F12_STAGGER,
+            flow_duration=_F12_FLOW_DURATION, bandwidth_bps=_F12_BANDWIDTH,
+            controller_kwargs={})
         for i, scheme in enumerate(("pcc", "cubic"))
     ), base_seed=8),
     rows=_fig12_rows,
@@ -785,39 +845,37 @@ _F13_SCHEMES = ("pcc", "cubic", "reno")
 _F13_TIMESCALES = (1.0, 5.0, 15.0, 30.0)
 
 
-def _run_jain_timescales(seed: int, scheme: str, num_flows: int,
-                         stagger: float, flow_duration: float,
-                         bandwidth_bps: float, timescales: List[float]) -> Dict[str, Any]:
-    """Run the convergence scenario and compute Jain indices per time scale."""
-    outcome = convergence_scenario(
-        scheme, num_flows=num_flows, stagger=stagger,
-        flow_duration=flow_duration, bandwidth_bps=bandwidth_bps, seed=seed,
-    )
-    indices = fairness_index_over_timescales(outcome, tuple(timescales))
-    return {"jain": {f"{t:g}": value for t, value in indices.items()}}
+def _fig13_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """Jain's index per averaging time scale while every flow is active.
+
+    That interval starts 1 s after the last flow joins.
+    """
+    cell = record["cell"]
+    start = cell["stagger"] * (cell["num_flows"] - 1) + 1.0
+    series = [_mbps_series(flow, start, cell["duration"] - 1.0)
+              for flow in record["flows"]]
+    return {"jain": {f"{t:g}": jain_index_over_timescales(series, 1.0, t)
+                     for t in _F13_TIMESCALES}}
 
 
 def _fig13_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per scheme with the Jain index at each time scale."""
     rows = []
     for scheme in _F13_SCHEMES:
-        jain = _metrics(result, scheme=scheme)["jain"]
+        jain = _fig13_metrics(_record(result, scheme=scheme))["jain"]
         rows.append({"scheme": scheme,
                      **{f"{t:g}s": jain[f"{t:g}"] for t in _F13_TIMESCALES}})
     return rows
 
 
-register_scenario_runner("jain_timescales", _run_jain_timescales)
 register_report_spec(ReportSpec(
     spec_id="fig13",
     title="Jain's fairness index vs time scale",
     paper_section="4.2.1",
     run=ScenarioRun(cells_list=tuple(
-        ScenarioCell(index=i, runner="jain_timescales", seed=9,
-                     kwargs={"scheme": scheme, "num_flows": 3,
-                             "stagger": 10.0, "flow_duration": 60.0,
-                             "bandwidth_bps": CONTENTION_BANDWIDTH_BPS,
-                             "timescales": list(_F13_TIMESCALES)})
+        _staggered_dumbbell_cell(
+            i, scheme, seed=9, num_flows=3, stagger=10.0, flow_duration=60.0,
+            bandwidth_bps=_CONTENTION_BANDWIDTH, controller_kwargs={})
         for i, scheme in enumerate(_F13_SCHEMES)
     ), base_seed=9),
     rows=_fig13_rows,
@@ -852,37 +910,38 @@ register_report_spec(ReportSpec(
 # Figure 14 — TCP friendliness
 # --------------------------------------------------------------------------- #
 _F14_COUNTS = (1, 2)
+_F14_KINDS = ("pcc", "parallel_tcp")
 
 
-def _run_friendliness(seed: int, selfish_kind: str, num_selfish: int,
-                      duration: float) -> Dict[str, Any]:
-    """Run one normal TCP flow against N selfish competitors."""
-    outcome = friendliness_scenario(selfish_kind, num_selfish,
-                                    duration=duration, seed=seed)
-    return {"normal_tcp_mbps": outcome["normal_tcp_mbps"]}
+def _fig14_cells() -> List[SweepCell]:
+    """One cell per (selfish count, selfish kind).
+
+    Flow 0 is the normal CUBIC flow, the rest are selfish — one PCC flow
+    each, or a 10-connection CUBIC bundle each (``parallel_tcp``'s registered
+    default, the §4.3.1 "TCP-Selfish").  ``scheme`` names the selfish kind.
+    """
+    return [
+        SweepCell(index=index, scheme=kind, bandwidth_bps=30e6, rtt=0.020,
+                  loss_rate=0.0, buffer_bytes=None, num_flows=1 + count,
+                  duration=30.0, seed=10,
+                  workload_kwargs={"schemes": ["cubic", *[kind] * count]})
+        for index, (count, kind) in enumerate(product(_F14_COUNTS, _F14_KINDS))
+    ]
 
 
-def _fig14_cells() -> List[ScenarioCell]:
-    """One cell per (selfish count, selfish kind)."""
-    cells = []
-    for count in _F14_COUNTS:
-        for kind in ("pcc", "parallel_tcp"):
-            cells.append(ScenarioCell(
-                index=len(cells), runner="friendliness", seed=10,
-                kwargs={"selfish_kind": kind, "num_selfish": count,
-                        "duration": 30.0},
-            ))
-    return cells
+def _fig14_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The normal TCP flow's goodput."""
+    return {"normal_tcp_mbps": record["flows"][0]["goodput_mbps"]}
 
 
 def _fig14_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per selfish count with the relative-unfriendliness ratio."""
     rows = []
     for count in _F14_COUNTS:
-        vs_pcc = _metrics(result, selfish_kind="pcc",
-                          num_selfish=count)["normal_tcp_mbps"]
-        vs_bundle = _metrics(result, selfish_kind="parallel_tcp",
-                             num_selfish=count)["normal_tcp_mbps"]
+        vs_pcc, vs_bundle = (
+            _fig14_metrics(_record(result, scheme=kind,
+                                   num_flows=1 + count))["normal_tcp_mbps"]
+            for kind in _F14_KINDS)
         rows.append({
             "num_selfish": count,
             "tcp_vs_pcc_mbps": vs_pcc,
@@ -893,7 +952,6 @@ def _fig14_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_scenario_runner("friendliness", _run_friendliness)
 register_report_spec(ReportSpec(
     spec_id="fig14",
     title="TCP friendliness vs parallel-TCP selfishness",
@@ -1020,37 +1078,43 @@ _F16_PCC_CONFIGS = (
 _F16_TCP_SCHEMES = ("cubic", "reno", "vegas", "westwood")
 
 
-def _run_tradeoff(seed: int, scheme: str, label: str,
-                  controller_kwargs: Dict[str, Any], bandwidth_bps: float,
-                  measure_duration: float) -> Dict[str, Any]:
-    """Run the two-flow trade-off scenario for one configuration."""
-    outcome = tradeoff_scenario(
-        scheme, bandwidth_bps=bandwidth_bps,
-        measure_duration=measure_duration, seed=seed,
-        **controller_kwargs,
-    )
-    return {"convergence_time": outcome["convergence_time"],
-            "rate_std_dev_mbps": outcome["rate_std_dev_mbps"]}
+#: Row labels in cell-index order: the PCC configurations, then the TCPs.
+_F16_LABELS = tuple(label for label, _ in _F16_PCC_CONFIGS) + _F16_TCP_SCHEMES
 
 
-def _fig16_cells() -> List[ScenarioCell]:
-    """One cell per PCC configuration and per TCP baseline."""
-    cells = []
-    for label, kwargs in _F16_PCC_CONFIGS:
-        cells.append(ScenarioCell(
-            index=len(cells), runner="tradeoff", seed=12,
-            kwargs={"scheme": "pcc", "label": label,
-                    "controller_kwargs": dict(kwargs),
-                    "bandwidth_bps": 30e6, "measure_duration": 40.0},
-        ))
-    for scheme in _F16_TCP_SCHEMES:
-        cells.append(ScenarioCell(
-            index=len(cells), runner="tradeoff", seed=12,
-            kwargs={"scheme": scheme, "label": scheme,
-                    "controller_kwargs": {}, "bandwidth_bps": 30e6,
-                    "measure_duration": 40.0},
-        ))
-    return cells
+def _fig16_cells() -> List[SweepCell]:
+    """One cell per PCC configuration and per TCP baseline.
+
+    Two flows share a 30 Mbps dumbbell, the second joining 10 s after the
+    first and measured for 40 s.
+    """
+    configs = [("pcc", kwargs) for _, kwargs in _F16_PCC_CONFIGS] \
+        + [(scheme, {}) for scheme in _F16_TCP_SCHEMES]
+    return [
+        _staggered_dumbbell_cell(
+            index, scheme, seed=12, num_flows=2, stagger=10.0,
+            flow_duration=40.0, bandwidth_bps=30e6, controller_kwargs=kwargs)
+        for index, (scheme, kwargs) in enumerate(configs)
+    ]
+
+
+def _fig16_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The second flow's convergence time and post-convergence rate stddev.
+
+    Converged means within 25 % of its fair share for 5 s, counted from when
+    it joins; the stddev covers the 30 s after that, or its whole run if it
+    never converges.
+    """
+    cell = record["cell"]
+    series = _mbps_series(record["flows"][1], cell["stagger"],
+                          cell["duration"] - 1.0)
+    conv = convergence_time(series, cell["bandwidth_bps"] / 2.0 / BPS_PER_MBPS,
+                            tolerance=0.25, window=5.0)
+    if conv is None:
+        stddev = rate_std_dev(series, 0.0)
+    else:
+        stddev = rate_std_dev(series, conv, duration=30.0)
+    return {"convergence_time": conv, "rate_std_dev_mbps": stddev}
 
 
 def _fig16_rows(result: ResultSet) -> List[Dict[str, Any]]:
@@ -1058,9 +1122,9 @@ def _fig16_rows(result: ResultSet) -> List[Dict[str, Any]]:
     rows = []
     for record in result.cells:
         identity = record["cell"]
-        metrics = record["metrics"]
+        metrics = _fig16_metrics(record)
         rows.append({
-            "configuration": identity["label"],
+            "configuration": _F16_LABELS[identity["index"]],
             "scheme": identity["scheme"],
             "convergence_time_s": metrics["convergence_time"],
             "rate_stddev_mbps": metrics["rate_std_dev_mbps"],
@@ -1077,7 +1141,6 @@ def _fig16_frontier(rows: List[Dict[str, Any]]) -> tuple:
     return pcc, tcp
 
 
-register_scenario_runner("tradeoff", _run_tradeoff)
 register_report_spec(ReportSpec(
     spec_id="fig16",
     title="Stability/reactiveness trade-off (+ RCT ablation)",
@@ -1119,19 +1182,25 @@ register_report_spec(ReportSpec(
 # --------------------------------------------------------------------------- #
 # Figure 17 — AQM/FQ power
 # --------------------------------------------------------------------------- #
-def _run_aqm_power(seed: int, scheme: str, aqm: str, duration: float) -> Dict[str, Any]:
-    """Run the AQM/FQ power comparison for one (scheme, AQM) pair."""
-    outcome = aqm_power_scenario(scheme, aqm, duration=duration, seed=seed)
-    return {"mean_power": outcome["mean_power"],
-            "mean_rtt_ms": outcome["mean_rtt_ms"]}
-
-
-#: The paper's two AQM columns (FQ-composed, predating the qdisc registry)
-#: followed by the registry-resolved extensions: the full matrix the
-#: reproduction covers.  Every cell runs from the same fixed seed, and the
-#: original claims look cells up by (scheme, aqm) — not index — so extending
-#: the matrix leaves their measurements bit-identical.
-_FIG17_AQMS = ("codel", "bufferbloat", "red", "pie", "fq_codel")
+#: The paper's two AQM columns (both behind per-flow fair queueing) followed
+#: by the extensions, each with the registered qdisc that builds it.  The
+#: paper's ``codel`` column *is* ``fq_codel``, so those two rows are one
+#: construction run twice from the same seed and always agree.
+_FIG17_QDISCS = {
+    "codel": ("fq_codel", {}),
+    "bufferbloat": ("fq", {"child": "infinite"}),
+    "red": ("red", {}),
+    "pie": ("pie", {}),
+    "fq_codel": ("fq_codel", {}),
+}
+_FIG17_AQMS = tuple(_FIG17_QDISCS)
+_FIG17_SCHEMES = ("cubic", "pcc")
+#: (scheme, aqm) -> cell index; the matrix is looked up by position because
+#: the ``codel`` and ``fq_codel`` cells differ in nothing else.
+_FIG17_INDEX = {
+    (scheme, aqm): index for index, (aqm, scheme)
+    in enumerate(product(_FIG17_AQMS, _FIG17_SCHEMES))
+}
 
 
 def _fig17_label(scheme: str, aqm: str) -> str:
@@ -1141,38 +1210,54 @@ def _fig17_label(scheme: str, aqm: str) -> str:
     return f"{scheme}+{aqm}"
 
 
-def _fig17_cells() -> List[ScenarioCell]:
-    """One cell per (scheme, AQM) combination."""
-    cells = []
-    for aqm in _FIG17_AQMS:
-        for scheme in ("cubic", "pcc"):
-            cells.append(ScenarioCell(
-                index=len(cells), runner="aqm_power", seed=13,
-                kwargs={"scheme": scheme, "aqm": aqm, "duration": 25.0},
-            ))
-    return cells
+def _fig17_cells() -> List[SweepCell]:
+    """One cell per (scheme, AQM) combination.
+
+    Two interactive flows share a 40 Mbps / 20 ms link with a 5 MB buffer;
+    PCC flows run the latency (power-maximising) utility, TCP flows are
+    CUBIC.
+    """
+    return [
+        SweepCell(index=index, scheme=scheme, bandwidth_bps=40e6, rtt=0.020,
+                  loss_rate=0.0, buffer_bytes=5_000_000.0, num_flows=2,
+                  duration=25.0, seed=13,
+                  utility="latency" if scheme == "pcc" else None,
+                  qdisc=_FIG17_QDISCS[aqm][0],
+                  qdisc_kwargs=dict(_FIG17_QDISCS[aqm][1]))
+        for (scheme, aqm), index in _FIG17_INDEX.items()
+    ]
+
+
+def _fig17_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
+    """Mean per-flow power and mean RTT over the cell's flows.
+
+    Power is delivered bits per second divided by mean RTT.
+    """
+    flows = record["flows"]
+    rtts = [flow["mean_rtt_ms"] / MS_PER_S for flow in flows]
+    powers = [power(flow["goodput_mbps"] * BPS_PER_MBPS, rtt)
+              for flow, rtt in zip(flows, rtts, strict=True)]
+    return {"mean_power": sum(powers) / len(powers),
+            "mean_rtt_ms": sum(rtts) / len(rtts) * MS_PER_S}
 
 
 def _fig17_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per (scheme, AQM) with power and mean RTT."""
     rows = []
-    for aqm in _FIG17_AQMS:
-        for scheme in ("cubic", "pcc"):
-            metrics = _metrics(result, scheme=scheme, aqm=aqm)
-            rows.append({
-                "configuration": _fig17_label(scheme, aqm),
-                "power_gbps_per_s": metrics["mean_power"] / BPS_PER_GBPS,
-                "mean_rtt_ms": metrics["mean_rtt_ms"],
-            })
+    for (scheme, aqm), index in _FIG17_INDEX.items():
+        metrics = _fig17_metrics(_record(result, index=index))
+        rows.append({
+            "configuration": _fig17_label(scheme, aqm),
+            "power_gbps_per_s": metrics["mean_power"] / BPS_PER_GBPS,
+            "mean_rtt_ms": metrics["mean_rtt_ms"],
+        })
     return rows
 
 
 def _fig17_powers(result: ResultSet) -> Dict[tuple, float]:
     """The mean power of every (scheme, AQM) combination."""
-    return {(scheme, aqm): _metrics(result, scheme=scheme,
-                                    aqm=aqm)["mean_power"]
-            for scheme in ("cubic", "pcc")
-            for aqm in _FIG17_AQMS}
+    return {key: _fig17_metrics(_record(result, index=index))["mean_power"]
+            for key, index in _FIG17_INDEX.items()}
 
 
 def _fig17_gap_check(rows: List[Dict[str, Any]],
@@ -1206,7 +1291,7 @@ def _fig17_spread_check(rows: List[Dict[str, Any]],
     """
     power = _fig17_powers(result)
     spread = {}
-    for scheme in ("cubic", "pcc"):
+    for scheme in _FIG17_SCHEMES:
         values = [power[(scheme, aqm)] for aqm in _FIG17_AQMS]
         spread[scheme] = max(values) / max(min(values), 1e-9)
     return spread["pcc"] < spread["cubic"], (
@@ -1228,7 +1313,6 @@ def _fig17_aqm_rescue_check(rows: List[Dict[str, Any]],
         + ", ".join(f"{aqm} {ratios[aqm]:.1f}x" for aqm in ratios))
 
 
-register_scenario_runner("aqm_power", _run_aqm_power)
 register_report_spec(ReportSpec(
     spec_id="fig17",
     title="Power under AQM/FQ combinations",
@@ -1806,7 +1890,7 @@ register_report_spec(ReportSpec(
     run=GridRun(grids=tuple(
         SweepGrid(
             schemes=_FCT_SCHEMES,
-            bandwidths_bps=(CONTENTION_BANDWIDTH_BPS,),
+            bandwidths_bps=(_CONTENTION_BANDWIDTH,),
             rtts=(0.04,),
             loss_rates=(0.0,),
             buffers_bytes=(None,),

@@ -29,7 +29,9 @@ from repro.report import (
     render_report,
     report_spec_ids,
     run_report_spec,
+    scenario_runner_names,
 )
+from repro.report import specs as catalog
 from repro.report.cli import main as report_main
 from repro.schemes import SchemeSpec
 
@@ -123,19 +125,19 @@ class TestCatalog:
     def test_catalog_covers_the_paper_and_names_only_registered_schemes(self):
         """The catalog is the only index of paper artifacts: every
         figure/table id is a spec, and every scheme any cell names — a sweep
-        cell's ``scheme`` or a scenario cell's scheme-valued kwarg — resolves
-        against the scheme registry."""
+        cell's ``scheme`` and per-flow ``schemes``, or a scenario cell's
+        ``scheme`` kwarg — resolves against the scheme registry."""
         assert {"fig4_5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10",
                 "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "fig17", "sec442", "theorems"} <= set(report_spec_ids())
         for spec in list_report_specs():
             for cell in spec.run.cells():
                 if isinstance(cell, SweepCell):
-                    named = [cell.scheme]
+                    named = [cell.scheme,
+                             *(cell.workload_kwargs.get("schemes") or ())]
                 else:
-                    named = [cell.kwargs[key]
-                             for key in ("scheme", "selfish_kind")
-                             if key in cell.kwargs]
+                    named = [cell.kwargs["scheme"]] \
+                        if "scheme" in cell.kwargs else []
                 for scheme in named:
                     SchemeSpec.parse(scheme).info()  # raises when unknown
 
@@ -150,6 +152,20 @@ class TestCatalog:
             identities = [str(sorted(cell.params().items()))
                           for cell in cells]
             assert len(set(identities)) == len(identities), spec.spec_id
+
+    def test_scenario_cells_can_only_shrink(self):
+        """The second cell type is an escape hatch being closed: exactly
+        these specs still hand scenario cells to a registered runner, and the
+        catalog registers exactly their runners (this module's own test
+        runner aside)."""
+        holdouts = {spec.spec_id for spec in list_report_specs()
+                    if any(isinstance(cell, ScenarioCell)
+                           for cell in spec.run.cells())}
+        assert holdouts - {"tiny_scenario"} \
+            == {"fig10", "fig15", "sec442", "theorems"}
+        assert set(scenario_runner_names()) - {"tiny_scenario_runner"} == {
+            "incast", "short_flows", "extreme_loss", "theorem1_equilibrium",
+            "theorem2_dynamics"}
 
 
 class TestPinnedCellPort:
@@ -170,6 +186,28 @@ class TestPinnedCellPort:
             (flow,) = run_cell(capped)["flows"]
             assert {key: flow[key] for key in entry["metrics"]} \
                 == entry["metrics"], (entry["spec"], entry["index"])
+
+    def test_ported_cells_and_rows_match_the_runners_they_replaced(self):
+        """The golden file holds what the ``rtt_fairness`` /
+        ``dynamic_network`` / ``convergence_stats`` / ``jain_timescales`` /
+        ``friendliness`` / ``tradeoff`` / ``aqm_power`` runners returned at
+        the last commit that had them, for catalog cells shortened as each
+        entry's ``replace`` says.  The sweep cell that replaced each, read
+        back from JSON as the store would hand it over, and the per-record
+        extraction its spec's ``rows()`` is built on must reproduce every
+        number that extraction still computes, exactly."""
+        with open(os.path.join(_DATA_DIR, "golden_ported_cells.json")) as fh:
+            golden = json.load(fh)
+        for entry in golden["cells"]:
+            cell = get_report_spec(entry["spec"]).run.cells()[entry["index"]]
+            assert isinstance(cell, SweepCell)
+            assert cell.seed == entry["seed"]
+            record = run_cell(dataclasses.replace(cell, **entry["replace"]))
+            extract = getattr(catalog, f"_{entry['spec']}_metrics")
+            metrics = extract(json.loads(json.dumps(record)))
+            assert metrics and metrics == {
+                key: entry["metrics"][key] for key in metrics
+            }, (entry["spec"], entry["index"])
 
 
 class TestClaimEvaluation:

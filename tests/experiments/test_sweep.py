@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments.execute import execute_cells
 from repro.experiments.sweep import (
+    SweepCell,
     SweepGrid,
     derive_seed,
     main,
@@ -36,6 +37,15 @@ def tiny_grid(**overrides):
     )
     params.update(overrides)
     return SweepGrid(**params)
+
+
+def hand_cell(**overrides):
+    """A hand-listed cell, as the report catalog's pinned-seed specs build."""
+    params = dict(index=0, scheme="cubic", bandwidth_bps=5e6, rtt=0.03,
+                  loss_rate=0.0, buffer_bytes=None, num_flows=2,
+                  duration=3.0, seed=1)
+    params.update(overrides)
+    return SweepCell(**params)
 
 
 class TestSeedDerivation:
@@ -90,7 +100,8 @@ class TestGridEnumeration:
 class TestTopologyRegistry:
     def test_builtin_topologies_registered(self):
         names = topology_names()
-        for name in ("single_bottleneck", "parking_lot", "trace_bottleneck"):
+        for name in ("single_bottleneck", "parking_lot", "trace_bottleneck",
+                     "dumbbell", "random_dynamics"):
             assert name in names
 
     def test_duplicate_registration_rejected(self):
@@ -174,7 +185,7 @@ class TestTopologyRegistry:
         histories = []
         for cell in cells:
             sim = Simulator(seed=cell.seed)
-            paths = _build_trace_bottleneck(sim, cell)
+            paths, _ = _build_trace_bottleneck(sim, cell)
             link = paths[0].forward_links[0]
             series = []
             for step in range(1, 8):
@@ -690,6 +701,111 @@ class TestControllerKwargsIdentityIntegrity:
         grid = tiny_grid(schemes=("pcc:gradient",),
                          controller_kwargs={"min_packets_per_mi": 10})
         assert grid.cells(0)[0].controller_kwargs == {"min_packets_per_mi": 10}
+
+    def test_controller_kwargs_are_identity_when_set(self, tmp_path):
+        """Two grids differing only in controller_kwargs simulate different
+        things, so they must not share a store key: the second run over a
+        store warmed by the first executes its cell and returns what a cold
+        run of the second grid returns.  Default cells record nothing, so
+        every archived identity keeps its key."""
+        store = str(tmp_path / "store")
+        shape = dict(schemes=("pcc",), bandwidths_bps=(20e6,),
+                     loss_rates=(0.0,), duration=3.0)
+        tuning = {"epsilon_min": 0.05, "epsilon_max": 0.08}
+        default = sweep(tiny_grid(**shape), store=store)
+        tuned = sweep(tiny_grid(**shape, controller_kwargs=tuning),
+                      store=store)
+        assert tuned.reuse["store_hits"] == 0 and tuned.reuse["executed"] == 1
+        assert "controller_kwargs" not in default.cells[0]["cell"]
+        assert tuned.cells[0]["cell"]["controller_kwargs"] == tuning
+        assert tuned.cells[0]["flows"] != default.cells[0]["flows"]
+        cold = sweep(tiny_grid(**shape, controller_kwargs=tuning))
+        assert tuned.to_json() == cold.to_json()
+
+    def test_non_json_controller_kwargs_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="JSON"):
+            tiny_grid(schemes=("pcc",), controller_kwargs={"hook": object()})
+        with pytest.raises(ValueError, match="JSON"):
+            hand_cell(controller_kwargs={"hook": object()})
+
+
+class TestHandListedCellValidation:
+    """What a grid rejects at construction a hand-listed cell rejects too —
+    in the parent process, never mid-sweep in a worker."""
+
+    def test_per_flow_schemes_are_parsed(self):
+        for build in (hand_cell, lambda **kw: tiny_grid(flow_counts=(2,), **kw)):
+            with pytest.raises(ValueError, match="nonsense"):
+                build(workload_kwargs={"schemes": ["cubic", "nonsense"]})
+
+    def test_per_flow_schemes_need_one_entry_per_flow(self):
+        for build in (hand_cell, lambda **kw: tiny_grid(flow_counts=(2,), **kw)):
+            with pytest.raises(ValueError, match="one per flow"):
+                build(workload_kwargs={"schemes": ["cubic"]})
+
+    def test_utility_applies_only_to_pcc_based_listed_schemes(self):
+        listed = {"schemes": ["pcc", "cubic"]}
+        with pytest.raises(ValueError, match="pcc-based"):
+            hand_cell(scheme="pcc", utility="latency", workload_kwargs=listed)
+        with pytest.raises(ValueError, match="pcc-based"):
+            tiny_grid(schemes=("pcc",), flow_counts=(2,),
+                      utilities=("latency",), workload_kwargs=listed)
+
+    def test_per_flow_schemes_name_each_flows_scheme(self):
+        cell = hand_cell(workload_kwargs={"schemes": ["cubic", "pcc"]})
+        record = run_cell(cell)
+        assert [flow["scheme"] for flow in record["flows"]] == ["cubic", "pcc"]
+        assert record["cell"]["workload_kwargs"] == {"schemes": ["cubic", "pcc"]}
+
+    def test_dumbbell_needs_one_access_delay_per_flow(self):
+        kwargs = {"access_delays": [0.001], "bottleneck_delay": 0.01}
+        with pytest.raises(ValueError, match="one per flow"):
+            hand_cell(topology="dumbbell", topology_kwargs=kwargs)
+        with pytest.raises(ValueError, match="one per flow"):
+            tiny_grid(flow_counts=(2,), topology="dumbbell",
+                      topology_kwargs=kwargs)
+        with pytest.raises(ValueError, match="access_delays"):
+            hand_cell(topology="dumbbell")
+
+    def test_dumbbell_rejects_reverse_loss(self):
+        kwargs = {"access_delays": [0.001, 0.002], "bottleneck_delay": 0.01}
+        with pytest.raises(ValueError, match="reverse_loss"):
+            hand_cell(topology="dumbbell", topology_kwargs=kwargs,
+                      reverse_loss=True)
+        with pytest.raises(ValueError, match="reverse_loss"):
+            tiny_grid(flow_counts=(2,), topology="dumbbell",
+                      topology_kwargs=kwargs, reverse_loss=True)
+
+    def test_dumbbell_gives_each_flow_its_own_base_rtt(self):
+        record = run_cell(hand_cell(
+            topology="dumbbell",
+            topology_kwargs={"access_delays": [0.001, 0.021],
+                             "bottleneck_delay": 0.004}))
+        near, far = (flow["mean_rtt_ms"] for flow in record["flows"])
+        assert near >= 10.0 and far >= 50.0 and far - near > 30.0
+
+
+class TestDeliveredSeries:
+    def test_on_records_one_value_per_second_summing_to_goodput(self):
+        cell = hand_cell(scheme="parallel_tcp", num_flows=1, duration=3.5,
+                         delivered_series=True)
+        record = run_cell(cell)
+        assert record["cell"]["delivered_series"] is True
+        (flow,) = record["flows"]
+        series = flow["delivered_bytes"]
+        assert len(series) == 4  # bins [0,1) [1,2) [2,3) [3,3.5]
+        assert sum(series) * 8 / cell.duration / 1e6 == flow["goodput_mbps"]
+        assert flow["goodput_mbps"] > 1.0
+
+    def test_off_leaves_record_and_identity_unchanged(self):
+        record = run_cell(hand_cell())
+        assert "delivered_series" not in record["cell"]
+        assert all("delivered_bytes" not in flow for flow in record["flows"])
+        on = run_cell(hand_cell(delivered_series=True))
+        for flow in on["flows"]:
+            del flow["delivered_bytes"]
+        assert on["flows"] == record["flows"]
+        assert on["engine"] == record["engine"]
 
 
 class TestHelpListsRegistries:

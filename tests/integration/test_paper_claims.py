@@ -5,15 +5,15 @@ of the normal test suite so regressions in the qualitative results are caught
 early.
 """
 
+import dataclasses
+import functools
 
 from repro.core import make_pcc_sender
-from repro.experiments import (
-    dynamic_network_scenario,
-    rtt_unfairness_scenario,
-    run_flows,
-)
+from repro.experiments import run_flows
+from repro.experiments.results import ResultSet
 from repro.experiments.sweep import SweepCell, run_cell
 from repro.netsim import FlowSpec, FlowStats, Simulator, bdp_bytes, single_bottleneck
+from repro.report import get_report_spec
 
 
 def _goodput_mbps(scheme, bandwidth_bps, duration, seed=1, loss_rate=0.0,
@@ -26,6 +26,16 @@ def _goodput_mbps(scheme, bandwidth_bps, duration, seed=1, loss_rate=0.0,
                      reverse_loss=loss_rate > 0.0)
     (flow,) = run_cell(cell)["flows"]
     return flow["goodput_mbps"]
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_rows(spec_id, duration):
+    """The catalog spec's own rows over its own cells, each capped at
+    ``duration`` simulated seconds (simulated once per test session)."""
+    spec = get_report_spec(spec_id)
+    records = [run_cell(dataclasses.replace(cell, duration=duration))
+               for cell in spec.run.cells()]
+    return spec.rows(ResultSet(spec.run.base_seed, records))
 
 
 class TestRandomLossClaim:
@@ -60,30 +70,29 @@ class TestShallowBufferClaim:
 class TestRTTFairnessClaim:
     """§4.1.5: PCC mitigates RTT unfairness architecturally."""
 
+    # fig8's cells (a 10 ms flow joins a 40 or 80 ms one after 5 s), 15 s.
+
     def test_long_rtt_flow_not_starved(self):
-        result = rtt_unfairness_scenario("pcc", long_rtt=0.060,
-                                         bandwidth_bps=20e6, duration=30.0)
-        assert result["ratio"] > 0.25
+        for row in _capped_rows("fig8", 15.0):
+            assert row["pcc"] > 0.25
 
     def test_pcc_fairer_than_new_reno(self):
-        pcc = rtt_unfairness_scenario("pcc", long_rtt=0.060, bandwidth_bps=20e6,
-                                      duration=30.0)
-        reno = rtt_unfairness_scenario("reno", long_rtt=0.060, bandwidth_bps=20e6,
-                                       duration=30.0)
-        assert pcc["ratio"] > reno["ratio"]
+        for row in _capped_rows("fig8", 15.0):
+            assert row["pcc"] > row["reno"]
 
 
 class TestDynamicNetworkClaim:
     """§4.1.7: PCC tracks a rapidly changing network."""
 
+    # fig11's cells (bandwidth, RTT and loss re-drawn every 5 s), 20 s.
+
     def test_pcc_tracks_changing_bandwidth(self):
-        result = dynamic_network_scenario("pcc", duration=30.0)
-        assert result["fraction_of_optimal"] > 0.45
+        rows = {row["scheme"]: row for row in _capped_rows("fig11", 20.0)}
+        assert rows["pcc"]["fraction_of_optimal"] > 0.45
 
     def test_pcc_beats_cubic_under_dynamics(self):
-        pcc = dynamic_network_scenario("pcc", duration=30.0)
-        cubic = dynamic_network_scenario("cubic", duration=30.0)
-        assert pcc["goodput_mbps"] > cubic["goodput_mbps"]
+        rows = {row["scheme"]: row for row in _capped_rows("fig11", 20.0)}
+        assert rows["pcc"]["goodput_mbps"] > rows["cubic"]["goodput_mbps"]
 
 
 class TestMultiFlowConvergence:
