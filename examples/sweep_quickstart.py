@@ -2,11 +2,10 @@
 
 Declares a small loss-rate sweep comparing PCC with CUBIC, runs it with
 deterministic per-cell seeds (the results are bit-identical no matter how many
-workers are used), streams per-cell records to a resumable JSONL file as they
-complete, prints the grid via the ResultSet query helpers, and writes the
-canonical JSON next to this script.  Because the run passes the same path as
-``jsonl_path`` and ``resume_from``, re-running this script after interrupting
-it simulates only the cells that were not yet on disk.
+workers are used), puts each cell's record into a cell store as it completes,
+prints the grid via the ResultSet query helpers, and writes the canonical JSON
+next to this script.  Because the run passes ``store``, re-running this script
+after interrupting it simulates only the cells that were not yet stored.
 
 Run with:  python examples/sweep_quickstart.py
 
@@ -15,7 +14,7 @@ The same sweep is available from the command line:
     python -m repro.experiments.sweep \
         --schemes pcc cubic --bandwidth-mbps 25 --loss 0.0 0.01 0.02 \
         --duration 10 --seed 1 --workers 4 \
-        --jsonl sweep.jsonl --resume-from sweep.jsonl --output sweep.json
+        --store cells/ --output sweep.json
 """
 
 import os
@@ -34,11 +33,10 @@ def main() -> None:
     )
     workers = min(4, os.cpu_count() or 1)
     here = os.path.dirname(__file__)
-    jsonl = os.path.join(here, "sweep_quickstart.jsonl")
-    # Idempotent, crash-restartable: finished cells are appended to the JSONL
-    # as they complete, and a re-run resumes from whatever is already there.
-    result = sweep(grid, base_seed=1, workers=workers,
-                   jsonl_path=jsonl, resume_from=jsonl)
+    store = os.path.join(here, "sweep_quickstart.store")
+    # Idempotent, crash-restartable: finished cells are put into the store as
+    # they complete, and a re-run executes only what is not already there.
+    result = sweep(grid, base_seed=1, workers=workers, store=store)
 
     print(f"=== loss sweep on a 25 Mbps / 30 ms link ({workers} workers) ===")
     print(f"{'scheme':<8} {'loss':>6} {'goodput_mbps':>13}")
@@ -54,7 +52,7 @@ def main() -> None:
 
     output = os.path.join(here, "sweep_quickstart.json")
     result.write(output)
-    print(f"per-cell records streamed to {jsonl}")
+    print(f"per-cell records stored in {store}")
     print(f"canonical results written to {output}")
 
 

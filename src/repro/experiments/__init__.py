@@ -11,12 +11,6 @@ from .interdc import PAPER_PAIRS, InterDCPair
 from .incast import run_incast
 from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore, store_key
-from .executors import (
-    DEFAULT_EXECUTOR,
-    executor_names,
-    get_executor,
-    register_executor,
-)
 from .workload import (
     DEFAULT_WORKLOAD,
     build_workload,
@@ -76,10 +70,6 @@ __all__ = [
     "cell_identity_key",
     "CellStore",
     "store_key",
-    "DEFAULT_EXECUTOR",
-    "executor_names",
-    "get_executor",
-    "register_executor",
     "DEFAULT_WORKLOAD",
     "build_workload",
     "register_workload",

@@ -1,26 +1,23 @@
 """Deterministic fan-out execution of identity-keyed cells.
 
-One dispatcher backs every experiment path that runs many independent cells —
+One function backs every experiment path that runs many independent cells —
 :func:`repro.experiments.sweep.sweep` over a :class:`~.sweep.SweepGrid`, and
-the scenario-list report specs of :mod:`repro.report` — so the streaming,
-resume, reuse and byte-identity guarantees are implemented (and tested)
-exactly once:
+every report spec of :mod:`repro.report` — so the streaming, reuse and
+byte-identity guarantees are implemented (and tested) exactly once:
 
-* **what still needs running** is decided here: cells recorded in a
-  ``resume_from`` file and cells present in a content-addressed ``store``
-  (:class:`~repro.experiments.store.CellStore`) are reused without
-  execution, cell-exactly, because identity is the canonical JSON of the
-  cell's params;
-* **how the pending cells run** is delegated to a registered executor
-  (:mod:`repro.experiments.executors`: ``local`` pool, ``sharded``
-  processes, ``work-queue`` leases) — executors yield ``(position,
-  outcome)`` in any completion order, and the returned
+* **what still needs running** is decided by the content-addressed ``store``
+  (:class:`~repro.experiments.store.CellStore`) alone: a cell whose identity
+  (the canonical JSON of its params) is stored is reused without execution,
+  and every fresh outcome is ``put`` back the moment it completes;
+* **how the pending cells run**: in this process when ``workers == 1`` or a
+  single cell is pending, otherwise on one process pool.  Outcomes arrive in
+  completion order and the returned
   :class:`~repro.experiments.results.ResultSet` is assembled in canonical
-  cell order here, so results are bit-identical for any worker count *and*
-  any executor;
+  cell order, so results are bit-identical for any worker count.  A worker
+  that dies fails the run promptly, after every finished cell was recorded;
 * ``jsonl_path`` streams each record to disk the moment its cell completes,
-  fresh outcomes are ``put`` back into the store, and a live progress/ETA
-  line renders on stderr (never canonical stdout/JSON).
+  and a live progress/ETA line renders on stderr (never canonical
+  stdout/JSON).
 
 Cells must expose ``params() -> dict`` (the JSON-friendly identity) and be
 picklable; ``run_one`` must be a module-level function resolvable by worker
@@ -31,17 +28,13 @@ the non-deterministic ``wall_time_s``, which is stripped into
 
 from __future__ import annotations
 
-import cProfile
 import json
-import os
-import pstats
 import sys
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from .executors import DEFAULT_EXECUTOR, get_executor
 from .progress import ProgressReporter
-from .results import ResultSet, ResultSetWriter, cell_identity_key
+from .results import ResultSet, ResultSetWriter
 from .store import CellStore, open_store
 
 __all__ = ["execute_cells"]
@@ -59,6 +52,9 @@ def _run_profiled(run_one: Callable[[Any], Dict[str, Any]],
     profiling never perturbs the recorded results — only the wall times,
     which are non-deterministic telemetry anyway.
     """
+    import cProfile
+    import pstats
+
     profiler = cProfile.Profile()
     outcome = profiler.runcall(run_one, cell)
     identity = json.dumps(cell.params(), sort_keys=True)
@@ -68,131 +64,120 @@ def _run_profiled(run_one: Callable[[Any], Dict[str, Any]],
     return outcome
 
 
+def _run_pending(
+    pending: Sequence[Tuple[int, Any]],
+    run_one: Callable[[Any], Dict[str, Any]],
+    workers: int,
+) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(position, outcome)`` for every pending cell as it completes."""
+    if workers == 1 or len(pending) <= 1:
+        for position, cell in pending:
+            yield position, run_one(cell)
+        return
+    # Imported here: only a multi-worker run pays for the pool machinery.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+    try:
+        position_of = {pool.submit(run_one, cell): position
+                       for position, cell in pending}
+        finished = 0
+        broken: Optional[BrokenProcessPool] = None
+        for future in as_completed(position_of):
+            try:
+                outcome = future.result()
+            except BrokenProcessPool as exc:
+                # A dead worker fails every unfinished future at once; keep
+                # draining, so cells that finished before it died are still
+                # handed back (and so streamed / stored) before the run fails.
+                broken = exc
+                continue
+            finished += 1
+            yield position_of[future], outcome
+        if broken is not None:
+            raise RuntimeError(
+                f"a worker process died mid-cell: {finished} of "
+                f"{len(pending)} pending cells finished and were recorded "
+                f"first; a re-run over the same --store executes only the "
+                f"rest"
+            ) from broken
+    finally:
+        # Also reached when a cell raises: drop the queued cells rather than
+        # run them all for a result nobody will collect.
+        pool.shutdown(cancel_futures=True)
+
+
 def execute_cells(
     cells: Sequence[Any],
     run_one: Callable[[Any], Dict[str, Any]],
     base_seed: int,
     workers: int = 1,
     jsonl_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
     profile: bool = False,
-    executor: str = DEFAULT_EXECUTOR,
-    executor_options: Optional[Dict[str, Any]] = None,
     store: Union[str, CellStore, None] = None,
     progress: Optional[bool] = None,
 ) -> ResultSet:
-    """Run ``run_one`` over every cell via the named executor.
+    """Run ``run_one`` over every cell not already in ``store``.
 
     The returned :class:`~repro.experiments.results.ResultSet` is in
-    canonical cell order and bit-identical for any ``workers`` value and any
-    registered ``executor`` (``local`` / ``sharded`` / ``work-queue``),
+    canonical cell order and bit-identical for any ``workers`` value,
     provided each cell's outcome is a pure function of the cell itself
     (private per-cell seeds, no shared random state).
 
-    ``jsonl_path`` streams each cell's record to disk the moment it completes
-    (appending when it is the same file as ``resume_from``, otherwise starting
-    fresh), so an interrupted run loses at most the in-flight cells.
-    ``resume_from`` loads a prior run — a streaming JSONL file or a legacy
-    canonical JSON — and skips every cell whose identity already appears
-    there, executing only the missing ones; a path that does not exist yet is
-    treated as an empty prior run, so ``execute_cells(..., jsonl_path=p,
-    resume_from=p)`` is an idempotent, crash-restartable invocation.  The
-    prior file must have been produced with the same ``base_seed`` (cell
-    identities embed their derived seeds, so a mismatch could never match
-    anyway — it is reported as the error it is).
-
     ``store`` (a directory path or an open
-    :class:`~repro.experiments.store.CellStore`) is the cross-run reuse
-    layer: cells whose content-addressed identity is already stored skip
-    execution exactly like ``resume_from`` hits, and fresh outcomes are put
-    back, so *any* later run reuses every cell ever computed.  Whenever
-    ``resume_from`` or ``store`` is active, a one-line reuse summary
-    (``reused K cells (R resume, S store), executing M``) is printed to
-    stderr, and the returned result carries the counts in
-    :attr:`ResultSet.reuse`.  When every cell is satisfied without
-    execution, no executor (pool, shard or queue worker) is started at all.
+    :class:`~repro.experiments.store.CellStore`) decides what is already
+    done: cells whose content-addressed identity is stored skip execution,
+    and fresh outcomes are put back as they complete, so a run that dies has
+    every finished cell in the store and the same call again executes only
+    the rest.  With a store, a one-line summary (``reused K cells from the
+    store, executing M``) is printed to stderr; the counts are in
+    :attr:`ResultSet.reuse` either way.  When every cell is stored, no worker
+    process is started at all.
+
+    ``jsonl_path`` is an output stream: always a fresh, complete file — the
+    store hits first, then each fresh record the moment its cell completes.
 
     ``progress`` controls the live progress/ETA line on stderr (cells
     done/total, hit rate, rate, ETA); the default ``None`` enables it only
     when stderr is a terminal.  ``profile`` wraps each cell in
     :mod:`cProfile` and prints its top cumulative-time entries to **stderr**
     (canonical stdout/JSON output is never touched).  Profiling is
-    serial-local-only: a profile interleaved across worker processes would
+    serial-only: a profile interleaved across worker processes would
     attribute time to the wrong cells.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if profile and (workers != 1 or executor != DEFAULT_EXECUTOR):
+    if profile and workers != 1:
         raise ValueError(
-            "profile requires workers=1 and the local executor: per-cell "
-            "profiles from concurrent worker processes would interleave and "
-            "misattribute time"
+            "profile requires workers=1: per-cell profiles from concurrent "
+            "worker processes would interleave and misattribute time"
         )
-    # Resolve the executor eagerly so an unknown name fails before any cell
-    # runs — even though it is only *invoked* when cells remain pending.
-    run_executor = get_executor(executor)
-    outcomes: Dict[int, Tuple[Dict[str, Any], float]] = {}
-    resume_hits = 0
-    if resume_from is not None and os.path.exists(resume_from):
-        prior = ResultSet.load(resume_from)
-        if prior.base_seed != base_seed:
-            raise ValueError(
-                f"cannot resume from {resume_from}: it was produced with "
-                f"base_seed {prior.base_seed}, not {base_seed}"
-            )
-        have = {cell_identity_key(record["cell"]): (record, wall)
-                for record, wall in zip(prior.cells, prior.timings,
-                                        strict=True)}
-        for position, cell in enumerate(cells):
-            hit = have.get(cell_identity_key(cell.params()))
-            if hit is not None:
-                outcomes[position] = hit
-        resume_hits = len(outcomes)
     opened_store = open_store(store)
     close_store = opened_store is not None and not isinstance(store, CellStore)
-    store_hit_positions = []
+    outcomes: Dict[int, Tuple[Dict[str, Any], float]] = {}
     if opened_store is not None:
         for position, cell in enumerate(cells):
-            if position in outcomes:
-                continue
             hit = opened_store.get(cell.params())
             if hit is not None:
                 outcomes[position] = hit
-                store_hit_positions.append(position)
-    store_hits = len(store_hit_positions)
+    store_hits = len(outcomes)
     pending = [(position, cell) for position, cell in enumerate(cells)
                if position not in outcomes]
-    if resume_from is not None or opened_store is not None:
-        reused = len(outcomes)
-        print(f"reused {reused} cells ({resume_hits} resume, "
-              f"{store_hits} store), executing {len(pending)}",
-              file=sys.stderr)
+    if opened_store is not None:
+        print(f"reused {store_hits} cells from the store, "
+              f"executing {len(pending)}", file=sys.stderr)
     writer: Optional[ResultSetWriter] = None
     if jsonl_path is not None:
-        continuing = (resume_from is not None
-                      and os.path.exists(jsonl_path)
-                      and os.path.abspath(jsonl_path) == os.path.abspath(resume_from))
-        writer = ResultSetWriter(jsonl_path, base_seed=base_seed,
-                                 append=continuing)
-        if not continuing:
-            # A fresh stream file should be complete on its own: carry the
-            # records reused from resume_from / the store over, so the
-            # produced JSONL is loadable/resumable without them.  (When
-            # continuing the same file, resume hits are already in it —
-            # store hits found beyond it are appended below too.)
-            for position in sorted(outcomes):
-                record, wall = outcomes[position]
-                writer.write(record, wall_time_s=wall)
-        else:
-            # Store hits are not in the resumed stream yet: append them so
-            # the stream converges on the full cell set.
-            for position in store_hit_positions:
-                record, wall = outcomes[position]
-                writer.write(record, wall_time_s=wall)
-    reporter = ProgressReporter(total=len(cells), reused=len(outcomes),
+        writer = ResultSetWriter(jsonl_path, base_seed=base_seed)
+        for position in sorted(outcomes):
+            record, wall = outcomes[position]
+            writer.write(record, wall_time_s=wall)
+    reporter = ProgressReporter(total=len(cells), reused=store_hits,
                                 enabled=progress)
     try:
-        def take(position: int, outcome: Dict[str, Any]) -> None:
+        wrapped = partial(_run_profiled, run_one) if profile else run_one
+        for position, outcome in _run_pending(pending, wrapped, workers):
             outcome = dict(outcome)
             wall = outcome.pop("wall_time_s")
             if writer is not None:
@@ -201,15 +186,6 @@ def execute_cells(
                 opened_store.put(outcome, wall_time_s=wall)
             outcomes[position] = (outcome, wall)
             reporter.update()
-
-        if pending:
-            # Zero pending cells start zero workers: the executor is never
-            # invoked, so a fully-reused run costs only the lookups above.
-            wrapped = partial(_run_profiled, run_one) if profile else run_one
-            for position, outcome in run_executor(
-                    pending, wrapped, base_seed, workers,
-                    dict(executor_options or {})):
-                take(position, outcome)
     finally:
         reporter.finish()
         if writer is not None:
@@ -222,7 +198,6 @@ def execute_cells(
         result.append(record, wall)
     result.reuse = {
         "cells": len(cells),
-        "resume_hits": resume_hits,
         "store_hits": store_hits,
         "executed": len(pending),
     }

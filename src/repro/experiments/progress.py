@@ -1,8 +1,8 @@
 """Live progress/ETA reporting for cell execution.
 
 A :class:`ProgressReporter` renders a single in-place line on **stderr** —
-cells done/total, store/resume hit rate, execution rate, ETA — as
-:func:`repro.experiments.execute.execute_cells` consumes executor outcomes.
+cells done/total, store hit rate, execution rate, ETA — as
+:func:`repro.experiments.execute.execute_cells` consumes cell outcomes.
 Canonical stdout/JSON output is never touched: progress is telemetry, and
 like per-cell wall times it must not perturb byte-identical results.
 
@@ -39,7 +39,7 @@ class ProgressReporter:
     """In-place ``\\r`` progress line over one ``execute_cells`` invocation.
 
     ``total`` counts every cell of the run; ``reused`` is how many were
-    satisfied before execution started (resume + store hits), so the line
+    satisfied before execution started (store hits), so the line
     can show the hit rate alongside the live execution rate and ETA for the
     remaining cells.
     """

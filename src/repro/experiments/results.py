@@ -1,4 +1,4 @@
-"""Streaming, resumable sweep results.
+"""Streaming sweep results.
 
 A sweep at production scale (millions of cells) cannot hold every outcome in
 memory and rewrite one monolithic JSON file per run.  This module replaces
@@ -10,9 +10,8 @@ that model with a two-layer results API:
   usable;
 * :class:`ResultSet` is the in-memory view: built incrementally by
   :func:`repro.experiments.sweep.sweep`, reconstructed from prior runs with
-  :meth:`ResultSet.load` (JSONL *or* the legacy monolithic JSON), combined
-  with :meth:`ResultSet.merge`, and queried with
-  :meth:`~ResultSet.filter` / :meth:`~ResultSet.groupby` /
+  :meth:`ResultSet.load` (JSONL *or* the legacy monolithic JSON), and queried
+  with :meth:`~ResultSet.filter` / :meth:`~ResultSet.groupby` /
   :meth:`~ResultSet.aggregate`.
 
 The canonical view is preserved exactly: :meth:`ResultSet.to_json` emits the
@@ -21,21 +20,19 @@ class did, so the byte-identical-across-worker-counts guarantee — and every
 archived golden file — survives the migration.
 
 A record's **identity** is the canonical JSON of its ``cell`` parameters
-(everything but the measured outcome).  ``sweep(..., resume_from=path)``
-skips cells whose identity already appears in ``path`` and simulates only the
-missing ones, which makes long sweeps restartable — and extendable, with a
-caveat: identity embeds the cell's grid index and derived seed, so reuse
-happens only where the enumeration still lines up.  Extending a grid along
-its fastest-varying tail (new points appended after every existing
-enumeration position) reuses all prior cells; inserting values into a
-slower-varying axis shifts the indices behind it and honestly re-runs those
-cells under their new seeds.
+(everything but the measured outcome); the
+:class:`~repro.experiments.store.CellStore` is keyed on it, which makes long
+sweeps restartable — and extendable, with a caveat: identity embeds the
+cell's grid index and derived seed, so reuse happens only where the
+enumeration still lines up.  Extending a grid along its fastest-varying tail
+(new points appended after every existing enumeration position) reuses all
+prior cells; inserting values into a slower-varying axis shifts the indices
+behind it and honestly re-runs those cells under their new seeds.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
 from typing import (
     Any,
@@ -68,7 +65,7 @@ _POSITIONAL_KEYS = ("index", "seed")
 def cell_identity_key(cell_params: Dict[str, Any]) -> str:
     """The canonical identity of a cell: its parameter dict as sorted-key JSON.
 
-    Two cells are "the same point" (for resume and merge deduplication)
+    Two cells are "the same point" (for store reuse and load deduplication)
     exactly when this string matches — scheme spec, resolved kwargs, topology,
     seed and all.
     """
@@ -98,29 +95,6 @@ def _group_value(value: Any) -> Any:
     return value
 
 
-def _append_deduped(
-    result: "ResultSet",
-    seen: Dict[str, Dict[str, Any]],
-    record: Dict[str, Any],
-    wall: float,
-    context: str,
-) -> None:
-    """Append ``record`` unless its identity was seen: identical payloads
-    collapse to one record, conflicting payloads for one identity raise (the
-    inputs mix incompatible runs).  Shared by :meth:`ResultSet.load` and
-    :meth:`ResultSet.merge` so the two can never drift."""
-    key = cell_identity_key(record["cell"])
-    if key in seen:
-        if seen[key] != record:
-            raise ValueError(
-                f"{context}: conflicting results for one cell identity "
-                f"(the inputs mix incompatible runs); identity: {key}"
-            )
-        return
-    seen[key] = record
-    result.append(record, wall)
-
-
 class ResultSet:
     """An ordered, identity-keyed collection of sweep cell records.
 
@@ -128,9 +102,8 @@ class ResultSet:
     ``flows`` summaries, ``engine`` counters); the non-deterministic per-cell
     wall times ride alongside and never enter the canonical JSON view.
     However records were accumulated — streamed in completion order by a
-    multi-worker sweep, loaded from disk, merged from several partial runs —
-    every exposed ordering is canonical (ascending cell index), so
-    :meth:`to_json` is byte-identical for the same set of cells.
+    multi-worker sweep, loaded from disk — every exposed ordering is
+    canonical (ascending cell index), so :meth:`to_json` is byte-identical for the same set of cells.
     """
 
     def __init__(
@@ -144,7 +117,7 @@ class ResultSet:
         self._timings: List[float] = []
         self._order_cache: Optional[List[int]] = None
         #: Reuse telemetry set by :func:`repro.experiments.execute.execute_cells`
-        #: (``{"cells", "resume_hits", "store_hits", "executed"}``); ``None``
+        #: (``{"cells", "store_hits", "executed"}``); ``None``
         #: for result sets built any other way.  Telemetry only — never part
         #: of the canonical JSON view.
         self.reuse: Optional[Dict[str, int]] = None
@@ -227,7 +200,7 @@ class ResultSet:
             handle.write("\n")
 
     def write_jsonl(self, path: str) -> None:
-        """Persist as a streaming-format JSONL file (loadable, appendable)."""
+        """Persist as a streaming-format JSONL file (see :meth:`load`)."""
         with ResultSetWriter(path, base_seed=self.base_seed) as writer:
             for record, wall in zip(self.cells, self.timings, strict=True):
                 writer.write(record, wall_time_s=wall)
@@ -239,9 +212,9 @@ class ResultSet:
         Accepts both the streaming JSONL layout written by
         :class:`ResultSetWriter` (detected by its header line) and the legacy
         monolithic JSON written by :meth:`write` — so pre-migration archives
-        remain loadable and resumable.  Duplicate identities with identical
-        payloads collapse to one record; conflicting payloads for the same
-        identity are an error (the file mixes incompatible runs).
+        remain loadable.  Duplicate identities with identical payloads
+        collapse to one record; conflicting payloads for the same identity
+        are an error (the file mixes incompatible runs).
         """
         with open(path) as handle:
             text = handle.read()
@@ -282,34 +255,17 @@ class ResultSet:
                     f"{path}:{lineno}: corrupt record line (not valid JSON)"
                 ) from None
             wall = record.pop("wall_time_s", 0.0)
-            _append_deduped(result, seen, record, wall,
-                            context=f"{path}:{lineno}")
-        return result
-
-    @classmethod
-    def merge(cls, results: Iterable["ResultSet"]) -> "ResultSet":
-        """Combine several (typically partial) result sets into one.
-
-        All inputs must share one ``base_seed`` (they describe points of the
-        same seeded universe).  Records are deduplicated by identity exactly
-        as :meth:`load` does.
-        """
-        results = list(results)
-        if not results:
-            raise ValueError("merge needs at least one ResultSet")
-        base_seed = results[0].base_seed
-        for other in results[1:]:
-            if other.base_seed != base_seed:
+            key = cell_identity_key(record["cell"])
+            if key not in seen:
+                seen[key] = record
+                result.append(record, wall)
+            elif seen[key] != record:
                 raise ValueError(
-                    f"cannot merge result sets with different base seeds "
-                    f"({base_seed} vs {other.base_seed})"
+                    f"{path}:{lineno}: conflicting results for one cell "
+                    f"identity (the file mixes incompatible runs); "
+                    f"identity: {key}"
                 )
-        merged = cls(base_seed=base_seed)
-        seen: Dict[str, Dict[str, Any]] = {}
-        for part in results:
-            for record, wall in zip(part.cells, part.timings, strict=True):
-                _append_deduped(merged, seen, record, wall, context="merge")
-        return merged
+        return result
 
     # -- queries --------------------------------------------------------------
     def find(self, **params: Any) -> List[Dict[str, Any]]:
@@ -454,59 +410,15 @@ class ResultSetWriter:
     line is one cell record in canonical key order, carrying its
     ``wall_time_s``.  Each record is flushed immediately, so an interrupted
     sweep leaves a file from which :meth:`ResultSet.load` recovers every
-    finished cell.  ``append=True`` continues an existing file after
-    validating that its header matches (the resume path).
+    finished cell.  An existing file at ``path`` is replaced.
     """
 
-    def __init__(self, path: str, base_seed: int, append: bool = False) -> None:
+    def __init__(self, path: str, base_seed: int) -> None:
         self.path = path
         self.base_seed = int(base_seed)
-        if append and os.path.exists(path) and os.path.getsize(path) > 0:
-            # Validate the header from the first line and repair a
-            # crash-truncated tail in place — O(header + tail), never a full
-            # read: the stream may be far larger than memory.
-            with open(path, "rb+") as handle:
-                try:
-                    header = json.loads(handle.readline())
-                except json.JSONDecodeError:
-                    header = None
-                if not (isinstance(header, dict)
-                        and header.get("format") == RESULTSET_FORMAT):
-                    raise ValueError(
-                        f"cannot append to {path}: not a ResultSet JSONL file "
-                        f"(missing {RESULTSET_FORMAT!r} header)"
-                    )
-                if header.get("base_seed") != self.base_seed:
-                    raise ValueError(
-                        f"cannot append to {path}: it was produced with "
-                        f"base_seed {header.get('base_seed')}, not {self.base_seed}"
-                    )
-                # Every record is written as one newline-terminated line (the
-                # payload itself contains no newlines), so a file not ending
-                # in "\n" has exactly one partial record: a crash mid-append.
-                # Truncate back to the last newline so the next record does
-                # not concatenate onto the partial one.
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    end = size
-                    cut = 0
-                    while end > 0:
-                        start = max(0, end - 65536)
-                        handle.seek(start)
-                        chunk = handle.read(end - start)
-                        newline = chunk.rfind(b"\n")
-                        if newline != -1:
-                            cut = start + newline + 1
-                            break
-                        end = start
-                    handle.truncate(cut)
-            self._handle = open(path, "a")
-        else:
-            self._handle = open(path, "w")
-            self._write_line({"format": RESULTSET_FORMAT,
-                              "base_seed": self.base_seed})
+        self._handle = open(path, "w")
+        self._write_line({"format": RESULTSET_FORMAT,
+                          "base_seed": self.base_seed})
 
     def write(self, record: Dict[str, Any],
               wall_time_s: Optional[float] = None) -> None:

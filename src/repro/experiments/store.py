@@ -1,9 +1,8 @@
 """Content-addressed, cross-run cell result store.
 
-``resume_from`` reuses cells recorded in *one* prior file; this module makes
-the identity→result contract durable across every sweep, benchmark and report
-run.  A :class:`CellStore` is a directory of **append-only JSONL segments**
-plus an index snapshot:
+This module makes the identity→result contract durable across every sweep,
+benchmark and report run.  A :class:`CellStore` is a directory of
+**append-only JSONL segments** plus an index snapshot:
 
 * the store key of a record is a stable hash
   (:data:`STORE_KEY_ALGORITHM`: SHA-256 of the canonical sorted-key identity
@@ -24,9 +23,9 @@ plus an index snapshot:
 The store is consulted by
 :func:`repro.experiments.execute.execute_cells(..., store=...)
 <repro.experiments.execute.execute_cells>` before any cell executes: store
-hits skip execution exactly like ``resume_from`` hits do, and fresh outcomes
-are ``put`` back, so any later run — a different grid, a report spec, a
-benchmark — transparently reuses every cell ever computed.
+hits skip execution, and fresh outcomes are ``put`` back, so any later run —
+a different grid, a report spec, a benchmark — transparently reuses every
+cell ever computed.
 """
 
 from __future__ import annotations

@@ -17,20 +17,19 @@ place that fan-out lives:
   the grid has a ``utilities`` axis crossing registered utility names with
   every other axis, the §4.4 flexibility experiments as first-class sweep
   dimensions;
-* :func:`sweep` fans the cells out across CPU cores with
-  :mod:`multiprocessing`, seeding every cell deterministically from
-  ``(base_seed, cell_index)`` via :func:`derive_seed`, so the result is
-  **bit-identical regardless of worker count**;
-* results are a streaming, resumable
+* :func:`sweep` fans the cells out across CPU cores, seeding every cell
+  deterministically from ``(base_seed, cell_index)`` via :func:`derive_seed`,
+  so the result is **bit-identical regardless of worker count**;
+* results are a streaming
   :class:`~repro.experiments.results.ResultSet`: pass ``jsonl_path`` to
-  append identity-keyed records to disk as cells complete, and
-  ``resume_from`` to skip every cell whose identity already appears in a
-  prior (possibly interrupted) run's file; the canonical
+  append identity-keyed records to disk as cells complete, and ``store`` to
+  skip every cell a prior (possibly interrupted) run already put in the
+  :class:`~repro.experiments.store.CellStore`; the canonical
   :meth:`~repro.experiments.results.ResultSet.to_json` view keeps per-cell
-  wall times out of the payload, so two runs of the same grid — resumed or
+  wall times out of the payload, so two runs of the same grid — restarted or
   not — produce byte-identical files;
 * ``python -m repro.experiments.sweep`` exposes the same machinery as a CLI
-  (``--jsonl`` / ``--resume-from`` included).
+  (``--jsonl`` / ``--store`` included).
 
 The report catalog (:mod:`repro.report.specs`) declares its grids and pinned
 cells here instead of hand-rolling serial loops over
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -59,8 +57,6 @@ from ..schemes import (
     scheme_variant_names,
 )
 from .execute import PROFILE_TOP_N, execute_cells
-from .executors import DEFAULT_EXECUTOR as DEFAULT_EXECUTOR_NAME
-from .executors import executor_names
 from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore
 from ..netsim import (
@@ -757,9 +753,7 @@ def sweep(
     base_seed: int = 0,
     workers: int = 1,
     jsonl_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
     profile: bool = False,
-    executor: str = DEFAULT_EXECUTOR_NAME,
     store: Union[str, CellStore, None] = None,
     progress: Optional[bool] = None,
 ) -> ResultSet:
@@ -770,36 +764,22 @@ def sweep(
     cell owns a private simulator seeded by :func:`derive_seed`; the workers
     share no random state.
 
-    ``jsonl_path`` streams each cell's record to disk the moment it completes
-    (appending when it is the same file as ``resume_from``, otherwise starting
-    fresh), so an interrupted sweep loses at most the in-flight cells.
-    ``resume_from`` loads a prior run — a streaming JSONL file or a legacy
-    canonical JSON — and skips every grid cell whose identity already appears
-    there, simulating only the missing ones; a path that does not exist yet is
-    treated as an empty prior run, so ``sweep(grid, jsonl_path=p,
-    resume_from=p)`` is an idempotent, crash-restartable invocation.  The
-    prior file must have been produced with the same ``base_seed`` (cell
-    identities embed their derived seeds, so a mismatch could never match
-    anyway — it is reported as the error it is).
-
-    ``executor`` names a registered cell executor (``local`` pool —
-    the default — ``sharded`` independent processes, or ``work-queue``
-    crash-tolerant leases; see :mod:`repro.experiments.executors`); every
-    executor produces byte-identical canonical results.  ``store`` (a
-    directory path or open :class:`~repro.experiments.store.CellStore`)
-    reuses every cell ever computed across runs — store hits skip execution
-    exactly like ``resume_from`` hits — and ``progress`` controls the live
+    ``jsonl_path`` streams each cell's record to a fresh file the moment it
+    completes.  ``store`` (a directory path or open
+    :class:`~repro.experiments.store.CellStore`) reuses every cell ever
+    computed across runs: stored cells skip execution and fresh ones are put
+    back as they finish, so an interrupted sweep re-run over the same store
+    simulates only the missing cells.  ``progress`` controls the live
     progress/ETA line on stderr (default: only when stderr is a terminal).
 
-    The streaming/resume/reuse machinery itself lives in
+    The streaming/reuse machinery itself lives in
     :func:`repro.experiments.execute.execute_cells`, shared with the report
-    layer's scenario-list specs; ``profile`` (serial-only) prints each cell's
-    hottest functions to stderr without touching canonical output.
+    layer; ``profile`` (serial-only) prints each cell's hottest functions to
+    stderr without touching canonical output.
     """
     return execute_cells(grid.cells(base_seed), run_cell, base_seed,
                          workers=workers, jsonl_path=jsonl_path,
-                         resume_from=resume_from, profile=profile,
-                         executor=executor, store=store, progress=progress)
+                         profile=profile, store=store, progress=progress)
 
 
 # --------------------------------------------------------------------------- #
@@ -882,24 +862,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write canonical sweep JSON to this path")
     parser.add_argument("--jsonl", default=None, metavar="PATH",
                         help="stream per-cell records to this JSON-Lines file "
-                             "as they complete (with --resume-from pointing "
-                             "at the same file, the file accumulates toward "
-                             "the full grid across restarts)")
-    parser.add_argument("--resume-from", default=None, metavar="PATH",
-                        help="skip cells whose identity already appears in "
-                             "this result file (a --jsonl stream or a legacy "
-                             "--output JSON) and run only the missing ones")
-    parser.add_argument("--executor", default=DEFAULT_EXECUTOR_NAME,
-                        choices=executor_names(),
-                        help="registered cell executor: 'local' in-process "
-                             "pool, 'sharded' independent slice-owning "
-                             "processes, 'work-queue' crash-tolerant leases; "
-                             "canonical output is byte-identical for all")
+                             "as they complete (a fresh, complete file each "
+                             "run)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed cell store directory: cells "
-                             "already stored skip execution (like "
-                             "--resume-from, but across every run ever made "
-                             "with this store), fresh cells are stored back")
+                             "already stored skip execution (across every "
+                             "run ever made with this store), fresh cells "
+                             "are stored back as they finish, so re-running "
+                             "an interrupted sweep executes only the rest")
     parser.add_argument("--progress", action="store_true",
                         help="force the live progress/ETA line on stderr "
                              "(default: only when stderr is a terminal)")
@@ -926,9 +896,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.profile and args.workers != 1:
         parser.error("--profile requires --workers 1 (per-cell profiles from "
                      "concurrent workers would interleave)")
-    if args.profile and args.executor != DEFAULT_EXECUTOR_NAME:
-        parser.error("--profile requires --executor local (profiles from "
-                     "independent worker processes would interleave)")
     schemes = list(args.schemes)
     if args.policy is not None:
         # Expand each plain pcc entry into one spec per requested policy
@@ -988,25 +955,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Mis-combined axes (e.g. a utilities axis over a TCP scheme) carry
         # their explanation in the exception; surface it as a CLI error.
         parser.error(str(exc))
-    if args.resume_from is not None and not os.path.exists(args.resume_from):
-        # The library treats a missing resume file as an empty prior run (the
-        # idempotent-restart pattern), but an explicitly-typed CLI path that
-        # does not exist is far more likely a typo silently rerunning
-        # everything — fail loudly.  Exception: --resume-from pointing at the
-        # --jsonl stream itself IS the restart pattern, and must work on the
-        # first invocation too (before the stream exists).
-        restartable = (args.jsonl is not None and
-                       os.path.abspath(args.resume_from) == os.path.abspath(args.jsonl))
-        if not restartable:
-            parser.error(f"--resume-from: {args.resume_from} does not exist")
     try:
         result = sweep(grid, base_seed=args.seed, workers=args.workers,
-                       jsonl_path=args.jsonl, resume_from=args.resume_from,
-                       profile=args.profile, executor=args.executor,
+                       jsonl_path=args.jsonl, profile=args.profile,
                        store=args.store,
                        progress=True if args.progress else None)
     except ValueError as exc:
-        # e.g. resuming from a file produced with a different base seed.
+        # e.g. --workers 0, or a --store directory of another format.
         parser.error(str(exc))
 
     if args.topology != "single_bottleneck":

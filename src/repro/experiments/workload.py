@@ -14,8 +14,8 @@ Determinism contract: :func:`build_workload` hands every builder a private
 ``random.Random`` seeded from ``derive_seed(cell.seed, _WORKLOAD_STREAM)``.
 The stream is decoupled from the simulator RNG, so generating the schedule
 never perturbs the event stream, and it depends only on the cell identity —
-the same cell emits a byte-identical schedule regardless of worker count,
-executor, or resume, exactly like every other per-cell random stream.
+the same cell emits a byte-identical schedule regardless of worker count
+or restarts, exactly like every other per-cell random stream.
 
 Builders receive ``(cell, rng, **resolved_kwargs)`` and return the list of
 :class:`FlowSpec` to run.  ``run_cell`` layers the cell's scheme kwargs
@@ -80,8 +80,8 @@ def register_workload(
     ``builder(cell, rng, **kwargs)`` must derive its schedule only from the
     cell's identity fields and the provided ``rng`` (never wall clock or
     global randomness), so the schedule is byte-identical across worker
-    counts and executors.  ``kwarg_defaults`` declares every kwarg the
-    builder accepts; unknown keys are rejected at grid-construction time.
+    counts.  ``kwarg_defaults`` declares every kwarg the builder accepts;
+    unknown keys are rejected at grid-construction time.
 
     Cells cross the process boundary carrying only the workload *name*;
     each worker resolves it against its own registry, so custom workloads
@@ -139,8 +139,8 @@ def build_workload(cell: "SweepCell") -> List[FlowSpec]:
 
     The builder's random stream is derived from the cell seed (not drawn
     from the simulator RNG), so schedule generation leaves the event stream
-    untouched and two runs of the same cell — any worker count, any
-    executor, resumed or not — emit byte-identical schedules.
+    untouched and two runs of the same cell — any worker count, restarted
+    or not — emit byte-identical schedules.
     """
     from .sweep import derive_seed  # runtime import: sweep imports this module
 

@@ -6,14 +6,14 @@ One command regenerates the paper's evidence::
     python -m repro.report --only fig7,table1 \\
         --report subset.md                         # a subset (explicit path)
     python -m repro.report --workers 4 \\
-        --jsonl out/ --resume-from out/            # streamed + restartable
+        --jsonl out/ --store cells/                # streamed + restartable
     python -m repro.report --list                  # catalog with costs
     python -m repro.report --matrix                # claim matrix (static)
     python -m repro.report --matrix --check EXPERIMENTS.md   # CI drift gate
 
-``--jsonl``/``--resume-from`` take a *directory*; each spec streams to
+``--jsonl`` takes a *directory*; each spec streams to
 ``<dir>/<spec_id>.jsonl``.  The rendered report is byte-identical for any
-``--workers`` value and across resumed runs.
+``--workers`` value and across ``--store`` restarts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..experiments.execute import PROFILE_TOP_N
-from ..experiments.executors import DEFAULT_EXECUTOR, executor_names
 from ..experiments.store import CellStore
 from .render import matrix_drift, render_matrix, render_report
 from .run import SpecOutcome, run_report_spec
@@ -59,20 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jsonl", default=None, metavar="DIR",
                         help="stream per-cell records to <DIR>/<spec>.jsonl "
                              "as cells complete")
-    parser.add_argument("--resume-from", default=None, metavar="DIR",
-                        help="skip cells already recorded in "
-                             "<DIR>/<spec>.jsonl files from a prior "
-                             "(possibly interrupted) run")
-    parser.add_argument("--executor", default=DEFAULT_EXECUTOR,
-                        choices=executor_names(),
-                        help="registered cell executor every spec runs "
-                             "under; the rendered report is byte-identical "
-                             "for all of them")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed cell store shared by every "
                              "spec: stored cells skip execution (across "
-                             "runs and sweeps alike), fresh "
-                             "cells are stored back")
+                             "runs and sweeps alike), fresh cells are "
+                             "stored back as they finish, so re-running an "
+                             "interrupted report executes only the rest")
     parser.add_argument("--progress", action="store_true",
                         help="force the live progress/ETA line on stderr "
                              "(default: only when stderr is a terminal)")
@@ -109,14 +100,6 @@ def _select_specs(parser: argparse.ArgumentParser,
     return [spec for spec in specs if spec.spec_id in picked]
 
 
-def _spec_paths(directory: Optional[str],
-                spec: ReportSpec) -> Optional[str]:
-    """The per-spec JSONL path inside ``directory`` (``None`` passthrough)."""
-    if directory is None:
-        return None
-    return os.path.join(directory, f"{spec.spec_id}.jsonl")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the report CLI; returns the process exit code."""
     parser = _build_parser()
@@ -146,9 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.profile and args.workers != 1:
         parser.error("--profile requires --workers 1 (per-cell profiles from "
                      "concurrent workers would interleave)")
-    if args.profile and args.executor != DEFAULT_EXECUTOR:
-        parser.error("--profile requires --executor local (profiles from "
-                     "independent worker processes would interleave)")
     report_path = args.report
     if report_path is None:
         if args.only is not None:
@@ -159,17 +139,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_path = "REPORT.md"
     if args.jsonl is not None:
         os.makedirs(args.jsonl, exist_ok=True)
-    if args.resume_from is not None and not os.path.isdir(args.resume_from):
-        # Mirror the sweep CLI's stance: an explicitly-typed path that does
-        # not exist is far more likely a typo silently rerunning everything —
-        # unless it names the --jsonl directory itself, which is the
-        # idempotent-restart pattern and must work on the first invocation.
-        restartable = (args.jsonl is not None and
-                       os.path.abspath(args.resume_from)
-                       == os.path.abspath(args.jsonl))
-        if not restartable:
-            parser.error(f"--resume-from: {args.resume_from} is not a "
-                         f"directory")
     # One store instance spans every spec, so the segment scan happens once
     # and cells computed by an earlier spec in this very run are reusable by
     # a later one.
@@ -177,27 +146,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outcomes: List[SpecOutcome] = []
     try:
         for spec in specs:
-            jsonl_path = _spec_paths(args.jsonl, spec)
-            resume_path = _spec_paths(args.resume_from, spec)
-            if (resume_path is not None and jsonl_path != resume_path
-                    and not os.path.exists(resume_path)):
-                # A missing per-spec file inside an existing resume directory
-                # is normal (the prior run may not have reached this spec
-                # yet).
-                resume_path = None
-            try:
-                outcome = run_report_spec(spec, workers=args.workers,
-                                          jsonl_path=jsonl_path,
-                                          resume_from=resume_path,
-                                          profile=args.profile,
-                                          executor=args.executor,
-                                          store=store,
-                                          progress=(True if args.progress
-                                                    else None))
-            except ValueError as exc:
-                # e.g. resuming from a file produced with a different base
-                # seed.
-                parser.error(str(exc))
+            jsonl_path = (None if args.jsonl is None else
+                          os.path.join(args.jsonl, f"{spec.spec_id}.jsonl"))
+            outcome = run_report_spec(spec, workers=args.workers,
+                                      jsonl_path=jsonl_path,
+                                      profile=args.profile, store=store,
+                                      progress=(True if args.progress
+                                                else None))
             outcomes.append(outcome)
             counts = outcome.status_counts()
             print(f"{spec.spec_id}: {len(outcome.result)} cells; claims "

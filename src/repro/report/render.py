@@ -101,7 +101,7 @@ def render_report(outcomes: List[SpecOutcome]) -> str:
         "and grades its claims **PASS** (held as asserted), **DEVIATION**",
         "(held in the weakened form documented in EXPERIMENTS.md), or",
         "**FAIL**.  Output is byte-identical for any `--workers` value and",
-        "across `--resume-from` restarts.",
+        "across `--store` restarts.",
         "",
         f"Claims: {totals['PASS']} PASS, {totals['DEVIATION']} DEVIATION, "
         f"{totals['FAIL']} FAIL.",

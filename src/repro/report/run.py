@@ -3,9 +3,9 @@
 Every spec's cells funnel through
 :func:`repro.experiments.execute.execute_cells` under one ``run_one``, so
 every spec — sweep cells or scenario cells — inherits the sweep layer's
-guarantees verbatim: streaming JSONL as cells complete, cell-exact resume
-from a prior (possibly interrupted) run, and results that are byte-identical
-for any worker count.
+guarantees verbatim: streaming JSONL as cells complete, cell-exact reuse of
+a prior (possibly interrupted) run's cell store, and results that are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from ..experiments.execute import execute_cells
-from ..experiments.executors import DEFAULT_EXECUTOR
 from ..experiments.results import ResultSet
 from ..experiments.store import CellStore
 from ..experiments.sweep import SweepCell, run_cell
@@ -39,7 +38,7 @@ def _run_report_cell(cell: Union[SweepCell, ScenarioCell]) -> Dict[str, Any]:
     (spawn-method workers re-import the catalog, mirroring how sweep workers
     resolve topology/scheme names); its record carries the cell identity,
     the runner's metrics dict, and the non-deterministic ``wall_time_s`` that
-    the executor strips into :attr:`ResultSet.timings`.
+    ``execute_cells`` strips into :attr:`ResultSet.timings`.
     """
     if isinstance(cell, SweepCell):
         return run_cell(cell)
@@ -99,24 +98,19 @@ def run_report_spec(
     spec: Union[str, ReportSpec],
     workers: int = 1,
     jsonl_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
     profile: bool = False,
-    executor: str = DEFAULT_EXECUTOR,
     store: Union[str, CellStore, None] = None,
     progress: Optional[bool] = None,
 ) -> SpecOutcome:
     """Execute one spec (by id or instance) and evaluate its claims.
 
-    ``jsonl_path`` / ``resume_from`` behave exactly as in
+    ``jsonl_path`` / ``store`` behave exactly as in
     :func:`repro.experiments.sweep.sweep`: records stream to ``jsonl_path``
-    as cells complete, and cells whose identity already appears in
-    ``resume_from`` are not re-simulated.  ``executor`` names the registered
-    cell executor (``local`` / ``sharded`` / ``work-queue``) and ``store``
-    the cross-run content-addressed cell store — store hits skip execution
-    exactly like resume hits, so a report re-run over a warm store executes
-    zero cells.  The extracted rows — and therefore the rendered report —
-    are byte-identical for any ``workers`` value, any executor, and for
-    resumed versus uninterrupted runs.
+    as cells complete, and cells already in the content-addressed cell
+    ``store`` are not re-simulated, so a report re-run over a warm store
+    executes zero cells.  The extracted rows — and therefore the rendered
+    report — are byte-identical for any ``workers`` value and for restarted
+    versus uninterrupted runs.
 
     ``profile`` prints each cell's hottest functions to stderr (serial only;
     see :func:`repro.experiments.execute.execute_cells`).
@@ -126,8 +120,7 @@ def run_report_spec(
     run = spec.run
     result = execute_cells(run.cells(), _run_report_cell, run.base_seed,
                            workers=workers, jsonl_path=jsonl_path,
-                           resume_from=resume_from, profile=profile,
-                           executor=executor, store=store, progress=progress)
+                           profile=profile, store=store, progress=progress)
     rows = spec.rows(result)
     claims = evaluate_claims(spec, rows, result)
     return SpecOutcome(spec=spec, result=result, rows=rows, claims=claims)

@@ -1,27 +1,22 @@
-"""Tests for the pluggable executor registry, dispatch, and reuse layers.
+"""Tests for ``execute_cells``: dispatch, the one pool, and store reuse.
 
 The load-bearing property is the equivalence guarantee: for the same cells
-and base seed, every registered executor — and any worker count — produces
-byte-identical canonical result JSON.  Alongside it: the work-queue's
-crash re-leasing, the zero-pending fast path (no executor invoked at all),
-cross-run store reuse, and the stderr-only telemetry (reuse summary and
-progress line) never touching canonical output.
+and base seed, any worker count produces byte-identical canonical result
+JSON.  Alongside it: a dead worker failing the run promptly with every
+finished cell already stored, the zero-pending fast path (no worker process
+started at all), cross-run store reuse, and the stderr-only telemetry (reuse
+summary and progress line) never touching canonical output.
 """
 
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments.execute import execute_cells
-from repro.experiments.executors import (
-    DEFAULT_EXECUTOR,
-    WORK_QUEUE_LEASE_EXPIRY_S,
-    executor_names,
-    get_executor,
-    register_executor,
-)
 from repro.experiments.progress import ProgressReporter, _format_eta
 from repro.experiments.results import ResultSet
 from repro.experiments.store import CellStore
@@ -54,7 +49,7 @@ class CrashOnceCell(FakeCell):
 
     The crash is gated by an exclusive-create marker file outside the cell's
     identity, so exactly one attempt dies and every retry succeeds — the
-    shape of a worker host failing mid-cell.
+    shape of an OOM-killed worker.
     """
 
     def __init__(self, index, seed, marker_dir, crash=False):
@@ -79,160 +74,101 @@ def fake_cells(count, seed=7):
     return [FakeCell(index, seed) for index in range(count)]
 
 
-def _boom_executor(pending, run_one, base_seed, workers, options):
-    raise AssertionError("executor must not be invoked with zero pending "
-                         "cells")
-    yield  # pragma: no cover - makes this a generator like real executors
+#: The crashing run, driven in a child interpreter so that a regression to
+#: the old behaviour (the pool waits forever for the lost cell) fails the test
+#: on its timeout instead of wedging the suite.
+_CRASH_SCRIPT = """
+import sys
+from test_executors import CrashOnceCell, run_crash_once
+from repro.experiments.execute import execute_cells
+marker_dir, store_dir = sys.argv[1:]
+cells = [CrashOnceCell(index, 7, marker_dir, crash=(index == 3))
+         for index in range(6)]
+execute_cells(cells, run_crash_once, 7, workers=2, store=store_dir)
+"""
 
 
-# Import-time registration, mirroring how custom executors must register.
-register_executor("test-boom", _boom_executor)
-
-
-class TestRegistry:
-    def test_builtin_executors_registered(self):
-        names = executor_names()
-        for name in ("local", "sharded", "work-queue"):
-            assert name in names
-        assert DEFAULT_EXECUTOR == "local"
-
-    def test_unknown_executor_rejected_with_catalog(self):
-        with pytest.raises(ValueError, match="local"):
-            get_executor("no-such-executor")
-
-    def test_unknown_executor_fails_before_any_cell_runs(self, tmp_path):
-        jsonl = tmp_path / "stream.jsonl"
-        with pytest.raises(ValueError, match="unknown executor"):
-            execute_cells(fake_cells(2), run_fake, base_seed=7,
-                          executor="no-such-executor", jsonl_path=str(jsonl))
-        assert not jsonl.exists()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_executor("local", _boom_executor)
-
-    def test_unknown_executor_options_rejected(self):
-        for name in ("local", "sharded"):
-            with pytest.raises(ValueError, match="unknown"):
-                execute_cells(fake_cells(2), run_fake, base_seed=7,
-                              executor=name,
-                              executor_options={"bogus": 1})
-        with pytest.raises(ValueError, match="lease_expiry_s"):
-            execute_cells(fake_cells(2), run_fake, base_seed=7,
-                          executor="work-queue",
-                          executor_options={"bogus": 1})
-
-
-class TestExecutorEquivalence:
-    def test_all_executors_byte_identical_on_fake_cells(self):
+class TestWorkerCounts:
+    def test_byte_identical_on_fake_cells(self):
         """The core guarantee: canonical JSON is a pure function of the
         cells, not of how they were fanned out."""
-        reference = execute_cells(fake_cells(7), run_fake, base_seed=7)
-        baseline = reference.to_json()
-        for name in executor_names():
-            if name == "test-boom":
-                continue
-            for workers in (1, 3):
-                result = execute_cells(fake_cells(7), run_fake, base_seed=7,
-                                       workers=workers, executor=name)
-                assert result.to_json() == baseline, (name, workers)
+        baseline = execute_cells(fake_cells(7), run_fake, base_seed=7)
+        for workers in (2, 3):
+            result = execute_cells(fake_cells(7), run_fake, base_seed=7,
+                                   workers=workers)
+            assert result.to_json() == baseline.to_json(), workers
 
-    def test_executors_byte_identical_on_a_real_grid(self):
+    def test_byte_identical_on_a_real_grid(self):
         """Same guarantee over real simulation cells (the acceptance bar)."""
         grid = SweepGrid(schemes=("cubic",), bandwidths_bps=(5e6,),
                          rtts=(0.03,), loss_rates=(0.0, 0.01), duration=1.0)
-        outputs = {
-            name: sweep(grid, base_seed=1, workers=2,
-                        executor=name).to_json()
-            for name in ("local", "sharded", "work-queue")
-        }
-        assert outputs["sharded"] == outputs["local"]
-        assert outputs["work-queue"] == outputs["local"]
+        assert sweep(grid, base_seed=1, workers=2).to_json() == \
+            sweep(grid, base_seed=1, workers=1).to_json()
 
-    def test_streamed_jsonl_reaches_full_set_for_each_executor(self, tmp_path):
-        for name in ("local", "sharded", "work-queue"):
-            jsonl = tmp_path / f"{name}.jsonl"
-            execute_cells(fake_cells(5), run_fake, base_seed=7, workers=2,
-                          executor=name, jsonl_path=str(jsonl))
-            loaded = ResultSet.load(str(jsonl))
-            assert len(loaded) == 5
+    def test_streamed_jsonl_reaches_full_set(self, tmp_path):
+        for workers in (1, 2):
+            jsonl = tmp_path / f"w{workers}.jsonl"
+            execute_cells(fake_cells(5), run_fake, base_seed=7,
+                          workers=workers, jsonl_path=str(jsonl))
+            assert len(ResultSet.load(str(jsonl))) == 5
 
 
-class TestSharded:
-    def test_crashed_shard_keeps_every_finished_cell(self, tmp_path):
-        """One shard dying mid-slice fails the run — but only after every
-        finished cell (the crashed shard's own included) reached the store,
-        so the re-run executes just the cells nobody finished."""
+class TestWorkerCrash:
+    def test_dead_worker_fails_fast_and_store_resumes(self, tmp_path):
+        """A worker dying mid-cell fails the run promptly — after every
+        finished cell reached the store, so the re-run executes only the
+        cells nobody finished and ends byte-identical."""
         store_dir = str(tmp_path / "store")
-        # Two shards: shard 0 owns cells 0/2/4, shard 1 owns 1/3/5 and dies
-        # on cell 3, after finishing 1 and before starting 5.
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_SCRIPT, str(tmp_path), store_dir],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "RuntimeError: a worker process died" in proc.stderr
         cells = [CrashOnceCell(index, 7, str(tmp_path), crash=(index == 3))
                  for index in range(6)]
-        with pytest.raises(RuntimeError, match=r"shard\(s\) \[1\]"):
-            execute_cells(cells, run_crash_once, base_seed=7, workers=2,
-                          executor="sharded", store=store_dir)
         with CellStore(store_dir) as store:
-            assert [store.contains(cell.params()) for cell in cells] == [
-                True, True, True, False, True, False]
+            stored = sum(store.contains(cell.params()) for cell in cells)
+            assert not store.contains(cells[3].params())
+        assert 0 < stored < 6
         rerun = execute_cells(cells, run_crash_once, base_seed=7, workers=2,
-                              executor="sharded", store=store_dir)
-        assert rerun.reuse == {"cells": 6, "resume_hits": 0,
-                               "store_hits": 4, "executed": 2}
+                              store=store_dir)
+        assert rerun.reuse == {"cells": 6, "store_hits": stored,
+                               "executed": 6 - stored}
         assert rerun.to_json() == execute_cells(
             fake_cells(6), run_fake, base_seed=7).to_json()
 
 
-class TestWorkQueue:
-    def test_crashed_worker_cells_are_re_leased(self, tmp_path, capsys):
-        """A worker dying mid-cell must not lose the cell: its lease expires
-        and a surviving worker re-runs it, so the run completes with the
-        exact same canonical output."""
-        marker_dir = str(tmp_path)
-        cells = [CrashOnceCell(index, 7, marker_dir, crash=(index == 1))
-                 for index in range(6)]
-        result = execute_cells(
-            cells, run_crash_once, base_seed=7, workers=2,
-            executor="work-queue",
-            executor_options={"lease_expiry_s": 0.2, "poll_s": 0.02})
-        assert result.to_json() == execute_cells(
-            fake_cells(6), run_fake, base_seed=7).to_json()
-        assert os.path.exists(os.path.join(marker_dir, "crashed-1"))
-        assert "worker(s) crashed" in capsys.readouterr().err
-
-    def test_lease_expiry_default_is_generous(self):
-        # Re-leasing a *live* worker's cell wastes work; the default must be
-        # much larger than any polling interval.
-        assert WORK_QUEUE_LEASE_EXPIRY_S >= 30.0
+def _boom_pool(*args, **kwargs):
+    raise AssertionError("no worker process may start with zero pending "
+                         "cells")
 
 
 class TestReuseLayers:
-    def test_zero_pending_skips_the_executor_entirely(self, tmp_path, capsys):
-        """When resume satisfies every cell, no pool/shard/queue worker may
-        start: proven by running under an executor that explodes when
-        invoked."""
-        jsonl = tmp_path / "prior.jsonl"
+    def test_zero_pending_skips_the_executor_entirely(self, tmp_path,
+                                                      monkeypatch):
+        """When the store satisfies every cell, no worker process may start:
+        proven by running with a pool that explodes when created."""
+        store_dir = str(tmp_path / "store")
         cells = fake_cells(4)
-        execute_cells(cells, run_fake, base_seed=7, jsonl_path=str(jsonl))
-        result = execute_cells(cells, run_fake, base_seed=7,
-                               resume_from=str(jsonl), executor="test-boom")
+        execute_cells(cells, run_fake, base_seed=7, store=store_dir)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _boom_pool)
+        result = execute_cells(cells, run_fake, base_seed=7, workers=2,
+                               store=store_dir)
         assert len(result) == 4
-        assert result.reuse == {"cells": 4, "resume_hits": 4,
-                                "store_hits": 0, "executed": 0}
-        assert "reused 4 cells (4 resume, 0 store), executing 0" \
-            in capsys.readouterr().err
+        assert result.reuse["executed"] == 0
 
     def test_store_round_trip_executes_zero_cells(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         cells = fake_cells(5)
         first = execute_cells(cells, run_fake, base_seed=7, store=store_dir)
-        assert first.reuse == {"cells": 5, "resume_hits": 0,
-                               "store_hits": 0, "executed": 5}
-        second = execute_cells(cells, run_fake, base_seed=7, store=store_dir,
-                               executor="test-boom")
-        assert second.reuse == {"cells": 5, "resume_hits": 0,
-                                "store_hits": 5, "executed": 0}
+        assert first.reuse == {"cells": 5, "store_hits": 0, "executed": 5}
+        second = execute_cells(cells, run_fake, base_seed=7, store=store_dir)
+        assert second.reuse == {"cells": 5, "store_hits": 5, "executed": 0}
         assert second.to_json() == first.to_json()
-        assert "reused 5 cells (0 resume, 5 store), executing 0" \
+        assert "reused 5 cells from the store, executing 0" \
             in capsys.readouterr().err
 
     def test_store_reuse_crosses_cell_subsets(self, tmp_path):
@@ -242,8 +178,7 @@ class TestReuseLayers:
         execute_cells(fake_cells(3), run_fake, base_seed=7, store=store_dir)
         result = execute_cells(fake_cells(6), run_fake, base_seed=7,
                                store=store_dir)
-        assert result.reuse == {"cells": 6, "resume_hits": 0,
-                                "store_hits": 3, "executed": 3}
+        assert result.reuse == {"cells": 6, "store_hits": 3, "executed": 3}
 
     def test_open_cellstore_instance_is_not_closed(self, tmp_path):
         store = CellStore(str(tmp_path / "store"))
@@ -253,23 +188,9 @@ class TestReuseLayers:
                           "value": 0})
         store.close()
 
-    def test_resume_and_store_hits_combine(self, tmp_path, capsys):
-        jsonl = tmp_path / "prior.jsonl"
-        store_dir = str(tmp_path / "store")
-        cells = fake_cells(6)
-        execute_cells(cells[:2], run_fake, base_seed=7, jsonl_path=str(jsonl))
-        execute_cells(cells[2:4], run_fake, base_seed=7, store=store_dir)
-        capsys.readouterr()
-        result = execute_cells(cells, run_fake, base_seed=7,
-                               resume_from=str(jsonl), store=store_dir)
-        assert result.reuse == {"cells": 6, "resume_hits": 2,
-                                "store_hits": 2, "executed": 2}
-        assert "reused 4 cells (2 resume, 2 store), executing 2" \
-            in capsys.readouterr().err
-
     def test_fresh_jsonl_carries_reused_records(self, tmp_path):
         """A fresh stream file must be complete on its own even when some
-        cells came from the store: it is the next run's resume point."""
+        cells came from the store."""
         store_dir = str(tmp_path / "store")
         cells = fake_cells(4)
         execute_cells(cells[:2], run_fake, base_seed=7, store=store_dir)
@@ -281,13 +202,6 @@ class TestReuseLayers:
     def test_no_reuse_layers_no_stderr_summary(self, capsys):
         execute_cells(fake_cells(2), run_fake, base_seed=7)
         assert "reused" not in capsys.readouterr().err
-
-
-class TestProfileGuard:
-    def test_profile_requires_local_executor(self):
-        with pytest.raises(ValueError, match="local"):
-            execute_cells(fake_cells(2), run_fake, base_seed=7,
-                          profile=True, executor="sharded")
 
 
 class TestProfileFlag:
@@ -331,14 +245,6 @@ class TestCli:
     BASE = ["--schemes", "cubic", "--bandwidth-mbps", "5",
             "--loss", "0.0", "--duration", "1", "--seed", "1"]
 
-    def test_sweep_executor_flag_matches_local(self, tmp_path):
-        out_local = tmp_path / "local.json"
-        out_queue = tmp_path / "queue.json"
-        assert sweep_main([*self.BASE, "--output", str(out_local)]) == 0
-        assert sweep_main([*self.BASE, "--executor", "work-queue",
-                           "--workers", "2", "--output", str(out_queue)]) == 0
-        assert out_queue.read_bytes() == out_local.read_bytes()
-
     def test_sweep_store_flag_second_run_executes_zero(self, tmp_path,
                                                        capsys):
         store_dir = str(tmp_path / "store")
@@ -363,11 +269,12 @@ class TestCli:
         # Canonical output is untouched by telemetry.
         assert json.loads(out.read_text())["base_seed"] == 1
 
-    def test_sweep_profile_rejects_non_local_executor(self, capsys):
-        with pytest.raises(SystemExit):
-            sweep_main([*self.BASE, "--profile",
-                        "--executor", "work-queue"])
-        assert "--executor local" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--executor", "--resume-from"])
+    def test_removed_flags_are_unknown_arguments(self, flag, capsys):
+        for main in (sweep_main, report_main):
+            with pytest.raises(SystemExit):
+                main([flag, "x"])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReportIntegration:
@@ -379,17 +286,12 @@ class TestReportIntegration:
         assert first.result.reuse["executed"] == 4
         capsys.readouterr()
         second = run_report_spec("theorems", store=store_dir)
-        assert second.result.reuse == {"cells": 4, "resume_hits": 0,
-                                       "store_hits": 4, "executed": 0}
+        assert second.result.reuse == {"cells": 4, "store_hits": 4,
+                                       "executed": 0}
         assert "executing 0" in capsys.readouterr().err
         assert second.result.to_json() == first.result.to_json()
         assert [c.status for c in second.claims] == \
             [c.status for c in first.claims]
-
-    def test_report_spec_executor_equivalence(self):
-        local = run_report_spec("theorems", executor="local")
-        sharded = run_report_spec("theorems", workers=2, executor="sharded")
-        assert sharded.result.to_json() == local.result.to_json()
 
 
 class TestProgressReporter:

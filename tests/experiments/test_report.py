@@ -1,4 +1,4 @@
-"""Tests for the repro.report layer: determinism, resume, CLI, catalog.
+"""Tests for the repro.report layer: determinism, store resume, CLI, catalog.
 
 The tiny specs registered at module import time (so fork-method workers
 inherit them) keep the packet-level work small enough for the tier-1 suite:
@@ -13,7 +13,9 @@ import sys
 
 import pytest
 
+from repro.experiments.execute import execute_cells
 from repro.experiments.results import ResultSet
+from repro.experiments.store import CellStore
 from repro.experiments.sweep import SweepCell, SweepGrid, run_cell
 from repro.report import (
     Claim,
@@ -259,30 +261,38 @@ class TestDeterminism:
 
     def test_grid_resume_is_byte_identical(self, tmp_path):
         stream = str(tmp_path / "tiny_grid.jsonl")
+        store = str(tmp_path / "store")
         baseline = render_report([run_report_spec("tiny_grid")])
-        full = run_report_spec("tiny_grid", jsonl_path=stream)
-        assert render_report([full]) == baseline
-        # Simulate a crash: drop the last record line, then resume.
-        with open(stream) as handle:
-            lines = handle.read().splitlines(keepends=True)
-        with open(stream, "w") as handle:
-            handle.writelines(lines[:-1])
-        resumed = run_report_spec("tiny_grid", jsonl_path=stream,
-                                  resume_from=stream)
+        # Simulate a crash: a store that is missing the spec's last cell.
+        run = get_report_spec("tiny_grid").run
+        cells = run.cells()
+        execute_cells(cells[:-1], run_cell, run.base_seed, store=store)
+        resumed = run_report_spec("tiny_grid", jsonl_path=stream, store=store)
+        assert resumed.result.reuse == {"cells": len(cells),
+                                        "store_hits": len(cells) - 1,
+                                        "executed": 1}
         assert render_report([resumed]) == baseline
-        # The stream is now complete and self-contained.
-        assert len(ResultSet.load(stream)) == len(full.result)
+        # The stream is complete and self-contained.
+        assert len(ResultSet.load(stream)) == len(cells)
 
     def test_scenario_resume_is_byte_identical(self, tmp_path):
         stream = str(tmp_path / "tiny_scenario.jsonl")
+        store = str(tmp_path / "store")
         baseline = render_report([run_report_spec("tiny_scenario")])
         run_report_spec("tiny_scenario", jsonl_path=stream)
+        # Simulate a crash: drop the last record line, then resume from a
+        # store filled with what the stream still holds.
         with open(stream) as handle:
             lines = handle.read().splitlines(keepends=True)
         with open(stream, "w") as handle:
             handle.writelines(lines[:-1])
+        prior = ResultSet.load(stream)
+        with CellStore(store) as cell_store:
+            for record, wall in zip(prior.cells, prior.timings, strict=True):
+                cell_store.put(record, wall)
         resumed = run_report_spec("tiny_scenario", jsonl_path=stream,
-                                  resume_from=stream)
+                                  store=store)
+        assert resumed.result.reuse["executed"] == 1
         assert render_report([resumed]) == baseline
         assert len(ResultSet.load(stream)) == 3
 
@@ -333,13 +343,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             report_main(["--only", "tiny_scenario"])
         assert "--report" in capsys.readouterr().err
-
-    def test_cli_resume_missing_directory_errors(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            report_main(["--only", "tiny_scenario",
-                         "--report", str(tmp_path / "r.md"),
-                         "--resume-from", str(tmp_path / "nope")])
-        assert "--resume-from" in capsys.readouterr().err
 
     def test_matrix_check_against_experiments_md(self):
         # A clean interpreter: the tiny specs this module registers must not

@@ -1,9 +1,9 @@
-"""Tests for the streaming, resumable ResultSet API.
+"""Tests for the streaming ResultSet API and sweep resume through the store.
 
 The load-bearing properties: the canonical JSON view is byte-identical
-however the records were accumulated (streamed, loaded, merged, resumed), and
-a resumed sweep runs only the missing cells yet produces output identical to
-an uninterrupted run.
+however the records were accumulated (streamed, loaded, reused from a store),
+and a sweep resumed over a partial store runs only the missing cells yet
+produces output identical to an uninterrupted run.
 """
 
 import json
@@ -16,6 +16,7 @@ from repro.experiments.results import (
     ResultSetWriter,
     cell_identity_key,
 )
+from repro.experiments.store import CellStore
 from repro.experiments.sweep import SweepGrid, sweep
 
 
@@ -29,6 +30,16 @@ def tiny_grid(**overrides):
     )
     params.update(overrides)
     return SweepGrid(**params)
+
+
+def _store_from_jsonl(path, store_dir):
+    """The README recipe: load a (possibly crash-truncated) JSONL stream and
+    put every recovered record into a cell store."""
+    loaded = ResultSet.load(str(path))
+    with CellStore(str(store_dir)) as store:
+        for record, wall in zip(loaded.cells, loaded.timings, strict=True):
+            store.put(record, wall)
+    return str(store_dir)
 
 
 def _record(index, scheme="cubic", loss=0.0, goodput=4.0, utility=None):
@@ -117,49 +128,11 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="conflicting"):
             ResultSet.load(str(path))
 
-    def test_append_validates_header(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with ResultSetWriter(str(path), base_seed=1) as writer:
-            writer.write(_record(0))
-        with pytest.raises(ValueError, match="base_seed 1"):
-            ResultSetWriter(str(path), base_seed=2, append=True)
-        with ResultSetWriter(str(path), base_seed=1, append=True) as writer:
-            writer.write(_record(1))
-        assert len(ResultSet.load(str(path))) == 2
-
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             ResultSet.load(str(path))
-
-
-class TestMerge:
-    def test_merge_partial_runs(self):
-        a = ResultSet(5, [_record(0)], timings=[0.1])
-        b = ResultSet(5, [_record(1)], timings=[0.2])
-        merged = ResultSet.merge([a, b])
-        assert [r["cell"]["index"] for r in merged.cells] == [0, 1]
-        assert merged.timings == [0.1, 0.2]
-
-    def test_merge_overlapping_runs_dedupes(self):
-        a = ResultSet(5, [_record(0), _record(1)])
-        b = ResultSet(5, [_record(1), _record(2)])
-        assert len(ResultSet.merge([a, b])) == 3
-
-    def test_merge_conflicting_payloads_rejected(self):
-        a = ResultSet(5, [_record(0, goodput=4.0)])
-        b = ResultSet(5, [_record(0, goodput=2.0)])
-        with pytest.raises(ValueError, match="conflicting"):
-            ResultSet.merge([a, b])
-
-    def test_merge_mixed_base_seeds_rejected(self):
-        with pytest.raises(ValueError, match="base seeds"):
-            ResultSet.merge([ResultSet(1), ResultSet(2)])
-
-    def test_merge_needs_input(self):
-        with pytest.raises(ValueError):
-            ResultSet.merge([])
 
 
 class TestQueries:
@@ -260,8 +233,8 @@ class TestSweepStreamingAndResume:
         assert loaded.to_json() == result.to_json()
 
     def test_resume_from_partial_jsonl_matches_uninterrupted_run(self, tmp_path):
-        """The acceptance criterion: an interrupted sweep resumed from its
-        partial JSONL yields canonical JSON identical to a full run."""
+        """The acceptance criterion: an interrupted sweep resumed from the
+        cells it finished yields canonical JSON identical to a full run."""
         full_path = tmp_path / "full.jsonl"
         fresh = sweep(tiny_grid(), base_seed=1, workers=1,
                       jsonl_path=str(full_path))
@@ -271,17 +244,18 @@ class TestSweepStreamingAndResume:
         partial_path.write_text(
             "".join(line + "\n"
                     for line in full_path.read_text().splitlines()[:3]))
+        store = _store_from_jsonl(partial_path, tmp_path / "store")
         resumed = sweep(tiny_grid(), base_seed=1, workers=2,
-                        jsonl_path=str(partial_path),
-                        resume_from=str(partial_path))
+                        jsonl_path=str(partial_path), store=store)
+        assert resumed.reuse == {"cells": 4, "store_hits": 2, "executed": 2}
         assert resumed.to_json() == fresh.to_json()
-        # The continued file now holds every cell and loads to the same view.
+        # The re-streamed file holds every cell and loads to the same view.
         assert ResultSet.load(str(partial_path)).to_json() == fresh.to_json()
 
     def test_resume_runs_only_missing_cells(self, tmp_path, monkeypatch):
-        path = tmp_path / "partial.jsonl"
+        store = str(tmp_path / "store")
         grid = tiny_grid()
-        fresh = sweep(grid, base_seed=1, workers=1, jsonl_path=str(path))
+        fresh = sweep(grid, base_seed=1, workers=1, store=store)
         ran = []
         import repro.experiments.sweep as sweep_module
 
@@ -289,56 +263,41 @@ class TestSweepStreamingAndResume:
         monkeypatch.setattr(sweep_module, "run_cell",
                             lambda cell: ran.append(cell.index)
                             or real_run_cell(cell))
-        resumed = sweep(grid, base_seed=1, workers=1, resume_from=str(path))
-        assert ran == []  # every identity was already on disk
+        resumed = sweep(grid, base_seed=1, workers=1, store=store)
+        assert ran == []  # every identity was already stored
         assert resumed.to_json() == fresh.to_json()
 
     def test_resume_ignores_records_outside_the_grid(self, tmp_path):
-        path = tmp_path / "bigger.jsonl"
+        store = str(tmp_path / "store")
         bigger = tiny_grid(loss_rates=(0.0, 0.01, 0.02))
-        sweep(bigger, base_seed=1, workers=1, jsonl_path=str(path))
+        sweep(bigger, base_seed=1, workers=1, store=store)
         smaller = tiny_grid(loss_rates=(0.0,))
         # The smaller grid enumerates different cell indices (and therefore
         # seeds), so nothing from the bigger run can be reused: identity
         # matching must reject, not mix up, the extra records.
-        result = sweep(smaller, base_seed=1, workers=1,
-                       resume_from=str(path))
+        result = sweep(smaller, base_seed=1, workers=1, store=store)
         assert result.to_json() == sweep(smaller, base_seed=1).to_json()
 
     def test_resume_reuses_cells_of_a_grid_prefix(self, tmp_path):
         """Extending a grid along its fastest-varying axis keeps earlier cell
         identities aligned, so a resume reuses them and runs only the new
         points."""
-        path = tmp_path / "axis.jsonl"
+        store = str(tmp_path / "store")
         base = tiny_grid(schemes=("cubic",), loss_rates=(0.0, 0.01))
-        sweep(base, base_seed=1, workers=1, jsonl_path=str(path))
+        sweep(base, base_seed=1, workers=1, store=store)
         extended = tiny_grid(schemes=("cubic",), loss_rates=(0.0, 0.01, 0.02))
-        result = sweep(extended, base_seed=1, workers=1,
-                       resume_from=str(path))
+        result = sweep(extended, base_seed=1, workers=1, store=store)
+        assert result.reuse == {"cells": 3, "store_hits": 2, "executed": 1}
         assert result.to_json() == sweep(extended, base_seed=1).to_json()
 
-    def test_resume_base_seed_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "seeded.jsonl"
-        sweep(tiny_grid(), base_seed=1, workers=1, jsonl_path=str(path))
-        with pytest.raises(ValueError, match="base_seed"):
-            sweep(tiny_grid(), base_seed=2, resume_from=str(path))
-
     def test_resume_from_missing_path_runs_fresh(self, tmp_path):
-        """The idempotent-restart pattern: jsonl_path == resume_from works on
-        the very first invocation too."""
-        path = tmp_path / "new.jsonl"
+        """The idempotent-restart pattern: the same ``store=`` call works on
+        the very first invocation too, before the directory exists."""
+        store = tmp_path / "new-store"
         result = sweep(tiny_grid(schemes=("cubic",), loss_rates=(0.0,)),
-                       base_seed=1, jsonl_path=str(path),
-                       resume_from=str(path))
+                       base_seed=1, store=str(store))
         assert len(result) == 1
-        assert path.exists()
-
-    def test_resume_from_legacy_canonical_json(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        fresh = sweep(tiny_grid(), base_seed=1, workers=1)
-        fresh.write(str(path))
-        resumed = sweep(tiny_grid(), base_seed=1, resume_from=str(path))
-        assert resumed.to_json() == fresh.to_json()
+        assert store.is_dir()
 
 
 class TestIdentityKey:
@@ -353,14 +312,13 @@ class TestIdentityKey:
 
 class TestFreshStreamCarriesResumedRecords:
     def test_new_jsonl_target_is_complete_despite_resume(self, tmp_path):
-        """Resuming from one file while streaming to another must leave the
-        new stream complete (loadable without the prior file)."""
-        old = tmp_path / "old.jsonl"
+        """Resuming from the store while streaming to a new file must leave
+        the new stream complete (loadable without the store)."""
+        store = str(tmp_path / "store")
         grid = tiny_grid()
-        fresh = sweep(grid, base_seed=1, workers=1, jsonl_path=str(old))
+        fresh = sweep(grid, base_seed=1, workers=1, store=store)
         new = tmp_path / "new.jsonl"
-        sweep(grid, base_seed=1, workers=1, jsonl_path=str(new),
-              resume_from=str(old))
+        sweep(grid, base_seed=1, workers=1, jsonl_path=str(new), store=store)
         assert ResultSet.load(str(new)).to_json() == fresh.to_json()
 
 
@@ -387,15 +345,18 @@ class TestCrashTruncatedTail:
             ResultSet.load(str(path))
 
     def test_resume_after_a_crash_truncated_stream(self, tmp_path):
-        """The end-to-end crash-restart contract: truncate the stream
-        mid-record, resume into the same file, get byte-identical output."""
+        """A store-less run that crashed mid-record is not stranded: load
+        the truncated stream, put its records in a store, resume from that,
+        get byte-identical output."""
         path = tmp_path / "crashed.jsonl"
         fresh = sweep(tiny_grid(), base_seed=1, workers=1,
                       jsonl_path=str(path))
         full = path.read_text()
         path.write_text(full[: len(full) // 2])
+        store = _store_from_jsonl(path, tmp_path / "store")
         resumed = sweep(tiny_grid(), base_seed=1, workers=1,
-                        jsonl_path=str(path), resume_from=str(path))
+                        jsonl_path=str(path), store=store)
+        assert 0 < resumed.reuse["store_hits"] < 4
         assert resumed.to_json() == fresh.to_json()
         assert ResultSet.load(str(path)).to_json() == fresh.to_json()
 
@@ -425,17 +386,6 @@ class TestUnreadableFiles:
             ResultSet.load(str(path))
         assert "garbage.bin" in str(excinfo.value)
         assert not isinstance(excinfo.value, json.JSONDecodeError)
-
-    def test_writer_repairs_truncated_tail_without_parsing_records(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        rs = ResultSet(1, [_record(0), _record(1)])
-        rs.write_jsonl(str(path))
-        full = path.read_text()
-        path.write_text(full[:-25])  # partial final record, no newline
-        with ResultSetWriter(str(path), base_seed=1, append=True) as writer:
-            writer.write(_record(2))
-        loaded = ResultSet.load(str(path))
-        assert [r["cell"]["index"] for r in loaded.cells] == [0, 2]
 
     def test_records_property_aliases_cells(self):
         rs = ResultSet(0, [_record(1), _record(0)])

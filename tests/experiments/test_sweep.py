@@ -399,63 +399,52 @@ class TestCli:
             main(["--schemes", "cubic", "--hops", "2"])
         assert "--topology parking_lot" in capsys.readouterr().err
 
-    def test_resume_flag_fresh_vs_partial_produce_identical_json(self, tmp_path):
-        """A fresh CLI run and a partial-file resume must write byte-identical
-        canonical JSON (the interrupted-sweep acceptance criterion)."""
-        base_args = [
-            "--schemes", "cubic", "pcc",
-            "--bandwidth-mbps", "5",
-            "--loss", "0.0", "0.01",
-            "--duration", "2",
-            "--seed", "1",
-        ]
+    def test_resume_flag_fresh_vs_partial_produce_identical_json(
+            self, tmp_path, capsys):
+        """A fresh CLI run and a resume over a partial --store must write
+        byte-identical canonical JSON (the interrupted-sweep acceptance
+        criterion)."""
+        def args(*schemes):
+            return ["--schemes", *schemes, "--bandwidth-mbps", "5",
+                    "--loss", "0.0", "0.01", "--duration", "2", "--seed", "1"]
+
         fresh_out = tmp_path / "fresh.json"
-        jsonl = tmp_path / "stream.jsonl"
-        assert main([*base_args, "--workers", "2", "--jsonl", str(jsonl),
-                                 "--output", str(fresh_out)]) == 0
-        # Simulate the interruption: drop the 4-cell stream to header + 1 cell.
-        partial = tmp_path / "partial.jsonl"
-        partial.write_text("".join(
-            line + "\n" for line in jsonl.read_text().splitlines()[:2]))
+        assert main([*args("cubic", "pcc"), "--workers", "2",
+                     "--output", str(fresh_out)]) == 0
+        # Simulate the interruption: a store holding only the cubic half of
+        # the grid (cells 0 and 1 of 4).
+        store = tmp_path / "store"
+        assert main([*args("cubic"), "--store", str(store)]) == 0
         resumed_out = tmp_path / "resumed.json"
-        assert main([*base_args, "--workers", "2",
-                                 "--resume-from", str(partial),
-                                 "--jsonl", str(partial),
-                                 "--output", str(resumed_out)]) == 0
+        jsonl = tmp_path / "stream.jsonl"
+        capsys.readouterr()
+        assert main([*args("cubic", "pcc"), "--workers", "2",
+                     "--store", str(store), "--jsonl", str(jsonl),
+                     "--output", str(resumed_out)]) == 0
+        assert "reused 2 cells from the store, executing 2" \
+            in capsys.readouterr().err
         assert resumed_out.read_bytes() == fresh_out.read_bytes()
-        # The resumed stream file has accumulated to the full grid.
-        assert len(json.loads(resumed_out.read_text())["cells"]) == 4
+        # The stream written by the resumed run holds the full grid.
         from repro.experiments.results import ResultSet
-        assert ResultSet.load(str(partial)).to_json() == \
-            ResultSet.load(str(fresh_out)).to_json()
+        resumed = ResultSet.load(str(jsonl))
+        assert len(resumed) == 4
+        assert resumed.to_json() == ResultSet.load(str(fresh_out)).to_json()
 
-    def test_resume_from_missing_file_errors(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["--schemes", "cubic", "--duration", "1",
-                  "--resume-from", str(tmp_path / "nope.jsonl")])
-        assert "does not exist" in capsys.readouterr().err
-
-    def test_restartable_invocation_works_before_the_stream_exists(self, tmp_path):
-        """--resume-from pointing at the --jsonl stream is the documented
-        crash-restart pattern and must work on the very first run, when the
-        stream file does not exist yet."""
+    def test_restartable_invocation_works_before_the_stream_exists(
+            self, tmp_path, capsys):
+        """One command line with --store is the documented crash-restart
+        pattern and must work on the very first run, when neither the store
+        nor the stream exists yet."""
         jsonl = tmp_path / "stream.jsonl"
         args = ["--schemes", "cubic", "--bandwidth-mbps", "5",
                 "--duration", "1", "--jsonl", str(jsonl),
-                "--resume-from", str(jsonl)]
-        assert main(args) == 0  # fresh start: creates the stream
-        assert main(args) == 0  # restart: resumes from it (zero cells run)
+                "--store", str(tmp_path / "store")]
+        assert main(args) == 0  # fresh start: creates store and stream
+        assert "executing 1" in capsys.readouterr().err
+        assert main(args) == 0  # restart: zero cells run
+        assert "executing 0" in capsys.readouterr().err
         from repro.experiments.results import ResultSet
         assert len(ResultSet.load(str(jsonl))) == 1
-
-    def test_resume_from_mismatched_seed_errors(self, tmp_path, capsys):
-        jsonl = tmp_path / "seed1.jsonl"
-        args = ["--schemes", "cubic", "--bandwidth-mbps", "5",
-                "--duration", "1"]
-        assert main([*args, "--seed", "1", "--jsonl", str(jsonl)]) == 0
-        with pytest.raises(SystemExit):
-            main([*args, "--seed", "2", "--resume-from", str(jsonl)])
-        assert "base_seed" in capsys.readouterr().err
 
     def test_trace_topology(self, tmp_path):
         out = tmp_path / "sweep.json"
