@@ -12,11 +12,9 @@ from .fairness import jain_index, jain_index_over_timescales, throughput_ratio
 from .metrics import (
     convergence_time,
     flow_completion_times,
-    mean_rate_from_series,
     percentile,
     power,
     rate_std_dev,
-    tracking_error,
 )
 
 __all__ = [
@@ -33,9 +31,7 @@ __all__ = [
     "throughput_ratio",
     "convergence_time",
     "flow_completion_times",
-    "mean_rate_from_series",
     "percentile",
     "power",
     "rate_std_dev",
-    "tracking_error",
 ]

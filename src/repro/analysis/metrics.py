@@ -11,14 +11,12 @@ These helpers operate on the per-flow time series collected by
 * :func:`power` — throughput / delay, the Figure 17 objective for interactive
   flows.
 * :func:`flow_completion_times` — aggregate FCT statistics for Figure 15.
-* :func:`tracking_error` — how far a rate time series deviates from the
-  time-varying optimal rate (Figure 11).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..units import Bps, Seconds
 
@@ -28,8 +26,6 @@ __all__ = [
     "power",
     "flow_completion_times",
     "percentile",
-    "tracking_error",
-    "mean_rate_from_series",
 ]
 
 
@@ -115,54 +111,3 @@ def flow_completion_times(fcts: Iterable[Optional[float]]) -> dict:
         "mean": sum(completed) / len(completed),
         "p95": percentile(completed, 0.95),
     }
-
-
-def mean_rate_from_series(series: Sequence[Tuple[float, float]],
-                          start: float, end: float) -> float:
-    """Time-weighted mean of a piecewise-constant (time, value) rate series."""
-    if end <= start or not series:
-        return 0.0
-    total = 0.0
-    for index, (time, value) in enumerate(series):
-        seg_start = max(time, start)
-        seg_end = series[index + 1][0] if index + 1 < len(series) else end
-        seg_end = min(seg_end, end)
-        if seg_end > seg_start:
-            total += value * (seg_end - seg_start)
-    return total / (end - start)
-
-
-def tracking_error(
-    rate_series: Sequence[Tuple[float, float]],
-    optimal_rate_at: callable,
-    start: float,
-    end: float,
-    samples: int = 200,
-) -> float:
-    """Mean absolute relative error between a rate series and the optimal rate.
-
-    Used by the Figure 11 benchmark to quantify how closely each protocol's
-    chosen rate tracks the time-varying available bandwidth.
-    """
-    if end <= start:
-        return 0.0
-    step = (end - start) / samples
-    errors = []
-    for k in range(samples):
-        t = start + k * step
-        optimal = optimal_rate_at(t)
-        if optimal <= 0:
-            continue
-        actual = _value_at(rate_series, t)
-        errors.append(abs(actual - optimal) / optimal)
-    return sum(errors) / len(errors) if errors else 0.0
-
-
-def _value_at(series: Sequence[Tuple[float, float]], t: float) -> float:
-    value = series[0][1] if series else 0.0
-    for time, v in series:
-        if time <= t:
-            value = v
-        else:
-            break
-    return value

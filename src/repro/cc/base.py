@@ -72,8 +72,8 @@ class RateController(ABC):
     """Interface for rate-based congestion control (PCC, SABUL, PCP).
 
     ``rate_bps`` is an attribute, like :attr:`WindowController.cwnd`: the
-    controller writes it when it changes its rate and the sender reads it three
-    times per packet, so reading it must not compute anything that only moves
+    controller writes it when it changes its rate and the sender reads it once
+    per packet, so reading it must not compute anything that only moves
     once per control decision (PCC publishes it once per monitor interval;
     SABUL and PCP, whose rate moves on ACKs and losses, expose a read-only
     property that floors ``_rate_bps``).

@@ -223,8 +223,11 @@ class SenderBase:
             raise RuntimeError("sender got a data packet on the ACK path")
         if self.completed:
             return
-        record = self._outstanding.pop(ack.acked_packet_id, None)
-        rtt_sample = self.sim.now - ack.ack_sent_time
+        outstanding = self._outstanding
+        record = outstanding.pop(ack.acked_packet_id, None)
+        sim = self.sim
+        now = sim.now
+        rtt_sample = now - ack.ack_sent_time
         self.rtt.update(rtt_sample)
         newly_acked = False
         if record is not None:
@@ -234,9 +237,19 @@ class SenderBase:
             if record.packet_id > self._highest_acked_packet_id:
                 self._highest_acked_packet_id = record.packet_id
         # Loss inference: everything sent DUPACK_THRESHOLD packet-ids before the
-        # highest acknowledged transmission is declared lost.
-        lost = self._detect_losses()
-        self._restart_rto_timer()
+        # highest acknowledged transmission is declared lost.  The usual ACK
+        # leaves packets in flight and exposes no loss, so it builds no list
+        # and pushes the RTO deadline out right here — what _detect_losses()
+        # and _restart_rto_timer() would have come to, without their frames.
+        lost: Sequence[Packet] = ()
+        if outstanding and (next(iter(outstanding))
+                            >= self._highest_acked_packet_id - DUPACK_THRESHOLD):
+            self._rto_deadline = deadline = now + self.rtt.rto
+            if self._rto_event is None:
+                self._rto_event = sim.schedule_at(deadline, self._handle_rto)
+        else:
+            lost = self._detect_losses()
+            self._restart_rto_timer()
         self._on_ack(record, rtt_sample, newly_acked)
         if ack.ecn_echo and record is not None:
             # The acked packet crossed a congested AQM that marked it
@@ -246,15 +259,15 @@ class SenderBase:
             self._on_ecn(record)
         for lost_record in lost:
             self._on_loss(lost_record)
-        self._check_completion()
-        if not self.completed:
-            self._after_ack_processing()
+        if self.total_segments is not None:
+            self._check_completion()
+            if self.completed:
+                return
+        self._after_ack_processing()
 
-    def _detect_losses(self) -> Sequence[Packet]:
+    def _detect_losses(self) -> list[Packet]:
         outstanding = self._outstanding
         threshold = self._highest_acked_packet_id - DUPACK_THRESHOLD
-        if not outstanding or next(iter(outstanding)) >= threshold:
-            return ()  # the usual ACK exposes no loss: no list to build
         lost: list[Packet] = []
         while outstanding:
             first_id = next(iter(outstanding))
@@ -397,7 +410,6 @@ class WindowedSender(SenderBase):
 
     # -- lifecycle ----------------------------------------------------------
     def _on_start(self) -> None:
-        self.stats.record_rate(self.sim.now, self._pacing_rate_bps())
         self._fill_window()
 
     def _on_flow_complete(self) -> None:
@@ -422,7 +434,9 @@ class WindowedSender(SenderBase):
         # Nothing inside the loop moves cwnd (the controller only hears ACKs,
         # losses and timeouts), and _transmit() returns None exactly when
         # has_data_to_send() would be false.
-        cwnd = self._cwnd_packets()
+        cwnd = int(self.controller.cwnd)
+        if cwnd < 1:
+            cwnd = 1
         outstanding = self._outstanding
         while len(outstanding) < cwnd:
             if self._transmit() is None:
@@ -459,12 +473,10 @@ class WindowedSender(SenderBase):
         if self._recovery_exit_packet_id < 0:
             self._recovery_exit_packet_id = self._next_packet_id
             self.controller.on_loss(self.sim.now)
-            self.stats.record_rate(self.sim.now, self._pacing_rate_bps())
 
     def _on_timeout(self, expired) -> None:
         self._recovery_exit_packet_id = self._next_packet_id
         self.controller.on_timeout(self.sim.now)
-        self.stats.record_rate(self.sim.now, self._pacing_rate_bps())
 
     def _on_ecn(self, record) -> None:
         # RFC 3168: an ECN echo triggers the same multiplicative decrease as
@@ -473,11 +485,9 @@ class WindowedSender(SenderBase):
         if self._recovery_exit_packet_id < 0:
             self._recovery_exit_packet_id = self._next_packet_id
             self.controller.on_loss(self.sim.now)
-            self.stats.record_rate(self.sim.now, self._pacing_rate_bps())
 
-    def _after_ack_processing(self) -> None:
-        self.stats.record_rate(self.sim.now, self._pacing_rate_bps())
-        self._fill_window()
+    #: An ACK may have opened the window: filling it is the whole after-ACK step.
+    _after_ack_processing = _fill_window
 
     def _after_timeout(self, had_outstanding: bool) -> None:
         self._fill_window()
@@ -491,10 +501,9 @@ class RateBasedSender(SenderBase):
     pacing timer: each tick transmits one MSS-sized packet and re-arms the timer
     using the controller's *current* rate, so rate changes take effect within
     one packet time.  ``rate_bps`` is read as an attribute — the rate-paced
-    counterpart of the windowed sender's ``controller.cwnd`` — three times per
-    packet (before the tick's transmission, after it, after each ACK): the
-    controller publishes its rate when it changes it, the per-packet path never
-    asks for it to be worked out.
+    counterpart of the windowed sender's ``controller.cwnd`` — once per packet,
+    after the tick's transmission: the controller publishes its rate when it
+    changes it, the per-packet path never asks for it to be worked out.
     """
 
     def __init__(
@@ -526,14 +535,11 @@ class RateBasedSender(SenderBase):
         self._controller_flow_start = getattr(controller, "on_flow_start", None)
         self.max_inflight_packets = max_inflight_packets
         self._pacing_timer: Optional[Event] = None
-        self._last_recorded_rate: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
     def _on_start(self) -> None:
         if self._controller_flow_start is not None:
             self._controller_flow_start(self, self.sim.now)
-        rate = self.controller.rate_bps
-        self._record_rate(1e3 if rate < 1e3 else rate)
         self._schedule_tick()
 
     def _on_flow_complete(self) -> None:
@@ -543,13 +549,9 @@ class RateBasedSender(SenderBase):
 
     # -- pacing ---------------------------------------------------------------
     # The controller's rate is floored at 1 kbps so the tick interval stays
-    # finite.  It is read at three points per packet — before a tick's
-    # transmission, after it, after each ACK — with a compare, not
-    # ``max(float(...), 1e3)``: two builtin calls cost as much as five frames.
-    def _record_rate(self, rate: float) -> None:
-        self.stats.record_rate(self.sim.now, float(rate))
-        self._last_recorded_rate = rate
-
+    # finite.  It is read once per packet, after the tick's transmission, with
+    # a compare, not ``max(float(...), 1e3)``: two builtin calls cost as much
+    # as five frames.
     def _schedule_tick(self) -> None:
         """Arm the pacing timer one packet time ahead at the controller's rate.
 
@@ -568,11 +570,6 @@ class RateBasedSender(SenderBase):
         self._pacing_timer = None
         if self.completed:
             return
-        rate = self.controller.rate_bps
-        if rate < 1e3:
-            rate = 1e3
-        if rate != self._last_recorded_rate:
-            self._record_rate(rate)
         if (
             self.has_data_to_send()
             and len(self._outstanding) < self.max_inflight_packets
@@ -581,8 +578,8 @@ class RateBasedSender(SenderBase):
             if self._controller_mi_id is not None:
                 mi_id = self._controller_mi_id(self.sim.now)
             self._transmit(mi_id=mi_id)
-        # _schedule_tick() reads the rate again: _transmit() can open a new
-        # monitor interval in between and change it.
+        # _schedule_tick() reads the rate only now: _transmit() can open a new
+        # monitor interval and change it.
         self._schedule_tick()
 
     def send_probe_train(self, count: int) -> list[Packet]:
@@ -621,13 +618,6 @@ class RateBasedSender(SenderBase):
         else:
             for record in expired:
                 self.controller.on_loss(record, self.sim.now)
-
-    def _after_ack_processing(self) -> None:
-        rate = self.controller.rate_bps
-        if rate < 1e3:
-            rate = 1e3
-        if rate != self._last_recorded_rate:
-            self._record_rate(rate)
 
 
 def connect(sender: SenderBase, receiver: Receiver, path: Path) -> None:

@@ -201,12 +201,19 @@ class DropTailQueue(QueueDiscipline):
             self._drop(victim)
         return True
 
+    # Every ACK of every cell crosses a drop-tail reverse link, so these two
+    # do _admit()'s and _release()'s bookkeeping in their own frame.
     def enqueue(self, packet: Packet, now: float) -> bool:
-        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
-            if self.drop_policy == "tail" or not self._evict_victims(
-                    packet.size_bytes):
+        size = packet.size_bytes
+        if self.bytes_queued + size > self.capacity_bytes:
+            if self.drop_policy == "tail" or not self._evict_victims(size):
                 return self._drop(packet)
-        self._admit(packet, now)
+        packet.enqueue_time = now
+        self.bytes_queued += size
+        self.packets_queued += 1
+        stats = self.stats
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
         self._fifo.append(packet)
         if (self.ecn_threshold_bytes is not None
                 and self.bytes_queued > self.ecn_threshold_bytes):
@@ -216,7 +223,11 @@ class DropTailQueue(QueueDiscipline):
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._fifo:
             return None
-        return self._release(self._fifo.popleft())
+        packet = self._fifo.popleft()
+        self.bytes_queued -= packet.size_bytes
+        self.packets_queued -= 1
+        self.stats.dequeued += 1
+        return packet
 
 
 class InfiniteQueue(QueueDiscipline):

@@ -2,19 +2,17 @@
 
 Every sender/receiver pair shares a :class:`FlowStats` object.  It accumulates
 the counters needed to report the paper's metrics (throughput, goodput, loss
-rate, average RTT, flow completion time) and keeps two time series:
-
-* ``rate_series`` — the sending rate chosen by the congestion controller over
-  time (what Figure 11 and Figure 12 plot);
-* ``delivered_bins`` — receiver-side delivered bytes binned into fixed-width
-  intervals, from which per-interval throughput, Jain's index over time scales
-  (Figure 13) and rate standard deviation (Figure 16) are computed.
+rate, average RTT, flow completion time) and keeps one time series,
+``delivered_bins``: receiver-side delivered bytes binned into fixed-width
+intervals, from which per-interval throughput, Jain's index over time scales
+(Figure 13) and rate standard deviation (Figure 16) are computed.  Nothing a
+flow keeps grows with the packets it sent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
 
@@ -122,11 +120,20 @@ class RTTEstimator:
             srtt = sample
             rttvar = sample / 2.0
         else:
-            rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - sample)
+            deviation = srtt - sample
+            if deviation < 0:
+                deviation = -deviation
+            rttvar = 0.75 * self.rttvar + 0.25 * deviation
             srtt = 0.875 * srtt + 0.125 * sample
         self.srtt = srtt
         self.rttvar = rttvar
-        self.rto = min(self.max_rto, max(self.min_rto, srtt + max(4.0 * rttvar, 0.001)))
+        # min(max_rto, max(min_rto, srtt + max(4 * rttvar, 1 ms))) by compares:
+        # this runs once per ACK, and a builtin call costs as much as a frame.
+        variance_term = 4.0 * rttvar
+        rto = srtt + (variance_term if variance_term > 0.001 else 0.001)
+        if rto < self.min_rto:
+            rto = self.min_rto
+        self.rto = rto if rto < self.max_rto else self.max_rto
 
 
 class FlowStats:
@@ -157,7 +164,6 @@ class FlowStats:
         self.first_send_time: Optional[float] = None
         self.completion_time: Optional[float] = None
         # Time series.
-        self.rate_series: List[Tuple[float, float]] = []
         self.delivered_bins = BinnedSeries(bin_width)
 
     # ------------------------------------------------------------------ #
@@ -177,8 +183,10 @@ class FlowStats:
         if rtt > 0:
             self.rtt_sum += rtt
             self.rtt_count += 1
-            self.rtt_min = min(self.rtt_min, rtt)
-            self.rtt_max = max(self.rtt_max, rtt)
+            if rtt < self.rtt_min:
+                self.rtt_min = rtt
+            if rtt > self.rtt_max:
+                self.rtt_max = rtt
 
     def record_loss(self, count: int = 1) -> None:
         self.packets_lost += count
@@ -191,9 +199,6 @@ class FlowStats:
             self.delivered_bins.add(time, size_bytes)
         else:
             self.duplicate_packets += 1
-
-    def record_rate(self, time: float, rate_bps: float) -> None:
-        self.rate_series.append((time, rate_bps))
 
     # ------------------------------------------------------------------ #
     # Derived metrics
@@ -248,9 +253,3 @@ class FlowStats:
             "retransmissions": self.retransmissions,
             "fct": self.flow_completion_time,
         }
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean of an iterable (0.0 for empty input)."""
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

@@ -7,12 +7,10 @@ from repro.analysis import (
     flow_completion_times,
     jain_index,
     jain_index_over_timescales,
-    mean_rate_from_series,
     percentile,
     power,
     rate_std_dev,
     throughput_ratio,
-    tracking_error,
 )
 
 
@@ -112,21 +110,3 @@ class TestFCTAndPercentiles:
         summary = flow_completion_times([None, None])
         assert summary["count"] == 0
         assert summary["median"] is None
-
-
-class TestSeriesHelpers:
-    def test_mean_rate_from_series_time_weighted(self):
-        series = [(0.0, 10.0), (5.0, 20.0)]
-        assert mean_rate_from_series(series, 0.0, 10.0) == pytest.approx(15.0)
-
-    def test_mean_rate_empty(self):
-        assert mean_rate_from_series([], 0.0, 1.0) == 0.0
-
-    def test_tracking_error_zero_for_perfect_tracking(self):
-        series = [(0.0, 50.0)]
-        assert tracking_error(series, lambda t: 50.0, 0.0, 10.0) == 0.0
-
-    def test_tracking_error_reflects_offset(self):
-        series = [(0.0, 25.0)]
-        error = tracking_error(series, lambda t: 50.0, 0.0, 10.0)
-        assert error == pytest.approx(0.5)

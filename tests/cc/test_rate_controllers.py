@@ -163,14 +163,15 @@ class TestPcpEndToEnd:
 
 
 class TestPublishedRate:
-    """``rate_bps`` is an attribute the sender reads three times per packet:
+    """``rate_bps`` is an attribute the sender reads once per packet:
     whatever a controller publishes there must be what the old ``rate_bps()``
     call would have computed at that moment."""
 
     def test_pcc_publishes_the_current_interval_rate_at_every_read(self, monkeypatch):
-        """Four lossy PCC flows; at both reads of every tick and at every ACK
-        the published rate equals the pull it replaced — across the window
-        before the first MI, re-aligned MIs and deadline-completed MIs."""
+        """Four lossy PCC flows; at the sender's one read per packet and on
+        both sides of every ACK the published rate equals the pull it replaced
+        — across the window before the first MI, re-aligned MIs and
+        deadline-completed MIs."""
         realigned, forced = [], []
         realign, force_complete = (PerformanceMonitor.realign,
                                    PerformanceMonitor._force_complete)
@@ -201,14 +202,14 @@ class TestPublishedRate:
                 reads["total"] += 1
                 assert scheme.rate_bps == pulled
 
-            def _tick(self):
-                self.check()    # the read that records the rate
-                super()._tick()
+            def _schedule_tick(self):
                 self.check()    # the read that sets the next tick's interval
+                super()._schedule_tick()
 
-            def _after_ack_processing(self):
+            def receive_ack(self, ack):
+                self.check()    # an ACK may complete an MI and move the policy
+                super().receive_ack(ack)
                 self.check()
-                super()._after_ack_processing()
 
         sim = Simulator(seed=2)
         topo = single_bottleneck(sim, 100e6, 0.03, 375_000, loss_rate=0.01,
@@ -222,8 +223,8 @@ class TestPublishedRate:
             connect(sender, Receiver(sim, flow_id, stats), path)
             sender.start()
         sim.run(2.0)
-        assert reads["before_first_mi"] == 4  # each flow's first tick
-        assert reads["total"] > 10_000
+        assert reads["before_first_mi"] == 4  # each flow arming its first tick
+        assert reads["total"] > 35_000  # 37 999: per packet, a tick and an ACK twice
         assert realigned and forced
         assert all(len(scheme.completed_intervals) > 10 for scheme in schemes)
 

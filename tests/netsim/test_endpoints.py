@@ -1,9 +1,14 @@
 """Integration-ish unit tests for senders and receivers on small topologies."""
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro.cc import NewRenoController
 from repro.netsim import (
+    ACK_SIZE_BYTES,
+    DEFAULT_MSS,
     FlowStats,
     Receiver,
     Simulator,
@@ -221,3 +226,120 @@ class TestRateBasedSender:
         assert len(packets) == 5
         assert all(p.is_probe for p in packets)
         assert stats.packets_sent == before + 5
+
+
+class SpySender(WindowedSender):
+    """Counts entries into the three methods ``receive_ack`` short-cuts and
+    keeps the timer state ``_restart_rto_timer`` leaves behind."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = Counter()
+        self.left_by_restart = None
+
+    def _detect_losses(self):
+        self.entered["_detect_losses"] += 1
+        return super()._detect_losses()
+
+    def _restart_rto_timer(self):
+        self.entered["_restart_rto_timer"] += 1
+        super()._restart_rto_timer()
+        self.left_by_restart = (self._rto_event, self._rto_deadline)
+
+    def _check_completion(self):
+        self.entered["_check_completion"] += 1
+        super()._check_completion()
+
+
+class TestReceiveAckShortCuts:
+    """The usual ACK is handled inside ``receive_ack``; the three methods it
+    short-cuts must still run, and agree with it, wherever they are needed."""
+
+    @staticmethod
+    def in_flight(total_bytes=None):
+        """A sender whose first window is on a 1 s path, so the test is the
+        only source of ACKs; returns it with the packets it sent."""
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 100e6, 1.0, buffer_bytes=500_000)
+        stats = FlowStats(1)
+        sender = SpySender(sim, 1, topo.path, NewRenoController(initial_cwnd=8),
+                           stats, total_bytes=total_bytes)
+        connect(sender, Receiver(sim, 1, stats), topo.path)
+        sender.start()
+        sim.run(0.01)
+        return sim, sender, list(sender._outstanding.values())
+
+    @staticmethod
+    def ack(sim, sender, packet):
+        sender.receive_ack(packet.make_ack(packet.packet_id, ACK_SIZE_BYTES, sim.now))
+
+    def test_usual_ack_leaves_what_the_methods_would(self):
+        sim, sender, sent = self.in_flight()
+        assert len(sent) == 8
+        for packet in sent[1:4]:    # packet 0 is at most DUPACK_THRESHOLD behind
+            self.ack(sim, sender, packet)
+            assert not sender.entered
+            armed, deadline = sender._rto_event, sender._rto_deadline
+            assert armed is not None and not armed.cancelled
+            assert deadline == sim.now + sender.rtt.rto
+            # Running the short-cut methods now finds nothing left to do.
+            assert sender._detect_losses() == []
+            sender._restart_rto_timer()
+            assert sender.left_by_restart == (armed, deadline)
+            sender.entered.clear()
+        assert sender.stats.packets_lost == 0
+
+    def test_ack_that_exposes_a_loss_retransmits_and_rearms(self):
+        sim, sender, sent = self.in_flight()
+        for packet in sent[1:4]:
+            self.ack(sim, sender, packet)
+        assert not sender.entered and sender.stats.retransmissions == 0
+        self.ack(sim, sender, sent[4])      # packet 0 is now 4 behind: lost
+        assert sender.entered == {"_detect_losses": 1, "_restart_rto_timer": 1}
+        assert sender.stats.packets_lost == 1
+        assert list(sender._retransmit_queue) == [sent[0].data_seq]
+        armed, deadline = sender.left_by_restart
+        assert armed is sender._rto_event and not armed.cancelled
+        assert deadline == sender._rto_deadline == sim.now + sender.rtt.rto
+        # The loss halved the window; once ACKs reopen it, the after-ACK fill
+        # sends the lost segment before any new data.
+        newest = sender._next_packet_id
+        while not sender.stats.retransmissions:
+            self.ack(sim, sender, next(iter(sender._outstanding.values())))
+        resent = sender._outstanding[newest]
+        assert resent.is_retransmission and resent.data_seq == sent[0].data_seq
+        assert sender.entered == {"_detect_losses": 1, "_restart_rto_timer": 1}
+
+    def test_ack_that_empties_a_finished_flow_cancels_the_timer(self):
+        sim, sender, sent = self.in_flight(total_bytes=3 * DEFAULT_MSS)
+        assert len(sent) == 3
+        armed = sender._rto_event
+        for packet in sent[:2]:
+            self.ack(sim, sender, packet)
+        assert "_restart_rto_timer" not in sender.entered
+        assert sender._rto_event is armed and not armed.cancelled
+        self.ack(sim, sender, sent[2])
+        assert sender.entered["_restart_rto_timer"] == 1
+        assert sender.left_by_restart == (None, math.inf)   # before completion ran
+        assert armed.cancelled
+        assert sender._rto_event is None and sender._rto_deadline == math.inf
+
+    def test_only_a_finite_flow_checks_completion_and_completes_once(self):
+        sim, unbounded, sent = self.in_flight()
+        for packet in sent:
+            self.ack(sim, unbounded, packet)
+        assert unbounded.entered["_check_completion"] == 0
+        assert not unbounded.completed and unbounded.stats.packets_sent > 8
+
+        sim, finite, sent = self.in_flight(total_bytes=3 * DEFAULT_MSS)
+        finished = []
+        finite.on_complete = finished.append
+        for packet in sent:
+            assert not finite.completed
+            self.ack(sim, finite, packet)
+        assert finite.entered["_check_completion"] == 3
+        assert finished == [finite] and finite.completed
+        assert finite.stats.completion_time == sim.now
+        self.ack(sim, finite, sent[2])      # a duplicate after completion
+        assert finished == [finite] and finite.entered["_check_completion"] == 3
+        assert finite.stats.packets_sent == 3   # completion stopped the fill

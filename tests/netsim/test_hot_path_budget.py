@@ -1,4 +1,5 @@
-"""A budget on Python calls per simulated packet, and on what start-up imports.
+"""A budget on Python calls per simulated packet, on what a cell retains per
+packet, and on what start-up imports.
 
 Counts, not seconds: the same cell makes the same calls on any machine, so
 this cannot flake, and a change that adds a frame to the per-packet path has
@@ -8,6 +9,7 @@ loss both ways) cut to one simulated second.
 """
 
 import cProfile
+import gc
 import os
 import pstats
 import subprocess
@@ -16,18 +18,32 @@ import sys
 import pytest
 
 import repro
+from repro.cc import CubicController
+from repro.core import PCCScheme
 from repro.experiments.sweep import SweepCell, run_cell
-from repro.netsim import DEFAULT_MSS
+from repro.netsim import (
+    DEFAULT_MSS,
+    FlowStats,
+    Path,
+    RateBasedSender,
+    Receiver,
+    Simulator,
+    WindowedSender,
+    connect,
+    single_bottleneck,
+)
 
 HOT_PACKAGES = ("/repro/netsim/", "/repro/cc/", "/repro/core/")
 
-#: Calls per delivered MSS packet.  Measured when set: cubic 51.7, pcc 74.1,
+#: Calls per delivered MSS packet.  Measured when set: cubic 40.9, pcc 67.1,
 #: pcc_lossy (1 % loss on data and ACKs, so ``on_loss -> record_loss`` and the
-#: retransmission queue run) 70.2; before the pacing rate became a published
-#: attribute and the monitor hooks one frame each: cubic 51.7, pcc 109.5,
-#: pcc_lossy 102.6; before tuple heap entries, single-frame delivery and the
-#: packet as its own sent-record: cubic 99.9, pcc 181.7.
-BUDGETS = {"cubic": 57, "pcc": 77, "pcc_lossy": 77}
+#: retransmission queue run) 63.1; before the per-ACK rate series was deleted
+#: and the usual ACK became one sender frame: cubic 51.7, pcc 74.1, pcc_lossy
+#: 70.2; before the pacing rate became a published attribute and the monitor
+#: hooks one frame each: cubic 51.7, pcc 109.5, pcc_lossy 102.6; before tuple
+#: heap entries, single-frame delivery and the packet as its own sent-record:
+#: cubic 99.9, pcc 181.7.
+BUDGETS = {"cubic": 43, "pcc": 69, "pcc_lossy": 65}
 
 #: Case -> (scheme, loss rate on the data and the ACK direction).
 CELLS = {"cubic": ("cubic", 0.0), "pcc": ("pcc", 0.0), "pcc_lossy": ("pcc", 0.01)}
@@ -61,6 +77,38 @@ def test_python_calls_per_delivered_packet_stay_in_budget(case):
     assert measured <= budget, (
         f"{case}: {measured:.1f} Python calls in repro/netsim|cc|core per "
         f"delivered packet, budget {budget}"
+    )
+
+
+@pytest.mark.parametrize("scheme", ["cubic", "pcc"])
+def test_a_cell_retains_nothing_per_packet_sent(scheme):
+    """Memory of a cell is O(packets in flight + flows), not O(packets sent):
+    between simulated second 2 and 4 four flows deliver about 16 000 more
+    packets and the interpreter must not hold more blocks for it.  Measured
+    cubic -122, pcc -1 156; with the per-ACK ``(time, rate)`` list this
+    replaced, cubic +49 882 (three blocks per ACK)."""
+    sim = Simulator(seed=1)
+    topo = single_bottleneck(sim, 100e6, 0.03, 375_000)
+    for flow_id in range(1, 5):
+        path = Path(topo.path.forward_links, topo.path.reverse_links)
+        stats = FlowStats(flow_id)
+        if scheme == "cubic":
+            sender = WindowedSender(sim, flow_id, path, CubicController(), stats)
+        else:
+            sender = RateBasedSender(sim, flow_id, path, PCCScheme(), stats)
+        connect(sender, Receiver(sim, flow_id, stats), path)
+        sender.start()
+
+    def blocks_at(until):
+        sim.run(until)
+        gc.collect()
+        return sys.getallocatedblocks()
+
+    before = blocks_at(2.0)
+    grown = blocks_at(4.0) - before
+    assert grown < 2_000, (
+        f"{scheme}: {grown} more allocated blocks at simulated second 4 than "
+        f"at second 2; something keeps an object per packet"
     )
 
 

@@ -1,6 +1,8 @@
 """Unit tests for per-flow statistics helpers."""
 
 
+import random
+
 import pytest
 
 from repro.netsim.stats import BinnedSeries, FlowStats, RTTEstimator, SequenceTracker
@@ -141,6 +143,50 @@ class TestRTTEstimator:
             rtt.update(0.001)
         assert rtt.rto == formula(rtt) == 0.2  # clamped to min_rto
 
+    def test_update_equals_its_builtin_reference_to_the_bit(self):
+        """update() chooses with compares; this is the same arithmetic written
+        with ``min``/``max``/``abs``, and every field must stay ``==`` to it
+        through the min_rto floor, the 1 ms variance floor, the max_rto cap
+        and ignored samples."""
+        def reference_update(est, sample):
+            if sample <= 0:
+                return
+            est.latest_rtt = sample
+            est.min_rtt = min(est.min_rtt, sample)
+            if est.srtt is None:
+                est.srtt, est.rttvar = sample, sample / 2.0
+            else:
+                est.rttvar = 0.75 * est.rttvar + 0.25 * abs(est.srtt - sample)
+                est.srtt = 0.875 * est.srtt + 0.125 * sample
+            est.rto = min(est.max_rto, max(
+                est.min_rto, est.srtt + max(4.0 * est.rttvar, 0.001)))
+
+        rng = random.Random(20)
+        samples = [rng.uniform(0.02, 0.04) for _ in range(300)]
+        samples += [0.002] * 300    # 4 * rttvar decays under 1 ms, rto under min_rto
+        samples += [rng.uniform(20.0, 100.0) for _ in range(50)]    # over max_rto
+        samples += [rng.choice((0.0, -0.5, rng.uniform(0.001, 2.0)))
+                    for _ in range(300)]
+        for kwargs in ({"min_rto": 0.2, "initial_rto": 1.0},    # the TCP family
+                       {"min_rto": 0.01, "initial_rto": 0.1}):  # rate-based
+            actual, reference = RTTEstimator(**kwargs), RTTEstimator(**kwargs)
+            seen = set()
+            for sample in samples:
+                actual.update(sample)
+                reference_update(reference, sample)
+                assert vars(actual) == vars(reference)
+                if sample <= 0:
+                    seen.add("ignored sample")
+                    continue
+                unclamped = reference.srtt + max(4.0 * reference.rttvar, 0.001)
+                seen.add("variance floor" if 4.0 * reference.rttvar < 0.001
+                         else "variance term")
+                seen.add("min_rto floor" if unclamped < reference.min_rto else
+                         "max_rto cap" if unclamped > reference.max_rto else
+                         "unclamped")
+            assert seen == {"ignored sample", "variance floor", "variance term",
+                            "min_rto floor", "max_rto cap", "unclamped"}
+
 
 class TestFlowStats:
     def test_loss_rate_and_throughput(self):
@@ -167,6 +213,30 @@ class TestFlowStats:
         assert stats.mean_rtt == pytest.approx(0.020)
         assert stats.rtt_min == pytest.approx(0.010)
         assert stats.rtt_max == pytest.approx(0.030)
+
+    def test_record_ack_equals_its_builtin_reference_to_the_bit(self):
+        def reference_record_ack(stats, size_bytes, rtt):
+            stats.packets_acked += 1
+            stats.bytes_acked += size_bytes
+            if rtt > 0:
+                stats.rtt_sum += rtt
+                stats.rtt_count += 1
+                stats.rtt_min = min(stats.rtt_min, rtt)
+                stats.rtt_max = max(stats.rtt_max, rtt)
+
+        def counters(stats):
+            return {name: value for name, value in vars(stats).items()
+                    if name != "delivered_bins"}
+
+        rng = random.Random(20)
+        actual, reference = FlowStats(1), FlowStats(1)
+        for _ in range(1000):
+            rtt = rng.choice((0.0, -0.01, 0.03, rng.uniform(0.001, 2.0)))
+            actual.record_ack(1500, rtt)
+            reference_record_ack(reference, 1500, rtt)
+            assert counters(actual) == counters(reference)
+        assert 0 < actual.rtt_count < actual.packets_acked
+        assert actual.rtt_min < 0.03 < actual.rtt_max
 
     def test_flow_completion_time(self):
         stats = FlowStats(1)
