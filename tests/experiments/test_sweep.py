@@ -465,8 +465,12 @@ class TestCli:
 
 #: Fixed-seed grids whose canonical JSON is committed under ``data/``: the
 #: default PCC grid (rate-paced senders, captured before the
-#: RateControlPolicy extraction) and four CUBIC flows over a lossy link behind
-#: droptail and CoDel (windowed senders, ACK loss, AQM drops).
+#: RateControlPolicy extraction), four CUBIC flows over a lossy link behind
+#: droptail and CoDel (windowed senders, ACK loss, AQM drops), and the churn
+#: path (a Poisson storm of 30 KB ``web`` flows under PCC and CUBIC and two
+#: 8-sender ``incast`` waves: flows that start mid-run, finish, and leave
+#: packets and timers behind them; captured while every endpoint was still
+#: built before the run and kept to its end).
 GOLDEN_GRIDS = {
     "golden_pcc_sweep_seed7.json": (
         SweepGrid(schemes=("pcc",), bandwidths_bps=(5e6, 20e6), rtts=(0.03,),
@@ -478,6 +482,15 @@ GOLDEN_GRIDS = {
                   loss_rates=(0.005,), flow_counts=(4,), duration=2.0,
                   reverse_loss=True, qdisc=qdisc)
         for qdisc in ("droptail", "codel")
+    ),
+    "golden_churn_seed7.json": (
+        SweepGrid(schemes=("pcc", "cubic"), bandwidths_bps=(20e6,),
+                  rtts=(0.03,), duration=2.0, workload="web",
+                  workload_kwargs={"load": 0.7, "size_kb": 30.0}),
+        SweepGrid(schemes=("cubic",), bandwidths_bps=(20e6,), rtts=(0.03,),
+                  flow_counts=(8,), duration=2.0, workload="incast",
+                  workload_kwargs={"waves": 2, "wave_interval": 0.5,
+                                   "size_kb": 30.0}),
     ),
 }
 
