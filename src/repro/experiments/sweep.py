@@ -726,7 +726,8 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     # scheme kwargs layer *under* any per-flow overrides the builder set.
     specs = build_workload(cell)
     for spec in specs:
-        spec.controller_kwargs = {**scheme_kwargs, **spec.controller_kwargs}
+        spec.controller_kwargs = ({**scheme_kwargs, **spec.controller_kwargs}
+                                  if spec.controller_kwargs else scheme_kwargs)
     result = run_flows(sim, paths, specs, duration=cell.duration)
     wall = time.perf_counter() - start  # repro-lint: disable=RPL001 wall-time telemetry
     flows = result.summary_rows()

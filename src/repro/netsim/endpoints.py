@@ -126,7 +126,9 @@ class SenderBase:
         self._rto_deadline = math.inf
         self._started = False
         self.completed = False
-        #: Called once when a finite flow finishes (all segments acknowledged).
+        #: Called once when a finite flow finishes (all segments acknowledged),
+        #: after the sender has let go of its path and controller;
+        #: ``run_flows`` sets it so the flow's record drops the endpoints too.
         self.on_complete: Optional[Callable[["SenderBase"], None]] = None
 
     # ------------------------------------------------------------------ #
@@ -296,11 +298,18 @@ class SenderBase:
             self.stats.completion_time = self.sim.now
             self._cancel_rto_timer()
             self._on_flow_complete()
+            # A finished flow sends nothing more.  Late packets still find
+            # both endpoints through the routes they carry; letting go of the
+            # path here breaks the sender -> path -> route -> sender cycle, so
+            # the endpoints are freed by reference count once those packets
+            # and the cancelled timers have left the heap.
+            self.path = None
             if self.on_complete is not None:
                 self.on_complete(self)
 
     def _on_flow_complete(self) -> None:
-        """Hook for subclasses to stop timers when the flow finishes."""
+        """Hook for subclasses to stop timers and drop their controller when
+        the flow finishes."""
 
     # ------------------------------------------------------------------ #
     # Retransmission timeout
@@ -416,6 +425,7 @@ class WindowedSender(SenderBase):
         if self._pacing_timer is not None:
             self._pacing_timer.cancel()
             self._pacing_timer = None
+        self.controller = None
 
     # -- window filling -------------------------------------------------------
     def _cwnd_packets(self) -> int:
@@ -546,6 +556,11 @@ class RateBasedSender(SenderBase):
         if self._pacing_timer is not None:
             self._pacing_timer.cancel()
             self._pacing_timer = None
+        # The controller holds this sender (PCC binds to it at flow start).
+        self.controller = None
+        self._controller_mi_id = self._controller_packet_sent = None
+        self._controller_ecn = self._controller_timeout = None
+        self._controller_flow_start = None
 
     # -- pacing ---------------------------------------------------------------
     # The controller's rate is floored at 1 kbps so the tick interval stays

@@ -6,7 +6,8 @@ rate, average RTT, flow completion time) and keeps one time series,
 ``delivered_bins``: receiver-side delivered bytes binned into fixed-width
 intervals, from which per-interval throughput, Jain's index over time scales
 (Figure 13) and rate standard deviation (Figure 16) are computed.  Nothing a
-flow keeps grows with the packets it sent.
+flow keeps grows with the packets it sent, nor does a cell keep endpoints for
+flows that finished: the :class:`FlowStats` is what is left of them.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
 """Integration-ish unit tests for senders and receivers on small topologies."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.cc import NewRenoController
+from repro.core import PCCScheme
 from repro.netsim import (
     ACK_SIZE_BYTES,
     DEFAULT_MSS,
     FlowStats,
+    Path,
     Receiver,
     Simulator,
     WindowedSender,
@@ -343,3 +347,121 @@ class TestReceiveAckShortCuts:
         self.ack(sim, finite, sent[2])      # a duplicate after completion
         assert finished == [finite] and finite.entered["_check_completion"] == 3
         assert finite.stats.packets_sent == 3   # completion stopped the fill
+
+
+CONTROLLER_HOOKS = ("_controller_mi_id", "_controller_packet_sent",
+                    "_controller_ecn", "_controller_timeout",
+                    "_controller_flow_start")
+
+
+def build_flow(sim, topo, kind, total_bytes=None):
+    """One unstarted flow of its own ``Path`` over ``topo``'s links, the way
+    ``run_flows`` builds it: ``kind`` is ``"windowed"`` (New Reno) or
+    ``"rate"`` (PCC, whose scheme binds back to the sender at flow start)."""
+    path = Path(topo.path.forward_links, topo.path.reverse_links)
+    stats = FlowStats(1)
+    if kind == "windowed":
+        sender = WindowedSender(sim, 1, path, NewRenoController(), stats,
+                                total_bytes=total_bytes)
+    else:
+        sender = RateBasedSender(sim, 1, path, PCCScheme(), stats,
+                                 total_bytes=total_bytes)
+    receiver = Receiver(sim, 1, stats)
+    connect(sender, receiver, path)
+    return sender, receiver, stats
+
+
+@pytest.mark.parametrize("kind", ["windowed", "rate"])
+class TestFinishedFlowLetsGo:
+    """At its last ACK a finite flow drops what only a running flow needs, so
+    its endpoints are freed by reference count, not by a collector pass."""
+
+    def test_completed_sender_holds_no_path_or_controller(self, kind):
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
+        sender, receiver, stats = build_flow(sim, topo, kind, total_bytes=60_000)
+        sender.start()
+        sim.run(0.01)
+        assert sender.path is not None and sender.controller is not None
+        sim.run(30.0)
+        assert sender.completed and stats.completion_time is not None
+        assert sender.path is None and sender.controller is None
+        for hook in CONTROLLER_HOOKS:
+            assert getattr(sender, hook, None) is None
+
+    def test_endpoints_are_freed_without_the_collector(self, kind):
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
+        gc.collect()
+        gc.disable()
+        try:
+            sender, receiver, stats = build_flow(sim, topo, kind,
+                                                 total_bytes=60_000)
+            alive = [weakref.ref(sender), weakref.ref(receiver),
+                     weakref.ref(sender.controller), weakref.ref(sender.path)]
+            sender.start()
+            sim.run_until_idle()    # late packets and cancelled timers drain
+            assert sender.completed
+            del sender, receiver
+            assert [ref() for ref in alive] == [None] * 4
+        finally:
+            gc.enable()
+        assert stats.flow_completion_time is not None   # the record stays
+
+    def test_unfinished_flow_keeps_its_endpoints(self, kind):
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
+        sender, receiver, stats = build_flow(sim, topo, kind)
+        sender.start()
+        sim.run(2.0)
+        assert not sender.completed
+        assert sender.path is not None and sender.controller is not None
+
+    def test_late_packets_reach_a_finished_flow_and_are_ignored(self, kind):
+        """A duplicate data packet that arrives after completion still finds
+        the receiver through the route it carries, is counted as a duplicate
+        and ACKed; the ACK finds the sender, which ignores it."""
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
+        sender, receiver, stats = build_flow(sim, topo, kind, total_bytes=60_000)
+        sender.start()
+        while not sender._outstanding:
+            sim.run(sim.now + 0.001)
+        first = next(iter(sender._outstanding.values()))
+        sim.run_until_idle()
+        assert sender.completed and sim.pending_events == 0
+        before = dict(vars(stats))
+        acks_sent = receiver._ack_packet_id
+        seen = []
+        ack_route = receiver._reverse_route
+        deliver_ack = ack_route.destination
+
+        def spy(ack):
+            seen.append(ack)
+            deliver_ack(ack)
+        ack_route.destination = spy
+
+        first.route.send(first)
+        sim.run_until_idle()
+        assert receiver._ack_packet_id == acks_sent + 1
+        assert [ack.acked_packet_id for ack in seen] == [first.packet_id]
+        moved = {name for name, value in vars(stats).items()
+                 if value != before[name]}
+        assert moved == {"packets_delivered", "bytes_delivered",
+                         "duplicate_packets"}
+        assert stats.duplicate_packets == before["duplicate_packets"] + 1
+        assert sender.completed and not sender._outstanding
+        assert sender._rto_event is None and sim.pending_events == 0
+
+    def test_constructing_a_flow_draws_no_randomness_and_schedules_nothing(
+            self, kind):
+        """``run_flows`` builds a flow at its start time instead of before the
+        run; that moves no simulated statistic only because construction
+        touches neither the simulator's RNG nor its heap."""
+        sim = Simulator(seed=5)
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000,
+                                 loss_rate=0.01)
+        state, pending = sim.rng.getstate(), sim.pending_events
+        build_flow(sim, topo, kind, total_bytes=60_000)
+        assert sim.rng.getstate() == state
+        assert sim.pending_events == pending
