@@ -6,6 +6,7 @@ a 2x2 one-second grid and a pure-arithmetic scenario runner.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,8 +16,15 @@ import pytest
 
 from repro.experiments.execute import execute_cells
 from repro.experiments.results import ResultSet
-from repro.experiments.store import CellStore
-from repro.experiments.sweep import SweepCell, SweepGrid, run_cell
+from repro.experiments.store import CellStore, store_key
+from repro.experiments.sweep import (
+    SweepCell,
+    SweepGrid,
+    resolve_topology_kwargs,
+    resolve_workload_kwargs,
+    run_cell,
+)
+from repro.netsim import resolve_qdisc_kwargs
 from repro.report import (
     Claim,
     GridRun,
@@ -123,6 +131,21 @@ register_report_spec(ReportSpec(
 ))
 
 
+def _bench_cells():
+    """The cells of the four bench workloads at seed 0, by part: a private
+    copy of ``bench/workloads.py`` whose two batch calls hand back the cells
+    they were asked to run."""
+    module_spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", os.path.join(_REPO_ROOT, "bench", "workloads.py"))
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    bench.sweep = lambda grid, base_seed, **_: grid.cells(base_seed)
+    bench.run_report_spec = lambda spec, **_: spec.run.cells()
+    return {f"bench:{workload.name}/{part.part_id}": part.run(None, "")
+            for workload in bench.WORKLOADS
+            for part in workload.parts(0, False)}
+
+
 class TestCatalog:
     def test_catalog_covers_the_paper_and_names_only_registered_schemes(self):
         """The catalog is the only index of paper artifacts: every
@@ -154,6 +177,27 @@ class TestCatalog:
             identities = [str(sorted(cell.params().items()))
                           for cell in cells]
             assert len(set(identities)) == len(identities), spec.spec_id
+
+    def test_no_builder_default_and_no_cell_identity_moves(self):
+        """What a name alone resolves to is cell identity: every built-in
+        qdisc / topology / workload's resolved defaults, and the store key of
+        every catalog cell and every bench cell at seed 0, as captured before
+        the registries read their defaults from the builders' signatures.
+        Whole dicts, so a builder that exposes one option more fails here by
+        name.  Names the tests themselves register are not in the file."""
+        with open(os.path.join(_DATA_DIR, "golden_identities.json")) as handle:
+            golden = json.load(handle)
+        resolvers = {"qdisc": resolve_qdisc_kwargs,
+                     "topology": resolve_topology_kwargs,
+                     "workload": resolve_workload_kwargs}
+        assert {kind: {name: resolve(name, {})
+                       for name in golden["defaults"][kind]}
+                for kind, resolve in resolvers.items()} == golden["defaults"]
+        batches = {spec.spec_id: spec.run.cells()
+                   for spec in list_report_specs()}
+        batches.update(_bench_cells())
+        assert {batch: [store_key(cell.params()) for cell in batches[batch]]
+                for batch in golden["store_keys"]} == golden["store_keys"]
 
     def test_scenario_cells_can_only_shrink(self):
         """The second cell type is an escape hatch being closed: exactly
