@@ -86,10 +86,6 @@ class FluidModel:
         """Theorem 1's lower bound on alpha: max(2.2 (n - 1), 100)."""
         return max(2.2 * (n - 1), 100.0)
 
-    def total_rate_upper_bound(self) -> float:
-        """The 20C/19 bound on total equilibrium rate proved for Theorem 1."""
-        return 20.0 * self.capacity / 19.0
-
     def best_response(self, rates: Sequence[float], i: int,
                       lo: Optional[float] = None, hi: Optional[float] = None,
                       tolerance: float = 1e-6) -> float:

@@ -9,7 +9,6 @@ paper).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .units import BITS_PER_BYTE, BPS_PER_MBPS
@@ -195,10 +194,3 @@ class MonitorIntervalStats:
             f"sent={self.packets_sent}, acked={self.packets_acked}, "
             f"lost={self.packets_lost}, u={utility})"
         )
-
-
-def safe_div(numerator: float, denominator: float) -> float:
-    """Division that returns 0 instead of raising/propagating inf for 0 denominators."""
-    if denominator == 0 or not math.isfinite(denominator):
-        return 0.0
-    return numerator / denominator

@@ -158,8 +158,7 @@ def _resolve_scheme(scheme: str) -> Tuple[SchemeInfo, Dict[str, Any]]:
     defaults under the variant's (the precedence the sweep layer records in
     cell identity JSON); a flow spec's explicit kwargs go on top."""
     parsed = SchemeSpec.parse(scheme)
-    info = parsed.info()
-    return info, {**info.kwarg_defaults, **parsed.kwargs}
+    return parsed.info(), parsed.recorded_kwargs()
 
 
 def _start_flow(

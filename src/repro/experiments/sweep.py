@@ -47,7 +47,7 @@ from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import make_utility, policy_names, utility_names
-from ..registry import NameRegistry
+from ..registry import KwargRegistry
 from ..units import BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
 from ..schemes import (
     SchemeSpec,
@@ -188,9 +188,9 @@ class SweepCell:
                 raise ValueError(
                     f"controller_kwargs are recorded in the cell identity and "
                     f"must be JSON-serializable: {exc}") from None
+        resolve_qdisc_kwargs(self.qdisc, self.qdisc_kwargs)
         topology = _TOPOLOGIES.get(self.topology)
-        kwargs = resolve_topology_kwargs(self.topology,
-                                         dict(self.topology_kwargs))
+        kwargs = resolve_topology_kwargs(self.topology, self.topology_kwargs)
         if self.reverse_loss and not topology.supports_reverse_loss:
             raise ValueError(
                 f"topology {self.topology!r} does not support reverse_loss"
@@ -210,8 +210,7 @@ class SweepCell:
         (:class:`SweepGrid` rejects ones that would override a key recorded
         here).  Empty for a plain default cell.
         """
-        parsed = SchemeSpec.parse(self.scheme)
-        kwargs = {**parsed.info().kwarg_defaults, **parsed.kwargs}
+        kwargs = SchemeSpec.parse(self.scheme).recorded_kwargs()
         if self.utility is not None:
             kwargs["utility"] = self.utility
         return kwargs
@@ -237,7 +236,10 @@ class SweepCell:
             "reverse_loss": self.reverse_loss,
             "stagger": self.stagger,
             "topology": self.topology,
-            "topology_kwargs": dict(self.topology_kwargs),
+            # Resolved like the qdisc's and the workload's below, so a
+            # hand-built cell and its grid-built twin share one identity.
+            "topology_kwargs": resolve_topology_kwargs(
+                self.topology, self.topology_kwargs),
         }
         # Cells whose scheme needs no kwargs (every paper grid: pcc and the
         # TCP family declare no defaults) carry neither extra key, so archived
@@ -256,11 +258,11 @@ class SweepCell:
         if self.qdisc != DEFAULT_QDISC or self.qdisc_kwargs:
             out["qdisc"] = self.qdisc
             out["qdisc_kwargs"] = resolve_qdisc_kwargs(
-                self.qdisc, dict(self.qdisc_kwargs))
+                self.qdisc, self.qdisc_kwargs)
         if self.workload != DEFAULT_WORKLOAD or self.workload_kwargs:
             out["workload"] = self.workload
             out["workload_kwargs"] = resolve_workload_kwargs(
-                self.workload, dict(self.workload_kwargs))
+                self.workload, self.workload_kwargs)
         # Both change what is simulated or recorded, so both are identity:
         # two cells differing only here must not share a store key.
         if self.controller_kwargs:
@@ -294,44 +296,32 @@ class SweepCell:
 #: evaluated after the run whose JSON-friendly dict becomes the record's
 #: ``link`` entry (what a time-varying link measured about itself).
 LinkMetrics = Optional[Callable[[], Dict[str, float]]]
-TopologyBuilder = Callable[[Simulator, SweepCell],
-                           Tuple[Sequence[Path], LinkMetrics]]
+TopologyBuilder = Callable[..., Tuple[Sequence[Path], LinkMetrics]]
 
 
-@dataclass(frozen=True)
-class _Topology:
-    builder: TopologyBuilder
-    kwarg_defaults: Dict[str, Any]
-    supports_reverse_loss: bool
-    #: Optional validator called as ``validate(cell, resolved_kwargs)`` from
-    #: :meth:`SweepCell.__post_init__`, so topology-specific
-    #: mis-configurations fail when the cell (or the grid enumerating it) is
-    #: constructed, not mid-sweep in a worker.
-    validate: Optional[Callable[[SweepCell, Dict[str, Any]], None]]
-
-
-_TOPOLOGIES: NameRegistry[_Topology] = NameRegistry("topology")
+_TOPOLOGIES = KwargRegistry("topology", "topology_kwargs", ("sim", "cell"))
 
 
 def register_topology(
     name: str,
     builder: TopologyBuilder,
-    kwarg_defaults: Optional[Dict[str, Any]] = None,
     supports_reverse_loss: bool = True,
     validate: Optional[Callable[[SweepCell, Dict[str, Any]], None]] = None,
 ) -> None:
     """Register ``builder`` under ``name`` for use as a grid's ``topology``.
 
-    ``kwarg_defaults`` declares every ``topology_kwargs`` key the builder
-    accepts together with its default value.  :meth:`SweepGrid.cells` merges
-    the defaults under the grid's explicit kwargs, so the *resolved* values
-    are recorded in each cell's identity JSON (archived sweeps keep their
-    meaning even if a builder default changes later), and unknown keys are
-    rejected when a cell is constructed.  Builders that do not honor
-    ``reverse_loss`` register with ``supports_reverse_loss=False`` so a cell
-    combining the two is rejected at construction rather than mid-sweep in a
-    worker; ``validate(cell, resolved_kwargs)`` does the same for
-    topology-specific mis-configurations.
+    ``builder(sim, cell, **kwargs)``: the keyword parameters after ``sim,
+    cell`` in its signature are the ``topology_kwargs`` keys it accepts,
+    each with its default value.  The defaults are merged under a cell's
+    explicit kwargs, so the *resolved* values are recorded in each cell's
+    identity JSON (archived sweeps keep their meaning even if a builder
+    default changes later), and unknown keys are rejected when a cell is
+    constructed.  Builders that do not honor ``reverse_loss`` register with
+    ``supports_reverse_loss=False`` so a cell combining the two is rejected
+    at construction rather than mid-sweep in a worker;
+    ``validate(cell, resolved_kwargs)``, called from
+    :meth:`SweepCell.__post_init__`, does the same for topology-specific
+    mis-configurations.
 
     Builders must be deterministic given ``(sim, cell)``.  Cells cross the
     process boundary carrying only the topology *name*; each worker resolves
@@ -341,24 +331,15 @@ def register_topology(
     ``if __name__ == "__main__":`` block or an interactive session —
     otherwise multi-worker sweeps fail with "unknown topology".
     """
-    _TOPOLOGIES.register(name, _Topology(
-        builder=builder,
-        kwarg_defaults=dict(kwarg_defaults or {}),
-        supports_reverse_loss=supports_reverse_loss,
-        validate=validate,
-    ))
+    _TOPOLOGIES.register(name, builder,
+                         supports_reverse_loss=supports_reverse_loss,
+                         validate=validate)
 
 
 def resolve_topology_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
     """Merge ``kwargs`` over the topology's declared defaults, rejecting keys
     the builder never declared."""
-    defaults = _TOPOLOGIES.get(name).kwarg_defaults
-    unknown = set(kwargs) - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown topology_kwargs for {name!r}: {sorted(unknown)}"
-        )
-    return {**defaults, **kwargs}
+    return _TOPOLOGIES.resolve(name, kwargs)
 
 
 def topology_names() -> List[str]:
@@ -404,19 +385,16 @@ def _parking_lot_hop_delay(rtt: float, num_hops: int, access_delay: float) -> fl
     return hop_delay
 
 
-def _build_parking_lot(sim: Simulator,
-                       cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+def _build_parking_lot(
+    sim: Simulator, cell: SweepCell, num_hops: int = 3,
+    access_delay: float = 0.0005,
+) -> Tuple[List[Path], LinkMetrics]:
     """A multi-bottleneck chain: path 0 crosses every hop, path ``1 + i`` only
     hop ``i``.  ``cell.rtt`` is the *long* flow's base RTT; each hop gets an
     equal share of it, so cross flows are RTT-diverse by construction.  The
     per-cell ``num_flows`` should normally be ``1 + num_hops`` (one long flow
     plus one cross flow per hop); fewer flows leave the later hops uncontested.
     """
-    # Resolve against the registry's declared defaults (the single source of
-    # truth), so a hand-built SweepCell gets the same values a SweepGrid does.
-    kwargs = resolve_topology_kwargs("parking_lot", dict(cell.topology_kwargs))
-    num_hops = int(kwargs["num_hops"])
-    access_delay = float(kwargs["access_delay"])
     hop_delay = _parking_lot_hop_delay(cell.rtt, num_hops, access_delay)
     topo = parking_lot(
         sim,
@@ -431,8 +409,10 @@ def _build_parking_lot(sim: Simulator,
     return topo.paths, None
 
 
-def _build_trace_bottleneck(sim: Simulator,
-                            cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+def _build_trace_bottleneck(
+    sim: Simulator, cell: SweepCell, trace: str = "step",
+    repeat_every: Optional[float] = None, trace_seed: int = 0,
+) -> Tuple[List[Path], LinkMetrics]:
     """A single bottleneck whose capacity follows a bundled synthetic trace.
 
     ``cell.bandwidth_bps`` is the trace's peak rate; the ``trace`` kwarg picks
@@ -441,36 +421,36 @@ def _build_trace_bottleneck(sim: Simulator,
     differing only by scheme face the identical capacity trace and stay
     comparable point by point (vary ``trace_seed`` for other realizations).
     """
-    kwargs = resolve_topology_kwargs("trace_bottleneck", dict(cell.topology_kwargs))
-    trace_name = str(kwargs["trace"])
-    repeat_every = kwargs["repeat_every"]
     topo = _single_bottleneck(sim, cell)
-    trace = make_synthetic_trace(
-        trace_name, peak_bps=cell.bandwidth_bps, duration=cell.duration,
-        seed=int(kwargs["trace_seed"]),
+    bandwidth_trace = make_synthetic_trace(
+        trace, peak_bps=cell.bandwidth_bps, duration=cell.duration,
+        seed=trace_seed,
     )
     TraceLinkDynamics(
-        sim, topo.forward, bandwidth_trace=trace, repeat_every=repeat_every,
+        sim, topo.forward, bandwidth_trace=bandwidth_trace,
+        repeat_every=repeat_every,
     ).start()
     return [topo.path], None
 
 
-def _build_dumbbell(sim: Simulator,
-                    cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+def _build_dumbbell(
+    sim: Simulator, cell: SweepCell,
+    access_delays: Optional[List[float]] = None,
+    bottleneck_delay: Optional[float] = None,
+) -> Tuple[List[Path], LinkMetrics]:
     """Per-flow access links into one shared bottleneck: flow ``i`` gets
     path ``i``, whose base RTT is ``2 * (access_delays[i] +
     bottleneck_delay)``.  ``cell.rtt`` only sizes the default one-BDP
     buffer; the delays themselves are the topology's kwargs."""
-    kwargs = resolve_topology_kwargs("dumbbell", dict(cell.topology_kwargs))
     bottleneck = LinkConfig(
         bandwidth_bps=cell.bandwidth_bps,
-        delay_s=float(kwargs["bottleneck_delay"]),
+        delay_s=bottleneck_delay,
         loss_rate=cell.loss_rate,
         buffer_bytes=cell.resolved_buffer_bytes(),
         queue_factory=cell.queue_factory(),
         name="bottleneck",
     )
-    return dumbbell(sim, bottleneck, kwargs["access_delays"]).paths, None
+    return dumbbell(sim, bottleneck, access_delays).paths, None
 
 
 def _build_random_dynamics(sim: Simulator,
@@ -492,14 +472,14 @@ def _build_random_dynamics(sim: Simulator,
 
 
 def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
-    _parking_lot_hop_delay(cell.rtt, int(kwargs["num_hops"]),
-                           float(kwargs["access_delay"]))
+    _parking_lot_hop_delay(cell.rtt, kwargs["num_hops"],
+                           kwargs["access_delay"])
 
 
 def _validate_trace_bottleneck(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
     # Building the trace validates the name; its entry *times* depend only on
     # the duration (never the seed).
-    trace = make_synthetic_trace(str(kwargs["trace"]), peak_bps=1.0,
+    trace = make_synthetic_trace(kwargs["trace"], peak_bps=1.0,
                                  duration=cell.duration)
     validate_trace_repeat_period(kwargs["repeat_every"], trace)
 
@@ -518,14 +498,11 @@ def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
 
 register_topology("single_bottleneck", _build_single_bottleneck)
 register_topology("parking_lot", _build_parking_lot,
-                  {"num_hops": 3, "access_delay": 0.0005},
                   supports_reverse_loss=False,
                   validate=_validate_parking_lot)
 register_topology("trace_bottleneck", _build_trace_bottleneck,
-                  {"trace": "step", "repeat_every": None, "trace_seed": 0},
                   validate=_validate_trace_bottleneck)
 register_topology("dumbbell", _build_dumbbell,
-                  {"access_delays": None, "bottleneck_delay": None},
                   supports_reverse_loss=False,
                   validate=_validate_dumbbell)
 register_topology("random_dynamics", _build_random_dynamics)
@@ -612,15 +589,12 @@ class SweepGrid:
                 f"as the grid's qdisc/workload fields so the cell identity "
                 f"records them"
             )
-        # Fail fast on unknown qdisc/workload names or undeclared kwargs.
-        resolve_qdisc_kwargs(self.qdisc, dict(self.qdisc_kwargs))
-        resolve_workload_kwargs(self.workload, dict(self.workload_kwargs))
         # Registry kwarg defaults and variant kwargs are recorded in cell
         # identity JSON; letting grid-level controller_kwargs override either
         # would make the archived identity lie about what was simulated.
         for spec, parsed in parsed_specs.items():
-            recorded = {**parsed.info().kwarg_defaults, **parsed.kwargs}
-            conflict = set(recorded) & set(self.controller_kwargs)
+            conflict = set(parsed.recorded_kwargs()) \
+                & set(self.controller_kwargs)
             if conflict:
                 raise ValueError(
                     f"controller_kwargs {sorted(conflict)} would override the "
@@ -654,11 +628,6 @@ class SweepGrid:
     def cells(self, base_seed: int) -> List[SweepCell]:
         """Enumerate the grid with deterministic per-cell seeds."""
         out: List[SweepCell] = []
-        # Resolved once (defaults merged in) and copied per cell, so every
-        # recorded cell identity fully specifies what was simulated.
-        resolved_kwargs = resolve_topology_kwargs(
-            self.topology, dict(self.topology_kwargs)
-        )
         axes = product(
             self.schemes,
             self.bandwidths_bps,
@@ -685,7 +654,7 @@ class SweepGrid:
                     stagger=self.stagger,
                     controller_kwargs=dict(self.controller_kwargs),
                     topology=self.topology,
-                    topology_kwargs=dict(resolved_kwargs),
+                    topology_kwargs=dict(self.topology_kwargs),
                     utility=utility,
                     qdisc=self.qdisc,
                     qdisc_kwargs=dict(self.qdisc_kwargs),
@@ -712,7 +681,8 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     # repro-lint: disable=RPL001 wall-time telemetry; stripped into ResultSet.timings, never canonical JSON
     start = time.perf_counter()
     sim = Simulator(seed=cell.seed)
-    paths, link_metrics = _TOPOLOGIES.get(cell.topology).builder(sim, cell)
+    paths, link_metrics = _TOPOLOGIES.build(cell.topology, sim, cell,
+                                            **cell.topology_kwargs)
     # The full scheme spec goes to the runner, which resolves any variant
     # against the scheme registry — the identical resolution recorded in the
     # cell identity.  The utilities-axis value and grid-level

@@ -5,7 +5,7 @@ experiment (Figure 15) and the production-shaped traffic questions around it
 need richer arrival processes: Poisson flow arrivals with drawn sizes,
 heavy-tailed (Pareto) size distributions, web-style short-flow storms,
 N-sender incast waves, and mixed long/short tenant traffic.  This module puts
-those generators behind a :class:`~repro.registry.NameRegistry` — the same
+those generators behind a :class:`~repro.registry.KwargRegistry` — the same
 pluggable-by-JSON-name pattern schemes, topologies and queue disciplines
 use — so a sweep cell selects its traffic with a ``workload``
 name plus declarative kwargs.
@@ -29,10 +29,9 @@ artifacts stay byte-comparable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..registry import NameRegistry
+from ..registry import KwargRegistry
 from ..schemes import SchemeSpec
 from ..units import BITS_PER_BYTE, BYTES_PER_KB
 from ..netsim import DEFAULT_MSS, FlowSpec
@@ -60,50 +59,31 @@ _WORKLOAD_STREAM = 0x574B4C44
 #: A workload builder: ``builder(cell, rng, **kwargs) -> List[FlowSpec]``.
 WorkloadBuilder = Callable[..., List[FlowSpec]]
 
-
-@dataclass(frozen=True)
-class _Workload:
-    builder: WorkloadBuilder
-    kwarg_defaults: Dict[str, Any] = field(default_factory=dict)
+_WORKLOADS = KwargRegistry("workload", "workload_kwargs", ("cell", "rng"))
 
 
-_WORKLOADS: NameRegistry[_Workload] = NameRegistry("workload")
-
-
-def register_workload(
-    name: str,
-    builder: WorkloadBuilder,
-    kwarg_defaults: Optional[Dict[str, Any]] = None,
-) -> None:
+def register_workload(name: str, builder: WorkloadBuilder) -> None:
     """Register ``builder`` under ``name`` for use as a cell's ``workload``.
 
     ``builder(cell, rng, **kwargs)`` must derive its schedule only from the
     cell's identity fields and the provided ``rng`` (never wall clock or
     global randomness), so the schedule is byte-identical across worker
-    counts.  ``kwarg_defaults`` declares every kwarg the builder accepts;
-    unknown keys are rejected at grid-construction time.
+    counts.  The keyword parameters after ``cell, rng`` in its signature are
+    the kwargs it accepts, each with its default; unknown keys are rejected
+    at grid-construction time.
 
     Cells cross the process boundary carrying only the workload *name*;
     each worker resolves it against its own registry, so custom workloads
     must be registered at module import time (top level of an imported
     module) — otherwise multi-worker sweeps fail with "unknown workload".
     """
-    _WORKLOADS.register(name, _Workload(
-        builder=builder,
-        kwarg_defaults=dict(kwarg_defaults or {}),
-    ))
+    _WORKLOADS.register(name, builder)
 
 
 def resolve_workload_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
     """Merge ``kwargs`` over the workload's declared defaults, rejecting keys
     the builder never declared."""
-    defaults = _WORKLOADS.get(name).kwarg_defaults
-    unknown = set(kwargs) - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown workload_kwargs for {name!r}: {sorted(unknown)}"
-        )
-    return {**defaults, **kwargs}
+    return _WORKLOADS.resolve(name, kwargs)
 
 
 def validate_workload(cell: "SweepCell") -> None:
@@ -114,9 +94,7 @@ def validate_workload(cell: "SweepCell") -> None:
     ``num_flows``, or puts a non-PCC flow under the cell's ``utility`` — each
     would otherwise fail in a worker.
     """
-    if not cell.workload_kwargs:
-        return
-    kwargs = resolve_workload_kwargs(cell.workload, dict(cell.workload_kwargs))
+    kwargs = resolve_workload_kwargs(cell.workload, cell.workload_kwargs)
     schemes = kwargs.get("schemes")
     if schemes is None:
         return
@@ -144,10 +122,8 @@ def build_workload(cell: "SweepCell") -> List[FlowSpec]:
     """
     from .sweep import derive_seed  # runtime import: sweep imports this module
 
-    entry = _WORKLOADS.get(cell.workload)
-    resolved = resolve_workload_kwargs(cell.workload, dict(cell.workload_kwargs))
     rng = random.Random(derive_seed(cell.seed, _WORKLOAD_STREAM))
-    return entry.builder(cell, rng, **resolved)
+    return _WORKLOADS.build(cell.workload, cell, rng, **cell.workload_kwargs)
 
 
 def workload_names() -> List[str]:
@@ -304,14 +280,9 @@ def _mixed(cell: "SweepCell", rng: random.Random, num_long: int = 1,
     return specs
 
 
-register_workload("bulk", _bulk, {"schemes": None})
-register_workload("poisson", _poisson,
-                  {"load": 0.5, "mean_size_kb": 100.0})
-register_workload("pareto", _pareto,
-                  {"load": 0.5, "mean_size_kb": 100.0, "alpha": 1.5})
-register_workload("web", _web, {"load": 0.5, "size_kb": 100.0})
-register_workload("incast", _incast,
-                  {"waves": 5, "wave_interval": 1.0, "size_kb": 50.0,
-                   "jitter": 0.0005})
-register_workload("mixed", _mixed,
-                  {"num_long": 1, "load": 0.3, "short_size_kb": 50.0})
+register_workload("bulk", _bulk)
+register_workload("poisson", _poisson)
+register_workload("pareto", _pareto)
+register_workload("web", _web)
+register_workload("incast", _incast)
+register_workload("mixed", _mixed)

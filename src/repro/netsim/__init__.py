@@ -10,15 +10,13 @@ EXPERIMENTS.md for the mapping from the paper's testbeds to these components.
 from .engine import Event, SimulationError, Simulator
 from .packet import ACK_SIZE_BYTES, DEFAULT_MSS, Packet
 from .queues import (
+    DEFAULT_QDISC,
     CoDelQueue,
     DropTailQueue,
     FairQueue,
     InfiniteQueue,
-    QueueDiscipline,
-)
-from .qdisc import (
-    DEFAULT_QDISC,
     PIEQueue,
+    QueueDiscipline,
     REDQueue,
     make_qdisc,
     qdisc_names,

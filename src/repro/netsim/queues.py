@@ -15,9 +15,13 @@ Each discipline implements the small :class:`QueueDiscipline` interface used by
 Byte/packet occupancy book-keeping is shared in the base class so that the
 capacity invariants hold for every discipline.
 
-Further disciplines (RED, PIE, FQ-CoDel, head/random drop-policy variants)
-and the name registry that selects them from cell-identity JSON live in
-:mod:`repro.netsim.qdisc`.
+The canonical AQM baselines the reproduction's Figure 17 matrix extends to —
+RED (Floyd & Jacobson), PIE (RFC 8033, simplified) and FQ-CoDel (DRR fair
+queueing composed over CoDel children) — live here too, and every discipline
+sits behind a :class:`~repro.registry.KwargRegistry` — the same
+pluggable-by-JSON-name pattern schemes and topologies use — so sweep cells,
+report specs and the CLIs select queueing behavior with a ``qdisc`` name plus
+declarative kwargs (:func:`register_qdisc` states the contract).
 
 Two cross-cutting conventions every discipline follows:
 
@@ -39,8 +43,9 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
+from ..registry import KwargRegistry
 from ..units import Bytes, Seconds
 from .packet import DEFAULT_MSS, Packet
 
@@ -51,6 +56,13 @@ __all__ = [
     "CoDelQueue",
     "FairQueue",
     "QueueStats",
+    "DEFAULT_QDISC",
+    "PIEQueue",
+    "REDQueue",
+    "make_qdisc",
+    "qdisc_names",
+    "register_qdisc",
+    "resolve_qdisc_kwargs",
 ]
 
 #: Valid ``drop_policy`` values for :class:`DropTailQueue`.
@@ -339,6 +351,172 @@ class CoDelQueue(QueueDiscipline):
         return None
 
 
+class REDQueue(QueueDiscipline):
+    """Random Early Detection (Floyd & Jacobson 1993).
+
+    An EWMA of the queue's byte occupancy is updated at every arrival.  Below
+    ``min_threshold`` arrivals are admitted; above ``max_threshold`` they are
+    dropped; in between they are dropped (or ECN-marked, RFC 3168 style) with
+    probability growing linearly up to ``max_drop_probability``.  Thresholds
+    are expressed as fractions of the byte capacity so one configuration
+    scales across buffer sizes in a sweep.
+
+    The probabilistic decision draws from the attached RNG
+    (:meth:`~QueueDiscipline.attach_rng`); construction consumes no
+    randomness.
+    """
+
+    def __init__(
+        self,
+        capacity_bytes: Bytes,
+        min_threshold_fraction: float = 0.2,
+        max_threshold_fraction: float = 0.6,
+        max_drop_probability: float = 0.1,
+        weight: float = 0.002,
+        ecn: bool = False,
+    ):
+        super().__init__()
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
+        if not 0.0 < min_threshold_fraction < max_threshold_fraction <= 1.0:
+            raise ValueError(
+                "need 0 < min_threshold_fraction < max_threshold_fraction <= 1"
+            )
+        if not 0.0 < max_drop_probability <= 1.0:
+            raise ValueError("max_drop_probability must be in (0, 1]")
+        if not 0.0 < weight <= 1.0:
+            raise ValueError("weight must be in (0, 1]")
+        self.capacity_bytes = capacity_bytes
+        self.min_threshold_bytes = min_threshold_fraction * capacity_bytes
+        self.max_threshold_bytes = max_threshold_fraction * capacity_bytes
+        self.max_drop_probability = max_drop_probability
+        self.weight = weight
+        self.ecn = ecn
+        self._avg_bytes = 0.0
+        self._fifo: Deque[Packet] = deque()
+
+    def _require_rng(self):
+        if self.rng is None:
+            raise RuntimeError(
+                "RED draws its early-drop decisions from an attached RNG; "
+                "call attach_rng(rng) after construction (links attach "
+                "sim.rng automatically)"
+            )
+        return self.rng
+
+    def enqueue(self, packet: Packet, now: float) -> bool:
+        # EWMA over the instantaneous occupancy seen by each arrival.
+        self._avg_bytes += self.weight * (self.bytes_queued - self._avg_bytes)
+        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+            return self._drop(packet)
+        mark = False
+        if self._avg_bytes >= self.max_threshold_bytes:
+            return self._drop(packet)
+        if self._avg_bytes > self.min_threshold_bytes:
+            probability = self.max_drop_probability * (
+                (self._avg_bytes - self.min_threshold_bytes)
+                / (self.max_threshold_bytes - self.min_threshold_bytes)
+            )
+            if self._require_rng().random() < probability:
+                if not self.ecn:
+                    return self._drop(packet)
+                mark = True
+        self._admit(packet, now)
+        self._fifo.append(packet)
+        if mark:
+            self._mark(packet)
+        return True
+
+    def dequeue(self, now: float) -> Optional[Packet]:
+        if not self._fifo:
+            return None
+        return self._release(self._fifo.popleft())
+
+
+class PIEQueue(QueueDiscipline):
+    """PIE — Proportional Integral controller Enhanced (RFC 8033, simplified).
+
+    The controlled variable is queueing *delay*, estimated as the sojourn
+    time of the packet at the head of the queue (the RFC's "latency sample"
+    alternative to the departure-rate estimator).  Every ``update_interval``
+    the drop probability moves by
+    ``alpha * (qdelay - target_delay) + beta * (qdelay - qdelay_old)``,
+    clamped to ``[0, 1]``; arrivals are then dropped (or ECN-marked) with
+    that probability while more than two packets' worth of bytes are queued.
+    Draining the queue resets the delay estimate, so the controller re-enters
+    cleanly after an idle period.
+    """
+
+    def __init__(
+        self,
+        capacity_bytes: Bytes,
+        target_delay: Seconds = 0.015,
+        update_interval: Seconds = 0.015,
+        alpha: float = 0.125,
+        beta: float = 1.25,
+        ecn: bool = False,
+    ):
+        super().__init__()
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
+        if target_delay <= 0 or update_interval <= 0:
+            raise ValueError("target_delay and update_interval must be positive")
+        self.capacity_bytes = capacity_bytes
+        self.target_delay = target_delay
+        self.update_interval = update_interval
+        self.alpha = alpha
+        self.beta = beta
+        self.ecn = ecn
+        self._fifo: Deque[Packet] = deque()
+        self._probability = 0.0
+        self._qdelay = 0.0
+        self._qdelay_old = 0.0
+        self._next_update = 0.0
+
+    def _update_probability(self, now: float) -> None:
+        if now < self._next_update:
+            return
+        delta = (self.alpha * (self._qdelay - self.target_delay)
+                 + self.beta * (self._qdelay - self._qdelay_old))
+        self._probability = min(1.0, max(0.0, self._probability + delta))
+        self._qdelay_old = self._qdelay
+        self._next_update = now + self.update_interval
+
+    def enqueue(self, packet: Packet, now: float) -> bool:
+        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+            return self._drop(packet)
+        self._update_probability(now)
+        if self._probability > 0.0 and self.bytes_queued > 2 * DEFAULT_MSS:
+            if self.rng is None:
+                raise RuntimeError(
+                    "PIE draws its drop decisions from an attached RNG; "
+                    "call attach_rng(rng) after construction (links attach "
+                    "sim.rng automatically)"
+                )
+            if self.rng.random() < self._probability:
+                if not self.ecn:
+                    return self._drop(packet)
+                self._admit(packet, now)
+                self._fifo.append(packet)
+                self._mark(packet)
+                return True
+        self._admit(packet, now)
+        self._fifo.append(packet)
+        return True
+
+    def dequeue(self, now: float) -> Optional[Packet]:
+        if not self._fifo:
+            return None
+        packet = self._release(self._fifo.popleft())
+        self._qdelay = now - packet.enqueue_time
+        if not self._fifo:
+            # Drain: the delay estimate describes an empty queue again, so
+            # the controller's next update pushes the probability down and
+            # the state machine re-enters cleanly.
+            self._qdelay = 0.0
+        return packet
+
+
 class FairQueue(QueueDiscipline):
     """Per-flow fair queueing via deficit round robin (DRR).
 
@@ -465,7 +643,100 @@ class FairQueue(QueueDiscipline):
             return fifo[0]
         return None
 
-    @property
-    def flow_ids(self) -> list[int]:
-        """Flows that currently have (or have had) a child queue."""
-        return list(self._flows.keys())
+
+# --------------------------------------------------------------------------
+# The registry.
+
+#: The discipline every entry point uses unless told otherwise.  Cell
+#: identities record ``qdisc`` only when it differs from this, so all golden
+#: JSON artifacts produced before the registry existed stay byte-comparable.
+DEFAULT_QDISC = "droptail"
+
+_QDISCS = KwargRegistry("queue discipline", "qdisc_kwargs", ("buffer_bytes",))
+
+
+def register_qdisc(name: str, factory: Callable[..., QueueDiscipline]) -> None:
+    """Register ``factory`` under ``name`` for use as a cell's ``qdisc``.
+
+    ``factory(buffer_bytes, **kwargs)`` must return a *fresh*
+    :class:`QueueDiscipline` on every call (links never share queues),
+    RNG-free (the module's attach-rng convention; lint rule RPL017), and —
+    like every registry entry (:mod:`repro.registry`) — be registered at
+    module import time, or multi-worker sweeps fail with "unknown queue
+    discipline".
+
+    The keyword parameters after ``buffer_bytes`` in the factory's signature
+    are the kwargs it accepts, each with its default (a discipline class
+    whose constructor has that shape registers as its own factory).
+    :func:`make_qdisc` merges explicit kwargs over the defaults and rejects
+    unknown keys, so typos fail loudly and archived cell identities record
+    fully-resolved values.
+    """
+    _QDISCS.register(name, factory)
+
+
+def resolve_qdisc_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
+    """Merge ``kwargs`` over the qdisc's declared defaults, rejecting keys
+    the factory never declared."""
+    return _QDISCS.resolve(name, kwargs)
+
+
+def make_qdisc(name: str, buffer_bytes: Bytes, **kwargs: Any) -> QueueDiscipline:
+    """Build a fresh queue discipline by registered name.
+
+    ``buffer_bytes`` is the link's configured buffer size; disciplines that
+    bound occupancy use it as their byte capacity (the infinite queue
+    ignores it).  Remaining kwargs are resolved against the factory's
+    declared defaults, so unknown keys raise here rather than silently
+    disappearing into a ``**kwargs`` sink.
+    """
+    return _QDISCS.build(name, float(buffer_bytes), **kwargs)
+
+
+def qdisc_names() -> List[str]:
+    """All registered queue-discipline names, sorted."""
+    return _QDISCS.names()
+
+
+def _make_infinite(buffer_bytes: Bytes) -> QueueDiscipline:
+    return InfiniteQueue()
+
+
+def _make_fq(buffer_bytes: Bytes, child: str = "droptail",
+             quantum_bytes: int = DEFAULT_MSS) -> QueueDiscipline:
+    """DRR fair queueing composed over registered children by name.
+
+    Each flow's child is built via :func:`make_qdisc`, so ``child`` may be
+    any registered discipline — including third-party ones — and each child
+    gets the full ``buffer_bytes`` as its per-flow capacity.
+    """
+    if child == "fq" or child == "fq_codel":
+        raise ValueError("fq children must be non-composed disciplines")
+    return FairQueue(
+        child_factory=lambda: make_qdisc(child, buffer_bytes),
+        quantum_bytes=quantum_bytes,
+        per_flow_capacity_bytes=buffer_bytes,
+    )
+
+
+def _make_fq_codel(buffer_bytes: Bytes, target: Seconds = 0.005,
+                   interval: Seconds = 0.100, quantum_bytes: int = DEFAULT_MSS,
+                   ecn: bool = False) -> QueueDiscipline:
+    return FairQueue(
+        child_factory=lambda: CoDelQueue(capacity_bytes=buffer_bytes,
+                                         target=target, interval=interval,
+                                         ecn=ecn),
+        quantum_bytes=quantum_bytes,
+        per_flow_capacity_bytes=buffer_bytes,
+    )
+
+
+# The four classes' constructors take the buffer first and then exactly the
+# options their names have always declared, so each is its own factory.
+register_qdisc("droptail", DropTailQueue)
+register_qdisc("infinite", _make_infinite)
+register_qdisc("codel", CoDelQueue)
+register_qdisc("red", REDQueue)
+register_qdisc("pie", PIEQueue)
+register_qdisc("fq", _make_fq)
+register_qdisc("fq_codel", _make_fq_codel)

@@ -53,11 +53,6 @@ class Route:
         """Sum of one-way propagation delays along the route (seconds)."""
         return sum(link.delay_s for link in self.links)
 
-    @property
-    def min_bandwidth_bps(self) -> float:
-        """Bottleneck bandwidth along the route (bits per second)."""
-        return min(link.bandwidth_bps for link in self.links)
-
     def __len__(self) -> int:
         return len(self.links)
 

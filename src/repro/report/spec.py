@@ -139,7 +139,8 @@ class ScenarioCell:
     ``runner`` names a function registered via
     :func:`register_scenario_runner`; ``kwargs`` are its JSON-serializable
     keyword arguments and — together with ``index``, the runner name and the
-    ``seed`` — form the cell's identity for resume deduplication.  Unlike
+    ``seed`` — form the cell's identity, which keys it in the
+    :class:`~repro.experiments.store.CellStore`.  Unlike
     grid cells, the seed is pinned explicitly per cell (not derived), because
     the catalog pins seeds per scenario where trajectories are
     seed-sensitive.
@@ -178,8 +179,7 @@ class ScenarioRun:
     :class:`~repro.experiments.sweep.SweepCell` (a figure that is one
     single-bottleneck cell per point but pins its seeds instead of deriving
     them from a grid position).  ``base_seed`` is recorded in the stream
-    header and checked on resume; the per-cell seeds live in the cell
-    identities.
+    header; the per-cell seeds live in the cell identities.
     """
 
     cells_list: Tuple[Union[ScenarioCell, SweepCell], ...]
@@ -267,8 +267,8 @@ def register_scenario_runner(name: str,
     identity-only keys ``index`` and ``scenario`` are *not* passed) and must
     return a JSON-serializable metrics dict that is a pure function of its
     arguments — that purity is what makes report output byte-identical across
-    worker counts and resume.  Like scheme/topology builders, runners must be
-    registered at module import time.
+    worker counts and store reuse.  Like scheme/topology builders, runners
+    must be registered at module import time.
     """
     _SCENARIO_RUNNERS.register(name, fn)
 

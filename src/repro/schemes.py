@@ -274,6 +274,11 @@ class SchemeSpec:
         """The registry entry for this spec's base scheme."""
         return get_scheme(self.base)
 
+    def recorded_kwargs(self) -> Dict[str, Any]:
+        """The kwargs this spec fixes: the base scheme's declared defaults
+        under the variant's — what cell identities record and flows run."""
+        return {**self.info().kwarg_defaults, **self.kwargs}
+
 
 def resolve_scheme_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     """Split a scheme spec into ``(base_scheme, controller_kwargs)``.

@@ -272,8 +272,7 @@ class TestRPL017:
         snippet = (
             "def make_red(buffer_bytes, ecn=False):\n"
             "    return REDQueue(buffer_bytes, ecn=ecn)\n\n"
-            "register_qdisc('red2', make_red,"
-            " kwarg_defaults={'ecn': False})\n"
+            "register_qdisc('red2', make_red)\n"
         )
         assert codes_for(snippet) == []
 

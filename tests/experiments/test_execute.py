@@ -79,7 +79,7 @@ def fake_cells(count, seed=7):
 #: on its timeout instead of wedging the suite.
 _CRASH_SCRIPT = """
 import sys
-from test_executors import CrashOnceCell, run_crash_once
+from test_execute import CrashOnceCell, run_crash_once
 from repro.experiments.execute import execute_cells
 marker_dir, store_dir = sys.argv[1:]
 cells = [CrashOnceCell(index, 7, marker_dir, crash=(index == 3))

@@ -38,10 +38,8 @@ def _pair_workload(cell, rng, second_start_max=1.0):
     ]
 
 
-register_qdisc("e2e_marking", _make_half_buffer,
-               kwarg_defaults={"ecn_threshold_fraction": 0.5})
-register_workload("e2e_pair", _pair_workload,
-                  kwarg_defaults={"second_start_max": 1.0})
+register_qdisc("e2e_marking", _make_half_buffer)
+register_workload("e2e_pair", _pair_workload)
 
 
 def _grid(**overrides):

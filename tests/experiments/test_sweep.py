@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.experiments.execute import execute_cells
+from repro.experiments.store import store_key
 from repro.experiments.sweep import (
     SweepCell,
     SweepGrid,
@@ -163,11 +164,25 @@ class TestTopologyRegistry:
             "num_hops": 2, "access_delay": 0.0005,
         }
 
+    def test_hand_built_cell_shares_its_grid_twins_identity(self):
+        """A cell records what it simulates however it was built: the
+        builder's defaults are resolved into a hand-listed cell's identity
+        as they are into a grid's, so the two share one store entry."""
+        (twin,) = tiny_grid(schemes=("cubic",), loss_rates=(0.0,),
+                            flow_counts=(2,), topology="parking_lot").cells(0)
+        cell = hand_cell(topology="parking_lot", seed=twin.seed)
+        assert cell.topology_kwargs == {}
+        assert cell.params() == twin.params()
+        assert cell.params()["topology_kwargs"] == {
+            "num_hops": 3, "access_delay": 0.0005,
+        }
+        assert store_key(cell.params()) == store_key(twin.params())
+
     def test_builder_defaults_resolved_into_cells(self):
         grid = tiny_grid(schemes=("cubic",), loss_rates=(0.0,),
                          topology="trace_bottleneck")
         cell = grid.cells(0)[0]
-        assert cell.topology_kwargs == {
+        assert cell.params()["topology_kwargs"] == {
             "trace": "step", "repeat_every": None, "trace_seed": 0,
         }
 
@@ -185,7 +200,8 @@ class TestTopologyRegistry:
         histories = []
         for cell in cells:
             sim = Simulator(seed=cell.seed)
-            paths, _ = _build_trace_bottleneck(sim, cell)
+            paths, _ = _build_trace_bottleneck(sim, cell,
+                                               **cell.topology_kwargs)
             link = paths[0].forward_links[0]
             series = []
             for step in range(1, 8):

@@ -1,6 +1,6 @@
 """Property-test layer pinning queue invariants for every registered qdisc.
 
-Every discipline reachable through the :mod:`repro.netsim.qdisc` registry —
+Every discipline reachable through the :mod:`repro.netsim.queues` registry —
 including any third-party registration that imports before pytest collects —
 is exercised against the same contracts:
 
@@ -26,8 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim import make_qdisc, qdisc_names
 from repro.netsim.packet import Packet
-from repro.netsim.qdisc import PIEQueue
-from repro.netsim.queues import CoDelQueue
+from repro.netsim.queues import CoDelQueue, PIEQueue
 
 BUFFER_BYTES = 30_000.0
 
