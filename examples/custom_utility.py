@@ -1,8 +1,8 @@
 """Expressing different objectives with pluggable utility functions (§2.4, §4.4).
 
 PCC's architecture separates *what to optimise* (the utility function) from
-*how to optimise it* (the learning policy).  This example runs the same
-network with different objectives and learners:
+*how to optimise it* (the learning control).  This example runs the same
+network with different objectives:
 
 1. the default "safe" utility (throughput with a ~5% loss cap) on a link with
    30% random loss — throughput collapses because the utility treats that
@@ -10,13 +10,11 @@ network with different objectives and learners:
 2. the loss-resilient utility T * (1 - L) — the flow keeps sending at its
    fair share and recovers most of the achievable goodput;
 3. the latency-sensitive utility keeping self-inflicted queueing low on a
-   bufferbloated link;
-4. the continuous gradient-ascent learning policy driving the same monitor
-   and utility machinery as the paper's three-state machine.
+   bufferbloated link.
 
-Utilities and policies are selected by registered name (`utility=...`,
-`policy=...`), the same JSON-serializable currency the sweep grids use;
-instances (`utility_function=...`) work too for bespoke objects.
+Utilities are selected by registered name (`utility=...`), the same
+JSON-serializable currency the sweep grids use; instances
+(`utility_function=...`) work too for bespoke objects.
 
 Run with:  python examples/custom_utility.py
 """
@@ -56,13 +54,6 @@ def main() -> None:
                                bandwidth=20e6, rtt=0.02, utility="latency")
     print(f"latency utility:         mean RTT {stats.mean_rtt * 1000:7.1f} ms, "
           f"{stats.goodput_bps(duration) / 1e6:5.1f} Mbps")
-
-    print("\n=== 40 Mbps clean link: three-state machine vs gradient ascent ===")
-    stats, duration = run_once(loss_rate=0.0, buffer_bytes=150_000)
-    print(f"policy='pcc' (default):  {stats.goodput_bps(duration) / 1e6:6.2f} Mbps")
-    stats, duration = run_once(loss_rate=0.0, buffer_bytes=150_000,
-                               policy="gradient")
-    print(f"policy='gradient':       {stats.goodput_bps(duration) / 1e6:6.2f} Mbps")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,12 @@ Packages
     ack-clocked and rate-paced senders, workload generators).
 ``repro.cc``
     The baseline congestion controllers the paper compares against: the TCP
-    family (New Reno, CUBIC, Illinois, Hybla, Vegas, BIC, Westwood, paced
-    Reno, parallel bundles) and the rate-based SABUL/UDT and PCP.
+    family (New Reno, CUBIC, Illinois, Hybla, Vegas, Westwood, paced Reno,
+    parallel bundles) and the rate-based SABUL/UDT and PCP.
 ``repro.schemes``
-    The scheme registry: every congestion-control scheme (and named variant
-    like ``pcc:gradient``) registers a factory plus sender-kind metadata
-    once, and is then usable from ``run_flows``, sweep grids and the sweep
-    CLI with no further edits.
+    The scheme registry: every congestion-control scheme registers a factory
+    plus sender-kind metadata once, and is then usable from ``run_flows``,
+    sweep grids and the sweep CLI with no further edits.
 ``repro.core``
     PCC itself: monitor intervals, utility functions, and the learning
     control algorithm (starting / decision with RCTs / rate adjusting).

@@ -13,7 +13,6 @@ from .cubic import CubicController
 from .illinois import IllinoisController
 from .hybla import HyblaController
 from .vegas import VegasController
-from .bic import BicController
 from .westwood import WestwoodController
 from .pacing import PacedRenoController
 from .parallel import DEFAULT_BUNDLE_SIZE, ParallelTcpBundle
@@ -35,7 +34,6 @@ for _name, _controller in [
     ("illinois", IllinoisController),
     ("hybla", HyblaController),
     ("vegas", VegasController),
-    ("bic", BicController),
     ("westwood", WestwoodController),
     ("reno_paced", PacedRenoController),
 ]:
@@ -60,7 +58,6 @@ __all__ = [
     "IllinoisController",
     "HyblaController",
     "VegasController",
-    "BicController",
     "WestwoodController",
     "PacedRenoController",
     "DEFAULT_BUNDLE_SIZE",

@@ -19,7 +19,7 @@ multiplicative back-off when probes look congested.
 
 from __future__ import annotations
 
-from ..core.units import BITS_PER_BYTE
+from ..units import BITS_PER_BYTE
 from ..netsim.packet import DEFAULT_MSS
 from .base import MIN_RATE_BPS, RateController
 

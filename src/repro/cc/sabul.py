@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from ..core.units import BITS_PER_BYTE
+from ..units import BITS_PER_BYTE
 from ..netsim.packet import DEFAULT_MSS
 from .base import MIN_RATE_BPS, RateController
 

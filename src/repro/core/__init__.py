@@ -6,17 +6,13 @@ The package decomposes exactly as Figure 2 of the paper does:
   aggregation into throughput / loss / RTT);
 * :mod:`repro.core.utility` — pluggable utility functions (name registry via
   :func:`~repro.core.utility.make_utility`);
-* :mod:`repro.core.policy` — pluggable learning policies
-  (:class:`~repro.core.policy.RateControlPolicy`, name registry via
-  :func:`~repro.core.policy.make_policy`);
 * :mod:`repro.core.controller` — the paper's three-state performance-oriented
-  control module (starting / decision-making with RCTs / rate-adjusting),
-  registered as policy ``"pcc"``;
+  control module (starting / decision-making with RCTs / rate-adjusting);
 * :mod:`repro.core.sender` — the glue that runs all of the above inside the
   network simulator's rate-paced sender.
 """
 
-from ..schemes import register_scheme, register_scheme_variant
+from ..schemes import register_scheme
 from .metrics import MonitorIntervalStats
 from .utility import (
     LatencyUtility,
@@ -31,37 +27,13 @@ from .utility import (
 )
 from .monitor import PerformanceMonitor
 from .controller import ControllerState, MIPurpose, PCCController
-from .policy import (
-    GradientAscentPolicy,
-    RateControlPolicy,
-    make_policy,
-    policy_names,
-    register_policy,
-)
 from .sender import PCCScheme, make_pcc_sender
 
-# PCC registers itself (and its named variants) with the scheme registry at
-# import time, exactly like the baselines in repro.cc: spawn-method sweep
-# workers re-import this module before resolving scheme names.
+# PCC registers itself with the scheme registry at import time, exactly like
+# the baselines in repro.cc: spawn-method sweep workers re-import this module
+# before resolving scheme names.
 register_scheme("pcc", PCCScheme, "rate",
                 description="performance-oriented congestion control (the paper)")
-register_scheme_variant(
-    "gradient", {"policy": "gradient"},
-    description="continuous gradient-ascent learning policy (vs the "
-                "three-state RCT machine)")
-register_scheme_variant(
-    "latency", {"utility": "latency"},
-    description="§4.4.1 interactive-flow (power-maximising) utility")
-register_scheme_variant(
-    "loss_resilient", {"utility": "loss_resilient"},
-    description="§4.4.2 loss-resilient utility T * (1 - L)")
-register_scheme_variant(
-    "simple", {"utility": "simple"},
-    description="pre-sigmoid derivation utility T - x * L")
-register_scheme_variant(
-    "no_rct", {"use_rct": False},
-    description="§4.2.2 ablation: single trial pair instead of randomized "
-                "controlled trials")
 
 __all__ = [
     "MonitorIntervalStats",
@@ -78,11 +50,6 @@ __all__ = [
     "ControllerState",
     "MIPurpose",
     "PCCController",
-    "GradientAscentPolicy",
-    "RateControlPolicy",
-    "make_policy",
-    "policy_names",
-    "register_policy",
     "PCCScheme",
     "make_pcc_sender",
 ]

@@ -37,8 +37,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..units import BPS_PER_MBPS, Bps
 from .metrics import MonitorIntervalStats
-from .units import BPS_PER_MBPS, Bps
 
 __all__ = ["PCCController", "ControllerState", "MIPurpose"]
 
@@ -58,7 +58,7 @@ class ControllerState(enum.Enum):
 class MIPurpose:
     """Tag attached to each MI describing why the controller chose its rate."""
 
-    kind: str          # "starting" | "trial" | "wait" | "adjust" | "probe" (gradient policy)
+    kind: str          # "starting" | "trial" | "wait" | "adjust"
     epoch: int         # probing epoch; stale results are ignored
     trial_index: int = -1
     sign: int = 0      # +1 / -1 for trial MIs, direction for adjust MIs
@@ -122,9 +122,8 @@ class PCCController:
         """Restart the rate search from ``rate_bps`` (clamped to the bounds).
 
         Called at flow start once the path RTT is known, to apply the §3.2
-        ``2 * MSS / RTT`` initial rate.  This is the public entry point of the
-        :class:`~repro.core.policy.RateControlPolicy` protocol; callers must
-        not poke the private starting-state fields directly.
+        ``2 * MSS / RTT`` initial rate; callers must not poke the private
+        starting-state fields directly.
         """
         rate = self._clamp(rate_bps)
         self.rate_bps = rate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .units import BITS_PER_BYTE, BPS_PER_MBPS
+from ..units import BITS_PER_BYTE, BPS_PER_MBPS
 
 __all__ = ["MonitorIntervalStats"]
 

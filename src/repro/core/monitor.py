@@ -25,9 +25,9 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..netsim.engine import Event, Simulator
 from ..netsim.packet import DEFAULT_MSS
+from ..units import BITS_PER_BYTE, Bps
 from .controller import MIN_RATE_BPS
 from .metrics import MonitorIntervalStats
-from .units import BITS_PER_BYTE, Bps
 from .utility import SafeUtility, UtilityFunction
 
 __all__ = ["PerformanceMonitor"]

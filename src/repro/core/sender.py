@@ -7,9 +7,8 @@ together the three PCC components:
 * the :class:`~repro.core.monitor.PerformanceMonitor` (MI lifecycle and SACK
   aggregation),
 * a pluggable :mod:`utility function <repro.core.utility>`, and
-* a pluggable :class:`~repro.core.policy.RateControlPolicy` learning control
-  (the paper's three-state :class:`~repro.core.controller.PCCController` by
-  default; ``policy="gradient"`` selects the continuous gradient learner).
+* the paper's three-state learning control,
+  :class:`~repro.core.controller.PCCController`.
 
 :func:`make_pcc_sender` is the one-call convenience constructor used by the
 examples and the experiment runner.
@@ -17,17 +16,17 @@ examples and the experiment runner.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Optional
 
 from ..netsim.endpoints import RateBasedSender, Receiver, connect
 from ..netsim.engine import Simulator
 from ..netsim.packet import DEFAULT_MSS
 from ..netsim.route import Path
 from ..netsim.stats import FlowStats
+from ..units import BITS_PER_BYTE
+from .controller import MIN_RATE_BPS, PCCController
 from .metrics import MonitorIntervalStats
 from .monitor import DEFAULT_MI_RTT_RANGE, DEFAULT_MIN_PACKETS_PER_MI, PerformanceMonitor
-from .policy import RateControlPolicy, make_policy
-from .units import BITS_PER_BYTE
 from .utility import SafeUtility, UtilityFunction, make_utility
 
 __all__ = ["PCCScheme", "make_pcc_sender"]
@@ -36,31 +35,29 @@ __all__ = ["PCCScheme", "make_pcc_sender"]
 class PCCScheme:
     """The complete PCC endpoint logic, exposed as a rate controller.
 
-    The learning control is a pluggable :class:`~repro.core.policy.RateControlPolicy`:
-    pass ``policy`` as a registered name (``"pcc"`` — the default three-state
-    machine — or ``"gradient"``) with optional ``policy_kwargs``, or as a
-    ready-built policy instance.  The utility function is equally pluggable:
-    ``utility`` selects a registered name (``"safe"``, ``"simple"``,
-    ``"loss_resilient"``, ``"latency"``), ``utility_function`` passes an
-    instance.  Names are what the sweep layers ship across process
-    boundaries; instances are for bespoke objects in single-process code.
+    ``epsilon_min`` / ``epsilon_max`` / ``use_rct`` and the rate bounds
+    configure the :class:`~repro.core.controller.PCCController` the scheme
+    builds (``scheme.controller``).  ``utility`` selects a registered utility
+    name (``"safe"``, ``"simple"``, ``"loss_resilient"``, ``"latency"``) —
+    what the sweep layers ship across process boundaries — and
+    ``utility_function`` passes a bespoke instance in single-process code.
+    ``initial_rate_bps=None`` means §3.2's ``2 * MSS / RTT``, applied at flow
+    start once the path RTT is known.
     """
 
     def __init__(
         self,
         utility_function: Optional[UtilityFunction] = None,
-        epsilon_min: Optional[float] = None,   # default 0.01 ("pcc" policy only)
-        epsilon_max: Optional[float] = None,   # default 0.05 ("pcc" policy only)
-        use_rct: Optional[bool] = None,        # default True ("pcc" policy only)
+        epsilon_min: float = 0.01,
+        epsilon_max: float = 0.05,
+        use_rct: bool = True,
         mi_rtt_range: tuple[float, float] = DEFAULT_MI_RTT_RANGE,
         min_packets_per_mi: int = DEFAULT_MIN_PACKETS_PER_MI,
         initial_rate_bps: Optional[float] = None,
         mss: int = DEFAULT_MSS,
         utility: Optional[str] = None,
-        policy: Union[str, RateControlPolicy, None] = None,
-        policy_kwargs: Optional[Dict[str, Any]] = None,
-        min_rate_bps: Optional[float] = None,
-        max_rate_bps: Optional[float] = None,
+        min_rate_bps: float = MIN_RATE_BPS,
+        max_rate_bps: float = 1e12,
     ):
         if utility is not None and utility_function is not None:
             raise ValueError("pass either utility (a registered name) or "
@@ -69,105 +66,26 @@ class PCCScheme:
             self.utility_function: UtilityFunction = make_utility(utility)
         else:
             self.utility_function = utility_function or SafeUtility()
-        self.policy = self._build_policy(
-            policy, policy_kwargs, initial_rate_bps,
-            epsilon_min=epsilon_min, epsilon_max=epsilon_max, use_rct=use_rct,
-            min_rate_bps=min_rate_bps, max_rate_bps=max_rate_bps,
+        self.controller = PCCController(
+            initial_rate_bps=initial_rate_bps or 1_000_000.0,
+            epsilon_min=epsilon_min,
+            epsilon_max=epsilon_max,
+            use_rct=use_rct,
+            min_rate_bps=min_rate_bps,
+            max_rate_bps=max_rate_bps,
         )
         self.mi_rtt_range = mi_rtt_range
         self.min_packets_per_mi = min_packets_per_mi
         self.initial_rate_bps = initial_rate_bps
-        #: Whether flow start applies the §3.2 ``2 * MSS / RTT`` reset.  A
-        #: ready-built policy instance carries its own configured initial rate
-        #: (that is where `_build_policy` directs callers to set it), so only
-        #: name-constructed policies without an explicit scheme-level rate are
-        #: reset once the path RTT is known.
-        self._reset_rate_at_flow_start = (
-            initial_rate_bps is None and (policy is None or isinstance(policy, str))
-        )
         self.mss = mss
         #: The pacing rate (:class:`repro.cc.base.RateController`), published
         #: rather than computed: §3.1 fixes it for a whole monitor interval, so
         #: it is written at flow start and wherever an MI opens
         #: (:meth:`_open_mi`) and the sender reads it on every tick and ACK.
-        self.rate_bps: float = self.policy.rate_bps
+        self.rate_bps: float = self.controller.rate_bps
         self.monitor: Optional[PerformanceMonitor] = None
         self._sender: Optional[RateBasedSender] = None
         self._sim: Optional[Simulator] = None
-
-    @staticmethod
-    def _build_policy(
-        policy: Union[str, RateControlPolicy, None],
-        policy_kwargs: Optional[Dict[str, Any]],
-        initial_rate_bps: Optional[float],
-        *,
-        epsilon_min: Optional[float],
-        epsilon_max: Optional[float],
-        use_rct: Optional[bool],
-        min_rate_bps: Optional[float],
-        max_rate_bps: Optional[float],
-    ) -> RateControlPolicy:
-        # The scheme-level epsilon/RCT knobs tune the default three-state
-        # machine; any other policy takes its tuning via policy_kwargs, and
-        # explicitly-passed knobs it cannot honor are an error, never a
-        # silent drop (they would run a different experiment than asked).
-        tuning = {key: value for key, value in (
-            ("epsilon_min", epsilon_min),
-            ("epsilon_max", epsilon_max),
-            ("use_rct", use_rct),
-        ) if value is not None}
-        if policy is not None and not isinstance(policy, str):
-            # A ready-built instance already carries its full configuration,
-            # so every scheme-level constructor argument would be ignored.
-            if policy_kwargs:
-                raise ValueError("policy_kwargs requires a policy name, not an instance")
-            if min_rate_bps is not None or max_rate_bps is not None:
-                raise ValueError("min_rate_bps/max_rate_bps cannot reconfigure a "
-                                 "policy instance; construct the instance with them")
-            if initial_rate_bps is not None:
-                raise ValueError("initial_rate_bps cannot reconfigure a policy "
-                                 "instance; construct the instance with it")
-            if tuning:
-                raise ValueError(
-                    f"{'/'.join(tuning)} tune the named 'pcc' policy and cannot "
-                    f"reconfigure a policy instance")
-            return policy
-        name = policy or "pcc"
-        kwargs: Dict[str, Any] = dict(policy_kwargs or {})
-        # The scheme coordinates the rate bounds (monitor MI-sizing floor) and
-        # the initial rate (the 2 * MSS / RTT reset at flow start) with the
-        # other layers, so they must arrive as scheme arguments; accepting
-        # them in policy_kwargs would let the flow-start reset silently wipe
-        # a configured initial rate, or desynchronize the monitor floor.
-        managed = {"initial_rate_bps", "min_rate_bps", "max_rate_bps"} & set(kwargs)
-        if managed:
-            raise ValueError(
-                f"pass {'/'.join(sorted(managed))} as PCCScheme arguments, "
-                f"not via policy_kwargs")
-        shadowed = set(tuning) & set(kwargs)
-        if shadowed:
-            raise ValueError(
-                f"{'/'.join(sorted(shadowed))} passed both as PCCScheme "
-                f"arguments and in policy_kwargs")
-        kwargs["initial_rate_bps"] = initial_rate_bps or 1_000_000.0
-        if min_rate_bps is not None:
-            kwargs["min_rate_bps"] = min_rate_bps
-        if max_rate_bps is not None:
-            kwargs["max_rate_bps"] = max_rate_bps
-        if name == "pcc":
-            kwargs.setdefault("epsilon_min", 0.01 if epsilon_min is None else epsilon_min)
-            kwargs.setdefault("epsilon_max", 0.05 if epsilon_max is None else epsilon_max)
-            kwargs.setdefault("use_rct", True if use_rct is None else use_rct)
-        elif tuning:
-            raise ValueError(
-                f"{'/'.join(tuning)} tune the 'pcc' policy; pass tuning for "
-                f"{name!r} via policy_kwargs")
-        return make_policy(name, **kwargs)
-
-    @property
-    def controller(self) -> RateControlPolicy:
-        """The learning policy (historical name kept for callers and tests)."""
-        return self.policy
 
     # ------------------------------------------------------------------ #
     # RateController protocol
@@ -177,27 +95,26 @@ class PCCScheme:
         self._sender = sender
         self._sim = sender.sim
         base_rtt = max(sender.path.base_rtt, 1e-4)
-        if self._reset_rate_at_flow_start:
+        if self.initial_rate_bps is None:
             # §3.2: start at 2 * MSS / RTT, exactly like TCP's initial window.
-            self.policy.reset_initial_rate(
-                max(2.0 * sender.mss * BITS_PER_BYTE / base_rtt, self.policy.min_rate_bps)
-            )
-        self.policy.attach_rng(sender.sim.rng)
+            self.controller.reset_initial_rate(
+                2.0 * sender.mss * BITS_PER_BYTE / base_rtt)
+        self.controller.attach_rng(sender.sim.rng)
         self.monitor = PerformanceMonitor(
             sim=sender.sim,
-            rate_provider=self.policy.next_rate,
-            on_mi_complete=self.policy.on_mi_complete,
+            rate_provider=self.controller.next_rate,
+            on_mi_complete=self.controller.on_mi_complete,
             utility_function=self.utility_function,
             mss=sender.mss,
             min_packets_per_mi=self.min_packets_per_mi,
             mi_rtt_range=self.mi_rtt_range,
-            # The monitor's MI-sizing floor is kept equal to the policy's rate
-            # floor, so the two layers never disagree about the slowest rate.
-            min_rate_bps=self.policy.min_rate_bps,
+            # The monitor's MI-sizing floor is kept equal to the controller's
+            # rate floor, so the two never disagree about the slowest rate.
+            min_rate_bps=self.controller.min_rate_bps,
         )
         # Until the first packet opens the first MI the flow paces at the
-        # policy's (just reset) starting rate.
-        self.rate_bps = self.policy.rate_bps
+        # controller's (just reset) starting rate.
+        self.rate_bps = self.controller.rate_bps
 
     def current_mi_id(self, now: float) -> Optional[int]:
         """MI tag for a packet sent now (opens a new MI at interval boundaries).
@@ -216,7 +133,7 @@ class PCCScheme:
         if current is None or now >= current.send_end_time:
             current = self._open_mi(monitor.current_mi_id, now)
         target = current.target_rate_bps
-        if target > 0 and abs(self.policy.rate_bps - target) / target > 0.25:
+        if target > 0 and abs(self.controller.rate_bps - target) / target > 0.25:
             current = self._open_mi(monitor.realign, now)
         return current.mi_id
 

@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Protocol
 
-from .units import BPS_PER_MBPS
-
 from ..registry import NameRegistry
+from ..units import BPS_PER_MBPS
 from .metrics import MonitorIntervalStats
 
 __all__ = [

@@ -18,7 +18,7 @@ checked code).  It infers a *dimension* (rate, size, time, dimensionless) and
 
 * name suffixes (``rtt_ms``, ``bandwidth_bps``, ``buffer_bytes``, ...) and
   the ``bytes_`` prefix family (``bytes_sent``, ``bytes_queued``),
-* ``Annotated`` unit aliases from :mod:`repro.core.units` in parameter,
+* ``Annotated`` unit aliases from :mod:`repro.units` in parameter,
   return and variable annotations (``Bps``, ``Seconds``, ...),
 * the named conversion constants (``BITS_PER_BYTE``, ``BPS_PER_MBPS``,
   ``MS_PER_S``, ``BYTES_PER_KB``), which are the only sanctioned way to
@@ -186,7 +186,7 @@ _DEPRECATED_SUFFIXES: Dict[str, str] = {
     "_usecs": "_us",
 }
 
-#: Named conversion constants (repro.core.units) → the factor the carried
+#: Named conversion constants (repro.units) → the factor the carried
 #: value is multiplied by.  ``x * FACTOR`` divides the scale; ``x / FACTOR``
 #: multiplies it.
 _CONVERSION_CONSTANTS: Dict[str, float] = {
@@ -209,7 +209,7 @@ _CONVERSION_LITERALS: Dict[float, str] = {
     1e9: "BPS_PER_GBPS",
 }
 
-#: Unit aliases from repro.core.units recognised in annotations.
+#: Unit aliases from repro.units recognised in annotations.
 _ANNOTATION_UNITS: Dict[str, UnitInfo] = {
     "Bps": BPS,
     "Mbps": MBPS,
@@ -538,7 +538,7 @@ class _ModuleChecker:
             self._emit(node, "RPL016",
                        f"{kind} {name!r} uses non-canonical unit suffix "
                        f"'{bad}'; the policy spelling is '{canonical}' "
-                       f"(see repro.core.units)")
+                       f"(see repro.units)")
 
         for node in ast.walk(self.ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -831,7 +831,7 @@ class _ModuleChecker:
                 self._emit(node, "RPL011",
                            f"'{op}' mixes {left.label} and {right.label} "
                            f"({kind} mismatch); convert one side with the "
-                           f"named constants from repro.core.units first")
+                           f"named constants from repro.units first")
             if isinstance(left, UnitInfo):
                 return left
             if isinstance(right, UnitInfo):
@@ -1082,7 +1082,7 @@ register_lint_rule(
 from seconds, or comparing bytes against bits is always a bug: the result is
 off by the conversion factor and Python cannot notice.  The checker infers a
 dimension (rate, size, time) and scale (bps vs Mbps, s vs ms, bits vs bytes)
-for every expression from name suffixes, repro.core.units annotations and
+for every expression from name suffixes, repro.units annotations and
 the cross-file call graph, and flags additive/comparison operators whose two
 sides disagree.  Multiplication and division compose dimensions (bytes *
 BITS_PER_BYTE / seconds is a rate in bps) and are checked via the other
@@ -1100,13 +1100,13 @@ method calls on unknown objects are checked only when every definition of
 that method name in the tree agrees on parameter units, so the rule cannot
 misfire on polymorphic call sites.  Dataclass field bindings (keyword
 construction) are checked the same way.  Convert at the call site with the
-repro.core.units constants.""")
+repro.units constants.""")
 
 register_lint_rule(
     "RPL013", "no-mismatched-return-units",
     "Returned values must match the declared return unit.",
     """A function whose name carries a unit suffix (goodput_bps) or whose
-return annotation is a repro.core.units alias (-> Bps) declares a contract
+return annotation is a repro.units alias (-> Bps) declares a contract
 for every caller; returning bytes, Mbit/s or a raw seconds value from it
 poisons all downstream arithmetic at once — the worst-case version of the
 bug class, because the error multiplies across call sites.  The checker
@@ -1120,7 +1120,7 @@ register_lint_rule(
 quantity is a unit conversion hiding as arithmetic: nothing distinguishes
 bits-per-byte from a batch size of 8, so neither reviewers nor this checker
 can verify the intent — and a wrong factor (1024 vs 1000, * vs /) is
-invisible.  Convert with the named constants from repro.core.units
+invisible.  Convert with the named constants from repro.units
 (BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, BYTES_PER_KB): the name declares
 the conversion, and the checker then tracks the scale change through the
 expression.  Ordinary arithmetic with non-conversion-shaped literals

@@ -30,11 +30,8 @@ _SWEEP_EXPORTS = (
     "SweepCell",
     "SweepGrid",
     "derive_seed",
-    "register_scheme_variant",
     "register_topology",
-    "resolve_scheme_spec",
     "resolve_topology_kwargs",
-    "scheme_variant_names",
     "topology_names",
 )
 
@@ -78,10 +75,7 @@ __all__ = [
     "SweepCell",
     "SweepGrid",
     "derive_seed",
-    "register_scheme_variant",
     "register_topology",
-    "resolve_scheme_spec",
     "resolve_topology_kwargs",
-    "scheme_variant_names",
     "topology_names",
 ]

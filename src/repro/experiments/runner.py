@@ -1,11 +1,11 @@
 """Experiment runner: turn flow specs into senders and collect results.
 
-Scheme names (the strings used in :class:`repro.netsim.flows.FlowSpec`,
-including ``"pcc:gradient"``-style variant specs) are resolved against the
-:mod:`repro.schemes` registry — a scheme registered once there is usable here,
-in sweep grids and in the sweep CLI with no further edits.  Every sweep cell,
-scenario and example goes through :func:`run_flows`, so scenarios stay
-declarative: build a topology, list the flows, pick a duration.
+Scheme names (the strings used in :class:`repro.netsim.flows.FlowSpec`) are
+resolved against the :mod:`repro.schemes` registry — a scheme registered once
+there is usable here, in sweep grids and in the sweep CLI with no further
+edits.  Every sweep cell, scenario and example goes through
+:func:`run_flows`, so scenarios stay declarative: build a topology, list the
+flows, pick a duration.
 
 A flow's endpoints exist while it runs: :func:`run_flows` schedules one start
 event per flow, the event builds the sender(s), receiver(s) and controller(s)
@@ -17,9 +17,9 @@ statistics) per flow offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..schemes import SchemeInfo, SchemeSpec, available_schemes
+from ..schemes import SchemeInfo, available_schemes, get_scheme
 from ..units import BPS_PER_MBPS, MS_PER_S
 from ..netsim import (
     DEFAULT_MSS,
@@ -153,14 +153,6 @@ class ScenarioResult:
         return rows
 
 
-def _resolve_scheme(scheme: str) -> Tuple[SchemeInfo, Dict[str, Any]]:
-    """A scheme spec's registry entry and the kwargs it fixes: declared
-    defaults under the variant's (the precedence the sweep layer records in
-    cell identity JSON); a flow spec's explicit kwargs go on top."""
-    parsed = SchemeSpec.parse(scheme)
-    return parsed.info(), parsed.recorded_kwargs()
-
-
 def _start_flow(
     flow: FlowResult,
     sim: Simulator,
@@ -168,7 +160,6 @@ def _start_flow(
     path: Path,
     mss: int,
     info: SchemeInfo,
-    scheme_kwargs: Dict[str, Any],
 ) -> None:
     """The event at a flow's start time: instantiate its sender(s),
     receiver(s) and stats, and begin sending.
@@ -177,21 +168,23 @@ def _start_flow(
     building here instead of before the run moves no simulated statistic.
     """
     spec = flow.spec
-    kwargs = {**scheme_kwargs, **spec.controller_kwargs}
+    # The scheme's declared defaults (what the sweep layer records in cell
+    # identity JSON) under the flow spec's explicit kwargs.
+    kwargs = {**info.kwarg_defaults, **spec.controller_kwargs}
     if info.sender_kind == "bundle":
         # The registry's declared kwargs configure the bundle descriptor;
         # everything else is forwarded to the sub-flow controllers.
         bundle_kwargs = {key: kwargs.pop(key) for key in list(kwargs)
                          if key in info.kwarg_defaults}
         bundle = info.factory(**bundle_kwargs)
-        info, sub_kwargs = _resolve_scheme(bundle.scheme)
+        info = get_scheme(bundle.scheme)
         if info.sender_kind != "windowed":
             raise ValueError(
                 f"bundle scheme {spec.scheme!r} expands into {bundle.scheme!r} "
                 f"sub-flows, which is a {info.sender_kind!r} scheme; "
                 f"bundles require a windowed one"
             )
-        kwargs = {**sub_kwargs, **kwargs}
+        kwargs = {**info.kwarg_defaults, **kwargs}
         shares = [(flow_id * 1000 + offset, size)
                   for offset, size in enumerate(bundle.split_bytes(spec.size_bytes))]
     else:
@@ -244,13 +237,13 @@ def run_flows(
     """
     if not paths:
         raise ValueError("run_flows needs at least one path")
-    schemes = {scheme: _resolve_scheme(scheme)
+    schemes = {scheme: get_scheme(scheme)
                for scheme in dict.fromkeys(spec.scheme for spec in flow_specs)}
     flows = [FlowResult(spec=spec, bin_width=bin_width) for spec in flow_specs]
     for index, flow in enumerate(flows):
         spec = flow.spec
         sim.schedule_at(
             max(spec.start_time, sim.now), _start_flow, flow, sim, index + 1,
-            paths[spec.path_index % len(paths)], mss, *schemes[spec.scheme])
+            paths[spec.path_index % len(paths)], mss, schemes[spec.scheme])
     sim.run(duration)
     return ScenarioResult(simulator=sim, duration=duration, flows=flows)

@@ -10,13 +10,11 @@ place that fan-out lives:
   ``parking_lot`` multi-bottleneck chains, ``dumbbell`` per-flow access
   links, and the ``trace_bottleneck`` / ``random_dynamics`` time-varying
   links; extendable via :func:`register_topology`);
-* scheme entries are **scheme specs** resolved against the
-  :mod:`repro.schemes` registry — any registered base name plus optional
-  variant suffix (``"pcc:gradient"``, ``"pcc:latency"``, …) naming controller
-  kwargs (a learning policy, a utility function, an ablation switch) — and
-  the grid has a ``utilities`` axis crossing registered utility names with
-  every other axis, the §4.4 flexibility experiments as first-class sweep
-  dimensions;
+* scheme entries are names registered in :mod:`repro.schemes`; a PCC flow's
+  utility is the cell's ``utility`` (a grid's ``utilities`` axis crosses
+  registered utility names with every other axis, the §4.4 flexibility
+  experiments as a first-class sweep dimension) and an ablation is
+  ``controller_kwargs`` (``{"use_rct": False}``);
 * :func:`sweep` fans the cells out across CPU cores, seeding every cell
   deterministically from ``(base_seed, cell_index)`` via :func:`derive_seed`,
   so the result is **bit-identical regardless of worker count**;
@@ -46,16 +44,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core import make_utility, policy_names, utility_names
+from ..core import make_utility, utility_names
 from ..registry import KwargRegistry
 from ..units import BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
-from ..schemes import (
-    SchemeSpec,
-    available_schemes,
-    register_scheme_variant,
-    resolve_scheme_spec,
-    scheme_variant_names,
-)
+from ..schemes import available_schemes, get_scheme
 from .execute import PROFILE_TOP_N, execute_cells
 from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore
@@ -96,14 +88,11 @@ __all__ = [
     "SweepGrid",
     "cell_identity_key",
     "derive_seed",
-    "register_scheme_variant",
     "register_topology",
     "register_workload",
-    "resolve_scheme_spec",
     "resolve_topology_kwargs",
     "resolve_workload_kwargs",
     "build_workload",
-    "scheme_variant_names",
     "topology_names",
     "workload_names",
     "sweep",
@@ -170,7 +159,7 @@ class SweepCell:
     #: when non-default.
     workload: str = DEFAULT_WORKLOAD
     #: Extra JSON-serializable arguments for the workload builder
-    #: (e.g. ``{"load": 0.7}`` for poisson/web storms).
+    #: (e.g. ``{"load": 0.7}`` for web storms).
     workload_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Record each flow's receiver-side delivered bytes per 1 s bin over
     #: ``[0, duration]`` as ``delivered_bytes`` in its flow row, for specs
@@ -181,13 +170,40 @@ class SweepCell:
     def __post_init__(self) -> None:
         """Reject here what would otherwise fail, or be recorded wrongly,
         in a worker; a grid validates by enumerating its cells."""
+        scheme = get_scheme(self.scheme)
+        if self.utility is not None:
+            # A utility only configures PCC flows; on any other scheme it
+            # would label identical simulations differently.
+            if scheme.name != "pcc":
+                raise ValueError(
+                    f"the utilities axis applies only to pcc schemes, not "
+                    f"{self.scheme!r}")
+            # Instantiating validates the name with the registry's canonical
+            # unknown-name error; the throwaway instance is trivial.
+            make_utility(self.utility)
         if self.controller_kwargs:
+            # What a cell ran with is stated once, in the field the identity
+            # records it under: smuggled through controller_kwargs it would
+            # be simulated under another field's label.
+            smuggled = {"utility", "utility_function", "qdisc", "workload"} \
+                & set(self.controller_kwargs)
+            if smuggled:
+                raise ValueError(
+                    f"controller_kwargs cannot set {sorted(smuggled)}; a "
+                    f"utility is the cell's utility field (a grid's utilities "
+                    f"axis) and qdisc/workload are fields of their own, so "
+                    f"the cell identity records them")
             try:
                 json.dumps(self.controller_kwargs)
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"controller_kwargs are recorded in the cell identity and "
                     f"must be JSON-serializable: {exc}") from None
+            conflict = set(scheme.kwarg_defaults) & set(self.controller_kwargs)
+            if conflict:
+                raise ValueError(
+                    f"controller_kwargs {sorted(conflict)} would override the "
+                    f"kwargs recorded for scheme {self.scheme!r}")
         resolve_qdisc_kwargs(self.qdisc, self.qdisc_kwargs)
         topology = _TOPOLOGIES.get(self.topology)
         kwargs = resolve_topology_kwargs(self.topology, self.topology_kwargs)
@@ -200,17 +216,17 @@ class SweepCell:
         validate_workload(self)
 
     def resolved_scheme_kwargs(self) -> Dict[str, Any]:
-        """Controller kwargs this cell's scheme spec + utility resolve to.
+        """Controller kwargs this cell's scheme + utility resolve to.
 
         The scheme registry's declared kwarg defaults come first (resolved
         into the identity so archived sweeps keep their meaning even if a
-        registry default changes later), then the variant's kwargs, then the
-        ``utilities`` axis value; ``controller_kwargs`` are layered on top at
-        simulation time and recorded under their own identity key
-        (:class:`SweepGrid` rejects ones that would override a key recorded
-        here).  Empty for a plain default cell.
+        registry default changes later), then the ``utility``;
+        ``controller_kwargs`` are layered on top at simulation time and
+        recorded under their own identity key (``__post_init__`` rejects ones
+        that would override a key recorded here).  Empty for a plain default
+        cell.
         """
-        kwargs = SchemeSpec.parse(self.scheme).recorded_kwargs()
+        kwargs = dict(get_scheme(self.scheme).kwarg_defaults)
         if self.utility is not None:
             kwargs["utility"] = self.utility
         return kwargs
@@ -243,7 +259,7 @@ class SweepCell:
         }
         # Cells whose scheme needs no kwargs (every paper grid: pcc and the
         # TCP family declare no defaults) carry neither extra key, so archived
-        # JSON from before the policy/utility axes stays byte-comparable;
+        # JSON from before the utility axis stays byte-comparable;
         # schemes with declared kwarg defaults (parallel_tcp's bundle shape)
         # record them so the archive fully specifies what was simulated.
         if self.utility is not None:
@@ -563,64 +579,7 @@ class SweepGrid:
         if not self.utilities:
             raise ValueError("a sweep grid needs at least one utilities entry "
                              "(use (None,) for the scheme default)")
-        # Resolve every scheme spec now: unknown schemes and variants fail at
-        # grid construction, not mid-sweep inside a worker.
-        parsed_specs = {spec: SchemeSpec.parse(spec) for spec in self.schemes}
-        # The policy and utility a cell ran with are identity: they must
-        # arrive via scheme specs or the utilities axis, which are recorded in
-        # the cell identity JSON.  Smuggled through grid-level
-        # controller_kwargs they would be simulated but not recorded, so
-        # archived sweeps would lie about what ran.
-        identity_keys = {"policy", "utility", "utility_function"} \
-            & set(self.controller_kwargs)
-        if identity_keys:
-            raise ValueError(
-                f"controller_kwargs cannot set {sorted(identity_keys)}; select "
-                f"policies via scheme specs (e.g. 'pcc:gradient') and "
-                f"utilities via the utilities axis so the cell identity "
-                f"records them"
-            )
-        smuggled = {"qdisc", "workload"} & set(self.controller_kwargs)
-        if smuggled:
-            # Same rule: queue discipline and workload are cell identity
-            # (when non-default), never controller knobs.
-            raise ValueError(
-                f"controller_kwargs cannot set {sorted(smuggled)}; pass them "
-                f"as the grid's qdisc/workload fields so the cell identity "
-                f"records them"
-            )
-        # Registry kwarg defaults and variant kwargs are recorded in cell
-        # identity JSON; letting grid-level controller_kwargs override either
-        # would make the archived identity lie about what was simulated.
-        for spec, parsed in parsed_specs.items():
-            conflict = set(parsed.recorded_kwargs()) \
-                & set(self.controller_kwargs)
-            if conflict:
-                raise ValueError(
-                    f"controller_kwargs {sorted(conflict)} would override the "
-                    f"kwargs recorded for scheme spec {spec!r}; register a "
-                    f"scheme variant to vary them"
-                )
-        named_utilities = [u for u in self.utilities if u is not None]
-        for name in named_utilities:
-            # Instantiating validates the name with the registry's canonical
-            # unknown-name error; the throwaway instance is trivial.
-            make_utility(name)
-        if named_utilities:
-            # The utilities axis only configures PCC flows; silently crossing
-            # it with TCP schemes would duplicate cells under different labels.
-            for spec, parsed in parsed_specs.items():
-                if parsed.base != "pcc":
-                    raise ValueError(
-                        f"the utilities axis applies only to pcc-based "
-                        f"schemes; {spec!r} resolves to base {parsed.base!r}"
-                    )
-                if "utility" in parsed.kwargs:
-                    raise ValueError(
-                        f"scheme spec {spec!r} already fixes the utility; "
-                        f"it cannot be crossed with a utilities axis"
-                    )
-        # Every cell validates its own topology, workload and
+        # Every cell validates its own scheme, utility, topology, workload and
         # controller_kwargs when it is built, so enumerating once fails fast
         # on whatever a hand-listed cell would be rejected for.
         self.cells(0)
@@ -683,14 +642,11 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     sim = Simulator(seed=cell.seed)
     paths, link_metrics = _TOPOLOGIES.build(cell.topology, sim, cell,
                                             **cell.topology_kwargs)
-    # The full scheme spec goes to the runner, which resolves any variant
-    # against the scheme registry — the identical resolution recorded in the
-    # cell identity.  The utilities-axis value and grid-level
-    # controller_kwargs layer on top.
-    extra_kwargs: Dict[str, Any] = {}
+    # The runner merges these over the scheme's declared defaults — the
+    # resolution recorded in the cell identity.
+    scheme_kwargs = dict(cell.controller_kwargs)
     if cell.utility is not None:
-        extra_kwargs["utility"] = cell.utility
-    scheme_kwargs = {**extra_kwargs, **cell.controller_kwargs}
+        scheme_kwargs["utility"] = cell.utility
     # The registered workload emits the flow schedule (the default "bulk"
     # reproduces the classic staggered long flows byte for byte); the cell's
     # scheme kwargs layer *under* any per-flow overrides the builder set.
@@ -770,9 +726,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--schemes", nargs="+", default=["pcc", "cubic"],
                         metavar="SPEC",
-                        help="congestion-control scheme specs (axis 1); "
-                             "registered (variant specs included): "
-                             f"{', '.join(available_schemes())}")
+                        help="congestion-control schemes (axis 1); "
+                             f"registered: {', '.join(available_schemes())}")
     parser.add_argument("--bandwidth-mbps", nargs="+", type=float, default=[100.0],
                         help="bottleneck rates in Mbps (axis 2)")
     parser.add_argument("--rtt-ms", nargs="+", type=float, default=[30.0],
@@ -790,15 +745,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--utility", nargs="+", default=None,
                         choices=sorted([*utility_names(), "default"]),
                         metavar="NAME",
-                        help="utility functions for pcc-based schemes "
+                        help="utility functions for pcc cells "
                              f"(axis 7): {', '.join(utility_names())}, or "
                              "'default' for the scheme default")
-    parser.add_argument("--policy", nargs="+", default=None,
-                        choices=policy_names(), metavar="NAME",
-                        help="learning policies: each plain 'pcc' entry in "
-                             "--schemes is expanded to one spec per policy "
-                             f"({', '.join(policy_names())}; 'pcc' is the "
-                             "default three-state machine)")
     parser.add_argument("--topology", default="single_bottleneck",
                         choices=topology_names(),
                         help="registered topology builder shared by every cell")
@@ -867,24 +816,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.profile and args.workers != 1:
         parser.error("--profile requires --workers 1 (per-cell profiles from "
                      "concurrent workers would interleave)")
-    schemes = list(args.schemes)
-    if args.policy is not None:
-        # Expand each plain pcc entry into one spec per requested policy
-        # ("pcc" itself names the default three-state machine, so it maps to
-        # the unsuffixed spec).  A --policy that cannot apply to any scheme
-        # would silently run a different experiment than asked — error out.
-        if "pcc" not in schemes:
-            parser.error("--policy requires a plain 'pcc' entry in --schemes")
-        expanded: List[str] = []
-        for scheme in schemes:
-            if scheme == "pcc":
-                expanded.extend(
-                    "pcc" if policy == "pcc" else f"pcc:{policy}"
-                    for policy in args.policy
-                )
-            else:
-                expanded.append(scheme)
-        schemes = expanded
     utilities: List[Optional[str]] = [None]
     if args.utility is not None:
         utilities = [None if name == "default" else name for name in args.utility]
@@ -907,7 +838,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flows = args.flows
     try:
         grid = SweepGrid(
-            schemes=schemes,
+            schemes=args.schemes,
             bandwidths_bps=[mbps * BPS_PER_MBPS for mbps in args.bandwidth_mbps],
             rtts=[ms / MS_PER_S for ms in args.rtt_ms],
             loss_rates=args.loss,

@@ -1,10 +1,8 @@
 """Workload generators: declarative :class:`FlowSpec` schedules for sweeps.
 
 The paper's figures mostly run a handful of long bulk flows, but its FCT
-experiment (Figure 15) and the production-shaped traffic questions around it
-need richer arrival processes: Poisson flow arrivals with drawn sizes,
-heavy-tailed (Pareto) size distributions, web-style short-flow storms,
-N-sender incast waves, and mixed long/short tenant traffic.  This module puts
+experiment (Figure 15) and its incast one (Figure 10) need arrival processes:
+web-style short-flow storms and N-sender incast waves.  This module puts
 those generators behind a :class:`~repro.registry.KwargRegistry` — the same
 pluggable-by-JSON-name pattern schemes, topologies and queue disciplines
 use — so a sweep cell selects its traffic with a ``workload``
@@ -32,7 +30,7 @@ import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..registry import KwargRegistry
-from ..schemes import SchemeSpec
+from ..schemes import get_scheme
 from ..units import BITS_PER_BYTE, BYTES_PER_KB
 from ..netsim import DEFAULT_MSS, FlowSpec
 
@@ -102,14 +100,14 @@ def validate_workload(cell: "SweepCell") -> None:
         raise ValueError(
             f"workload {cell.workload!r} lists {len(schemes)} schemes for "
             f"{cell.num_flows} flows; name one per flow")
-    for spec in schemes:
-        base = SchemeSpec.parse(spec).base
-        # The rule a grid applies to its scheme axis: a utility only
+    for scheme in schemes:
+        info = get_scheme(scheme)  # raises when unknown
+        # The rule a cell applies to its own scheme: a utility only
         # configures PCC flows.
-        if cell.utility is not None and base != "pcc":
+        if cell.utility is not None and info.name != "pcc":
             raise ValueError(
-                f"the utilities axis applies only to pcc-based schemes; "
-                f"workload scheme {spec!r} resolves to base {base!r}")
+                f"the utilities axis applies only to pcc schemes, not "
+                f"workload scheme {scheme!r}")
 
 
 def build_workload(cell: "SweepCell") -> List[FlowSpec]:
@@ -155,79 +153,32 @@ def _bulk(cell: "SweepCell", rng: random.Random,
     ]
 
 
-def _arrival_rate(cell: "SweepCell", load: float, mean_size_bytes: float) -> float:
-    """Flow arrivals per second that offer ``load`` of the bottleneck."""
+def _web(cell: "SweepCell", rng: random.Random, load: float = 0.5,
+         size_kb: float = 100.0) -> List[FlowSpec]:
+    """Web-style short-flow storm: fixed-size requests arriving Poisson at
+    ``load`` of the bottleneck until the cell's duration — Figure 15's
+    FCT-vs-load traffic, generalized beyond its four hand-built cells."""
     if not 0.0 < load:
         raise ValueError("load must be positive")
-    return load * cell.bandwidth_bps / (mean_size_bytes * BITS_PER_BYTE)
-
-
-def _poisson_schedule(
-    cell: "SweepCell",
-    rng: random.Random,
-    mean_size_bytes: float,
-    load: float,
-    draw_size: Callable[[random.Random], float],
-    kind: str,
-    first_path: int = 0,
-    start_after: float = 0.0,
-) -> List[FlowSpec]:
-    """Shared arrival loop: Poisson arrivals until the cell's duration, each
-    flow sized by ``draw_size``, so every generator draws from the rng in
-    one canonical order (size after inter-arrival, per flow)."""
-    rate = _arrival_rate(cell, load, mean_size_bytes)
+    request_bytes = size_kb * BYTES_PER_KB
+    # Flow arrivals per second that offer ``load`` of the bottleneck.
+    rate = load * cell.bandwidth_bps / (request_bytes * BITS_PER_BYTE)
+    size_bytes = int(round(max(request_bytes, float(DEFAULT_MSS))))
     specs: List[FlowSpec] = []
-    now = start_after
-    index = 0
+    now = 0.0
     while True:
         now += rng.expovariate(rate)
         if now >= cell.duration:
             break
-        size = max(float(draw_size(rng)), float(DEFAULT_MSS))
+        index = len(specs)
         specs.append(FlowSpec(
             scheme=cell.scheme,
-            size_bytes=int(round(size)),
+            size_bytes=size_bytes,
             start_time=now,
-            path_index=first_path + index,
-            label=f"{cell.scheme}-{kind}-{index}",
+            path_index=index,
+            label=f"{cell.scheme}-web-{index}",
         ))
-        index += 1
     return specs
-
-
-def _poisson(cell: "SweepCell", rng: random.Random, load: float = 0.5,
-             mean_size_kb: float = 100.0) -> List[FlowSpec]:
-    """Poisson flow arrivals with exponentially distributed sizes offering
-    ``load`` of the bottleneck bandwidth."""
-    mean_size = mean_size_kb * BYTES_PER_KB
-    return _poisson_schedule(
-        cell, rng, mean_size, load,
-        lambda r: r.expovariate(1.0 / mean_size), kind="poisson")
-
-
-def _pareto(cell: "SweepCell", rng: random.Random, load: float = 0.5,
-            mean_size_kb: float = 100.0, alpha: float = 1.5) -> List[FlowSpec]:
-    """Poisson arrivals with heavy-tailed (Pareto) sizes: most flows are
-    mice, a few elephants carry most of the bytes — the canonical
-    production traffic shape."""
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1 so the size distribution has "
-                         "a finite mean")
-    mean_size = mean_size_kb * BYTES_PER_KB
-    scale = mean_size * (alpha - 1.0) / alpha
-    return _poisson_schedule(
-        cell, rng, mean_size, load,
-        lambda r: scale * r.paretovariate(alpha), kind="pareto")
-
-
-def _web(cell: "SweepCell", rng: random.Random, load: float = 0.5,
-         size_kb: float = 100.0) -> List[FlowSpec]:
-    """Web-style short-flow storm: fixed-size requests arriving Poisson at
-    ``load`` — Figure 15's FCT-vs-load traffic, generalized beyond its four
-    hand-built cells."""
-    size = size_kb * BYTES_PER_KB
-    return _poisson_schedule(
-        cell, rng, size, load, lambda r: size, kind="web")
 
 
 def _incast(cell: "SweepCell", rng: random.Random, waves: int = 5,
@@ -256,33 +207,6 @@ def _incast(cell: "SweepCell", rng: random.Random, waves: int = 5,
     return specs
 
 
-def _mixed(cell: "SweepCell", rng: random.Random, num_long: int = 1,
-           load: float = 0.3, short_size_kb: float = 50.0) -> List[FlowSpec]:
-    """Mixed tenants: ``num_long`` long-running bulk flows (paths 0..)
-    sharing with a Poisson storm of short flows at ``load`` — long flows on
-    a parking lot become the multi-hop tenant, shorts the per-hop cross
-    traffic."""
-    if num_long < 1:
-        raise ValueError("num_long must be at least 1")
-    specs = [
-        FlowSpec(
-            scheme=cell.scheme,
-            start_time=i * cell.stagger,
-            path_index=i,
-            label=f"{cell.scheme}-long-{i}",
-        )
-        for i in range(num_long)
-    ]
-    size = short_size_kb * BYTES_PER_KB
-    specs.extend(_poisson_schedule(
-        cell, rng, size, load, lambda r: size, kind="short",
-        first_path=num_long))
-    return specs
-
-
 register_workload("bulk", _bulk)
-register_workload("poisson", _poisson)
-register_workload("pareto", _pareto)
 register_workload("web", _web)
 register_workload("incast", _incast)
-register_workload("mixed", _mixed)

@@ -33,7 +33,7 @@ from .endpoints import (
     WindowedSender,
     connect,
 )
-from .flows import FlowSpec, bulk_flows, incast_burst, poisson_short_flows
+from .flows import FlowSpec, incast_burst, poisson_short_flows
 from .topology import (
     LinkConfig,
     bdp_bytes,
@@ -86,7 +86,6 @@ __all__ = [
     "WindowedSender",
     "connect",
     "FlowSpec",
-    "bulk_flows",
     "incast_burst",
     "poisson_short_flows",
     "LinkConfig",

@@ -5,8 +5,6 @@ carries (``None`` means a long-lived, backlogged flow) and which congestion
 controller drives it.  Workload generators produce lists of flow specs for the
 paper's traffic patterns:
 
-* :func:`bulk_flows` — long-lived flows with staggered start times
-  (Figures 8, 12, 13, 14);
 * :func:`incast_burst` — simultaneous fixed-size flows (Figure 10);
 * :func:`poisson_short_flows` — Poisson arrivals of fixed-size short flows with
   the arrival rate chosen to hit a target link load (Figure 15).
@@ -18,9 +16,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from ..units import BITS_PER_BYTE, BYTES_PER_KB
+from ..units import BITS_PER_BYTE
 
-__all__ = ["FlowSpec", "bulk_flows", "incast_burst", "poisson_short_flows"]
+__all__ = ["FlowSpec", "incast_burst", "poisson_short_flows"]
 
 
 @dataclass
@@ -28,8 +26,8 @@ class FlowSpec:
     """One flow in an experiment."""
 
     #: Name of the congestion-control scheme (resolved by the experiment runner,
-    #: e.g. "pcc", "cubic", "reno", "illinois", "hybla", "vegas", "bic",
-    #: "westwood", "reno_paced", "sabul", "pcp", "parallel_tcp").
+    #: e.g. "pcc", "cubic", "reno", "illinois", "hybla", "vegas", "westwood",
+    #: "reno_paced", "sabul", "pcp", "parallel_tcp").
     scheme: str
     #: Flow size in bytes; ``None`` means unlimited (backlogged for the run).
     size_bytes: Optional[float] = None
@@ -44,36 +42,6 @@ class FlowSpec:
     label: str = ""
     #: Arbitrary metadata propagated to results.
     meta: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """Short human-readable description used in experiment printouts."""
-        size = "inf" if self.size_bytes is None else f"{self.size_bytes / BYTES_PER_KB:.0f}KB"
-        label = self.label or self.scheme
-        return f"{label} (start={self.start_time:.2f}s, size={size})"
-
-
-def bulk_flows(
-    scheme: str,
-    count: int,
-    stagger: float = 0.0,
-    start_time: float = 0.0,
-    path_indices: Optional[List[int]] = None,
-    **controller_kwargs: Any,
-) -> List[FlowSpec]:
-    """``count`` long-lived flows, the i-th starting ``i * stagger`` seconds late."""
-    flows = []
-    for i in range(count):
-        flows.append(
-            FlowSpec(
-                scheme=scheme,
-                size_bytes=None,
-                start_time=start_time + i * stagger,
-                path_index=path_indices[i] if path_indices else i,
-                controller_kwargs=dict(controller_kwargs),
-                label=f"{scheme}-{i}",
-            )
-        )
-    return flows
 
 
 def incast_burst(

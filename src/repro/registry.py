@@ -1,12 +1,12 @@
 """Shared name-registry primitives for the pluggable layers.
 
-Policies, utility functions and scheme variants are all selected by
-JSON-serializable *name*: sweep cells cross process boundaries carrying names,
-and every worker resolves them against its own registry.  That imposes one
-shared contract — entries must be registered at module import time (top level
-of an imported module), because ``spawn``-method workers re-import modules
-from scratch — and one shared error shape, both implemented once here instead
-of once per registry.
+Schemes and utility functions are selected by JSON-serializable *name*:
+sweep cells cross process boundaries carrying names, and every worker
+resolves them against its own registry.  That imposes one shared contract —
+entries must be registered at module import time (top level of an imported
+module), because ``spawn``-method workers re-import modules from scratch —
+and one shared error shape, both implemented once here instead of once per
+registry.
 
 Queue disciplines, topologies and workloads are selected by a name *plus
 keyword options* that become cell identity; :class:`KwargRegistry` is their
@@ -30,7 +30,7 @@ class NameRegistry(Generic[T]):
     """A write-once mapping from names to entries with uniform error text."""
 
     def __init__(self, kind: str) -> None:
-        #: Human-readable entry kind used in error messages ("policy", ...).
+        #: Human-readable entry kind used in error messages ("scheme", ...).
         self.kind = kind
         self._entries: Dict[str, T] = {}
 

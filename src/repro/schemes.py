@@ -11,16 +11,14 @@ pluggability lives at the *scheme* level:
   (rate-paced, drives :class:`~repro.netsim.endpoints.RateBasedSender`;
   the factory receives ``mss``) or ``"bundle"`` (expands into parallel
   windowed sub-flows) — that the experiment runner needs to build a flow;
-* :func:`register_scheme_variant` names a bundle of controller kwargs usable
-  as a ``"<base>:<variant>"`` suffix (``"pcc:gradient"``, ``"pcc:latency"``);
-* :class:`SchemeSpec` parses spec strings like ``"cubic"`` or
-  ``"pcc:gradient"`` into ``(base, kwargs)``, validating both halves;
-* :func:`available_schemes` lists every spec the experiment paths accept —
-  base names *and* registered variants.
+* :func:`get_scheme` resolves a scheme string (case-insensitively) to its
+  entry, and :func:`available_schemes` lists the names it accepts.
 
-A scheme registered once here is usable, with no further edits, from
+A scheme string is a registered name and nothing more: a PCC flow's utility
+is the cell's ``utility`` field and an ablation is ``controller_kwargs``.  A
+scheme registered once here is usable, with no further edits, from
 :func:`repro.experiments.run_flows`, a :class:`~repro.experiments.SweepGrid`
-scheme spec, and the ``python -m repro.experiments.sweep`` CLI.
+``schemes`` entry, and the ``python -m repro.experiments.sweep`` CLI.
 
 Like every :class:`~repro.registry.NameRegistry`, registration must happen at
 module import time (top level of an imported module): sweep cells cross
@@ -28,30 +26,24 @@ process boundaries carrying only the scheme *name*, and ``spawn``-method
 workers re-import modules from scratch before resolving it.
 
 The built-in schemes register themselves when :mod:`repro.cc` (the TCP
-family, SABUL/UDT, PCP, parallel bundles) and :mod:`repro.core` (PCC and its
-variants) are imported; every lookup in this module imports both first, so
-callers never observe a half-populated registry.
+family, SABUL/UDT, PCP, parallel bundles) and :mod:`repro.core` (PCC) are
+imported; every lookup in this module imports both first, so callers never
+observe a half-populated registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .registry import NameRegistry
 
 __all__ = [
     "SENDER_KINDS",
     "SchemeInfo",
-    "SchemeSpec",
-    "SchemeVariant",
     "available_schemes",
     "get_scheme",
     "register_scheme",
-    "register_scheme_variant",
-    "resolve_scheme_spec",
-    "scheme_names",
-    "scheme_variant_names",
 ]
 
 #: The sender machinery a scheme's controller plugs into.
@@ -80,17 +72,7 @@ class SchemeInfo:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class SchemeVariant:
-    """A named bundle of controller kwargs layered onto a base scheme."""
-
-    base_scheme: str
-    controller_kwargs: Dict[str, Any]
-    description: str = ""
-
-
 _SCHEMES: NameRegistry[SchemeInfo] = NameRegistry("scheme")
-_VARIANTS: NameRegistry[SchemeVariant] = NameRegistry("scheme variant")
 
 _builtins_loaded = False
 
@@ -141,18 +123,12 @@ def register_scheme(
       in ``kwarg_defaults``, and every *other* flow-spec kwarg is forwarded to
       the sub-flow controllers.
 
-    Names must be lowercase (spec strings are lowercased before resolution)
-    and must not contain ``":"`` (reserved for variant suffixes).
-    Registration must happen at module import time so ``spawn``-method sweep
-    workers can resolve the name.
+    Names must be lowercase (scheme strings are lowercased before
+    resolution).  Registration must happen at module import time so
+    ``spawn``-method sweep workers can resolve the name.
     """
     if name != name.lower():
         raise ValueError(f"scheme names must be lowercase, got {name!r}")
-    if ":" in name:
-        raise ValueError(
-            f"scheme names cannot contain ':', got {name!r} "
-            f"(':' separates a base scheme from a registered variant)"
-        )
     if sender_kind not in SENDER_KINDS:
         raise ValueError(
             f"unknown sender_kind {sender_kind!r} for scheme {name!r}; "
@@ -167,34 +143,11 @@ def register_scheme(
     ))
 
 
-def register_scheme_variant(
-    name: str,
-    controller_kwargs: Dict[str, Any],
-    base_scheme: str = "pcc",
-    description: str = "",
-) -> None:
-    """Register a scheme variant usable in specs as ``"<base>:<name>"``.
-
-    A variant is a named bundle of JSON-serializable controller kwargs — a
-    learning policy (``{"policy": "gradient"}``), a utility function
-    (``{"utility": "latency"}``), an ablation switch (``{"use_rct": False}``)
-    — layered onto ``base_scheme`` when the flow is built.  Sweep cells record
-    the resolved kwargs in their identity JSON under ``scheme_kwargs``.  Like
-    base schemes, variants must be registered at module import time so
-    ``spawn``-method sweep workers can resolve them.
-    """
-    _VARIANTS.register(name, SchemeVariant(
-        base_scheme=base_scheme,
-        controller_kwargs=dict(controller_kwargs),
-        description=description,
-    ))
-
-
 def get_scheme(name: str) -> SchemeInfo:
-    """Resolve a base scheme name (no variant suffix) to its registry entry."""
+    """Resolve a scheme string (case-insensitive) to its registry entry."""
     _ensure_builtins()
     try:
-        return _SCHEMES.get(name)
+        return _SCHEMES.get(name.strip().lower())
     except ValueError:
         raise ValueError(
             f"unknown congestion-control scheme {name!r}; "
@@ -202,91 +155,9 @@ def get_scheme(name: str) -> SchemeInfo:
         ) from None
 
 
-def scheme_names() -> List[str]:
-    """All registered *base* scheme names, sorted (no variant specs)."""
+def available_schemes() -> List[str]:
+    """Every scheme name the experiment paths accept, sorted — the strings
+    are directly usable in :class:`~repro.netsim.flows.FlowSpec`, grid scheme
+    lists and the sweep CLI."""
     _ensure_builtins()
     return _SCHEMES.names()
-
-
-def scheme_variant_names() -> List[str]:
-    """All registered scheme-variant names (the bare suffixes), sorted."""
-    _ensure_builtins()
-    return _VARIANTS.names()
-
-
-def available_schemes() -> List[str]:
-    """Every scheme spec the experiment paths accept.
-
-    Both base names (``"pcc"``, ``"cubic"``) and registered variant specs
-    (``"pcc:gradient"``, ``"pcc:latency"``) — the strings are directly usable
-    in :class:`~repro.netsim.flows.FlowSpec`, grid scheme lists and the sweep
-    CLI.
-    """
-    _ensure_builtins()
-    specs = set(_SCHEMES.names())
-    specs.update(
-        f"{variant.base_scheme}:{name}" for name, variant in _VARIANTS.items()
-    )
-    return sorted(specs)
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """A parsed scheme spec string: base scheme + resolved variant kwargs."""
-
-    #: The normalized (lowercased) spec string, e.g. ``"pcc:gradient"``.
-    spec: str
-    #: The registered base scheme name, e.g. ``"pcc"``.
-    base: str
-    #: The variant suffix, or ``None`` for a plain base-scheme spec.
-    variant: Optional[str]
-    #: Controller kwargs the variant resolves to (empty for plain specs).
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def parse(cls, spec: str) -> "SchemeSpec":
-        """Parse and validate ``"cubic"`` / ``"pcc:gradient"``-style specs.
-
-        Unknown base schemes, unknown variants, and variants applied to the
-        wrong base scheme all raise ``ValueError`` naming the valid options,
-        so grids and flow specs fail at construction rather than mid-run.
-        """
-        _ensure_builtins()
-        normalized = spec.strip().lower()
-        base, sep, variant = normalized.partition(":")
-        info = get_scheme(base)
-        if not sep:
-            return cls(spec=normalized, base=info.name, variant=None, kwargs={})
-        variant_info = _VARIANTS.get(variant)
-        if variant_info.base_scheme != base:
-            raise ValueError(
-                f"scheme variant {variant!r} applies to base scheme "
-                f"{variant_info.base_scheme!r}, not {base!r}"
-            )
-        return cls(
-            spec=normalized,
-            base=info.name,
-            variant=variant,
-            kwargs=dict(variant_info.controller_kwargs),
-        )
-
-    def info(self) -> SchemeInfo:
-        """The registry entry for this spec's base scheme."""
-        return get_scheme(self.base)
-
-    def recorded_kwargs(self) -> Dict[str, Any]:
-        """The kwargs this spec fixes: the base scheme's declared defaults
-        under the variant's — what cell identities record and flows run."""
-        return {**self.info().kwarg_defaults, **self.kwargs}
-
-
-def resolve_scheme_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
-    """Split a scheme spec into ``(base_scheme, controller_kwargs)``.
-
-    A plain scheme name (``"pcc"``, ``"cubic"``) resolves to itself with no
-    extra kwargs; ``"pcc:gradient"`` resolves via the variant registry.  This
-    is the tuple-returning convenience over :meth:`SchemeSpec.parse`, kept for
-    the historical ``repro.experiments.sweep`` call sites.
-    """
-    parsed = SchemeSpec.parse(spec)
-    return parsed.base, dict(parsed.kwargs)

@@ -196,7 +196,7 @@ class TestPublishedRate:
                 current = scheme.monitor.current_interval
                 if current is None:
                     reads["before_first_mi"] += 1
-                    pulled = scheme.policy.rate_bps
+                    pulled = scheme.controller.rate_bps
                 else:
                     pulled = current.target_rate_bps
                 reads["total"] += 1
@@ -230,7 +230,7 @@ class TestPublishedRate:
 
     def test_pcc_rate_is_readable_before_the_flow_starts(self):
         scheme = PCCScheme(initial_rate_bps=3e6)
-        assert scheme.rate_bps == scheme.policy.rate_bps == 3e6
+        assert scheme.rate_bps == scheme.controller.rate_bps == 3e6
 
     @staticmethod
     def published(controller):

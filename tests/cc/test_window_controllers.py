@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cc import (
-    BicController,
     CubicController,
     HyblaController,
     IllinoisController,
@@ -15,7 +14,7 @@ from repro.cc import (
 
 ALL_WINDOW_CONTROLLERS = [
     NewRenoController, CubicController, IllinoisController, HyblaController,
-    VegasController, BicController, WestwoodController, PacedRenoController,
+    VegasController, WestwoodController, PacedRenoController,
 ]
 
 
@@ -228,28 +227,6 @@ class TestVegas:
             controller.on_ack(0.030, now)
             now += 0.003
         assert controller.cwnd > 10
-
-
-class TestBic:
-    def test_binary_search_jumps_toward_w_max(self):
-        controller = BicController(initial_cwnd=100, initial_ssthresh=5)
-        controller.on_loss(0.0)
-        reduced = controller.cwnd
-        drive_acks(controller, int(reduced))
-        # After one RTT worth of ACKs the window should move a noticeable step
-        # toward w_max but not beyond it.
-        assert controller.cwnd > reduced + 1.0
-        assert controller.cwnd <= controller.w_max + 1.0
-
-    def test_increment_capped_by_s_max(self):
-        controller = BicController(initial_cwnd=1000, initial_ssthresh=5, s_max=32)
-        controller.w_max = 5000
-        assert controller._increase_per_rtt() == 32
-
-    def test_reno_regime_below_low_window(self):
-        controller = BicController(initial_cwnd=10, initial_ssthresh=5)
-        controller.on_loss(0.0)
-        assert controller.cwnd == pytest.approx(5.0)
 
 
 class TestWestwood:

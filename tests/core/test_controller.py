@@ -36,6 +36,21 @@ class TestStartingState:
         rates = [controller.next_rate(i * 0.1)[0] for i in range(4)]
         assert rates == pytest.approx([1e6, 2e6, 4e6, 8e6])
 
+    def test_pcc_controller_reset_initial_rate(self):
+        controller = PCCController(initial_rate_bps=1e6)
+        controller.reset_initial_rate(250_000.0)
+        assert controller.rate_bps == 250_000.0
+        # The next MI starts at the reset rate, then doubling resumes.
+        assert controller.next_rate(0.0)[0] == 250_000.0
+        assert controller.next_rate(0.1)[0] == 500_000.0
+
+    def test_reset_initial_rate_clamps_to_bounds(self):
+        controller = PCCController(min_rate_bps=100_000.0, max_rate_bps=1e9)
+        controller.reset_initial_rate(1.0)
+        assert controller.rate_bps == 100_000.0
+        controller.reset_initial_rate(1e12)
+        assert controller.rate_bps == 1e9
+
     def test_stays_in_starting_while_utility_rises(self):
         controller = PCCController(initial_rate_bps=1e6)
         for i in range(5):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     ControllerState,
-    GradientAscentPolicy,
     LatencyUtility,
     LossResilientUtility,
     PCCScheme,
@@ -161,16 +160,16 @@ class TestPCCUtilityPlugability:
 
 
 class TestPCCSchemeConfiguration:
-    """PCCScheme's pluggable policy/utility selection and rate bounds."""
+    """PCCScheme's utility selection, initial rate and rate bounds."""
 
-    def test_min_and_max_rate_forwarded_to_policy_and_monitor(self):
+    def test_min_and_max_rate_forwarded_to_controller_and_monitor(self):
         """min/max_rate_bps used to be silently unavailable at the scheme
-        level; they must configure the policy and keep the monitor's MI-sizing
-        floor equal to the policy's floor."""
+        level; they must configure the controller and keep the monitor's
+        MI-sizing floor equal to the controller's floor."""
         stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=1.0,
                                    min_rate_bps=32_000.0, max_rate_bps=5e6)
-        assert scheme.policy.min_rate_bps == 32_000.0
-        assert scheme.policy.max_rate_bps == 5e6
+        assert scheme.controller.min_rate_bps == 32_000.0
+        assert scheme.controller.max_rate_bps == 5e6
         assert scheme.monitor.min_rate_bps == 32_000.0
 
     def test_max_rate_caps_the_sending_rate(self):
@@ -198,116 +197,13 @@ class TestPCCSchemeConfiguration:
         with pytest.raises(ValueError, match="latency"):
             PCCScheme(utility="no-such-utility")
 
-    def test_policy_selectable_by_name_with_kwargs(self):
-        scheme = PCCScheme(policy="gradient", policy_kwargs={"epsilon": 0.04},
-                           min_rate_bps=32_000.0)
-        assert isinstance(scheme.policy, GradientAscentPolicy)
-        assert scheme.policy.epsilon == 0.04
-        assert scheme.policy.min_rate_bps == 32_000.0
-
-    def test_policy_instance_passes_through(self):
-        policy = GradientAscentPolicy(initial_rate_bps=2e6)
-        scheme = PCCScheme(policy=policy)
-        assert scheme.policy is policy
-        assert scheme.controller is policy  # historical alias
-
-    def test_policy_instance_rejects_scheme_level_reconfiguration(self):
-        policy = GradientAscentPolicy()
-        with pytest.raises(ValueError, match="policy name"):
-            PCCScheme(policy=policy, policy_kwargs={"epsilon": 0.04})
-        with pytest.raises(ValueError, match="instance"):
-            PCCScheme(policy=policy, min_rate_bps=32_000.0)
-
-    def test_flow_start_uses_public_reset_initial_rate(self):
-        """on_flow_start must go through reset_initial_rate (the policy
-        protocol), not poke private starting-state fields; a policy without
-        the private field must work end-to-end."""
-
-        class MinimalPolicy:
-            def __init__(self):
-                self.rate_bps = 1e6
-                self.min_rate_bps = 16_000.0
-                self.max_rate_bps = 1e12
-                self.reset_rates = []
-
-            def attach_rng(self, rng):
-                pass
-
-            def reset_initial_rate(self, rate_bps):
-                self.reset_rates.append(rate_bps)
-                self.rate_bps = rate_bps
-
-            def next_rate(self, now):
-                from repro.core import MIPurpose
-                return self.rate_bps, MIPurpose(kind="wait", epoch=0)
-
-            def on_mi_complete(self, mi):
-                pass
-
-        from repro.core import register_policy
-
-        created = []
-
-        def factory(**kwargs):
-            policy = MinimalPolicy()
-            created.append(policy)
-            return policy
-
-        register_policy("minimal-reset-probe", factory)
+    def test_explicit_initial_rate_survives_flow_start(self):
+        """A configured initial rate must not be wiped by the 2*MSS/RTT reset
+        that applies when none is given."""
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 20e6, 0.10, buffer_bytes=75_000)
         sender, _, scheme = make_pcc_sender(sim, 1, topo.path,
-                                            policy="minimal-reset-probe")
-        sender.start()
-        sim.run(0.5)
-        (policy,) = created
-        assert policy.reset_rates == [pytest.approx(2 * 1500 * 8 / 0.10)]
-
-    def test_policy_instance_keeps_its_configured_initial_rate(self):
-        """A ready-built instance carries its own initial rate (that is where
-        the constructor errors direct callers to set it); flow start must not
-        wipe it with the 2*MSS/RTT reset."""
-        policy = GradientAscentPolicy(initial_rate_bps=5e6)
-        sim = Simulator(seed=1)
-        topo = single_bottleneck(sim, 20e6, 0.10, buffer_bytes=75_000)
-        sender, _, scheme = make_pcc_sender(sim, 1, topo.path, policy=policy)
+                                            initial_rate_bps=5e6)
         sender.start()
         sim.run(0.05)
-        assert scheme.policy.rate_bps == pytest.approx(5e6)
-
-    def test_gradient_policy_flow_fills_link(self):
-        stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=15.0,
-                                   policy="gradient")
-        assert stats.goodput_bps(15.0) > 0.7 * 20e6
-
-    def test_three_state_tuning_rejected_for_other_policies(self):
-        """epsilon_min/epsilon_max/use_rct tune the 'pcc' machine; passing
-        them with another policy must error, not silently drop them."""
-        with pytest.raises(ValueError, match="policy_kwargs"):
-            PCCScheme(policy="gradient", use_rct=False)
-        with pytest.raises(ValueError, match="policy_kwargs"):
-            PCCScheme(policy="gradient", epsilon_min=0.02)
-
-    def test_policy_instance_rejects_initial_rate_and_tuning(self):
-        policy = GradientAscentPolicy(initial_rate_bps=2e6)
-        with pytest.raises(ValueError, match="initial_rate_bps"):
-            PCCScheme(policy=policy, initial_rate_bps=5e6)
-        with pytest.raises(ValueError, match="instance"):
-            PCCScheme(policy=policy, use_rct=False)
-
-    def test_scheme_managed_keys_rejected_in_policy_kwargs(self):
-        """Rate bounds and the initial rate are coordinated with the monitor
-        and the flow-start reset, so hiding them in policy_kwargs (where the
-        2*MSS/RTT reset would silently wipe them) is an error."""
-        with pytest.raises(ValueError, match="PCCScheme arguments"):
-            PCCScheme(policy="gradient",
-                      policy_kwargs={"initial_rate_bps": 3e6})
-        with pytest.raises(ValueError, match="PCCScheme arguments"):
-            PCCScheme(policy="pcc", policy_kwargs={"min_rate_bps": 32_000.0})
-
-    def test_tuning_passed_both_ways_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            PCCScheme(use_rct=False, policy_kwargs={"use_rct": True})
-        # Via policy_kwargs alone is fine.
-        scheme = PCCScheme(policy_kwargs={"use_rct": False})
-        assert scheme.policy.use_rct is False
+        assert scheme.controller.rate_bps == pytest.approx(5e6)

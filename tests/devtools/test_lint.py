@@ -78,7 +78,7 @@ class TestRPL002:
         assert "RPL002" in codes_for(snippet)
 
     def test_register_under_conditional_triggers(self):
-        snippet = "import os\nif os.environ.get('X'):\n    register_policy('x', object)\n"
+        snippet = "import os\nif os.environ.get('X'):\n    register_utility('x', object)\n"
         assert "RPL002" in codes_for(snippet)
 
     def test_top_level_and_top_level_loop_are_clean(self):

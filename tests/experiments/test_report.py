@@ -43,7 +43,7 @@ from repro.report import (
 )
 from repro.report import specs as catalog
 from repro.report.cli import main as report_main
-from repro.schemes import SchemeSpec
+from repro.schemes import get_scheme
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -164,7 +164,7 @@ class TestCatalog:
                     named = [cell.kwargs["scheme"]] \
                         if "scheme" in cell.kwargs else []
                 for scheme in named:
-                    SchemeSpec.parse(scheme).info()  # raises when unknown
+                    get_scheme(scheme)  # raises when unknown
 
     def test_unknown_spec_id_lists_valid_ids(self):
         with pytest.raises(ValueError, match="fig7"):
@@ -212,6 +212,51 @@ class TestCatalog:
         assert set(scenario_runner_names()) - {"tiny_scenario_runner"} == {
             "incast", "short_flows", "extreme_loss", "theorem1_equilibrium",
             "theorem2_dynamics"}
+
+
+    def test_registered_names_can_only_shrink(self):
+        """A registered name is one the evidence uses: every built-in
+        scheme, utility, qdisc, topology and workload is named by a catalog
+        sweep cell, or is allowed here with its reason — and no allowance is
+        stale.  A fresh interpreter, so names this suite registers for its
+        own use are not counted."""
+        allowed = {
+            ("scheme", "newreno"): "bench endpoints driver",
+            ("qdisc", "codel"): "bench tcp_aqm workload",
+            ("workload", "incast"): "bench flow_churn workload",
+            ("utility", "safe"): "what a cell runs when its utility is None",
+            ("utility", "simple"): "the utility of the derivation in section "
+                                   "2.2, unit-tested in tests/core/test_utility.py",
+        }
+        unused = json.loads(subprocess.run(
+            [sys.executable, "-c",
+             "import json\n"
+             "from repro.core import utility_names\n"
+             "from repro.experiments.sweep import (\n"
+             "    SweepCell, topology_names, workload_names)\n"
+             "from repro.netsim import qdisc_names\n"
+             "from repro.report import list_report_specs\n"
+             "from repro.schemes import available_schemes\n"
+             "names = {(kind, name) for kind, listed in [\n"
+             "    ('scheme', available_schemes()), ('utility', utility_names()),\n"
+             "    ('qdisc', qdisc_names()), ('topology', topology_names()),\n"
+             "    ('workload', workload_names())] for name in listed}\n"
+             "for spec in list_report_specs():\n"
+             "    for cell in spec.run.cells():\n"
+             "        if isinstance(cell, SweepCell):\n"
+             "            names -= {\n"
+             "                ('scheme', cell.scheme), ('utility', cell.utility),\n"
+             "                *(('scheme', scheme) for scheme in\n"
+             "                  cell.workload_kwargs.get('schemes') or ()),\n"
+             "                ('qdisc', cell.qdisc),\n"
+             "                ('qdisc', cell.qdisc_kwargs.get('child')),\n"
+             "                ('topology', cell.topology),\n"
+             "                ('workload', cell.workload)}\n"
+             "print(json.dumps(sorted(names)))"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(_REPO_ROOT, "src")},
+        ).stdout)
+        assert {tuple(pair) for pair in unused} == set(allowed)
 
 
 class TestPinnedCellPort:

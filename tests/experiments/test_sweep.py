@@ -16,11 +16,8 @@ from repro.experiments.sweep import (
     SweepGrid,
     derive_seed,
     main,
-    register_scheme_variant,
     register_topology,
-    resolve_scheme_spec,
     run_cell,
-    scheme_variant_names,
     sweep,
     topology_names,
 )
@@ -529,46 +526,6 @@ class TestGoldenBehaviorPreservation:
         assert out.read_bytes() == golden_path.read_bytes()
 
 
-class TestSchemeVariants:
-    def test_plain_scheme_resolves_to_itself(self):
-        assert resolve_scheme_spec("pcc") == ("pcc", {})
-        assert resolve_scheme_spec("cubic") == ("cubic", {})
-
-    def test_builtin_variants_registered(self):
-        names = scheme_variant_names()
-        for name in ("gradient", "latency", "loss_resilient", "no_rct"):
-            assert name in names
-
-    def test_variant_resolves_to_controller_kwargs(self):
-        assert resolve_scheme_spec("pcc:gradient") == ("pcc", {"policy": "gradient"})
-        assert resolve_scheme_spec("pcc:latency") == ("pcc", {"utility": "latency"})
-        assert resolve_scheme_spec("pcc:no_rct") == ("pcc", {"use_rct": False})
-
-    def test_unknown_variant_rejected_at_grid_construction(self):
-        with pytest.raises(ValueError, match="no-such-variant"):
-            tiny_grid(schemes=("pcc:no-such-variant",))
-
-    def test_variant_on_wrong_base_scheme_rejected(self):
-        with pytest.raises(ValueError, match="base scheme"):
-            tiny_grid(schemes=("cubic:gradient",))
-
-    def test_duplicate_variant_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_scheme_variant("gradient", {"policy": "gradient"})
-
-    def test_variant_kwargs_recorded_in_cell_identity(self):
-        grid = tiny_grid(schemes=("pcc:gradient",), loss_rates=(0.0,))
-        cell = grid.cells(0)[0]
-        assert cell.params()["scheme_kwargs"] == {"policy": "gradient"}
-
-    def test_default_cells_carry_no_extra_identity_keys(self):
-        """Plain cells must keep the pre-refactor identity layout so archived
-        sweep JSON stays byte-comparable."""
-        cell = tiny_grid().cells(0)[0]
-        assert "utility" not in cell.params()
-        assert "scheme_kwargs" not in cell.params()
-
-
 class TestUtilitiesAxis:
     def test_utilities_is_the_fastest_varying_axis(self):
         grid = tiny_grid(schemes=("pcc",), loss_rates=(0.0, 0.01),
@@ -577,6 +534,13 @@ class TestUtilitiesAxis:
         assert [(c.loss_rate, c.utility) for c in cells] == [
             (0.0, None), (0.0, "latency"), (0.01, None), (0.01, "latency"),
         ]
+
+    def test_default_cells_carry_no_extra_identity_keys(self):
+        """Plain cells must keep the pre-refactor identity layout so archived
+        sweep JSON stays byte-comparable."""
+        cell = tiny_grid().cells(0)[0]
+        assert "utility" not in cell.params()
+        assert "scheme_kwargs" not in cell.params()
 
     def test_utility_recorded_in_cell_identity(self):
         grid = tiny_grid(schemes=("pcc",), loss_rates=(0.0,),
@@ -597,10 +561,6 @@ class TestUtilitiesAxis:
         with pytest.raises(ValueError, match="pcc"):
             tiny_grid(utilities=("latency",))  # grid includes cubic
 
-    def test_utilities_axis_conflicts_with_utility_fixing_variant(self):
-        with pytest.raises(ValueError, match="already fixes"):
-            tiny_grid(schemes=("pcc:latency",), utilities=("safe",))
-
     def test_utility_axis_changes_results(self):
         base = tiny_grid(schemes=("pcc",), loss_rates=(0.01,), utilities=(None,))
         resilient = tiny_grid(schemes=("pcc",), loss_rates=(0.01,),
@@ -610,42 +570,24 @@ class TestUtilitiesAxis:
         assert a.cells[0]["flows"] != b.cells[0]["flows"]
 
 
-class TestGradientPolicySweeps:
-    def test_gradient_workers_do_not_change_results(self):
+class TestAblationSweeps:
+    def test_no_rct_workers_do_not_change_results(self):
         """The byte-identical-across-worker-counts guarantee must hold for
-        policy-bearing scheme specs too."""
-        grid = tiny_grid(schemes=("pcc", "pcc:gradient"))
+        cells carrying controller_kwargs too, and the ablation must reach
+        the flows."""
+        ablation = {"use_rct": False}
+        grid = tiny_grid(schemes=("pcc",), controller_kwargs=ablation)
         serial = sweep(grid, base_seed=1, workers=1)
         parallel = sweep(grid, base_seed=1, workers=4)
         assert serial.to_json() == parallel.to_json()
-        for cell in serial.find(scheme="pcc:gradient"):
-            assert cell["cell"]["scheme_kwargs"] == {"policy": "gradient"}
-
-    def test_gradient_repeated_runs_identical(self):
-        grid = tiny_grid(schemes=("pcc:gradient",), loss_rates=(0.01,))
-        assert sweep(grid, base_seed=3).to_json() == sweep(grid, base_seed=3).to_json()
-
-    def test_gradient_converges_in_a_sweep_cell(self):
-        grid = tiny_grid(schemes=("pcc:gradient",), loss_rates=(0.0,),
-                         duration=10.0)
-        result = sweep(grid, base_seed=0)
-        assert result.goodput_mbps(scheme="pcc:gradient") > 0.6 * 5.0
+        for cell in serial.cells:
+            assert cell["cell"]["controller_kwargs"] == ablation
+        default = sweep(tiny_grid(schemes=("pcc",)), base_seed=1)
+        assert [c["flows"] for c in serial.cells] \
+            != [c["flows"] for c in default.cells]
 
 
-class TestPolicyUtilityCli:
-    def test_gradient_scheme_spec(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        code = main([
-            "--schemes", "pcc:gradient",
-            "--bandwidth-mbps", "5",
-            "--duration", "2",
-            "--output", str(out),
-        ])
-        assert code == 0
-        (cell,) = json.loads(out.read_text())["cells"]
-        assert cell["cell"]["scheme"] == "pcc:gradient"
-        assert cell["cell"]["scheme_kwargs"] == {"policy": "gradient"}
-
+class TestUtilityCli:
     def test_utility_flag_builds_the_axis(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = main([
@@ -661,26 +603,6 @@ class TestPolicyUtilityCli:
         assert "utility" not in cells[0]["cell"]
         assert cells[1]["cell"]["utility"] == "loss_resilient"
 
-    def test_policy_flag_expands_pcc_entries(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        code = main([
-            "--schemes", "pcc", "cubic",
-            "--bandwidth-mbps", "5",
-            "--policy", "pcc", "gradient",
-            "--duration", "2",
-            "--output", str(out),
-        ])
-        assert code == 0
-        cells = json.loads(out.read_text())["cells"]
-        assert [c["cell"]["scheme"] for c in cells] == [
-            "pcc", "pcc:gradient", "cubic",
-        ]
-
-    def test_policy_flag_requires_a_pcc_scheme(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--schemes", "cubic", "--policy", "gradient"])
-        assert "--policy" in capsys.readouterr().err
-
     def test_utility_flag_with_tcp_scheme_errors_cleanly(self, capsys):
         with pytest.raises(SystemExit):
             main(["--schemes", "cubic", "--utility", "latency"])
@@ -688,24 +610,25 @@ class TestPolicyUtilityCli:
 
 
 class TestControllerKwargsIdentityIntegrity:
-    def test_controller_kwargs_cannot_smuggle_policy_or_utility(self):
-        """The policy/utility a cell ran with are identity: they must arrive
-        via scheme specs or the utilities axis (which are recorded), never
-        via grid controller_kwargs (which are not)."""
-        with pytest.raises(ValueError, match="cannot set"):
-            tiny_grid(schemes=("pcc",), loss_rates=(0.0,),
-                      controller_kwargs={"policy": "gradient"})
-        with pytest.raises(ValueError, match="cannot set"):
-            tiny_grid(schemes=("pcc",), loss_rates=(0.0,),
-                      controller_kwargs={"utility": "latency"})
+    def test_controller_kwargs_cannot_smuggle_utility_qdisc_or_workload(self):
+        """What a cell ran with is identity, stated in the field that records
+        it — never a second time in controller_kwargs, for a grid or for a
+        hand-listed cell."""
+        for build in (lambda **kw: tiny_grid(schemes=("pcc",), **kw),
+                      lambda **kw: hand_cell(scheme="pcc", **kw)):
+            for smuggled in ({"utility": "latency"}, {"qdisc": "codel"},
+                             {"workload": "web"}):
+                with pytest.raises(ValueError, match="cannot set"):
+                    build(controller_kwargs=smuggled)
 
-    def test_controller_kwargs_cannot_override_variant_kwargs(self):
-        """The variant kwargs recorded in the identity JSON must be what the
-        flows actually receive; a grid-level override would make archived
+    def test_controller_kwargs_cannot_override_declared_defaults(self):
+        """The scheme's declared kwargs recorded in the identity JSON must be
+        what the flows actually receive; an override would make archived
         sweeps lie."""
-        with pytest.raises(ValueError, match="override"):
-            tiny_grid(schemes=("pcc:no_rct",), loss_rates=(0.0,),
-                      controller_kwargs={"use_rct": True})
+        for build in (lambda **kw: tiny_grid(schemes=("parallel_tcp",), **kw),
+                      lambda **kw: hand_cell(scheme="parallel_tcp", **kw)):
+            with pytest.raises(ValueError, match="override"):
+                build(controller_kwargs={"bundle_size": 3})
 
     def test_controller_kwargs_cannot_set_utility_under_a_utilities_axis(self):
         with pytest.raises(ValueError, match="utilities axis"):
@@ -716,7 +639,7 @@ class TestControllerKwargsIdentityIntegrity:
                       controller_kwargs={"utility_function": object()})
 
     def test_unrelated_controller_kwargs_still_pass(self):
-        grid = tiny_grid(schemes=("pcc:gradient",),
+        grid = tiny_grid(schemes=("pcc",),
                          controller_kwargs={"min_packets_per_mi": 10})
         assert grid.cells(0)[0].controller_kwargs == {"min_packets_per_mi": 10}
 
@@ -763,11 +686,29 @@ class TestHandListedCellValidation:
 
     def test_utility_applies_only_to_pcc_based_listed_schemes(self):
         listed = {"schemes": ["pcc", "cubic"]}
-        with pytest.raises(ValueError, match="pcc-based"):
+        with pytest.raises(ValueError, match="only to pcc"):
             hand_cell(scheme="pcc", utility="latency", workload_kwargs=listed)
-        with pytest.raises(ValueError, match="pcc-based"):
+        with pytest.raises(ValueError, match="only to pcc"):
             tiny_grid(schemes=("pcc",), flow_counts=(2,),
                       utilities=("latency",), workload_kwargs=listed)
+
+    def test_a_hand_listed_cells_identity_cannot_lie(self):
+        """Before the rules moved from the grid to the cell, the first cell
+        below constructed, simulated the latency utility and recorded
+        ``utility: "safe"``; the second died in the worker."""
+        with pytest.raises(ValueError, match="cannot set .*utilities axis"):
+            hand_cell(scheme="pcc", utility="safe",
+                      controller_kwargs={"utility": "latency"})
+        with pytest.raises(ValueError, match="utilities axis applies only"):
+            hand_cell(scheme="cubic", utility="latency")
+        with pytest.raises(ValueError, match="registered"):
+            hand_cell(scheme="pcc", utility="no-such-utility")
+        with pytest.raises(ValueError, match="known schemes"):
+            hand_cell(scheme="cubik")
+        # One spelling per simulation, hence one store key: the utility
+        # field's.
+        cell = hand_cell(scheme="pcc", utility="latency")
+        assert cell.params()["scheme_kwargs"] == {"utility": "latency"}
 
     def test_per_flow_schemes_name_each_flows_scheme(self):
         cell = hand_cell(workload_kwargs={"schemes": ["cubic", "pcc"]})
@@ -828,7 +769,7 @@ class TestDeliveredSeries:
 
 class TestHelpListsRegistries:
     """`--help` must list the registries dynamically, not hard-coded examples
-    that drift when schemes/variants/topologies are registered."""
+    that drift when schemes/topologies are registered."""
 
     @staticmethod
     def _unwrapped_help() -> str:
@@ -849,11 +790,9 @@ class TestHelpListsRegistries:
         for topology in topology_names():
             assert topology in help_text
 
-    def test_help_lists_policies_and_utilities(self):
-        from repro.core import policy_names, utility_names
+    def test_help_lists_utilities(self):
+        from repro.core import utility_names
 
         help_text = self._unwrapped_help()
-        for name in policy_names():
-            assert name in help_text
         for name in utility_names():
             assert name in help_text

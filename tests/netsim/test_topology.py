@@ -4,14 +4,12 @@ import pytest
 
 from repro.netsim import (
     SYNTHETIC_TRACES,
-    FlowSpec,
     LinkConfig,
     RandomLinkDynamics,
     ScheduledLinkDynamics,
     Simulator,
     TraceLinkDynamics,
     bdp_bytes,
-    bulk_flows,
     cellular_trace,
     dumbbell,
     incast,
@@ -124,12 +122,6 @@ class TestParkingLot:
 
 
 class TestWorkloadGenerators:
-    def test_bulk_flows_stagger(self):
-        flows = bulk_flows("pcc", 4, stagger=10.0)
-        assert [f.start_time for f in flows] == [0.0, 10.0, 20.0, 30.0]
-        assert all(f.size_bytes is None for f in flows)
-        assert [f.path_index for f in flows] == [0, 1, 2, 3]
-
     def test_incast_burst_jitter_bounded(self):
         import random
         flows = incast_burst("cubic", 16, 256_000, jitter=0.001,
@@ -151,11 +143,6 @@ class TestWorkloadGenerators:
     def test_poisson_short_flows_invalid_load(self):
         with pytest.raises(ValueError):
             poisson_short_flows("cubic", 100_000, 1.5, 15e6, 10.0)
-
-    def test_flow_spec_describe(self):
-        spec = FlowSpec(scheme="pcc", size_bytes=100_000, start_time=1.0)
-        assert "100KB" in spec.describe()
-        assert FlowSpec(scheme="pcc").describe().endswith("size=inf)")
 
 
 class TestDynamics:

@@ -2,7 +2,7 @@
 
 The acceptance property is end-to-end pluggability: a scheme registered once
 is usable, untouched elsewhere, from ``run_flows``, a ``SweepGrid`` scheme
-spec, and the sweep CLI.
+entry, and the sweep CLI.
 """
 
 import json
@@ -13,16 +13,7 @@ from repro.cc import NewRenoController
 from repro.experiments import run_flows
 from repro.experiments.sweep import SweepGrid, main, sweep
 from repro.netsim import FlowSpec, Simulator, single_bottleneck
-from repro.schemes import (
-    SchemeSpec,
-    available_schemes,
-    get_scheme,
-    register_scheme,
-    register_scheme_variant,
-    resolve_scheme_spec,
-    scheme_names,
-    scheme_variant_names,
-)
+from repro.schemes import available_schemes, get_scheme, register_scheme
 
 
 # A third-party scheme registered once, at module import time (the same
@@ -37,25 +28,15 @@ class _HalfBetaReno(NewRenoController):
 register_scheme("halfreno", _HalfBetaReno, "windowed",
                 kwarg_defaults={"beta": 0.7},
                 description="test-only Reno with a gentler backoff")
-register_scheme_variant("gentle", {"beta": 0.9}, base_scheme="halfreno",
-                        description="test-only variant")
 
 
 class TestRegistry:
     def test_builtin_base_schemes_registered(self):
-        names = scheme_names()
+        names = available_schemes()
         for name in ["pcc", "cubic", "reno", "newreno", "illinois", "hybla",
-                     "vegas", "bic", "westwood", "reno_paced", "sabul", "pcp",
-                     "parallel_tcp"]:
+                     "vegas", "westwood", "reno_paced", "sabul", "pcp",
+                     "parallel_tcp", "halfreno"]:
             assert name in names
-
-    def test_available_schemes_includes_variants(self):
-        """``available_schemes`` must list registered variant specs such as
-        ``pcc:gradient``, not just the base names."""
-        schemes = available_schemes()
-        for spec in ["pcc", "pcc:gradient", "pcc:latency", "pcc:loss_resilient",
-                     "pcc:simple", "pcc:no_rct", "halfreno:gentle"]:
-            assert spec in schemes
 
     def test_sender_kind_metadata(self):
         assert get_scheme("cubic").sender_kind == "windowed"
@@ -63,9 +44,16 @@ class TestRegistry:
         assert get_scheme("sabul").sender_kind == "rate"
         assert get_scheme("parallel_tcp").sender_kind == "bundle"
 
-    def test_unknown_scheme_error_lists_variants(self):
-        with pytest.raises(ValueError, match="pcc:gradient"):
+    def test_unknown_scheme_error_lists_known_schemes(self):
+        with pytest.raises(ValueError, match="known schemes: .*halfreno.*pcc"):
             get_scheme("no-such-scheme")
+        # A scheme string is a registered name and nothing more.
+        with pytest.raises(ValueError, match="known schemes"):
+            get_scheme("pcc:latency")
+
+    def test_scheme_strings_are_case_insensitive(self):
+        assert get_scheme("CUBIC").name == "cubic"
+        assert get_scheme(" Pcc ").name == "pcc"
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -75,46 +63,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="sender_kind"):
             register_scheme("bogus_kind_scheme", NewRenoController, "warped")
 
-    def test_uppercase_and_colon_names_rejected(self):
+    def test_uppercase_names_rejected(self):
         with pytest.raises(ValueError, match="lowercase"):
             register_scheme("Cubic2", NewRenoController, "windowed")
-        with pytest.raises(ValueError, match="':'"):
-            register_scheme("cubic:fast", NewRenoController, "windowed")
-
-
-class TestSchemeSpecParsing:
-    def test_plain_spec(self):
-        parsed = SchemeSpec.parse("cubic")
-        assert (parsed.base, parsed.variant, parsed.kwargs) == ("cubic", None, {})
-        assert parsed.info().sender_kind == "windowed"
-
-    def test_variant_spec(self):
-        parsed = SchemeSpec.parse("pcc:gradient")
-        assert parsed.base == "pcc"
-        assert parsed.variant == "gradient"
-        assert parsed.kwargs == {"policy": "gradient"}
-
-    def test_specs_are_case_insensitive(self):
-        assert SchemeSpec.parse("CUBIC").base == "cubic"
-        assert SchemeSpec.parse("PCC:Gradient").kwargs == {"policy": "gradient"}
-
-    def test_unknown_base_rejected_even_with_valid_variant(self):
-        with pytest.raises(ValueError, match="known schemes"):
-            SchemeSpec.parse("no-such-base:gradient")
-
-    def test_variant_on_wrong_base_rejected(self):
-        with pytest.raises(ValueError, match="base scheme"):
-            SchemeSpec.parse("cubic:gradient")
-
-    def test_resolve_scheme_spec_tuple_form(self):
-        assert resolve_scheme_spec("pcc") == ("pcc", {})
-        assert resolve_scheme_spec("pcc:no_rct") == ("pcc", {"use_rct": False})
-
-    def test_variant_names_listed(self):
-        names = scheme_variant_names()
-        for name in ("gradient", "latency", "loss_resilient", "no_rct",
-                     "simple", "gentle"):
-            assert name in names
 
 
 class TestThirdPartySchemeEndToEnd:
@@ -130,13 +81,6 @@ class TestThirdPartySchemeEndToEnd:
         assert controller.beta == 0.7  # registry default applied
         assert result.flow(0).goodput_bps(3.0) > 1e6
 
-    def test_run_flows_resolves_the_variant(self):
-        sim = Simulator(seed=1)
-        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
-        result = run_flows(sim, [topo.path],
-                           [FlowSpec(scheme="halfreno:gentle")], duration=2.0)
-        assert result.flow(0).schemes[0].beta == 0.9
-
     def test_flow_spec_kwargs_override_registry_defaults(self):
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
@@ -144,27 +88,26 @@ class TestThirdPartySchemeEndToEnd:
         result = run_flows(sim, [topo.path], [spec], duration=1.0)
         assert result.flow(0).schemes[0].beta == 0.5
 
-    def test_sweep_grid_accepts_the_scheme_and_variant(self):
-        grid = SweepGrid(schemes=("halfreno", "halfreno:gentle"),
+    def test_sweep_grid_accepts_the_scheme_and_records_its_defaults(self):
+        grid = SweepGrid(schemes=("halfreno",),
                          bandwidths_bps=(5e6,), duration=2.0)
         result = sweep(grid, base_seed=3, workers=1)
-        assert len(result) == 2
         assert result.goodput_mbps(scheme="halfreno") > 1.0
-        (cell,) = result.find(scheme="halfreno:gentle")
-        assert cell["cell"]["scheme_kwargs"] == {"beta": 0.9}
+        (cell,) = result.find(scheme="halfreno")
+        assert cell["cell"]["scheme_kwargs"] == {"beta": 0.7}
 
     def test_cli_accepts_the_scheme(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = main([
-            "--schemes", "halfreno:gentle",
+            "--schemes", "halfreno",
             "--bandwidth-mbps", "5",
             "--duration", "2",
             "--output", str(out),
         ])
         assert code == 0
         (cell,) = json.loads(out.read_text())["cells"]
-        assert cell["cell"]["scheme"] == "halfreno:gentle"
-        assert cell["cell"]["scheme_kwargs"] == {"beta": 0.9}
+        assert cell["cell"]["scheme"] == "halfreno"
+        assert cell["cell"]["scheme_kwargs"] == {"beta": 0.7}
 
     def test_unknown_scheme_fails_at_grid_construction(self):
         """Pre-registry, a typo'd scheme survived grid construction and died
@@ -207,12 +150,3 @@ class TestBundleSubSchemeDefaults:
                                            "bundle_size": 2})
         result = run_flows(sim, [topo.path], [spec], duration=1.0)
         assert [c.beta for c in result.flow(0).schemes] == [0.7, 0.7]
-
-    def test_subflow_variant_kwargs_still_apply(self):
-        sim = Simulator(seed=3)
-        topo = single_bottleneck(sim, 20e6, 0.02, buffer_bytes=75_000)
-        spec = FlowSpec(scheme="parallel_tcp",
-                        controller_kwargs={"bundle_scheme": "halfreno:gentle",
-                                           "bundle_size": 2})
-        result = run_flows(sim, [topo.path], [spec], duration=1.0)
-        assert [c.beta for c in result.flow(0).schemes] == [0.9, 0.9]
