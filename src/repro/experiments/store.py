@@ -35,7 +35,7 @@ import json
 import os
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
-from .results import cell_identity_key
+from .results import cell_identity_key, write_atomic
 
 __all__ = [
     "STORE_FORMAT",
@@ -71,17 +71,6 @@ def store_key(cell_params: Dict[str, Any]) -> str:
     """
     identity = cell_identity_key(cell_params)
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
-
-
-def _write_json_atomic(path: str, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` to ``path`` via a temp file + atomic rename, so a
-    concurrent reader sees either the old file or the new one, never a torn
-    write."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        handle.write(json.dumps(payload, sort_keys=True))
-        handle.write("\n")
-    os.replace(tmp, path)
 
 
 def _truncate_partial_tail(path: str) -> None:
@@ -165,10 +154,10 @@ class CellStore:
                     f"{STORE_KEY_ALGORITHM!r}; refusing to mix key universes"
                 )
             return
-        _write_json_atomic(meta_path, {
+        write_atomic(meta_path, (json.dumps({
             "format": STORE_FORMAT,
             "key_algorithm": STORE_KEY_ALGORITHM,
-        })
+        }, sort_keys=True), "\n"))
 
     def _load_index_snapshot(self) -> None:
         index_path = os.path.join(self.root, _INDEX_NAME)
@@ -197,12 +186,12 @@ class CellStore:
         self._duplicates = int(snapshot.get("duplicates", 0))
 
     def _write_index_snapshot(self) -> None:
-        _write_json_atomic(os.path.join(self.root, _INDEX_NAME), {
+        write_atomic(os.path.join(self.root, _INDEX_NAME), (json.dumps({
             "format": STORE_INDEX_FORMAT,
             "segments": dict(self._scanned),
             "keys": {key: list(entry) for key, entry in self._index.items()},
             "duplicates": self._duplicates,
-        })
+        }, sort_keys=True), "\n"))
 
     # -- scanning -------------------------------------------------------------
     def _segment_names(self) -> List[str]:

@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..experiments.execute import PROFILE_TOP_N
+from ..experiments.results import write_atomic
 from ..experiments.store import CellStore
 from .render import matrix_drift, render_matrix, render_report
 from .run import SpecOutcome, run_report_spec
@@ -163,8 +164,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if store is not None:
             store.close()
-    with open(report_path, "w") as handle:
-        handle.write(render_report(outcomes))
+    # Rendered in full before the destination is touched, and renamed into
+    # place: a row that fails to format cannot empty the checked-in ledger.
+    write_atomic(report_path, (render_report(outcomes),))
     print(f"wrote {report_path}")
     return 1 if any(outcome.failed() for outcome in outcomes) else 0
 

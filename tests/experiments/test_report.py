@@ -426,6 +426,22 @@ class TestCli:
             text = handle.read()
         assert "Tiny test scenario list" in text
 
+    def test_a_failed_render_leaves_the_existing_report(self, tmp_path,
+                                                        monkeypatch):
+        # A row value a format spec rejects used to leave a 0-byte ledger:
+        # the destination was opened for writing before the render ran.
+        report = tmp_path / "REPORT.md"
+        report.write_text("the checked-in ledger\n")
+
+        def broken_render(outcomes):
+            raise TypeError("unsupported format string passed to NoneType")
+
+        monkeypatch.setattr("repro.report.cli.render_report", broken_render)
+        with pytest.raises(TypeError, match="NoneType"):
+            report_main(["--only", "tiny_scenario", "--report", str(report)])
+        assert report.read_text() == "the checked-in ledger\n"
+        assert os.listdir(tmp_path) == ["REPORT.md"]
+
     def test_only_without_explicit_report_path_errors(self, capsys):
         # A partial ledger written to the default path would silently
         # replace the checked-in full REPORT.md.

@@ -6,7 +6,10 @@ and a sweep resumed over a partial store runs only the missing cells yet
 produces output identical to an uninterrupted run.
 """
 
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -133,6 +136,75 @@ class TestJsonlRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             ResultSet.load(str(path))
+
+
+class TestAtomicWrite:
+    def test_a_write_that_fails_halfway_leaves_the_old_file(self, tmp_path):
+        """A full disk or a kill during ``sweep --output`` used to leave a
+        truncated file where the previous good one had been."""
+        path = tmp_path / "out.json"
+        ResultSet(1, [_record(0)]).write(str(path))
+        before = path.read_bytes()
+        rows = _record(0)["flows"] * 100
+        doomed = ResultSet(1, [
+            dict(_record(0), flows=rows),  # streamed out before the failure
+            dict(_record(1), flows=rows + [{"fct": object()}]),
+        ])
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            doomed.write(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _traced(call):
+    """``(result, peak, retained)`` of ``call()``: bytes allocated over the
+    level at entry, at the highest point and at return."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - baseline, retained - baseline
+
+
+class TestMemoryBounds:
+    """What encoding and loading hold beside their result, in allocated bytes
+    (no wall clock): a result of thousands of flow rows is encoded a slice of
+    rows at a time and loaded a line at a time."""
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        rows = [{"label": f"web-{i}", "scheme": "pcc", "fct": 0.1234567 * i,
+                 "goodput_mbps": 3.25 + i * 1e-3, "loss_rate": 0.0,
+                 "mean_rtt_ms": 61.5, "bytes": 100_000 + i, "retx": None}
+                for i in range(2000)]
+        return ResultSet(7, [dict(_record(index), flows=rows)
+                             for index in range(2)])
+
+    def test_to_json_peak(self, churn):
+        text, peak, _ = _traced(churn.to_json)
+        # 2.0 measured: the pieces and their join.  One json.dumps(indent=2)
+        # holds every token of the document in a list: 6.2.
+        assert peak <= 3 * len(text)
+
+    def test_write_peak(self, churn, tmp_path):
+        path = str(tmp_path / "out.json")
+        _, peak, _ = _traced(lambda: churn.write(path))
+        assert peak <= 0.5 * os.path.getsize(path)  # 0.07 measured
+
+    def test_load_peak(self, churn, tmp_path):
+        path = str(tmp_path / "out.jsonl")
+        churn.write_jsonl(path)
+        with open(path) as handle:
+            longest = max(len(line) for line in handle)
+        loaded, peak, retained = _traced(lambda: ResultSet.load(path))
+        assert loaded.to_json() == churn.to_json()
+        # 1.04 lines measured over the records; read() + strip() +
+        # splitlines() held three copies of the file, six lines here.
+        assert peak <= retained + 2 * longest
 
 
 class TestQueries:
