@@ -507,8 +507,39 @@ GOLDEN_GRIDS = {
     ),
 }
 
+#: Two flows of each scheme behind each randomized or composed discipline.
+#: ``golden_aqm_seed7.json`` holds each cell's ``engine`` and ``flows`` but
+#: not its identity, so it moves only when a trajectory moves.
+AQM_GRIDS = tuple(
+    SweepGrid(schemes=("cubic", "pcc"), bandwidths_bps=(20e6,), rtts=(0.03,),
+              flow_counts=(2,), duration=2.0, qdisc=qdisc, qdisc_kwargs=kwargs)
+    for qdisc, kwargs in (("red", {}), ("pie", {}), ("fq_codel", {}),
+                          ("fq", {"child": "infinite"}))
+)
+
+
+def aqm_trajectories(base_seed):
+    """What ``golden_aqm_seed7.json`` holds, measured now."""
+    cells = [cell for grid in AQM_GRIDS for cell in grid.cells(base_seed)]
+    return json.loads(json.dumps([
+        {"scheme": cell.scheme, "qdisc": cell.qdisc,
+         "qdisc_kwargs": cell.qdisc_kwargs,
+         "engine": record["engine"], "flows": record["flows"]}
+        for cell, record in zip(cells, map(run_cell, cells))
+    ]))
+
 
 class TestGoldenBehaviorPreservation:
+    def test_aqm_cells_match_golden_trajectories(self):
+        """RED, PIE, FQ-CoDel and FQ over an infinite child: every engine
+        count and flow number equals the committed capture."""
+        import pathlib
+
+        golden_path = pathlib.Path(__file__).parent / "data" / \
+            "golden_aqm_seed7.json"
+        golden = json.loads(golden_path.read_text())
+        assert aqm_trajectories(golden["base_seed"]) == golden["cells"]
+
     @pytest.mark.parametrize("golden", sorted(GOLDEN_GRIDS))
     def test_default_pcc_grid_matches_pre_refactor_golden_json(self, golden,
                                                                tmp_path):
