@@ -30,7 +30,6 @@ class MonitorIntervalStats:
         "packets_acked",
         "bytes_acked",
         "packets_lost",
-        "ecn_marked",
         "rtt_sum",
         "rtt_count",
         "first_rtt",
@@ -56,7 +55,6 @@ class MonitorIntervalStats:
         self.packets_acked = 0
         self.bytes_acked = 0
         self.packets_lost = 0
-        self.ecn_marked = 0
         self.rtt_sum = 0.0
         self.rtt_count = 0
         self.first_rtt: Optional[float] = None
@@ -93,16 +91,6 @@ class MonitorIntervalStats:
     def record_loss(self) -> None:
         self.packets_lost += 1
 
-    def record_ecn_mark(self) -> None:
-        """Count a delivered-but-ECN-marked packet.
-
-        Marked packets were *acked* — they already count toward
-        :attr:`accounted_packets` via :meth:`record_ack` — so this counter
-        feeds only the congestion term (:attr:`loss_rate`), never the
-        completion accounting.
-        """
-        self.ecn_marked += 1
-
     # ------------------------------------------------------------------ #
     # Derived metrics
     # ------------------------------------------------------------------ #
@@ -123,17 +111,10 @@ class MonitorIntervalStats:
 
     @property
     def loss_rate(self) -> float:
-        """Fraction of this MI's packets that signalled congestion.
-
-        ECN marks count alongside genuine losses: a mark is an AQM telling
-        the sender "this packet would have been dropped", so PCC's utility
-        sees the identical congestion gradient whether the bottleneck drops
-        or marks (the paper's loss term L, extended per RFC 3168 semantics).
-        """
+        """Fraction of this MI's packets that were lost (the paper's L)."""
         if self.packets_sent == 0:
             return 0.0
-        return min(1.0, (self.packets_lost + self.ecn_marked)
-                   / self.packets_sent)
+        return min(1.0, self.packets_lost / self.packets_sent)
 
     @property
     def throughput_bps(self) -> float:

@@ -183,16 +183,6 @@ class PerformanceMonitor:
         if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
             self._complete(mi)
 
-    def record_ecn_mark(self, mi_id: Optional[int]) -> None:
-        """Account an ECN mark to its MI.
-
-        Marks never change :attr:`MonitorIntervalStats.accounted_packets`
-        (the marked packet was acked), so no completion check is needed.
-        """
-        mi = self._active.get(mi_id)
-        if mi is not None:
-            mi.record_ecn_mark()
-
     # ------------------------------------------------------------------ #
     # Completion
     # ------------------------------------------------------------------ #

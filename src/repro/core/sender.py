@@ -156,12 +156,6 @@ class PCCScheme:
         if self.monitor is not None:
             self.monitor.record_loss(record.mi_id)
 
-    def on_ecn(self, record, now: float) -> None:
-        """ECN echo for a delivered packet: fold the mark into the MI's
-        congestion term (the packet itself was already acked)."""
-        if self.monitor is not None:
-            self.monitor.record_ecn_mark(record.mi_id)
-
     def on_timeout(self, expired, now: float) -> None:
         for record in expired:
             self.on_loss(record, now)

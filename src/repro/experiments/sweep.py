@@ -152,7 +152,7 @@ class SweepCell:
     #: non-default; access links keep their plain drop-tail queues.
     qdisc: str = DEFAULT_QDISC
     #: Extra JSON-serializable arguments for the qdisc factory
-    #: (e.g. ``{"ecn": True}`` for codel/red/pie).
+    #: (e.g. ``{"child": "codel"}`` for fq).
     qdisc_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Registered workload generator emitting this cell's flow schedule (see
     #: :func:`repro.experiments.register_workload`).  Part of the identity
@@ -204,7 +204,10 @@ class SweepCell:
                 raise ValueError(
                     f"controller_kwargs {sorted(conflict)} would override the "
                     f"kwargs recorded for scheme {self.scheme!r}")
-        resolve_qdisc_kwargs(self.qdisc, self.qdisc_kwargs)
+        # Building the queue once validates its name, its kwargs and what the
+        # factory checks itself (fq's child); factories draw no randomness
+        # (lint rule RPL017), so the throwaway has no side effect.
+        make_qdisc(self.qdisc, self.resolved_buffer_bytes(), **self.qdisc_kwargs)
         topology = _TOPOLOGIES.get(self.topology)
         kwargs = resolve_topology_kwargs(self.topology, self.topology_kwargs)
         if self.reverse_loss and not topology.supports_reverse_loss:

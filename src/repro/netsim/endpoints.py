@@ -253,12 +253,6 @@ class SenderBase:
             lost = self._detect_losses()
             self._restart_rto_timer()
         self._on_ack(record, rtt_sample, newly_acked)
-        if ack.ecn_echo and record is not None:
-            # The acked packet crossed a congested AQM that marked it
-            # instead of dropping it; surface the congestion signal to
-            # the scheme's response hook.  Delivery accounting already
-            # happened above — an ECN mark is never a loss.
-            self._on_ecn(record)
         for lost_record in lost:
             self._on_loss(lost_record)
         if self.total_segments is not None:
@@ -372,13 +366,6 @@ class SenderBase:
     def _on_timeout(self, expired: list[Packet]) -> None:
         raise NotImplementedError
 
-    def _on_ecn(self, record: Packet) -> None:
-        """Congestion signal: the acked packet was ECN-marked by an AQM.
-
-        Default is to ignore the signal (schemes predating ECN keep their
-        exact behavior); ECN-aware senders override.
-        """
-
     def _after_ack_processing(self) -> None:
         """Called after every ACK once controller state is updated."""
 
@@ -488,14 +475,6 @@ class WindowedSender(SenderBase):
         self._recovery_exit_packet_id = self._next_packet_id
         self.controller.on_timeout(self.sim.now)
 
-    def _on_ecn(self, record) -> None:
-        # RFC 3168: an ECN echo triggers the same multiplicative decrease as
-        # a loss — once per window of data — but the marked packet was
-        # delivered, so nothing is retransmitted.
-        if self._recovery_exit_packet_id < 0:
-            self._recovery_exit_packet_id = self._next_packet_id
-            self.controller.on_loss(self.sim.now)
-
     #: An ACK may have opened the window: filling it is the whole after-ACK step.
     _after_ack_processing = _fill_window
 
@@ -540,7 +519,6 @@ class RateBasedSender(SenderBase):
         # Optional controller hooks, resolved once: a bound method or None.
         self._controller_mi_id = getattr(controller, "current_mi_id", None)
         self._controller_packet_sent = getattr(controller, "on_packet_sent", None)
-        self._controller_ecn = getattr(controller, "on_ecn", None)
         self._controller_timeout = getattr(controller, "on_timeout", None)
         self._controller_flow_start = getattr(controller, "on_flow_start", None)
         self.max_inflight_packets = max_inflight_packets
@@ -559,8 +537,7 @@ class RateBasedSender(SenderBase):
         # The controller holds this sender (PCC binds to it at flow start).
         self.controller = None
         self._controller_mi_id = self._controller_packet_sent = None
-        self._controller_ecn = self._controller_timeout = None
-        self._controller_flow_start = None
+        self._controller_timeout = self._controller_flow_start = None
 
     # -- pacing ---------------------------------------------------------------
     # The controller's rate is floored at 1 kbps so the tick interval stays
@@ -619,13 +596,6 @@ class RateBasedSender(SenderBase):
 
     def _on_loss(self, record) -> None:
         self.controller.on_loss(record, self.sim.now)
-
-    def _on_ecn(self, record) -> None:
-        # Rate-based schemes see ECN only if their controller opts in (PCC
-        # folds marks into its monitor-interval loss term); schemes without
-        # an on_ecn hook keep their exact pre-ECN behavior.
-        if self._controller_ecn is not None:
-            self._controller_ecn(record, self.sim.now)
 
     def _on_timeout(self, expired) -> None:
         if self._controller_timeout is not None:

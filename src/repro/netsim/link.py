@@ -99,10 +99,10 @@ class Link:
         self.loss_rate = float(loss_rate)
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
         self.queue.on_drop = self._record_queue_drop
-        # Randomized disciplines (RED, PIE, random drop policy) draw from the
-        # simulator RNG; attaching it here — never at construction — is what
-        # keeps queue building free of RNG side effects (the attach-rng
-        # pattern, lint rule RPL017).
+        # Randomized disciplines (RED, PIE) draw from the simulator RNG;
+        # attaching it here — never at construction — is what keeps queue
+        # building free of RNG side effects (the attach-rng pattern, lint
+        # rule RPL017).
         self.queue.attach_rng(sim.rng)
         self.name = name
         self.stats = LinkStats()

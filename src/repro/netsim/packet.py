@@ -50,8 +50,6 @@ class Packet:
         "mi_id",
         "is_retransmission",
         "is_probe",
-        "ecn_marked",
-        "ecn_echo",
     )
 
     def __init__(
@@ -85,11 +83,6 @@ class Packet:
         self.is_retransmission = is_retransmission
         # Probe packets (e.g. PCP packet trains) carry no application data.
         self.is_probe = is_probe
-        # ECN: a congested AQM sets ``ecn_marked`` on a data packet instead
-        # of dropping it; the receiver echoes the mark back on the ACK via
-        # ``ecn_echo`` so the sender's congestion response can react.
-        self.ecn_marked = False
-        self.ecn_echo = False
 
     def make_ack(self, packet_id: int, ack_size: int, now: float) -> "Packet":
         """Build the acknowledgement for this data packet.
@@ -103,9 +96,6 @@ class Packet:
         ack.acked_data_seq = self.data_seq
         ack.ack_sent_time = self.sent_time
         ack.is_probe = self.is_probe
-        # Echo a congestion-experienced mark back to the sender (RFC 3168's
-        # ECE signal, collapsed to a per-ACK boolean).
-        ack.ecn_echo = self.ecn_marked
         return ack
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,26 +17,20 @@ capacity invariants hold for every discipline.
 
 The canonical AQM baselines the reproduction's Figure 17 matrix extends to —
 RED (Floyd & Jacobson), PIE (RFC 8033, simplified) and FQ-CoDel (DRR fair
-queueing composed over CoDel children) — live here too, and every discipline
-sits behind a :class:`~repro.registry.KwargRegistry` — the same
-pluggable-by-JSON-name pattern schemes and topologies use — so sweep cells,
-report specs and the CLIs select queueing behavior with a ``qdisc`` name plus
-declarative kwargs (:func:`register_qdisc` states the contract).
+queueing composed over CoDel children) — live here too, each tuned by
+constants next to its algorithm.  Every discipline sits behind a
+:class:`~repro.registry.KwargRegistry` — the same pluggable-by-JSON-name
+pattern schemes and topologies use — so sweep cells, report specs and the
+CLIs select queueing behavior by a ``qdisc`` name; ``fq``'s ``child`` is the
+one built-in option (:func:`register_qdisc` states the contract).
 
-Two cross-cutting conventions every discipline follows:
-
-* **attach-rng**: disciplines whose drop decisions are randomized (RED, PIE,
-  random drop policy) are constructed *without* an RNG and receive one via
-  :meth:`QueueDiscipline.attach_rng` afterwards — links attach ``sim.rng``
-  automatically.  Factories must never draw from the simulator RNG at
-  construction time (lint rule RPL017), so building a queue never perturbs
-  the deterministic event stream.
-* **ECN**: disciplines built with ``ecn=True`` mark packets
-  (:meth:`QueueDiscipline._mark`) instead of dropping them when the *AQM*
-  decides to signal congestion; genuine buffer-overflow drops still drop.
-  The mark travels to the receiver, is echoed on the ACK
-  (``Packet.ecn_echo``), and senders react via their congestion-response
-  hooks (see :mod:`repro.netsim.endpoints`).
+A discipline signals congestion by dropping: PCC needs no router support, so
+packets carry no congestion mark.  Disciplines whose drop decisions are
+randomized (RED, PIE) are constructed *without* an RNG and receive one via
+:meth:`QueueDiscipline.attach_rng` afterwards — links attach ``sim.rng``
+automatically.  Factories must never draw from the simulator RNG at
+construction time (lint rule RPL017), so building a queue never perturbs the
+deterministic event stream.
 """
 
 from __future__ import annotations
@@ -65,25 +59,15 @@ __all__ = [
     "resolve_qdisc_kwargs",
 ]
 
-#: Valid ``drop_policy`` values for :class:`DropTailQueue`.
-DROP_POLICIES = ("tail", "head", "random")
-
-
 class QueueStats:
     """Counters shared by all queue disciplines."""
 
-    __slots__ = ("enqueued", "dequeued", "dropped", "dropped_bytes",
-                 "enqueued_bytes", "marked")
+    __slots__ = ("enqueued", "dequeued", "dropped")
 
     def __init__(self) -> None:
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
-        self.dropped_bytes = 0
-        self.enqueued_bytes = 0
-        #: Packets ECN-marked instead of dropped (congestion signals that
-        #: stayed in the queue and were eventually delivered).
-        self.marked = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -137,7 +121,6 @@ class QueueDiscipline:
         self.bytes_queued += packet.size_bytes
         self.packets_queued += 1
         self.stats.enqueued += 1
-        self.stats.enqueued_bytes += packet.size_bytes
 
     def _release(self, packet: Packet) -> Packet:
         self.bytes_queued -= packet.size_bytes
@@ -147,15 +130,9 @@ class QueueDiscipline:
 
     def _drop(self, packet: Packet) -> bool:
         self.stats.dropped += 1
-        self.stats.dropped_bytes += packet.size_bytes
         if self.on_drop is not None:
             self.on_drop(packet)
         return False
-
-    def _mark(self, packet: Packet) -> None:
-        """ECN-mark ``packet`` instead of dropping it (congestion signal)."""
-        packet.ecn_marked = True
-        self.stats.marked += 1
 
 
 class DropTailQueue(QueueDiscipline):
@@ -163,73 +140,26 @@ class DropTailQueue(QueueDiscipline):
 
     ``capacity_bytes`` models the router buffer size that the paper sweeps from a
     single packet (1.5 KB) up to one bandwidth-delay product or 1 MB.
-
-    ``drop_policy`` selects who dies on overflow: ``"tail"`` (the classic —
-    the arriving packet), ``"head"`` (oldest queued packets are evicted until
-    the arrival fits, favouring fresh information), or ``"random"`` (uniform
-    random victims, which de-synchronizes loss across flows; needs an
-    attached RNG).  ``ecn_threshold_bytes`` optionally marks arrivals once
-    occupancy exceeds the threshold (DCTCP-style mark-on-threshold) — drops
-    above capacity still drop.
     """
 
-    def __init__(self, capacity_bytes: Bytes, drop_policy: str = "tail",
-                 ecn_threshold_bytes: Optional[Bytes] = None):
+    def __init__(self, capacity_bytes: Bytes):
         super().__init__()
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if drop_policy not in DROP_POLICIES:
-            raise ValueError(
-                f"unknown drop_policy {drop_policy!r}; expected one of "
-                f"{DROP_POLICIES}"
-            )
-        if ecn_threshold_bytes is not None and ecn_threshold_bytes <= 0:
-            raise ValueError("ecn_threshold_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self.drop_policy = drop_policy
-        self.ecn_threshold_bytes = ecn_threshold_bytes
         self._fifo: Deque[Packet] = deque()
-
-    def _evict_victims(self, needed_bytes: float) -> bool:
-        """Drop head/random victims until ``needed_bytes`` fit; ``False`` if
-        the arrival could never fit even in an empty buffer."""
-        if needed_bytes > self.capacity_bytes:
-            return False
-        while self.bytes_queued + needed_bytes > self.capacity_bytes:
-            if self.drop_policy == "head":
-                victim = self._fifo.popleft()
-            else:
-                if self.rng is None:
-                    raise RuntimeError(
-                        "drop_policy='random' draws victims from an attached "
-                        "RNG; call attach_rng(rng) after construction (links "
-                        "attach sim.rng automatically)"
-                    )
-                index = self.rng.randrange(len(self._fifo))
-                victim = self._fifo[index]
-                del self._fifo[index]
-            self.bytes_queued -= victim.size_bytes
-            self.packets_queued -= 1
-            self._drop(victim)
-        return True
 
     # Every ACK of every cell crosses a drop-tail reverse link, so these two
     # do _admit()'s and _release()'s bookkeeping in their own frame.
     def enqueue(self, packet: Packet, now: float) -> bool:
         size = packet.size_bytes
         if self.bytes_queued + size > self.capacity_bytes:
-            if self.drop_policy == "tail" or not self._evict_victims(size):
-                return self._drop(packet)
+            return self._drop(packet)
         packet.enqueue_time = now
         self.bytes_queued += size
         self.packets_queued += 1
-        stats = self.stats
-        stats.enqueued += 1
-        stats.enqueued_bytes += size
+        self.stats.enqueued += 1
         self._fifo.append(packet)
-        if (self.ecn_threshold_bytes is not None
-                and self.bytes_queued > self.ecn_threshold_bytes):
-            self._mark(packet)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -260,33 +190,26 @@ class InfiniteQueue(QueueDiscipline):
         return self._release(self._fifo.popleft())
 
 
+#: CoDel's sojourn-time target and control interval (RFC 8289's 5 ms / 100 ms).
+_CODEL_TARGET: Seconds = 0.005
+_CODEL_INTERVAL: Seconds = 0.100
+
+
 class CoDelQueue(QueueDiscipline):
     """CoDel (Controlled Delay) active queue management.
 
     Implementation follows the ACM Queue pseudo-code by Nichols & Jacobson:
     packets carry their enqueue timestamp; at dequeue time, if sojourn time has
-    stayed above ``target`` for at least ``interval``, CoDel enters the dropping
-    state and drops packets at increasing frequency
+    stayed above the target for at least one interval, CoDel enters the
+    dropping state and drops packets at increasing frequency
     (``interval / sqrt(drop_count)``) until sojourn time falls below target.
 
     A byte capacity is still enforced (real CoDel runs over a finite buffer).
-    With ``ecn=True`` the control law runs unchanged but marks packets
-    instead of dropping them (RFC 8289 §3): the marked packet is delivered,
-    carrying the congestion signal to the sender via the ACK echo.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: Bytes = 10_000_000.0,
-        target: Seconds = 0.005,
-        interval: Seconds = 0.100,
-        ecn: bool = False,
-    ):
+    def __init__(self, capacity_bytes: Bytes):
         super().__init__()
         self.capacity_bytes = capacity_bytes
-        self.target = target
-        self.interval = interval
-        self.ecn = ecn
         self._fifo: Deque[Packet] = deque()
         # CoDel state machine.
         self._first_above_time = 0.0
@@ -297,15 +220,15 @@ class CoDelQueue(QueueDiscipline):
 
     # -- CoDel helpers -------------------------------------------------------
     def _control_law(self, t: float) -> float:
-        return t + self.interval / (self._drop_count ** 0.5)
+        return t + _CODEL_INTERVAL / (self._drop_count ** 0.5)
 
     def _should_drop(self, packet: Packet, now: float) -> bool:
         sojourn = now - packet.enqueue_time
-        if sojourn < self.target or self.bytes_queued <= 2 * DEFAULT_MSS:
+        if sojourn < _CODEL_TARGET or self.bytes_queued <= 2 * DEFAULT_MSS:
             self._first_above_time = 0.0
             return False
         if self._first_above_time == 0.0:
-            self._first_above_time = now + self.interval
+            self._first_above_time = now + _CODEL_INTERVAL
             return False
         return now >= self._first_above_time
 
@@ -327,71 +250,54 @@ class CoDelQueue(QueueDiscipline):
                 if now >= self._drop_next:
                     self._drop_count += 1
                     self._drop_next = self._control_law(self._drop_next)
-                    if self.ecn:
-                        self._mark(packet)
-                        return packet
                     self._drop(packet)
                     continue
                 return packet
             if ok_to_drop:
                 self._dropping = True
                 delta = self._drop_count - self._last_drop_count
-                if delta > 1 and now - self._drop_next < 16 * self.interval:
+                if delta > 1 and now - self._drop_next < 16 * _CODEL_INTERVAL:
                     self._drop_count = delta
                 else:
                     self._drop_count = 1
                 self._drop_next = self._control_law(now)
                 self._last_drop_count = self._drop_count
-                if self.ecn:
-                    self._mark(packet)
-                    return packet
                 self._drop(packet)
                 continue
             return packet
         return None
 
 
+#: RED's thresholds as fractions of the byte capacity, its drop probability
+#: at the upper threshold and the weight of its occupancy EWMA.
+_RED_MIN_THRESHOLD_FRACTION = 0.2
+_RED_MAX_THRESHOLD_FRACTION = 0.6
+_RED_MAX_DROP_PROBABILITY = 0.1
+_RED_WEIGHT = 0.002
+
+
 class REDQueue(QueueDiscipline):
     """Random Early Detection (Floyd & Jacobson 1993).
 
     An EWMA of the queue's byte occupancy is updated at every arrival.  Below
-    ``min_threshold`` arrivals are admitted; above ``max_threshold`` they are
-    dropped; in between they are dropped (or ECN-marked, RFC 3168 style) with
-    probability growing linearly up to ``max_drop_probability``.  Thresholds
-    are expressed as fractions of the byte capacity so one configuration
-    scales across buffer sizes in a sweep.
+    the lower threshold arrivals are admitted; above the upper one they are
+    dropped; in between they are dropped with probability growing linearly
+    up to ``_RED_MAX_DROP_PROBABILITY``.  Thresholds are fractions of the
+    byte capacity, so one configuration scales across buffer sizes in a
+    sweep.
 
     The probabilistic decision draws from the attached RNG
     (:meth:`~QueueDiscipline.attach_rng`); construction consumes no
     randomness.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: Bytes,
-        min_threshold_fraction: float = 0.2,
-        max_threshold_fraction: float = 0.6,
-        max_drop_probability: float = 0.1,
-        weight: float = 0.002,
-        ecn: bool = False,
-    ):
+    def __init__(self, capacity_bytes: Bytes):
         super().__init__()
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if not 0.0 < min_threshold_fraction < max_threshold_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < min_threshold_fraction < max_threshold_fraction <= 1"
-            )
-        if not 0.0 < max_drop_probability <= 1.0:
-            raise ValueError("max_drop_probability must be in (0, 1]")
-        if not 0.0 < weight <= 1.0:
-            raise ValueError("weight must be in (0, 1]")
         self.capacity_bytes = capacity_bytes
-        self.min_threshold_bytes = min_threshold_fraction * capacity_bytes
-        self.max_threshold_bytes = max_threshold_fraction * capacity_bytes
-        self.max_drop_probability = max_drop_probability
-        self.weight = weight
-        self.ecn = ecn
+        self.min_threshold_bytes = _RED_MIN_THRESHOLD_FRACTION * capacity_bytes
+        self.max_threshold_bytes = _RED_MAX_THRESHOLD_FRACTION * capacity_bytes
         self._avg_bytes = 0.0
         self._fifo: Deque[Packet] = deque()
 
@@ -406,25 +312,20 @@ class REDQueue(QueueDiscipline):
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         # EWMA over the instantaneous occupancy seen by each arrival.
-        self._avg_bytes += self.weight * (self.bytes_queued - self._avg_bytes)
+        self._avg_bytes += _RED_WEIGHT * (self.bytes_queued - self._avg_bytes)
         if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
             return self._drop(packet)
-        mark = False
         if self._avg_bytes >= self.max_threshold_bytes:
             return self._drop(packet)
         if self._avg_bytes > self.min_threshold_bytes:
-            probability = self.max_drop_probability * (
+            probability = _RED_MAX_DROP_PROBABILITY * (
                 (self._avg_bytes - self.min_threshold_bytes)
                 / (self.max_threshold_bytes - self.min_threshold_bytes)
             )
             if self._require_rng().random() < probability:
-                if not self.ecn:
-                    return self._drop(packet)
-                mark = True
+                return self._drop(packet)
         self._admit(packet, now)
         self._fifo.append(packet)
-        if mark:
-            self._mark(packet)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -433,40 +334,33 @@ class REDQueue(QueueDiscipline):
         return self._release(self._fifo.popleft())
 
 
+#: PIE's target queueing delay, probability-update period and the gains of
+#: its proportional (alpha) and integral (beta) terms (RFC 8033's values).
+_PIE_TARGET_DELAY: Seconds = 0.015
+_PIE_UPDATE_INTERVAL: Seconds = 0.015
+_PIE_ALPHA = 0.125
+_PIE_BETA = 1.25
+
+
 class PIEQueue(QueueDiscipline):
     """PIE — Proportional Integral controller Enhanced (RFC 8033, simplified).
 
     The controlled variable is queueing *delay*, estimated as the sojourn
     time of the packet at the head of the queue (the RFC's "latency sample"
-    alternative to the departure-rate estimator).  Every ``update_interval``
+    alternative to the departure-rate estimator).  Every update interval
     the drop probability moves by
     ``alpha * (qdelay - target_delay) + beta * (qdelay - qdelay_old)``,
-    clamped to ``[0, 1]``; arrivals are then dropped (or ECN-marked) with
-    that probability while more than two packets' worth of bytes are queued.
-    Draining the queue resets the delay estimate, so the controller re-enters
-    cleanly after an idle period.
+    clamped to ``[0, 1]``; arrivals are then dropped with that probability
+    while more than two packets' worth of bytes are queued.  Draining the
+    queue resets the delay estimate, so the controller re-enters cleanly
+    after an idle period.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: Bytes,
-        target_delay: Seconds = 0.015,
-        update_interval: Seconds = 0.015,
-        alpha: float = 0.125,
-        beta: float = 1.25,
-        ecn: bool = False,
-    ):
+    def __init__(self, capacity_bytes: Bytes):
         super().__init__()
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if target_delay <= 0 or update_interval <= 0:
-            raise ValueError("target_delay and update_interval must be positive")
         self.capacity_bytes = capacity_bytes
-        self.target_delay = target_delay
-        self.update_interval = update_interval
-        self.alpha = alpha
-        self.beta = beta
-        self.ecn = ecn
         self._fifo: Deque[Packet] = deque()
         self._probability = 0.0
         self._qdelay = 0.0
@@ -476,11 +370,11 @@ class PIEQueue(QueueDiscipline):
     def _update_probability(self, now: float) -> None:
         if now < self._next_update:
             return
-        delta = (self.alpha * (self._qdelay - self.target_delay)
-                 + self.beta * (self._qdelay - self._qdelay_old))
+        delta = (_PIE_ALPHA * (self._qdelay - _PIE_TARGET_DELAY)
+                 + _PIE_BETA * (self._qdelay - self._qdelay_old))
         self._probability = min(1.0, max(0.0, self._probability + delta))
         self._qdelay_old = self._qdelay
-        self._next_update = now + self.update_interval
+        self._next_update = now + _PIE_UPDATE_INTERVAL
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
@@ -494,12 +388,7 @@ class PIEQueue(QueueDiscipline):
                     "sim.rng automatically)"
                 )
             if self.rng.random() < self._probability:
-                if not self.ecn:
-                    return self._drop(packet)
-                self._admit(packet, now)
-                self._fifo.append(packet)
-                self._mark(packet)
-                return True
+                return self._drop(packet)
         self._admit(packet, now)
         self._fifo.append(packet)
         return True
@@ -517,12 +406,16 @@ class PIEQueue(QueueDiscipline):
         return packet
 
 
+#: Bytes a backlogged flow may send per deficit-round-robin round.
+_DRR_QUANTUM_BYTES = DEFAULT_MSS
+
+
 class FairQueue(QueueDiscipline):
     """Per-flow fair queueing via deficit round robin (DRR).
 
     Each flow gets its own child discipline (drop-tail by default; CoDel for the
     "FQ + CoDel" configuration of Fig 17).  Service cycles round-robin over
-    backlogged flows, giving each a ``quantum`` of bytes per round, which yields
+    backlogged flows, giving each a quantum of one MSS per round, which yields
     long-term per-flow fairness independent of per-flow arrival rates — the
     isolation Section 4.4 relies on.
     """
@@ -530,14 +423,12 @@ class FairQueue(QueueDiscipline):
     def __init__(
         self,
         child_factory: Optional[Callable[[], QueueDiscipline]] = None,
-        quantum_bytes: int = DEFAULT_MSS,
         per_flow_capacity_bytes: float = 10_000_000.0,
     ):
         super().__init__()
         if child_factory is None:
             child_factory = lambda: DropTailQueue(per_flow_capacity_bytes)  # noqa: E731
         self._child_factory = child_factory
-        self.quantum_bytes = quantum_bytes
         self._flows: "OrderedDict[int, QueueDiscipline]" = OrderedDict()
         self._deficits: dict[int, float] = {}
         self._active: Deque[int] = deque()
@@ -566,7 +457,6 @@ class FairQueue(QueueDiscipline):
         self.bytes_queued -= packet.size_bytes
         self.packets_queued -= 1
         self.stats.dropped += 1
-        self.stats.dropped_bytes += packet.size_bytes
         if self.on_drop is not None:
             self.on_drop(packet)
 
@@ -595,7 +485,6 @@ class FairQueue(QueueDiscipline):
                 )
             return False
         self.stats.enqueued += 1
-        self.stats.enqueued_bytes += packet.size_bytes
         if packet.flow_id not in self._active_set:
             self._active.append(packet.flow_id)
             self._active_set.add(packet.flow_id)
@@ -616,9 +505,9 @@ class FairQueue(QueueDiscipline):
                 self._deficits[flow_id] = 0.0
                 continue
             head = self._peek_child(child)
-            head_size = head.size_bytes if head is not None else self.quantum_bytes
+            head_size = head.size_bytes if head is not None else _DRR_QUANTUM_BYTES
             if self._deficits[flow_id] < head_size:
-                self._deficits[flow_id] += self.quantum_bytes
+                self._deficits[flow_id] += _DRR_QUANTUM_BYTES
                 self._active.rotate(-1)
                 continue
             packet = child.dequeue(now)
@@ -667,7 +556,7 @@ def register_qdisc(name: str, factory: Callable[..., QueueDiscipline]) -> None:
 
     The keyword parameters after ``buffer_bytes`` in the factory's signature
     are the kwargs it accepts, each with its default (a discipline class
-    whose constructor has that shape registers as its own factory).
+    whose constructor takes the buffer alone registers as its own factory).
     :func:`make_qdisc` merges explicit kwargs over the defaults and rejects
     unknown keys, so typos fail loudly and archived cell identities record
     fully-resolved values.
@@ -702,37 +591,26 @@ def _make_infinite(buffer_bytes: Bytes) -> QueueDiscipline:
     return InfiniteQueue()
 
 
-def _make_fq(buffer_bytes: Bytes, child: str = "droptail",
-             quantum_bytes: int = DEFAULT_MSS) -> QueueDiscipline:
+def _make_fq(buffer_bytes: Bytes, child: str = "droptail") -> QueueDiscipline:
     """DRR fair queueing composed over registered children by name.
 
     Each flow's child is built via :func:`make_qdisc`, so ``child`` may be
     any registered discipline — including third-party ones — and each child
-    gets the full ``buffer_bytes`` as its per-flow capacity.
+    gets the full ``buffer_bytes`` as its per-flow capacity.  The name is
+    checked here, not at a flow's first packet.
     """
     if child == "fq" or child == "fq_codel":
         raise ValueError("fq children must be non-composed disciplines")
-    return FairQueue(
-        child_factory=lambda: make_qdisc(child, buffer_bytes),
-        quantum_bytes=quantum_bytes,
-        per_flow_capacity_bytes=buffer_bytes,
-    )
+    _QDISCS.get(child)
+    return FairQueue(child_factory=lambda: make_qdisc(child, buffer_bytes))
 
 
-def _make_fq_codel(buffer_bytes: Bytes, target: Seconds = 0.005,
-                   interval: Seconds = 0.100, quantum_bytes: int = DEFAULT_MSS,
-                   ecn: bool = False) -> QueueDiscipline:
-    return FairQueue(
-        child_factory=lambda: CoDelQueue(capacity_bytes=buffer_bytes,
-                                         target=target, interval=interval,
-                                         ecn=ecn),
-        quantum_bytes=quantum_bytes,
-        per_flow_capacity_bytes=buffer_bytes,
-    )
+def _make_fq_codel(buffer_bytes: Bytes) -> QueueDiscipline:
+    return FairQueue(child_factory=lambda: CoDelQueue(buffer_bytes))
 
 
-# The four classes' constructors take the buffer first and then exactly the
-# options their names have always declared, so each is its own factory.
+# The four classes' constructors take the buffer alone, so each is its own
+# factory.
 register_qdisc("droptail", DropTailQueue)
 register_qdisc("infinite", _make_infinite)
 register_qdisc("codel", CoDelQueue)

@@ -207,33 +207,13 @@ class TestFeedbackAccounting:
         monitor.record_send(mi_id, 1500)
         monitor.record_ack(mi_id, 1500, 0.03)
         monitor.record_loss(mi_id)
-        monitor.record_ecn_mark(mi_id)
         assert len(completed) == 1
         done, live = completed[0], monitor.current_interval
-        assert (done.packets_sent, done.packets_acked, done.packets_lost,
-                done.ecn_marked) == (1, 1, 0, 0)
-        assert (live.packets_sent, live.packets_acked, live.packets_lost,
-                live.ecn_marked) == (1, 0, 0, 0)
+        assert (done.packets_sent, done.packets_acked,
+                done.packets_lost) == (1, 1, 0)
+        assert (live.packets_sent, live.packets_acked,
+                live.packets_lost) == (1, 0, 0)
         assert monitor.active_interval_count == 1
-
-    def test_ecn_mark_never_completes_an_interval(self):
-        sim = Simulator()
-        monitor, _, completed = make_monitor(sim)
-        mi_id = monitor.current_mi_id(0.0, 0.03)
-        monitor.record_send(mi_id, 1500)
-        monitor.record_send(mi_id, 1500)
-        sim.run(monitor.current_interval.send_end_time + 0.001)
-        monitor.current_mi_id(sim.now, 0.03)
-        monitor.record_ack(mi_id, 1500, 0.03)
-        # A mark rides on a delivered packet: it is not a second fate for it.
-        monitor.record_ecn_mark(mi_id)
-        monitor.record_ecn_mark(mi_id)
-        assert completed == []
-        monitor.record_ack(mi_id, 1500, 0.03)
-        assert len(completed) == 1
-        assert completed[0].ecn_marked == 2
-        assert completed[0].packets_lost == 0
-        assert completed[0].loss_rate == 1.0
 
     def test_force_completion_after_deadline(self):
         sim = Simulator()

@@ -270,9 +270,9 @@ class TestRPL017:
 
     def test_pure_constructor_factory_is_clean(self):
         snippet = (
-            "def make_red(buffer_bytes, ecn=False):\n"
-            "    return REDQueue(buffer_bytes, ecn=ecn)\n\n"
-            "register_qdisc('red2', make_red)\n"
+            "def make_half(buffer_bytes, fraction=0.5):\n"
+            "    return DropTailQueue(buffer_bytes * fraction)\n\n"
+            "register_qdisc('half', make_half)\n"
         )
         assert codes_for(snippet) == []
 

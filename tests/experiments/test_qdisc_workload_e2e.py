@@ -19,12 +19,11 @@ from repro.netsim import DropTailQueue, FlowSpec, register_qdisc
 # imports this module once per session.
 
 
-def _make_half_buffer(buffer_bytes, ecn_threshold_fraction=0.5):
-    """A discipline core code knows nothing about: a drop-tail FIFO that
-    ECN-marks above a configurable fraction of the buffer."""
-    return DropTailQueue(
-        buffer_bytes,
-        ecn_threshold_bytes=buffer_bytes * ecn_threshold_fraction)
+def _make_fraction_buffer(buffer_bytes, fraction=0.5):
+    """A discipline core code knows nothing about: a drop-tail FIFO holding
+    a configurable fraction of the buffer.  It keeps the name it had as an
+    ECN-marking queue, which the property tests' ids carry."""
+    return DropTailQueue(buffer_bytes * fraction)
 
 
 def _pair_workload(cell, rng, second_start_max=1.0):
@@ -38,7 +37,7 @@ def _pair_workload(cell, rng, second_start_max=1.0):
     ]
 
 
-register_qdisc("e2e_marking", _make_half_buffer)
+register_qdisc("e2e_marking", _make_fraction_buffer)
 register_workload("e2e_pair", _pair_workload)
 
 
@@ -49,7 +48,7 @@ def _grid(**overrides):
         rtts=(0.03,),
         duration=3.0,
         qdisc="e2e_marking",
-        qdisc_kwargs={"ecn_threshold_fraction": 0.25},
+        qdisc_kwargs={"fraction": 0.25},
         workload="e2e_pair",
     )
     params.update(overrides)
@@ -61,7 +60,7 @@ class TestThirdPartyRegistrationsEndToEnd:
         result = sweep(_grid(), base_seed=5, workers=1)
         identity = result.cells[0]["cell"]
         assert identity["qdisc"] == "e2e_marking"
-        assert identity["qdisc_kwargs"] == {"ecn_threshold_fraction": 0.25}
+        assert identity["qdisc_kwargs"] == {"fraction": 0.25}
         assert identity["workload"] == "e2e_pair"
         # Untouched kwargs are recorded *resolved* to the declared default.
         assert identity["workload_kwargs"] == {"second_start_max": 1.0}

@@ -215,10 +215,12 @@ class TestCatalog:
 
 
     def test_registered_names_can_only_shrink(self):
-        """A registered name is one the evidence uses: every built-in
-        scheme, utility, qdisc, topology and workload is named by a catalog
-        sweep cell, or is allowed here with its reason — and no allowance is
-        stale.  A fresh interpreter, so names this suite registers for its
+        """A registered name, or a declared option, is one the evidence
+        uses: every built-in scheme, utility, qdisc, topology and workload is
+        named by a catalog sweep cell, and every option of every registered
+        qdisc, topology and workload is set in some catalog sweep cell's
+        ``*_kwargs``, or is allowed here with its reason — and no allowance
+        is stale.  A fresh interpreter, so names this suite registers for its
         own use are not counted."""
         allowed = {
             ("scheme", "newreno"): "bench endpoints driver",
@@ -228,19 +230,36 @@ class TestCatalog:
             ("utility", "simple"): "the utility of the derivation in section "
                                    "2.2, unit-tested in tests/core/test_utility.py",
         }
+        unset = ("unset; removing re-keys non-qdisc catalog/bench cells, "
+                 "a later change")
+        allowed_options = {
+            ("topology", "parking_lot", "access_delay"): unset,
+            ("topology", "trace_bottleneck", "repeat_every"): unset,
+            ("topology", "trace_bottleneck", "trace_seed"): unset,
+            ("workload", "incast", "jitter"): unset,
+            ("workload", "incast", "size_kb"): "bench flow_churn",
+            ("workload", "incast", "wave_interval"): "bench flow_churn",
+            ("workload", "incast", "waves"): "bench flow_churn",
+        }
         unused = json.loads(subprocess.run(
             [sys.executable, "-c",
              "import json\n"
              "from repro.core import utility_names\n"
              "from repro.experiments.sweep import (\n"
-             "    SweepCell, topology_names, workload_names)\n"
-             "from repro.netsim import qdisc_names\n"
+             "    SweepCell, resolve_topology_kwargs, resolve_workload_kwargs,\n"
+             "    topology_names, workload_names)\n"
+             "from repro.netsim import qdisc_names, resolve_qdisc_kwargs\n"
              "from repro.report import list_report_specs\n"
              "from repro.schemes import available_schemes\n"
              "names = {(kind, name) for kind, listed in [\n"
              "    ('scheme', available_schemes()), ('utility', utility_names()),\n"
              "    ('qdisc', qdisc_names()), ('topology', topology_names()),\n"
              "    ('workload', workload_names())] for name in listed}\n"
+             "options = {(kind, name, option) for kind, listed, resolve in [\n"
+             "    ('qdisc', qdisc_names(), resolve_qdisc_kwargs),\n"
+             "    ('topology', topology_names(), resolve_topology_kwargs),\n"
+             "    ('workload', workload_names(), resolve_workload_kwargs)]\n"
+             "    for name in listed for option in resolve(name, {})}\n"
              "for spec in list_report_specs():\n"
              "    for cell in spec.run.cells():\n"
              "        if isinstance(cell, SweepCell):\n"
@@ -252,11 +271,22 @@ class TestCatalog:
              "                ('qdisc', cell.qdisc_kwargs.get('child')),\n"
              "                ('topology', cell.topology),\n"
              "                ('workload', cell.workload)}\n"
-             "print(json.dumps(sorted(names)))"],
+             "            options -= {(kind, name, option)\n"
+             "                        for kind, name, kwargs in [\n"
+             "                            ('qdisc', cell.qdisc, cell.qdisc_kwargs),\n"
+             "                            ('topology', cell.topology,\n"
+             "                             cell.topology_kwargs),\n"
+             "                            ('workload', cell.workload,\n"
+             "                             cell.workload_kwargs)]\n"
+             "                        for option in kwargs}\n"
+             "print(json.dumps({'names': sorted(names),\n"
+             "                  'options': sorted(options)}))"],
             check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": os.path.join(_REPO_ROOT, "src")},
         ).stdout)
-        assert {tuple(pair) for pair in unused} == set(allowed)
+        assert {tuple(pair) for pair in unused["names"]} == set(allowed)
+        assert {tuple(triple) for triple in unused["options"]} \
+            == set(allowed_options)
 
 
 class TestPinnedCellPort:

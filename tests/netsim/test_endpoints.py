@@ -350,8 +350,7 @@ class TestReceiveAckShortCuts:
 
 
 CONTROLLER_HOOKS = ("_controller_mi_id", "_controller_packet_sent",
-                    "_controller_ecn", "_controller_timeout",
-                    "_controller_flow_start")
+                    "_controller_timeout", "_controller_flow_start")
 
 
 def build_flow(sim, topo, kind, total_bytes=None):

@@ -15,8 +15,8 @@ is exercised against the same contracts:
   order, whatever the discipline drops or how flows interleave.
 * **drop-state re-entry**: CoDel and PIE leave their drop state when the
   queue drains and re-engage cleanly on the next congestion epoch.
-* **determinism**: with equal attached-RNG seeds, the accept/deliver/drop/
-  mark sequences are identical — the byte-identity contract sweeps rely on.
+* **determinism**: with equal attached-RNG seeds, the accept/deliver/drop
+  sequences are identical — the byte-identity contract sweeps rely on.
 """
 
 import random
@@ -136,7 +136,7 @@ def test_fifo_order_within_flow(name, events):
 @given(events=EVENTS)
 @settings(max_examples=25, deadline=None)
 def test_determinism_same_seed_same_trace(name, events):
-    """Equal seeds produce identical accept/deliver/drop/mark sequences."""
+    """Equal seeds produce identical accept/deliver/drop sequences."""
     traces = []
     for _ in range(2):
         queue = make_qdisc(name, BUFFER_BYTES)
@@ -146,12 +146,7 @@ def test_determinism_same_seed_same_trace(name, events):
             packet.packet_id)
         accepted, delivered, now = _drive(queue, events)
         delivered += _drain(queue, now)
-        traces.append((
-            accepted,
-            [(p.packet_id, p.ecn_marked) for p in delivered],
-            drops,
-            queue.stats.marked,
-        ))
+        traces.append((accepted, [p.packet_id for p in delivered], drops))
     assert traces[0] == traces[1]
 
 

@@ -78,7 +78,7 @@ class TestInfiniteQueue:
 
 class TestCoDel:
     def test_no_drops_when_sojourn_below_target(self):
-        queue = CoDelQueue(target=0.005, interval=0.1)
+        queue = CoDelQueue(capacity_bytes=10_000_000)
         for i in range(20):
             queue.enqueue(make_packet(packet_id=i), now=0.0)
         # Dequeue immediately: sojourn time ~0, CoDel must not drop.
@@ -87,7 +87,7 @@ class TestCoDel:
         assert queue.stats.dropped == 0
 
     def test_drops_after_persistent_queueing(self):
-        queue = CoDelQueue(target=0.005, interval=0.1)
+        queue = CoDelQueue(capacity_bytes=10_000_000)
         # Fill a deep standing queue at t=0.
         for i in range(200):
             queue.enqueue(make_packet(packet_id=i), now=0.0)
@@ -111,7 +111,7 @@ class TestCoDel:
 
 class TestFairQueue:
     def test_round_robin_across_flows(self):
-        queue = FairQueue(quantum_bytes=1500)
+        queue = FairQueue()
         for i in range(4):
             queue.enqueue(make_packet(flow_id=1, packet_id=i), 0.0)
         for i in range(4):
@@ -150,7 +150,7 @@ class TestFairQueue:
         assert queue.packets_queued == 0
 
     def test_unequal_packet_sizes_share_bytes_not_packets(self):
-        queue = FairQueue(quantum_bytes=1500)
+        queue = FairQueue()
         # Flow 1 sends 1500-byte packets, flow 2 sends 500-byte packets.
         for i in range(6):
             queue.enqueue(make_packet(flow_id=1, packet_id=i, size=1500), 0.0)

@@ -118,13 +118,17 @@ class TestKwargRegistry:
                 register("never_registered", builder)
 
     @pytest.mark.parametrize("fields, message", [
-        (dict(qdisc="codel", qdisc_kwargs={"targett": 0.01}),
-         r"unknown qdisc_kwargs for 'codel': \['targett'\]"),
+        (dict(qdisc="fq", qdisc_kwargs={"chidl": "codel"}),
+         r"unknown qdisc_kwargs for 'fq': \['chidl'\]"),
         (dict(workload="web", workload_kwargs={"laod": 0.5}),
          r"unknown workload_kwargs for 'web': \['laod'\]"),
         (dict(topology="parking_lot", topology_kwargs={"hops": 2}),
          r"unknown topology_kwargs for 'parking_lot': \['hops'\]"),
         (dict(qdisc="nope"), "unknown queue discipline 'nope'; registered: "),
+        (dict(qdisc="fq", qdisc_kwargs={"child": "nope"}),
+         "unknown queue discipline 'nope'; registered: "),
+        (dict(qdisc="fq", qdisc_kwargs={"child": "fq_codel"}),
+         "fq children must be non-composed disciplines"),
         (dict(workload="nope"), "unknown workload 'nope'; registered: bulk"),
         (dict(topology="nope"), "unknown topology 'nope'; registered: "),
     ])
