@@ -31,12 +31,14 @@ from repro.report import (
     ReportSpec,
     ScenarioCell,
     ScenarioRun,
+    SpecOutcome,
     evaluate_claims,
     get_report_spec,
     list_report_specs,
     register_report_spec,
     register_scenario_runner,
     render_report,
+    render_spec_section,
     report_spec_ids,
     run_report_spec,
     scenario_runner_names,
@@ -364,6 +366,60 @@ class TestClaimEvaluation:
         (result,) = evaluate_claims(spec, [], ResultSet(base_seed=0))
         assert result.status == "FAIL"
         assert "ZeroDivisionError" in result.measured
+
+
+def _golden_report_rows():
+    with open(os.path.join(_DATA_DIR, "golden_report_rows.json")) as handle:
+        return json.load(handle)
+
+
+def _committed_sections():
+    """Each spec's section of the committed REPORT.md, by spec id."""
+    with open(os.path.join(_REPO_ROOT, "REPORT.md")) as handle:
+        chunks = handle.read().rstrip("\n").split("\n\n## ")[1:]
+    return {chunk.split("`")[1]: "## " + chunk for chunk in chunks}
+
+
+#: Claims that still read the ResultSet beyond their spec's rows, so the
+#: committed rows alone cannot grade them.
+_READS_RESULT = {"tcp-needs-codel", "utility-replaces-aqm",
+                 "pcc-bloat-vs-tcp-codel", "aqm-matrix-live",
+                 "utility-replaces-aqm-matrix", "aqm-rescues-tcp",
+                 "theorem1-band", "theorem2-convergence"}
+
+
+class TestLedgerFromRows:
+    """``golden_report_rows.json`` holds every catalog spec's extracted rows
+    from a full report run; its tables and claim ledger re-render from them
+    without simulating, so a threshold edit is checked in milliseconds."""
+
+    def test_golden_covers_the_catalog(self):
+        assert set(_golden_report_rows()) == set(report_spec_ids()) - {
+            "tiny_grid", "tiny_scenario"}
+
+    @pytest.mark.parametrize("spec_id", sorted(_golden_report_rows()))
+    def test_section_renders_from_rows(self, spec_id):
+        spec = get_report_spec(spec_id)
+        rows = _golden_report_rows()[spec_id]
+        outcome = SpecOutcome(spec=spec, result=ResultSet(base_seed=0),
+                              rows=rows,
+                              claims=evaluate_claims(spec, rows,
+                                                     ResultSet(base_seed=0)))
+        skipped = [claim.text for claim in spec.claims
+                   if claim.claim_id in _READS_RESULT]
+
+        def graded(section):
+            return [line for line in section.split("\n")
+                    if not any(f"| {text} |" in line for text in skipped)]
+
+        assert graded(render_spec_section(outcome)) \
+            == graded(_committed_sections()[spec_id])
+
+    @pytest.mark.parametrize("spec_id", sorted(_golden_report_rows()))
+    def test_every_row_has_every_column(self, spec_id):
+        columns = get_report_spec(spec_id).columns
+        for row in _golden_report_rows()[spec_id]:
+            assert set(columns) <= set(row), (spec_id, row)
 
 
 class TestDeterminism:
