@@ -75,18 +75,19 @@ class SpecOutcome:
         return [claim for claim in self.claims if claim.status == "FAIL"]
 
 
-def evaluate_claims(spec: ReportSpec, rows: List[Dict[str, Any]],
-                    result: ResultSet) -> List[ClaimResult]:
-    """Evaluate every claim of ``spec`` against the extracted results.
+def evaluate_claims(spec: ReportSpec,
+                    rows: List[Dict[str, Any]]) -> List[ClaimResult]:
+    """Evaluate every claim of ``spec`` against its extracted rows.
 
-    A check that raises is reported as FAIL with the exception text as the
-    measurement — a claim that cannot even be evaluated certainly did not
-    reproduce — so one broken extraction cannot abort the whole report.
+    A pick, comparison or template that raises is reported as FAIL with the
+    exception text as the measurement — a claim that cannot even be
+    evaluated certainly did not reproduce — so one broken extraction cannot
+    abort the whole report.
     """
     out: List[ClaimResult] = []
     for claim in spec.claims:
         try:
-            ok, measured = claim.check(rows, result)
+            ok, measured = claim.check(rows)
         except Exception as exc:  # repro-lint: disable=RPL005 converted, not swallowed: any check error becomes a FAIL verdict below
             ok, measured = False, f"check raised {type(exc).__name__}: {exc}"
         status = claim.expected_status() if ok else "FAIL"
@@ -122,5 +123,5 @@ def run_report_spec(
                            workers=workers, jsonl_path=jsonl_path,
                            profile=profile, store=store, progress=progress)
     rows = spec.rows(result)
-    claims = evaluate_claims(spec, rows, result)
+    claims = evaluate_claims(spec, rows)
     return SpecOutcome(spec=spec, result=result, rows=rows, claims=claims)

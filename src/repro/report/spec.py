@@ -12,9 +12,10 @@ evidence as a machine-checkable artifact:
 * **what to extract** — a ``rows`` function turning the resulting
   :class:`~repro.experiments.results.ResultSet` into the table the figure
   plots;
-* **what to assert** — :class:`Claim`\\ s, each a predicate over the results
-  mirroring the paper's quantitative statement, evaluated into
-  PASS / FAIL / DEVIATION for the generated ``REPORT.md`` claim ledger.
+* **what to assert** — :class:`Claim`\\ s, each the paper's quantitative
+  statement as numeric bounds over those rows (never over the result set),
+  evaluated into PASS / FAIL / DEVIATION for the generated ``REPORT.md``
+  claim ledger.
 
 Specs register in a :class:`~repro.registry.NameRegistry`-backed catalog
 (:func:`register_report_spec`); the built-in catalog in
@@ -26,6 +27,7 @@ processes can re-resolve scenario-runner names.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -55,34 +57,90 @@ __all__ = [
 #: (``DEVIATION``), or did not hold (``FAIL``).
 CLAIM_STATUSES = ("PASS", "DEVIATION", "FAIL")
 
-#: A claim check returns ``(ok, measured)``: whether the predicate held, and
-#: a deterministic human-readable rendering of the measured values.
-ClaimCheckResult = Tuple[bool, str]
+#: One extracted table row.
+Row = Dict[str, Any]
 
-#: Claim predicates receive the extracted table rows and the full result set.
-ClaimCheckFn = Callable[[List[Dict[str, Any]], ResultSet], ClaimCheckResult]
+#: What a claim judges: ``(key, value)`` picks the one row whose ``key``
+#: equals ``value``, a function of the rows returns one dict or a list of
+#: them, and ``None`` is every row.
+Pick = Union[None, Tuple[str, Any], Callable[[List[Row]], Union[Row, List[Row]]]]
+
+#: ``(name, op, limit)`` holds when ``v[name] op limit``; ``(name, op,
+#: factor, other)`` when ``v[name] op factor * v[other]``.
+Bound = Union[Tuple[str, str, Any], Tuple[str, str, float, str]]
+
+_OPS: Dict[str, Callable[[Any, Any], bool]] = {
+    ">": operator.gt, "<": operator.lt, "<=": operator.le, "==": operator.eq}
+
+
+def _holds(values: Row, bound: Bound) -> bool:
+    """Whether ``values`` meet one bound."""
+    name, op, *rest = bound
+    limit = rest[0] if len(rest) == 1 else rest[0] * values[rest[1]]
+    return _OPS[op](values[name], limit)
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One quantitative statement from the paper, made machine-checkable.
+    """One quantitative statement from the paper, as data over its rows.
 
-    ``check(rows, result)`` returns ``(ok, measured)``.  A claim whose
-    reproduction is deliberately weaker than the paper's number (scaled
-    durations, idealized baselines, ...) carries a ``deviation`` pointer to
-    the EXPERIMENTS.md note documenting why; a passing check then reports
-    ``DEVIATION`` instead of ``PASS``, so the ledger never overstates what
-    was reproduced.
+    ``pick`` chooses the values to judge from the spec's rows, every bound
+    in ``need`` must hold for each of them, and ``measured`` is a
+    :meth:`str.format` template over each (a list pick joins its items'
+    texts with ``"; "``).  A claim whose reproduction is deliberately weaker
+    than the paper's number (scaled durations, idealized baselines, ...)
+    carries a ``deviation`` pointer to the EXPERIMENTS.md note documenting
+    why; a passing check then reports ``DEVIATION`` instead of ``PASS``, so
+    the ledger never overstates what was reproduced.
     """
 
     claim_id: str
     text: str
-    check: ClaimCheckFn
+    pick: Pick
+    need: Tuple[Bound, ...]
+    measured: str
     deviation: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        """Reject a pick or bound that :meth:`check` could not read."""
+        pick = self.pick
+        if not (pick is None or callable(pick) or (
+                isinstance(pick, tuple) and len(pick) == 2
+                and isinstance(pick[0], str))):
+            raise ValueError(f"claim {self.claim_id!r}: pick must be None, "
+                             f"(key, value) or a function, got {pick!r}")
+        for bound in self.need:
+            if not (isinstance(bound, tuple) and len(bound) in (3, 4)
+                    and isinstance(bound[0], str) and bound[1] in _OPS
+                    and (len(bound) == 3 or isinstance(bound[3], str))):
+                raise ValueError(
+                    f"claim {self.claim_id!r}: a bound is (name, op, limit) "
+                    f"or (name, op, factor, other) with op one of "
+                    f"{' '.join(_OPS)}, got {bound!r}")
 
     def expected_status(self) -> str:
         """The status this claim asserts when its check passes."""
         return "DEVIATION" if self.deviation else "PASS"
+
+    def check(self, rows: List[Row]) -> Tuple[bool, str]:
+        """``(ok, measured)``: whether every bound held on what was picked."""
+        picked = self._pick(rows)
+        items = picked if isinstance(picked, list) else [picked]
+        ok = all(_holds(item, bound) for item in items for bound in self.need)
+        return ok, "; ".join(self.measured.format(**item) for item in items)
+
+    def _pick(self, rows: List[Row]) -> Union[Row, List[Row]]:
+        """The row, dict or list of them this claim judges."""
+        if self.pick is None:
+            return list(rows)
+        if callable(self.pick):
+            return self.pick(rows)
+        key, value = self.pick
+        matches = [row for row in rows if row.get(key) == value]
+        if len(matches) != 1:
+            raise LookupError(f"{len(matches)} rows have {key}={value!r}, "
+                              f"expected 1")
+        return matches[0]
 
 
 @dataclass(frozen=True)
@@ -195,10 +253,10 @@ class ReportSpec:
     """One paper figure/table: what to run, extract, assert, and render.
 
     ``rows(result)`` turns the executed :class:`ResultSet` into the list of
-    dict rows the figure's table shows, rendered under ``columns``;
-    ``claims`` are evaluated against ``(rows, result)`` into the claim
-    ledger.  ``sim_seconds`` is a rough cost estimate (total simulated
-    seconds) used for ``--list`` and for picking cheap specs in smoke tests.
+    dict rows the figure's table shows, rendered under ``columns`` (a row
+    may carry more keys, for its claims); ``claims`` are evaluated against
+    those rows alone into the claim ledger.  ``sim_seconds`` is the total
+    simulated seconds ``--list`` prints.
     """
 
     spec_id: str

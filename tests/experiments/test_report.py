@@ -81,17 +81,15 @@ register_report_spec(ReportSpec(
         Claim(
             "goodput-positive",
             "Every cell moves traffic",
-            lambda rows, result: (
-                all(row[scheme] > 0 for row in rows
-                    for scheme in _TINY_SCHEMES),
-                f"min cell goodput "
-                f"{min(row[s] for row in rows for s in _TINY_SCHEMES):.3f} "
-                f"Mbps"),
+            lambda rows: {"lowest": min(row[scheme] for row in rows
+                                        for scheme in _TINY_SCHEMES)},
+            (("lowest", ">", 0),),
+            "min cell goodput {lowest:.3f} Mbps",
         ),
         Claim(
             "weakened-claim",
             "A deliberately weakened claim reports DEVIATION",
-            lambda rows, result: (True, "always holds"),
+            lambda rows: {}, (), "always holds",
             deviation="EXPERIMENTS.md (test pointer)",
         ),
     ),
@@ -124,9 +122,12 @@ register_report_spec(ReportSpec(
         Claim(
             "values-scale",
             "Every value is twice the affine seed transform",
-            lambda rows, result: (
-                all(row["value"] == (7 * 31 + row["x"]) * 2 for row in rows),
-                f"values {[row['value'] for row in rows]}"),
+            lambda rows: {
+                "values": [row["value"] for row in rows],
+                "wrong": sum(row["value"] != (7 * 31 + row["x"]) * 2
+                             for row in rows)},
+            (("wrong", "==", 0),),
+            "values {values}",
         ),
     ),
     sim_seconds=0.0,
@@ -322,7 +323,12 @@ class TestPinnedCellPort:
         with open(os.path.join(_DATA_DIR, "golden_ported_cells.json")) as fh:
             golden = json.load(fh)
         for entry in golden["cells"]:
-            cell = get_report_spec(entry["spec"]).run.cells()[entry["index"]]
+            index = entry["index"]
+            if entry["spec"] == "fig17":
+                # Cell i was row i until the two fq_codel rows began to
+                # render from the codel cells, the same construction.
+                index = list(catalog._FIG17_INDEX.values())[index]
+            cell = get_report_spec(entry["spec"]).run.cells()[index]
             assert isinstance(cell, SweepCell)
             assert cell.seed == entry["seed"]
             record = run_cell(dataclasses.replace(cell, **entry["replace"]))
@@ -344,15 +350,14 @@ class TestClaimEvaluation:
 
     def test_pass_fail_deviation_statuses(self):
         spec = self._spec_with(
-            Claim("ok", "holds", lambda rows, result: (True, "m1")),
-            Claim("weak", "holds weakly",
-                  lambda rows, result: (True, "m2"), deviation="note"),
-            Claim("bad", "does not hold",
-                  lambda rows, result: (False, "m3")),
-            Claim("weak-bad", "deviation that fails is still FAIL",
-                  lambda rows, result: (False, "m4"), deviation="note"),
+            Claim("ok", "holds", None, (("v", ">", 0),), "m{v}"),
+            Claim("weak", "holds weakly", None, (("v", "==", 1.0, "w"),),
+                  "m2", deviation="note"),
+            Claim("bad", "does not hold", None, (("v", "<", 0),), "m3"),
+            Claim("weak-bad", "deviation that fails is still FAIL", None,
+                  (("v", "<=", 0.5, "w"),), "m4", deviation="note"),
         )
-        results = evaluate_claims(spec, [], ResultSet(base_seed=0))
+        results = evaluate_claims(spec, [{"v": 1, "w": 1}])
         assert [claim.status for claim in results] == \
             ["PASS", "DEVIATION", "FAIL", "FAIL"]
         assert [claim.measured for claim in results] == \
@@ -360,12 +365,30 @@ class TestClaimEvaluation:
 
     def test_raising_check_is_fail_not_crash(self):
         spec = self._spec_with(
-            Claim("boom", "raises",
-                  lambda rows, result: 1 / 0),
+            Claim("boom", "raises", lambda rows: 1 / 0, (), "never"),
         )
-        (result,) = evaluate_claims(spec, [], ResultSet(base_seed=0))
+        (result,) = evaluate_claims(spec, [])
         assert result.status == "FAIL"
         assert "ZeroDivisionError" in result.measured
+
+    @pytest.mark.parametrize("bound", [
+        ("v", ">=", 1.0),
+        ("v", ">"),
+        ("v", ">", 1.0, "w", 2.0),
+        ("v", ">", 1.0, 2.0),
+    ])
+    def test_malformed_bound_is_refused_at_construction(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            Claim("bad-bound", "t", None, (bound,), "m")
+
+    def test_row_pick_matching_no_row_fails_naming_the_key(self):
+        spec = self._spec_with(
+            Claim("missing", "t", ("loss", 0.5), (("pcc", ">", 0),),
+                  "{pcc}"),
+        )
+        (result,) = evaluate_claims(spec, [{"loss": 0.01, "pcc": 1.0}])
+        assert result.status == "FAIL"
+        assert "loss=0.5" in result.measured
 
 
 def _golden_report_rows():
@@ -378,14 +401,6 @@ def _committed_sections():
     with open(os.path.join(_REPO_ROOT, "REPORT.md")) as handle:
         chunks = handle.read().rstrip("\n").split("\n\n## ")[1:]
     return {chunk.split("`")[1]: "## " + chunk for chunk in chunks}
-
-
-#: Claims that still read the ResultSet beyond their spec's rows, so the
-#: committed rows alone cannot grade them.
-_READS_RESULT = {"tcp-needs-codel", "utility-replaces-aqm",
-                 "pcc-bloat-vs-tcp-codel", "aqm-matrix-live",
-                 "utility-replaces-aqm-matrix", "aqm-rescues-tcp",
-                 "theorem1-band", "theorem2-convergence"}
 
 
 class TestLedgerFromRows:
@@ -402,18 +417,9 @@ class TestLedgerFromRows:
         spec = get_report_spec(spec_id)
         rows = _golden_report_rows()[spec_id]
         outcome = SpecOutcome(spec=spec, result=ResultSet(base_seed=0),
-                              rows=rows,
-                              claims=evaluate_claims(spec, rows,
-                                                     ResultSet(base_seed=0)))
-        skipped = [claim.text for claim in spec.claims
-                   if claim.claim_id in _READS_RESULT]
-
-        def graded(section):
-            return [line for line in section.split("\n")
-                    if not any(f"| {text} |" in line for text in skipped)]
-
-        assert graded(render_spec_section(outcome)) \
-            == graded(_committed_sections()[spec_id])
+                              rows=rows, claims=evaluate_claims(spec, rows))
+        assert render_spec_section(outcome) \
+            == _committed_sections()[spec_id]
 
     @pytest.mark.parametrize("spec_id", sorted(_golden_report_rows()))
     def test_every_row_has_every_column(self, spec_id):
