@@ -390,6 +390,36 @@ class TestClaimEvaluation:
         assert result.status == "FAIL"
         assert "loss=0.5" in result.measured
 
+    def test_row_pick_matching_two_rows_fails_with_the_count(self):
+        spec = self._spec_with(
+            Claim("twice", "t", ("loss", 0.01), (("pcc", ">", 0),), "{pcc}"),
+        )
+        (result,) = evaluate_claims(spec, [{"loss": 0.01, "pcc": 1.0},
+                                           {"loss": 0.01, "pcc": 2.0}])
+        assert result.status == "FAIL"
+        assert "2 rows have loss=0.01" in result.measured
+
+    @pytest.mark.parametrize("pick", [
+        ("loss",),
+        ("loss", 0.01, "pcc"),
+        (0.01, "loss"),
+        "loss",
+    ])
+    def test_malformed_pick_is_refused_at_construction(self, pick):
+        with pytest.raises(ValueError, match="pick"):
+            Claim("bad-pick", "t", pick, (), "m")
+
+    def test_list_pick_needs_every_item_and_joins_their_texts(self):
+        spec = self._spec_with(
+            Claim("all", "every row", None, (("v", ">", 1.5, "w"),), "{v}/{w}"),
+            Claim("some", "every row", None, (("v", ">", 2.5, "w"),),
+                  "{v}/{w}"),
+        )
+        rows = [{"v": 2, "w": 1}, {"v": 9, "w": 3}]
+        every, some = evaluate_claims(spec, rows)
+        assert (every.status, every.measured) == ("PASS", "2/1; 9/3")
+        assert (some.status, some.measured) == ("FAIL", "2/1; 9/3")
+
 
 def _golden_report_rows():
     with open(os.path.join(_DATA_DIR, "golden_report_rows.json")) as handle:
