@@ -1,11 +1,6 @@
 """Experiment scenarios, the runner, and the sweep/result machinery."""
 
 from .runner import FlowResult, ScenarioResult, available_schemes, run_flows
-from .scenarios import (
-    ScenarioOutcome,
-    extreme_loss_scenario,
-    short_flow_scenario,
-)
 from .internet import InternetPathConfig, ratio_cdf, sample_paths
 from .interdc import PAPER_PAIRS, InterDCPair
 from .incast import run_incast
@@ -53,9 +48,6 @@ __all__ = [
     "ScenarioResult",
     "available_schemes",
     "run_flows",
-    "ScenarioOutcome",
-    "extreme_loss_scenario",
-    "short_flow_scenario",
     "InternetPathConfig",
     "ratio_cdf",
     "sample_paths",

@@ -68,7 +68,6 @@ from ..netsim import (
     qdisc_names,
     resolve_qdisc_kwargs,
     single_bottleneck,
-    validate_trace_repeat_period,
 )
 from ..netsim.topology import SingleBottleneck
 from .runner import run_flows
@@ -385,28 +384,30 @@ def _build_single_bottleneck(sim: Simulator,
     return [_single_bottleneck(sim, cell).path], None
 
 
-def _parking_lot_hop_delay(rtt: float, num_hops: int, access_delay: float) -> float:
+#: One-way delay of every parking-lot access link.
+_PARKING_LOT_ACCESS_DELAY = 0.0005
+
+
+def _parking_lot_hop_delay(rtt: float, num_hops: int) -> float:
     """Per-hop one-way delay for a parking lot whose *long* flow has base RTT
     ``rtt``.  One shared implementation backs both the grid-construction
     validator and the worker-side builder, so the two can never disagree."""
     if num_hops < 1:
         raise ValueError("a parking lot needs at least one hop")
-    hop_delay = (rtt / 2.0 - access_delay) / num_hops
+    hop_delay = (rtt / 2.0 - _PARKING_LOT_ACCESS_DELAY) / num_hops
     if hop_delay < 1e-5:
         # Refuse rather than clamp: a clamped hop delay would simulate an
         # RTT different from the one recorded in the cell identity, turning
         # an RTT sweep into identical points with different labels.
         raise ValueError(
-            f"rtt={rtt} is too small for a {num_hops}-hop parking lot "
-            f"with access_delay={access_delay}; need rtt >= "
-            f"{2 * (access_delay + num_hops * 1e-5)}"
+            f"rtt={rtt} is too small for a {num_hops}-hop parking lot; need "
+            f"rtt >= {2 * (_PARKING_LOT_ACCESS_DELAY + num_hops * 1e-5)}"
         )
     return hop_delay
 
 
 def _build_parking_lot(
     sim: Simulator, cell: SweepCell, num_hops: int = 3,
-    access_delay: float = 0.0005,
 ) -> Tuple[List[Path], LinkMetrics]:
     """A multi-bottleneck chain: path 0 crosses every hop, path ``1 + i`` only
     hop ``i``.  ``cell.rtt`` is the *long* flow's base RTT; each hop gets an
@@ -414,15 +415,14 @@ def _build_parking_lot(
     per-cell ``num_flows`` should normally be ``1 + num_hops`` (one long flow
     plus one cross flow per hop); fewer flows leave the later hops uncontested.
     """
-    hop_delay = _parking_lot_hop_delay(cell.rtt, num_hops, access_delay)
     topo = parking_lot(
         sim,
         num_hops=num_hops,
         bandwidth_bps=cell.bandwidth_bps,
-        hop_delay=hop_delay,
+        hop_delay=_parking_lot_hop_delay(cell.rtt, num_hops),
         buffer_bytes=cell.resolved_buffer_bytes(),
         loss_rate=cell.loss_rate,
-        access_delay=access_delay,
+        access_delay=_PARKING_LOT_ACCESS_DELAY,
         queue_factory=cell.queue_factory(),
     )
     return topo.paths, None
@@ -430,24 +430,19 @@ def _build_parking_lot(
 
 def _build_trace_bottleneck(
     sim: Simulator, cell: SweepCell, trace: str = "step",
-    repeat_every: Optional[float] = None, trace_seed: int = 0,
 ) -> Tuple[List[Path], LinkMetrics]:
     """A single bottleneck whose capacity follows a bundled synthetic trace.
 
     ``cell.bandwidth_bps`` is the trace's peak rate; the ``trace`` kwarg picks
-    the shape (``step`` / ``sawtooth`` / ``cellular``).  The cellular walk is
-    seeded from the ``trace_seed`` kwarg — *not* the per-cell seed — so cells
-    differing only by scheme face the identical capacity trace and stay
-    comparable point by point (vary ``trace_seed`` for other realizations).
+    the shape (``step`` / ``sawtooth`` / ``cellular``).  The cellular walk has
+    a fixed seed — *not* the per-cell seed — so cells differing only by
+    scheme face the identical capacity trace and stay comparable point by
+    point.
     """
     topo = _single_bottleneck(sim, cell)
-    bandwidth_trace = make_synthetic_trace(
-        trace, peak_bps=cell.bandwidth_bps, duration=cell.duration,
-        seed=trace_seed,
-    )
     TraceLinkDynamics(
-        sim, topo.forward, bandwidth_trace=bandwidth_trace,
-        repeat_every=repeat_every,
+        sim, topo.forward, bandwidth_trace=make_synthetic_trace(
+            trace, peak_bps=cell.bandwidth_bps, duration=cell.duration),
     ).start()
     return [topo.path], None
 
@@ -491,16 +486,12 @@ def _build_random_dynamics(sim: Simulator,
 
 
 def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
-    _parking_lot_hop_delay(cell.rtt, kwargs["num_hops"],
-                           kwargs["access_delay"])
+    _parking_lot_hop_delay(cell.rtt, kwargs["num_hops"])
 
 
 def _validate_trace_bottleneck(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
-    # Building the trace validates the name; its entry *times* depend only on
-    # the duration (never the seed).
-    trace = make_synthetic_trace(kwargs["trace"], peak_bps=1.0,
-                                 duration=cell.duration)
-    validate_trace_repeat_period(kwargs["repeat_every"], trace)
+    # Building the trace validates the name.
+    make_synthetic_trace(kwargs["trace"], peak_bps=1.0, duration=cell.duration)
 
 
 def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:

@@ -181,12 +181,15 @@ def _web(cell: "SweepCell", rng: random.Random, load: float = 0.5,
     return specs
 
 
+#: Each incast sender fires up to this many seconds after its wave starts.
+_INCAST_JITTER_S = 0.0005
+
+
 def _incast(cell: "SweepCell", rng: random.Random, waves: int = 5,
-            wave_interval: float = 1.0, size_kb: float = 50.0,
-            jitter: float = 0.0005) -> List[FlowSpec]:
+            wave_interval: float = 1.0, size_kb: float = 50.0) -> List[FlowSpec]:
     """N-sender incast: every ``wave_interval`` seconds all ``num_flows``
     senders fire a ``size_kb`` response toward the same sink, each jittered
-    by up to ``jitter`` seconds — the synchronized burst that hammers
+    by up to half a millisecond — the synchronized burst that hammers
     shallow buffers."""
     if waves < 1:
         raise ValueError("waves must be at least 1")
@@ -200,7 +203,7 @@ def _incast(cell: "SweepCell", rng: random.Random, waves: int = 5,
             specs.append(FlowSpec(
                 scheme=cell.scheme,
                 size_bytes=size,
-                start_time=base + rng.uniform(0.0, jitter),
+                start_time=base + rng.uniform(0.0, _INCAST_JITTER_S),
                 path_index=i,
                 label=f"{cell.scheme}-incast-w{wave}-{i}",
             ))

@@ -33,7 +33,7 @@ from .endpoints import (
     WindowedSender,
     connect,
 )
-from .flows import FlowSpec, incast_burst, poisson_short_flows
+from .flows import FlowSpec, incast_burst
 from .topology import (
     LinkConfig,
     bdp_bytes,
@@ -51,7 +51,6 @@ from .dynamics import (
     make_synthetic_trace,
     sawtooth_trace,
     step_trace,
-    validate_trace_repeat_period,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "connect",
     "FlowSpec",
     "incast_burst",
-    "poisson_short_flows",
     "LinkConfig",
     "bdp_bytes",
     "dumbbell",
@@ -102,5 +100,4 @@ __all__ = [
     "make_synthetic_trace",
     "sawtooth_trace",
     "step_trace",
-    "validate_trace_repeat_period",
 ]

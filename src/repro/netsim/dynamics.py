@@ -33,33 +33,8 @@ __all__ = [
     "sawtooth_trace",
     "cellular_trace",
     "make_synthetic_trace",
-    "validate_trace_repeat_period",
     "SYNTHETIC_TRACES",
 ]
-
-
-def validate_trace_repeat_period(
-    repeat_every: Optional[float],
-    *traces: Sequence[Tuple[float, float]],
-) -> None:
-    """Reject a repeat period that does not cover the whole trace span.
-
-    Each trace entry independently reschedules itself every ``repeat_every``
-    seconds, so a period not exceeding the last entry time would interleave
-    replay cycles with the original trace's tail instead of replaying the
-    trace as a unit.  Shared by :class:`TraceLinkDynamics` and the sweep
-    grid's construction-time validator so the two can never disagree.
-    """
-    if repeat_every is None:
-        return
-    last_entry = max(
-        (t for trace in traces for t, _ in (trace or [])), default=0.0
-    )
-    if repeat_every <= last_entry:
-        raise ValueError(
-            f"repeat_every={repeat_every} must exceed the last trace entry "
-            f"time ({last_entry})"
-        )
 
 
 class _OptimalRateHistory:
@@ -211,9 +186,7 @@ class TraceLinkDynamics(_OptimalRateHistory):
 
     ``bandwidth_trace`` and ``loss_trace`` are sequences of ``(time, value)``
     pairs; each value takes effect at its time and holds until the next entry
-    (piecewise-constant, like a cellular or rate-limiter capacity trace).  With
-    ``repeat_every`` set, the whole trace replays shifted by that period, so a
-    short synthetic trace can cover an arbitrarily long run.
+    (piecewise-constant, like a cellular or rate-limiter capacity trace).
     """
 
     def __init__(
@@ -222,25 +195,21 @@ class TraceLinkDynamics(_OptimalRateHistory):
         link: Link,
         bandwidth_trace: Optional[Sequence[Tuple[float, float]]] = None,
         loss_trace: Optional[Sequence[Tuple[float, float]]] = None,
-        repeat_every: Optional[float] = None,
         reverse_link: Optional[Link] = None,
     ):
         if not bandwidth_trace and not loss_trace:
             raise ValueError("need a bandwidth trace and/or a loss trace")
-        validate_trace_repeat_period(repeat_every, bandwidth_trace or [],
-                                     loss_trace or [])
         self.sim = sim
         self.link = link
         self._initial_bandwidth_bps = link.bandwidth_bps
         self.reverse_link = reverse_link
         self.bandwidth_trace = sorted(bandwidth_trace or [], key=lambda e: e[0])
         self.loss_trace = sorted(loss_trace or [], key=lambda e: e[0])
-        self.repeat_every = repeat_every
         self.history: List[Tuple[float, float, float, float]] = []
         self._started = False
 
     def start(self) -> None:
-        """Schedule every trace entry (the first replay cycle, if repeating)."""
+        """Schedule every trace entry."""
         if self._started:
             return
         self._started = True
@@ -258,16 +227,12 @@ class TraceLinkDynamics(_OptimalRateHistory):
     def _apply_bandwidth(self, bandwidth: float) -> None:
         self.link.set_bandwidth(bandwidth)
         self._record()
-        if self.repeat_every is not None:
-            self.sim.schedule(self.repeat_every, self._apply_bandwidth, bandwidth)
 
     def _apply_loss(self, loss: float) -> None:
         self.link.set_loss_rate(loss)
         if self.reverse_link is not None:
             self.reverse_link.set_loss_rate(loss)
         self._record()
-        if self.repeat_every is not None:
-            self.sim.schedule(self.repeat_every, self._apply_loss, loss)
 
 
 # --------------------------------------------------------------------------- #
@@ -356,20 +321,19 @@ def make_synthetic_trace(
     name: str,
     peak_bps: float,
     duration: float,
-    seed: int = 0,
 ) -> List[Tuple[float, float]]:
     """One of the bundled bandwidth traces, scaled to ``peak_bps``.
 
     ``"step"`` toggles between the peak and a quarter of it every eighth of the
     run; ``"sawtooth"`` ramps a quarter-to-peak cycle four times; ``"cellular"``
-    walks around half the peak (``seed`` only affects this one).
+    walks around half the peak (:func:`cellular_trace` at its default seed).
     """
     if name == "step":
         return step_trace(peak_bps / 4.0, peak_bps, duration / 8.0, duration)
     if name == "sawtooth":
         return sawtooth_trace(peak_bps / 4.0, peak_bps, duration / 4.0, duration)
     if name == "cellular":
-        return cellular_trace(peak_bps / 2.0, duration, seed=seed)
+        return cellular_trace(peak_bps / 2.0, duration)
     raise ValueError(
         f"unknown trace {name!r}; bundled traces: {', '.join(SYNTHETIC_TRACES)}"
     )

@@ -2,12 +2,9 @@
 
 A :class:`FlowSpec` describes one transfer: when it starts, how much data it
 carries (``None`` means a long-lived, backlogged flow) and which congestion
-controller drives it.  Workload generators produce lists of flow specs for the
-paper's traffic patterns:
-
-* :func:`incast_burst` — simultaneous fixed-size flows (Figure 10);
-* :func:`poisson_short_flows` — Poisson arrivals of fixed-size short flows with
-  the arrival rate chosen to hit a target link load (Figure 15).
+controller drives it.  :func:`incast_burst` produces the simultaneous
+fixed-size flows of Figure 10; sweep cells draw their flow schedules from the
+workload registry in :mod:`repro.experiments.workload`.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from ..units import BITS_PER_BYTE
-
-__all__ = ["FlowSpec", "incast_burst", "poisson_short_flows"]
+__all__ = ["FlowSpec", "incast_burst"]
 
 
 @dataclass
@@ -73,45 +68,3 @@ def incast_burst(
         )
     return flows
 
-
-def poisson_short_flows(
-    scheme: str,
-    size_bytes: float,
-    load: float,
-    link_bandwidth_bps: float,
-    duration: float,
-    rng: Optional[random.Random] = None,
-    path_index: int = 0,
-    **controller_kwargs: Any,
-) -> List[FlowSpec]:
-    """Poisson arrivals of ``size_bytes`` flows targeting a given link ``load``.
-
-    The mean inter-arrival time is chosen so that the offered load equals
-    ``load`` (a fraction of ``link_bandwidth_bps``), matching the Figure 15
-    short-flow FCT experiment.
-    """
-    if not 0.0 < load < 1.0:
-        raise ValueError("load must be in (0, 1)")
-    rng = rng or random.Random(0)
-    arrival_rate = (
-        load * link_bandwidth_bps / (size_bytes * BITS_PER_BYTE)
-    )  # flows per second
-    flows = []
-    t = 0.0
-    index = 0
-    while True:
-        t += rng.expovariate(arrival_rate)
-        if t >= duration:
-            break
-        flows.append(
-            FlowSpec(
-                scheme=scheme,
-                size_bytes=size_bytes,
-                start_time=t,
-                path_index=path_index,
-                controller_kwargs=dict(controller_kwargs),
-                label=f"{scheme}-short-{index}",
-            )
-        )
-        index += 1
-    return flows

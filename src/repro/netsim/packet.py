@@ -45,7 +45,6 @@ class Packet:
         "route",
         "hop",
         "acked_packet_id",
-        "acked_data_seq",
         "ack_sent_time",
         "mi_id",
         "is_retransmission",
@@ -76,7 +75,6 @@ class Packet:
         self.hop = 0
         # Fields used only on ACK packets, describing what is acknowledged.
         self.acked_packet_id = -1
-        self.acked_data_seq = -1
         self.ack_sent_time = 0.0
         # PCC monitor interval this transmission belongs to (None for non-PCC flows).
         self.mi_id = mi_id
@@ -93,7 +91,6 @@ class Packet:
         ack = Packet(self.flow_id, packet_id, self.data_seq, ack_size, now,
                      is_ack=True)
         ack.acked_packet_id = self.packet_id
-        ack.acked_data_seq = self.data_seq
         ack.ack_sent_time = self.sent_time
         ack.is_probe = self.is_probe
         return ack

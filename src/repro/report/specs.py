@@ -19,6 +19,7 @@ from ..analysis import (
     FluidModel,
     convergence_time,
     find_equilibrium,
+    flow_completion_times,
     jain_index_over_timescales,
     percentile,
     power,
@@ -30,11 +31,6 @@ from ..experiments.incast import run_incast
 from ..experiments.interdc import PAPER_PAIRS
 from ..experiments.internet import ratio_cdf, sample_paths
 from ..experiments.results import ResultSet
-from ..experiments.scenarios import (
-    RESPONSIVENESS_BANDWIDTH_BPS,
-    extreme_loss_scenario,
-    short_flow_scenario,
-)
 from ..experiments.sweep import SweepCell, SweepGrid
 from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES, bdp_bytes
 from ..units import (
@@ -72,6 +68,18 @@ def _record(result: ResultSet, **params: Any) -> Dict[str, Any]:
 def _metrics(result: ResultSet, **params: Any) -> Dict[str, Any]:
     """Return the metrics dict of the single scenario record matching."""
     return _record(result, **params)["metrics"]
+
+
+def _fct_flows(result: ResultSet, scheme: str, load: float) -> List[Dict[str, Any]]:
+    """The per-flow summaries of the single (scheme, load) cell of a
+    ``web`` workload grid."""
+    matches = result.find(
+        scheme=scheme,
+        workload_kwargs=lambda kw: kw["load"] == load)
+    if len(matches) != 1:
+        raise KeyError(f"expected one cell for scheme={scheme!r} load={load}"
+                       f", found {len(matches)}")
+    return matches[0]["flows"]
 
 
 def _mbps_series(flow: Dict[str, Any], start: float, end: float) -> List[float]:
@@ -920,49 +928,41 @@ register_report_spec(ReportSpec(
 # Figure 15 — short-flow completion time
 # --------------------------------------------------------------------------- #
 _F15_LOADS = (0.25, 0.5)
-
-
-def _run_short_flows(seed: int, scheme: str, load: float, duration: float) -> Dict[str, Any]:
-    """Run the Poisson short-flow workload for one scheme and load."""
-    summary = short_flow_scenario(scheme, load=load, duration=duration,
-                                  seed=seed)
-    return {"median": summary["median"], "p95": summary["p95"],
-            "count": summary["count"]}
-
-
-def _fig15_cells() -> List[ScenarioCell]:
-    """One cell per (load, scheme)."""
-    cells = []
-    for load in _F15_LOADS:
-        for scheme in ("pcc", "cubic"):
-            cells.append(ScenarioCell(
-                index=len(cells), runner="short_flows", seed=11,
-                kwargs={"scheme": scheme, "load": load, "duration": 40.0},
-            ))
-    return cells
+_F15_SCHEMES = ("pcc", "cubic")
+_F15_BANDWIDTH = 15e6
+_F15_RTT = 0.06
 
 
 def _fig15_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per load with both schemes' FCT quantiles."""
     rows = []
     for load in _F15_LOADS:
-        pcc = _metrics(result, scheme="pcc", load=load)
-        cubic = _metrics(result, scheme="cubic", load=load)
-        rows.append({
-            "load": load,
-            "pcc_median": pcc["median"], "pcc_p95": pcc["p95"],
-            "cubic_median": cubic["median"], "cubic_p95": cubic["p95"],
-            "pcc_count": pcc["count"], "cubic_count": cubic["count"],
-        })
+        row: Dict[str, Any] = {"load": load}
+        for scheme in _F15_SCHEMES:
+            summary = flow_completion_times(
+                flow["fct"] for flow in _fct_flows(result, scheme, load))
+            row.update({f"{scheme}_{key}": summary[key]
+                        for key in ("median", "p95", "count")})
+        rows.append(row)
     return rows
 
 
-register_scenario_runner("short_flows", _run_short_flows)
 register_report_spec(ReportSpec(
     spec_id="fig15",
     title="Short-flow completion time vs load",
     paper_section="4.3.2",
-    run=ScenarioRun(cells_list=tuple(_fig15_cells()), base_seed=11),
+    run=GridRun(grids=tuple(
+        SweepGrid(
+            schemes=_F15_SCHEMES,
+            bandwidths_bps=(_F15_BANDWIDTH,),
+            rtts=(_F15_RTT,),
+            buffers_bytes=(2.0 * bdp_bytes(_F15_BANDWIDTH, _F15_RTT),),
+            duration=40.0,
+            workload="web",
+            workload_kwargs={"load": load, "size_kb": 100.0},
+        )
+        for load in _F15_LOADS
+    ), base_seed=11),
     rows=_fig15_rows,
     columns=("load", "pcc_median", "pcc_p95", "cubic_median", "cubic_p95"),
     claims=(
@@ -981,7 +981,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig15): FCTs land ~3-4x TCP's rather than comparable",
         ),
     ),
-    sim_seconds=len(_F15_LOADS) * 2 * 40.0,
+    sim_seconds=len(_F15_LOADS) * len(_F15_SCHEMES) * 40.0,
 ))
 
 
@@ -1277,51 +1277,37 @@ register_report_spec(ReportSpec(
 # §4.4.2 — extreme random loss
 # --------------------------------------------------------------------------- #
 _S442_LOSSES = (0.1, 0.3)
-_S442_BANDWIDTH = RESPONSIVENESS_BANDWIDTH_BPS
-
-
-def _run_extreme_loss(seed: int, scheme: str, loss: float,
-                      bandwidth_bps: float, duration: float) -> Dict[str, Any]:
-    """Run one scheme on the fair-queueing extreme-loss bottleneck."""
-    outcome = extreme_loss_scenario(loss, scheme=scheme, duration=duration,
-                                    bandwidth_bps=bandwidth_bps, seed=seed)
-    return {"goodput_mbps": outcome.goodput_mbps}
-
-
-def _sec442_cells() -> List[ScenarioCell]:
-    """One cell per (loss rate, scheme)."""
-    cells = []
-    for loss in _S442_LOSSES:
-        for scheme in ("pcc", "cubic"):
-            cells.append(ScenarioCell(
-                index=len(cells), runner="extreme_loss", seed=14,
-                kwargs={"scheme": scheme, "loss": loss,
-                        "bandwidth_bps": _S442_BANDWIDTH, "duration": 20.0},
-            ))
-    return cells
+_S442_BANDWIDTH = 50e6
 
 
 def _sec442_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per loss rate with achievable and measured goodputs."""
-    rows = []
-    for loss in _S442_LOSSES:
-        rows.append({
-            "loss": loss,
-            "achievable_mbps": _S442_BANDWIDTH / BPS_PER_MBPS * (1.0 - loss),
-            "pcc_mbps": _metrics(result, scheme="pcc",
-                                 loss=loss)["goodput_mbps"],
-            "cubic_mbps": _metrics(result, scheme="cubic",
-                                   loss=loss)["goodput_mbps"],
-        })
-    return rows
+    return [{
+        "loss": loss,
+        "achievable_mbps": _S442_BANDWIDTH / BPS_PER_MBPS * (1.0 - loss),
+        "pcc_mbps": result.goodput_mbps(scheme="pcc", loss_rate=loss),
+        "cubic_mbps": result.goodput_mbps(scheme="cubic", loss_rate=loss),
+    } for loss in _S442_LOSSES]
 
 
-register_scenario_runner("extreme_loss", _run_extreme_loss)
 register_report_spec(ReportSpec(
     spec_id="sec442",
     title="Extreme random loss with the loss-resilient utility",
     paper_section="4.4.2",
-    run=ScenarioRun(cells_list=tuple(_sec442_cells()), base_seed=14),
+    # A fair-queueing bottleneck; PCC runs the loss-resilient utility
+    # T (1 - L), which only a PCC cell may carry, hence one grid per scheme.
+    run=GridRun(grids=tuple(
+        SweepGrid(
+            schemes=(scheme,),
+            bandwidths_bps=(_S442_BANDWIDTH,),
+            rtts=(0.03,),
+            loss_rates=_S442_LOSSES,
+            utilities=(utility,),
+            duration=20.0,
+            qdisc="fq",
+        )
+        for scheme, utility in (("pcc", "loss_resilient"), ("cubic", None))
+    ), base_seed=14),
     rows=_sec442_rows,
     columns=("loss", "achievable_mbps", "pcc_mbps", "cubic_mbps"),
     claims=(
@@ -1666,17 +1652,6 @@ register_report_spec(ReportSpec(
 _FCT_SCHEMES = ("pcc", "cubic")
 _FCT_LOADS = (0.2, 0.6)
 _FCT_SIZE_KB = 100.0
-
-
-def _fct_flows(result: ResultSet, scheme: str, load: float) -> List[Dict[str, Any]]:
-    """The per-flow summaries of the single (scheme, load) cell."""
-    matches = result.find(
-        scheme=scheme,
-        workload_kwargs=lambda kw: kw["load"] == load)
-    if len(matches) != 1:
-        raise KeyError(f"expected one cell for scheme={scheme!r} load={load}"
-                       f", found {len(matches)}")
-    return matches[0]["flows"]
 
 
 def _fct_stats(result: ResultSet, scheme: str,

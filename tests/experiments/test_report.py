@@ -210,11 +210,9 @@ class TestCatalog:
         holdouts = {spec.spec_id for spec in list_report_specs()
                     if any(isinstance(cell, ScenarioCell)
                            for cell in spec.run.cells())}
-        assert holdouts - {"tiny_scenario"} \
-            == {"fig10", "fig15", "sec442", "theorems"}
+        assert holdouts - {"tiny_scenario"} == {"fig10", "theorems"}
         assert set(scenario_runner_names()) - {"tiny_scenario_runner"} == {
-            "incast", "short_flows", "extreme_loss", "theorem1_equilibrium",
-            "theorem2_dynamics"}
+            "incast", "theorem1_equilibrium", "theorem2_dynamics"}
 
 
     def test_registered_names_can_only_shrink(self):
@@ -233,13 +231,7 @@ class TestCatalog:
             ("utility", "simple"): "the utility of the derivation in section "
                                    "2.2, unit-tested in tests/core/test_utility.py",
         }
-        unset = ("unset; removing re-keys non-qdisc catalog/bench cells, "
-                 "a later change")
         allowed_options = {
-            ("topology", "parking_lot", "access_delay"): unset,
-            ("topology", "trace_bottleneck", "repeat_every"): unset,
-            ("topology", "trace_bottleneck", "trace_seed"): unset,
-            ("workload", "incast", "jitter"): unset,
             ("workload", "incast", "size_kb"): "bench flow_churn",
             ("workload", "incast", "wave_interval"): "bench flow_churn",
             ("workload", "incast", "waves"): "bench flow_churn",
@@ -310,6 +302,27 @@ class TestPinnedCellPort:
             (flow,) = run_cell(capped)["flows"]
             assert {key: flow[key] for key in entry["metrics"]} \
                 == entry["metrics"], (entry["spec"], entry["index"])
+
+    def test_sec442_grid_cells_match_the_extreme_loss_scenario(self):
+        """The golden file holds what ``extreme_loss_scenario`` measured for
+        its one flow at seed 14 and 20 s, at the last commit that had it.
+        Each ``sec442`` grid cell, given that seed in place of its derived
+        one, must reproduce every number exactly."""
+        with open(os.path.join(_DATA_DIR,
+                               "golden_extreme_loss_seed14.json")) as fh:
+            golden = json.load(fh)
+        cells = get_report_spec("sec442").run.cells()
+        assert len(cells) == len(golden["records"])
+        for entry in golden["records"]:
+            (cell,) = [cell for cell in cells
+                       if cell.scheme == entry["scheme"]
+                       and cell.loss_rate == entry["loss_rate"]]
+            assert (cell.bandwidth_bps, cell.duration) \
+                == (golden["bandwidth_bps"], golden["duration_s"])
+            (flow,) = run_cell(dataclasses.replace(
+                cell, seed=golden["seed"]))["flows"]
+            assert {key: flow[key] for key in entry["metrics"]} \
+                == entry["metrics"], (entry["scheme"], entry["loss_rate"])
 
     def test_ported_cells_and_rows_match_the_runners_they_replaced(self):
         """The golden file holds what the ``rtt_fairness`` /

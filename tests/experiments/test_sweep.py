@@ -123,10 +123,6 @@ class TestTopologyRegistry:
                       topology_kwargs={"num_hops": 0})
 
     def test_trace_misconfigurations_rejected_at_grid_construction(self):
-        with pytest.raises(ValueError, match="repeat_every"):
-            tiny_grid(schemes=("cubic",), loss_rates=(0.0,), duration=15.0,
-                      topology="trace_bottleneck",
-                      topology_kwargs={"trace": "step", "repeat_every": 5.0})
         with pytest.raises(ValueError, match="unknown trace"):
             tiny_grid(schemes=("cubic",), loss_rates=(0.0,),
                       topology="trace_bottleneck",
@@ -157,9 +153,7 @@ class TestTopologyRegistry:
         assert cell.params()["topology"] == "parking_lot"
         # Builder defaults are resolved into the identity, so archived JSON
         # fully specifies what was simulated.
-        assert cell.params()["topology_kwargs"] == {
-            "num_hops": 2, "access_delay": 0.0005,
-        }
+        assert cell.params()["topology_kwargs"] == {"num_hops": 2}
 
     def test_hand_built_cell_shares_its_grid_twins_identity(self):
         """A cell records what it simulates however it was built: the
@@ -170,22 +164,18 @@ class TestTopologyRegistry:
         cell = hand_cell(topology="parking_lot", seed=twin.seed)
         assert cell.topology_kwargs == {}
         assert cell.params() == twin.params()
-        assert cell.params()["topology_kwargs"] == {
-            "num_hops": 3, "access_delay": 0.0005,
-        }
+        assert cell.params()["topology_kwargs"] == {"num_hops": 3}
         assert store_key(cell.params()) == store_key(twin.params())
 
     def test_builder_defaults_resolved_into_cells(self):
         grid = tiny_grid(schemes=("cubic",), loss_rates=(0.0,),
                          topology="trace_bottleneck")
         cell = grid.cells(0)[0]
-        assert cell.params()["topology_kwargs"] == {
-            "trace": "step", "repeat_every": None, "trace_seed": 0,
-        }
+        assert cell.params()["topology_kwargs"] == {"trace": "step"}
 
     def test_cellular_trace_identical_across_schemes(self):
         """Cells differing only by scheme must face the identical capacity
-        trace (the walk is seeded by trace_seed, not the per-cell seed), so
+        trace (the walk has a fixed seed, not the per-cell seed), so
         scheme comparisons are point-by-point on the same network."""
         from repro.experiments.sweep import _build_trace_bottleneck
 
@@ -827,3 +817,17 @@ class TestHelpListsRegistries:
         help_text = self._unwrapped_help()
         for name in utility_names():
             assert name in help_text
+
+
+class TestWebWorkload:
+    def test_offered_load_matches(self):
+        """Poisson arrivals of fixed-size requests offer ``load`` of the
+        bottleneck over a long run."""
+        from repro.experiments.workload import build_workload
+
+        load, duration = 0.5, 2000.0
+        cell = hand_cell(bandwidth_bps=15e6, num_flows=1, duration=duration,
+                         seed=3, workload="web",
+                         workload_kwargs={"load": load, "size_kb": 100.0})
+        offered_bits = sum(flow.size_bytes for flow in build_workload(cell)) * 8
+        assert offered_bits / (15e6 * duration) == pytest.approx(load, rel=0.1)

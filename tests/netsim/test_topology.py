@@ -16,7 +16,6 @@ from repro.netsim import (
     incast_burst,
     make_synthetic_trace,
     parking_lot,
-    poisson_short_flows,
     sawtooth_trace,
     single_bottleneck,
     step_trace,
@@ -130,20 +129,6 @@ class TestWorkloadGenerators:
         assert all(0.0 <= f.start_time <= 0.001 for f in flows)
         assert all(f.size_bytes == 256_000 for f in flows)
 
-    def test_poisson_short_flows_load_matches(self):
-        import random
-        load = 0.5
-        duration = 2000.0
-        flows = poisson_short_flows("cubic", 100_000, load, 15e6, duration,
-                                    rng=random.Random(3))
-        offered_bits = len(flows) * 100_000 * 8
-        offered_load = offered_bits / (15e6 * duration)
-        assert offered_load == pytest.approx(load, rel=0.1)
-
-    def test_poisson_short_flows_invalid_load(self):
-        with pytest.raises(ValueError):
-            poisson_short_flows("cubic", 100_000, 1.5, 15e6, 10.0)
-
 
 class TestDynamics:
     def test_random_dynamics_redraws_every_period(self):
@@ -239,20 +224,6 @@ class TestTraceDynamics:
         assert topo.forward.loss_rate == pytest.approx(0.05)
         assert topo.reverse.loss_rate == pytest.approx(0.05)
 
-    def test_repeat_every_replays_the_trace(self):
-        sim = Simulator()
-        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        dyn = TraceLinkDynamics(
-            sim, topo.forward,
-            bandwidth_trace=[(0.0, 80e6), (1.0, 20e6)],
-            repeat_every=2.0,
-        )
-        dyn.start()
-        sim.run(2.5)  # second cycle's first entry fired at t=2.0
-        assert topo.forward.bandwidth_bps == 80e6
-        sim.run(3.5)  # second cycle's second entry at t=3.0
-        assert topo.forward.bandwidth_bps == 20e6
-
     def test_optimal_rate_helpers(self):
         sim = Simulator()
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
@@ -284,19 +255,6 @@ class TestTraceDynamics:
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
         with pytest.raises(ValueError):
             TraceLinkDynamics(sim, topo.forward)
-        with pytest.raises(ValueError):
-            TraceLinkDynamics(sim, topo.forward,
-                              bandwidth_trace=[(0.0, 1e6)], repeat_every=0.0)
-
-    def test_repeat_period_must_cover_the_trace(self):
-        """A repeat period shorter than the trace span would interleave
-        replay cycles with the original trace's tail; it must be rejected."""
-        sim = Simulator()
-        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        with pytest.raises(ValueError, match="repeat_every"):
-            TraceLinkDynamics(sim, topo.forward,
-                              bandwidth_trace=[(0.0, 80e6), (3.0, 20e6)],
-                              repeat_every=2.0)
 
 
 class TestSyntheticTraces:
