@@ -831,3 +831,27 @@ class TestWebWorkload:
                          workload_kwargs={"load": load, "size_kb": 100.0})
         offered_bits = sum(flow.size_bytes for flow in build_workload(cell)) * 8
         assert offered_bits / (15e6 * duration) == pytest.approx(load, rel=0.1)
+
+    def test_non_positive_load_rejected(self):
+        from repro.experiments.workload import build_workload
+
+        cell = hand_cell(workload="web", workload_kwargs={"load": 0.0})
+        with pytest.raises(ValueError, match="load"):
+            build_workload(cell)
+
+
+class TestIncastWorkload:
+    def test_senders_fire_within_half_a_millisecond_of_their_wave(self):
+        """Every wave starts all ``num_flows`` senders, each jittered by at
+        most 0.5 ms after the wave's start."""
+        from repro.experiments.workload import build_workload
+
+        cell = hand_cell(num_flows=8, duration=2.0, workload="incast",
+                         workload_kwargs={"waves": 3, "wave_interval": 0.5})
+        flows = build_workload(cell)
+        assert len(flows) == 3 * 8
+        for wave in range(3):
+            starts = [flow.start_time for flow in flows
+                      if flow.label.startswith(f"cubic-incast-w{wave}-")]
+            assert len(starts) == 8
+            assert all(0.0 <= t - wave * 0.5 <= 0.0005 for t in starts)

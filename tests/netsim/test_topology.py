@@ -224,6 +224,21 @@ class TestTraceDynamics:
         assert topo.forward.loss_rate == pytest.approx(0.05)
         assert topo.reverse.loss_rate == pytest.approx(0.05)
 
+    def test_last_entry_holds_past_the_trace_end(self):
+        """A trace plays once: its last value stays in force to the end of
+        the run and nothing is applied after it."""
+        sim = Simulator()
+        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
+        dyn = TraceLinkDynamics(
+            sim, topo.forward,
+            bandwidth_trace=[(0.0, 80e6), (1.0, 20e6)],
+        )
+        dyn.start()
+        sim.run(5.0)
+        assert topo.forward.bandwidth_bps == 20e6
+        assert [h[0] for h in dyn.history] == [0.0, 1.0]
+        assert dyn.optimal_rate_at(4.5) == 20e6
+
     def test_optimal_rate_helpers(self):
         sim = Simulator()
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
@@ -285,6 +300,14 @@ class TestSyntheticTraces:
             assert all(rate <= 40e6 + 1e-6 for _, rate in trace)
         with pytest.raises(ValueError):
             make_synthetic_trace("no-such-trace", peak_bps=40e6, duration=16.0)
+
+    def test_cellular_trace_is_the_default_seed_walk(self):
+        """The bundled ``"cellular"`` trace is :func:`cellular_trace` around
+        half the peak at its default seed, the same on every call."""
+        trace = make_synthetic_trace("cellular", peak_bps=40e6, duration=16.0)
+        assert trace == cellular_trace(20e6, duration=16.0)
+        assert trace == make_synthetic_trace("cellular", peak_bps=40e6,
+                                             duration=16.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
