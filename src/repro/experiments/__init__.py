@@ -1,9 +1,6 @@
-"""Experiment scenarios, the runner, and the sweep/result machinery."""
+"""The runner and the sweep/result machinery."""
 
 from .runner import FlowResult, ScenarioResult, available_schemes, run_flows
-from .internet import InternetPathConfig, ratio_cdf, sample_paths
-from .interdc import PAPER_PAIRS, InterDCPair
-from .incast import run_incast
 from .results import ResultSet, ResultSetWriter, cell_identity_key
 from .store import CellStore, store_key
 from .workload import (
@@ -48,12 +45,6 @@ __all__ = [
     "ScenarioResult",
     "available_schemes",
     "run_flows",
-    "InternetPathConfig",
-    "ratio_cdf",
-    "sample_paths",
-    "PAPER_PAIRS",
-    "InterDCPair",
-    "run_incast",
     "ResultSet",
     "ResultSetWriter",
     "cell_identity_key",

@@ -53,8 +53,6 @@ class FlowResult:
     senders: List[SenderBase] = field(default_factory=list)
     stats_list: List[FlowStats] = field(default_factory=list)
     schemes: List[object] = field(default_factory=list)
-    #: Width of the run's ``delivered_bins`` (what an unstarted flow reports in).
-    bin_width: float = 1.0
 
     def _sender_completed(self, sender: SenderBase) -> None:
         """``SenderBase.on_complete``: the last sub-flow to finish frees the
@@ -104,9 +102,10 @@ class FlowResult:
         return max(fcts)
 
     def delivered_bytes(self, end: float) -> List[float]:
-        """Receiver-side unique bytes per bin over ``[0, end]`` (one value per
-        bin, zeros included), summed across the bundle."""
-        combined = [0.0] * (int(end / self.bin_width) + 1)
+        """Receiver-side unique bytes per 1 s bin (:class:`FlowStats`'
+        default width) over ``[0, end]``, zeros included, summed across the
+        bundle."""
+        combined = [0.0] * (int(end) + 1)
         for stats in self.stats_list:
             for i, value in enumerate(stats.delivered_bins.bin_values(0.0, end)):
                 combined[i] += value
@@ -191,7 +190,7 @@ def _start_flow(
         shares = [(flow_id, spec.size_bytes)]
 
     for sub_id, size in shares:
-        stats = FlowStats(sub_id, bin_width=flow.bin_width)
+        stats = FlowStats(sub_id)
         receiver = Receiver(sim, sub_id, stats)
         # Each sender gets its own Path object (sharing the underlying links)
         # because binding a receiver/sender pair to a Path attaches that
@@ -224,7 +223,6 @@ def run_flows(
     flow_specs: Sequence[FlowSpec],
     duration: float,
     mss: int = DEFAULT_MSS,
-    bin_width: float = 1.0,
 ) -> ScenarioResult:
     """Schedule every flow spec's start on its path, run the simulation,
     return results.
@@ -239,7 +237,7 @@ def run_flows(
         raise ValueError("run_flows needs at least one path")
     schemes = {scheme: get_scheme(scheme)
                for scheme in dict.fromkeys(spec.scheme for spec in flow_specs)}
-    flows = [FlowResult(spec=spec, bin_width=bin_width) for spec in flow_specs]
+    flows = [FlowResult(spec=spec) for spec in flow_specs]
     for index, flow in enumerate(flows):
         spec = flow.spec
         sim.schedule_at(

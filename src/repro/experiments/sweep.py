@@ -8,8 +8,9 @@ place that fan-out lives:
 * :class:`SweepGrid` declares the grid declaratively; its ``topology`` names a
   registered **topology builder** (``single_bottleneck`` by default, plus
   ``parking_lot`` multi-bottleneck chains, ``dumbbell`` per-flow access
-  links, and the ``trace_bottleneck`` / ``random_dynamics`` time-varying
-  links; extendable via :func:`register_topology`);
+  links, the ``incast`` fan-in, and the ``trace_bottleneck`` /
+  ``random_dynamics`` time-varying links; extendable via
+  :func:`register_topology`);
 * scheme entries are names registered in :mod:`repro.schemes`; a PCC flow's
   utility is the cell's ``utility`` (a grid's ``utilities`` axis crosses
   registered utility names with every other axis, the §4.4 flexibility
@@ -62,6 +63,7 @@ from ..netsim import (
     TraceLinkDynamics,
     bdp_bytes,
     dumbbell,
+    incast,
     make_qdisc,
     make_synthetic_trace,
     parking_lot,
@@ -485,6 +487,17 @@ def _build_random_dynamics(sim: Simulator,
     }
 
 
+def _build_incast(sim: Simulator,
+                  cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
+    """The Figure 10 fan-in: flow ``i`` gets path ``i``, a private access
+    link into one shallow shared port of ``cell.buffer_bytes`` toward the
+    receiver.  Every link runs at ``cell.bandwidth_bps``; ``cell.rtt`` is
+    the base RTT of every path."""
+    return incast(sim, num_senders=cell.num_flows,
+                  bandwidth_bps=cell.bandwidth_bps, rtt=cell.rtt,
+                  buffer_bytes=cell.resolved_buffer_bytes()).paths, None
+
+
 def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
     _parking_lot_hop_delay(cell.rtt, kwargs["num_hops"])
 
@@ -492,6 +505,12 @@ def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
 def _validate_trace_bottleneck(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
     # Building the trace validates the name.
     make_synthetic_trace(kwargs["trace"], peak_bps=1.0, duration=cell.duration)
+
+
+def _validate_incast(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    if cell.loss_rate or cell.qdisc_kwargs or cell.qdisc != DEFAULT_QDISC:
+        raise ValueError("the incast topology runs loss-free drop-tail "
+                         "links; it takes no loss_rate or qdisc")
 
 
 def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
@@ -516,6 +535,8 @@ register_topology("dumbbell", _build_dumbbell,
                   supports_reverse_loss=False,
                   validate=_validate_dumbbell)
 register_topology("random_dynamics", _build_random_dynamics)
+register_topology("incast", _build_incast, supports_reverse_loss=False,
+                  validate=_validate_incast)
 
 
 @dataclass

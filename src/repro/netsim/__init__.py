@@ -2,8 +2,8 @@
 
 This package is the substrate on which the PCC reproduction runs: links with
 finite bandwidth, propagation delay, random loss and configurable queue
-disciplines; routes; ack-clocked and rate-paced senders; and workload
-generators.  See the repository README for the component inventory and
+disciplines; routes; ack-clocked and rate-paced senders; and flow
+descriptions.  See the repository README for the component inventory and
 EXPERIMENTS.md for the mapping from the paper's testbeds to these components.
 """
 
@@ -33,7 +33,7 @@ from .endpoints import (
     WindowedSender,
     connect,
 )
-from .flows import FlowSpec, incast_burst
+from .flows import FlowSpec
 from .topology import (
     LinkConfig,
     bdp_bytes,
@@ -85,7 +85,6 @@ __all__ = [
     "WindowedSender",
     "connect",
     "FlowSpec",
-    "incast_burst",
     "LinkConfig",
     "bdp_bytes",
     "dumbbell",

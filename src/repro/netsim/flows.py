@@ -2,18 +2,16 @@
 
 A :class:`FlowSpec` describes one transfer: when it starts, how much data it
 carries (``None`` means a long-lived, backlogged flow) and which congestion
-controller drives it.  :func:`incast_burst` produces the simultaneous
-fixed-size flows of Figure 10; sweep cells draw their flow schedules from the
+controller drives it.  Sweep cells draw their flow schedules from the
 workload registry in :mod:`repro.experiments.workload`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Optional
 
-__all__ = ["FlowSpec", "incast_burst"]
+__all__ = ["FlowSpec"]
 
 
 @dataclass
@@ -37,34 +35,4 @@ class FlowSpec:
     label: str = ""
     #: Arbitrary metadata propagated to results.
     meta: dict = field(default_factory=dict)
-
-
-def incast_burst(
-    scheme: str,
-    num_senders: int,
-    size_bytes: float,
-    start_time: float = 0.0,
-    jitter: float = 0.0005,
-    rng: Optional[random.Random] = None,
-    **controller_kwargs: Any,
-) -> List[FlowSpec]:
-    """Simultaneous fixed-size flows from ``num_senders`` senders (Figure 10).
-
-    A small random jitter avoids perfectly synchronized first packets, which
-    would be unrealistically pessimal for every protocol.
-    """
-    rng = rng or random.Random(0)
-    flows = []
-    for i in range(num_senders):
-        flows.append(
-            FlowSpec(
-                scheme=scheme,
-                size_bytes=size_bytes,
-                start_time=start_time + rng.uniform(0.0, jitter),
-                path_index=i,
-                controller_kwargs=dict(controller_kwargs),
-                label=f"{scheme}-incast-{i}",
-            )
-        )
-    return flows
 

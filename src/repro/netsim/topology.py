@@ -190,15 +190,14 @@ def incast(
     bandwidth_bps: float = 1_000_000_000.0,
     rtt: float = 0.0004,
     buffer_bytes: float = 64_000.0,
-    sender_bandwidth_bps: Optional[float] = None,
 ) -> Incast:
     """Build the Figure 10 incast topology.
 
     ``num_senders`` senders each have a private access link into a switch whose
     single output port (the shared link, with a shallow ``buffer_bytes``
     buffer) leads to the receiver — the classic data-center incast bottleneck.
+    Every link runs at ``bandwidth_bps``.
     """
-    sender_bw = sender_bandwidth_bps or bandwidth_bps
     shared = Link(
         sim,
         bandwidth_bps=bandwidth_bps,
@@ -210,14 +209,14 @@ def incast(
     for i in range(num_senders):
         access = Link(
             sim,
-            bandwidth_bps=sender_bw,
+            bandwidth_bps=bandwidth_bps,
             delay_s=rtt / 4.0,
             queue=DropTailQueue(1_000_000.0),
             name=f"incast-access-{i}",
         )
         reverse = Link(
             sim,
-            bandwidth_bps=sender_bw,
+            bandwidth_bps=bandwidth_bps,
             delay_s=rtt / 2.0,
             queue=DropTailQueue(1_000_000.0),
             name=f"incast-rev-{i}",

@@ -11,6 +11,8 @@ Registration order is the paper's presentation order.
 
 from __future__ import annotations
 
+import math
+import random
 import statistics
 from itertools import product
 from typing import Any, Callable, Dict, List
@@ -27,11 +29,9 @@ from ..analysis import (
     simulate_dynamics,
     throughput_ratio,
 )
-from ..experiments.incast import run_incast
-from ..experiments.interdc import PAPER_PAIRS
-from ..experiments.internet import ratio_cdf, sample_paths
 from ..experiments.results import ResultSet
 from ..experiments.sweep import SweepCell, SweepGrid
+from ..experiments.workload import build_workload
 from ..netsim import DEFAULT_MSS, SYNTHETIC_TRACES, bdp_bytes
 from ..units import (
     BITS_PER_BYTE,
@@ -130,20 +130,37 @@ def _by_scheme(key: str) -> Callable[[List[Dict[str, Any]]], Dict[str, Any]]:
 _F45_SCHEMES = ("pcc", "cubic", "pcp", "sabul")
 _F45_BASELINES = ("cubic", "pcp", "sabul")
 _F45_DURATION = 12.0
-# RTTs capped at 150 ms so the scaled 12 s runs give every protocol enough
-# round trips to converge.
-_F45_PATHS = sample_paths(5, seed=11, rtt_range=(0.010, 0.150))
+_F45_SEED = 11
+#: Five sampled paths; path ``i`` is seeded, and named in the rows, by
+#: ``_F45_SEED * 1000 + i``.
+_F45_PATH_SEEDS = tuple(_F45_SEED * 1000 + path for path in range(5))
 
 
 def _fig45_cells() -> List[SweepCell]:
-    """One single-flow cell per (sampled path, scheme), seeded by its path."""
+    """One single-flow cell per (sampled path, scheme), seeded by its path.
+
+    The measured PlanetLab/GENI pairs are replaced by synthetic wide-area
+    paths covering the regimes the paper blames for TCP's poor showing:
+    log-uniform bandwidth (5-200 Mbps) and RTT (10-150 ms, capped so the
+    scaled 12 s runs give every protocol enough round trips to converge),
+    0-1 % random loss, and a bottleneck buffer of 2-100 % of the BDP (at
+    least two packets).
+    """
+    rng = random.Random(_F45_SEED)
+    paths = []
+    for seed in _F45_PATH_SEEDS:
+        bandwidth = math.exp(rng.uniform(math.log(5e6), math.log(200e6)))
+        rtt = math.exp(rng.uniform(math.log(0.010), math.log(0.150)))
+        loss = rng.uniform(0.0, 0.01)
+        buffer_bytes = max(3_000.0, rng.uniform(0.02, 1.0)
+                           * bdp_bytes(bandwidth, rtt))
+        paths.append((seed, bandwidth, rtt, loss, buffer_bytes))
     return [
-        SweepCell(index=index, scheme=scheme, bandwidth_bps=path.bandwidth_bps,
-                  rtt=path.rtt, loss_rate=path.loss_rate,
-                  buffer_bytes=path.buffer_bytes, num_flows=1,
-                  duration=_F45_DURATION, seed=path.seed)
-        for index, (path, scheme)
-        in enumerate(product(_F45_PATHS, _F45_SCHEMES))
+        SweepCell(index=index, scheme=scheme, bandwidth_bps=bandwidth,
+                  rtt=rtt, loss_rate=loss, buffer_bytes=buffer_bytes,
+                  num_flows=1, duration=_F45_DURATION, seed=seed)
+        for index, ((seed, bandwidth, rtt, loss, buffer_bytes), scheme)
+        in enumerate(product(paths, _F45_SCHEMES))
     ]
 
 
@@ -152,18 +169,16 @@ def _fig45_rows(result: ResultSet) -> List[Dict[str, Any]]:
     rows = []
     for baseline in _F45_BASELINES:
         ratios = []
-        for path in _F45_PATHS:
-            # Every sampled path carries its own seed, which names it here.
-            base = result.goodput_mbps(scheme=baseline, seed=path.seed)
-            pcc = result.goodput_mbps(scheme="pcc", seed=path.seed)
+        for seed in _F45_PATH_SEEDS:
+            base = result.goodput_mbps(scheme=baseline, seed=seed)
+            pcc = result.goodput_mbps(scheme="pcc", seed=seed)
             ratios.append(pcc / base if base > 0 else float("inf"))
-        cdf = ratio_cdf(ratios)
         rows.append({
             "baseline": baseline,
             "median_ratio": percentile(ratios, 0.5),
             "p90_ratio": percentile(ratios, 0.9),
-            "frac_ge_2x": cdf[2.0],
-            "frac_ge_10x": cdf[10.0],
+            "frac_ge_2x": sum(ratio >= 2.0 for ratio in ratios) / len(ratios),
+            "frac_ge_10x": sum(ratio >= 10.0 for ratio in ratios) / len(ratios),
         })
     return rows
 
@@ -172,7 +187,7 @@ register_report_spec(ReportSpec(
     spec_id="fig4_5",
     title="Wild-Internet throughput improvement over baselines",
     paper_section="4.1.1",
-    run=ScenarioRun(cells_list=tuple(_fig45_cells()), base_seed=11),
+    run=ScenarioRun(cells_list=tuple(_fig45_cells()), base_seed=_F45_SEED),
     rows=_fig45_rows,
     columns=("baseline", "median_ratio", "p90_ratio", "frac_ge_2x",
              "frac_ge_10x"),
@@ -202,7 +217,7 @@ register_report_spec(ReportSpec(
                       "from loss better than the real one",
         ),
     ),
-    sim_seconds=len(_F45_PATHS) * len(_F45_SCHEMES) * _F45_DURATION,
+    sim_seconds=len(_F45_PATH_SEEDS) * len(_F45_SCHEMES) * _F45_DURATION,
     notes="510 PlanetLab/GENI pairs replaced by a synthetic wide-area path "
           "sampler (see EXPERIMENTS.md).",
 ))
@@ -212,7 +227,9 @@ register_report_spec(ReportSpec(
 # Table 1 — inter-data-center reserved-bandwidth transfers
 # --------------------------------------------------------------------------- #
 _T1_SCHEMES = ("pcc", "sabul", "cubic", "illinois")
-_T1_PAIRS = PAPER_PAIRS[:4]
+#: The first four site pairs of Table 1 and their measured RTTs (s).
+_T1_PAIRS = (("GPO -> NYSERNet", 0.0121), ("GPO -> Missouri", 0.0465),
+             ("GPO -> Illinois", 0.0354), ("NYSERNet -> Missouri", 0.0474))
 _T1_BANDWIDTH = 100e6
 _T1_DURATION = 8.0
 # The bandwidth-reserving rate limiter buffers only a handful of packets.
@@ -223,19 +240,20 @@ def _table1_cells() -> List[SweepCell]:
     """One single-flow cell per (site pair, scheme) on the reserved path."""
     return [
         SweepCell(index=index, scheme=scheme, bandwidth_bps=_T1_BANDWIDTH,
-                  rtt=pair.rtt, loss_rate=0.0, buffer_bytes=_T1_BUFFER,
+                  rtt=rtt, loss_rate=0.0, buffer_bytes=_T1_BUFFER,
                   num_flows=1, duration=_T1_DURATION, seed=3)
-        for index, (pair, scheme) in enumerate(product(_T1_PAIRS, _T1_SCHEMES))
+        for index, ((_, rtt), scheme)
+        in enumerate(product(_T1_PAIRS, _T1_SCHEMES))
     ]
 
 
 def _table1_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per site pair (named by its RTT) with every scheme's goodput."""
     rows = []
-    for pair in _T1_PAIRS:
-        row: Dict[str, Any] = {"pair": pair.name, "rtt_ms": pair.rtt * MS_PER_S}
+    for name, rtt in _T1_PAIRS:
+        row: Dict[str, Any] = {"pair": name, "rtt_ms": rtt * MS_PER_S}
         for scheme in _T1_SCHEMES:
-            row[scheme] = result.goodput_mbps(scheme=scheme, rtt=pair.rtt)
+            row[scheme] = result.goodput_mbps(scheme=scheme, rtt=rtt)
         rows.append(row)
     return rows
 
@@ -559,55 +577,66 @@ register_report_spec(ReportSpec(
 # Figure 10 — incast
 # --------------------------------------------------------------------------- #
 _F10_SENDERS = (8, 16, 24)
-_F10_BLOCKS = (64_000.0, 256_000.0)
+_F10_BLOCKS_KB = (64.0, 256.0)
 
 
-def _run_incast_cell(seed: int, scheme: str, senders: int, block_bytes: float,
-                     buffer_bytes: float) -> Dict[str, Any]:
-    """Run one incast barrier transfer."""
-    outcome = run_incast(scheme, senders, block_bytes,
-                         buffer_bytes=buffer_bytes, seed=seed)
-    return {"goodput_mbps": outcome["goodput_mbps"],
-            "completed": outcome["completed"]}
+def _incast_barrier(record: Dict[str, Any]) -> Dict[str, Any]:
+    """An incast cell's barrier goodput and how many of its flows finished.
 
-
-def _fig10_cells() -> List[ScenarioCell]:
-    """One cell per (block size, sender count, scheme)."""
-    cells = []
-    for block in _F10_BLOCKS:
-        for senders in _F10_SENDERS:
-            for scheme in ("pcc", "cubic"):
-                cells.append(ScenarioCell(
-                    index=len(cells), runner="incast", seed=6,
-                    kwargs={"scheme": scheme, "senders": senders,
-                            "block_bytes": block, "buffer_bytes": 64_000.0},
-                ))
-    return cells
+    The barrier completes when the last flow does, at its start time (from
+    the schedule the cell's workload emits, rebuilt from the record's own
+    cell) plus its FCT; goodput is every block's bytes over that time, and
+    0 unless every flow completed.
+    """
+    specs = build_workload(SweepCell(**record["cell"]))
+    finishes = [spec.start_time + flow["fct"]
+                for spec, flow in zip(specs, record["flows"], strict=True)
+                if flow["fct"] is not None]
+    goodput = 0.0
+    if len(finishes) == len(specs):
+        goodput = (sum(spec.size_bytes for spec in specs) * BITS_PER_BYTE
+                   / max(finishes) / BPS_PER_MBPS)
+    return {"goodput_mbps": goodput, "completed": len(finishes)}
 
 
 def _fig10_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per (block size, sender count)."""
+    barriers = {(record["cell"]["workload_kwargs"]["size_kb"],
+                 record["cell"]["num_flows"], record["cell"]["scheme"]):
+                _incast_barrier(record) for record in result}
     rows = []
-    for block in _F10_BLOCKS:
+    for block_kb in _F10_BLOCKS_KB:
         for senders in _F10_SENDERS:
-            pcc = _metrics(result, scheme="pcc", senders=senders,
-                           block_bytes=block)
-            cubic = _metrics(result, scheme="cubic", senders=senders,
-                             block_bytes=block)
+            pcc = barriers[block_kb, senders, "pcc"]
+            cubic = barriers[block_kb, senders, "cubic"]
             rows.append({
-                "block_kb": block / BYTES_PER_KB, "senders": senders,
+                "block_kb": block_kb, "senders": senders,
                 "pcc": pcc["goodput_mbps"], "cubic": cubic["goodput_mbps"],
                 "pcc_completed": pcc["completed"],
             })
     return rows
 
 
-register_scenario_runner("incast", _run_incast_cell)
 register_report_spec(ReportSpec(
     spec_id="fig10",
     title="Incast goodput vs number of senders",
     paper_section="4.1.8",
-    run=ScenarioRun(cells_list=tuple(_fig10_cells()), base_seed=6),
+    # Every sender fires one block at once into a shallow 1 Gbps switch
+    # port; one grid per block size.
+    run=GridRun(grids=tuple(
+        SweepGrid(
+            schemes=("pcc", "cubic"),
+            bandwidths_bps=(1e9,),
+            rtts=(0.0004,),
+            buffers_bytes=(64_000.0,),
+            flow_counts=_F10_SENDERS,
+            duration=5.0,
+            topology="incast",
+            workload="incast",
+            workload_kwargs={"waves": 1, "size_kb": block_kb},
+        )
+        for block_kb in _F10_BLOCKS_KB
+    ), base_seed=6),
     rows=_fig10_rows,
     columns=("block_kb", "senders", "pcc", "cubic", "pcc_completed"),
     claims=(
@@ -637,7 +666,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig10): 30% floor of the fabric rate",
         ),
     ),
-    sim_seconds=len(_F10_BLOCKS) * len(_F10_SENDERS) * 2 * 5.0,
+    sim_seconds=len(_F10_BLOCKS_KB) * len(_F10_SENDERS) * 2 * 5.0,
 ))
 
 

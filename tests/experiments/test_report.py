@@ -210,9 +210,9 @@ class TestCatalog:
         holdouts = {spec.spec_id for spec in list_report_specs()
                     if any(isinstance(cell, ScenarioCell)
                            for cell in spec.run.cells())}
-        assert holdouts - {"tiny_scenario"} == {"fig10", "theorems"}
+        assert holdouts - {"tiny_scenario"} == {"theorems"}
         assert set(scenario_runner_names()) - {"tiny_scenario_runner"} == {
-            "incast", "theorem1_equilibrium", "theorem2_dynamics"}
+            "theorem1_equilibrium", "theorem2_dynamics"}
 
 
     def test_registered_names_can_only_shrink(self):
@@ -226,15 +226,12 @@ class TestCatalog:
         allowed = {
             ("scheme", "newreno"): "bench endpoints driver",
             ("qdisc", "codel"): "bench tcp_aqm workload",
-            ("workload", "incast"): "bench flow_churn workload",
             ("utility", "safe"): "what a cell runs when its utility is None",
             ("utility", "simple"): "the utility of the derivation in section "
                                    "2.2, unit-tested in tests/core/test_utility.py",
         }
         allowed_options = {
-            ("workload", "incast", "size_kb"): "bench flow_churn",
             ("workload", "incast", "wave_interval"): "bench flow_churn",
-            ("workload", "incast", "waves"): "bench flow_churn",
         }
         unused = json.loads(subprocess.run(
             [sys.executable, "-c",

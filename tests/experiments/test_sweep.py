@@ -99,7 +99,7 @@ class TestTopologyRegistry:
     def test_builtin_topologies_registered(self):
         names = topology_names()
         for name in ("single_bottleneck", "parking_lot", "trace_bottleneck",
-                     "dumbbell", "random_dynamics"):
+                     "dumbbell", "random_dynamics", "incast"):
             assert name in names
 
     def test_duplicate_registration_rejected(self):
@@ -135,6 +135,17 @@ class TestTopologyRegistry:
         with pytest.raises(ValueError, match="reverse_loss"):
             tiny_grid(schemes=("cubic",), loss_rates=(0.01,),
                       reverse_loss=True, topology="parking_lot")
+
+    @pytest.mark.parametrize("fields", [
+        {"loss_rate": 0.01}, {"loss_rate": 0.01, "reverse_loss": True},
+        {"qdisc": "codel"}, {"qdisc": "fq", "qdisc_kwargs": {"child": "codel"}},
+    ])
+    def test_incast_rejects_what_its_links_cannot_run(self, fields):
+        """The fan-in's links are loss-free drop-tail queues: a cell asking
+        for random loss or another queue discipline fails at construction
+        rather than record what was never simulated."""
+        with pytest.raises(ValueError, match="incast"):
+            hand_cell(topology="incast", **fields)
 
     def test_parking_lot_rejects_unachievable_rtt(self):
         """An RTT too small for the hop count must error at grid

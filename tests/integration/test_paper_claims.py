@@ -8,12 +8,14 @@ early.
 import dataclasses
 import functools
 
+import pytest
+
 from repro.core import make_pcc_sender
 from repro.experiments import run_flows
 from repro.experiments.results import ResultSet
 from repro.experiments.sweep import SweepCell, run_cell
 from repro.netsim import FlowSpec, FlowStats, Simulator, bdp_bytes, single_bottleneck
-from repro.report import get_report_spec
+from repro.report import get_report_spec, run_report_spec
 
 
 def _goodput_mbps(scheme, bandwidth_bps, duration, seed=1, loss_rate=0.0,
@@ -93,6 +95,21 @@ class TestDynamicNetworkClaim:
     def test_pcc_beats_cubic_under_dynamics(self):
         rows = {row["scheme"]: row for row in _capped_rows("fig11", 20.0)}
         assert rows["pcc"]["goodput_mbps"] > rows["cubic"]["goodput_mbps"]
+
+
+class TestIncastClaimsAcrossSeeds:
+    """§4.1.8: fig10's three claims hold at grid base seeds 1-6, not only at
+    the catalog's base seed (12 cells, about 0.5 s per seed)."""
+
+    @pytest.mark.parametrize("base_seed", range(1, 7))
+    def test_fig10_claims_hold(self, base_seed):
+        spec = get_report_spec("fig10")
+        spec = dataclasses.replace(
+            spec, run=dataclasses.replace(spec.run, base_seed=base_seed))
+        outcome = run_report_spec(spec)
+        assert [claim.status for claim in outcome.claims] \
+            == [claim.expected_status() for claim in spec.claims], \
+            [claim.measured for claim in outcome.claims]
 
 
 class TestMultiFlowConvergence:

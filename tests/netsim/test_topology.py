@@ -13,7 +13,6 @@ from repro.netsim import (
     cellular_trace,
     dumbbell,
     incast,
-    incast_burst,
     make_synthetic_trace,
     parking_lot,
     sawtooth_trace,
@@ -118,16 +117,6 @@ class TestParkingLot:
         with pytest.raises(ValueError):
             parking_lot(sim, num_hops=0, bandwidth_bps=10e6, hop_delay=0.005,
                         buffer_bytes=50_000)
-
-
-class TestWorkloadGenerators:
-    def test_incast_burst_jitter_bounded(self):
-        import random
-        flows = incast_burst("cubic", 16, 256_000, jitter=0.001,
-                             rng=random.Random(1))
-        assert len(flows) == 16
-        assert all(0.0 <= f.start_time <= 0.001 for f in flows)
-        assert all(f.size_bytes == 256_000 for f in flows)
 
 
 class TestDynamics:
