@@ -2,9 +2,9 @@
 
 ``python -m repro.report`` executes the registered
 :class:`~repro.report.spec.ReportSpec` catalog — each spec one figure/table
-of the paper's evaluation, expressed as a sweep grid or scenario list plus
-metric extraction and claim predicates — into per-figure ResultSet JSONL and
-a single generated ``REPORT.md`` claim ledger with per-claim
+of the paper's evaluation, expressed as a sweep grid or a list of pinned
+sweep cells plus metric extraction and claim predicates — into per-figure
+ResultSet JSONL and a single generated ``REPORT.md`` claim ledger with per-claim
 PASS / FAIL / DEVIATION status.  Execution reuses the sweep subsystem's
 machinery end to end, so reports stream to disk as cells complete, resume
 cell-exactly from interrupted runs, and render byte-identically for any
@@ -26,15 +26,11 @@ from .spec import (
     ClaimResult,
     GridRun,
     ReportSpec,
-    ScenarioCell,
     ScenarioRun,
     get_report_spec,
-    get_scenario_runner,
     list_report_specs,
     register_report_spec,
-    register_scenario_runner,
     report_spec_ids,
-    scenario_runner_names,
 )
 
 __all__ = [
@@ -45,20 +41,16 @@ __all__ = [
     "MATRIX_BEGIN",
     "MATRIX_END",
     "ReportSpec",
-    "ScenarioCell",
     "ScenarioRun",
     "SpecOutcome",
     "evaluate_claims",
     "get_report_spec",
-    "get_scenario_runner",
     "list_report_specs",
     "matrix_drift",
     "register_report_spec",
-    "register_scenario_runner",
     "render_matrix",
     "render_report",
     "render_spec_section",
     "report_spec_ids",
     "run_report_spec",
-    "scenario_runner_names",
 ]

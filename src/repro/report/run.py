@@ -1,57 +1,26 @@
 """Execute report specs into result sets, rows, and evaluated claims.
 
-Every spec's cells funnel through
-:func:`repro.experiments.execute.execute_cells` under one ``run_one``, so
-every spec — sweep cells or scenario cells — inherits the sweep layer's
-guarantees verbatim: streaming JSONL as cells complete, cell-exact reuse of
-a prior (possibly interrupted) run's cell store, and results that are
-byte-identical for any worker count.
+Every spec's cells are :class:`~repro.experiments.sweep.SweepCell`\\ s
+handed to :func:`repro.experiments.execute.execute_cells` with
+:func:`~repro.experiments.sweep.run_cell`, exactly as
+:func:`~repro.experiments.sweep.sweep` does, so every spec inherits the sweep
+layer's guarantees verbatim: streaming JSONL as cells complete, cell-exact
+reuse of a prior (possibly interrupted) run's cell store, and results that
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from ..experiments.execute import execute_cells
 from ..experiments.results import ResultSet
 from ..experiments.store import CellStore
-from ..experiments.sweep import SweepCell, run_cell
-from .spec import (
-    ClaimResult,
-    ReportSpec,
-    ScenarioCell,
-    get_report_spec,
-    get_scenario_runner,
-)
+from ..experiments.sweep import run_cell
+from .spec import ClaimResult, ReportSpec, get_report_spec
 
 __all__ = ["SpecOutcome", "evaluate_claims", "run_report_spec"]
-
-
-def _run_report_cell(cell: Union[SweepCell, ScenarioCell]) -> Dict[str, Any]:
-    """Run one catalog cell and return its JSON-friendly record.
-
-    A :class:`SweepCell` simulates through
-    :func:`repro.experiments.sweep.run_cell`.  A :class:`ScenarioCell`'s
-    registered runner is resolved by name inside the worker process
-    (spawn-method workers re-import the catalog, mirroring how sweep workers
-    resolve topology/scheme names); its record carries the cell identity,
-    the runner's metrics dict, and the non-deterministic ``wall_time_s`` that
-    ``execute_cells`` strips into :attr:`ResultSet.timings`.
-    """
-    if isinstance(cell, SweepCell):
-        return run_cell(cell)
-    # repro-lint: disable=RPL001 wall-time telemetry; stripped into ResultSet.timings, never canonical JSON
-    start = time.perf_counter()
-    fn = get_scenario_runner(cell.runner)
-    metrics = fn(seed=cell.seed, **cell.kwargs)
-    return {
-        "cell": cell.params(),
-        "metrics": metrics,
-        # repro-lint: disable=RPL001 wall-time telemetry
-        "wall_time_s": time.perf_counter() - start,
-    }
 
 
 @dataclass
@@ -119,7 +88,7 @@ def run_report_spec(
     if isinstance(spec, str):
         spec = get_report_spec(spec)
     run = spec.run
-    result = execute_cells(run.cells(), _run_report_cell, run.base_seed,
+    result = execute_cells(run.cells(), run_cell, run.base_seed,
                            workers=workers, jsonl_path=jsonl_path,
                            profile=profile, store=store, progress=progress)
     rows = spec.rows(result)

@@ -5,13 +5,14 @@ evidence as a machine-checkable artifact:
 
 * **what to run** — either a :class:`GridRun` (one or more
   :class:`~repro.experiments.sweep.SweepGrid`\\ s enumerated under one base
-  seed) or a :class:`ScenarioRun` (an explicit list of pinned-seed cells:
-  :class:`~repro.experiments.sweep.SweepCell`\\ s, or
-  :class:`ScenarioCell`\\ s naming a registered scenario runner plus
-  JSON-friendly parameters);
+  seed) or a :class:`ScenarioRun` (an explicit list of
+  :class:`~repro.experiments.sweep.SweepCell`\\ s, each with a pinned seed);
+  either way every cell is a ``SweepCell`` that
+  :func:`~repro.experiments.sweep.run_cell` simulates;
 * **what to extract** — a ``rows`` function turning the resulting
   :class:`~repro.experiments.results.ResultSet` into the table the figure
-  plots;
+  plots (the analytical ``theorems`` spec runs no cells and computes its
+  rows from :mod:`repro.analysis` here);
 * **what to assert** — :class:`Claim`\\ s, each the paper's quantitative
   statement as numeric bounds over those rows (never over the result set),
   evaluated into PASS / FAIL / DEVIATION for the generated ``REPORT.md``
@@ -20,15 +21,13 @@ evidence as a machine-checkable artifact:
 Specs register in a :class:`~repro.registry.NameRegistry`-backed catalog
 (:func:`register_report_spec`); the built-in catalog in
 :mod:`repro.report.specs` covers every figure/table of the paper's evaluation
-and is loaded lazily on first lookup.  Like every registry in this codebase,
-registration must happen at module import time so spawn-method worker
-processes can re-resolve scenario-runner names.
+and is loaded lazily on first lookup.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments.results import ResultSet
@@ -41,15 +40,11 @@ __all__ = [
     "ClaimResult",
     "GridRun",
     "ReportSpec",
-    "ScenarioCell",
     "ScenarioRun",
     "get_report_spec",
-    "get_scenario_runner",
     "list_report_specs",
     "register_report_spec",
-    "register_scenario_runner",
     "report_spec_ids",
-    "scenario_runner_names",
 ]
 
 #: The three claim-ledger verdicts: the claim held as asserted (``PASS``),
@@ -179,71 +174,29 @@ class GridRun:
         if not self.grids:
             raise ValueError("a GridRun needs at least one SweepGrid")
 
-    def cells(self) -> List[Any]:
+    def cells(self) -> List[SweepCell]:
         """Enumerate every grid's cells, concatenated in grid order."""
-        out: List[Any] = []
+        out: List[SweepCell] = []
         for grid in self.grids:
             out.extend(grid.cells(self.base_seed))
         return out
 
 
-_RESERVED_IDENTITY_KEYS = ("index", "scenario", "seed")
-
-
-@dataclass(frozen=True)
-class ScenarioCell:
-    """One scenario invocation of a :class:`ScenarioRun`.
-
-    ``runner`` names a function registered via
-    :func:`register_scenario_runner`; ``kwargs`` are its JSON-serializable
-    keyword arguments and — together with ``index``, the runner name and the
-    ``seed`` — form the cell's identity, which keys it in the
-    :class:`~repro.experiments.store.CellStore`.  Unlike
-    grid cells, the seed is pinned explicitly per cell (not derived), because
-    the catalog pins seeds per scenario where trajectories are
-    seed-sensitive.
-    """
-
-    index: int
-    runner: str
-    seed: int
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        """Reject kwargs that would collide with the identity's fixed keys."""
-        clash = set(self.kwargs) & set(_RESERVED_IDENTITY_KEYS)
-        if clash:
-            raise ValueError(
-                f"scenario kwargs cannot use reserved identity keys "
-                f"{sorted(clash)}"
-            )
-
-    def params(self) -> Dict[str, Any]:
-        """The JSON-friendly identity of this cell (everything but results).
-
-        Same contract as :meth:`repro.experiments.sweep.SweepCell.params`,
-        which is what lets :func:`repro.experiments.execute.execute_cells`
-        treat grid and scenario cells uniformly.
-        """
-        return {"index": self.index, "scenario": self.runner,
-                "seed": self.seed, **self.kwargs}
-
-
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Explicit-cell execution: listed cells, each with a pinned seed.
+    """Explicit-cell execution: hand-listed cells, each with a pinned seed.
 
-    A cell is either a :class:`ScenarioCell` or a hand-listed
-    :class:`~repro.experiments.sweep.SweepCell` (a figure that is one
-    single-bottleneck cell per point but pins its seeds instead of deriving
-    them from a grid position).  ``base_seed`` is recorded in the stream
-    header; the per-cell seeds live in the cell identities.
+    Each cell is a :class:`~repro.experiments.sweep.SweepCell` (a figure that
+    is one cell per point but pins its seeds instead of deriving them from a
+    grid position).  ``base_seed`` is recorded in the stream header; the
+    per-cell seeds live in the cell identities.  The list may be empty: the
+    analytical spec runs nothing and computes its rows directly.
     """
 
-    cells_list: Tuple[Union[ScenarioCell, SweepCell], ...]
+    cells_list: Tuple[SweepCell, ...]
     base_seed: int
 
-    def cells(self) -> List[Union[ScenarioCell, SweepCell]]:
+    def cells(self) -> List[SweepCell]:
         """The cells in execution (and canonical) order."""
         return list(self.cells_list)
 
@@ -273,10 +226,6 @@ class ReportSpec:
 _SPECS: NameRegistry[ReportSpec] = NameRegistry("report spec")
 _SPEC_ORDER: List[str] = []
 
-_SCENARIO_RUNNERS: NameRegistry[Callable[..., Dict[str, Any]]] = (
-    NameRegistry("report scenario runner")
-)
-
 _catalog_loaded = False
 
 
@@ -294,7 +243,6 @@ def _ensure_catalog() -> None:
     # original exception).
     _catalog_loaded = True
     specs_before = list(_SPEC_ORDER)
-    runners_before = set(_SCENARIO_RUNNERS.names())
     try:
         from . import specs  # noqa: F401  (registration side effects)
     except BaseException:
@@ -302,8 +250,6 @@ def _ensure_catalog() -> None:
         for spec_id in sorted(set(_SPEC_ORDER) - set(specs_before)):
             _SPECS.discard(spec_id)
         _SPEC_ORDER[:] = specs_before
-        for name in sorted(set(_SCENARIO_RUNNERS.names()) - runners_before):
-            _SCENARIO_RUNNERS.discard(name)
         raise
 
 
@@ -317,36 +263,10 @@ def register_report_spec(spec: ReportSpec) -> None:
     _SPEC_ORDER.append(spec.spec_id)
 
 
-def register_scenario_runner(name: str,
-                             fn: Callable[..., Dict[str, Any]]) -> None:
-    """Register ``fn`` as a scenario runner resolvable from worker processes.
-
-    The runner is called as ``fn(seed=cell.seed, **cell.kwargs)`` (the
-    identity-only keys ``index`` and ``scenario`` are *not* passed) and must
-    return a JSON-serializable metrics dict that is a pure function of its
-    arguments — that purity is what makes report output byte-identical across
-    worker counts and store reuse.  Like scheme/topology builders, runners
-    must be registered at module import time.
-    """
-    _SCENARIO_RUNNERS.register(name, fn)
-
-
 def get_report_spec(spec_id: str) -> ReportSpec:
     """Resolve a spec id, listing the valid ids when it is unknown."""
     _ensure_catalog()
     return _SPECS.get(spec_id)
-
-
-def get_scenario_runner(name: str) -> Callable[..., Dict[str, Any]]:
-    """Resolve a registered scenario-runner name."""
-    _ensure_catalog()
-    return _SCENARIO_RUNNERS.get(name)
-
-
-def scenario_runner_names() -> List[str]:
-    """All registered scenario-runner names, sorted."""
-    _ensure_catalog()
-    return _SCENARIO_RUNNERS.names()
 
 
 def report_spec_ids() -> List[str]:

@@ -1,10 +1,11 @@
 """The built-in report-spec catalog: every paper figure/table as a spec.
 
 This catalog is the one place a paper experiment is named and described:
-scenario parameters, pinned seeds and claim thresholds all live here, and
-:func:`repro.report.run_report_spec` is the one way to run them.  Scenario
-runners registered here execute inside worker processes; everything they
-return must be JSON-serializable and a pure function of ``(seed, **kwargs)``.
+cell parameters, pinned seeds and claim thresholds all live here, and
+:func:`repro.report.run_report_spec` is the one way to run them.  Every
+simulated spec lists :class:`~repro.experiments.sweep.SweepCell`\\ s (a grid
+or pinned cells); the analytical ``theorems`` spec lists none and computes
+its rows from the fluid model in :mod:`repro.analysis`.
 
 Registration order is the paper's presentation order.
 """
@@ -44,10 +45,8 @@ from .spec import (
     Claim,
     GridRun,
     ReportSpec,
-    ScenarioCell,
     ScenarioRun,
     register_report_spec,
-    register_scenario_runner,
 )
 
 __all__: List[str] = []
@@ -63,11 +62,6 @@ def _record(result: ResultSet, **params: Any) -> Dict[str, Any]:
     if len(matches) != 1:
         raise KeyError(f"{len(matches)} records match {params!r}, expected 1")
     return matches[0]
-
-
-def _metrics(result: ResultSet, **params: Any) -> Dict[str, Any]:
-    """Return the metrics dict of the single scenario record matching."""
-    return _record(result, **params)["metrics"]
 
 
 def _fct_flows(result: ResultSet, scheme: str, load: float) -> List[Dict[str, Any]]:
@@ -1562,9 +1556,9 @@ _TH_NS = (3, 4, 6)
 _TH_CAPACITY = 100.0
 
 
-def _run_theorem1(seed: int, n: int, capacity: float) -> Dict[str, Any]:
-    """Find the symmetric best-response equilibrium for ``n`` senders."""
-    res = find_equilibrium(capacity=capacity, n=n)
+def _theorem1(n: int) -> Dict[str, Any]:
+    """The symmetric best-response equilibrium for ``n`` senders."""
+    res = find_equilibrium(capacity=_TH_CAPACITY, n=n)
     return {
         "per_sender_rate": float(res.total_rate / n),
         "total_rate": float(res.total_rate),
@@ -1573,11 +1567,10 @@ def _run_theorem1(seed: int, n: int, capacity: float) -> Dict[str, Any]:
     }
 
 
-def _run_theorem2(seed: int, capacity: float, alpha: float,
-                  rates: List[float], epsilon: float,
-                  steps: int) -> Dict[str, Any]:
-    """Simulate the synchronized ±eps dynamics from an unfair start."""
-    model = FluidModel(capacity, alpha=alpha)
+def _theorem2(rates: List[float], epsilon: float,
+              steps: int) -> Dict[str, Any]:
+    """The synchronized ±eps dynamics from the start ``rates``."""
+    model = FluidModel(_TH_CAPACITY, alpha=100.0)
     dynamics = simulate_dynamics(model, list(rates), epsilon=epsilon,
                                  steps=steps)
     return {
@@ -1589,26 +1582,12 @@ def _run_theorem2(seed: int, capacity: float, alpha: float,
     }
 
 
-def _theorems_cells() -> List[ScenarioCell]:
-    """Equilibrium cells for each n, plus the dynamics trajectory."""
-    cells = [
-        ScenarioCell(index=i, runner="theorem1_equilibrium", seed=0,
-                     kwargs={"n": n, "capacity": _TH_CAPACITY})
-        for i, n in enumerate(_TH_NS)
-    ]
-    cells.append(ScenarioCell(
-        index=len(cells), runner="theorem2_dynamics", seed=0,
-        kwargs={"capacity": _TH_CAPACITY, "alpha": 100.0,
-                "rates": [90.0, 10.0], "epsilon": 0.05, "steps": 800},
-    ))
-    return cells
-
-
 def _theorems_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """Equilibrium rows per n, then one dynamics row."""
+    """Equilibrium rows per n, then one dynamics row, computed from the
+    fluid model (``result`` is the spec's empty cell run)."""
     rows = []
     for n in _TH_NS:
-        metrics = _metrics(result, scenario="theorem1_equilibrium", n=n)
+        metrics = _theorem1(n)
         rows.append({
             "item": f"Theorem 1 equilibrium, n={n}",
             "value": (f"per-sender {metrics['per_sender_rate']:.4g}, total "
@@ -1616,7 +1595,7 @@ def _theorems_rows(result: ResultSet) -> List[Dict[str, Any]]:
                       f"{metrics['relative_spread']:.2g}"),
             "n": n, **{key: metrics[key] for key in ("total_rate", "relative_spread", "converged")},
         })
-    dynamics = _metrics(result, scenario="theorem2_dynamics")
+    dynamics = _theorem2([90.0, 10.0], epsilon=0.05, steps=800)
     rows.append({
         "item": "Theorem 2 dynamics from (90, 10), eps=0.05",
         "value": (f"equilibrium {dynamics['equilibrium_rate']:.4g}, "
@@ -1639,13 +1618,11 @@ def _theorem2_rates(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {**row, "final_rates": [round(r, 2) for r in row["final_rates"]]}
 
 
-register_scenario_runner("theorem1_equilibrium", _run_theorem1)
-register_scenario_runner("theorem2_dynamics", _run_theorem2)
 register_report_spec(ReportSpec(
     spec_id="theorems",
     title="Theorem 1 (equilibrium) and Theorem 2 (dynamics)",
     paper_section="2.2",
-    run=ScenarioRun(cells_list=tuple(_theorems_cells()), base_seed=0),
+    run=ScenarioRun(cells_list=(), base_seed=0),
     rows=_theorems_rows,
     columns=("item", "value"),
     claims=(

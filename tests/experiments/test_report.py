@@ -2,7 +2,8 @@
 
 The tiny specs registered at module import time (so fork-method workers
 inherit them) keep the packet-level work small enough for the tier-1 suite:
-a 2x2 one-second grid and a pure-arithmetic scenario runner.
+a 2x2 one-second grid and three hand-listed one-second cells with a pinned
+seed.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 
 from repro.experiments.execute import execute_cells
 from repro.experiments.results import ResultSet
-from repro.experiments.store import CellStore, store_key
+from repro.experiments.store import store_key
 from repro.experiments.sweep import (
     SweepCell,
     SweepGrid,
@@ -29,19 +30,16 @@ from repro.report import (
     Claim,
     GridRun,
     ReportSpec,
-    ScenarioCell,
     ScenarioRun,
     SpecOutcome,
     evaluate_claims,
     get_report_spec,
     list_report_specs,
     register_report_spec,
-    register_scenario_runner,
     render_report,
     render_spec_section,
     report_spec_ids,
     run_report_spec,
-    scenario_runner_names,
 )
 from repro.report import specs as catalog
 from repro.report.cli import main as report_main
@@ -97,40 +95,33 @@ register_report_spec(ReportSpec(
 ))
 
 
-def _tiny_scenario_runner(seed, x, scale):
-    """Pure-arithmetic runner: deterministic, instant, JSON-friendly."""
-    return {"value": (seed * 31 + x) * scale, "x": x}
-
-
-register_scenario_runner("tiny_scenario_runner", _tiny_scenario_runner)
+_PINNED_LOSSES = (0.0, 0.01, 0.02)
 
 register_report_spec(ReportSpec(
-    spec_id="tiny_scenario",
-    title="Tiny test scenario list",
+    spec_id="tiny_pinned",
+    title="Tiny test pinned-cell list",
     paper_section="test",
     run=ScenarioRun(cells_list=tuple(
-        ScenarioCell(index=i, runner="tiny_scenario_runner", seed=7,
-                     kwargs={"x": x, "scale": 2})
-        for i, x in enumerate((1, 2, 3))
+        SweepCell(index=i, scheme="cubic", bandwidth_bps=5e6, rtt=0.03,
+                  loss_rate=loss, buffer_bytes=None, num_flows=1,
+                  duration=1.0, seed=7)
+        for i, loss in enumerate(_PINNED_LOSSES)
     ), base_seed=7),
     rows=lambda result: [
-        {"x": record["metrics"]["x"], "value": record["metrics"]["value"]}
+        {"loss": record["cell"]["loss_rate"],
+         "goodput_mbps": record["flows"][0]["goodput_mbps"]}
         for record in result.cells
     ],
-    columns=("x", "value"),
+    columns=("loss", "goodput_mbps"),
     claims=(
         Claim(
-            "values-scale",
-            "Every value is twice the affine seed transform",
-            lambda rows: {
-                "values": [row["value"] for row in rows],
-                "wrong": sum(row["value"] != (7 * 31 + row["x"]) * 2
-                             for row in rows)},
-            (("wrong", "==", 0),),
-            "values {values}",
+            "goodput-positive",
+            "Every pinned cell moves traffic",
+            None, (("goodput_mbps", ">", 0),),
+            "{loss}: {goodput_mbps:.3f} Mbps",
         ),
     ),
-    sim_seconds=0.0,
+    sim_seconds=3.0,
 ))
 
 
@@ -153,20 +144,15 @@ class TestCatalog:
     def test_catalog_covers_the_paper_and_names_only_registered_schemes(self):
         """The catalog is the only index of paper artifacts: every
         figure/table id is a spec, and every scheme any cell names — a sweep
-        cell's ``scheme`` and per-flow ``schemes``, or a scenario cell's
-        ``scheme`` kwarg — resolves against the scheme registry."""
+        cell's ``scheme`` and per-flow ``schemes`` — resolves against the
+        scheme registry."""
         assert {"fig4_5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10",
                 "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "fig17", "sec442", "theorems"} <= set(report_spec_ids())
         for spec in list_report_specs():
             for cell in spec.run.cells():
-                if isinstance(cell, SweepCell):
-                    named = [cell.scheme,
-                             *(cell.workload_kwargs.get("schemes") or ())]
-                else:
-                    named = [cell.kwargs["scheme"]] \
-                        if "scheme" in cell.kwargs else []
-                for scheme in named:
+                for scheme in [cell.scheme,
+                               *(cell.workload_kwargs.get("schemes") or ())]:
                     get_scheme(scheme)  # raises when unknown
 
     def test_unknown_spec_id_lists_valid_ids(self):
@@ -176,7 +162,8 @@ class TestCatalog:
     def test_every_catalog_spec_enumerates_cells(self):
         for spec in list_report_specs():
             cells = spec.run.cells()
-            assert cells, spec.spec_id
+            # The analytical spec alone computes its rows without cells.
+            assert cells or spec.spec_id == "theorems", spec.spec_id
             identities = [str(sorted(cell.params().items()))
                           for cell in cells]
             assert len(set(identities)) == len(identities), spec.spec_id
@@ -202,19 +189,6 @@ class TestCatalog:
         assert {batch: [store_key(cell.params()) for cell in batches[batch]]
                 for batch in golden["store_keys"]} == golden["store_keys"]
 
-    def test_scenario_cells_can_only_shrink(self):
-        """The second cell type is an escape hatch being closed: exactly
-        these specs still hand scenario cells to a registered runner, and the
-        catalog registers exactly their runners (this module's own test
-        runner aside)."""
-        holdouts = {spec.spec_id for spec in list_report_specs()
-                    if any(isinstance(cell, ScenarioCell)
-                           for cell in spec.run.cells())}
-        assert holdouts - {"tiny_scenario"} == {"theorems"}
-        assert set(scenario_runner_names()) - {"tiny_scenario_runner"} == {
-            "theorem1_equilibrium", "theorem2_dynamics"}
-
-
     def test_registered_names_can_only_shrink(self):
         """A registered name, or a declared option, is one the evidence
         uses: every built-in scheme, utility, qdisc, topology and workload is
@@ -238,7 +212,7 @@ class TestCatalog:
              "import json\n"
              "from repro.core import utility_names\n"
              "from repro.experiments.sweep import (\n"
-             "    SweepCell, resolve_topology_kwargs, resolve_workload_kwargs,\n"
+             "    resolve_topology_kwargs, resolve_workload_kwargs,\n"
              "    topology_names, workload_names)\n"
              "from repro.netsim import qdisc_names, resolve_qdisc_kwargs\n"
              "from repro.report import list_report_specs\n"
@@ -254,23 +228,22 @@ class TestCatalog:
              "    for name in listed for option in resolve(name, {})}\n"
              "for spec in list_report_specs():\n"
              "    for cell in spec.run.cells():\n"
-             "        if isinstance(cell, SweepCell):\n"
-             "            names -= {\n"
-             "                ('scheme', cell.scheme), ('utility', cell.utility),\n"
-             "                *(('scheme', scheme) for scheme in\n"
-             "                  cell.workload_kwargs.get('schemes') or ()),\n"
-             "                ('qdisc', cell.qdisc),\n"
-             "                ('qdisc', cell.qdisc_kwargs.get('child')),\n"
-             "                ('topology', cell.topology),\n"
-             "                ('workload', cell.workload)}\n"
-             "            options -= {(kind, name, option)\n"
-             "                        for kind, name, kwargs in [\n"
-             "                            ('qdisc', cell.qdisc, cell.qdisc_kwargs),\n"
-             "                            ('topology', cell.topology,\n"
-             "                             cell.topology_kwargs),\n"
-             "                            ('workload', cell.workload,\n"
-             "                             cell.workload_kwargs)]\n"
-             "                        for option in kwargs}\n"
+             "        names -= {\n"
+             "            ('scheme', cell.scheme), ('utility', cell.utility),\n"
+             "            *(('scheme', scheme) for scheme in\n"
+             "              cell.workload_kwargs.get('schemes') or ()),\n"
+             "            ('qdisc', cell.qdisc),\n"
+             "            ('qdisc', cell.qdisc_kwargs.get('child')),\n"
+             "            ('topology', cell.topology),\n"
+             "            ('workload', cell.workload)}\n"
+             "        options -= {(kind, name, option)\n"
+             "                    for kind, name, kwargs in [\n"
+             "                        ('qdisc', cell.qdisc, cell.qdisc_kwargs),\n"
+             "                        ('topology', cell.topology,\n"
+             "                         cell.topology_kwargs),\n"
+             "                        ('workload', cell.workload,\n"
+             "                         cell.workload_kwargs)]\n"
+             "                    for option in kwargs}\n"
              "print(json.dumps({'names': sorted(names),\n"
              "                  'options': sorted(options)}))"],
             check=True, capture_output=True, text=True,
@@ -450,7 +423,15 @@ class TestLedgerFromRows:
 
     def test_golden_covers_the_catalog(self):
         assert set(_golden_report_rows()) == set(report_spec_ids()) - {
-            "tiny_grid", "tiny_scenario"}
+            "tiny_grid", "tiny_pinned"}
+
+    def test_theorems_compute_their_rows_without_cells(self):
+        """The §2.2 theorems are closed-form: the spec executes no cell and
+        its rows come straight from the fluid model."""
+        outcome = run_report_spec("theorems")
+        assert outcome.spec.run.cells() == []
+        assert len(outcome.result) == 0
+        assert outcome.rows == _golden_report_rows()["theorems"]
 
     @pytest.mark.parametrize("spec_id", sorted(_golden_report_rows()))
     def test_section_renders_from_rows(self, spec_id):
@@ -475,11 +456,6 @@ class TestDeterminism:
         assert render_report([one]) == render_report([two])
         assert one.result.to_json() == two.result.to_json()
 
-    def test_scenario_workers_do_not_change_rendered_report(self):
-        one = run_report_spec("tiny_scenario", workers=1)
-        two = run_report_spec("tiny_scenario", workers=2)
-        assert render_report([one]) == render_report([two])
-
     def test_grid_resume_is_byte_identical(self, tmp_path):
         stream = str(tmp_path / "tiny_grid.jsonl")
         store = str(tmp_path / "store")
@@ -495,27 +471,6 @@ class TestDeterminism:
         assert render_report([resumed]) == baseline
         # The stream is complete and self-contained.
         assert len(ResultSet.load(stream)) == len(cells)
-
-    def test_scenario_resume_is_byte_identical(self, tmp_path):
-        stream = str(tmp_path / "tiny_scenario.jsonl")
-        store = str(tmp_path / "store")
-        baseline = render_report([run_report_spec("tiny_scenario")])
-        run_report_spec("tiny_scenario", jsonl_path=stream)
-        # Simulate a crash: drop the last record line, then resume from a
-        # store filled with what the stream still holds.
-        with open(stream) as handle:
-            lines = handle.read().splitlines(keepends=True)
-        with open(stream, "w") as handle:
-            handle.writelines(lines[:-1])
-        prior = ResultSet.load(stream)
-        with CellStore(store) as cell_store:
-            for record, wall in zip(prior.cells, prior.timings, strict=True):
-                cell_store.put(record, wall)
-        resumed = run_report_spec("tiny_scenario", jsonl_path=stream,
-                                  store=store)
-        assert resumed.result.reuse["executed"] == 1
-        assert render_report([resumed]) == baseline
-        assert len(ResultSet.load(stream)) == 3
 
     def test_golden_tiny_report(self):
         golden_path = os.path.join(_DATA_DIR, "golden_tiny_report.md")
@@ -547,16 +502,16 @@ class TestCli:
     def test_cli_runs_tiny_spec_and_writes_report(self, tmp_path, capsys):
         report = str(tmp_path / "REPORT.md")
         jsonl_dir = str(tmp_path / "cells")
-        code = report_main(["--only", "tiny_scenario", "--report", report,
+        code = report_main(["--only", "tiny_pinned", "--report", report,
                             "--jsonl", jsonl_dir])
         assert code == 0
         out = capsys.readouterr().out
-        assert "tiny_scenario: 3 cells" in out
+        assert "tiny_pinned: 3 cells" in out
         assert os.path.exists(os.path.join(jsonl_dir,
-                                           "tiny_scenario.jsonl"))
+                                           "tiny_pinned.jsonl"))
         with open(report) as handle:
             text = handle.read()
-        assert "Tiny test scenario list" in text
+        assert "Tiny test pinned-cell list" in text
 
     def test_a_failed_render_leaves_the_existing_report(self, tmp_path,
                                                         monkeypatch):
@@ -570,7 +525,7 @@ class TestCli:
 
         monkeypatch.setattr("repro.report.cli.render_report", broken_render)
         with pytest.raises(TypeError, match="NoneType"):
-            report_main(["--only", "tiny_scenario", "--report", str(report)])
+            report_main(["--only", "tiny_pinned", "--report", str(report)])
         assert report.read_text() == "the checked-in ledger\n"
         assert os.listdir(tmp_path) == ["REPORT.md"]
 
@@ -578,7 +533,7 @@ class TestCli:
         # A partial ledger written to the default path would silently
         # replace the checked-in full REPORT.md.
         with pytest.raises(SystemExit):
-            report_main(["--only", "tiny_scenario"])
+            report_main(["--only", "tiny_pinned"])
         assert "--report" in capsys.readouterr().err
 
     def test_matrix_check_against_experiments_md(self):

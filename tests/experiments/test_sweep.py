@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+from repro.core import LatencyUtility, LossResilientUtility, SafeUtility
+from repro.experiments import runner
 from repro.experiments.execute import execute_cells
 from repro.experiments.store import store_key
 from repro.experiments.sweep import (
@@ -600,6 +602,32 @@ class TestUtilitiesAxis:
         a = sweep(base, base_seed=5)
         b = sweep(resilient, base_seed=5)
         assert a.cells[0]["flows"] != b.cells[0]["flows"]
+
+    @pytest.mark.parametrize("utility, kind", [
+        (None, SafeUtility),
+        ("latency", LatencyUtility),
+        ("loss_resilient", LossResilientUtility),
+    ])
+    def test_cell_utility_reaches_the_controller(self, utility, kind,
+                                                 monkeypatch):
+        """The PCC flow ``run_cell`` builds for a cell scores its monitor
+        intervals with the cell's utility, whether or not the trajectory
+        happens to differ from the safe utility's at a given seed."""
+        built = []
+
+        def capturing_run_flows(*args, **kwargs):
+            result = runner.run_flows(*args, **kwargs)
+            built.extend(result.flows)
+            return result
+
+        monkeypatch.setattr("repro.experiments.sweep.run_flows",
+                            capturing_run_flows)
+        run_cell(hand_cell(scheme="pcc", num_flows=1, loss_rate=0.01,
+                           duration=0.5, utility=utility))
+        (flow,) = built
+        (pcc,) = flow.schemes
+        assert type(pcc.utility_function) is kind
+        assert pcc.monitor.utility_function is pcc.utility_function
 
 
 class TestAblationSweeps:
