@@ -10,6 +10,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -44,6 +45,7 @@ from repro.report import (
 from repro.report import specs as catalog
 from repro.report.cli import main as report_main
 from repro.schemes import get_scheme
+from repro.units import MS_PER_S
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -254,6 +256,42 @@ class TestCatalog:
             == set(allowed_options)
 
 
+def _row(rows, **values):
+    """The one row holding every ``key=value``."""
+    (row,) = [row for row in rows
+              if all(row[key] == value for key, value in values.items())]
+    return row
+
+
+#: Where each ported spec's rows hold what the runner it replaced returned
+#: for one cell: ``(rows, cell, metrics, golden index) -> (row, values)``.
+#: fig16 has a row per cell and fig17 a row per golden entry, in order.
+_PORTED_ROWS = {
+    "fig8": lambda rows, cell, metrics, i: (
+        _row(rows, long_rtt_ms=cell.rtt * MS_PER_S),
+        {cell.scheme: metrics["ratio"]}),
+    "fig11": lambda rows, cell, metrics, i: (
+        _row(rows, scheme=cell.scheme), metrics),
+    "fig12": lambda rows, cell, metrics, i: (_row(rows, scheme=cell.scheme), {
+        "min_flow_mean": min(metrics["flow_means"]),
+        "max_flow_mean": max(metrics["flow_means"]),
+        "sum_flow_means": sum(metrics["flow_means"]),
+        "avg_rate_stddev": statistics.mean(metrics["rate_stddevs"])}),
+    "fig13": lambda rows, cell, metrics, i: (
+        _row(rows, scheme=cell.scheme),
+        {f"{scale}s": jain for scale, jain in metrics["jain"].items()}),
+    "fig14": lambda rows, cell, metrics, i: (
+        _row(rows, num_selfish=cell.num_flows - 1),
+        {("tcp_vs_pcc_mbps" if cell.scheme == "pcc"
+          else "tcp_vs_bundle_mbps"): metrics["normal_tcp_mbps"]}),
+    "fig16": lambda rows, cell, metrics, i: (rows[i], {
+        "convergence_time_s": metrics["convergence_time"],
+        "rate_stddev_mbps": metrics["rate_std_dev_mbps"]}),
+    "fig17": lambda rows, cell, metrics, i: (rows[i], {
+        "power": metrics["mean_power"], "mean_rtt_ms": metrics["mean_rtt_ms"]}),
+}
+
+
 class TestPinnedCellPort:
     def test_sweep_cells_match_the_scenario_runners_they_replaced(self):
         """The golden file holds what the ``internet_path`` /
@@ -299,27 +337,39 @@ class TestPinnedCellPort:
         ``dynamic_network`` / ``convergence_stats`` / ``jain_timescales`` /
         ``friendliness`` / ``tradeoff`` / ``aqm_power`` runners returned at
         the last commit that had them, for catalog cells shortened as each
-        entry's ``replace`` says.  The sweep cell that replaced each, read
-        back from JSON as the store would hand it over, and the per-record
-        extraction its spec's ``rows()`` is built on must reproduce every
-        number that extraction still computes, exactly."""
+        entry's ``replace`` says.  The spec's ``rows()`` over the sweep cells
+        that replaced them, read back from JSON as the store would hand them
+        over, must carry every number the runner's value becomes in a row
+        (``_PORTED_ROWS``), exactly.  ``rows()`` needs every cell of its
+        spec; a cell with no entry runs for one simulated second and its
+        row is not checked."""
         with open(os.path.join(_DATA_DIR, "golden_ported_cells.json")) as fh:
             golden = json.load(fh)
-        for entry in golden["cells"]:
-            index = entry["index"]
-            if entry["spec"] == "fig17":
-                # Cell i was row i until the two fq_codel rows began to
-                # render from the codel cells, the same construction.
-                index = list(catalog._FIG17_INDEX.values())[index]
-            cell = get_report_spec(entry["spec"]).run.cells()[index]
-            assert isinstance(cell, SweepCell)
-            assert cell.seed == entry["seed"]
-            record = run_cell(dataclasses.replace(cell, **entry["replace"]))
-            extract = getattr(catalog, f"_{entry['spec']}_metrics")
-            metrics = extract(json.loads(json.dumps(record)))
-            assert metrics and metrics == {
-                key: entry["metrics"][key] for key in metrics
-            }, (entry["spec"], entry["index"])
+        for spec_id in sorted({entry["spec"] for entry in golden["cells"]}):
+            spec = get_report_spec(spec_id)
+            catalog_cells = spec.run.cells()
+            cells = [dataclasses.replace(cell, duration=1.0)
+                     for cell in catalog_cells]
+            checks = []
+            for entry in golden["cells"]:
+                if entry["spec"] != spec_id:
+                    continue
+                index = entry["index"]
+                if spec_id == "fig17":
+                    # Cell i was row i until the two fq_codel rows began to
+                    # render from the codel cells, the same construction.
+                    index = list(catalog._FIG17_INDEX.values())[index]
+                cell = catalog_cells[index]
+                assert cell.seed == entry["seed"]
+                cells[index] = dataclasses.replace(cell, **entry["replace"])
+                checks.append((entry, cell))
+            rows = spec.rows(ResultSet(spec.run.base_seed, [
+                json.loads(json.dumps(run_cell(cell))) for cell in cells]))
+            for entry, cell in checks:
+                row, want = _PORTED_ROWS[spec_id](
+                    rows, cell, entry["metrics"], entry["index"])
+                assert {key: row[key] for key in want} == want, (
+                    spec_id, entry["index"])
 
 
 class TestClaimEvaluation:
@@ -447,6 +497,41 @@ class TestLedgerFromRows:
         columns = get_report_spec(spec_id).columns
         for row in _golden_report_rows()[spec_id]:
             assert set(columns) <= set(row), (spec_id, row)
+
+
+#: The simulated seconds each cell of ``golden_capped_rows.json`` is cut to.
+_ROWS_CAP_S = 1.0
+
+
+def _capped_rows(spec_id):
+    """``spec_id``'s rows over its own cells, each cut to ``_ROWS_CAP_S``."""
+    spec = get_report_spec(spec_id)
+    cells = [dataclasses.replace(cell, duration=min(cell.duration, _ROWS_CAP_S))
+             for cell in spec.run.cells()]
+    return spec.rows(execute_cells(cells, run_cell, spec.run.base_seed))
+
+
+def _golden_capped_rows():
+    with open(os.path.join(_DATA_DIR, "golden_capped_rows.json")) as handle:
+        return json.load(handle)
+
+
+class TestCappedRows:
+    """``golden_capped_rows.json`` holds every simulated spec's rows over
+    its own cells cut to one simulated second, so the step from records to
+    rows is checked in seconds.  fig12 is left out: its rows read seconds
+    65-119 and raise on a one-second cell (the full report covers it).
+    Regenerate with ``{spec_id: _capped_rows(spec_id)}`` only when a row is
+    meant to move, and say so in CHANGES.md."""
+
+    def test_golden_covers_every_simulated_spec_but_fig12(self):
+        assert set(_golden_capped_rows()) == set(report_spec_ids()) - {
+            "theorems", "fig12", "tiny_grid", "tiny_pinned"}
+
+    @pytest.mark.parametrize("spec_id", sorted(_golden_capped_rows()))
+    def test_rows_over_capped_cells(self, spec_id):
+        assert json.dumps(_capped_rows(spec_id), sort_keys=True) \
+            == json.dumps(_golden_capped_rows()[spec_id], sort_keys=True)
 
 
 class TestDeterminism:
