@@ -3,9 +3,10 @@
 Declares a small loss-rate sweep comparing PCC with CUBIC, runs it with
 deterministic per-cell seeds (the results are bit-identical no matter how many
 workers are used), puts each cell's record into a cell store as it completes,
-prints the grid via the ResultSet query helpers, and writes the canonical JSON
-next to this script.  Because the run passes ``store``, re-running this script
-after interrupting it simulates only the cells that were not yet stored.
+prints each cell's goodput (``ResultSet.goodput_mbps``), and writes the
+canonical JSON next to this script.  Because the run passes ``store``,
+re-running this script after interrupting it simulates only the cells that
+were not yet stored.
 
 Run with:  python examples/sweep_quickstart.py
 
@@ -40,13 +41,13 @@ def main() -> None:
 
     print(f"=== loss sweep on a 25 Mbps / 30 ms link ({workers} workers) ===")
     print(f"{'scheme':<8} {'loss':>6} {'goodput_mbps':>13}")
-    for scheme, per_scheme in result.groupby("scheme").items():
-        for cell in per_scheme:
-            goodput = sum(flow["goodput_mbps"] for flow in cell["flows"])
-            print(f"{scheme:<8} {cell['cell']['loss_rate']:>6.3f} {goodput:>13.2f}")
-    means = result.aggregate("goodput_mbps", by="scheme")
-    for scheme in sorted(means):
-        print(f"mean over the loss axis: {scheme:<8} {means[scheme]:.2f} Mbps")
+    for scheme in grid.schemes:
+        goodputs = [result.goodput_mbps(scheme=scheme, loss_rate=loss)
+                    for loss in grid.loss_rates]
+        for loss, goodput in zip(grid.loss_rates, goodputs, strict=True):
+            print(f"{scheme:<8} {loss:>6.3f} {goodput:>13.2f}")
+        print(f"mean over the loss axis: {scheme:<8} "
+              f"{sum(goodputs) / len(goodputs):.2f} Mbps")
     print(f"\n{result.total_events:,} simulator events, "
           f"{result.events_per_second():,.0f} events/s across the sweep")
 

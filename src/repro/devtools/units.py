@@ -1145,8 +1145,8 @@ register_lint_rule(
 `_bytes`/`_bits` for sizes.  Non-canonical spellings fracture the suffix
 convention that both this checker and every human reader rely on for unit
 inference.  `_seconds` is grandfathered as a verbose alias of `_s` because
-`sim_seconds` is an archived cell-identity key that cannot be renamed
-without invalidating every stored result; new code uses `_s`.""")
+every record carries an archived `engine.simulated_seconds` key that cannot
+be renamed without invalidating every stored result; new code uses `_s`.""")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,12 @@ interruption nor pays for its result several times over in memory:
   usable;
 * :class:`ResultSet` is the in-memory view: built incrementally by
   :func:`repro.experiments.sweep.sweep`, reconstructed from prior runs with
-  :meth:`ResultSet.load` (JSONL *or* the legacy monolithic JSON), and queried
-  with :meth:`~ResultSet.filter` / :meth:`~ResultSet.groupby` /
-  :meth:`~ResultSet.aggregate`.
+  :meth:`ResultSet.load` (JSONL *or* the monolithic JSON), and read one
+  record at a time with :meth:`~ResultSet.one`.
 
-The canonical view is preserved exactly: :meth:`ResultSet.to_json` emits the
-same sorted-key, cell-index-ordered payload the old all-in-memory result
-class did, so the byte-identical-across-worker-counts guarantee — and every
-archived golden file — survives the migration.
+:meth:`ResultSet.to_json` emits one sorted-key, cell-index-ordered payload,
+byte-identical for the same set of cells whatever the worker count or
+completion order, so archived golden files compare byte for byte.
 
 What each direction holds in memory beside the records themselves (ratcheted
 with ``tracemalloc`` in ``tests/experiments/test_results.py``):
@@ -48,18 +46,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import statistics
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 __all__ = [
     "RESULTSET_FORMAT",
@@ -105,7 +92,8 @@ def _matches(identity: Dict[str, Any], params: Dict[str, Any]) -> bool:
 
 
 def _group_value(value: Any) -> Any:
-    """A hashable stand-in for an identity value (dicts become canonical JSON)."""
+    """An identity value as a lookup error shows it (dicts become canonical
+    JSON, so two equal dicts print alike)."""
     if isinstance(value, (dict, list)):
         return json.dumps(value, sort_keys=True)
     return value
@@ -251,9 +239,8 @@ class ResultSet:
 
     # -- canonical ordering ---------------------------------------------------
     def _order(self) -> List[int]:
-        # Memoized: query helpers (find/filter/groupby/goodput_mbps loops)
-        # hit the canonical ordering repeatedly, and resorting per access
-        # would make per-cell lookup loops quadratic on large sweeps.
+        # Memoized: a spec's rows call one() once per row cell, and resorting
+        # per access would make those lookup loops quadratic on large sweeps.
         if self._order_cache is None:
             self._order_cache = sorted(
                 range(len(self._records)),
@@ -265,11 +252,6 @@ class ResultSet:
     def cells(self) -> List[Dict[str, Any]]:
         """The records in canonical (ascending cell index) order."""
         return [self._records[i] for i in self._order()]
-
-    @property
-    def records(self) -> List[Dict[str, Any]]:
-        """Alias of :attr:`cells` under the new API's vocabulary."""
-        return self.cells
 
     @property
     def timings(self) -> List[float]:
@@ -380,91 +362,32 @@ class ResultSet:
                     )
         return result
 
-    # -- queries --------------------------------------------------------------
-    def find(self, **params: Any) -> List[Dict[str, Any]]:
-        """Records whose identity matches every constraint (see :meth:`filter`)."""
-        return [record for record in self.cells
-                if _matches(record["cell"], params)]
+    # -- lookup ---------------------------------------------------------------
+    def one(self, **params: Any) -> Dict[str, Any]:
+        """The single record whose identity matches every constraint.
 
-    def filter(self, **params: Any) -> "ResultSet":
-        """A sub-:class:`ResultSet` of the cells matching every constraint.
-
-        Constraint values are compared for equality, or — when callable —
-        applied as predicates: ``filter(scheme="pcc", loss_rate=lambda v: v > 0)``.
+        A constraint value is compared for equality or, when callable,
+        applied as a predicate to the identity's value:
+        ``one(scheme="pcc", loss_rate=lambda v: v > 0)``, or
+        ``one(workload_kwargs=lambda kw: kw["load"] == 0.5)`` for a
+        dict-valued entry.  Zero and many matches raise distinct
+        ``KeyError``s that name the parameters at fault: a zero-match error
+        reports which constraint eliminated every cell (with the values
+        actually present), a many-match error reports which identity
+        parameters would disambiguate.
         """
-        picked = [(record, wall)
-                  for record, wall in zip(self.cells, self.timings, strict=True)
-                  if _matches(record["cell"], params)]
-        return ResultSet(
-            self.base_seed,
-            records=[record for record, _ in picked],
-            timings=[wall for _, wall in picked],
-        )
-
-    def groupby(self, *keys: str) -> Dict[Any, "ResultSet"]:
-        """Partition by identity key(s): ``{value_or_tuple: ResultSet}``.
-
-        Group labels are the identity values themselves (a scalar for one key,
-        a tuple for several); dict-valued identity entries such as
-        ``topology_kwargs`` are labelled by their canonical JSON.  Groups
-        appear in canonical cell order.
-        """
-        if not keys:
-            raise ValueError("groupby needs at least one identity key")
-        groups: Dict[Any, ResultSet] = {}
-        for record, wall in zip(self.cells, self.timings, strict=True):
-            identity = record["cell"]
-            values = tuple(_group_value(identity.get(key)) for key in keys)
-            label = values[0] if len(keys) == 1 else values
-            groups.setdefault(label, ResultSet(self.base_seed)).append(record, wall)
-        return groups
-
-    def aggregate(
-        self,
-        metric: Union[str, Callable[[Dict[str, Any]], float]],
-        by: Union[str, Sequence[str], None] = None,
-        reduce: Callable[[List[float]], float] = statistics.mean,
-    ) -> Union[float, Dict[Any, float]]:
-        """Reduce a per-cell metric, optionally per identity group.
-
-        ``metric`` is a flow summary key (summed across the cell's flows —
-        ``"goodput_mbps"`` gives each cell's total goodput) or a callable over
-        the full record.  Without ``by``, returns one reduced value over every
-        cell; with ``by`` (an identity key or sequence of keys), returns
-        ``{group_label: reduced_value}``.  ``reduce`` defaults to the mean.
-        """
-        if by is None:
-            values = [self._metric_value(record, metric) for record in self.cells]
-            if not values:
-                raise ValueError("cannot aggregate an empty ResultSet")
-            return reduce(values)
-        keys = (by,) if isinstance(by, str) else tuple(by)
-        return {
-            label: group.aggregate(metric, reduce=reduce)
-            for label, group in self.groupby(*keys).items()
-        }
-
-    @staticmethod
-    def _metric_value(record: Dict[str, Any],
-                      metric: Union[str, Callable[[Dict[str, Any]], float]]) -> float:
-        if callable(metric):
-            return float(metric(record))
-        return float(sum(flow[metric] for flow in record["flows"]))
-
-    def goodput_mbps(self, **params: Any) -> float:
-        """Total goodput (Mbps, summed over flows) of the single matching cell.
-
-        Zero and many matches raise distinct ``KeyError``s that name the
-        parameters at fault: a zero-match error reports which constraint
-        eliminated every cell (with the values actually present), a many-match
-        error reports which identity parameters would disambiguate.
-        """
-        matches = self.find(**params)
+        matches = [record for record in self.cells
+                   if _matches(record["cell"], params)]
         if len(matches) == 1:
-            return float(sum(flow["goodput_mbps"] for flow in matches[0]["flows"]))
+            return matches[0]
         if not matches:
             raise KeyError(self._no_match_message(params))
         raise KeyError(self._ambiguous_message(params, matches))
+
+    def goodput_mbps(self, **params: Any) -> float:
+        """Total goodput (Mbps, summed over flows) of :meth:`one`'s record."""
+        return float(sum(flow["goodput_mbps"]
+                         for flow in self.one(**params)["flows"]))
 
     def _no_match_message(self, params: Dict[str, Any]) -> str:
         if not self._records:
@@ -472,6 +395,10 @@ class ResultSet:
         culprits = []
         for key, want in sorted(params.items()):
             if callable(want):
+                if not any(want(record["cell"].get(key))
+                           for record in self._records):
+                    culprits.append(f"{key} (no cell's value satisfies "
+                                    f"the predicate)")
                 continue
             observed = sorted({repr(_group_value(record["cell"].get(key)))
                                for record in self._records})

@@ -121,9 +121,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         print(f"{'spec':<16} {'§':<6} {'cells':>5} {'sim_s':>7}  title")
         for spec in specs:
-            cells = len(spec.run.cells())
-            print(f"{spec.spec_id:<16} {spec.paper_section:<6} {cells:>5} "
-                  f"{spec.sim_seconds:>7.0f}  {spec.title}")
+            cells = spec.run.cells()
+            sim_s = sum(cell.duration for cell in cells)
+            print(f"{spec.spec_id:<16} {spec.paper_section:<6} {len(cells):>5} "
+                  f"{sim_s:>7.0f}  {spec.title}")
         return 0
     if args.workers < 1:
         parser.error("--workers must be >= 1")

@@ -206,10 +206,11 @@ class ReportSpec:
     """One paper figure/table: what to run, extract, assert, and render.
 
     ``rows(result)`` turns the executed :class:`ResultSet` into the list of
-    dict rows the figure's table shows, rendered under ``columns`` (a row
-    may carry more keys, for its claims); ``claims`` are evaluated against
-    those rows alone into the claim ledger.  ``sim_seconds`` is the total
-    simulated seconds ``--list`` prints.
+    dict rows the figure's table shows (reading each record it needs with
+    :meth:`ResultSet.one`), rendered under ``columns`` (a row may carry more
+    keys, for its claims); ``claims`` are evaluated against those rows alone
+    into the claim ledger.  What a spec costs follows from ``run``:
+    ``--list`` prints its cells and the sum of their durations.
     """
 
     spec_id: str
@@ -219,7 +220,6 @@ class ReportSpec:
     rows: Callable[[ResultSet], List[Dict[str, Any]]]
     columns: Tuple[str, ...]
     claims: Tuple[Claim, ...]
-    sim_seconds: float
     notes: str = ""
 
 

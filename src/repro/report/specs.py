@@ -16,7 +16,7 @@ import math
 import random
 import statistics
 from itertools import product
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..analysis import (
     FluidModel,
@@ -56,24 +56,26 @@ _SCALING = "EXPERIMENTS.md § per-experiment scaling notes"
 _DEVIATIONS = "EXPERIMENTS.md § documented deviations"
 
 
-def _record(result: ResultSet, **params: Any) -> Dict[str, Any]:
-    """Return the single record matching ``params``."""
-    matches = result.find(**params)
-    if len(matches) != 1:
-        raise KeyError(f"{len(matches)} records match {params!r}, expected 1")
-    return matches[0]
+def _has(key: str, value: Any) -> Callable[[Dict[str, Any]], bool]:
+    """A :meth:`ResultSet.one` constraint on a dict-valued identity entry
+    (``workload_kwargs``, ``topology_kwargs``): its ``key`` is ``value``."""
+    return lambda kwargs: kwargs[key] == value
 
 
-def _fct_flows(result: ResultSet, scheme: str, load: float) -> List[Dict[str, Any]]:
-    """The per-flow summaries of the single (scheme, load) cell of a
-    ``web`` workload grid."""
-    matches = result.find(
-        scheme=scheme,
-        workload_kwargs=lambda kw: kw["load"] == load)
-    if len(matches) != 1:
-        raise KeyError(f"expected one cell for scheme={scheme!r} load={load}"
-                       f", found {len(matches)}")
-    return matches[0]["flows"]
+def _goodput_rows(
+    axis: str,
+    values: Tuple[Any, ...],
+    schemes: Tuple[str, ...],
+    column: str,
+    divisor: float = 1.0,
+) -> Callable[[ResultSet], List[Dict[str, Any]]]:
+    """A rows function: one row per ``axis`` value, shown under ``column``
+    as the value over ``divisor``, with every scheme's goodput."""
+    return lambda result: [
+        {column: value / divisor,
+         **{scheme: result.goodput_mbps(scheme=scheme, **{axis: value})
+            for scheme in schemes}}
+        for value in values]
 
 
 def _mbps_series(flow: Dict[str, Any], start: float, end: float) -> List[float]:
@@ -84,6 +86,15 @@ def _mbps_series(flow: Dict[str, Any], start: float, end: float) -> List[float]:
     """
     return [delivered * BITS_PER_BYTE / BPS_PER_MBPS
             for delivered in flow["delivered_bytes"][int(start):int(end) + 1]]
+
+
+def _joined_series(record: Dict[str, Any], settle: float) -> List[List[float]]:
+    """Every flow's per-second goodput from ``settle`` seconds after the
+    last flow joins to 1 s before the end of a staggered cell."""
+    cell = record["cell"]
+    start = cell["stagger"] * (cell["num_flows"] - 1) + settle
+    return [_mbps_series(flow, start, cell["duration"] - 1.0)
+            for flow in record["flows"]]
 
 
 #: Bottleneck capacity of the multi-flow contention specs (convergence,
@@ -211,7 +222,6 @@ register_report_spec(ReportSpec(
                       "from loss better than the real one",
         ),
     ),
-    sim_seconds=len(_F45_PATH_SEEDS) * len(_F45_SCHEMES) * _F45_DURATION,
     notes="510 PlanetLab/GENI pairs replaced by a synthetic wide-area path "
           "sampler (see EXPERIMENTS.md).",
 ))
@@ -290,7 +300,6 @@ register_report_spec(ReportSpec(
                       "100 Mbps, 8 s transfers",
         ),
     ),
-    sim_seconds=len(_T1_PAIRS) * len(_T1_SCHEMES) * _T1_DURATION,
     notes="Reserved paths modelled as a small-buffer rate limiter.",
 ))
 
@@ -300,18 +309,6 @@ register_report_spec(ReportSpec(
 # --------------------------------------------------------------------------- #
 _F6_SCHEMES = ("pcc", "hybla", "illinois", "cubic")
 _F6_BUFFERS = (7_500.0, 1_000_000.0)
-
-
-def _fig6_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per buffer size with every scheme's goodput."""
-    rows = []
-    for buffer_bytes in _F6_BUFFERS:
-        row: Dict[str, Any] = {"buffer_kb": buffer_bytes / BYTES_PER_KB}
-        for scheme in _F6_SCHEMES:
-            row[scheme] = result.goodput_mbps(scheme=scheme,
-                                              buffer_bytes=buffer_bytes)
-        rows.append(row)
-    return rows
 
 
 register_report_spec(ReportSpec(
@@ -326,7 +323,8 @@ register_report_spec(ReportSpec(
         buffers_bytes=_F6_BUFFERS,
         duration=60.0,
     ),), base_seed=3),
-    rows=_fig6_rows,
+    rows=_goodput_rows("buffer_bytes", _F6_BUFFERS, _F6_SCHEMES, "buffer_kb",
+                       BYTES_PER_KB),
     columns=("buffer_kb",) + _F6_SCHEMES,
     claims=(
         Claim(
@@ -353,7 +351,6 @@ register_report_spec(ReportSpec(
                       "paper measured",
         ),
     ),
-    sim_seconds=len(_F6_SCHEMES) * len(_F6_BUFFERS) * 60.0,
 ))
 
 
@@ -362,16 +359,6 @@ register_report_spec(ReportSpec(
 # --------------------------------------------------------------------------- #
 _F7_SCHEMES = ("pcc", "illinois", "cubic")
 _F7_LOSSES = (0.001, 0.01, 0.02, 0.04)
-
-
-def _fig7_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per loss rate with every scheme's goodput."""
-    goodput = result.aggregate("goodput_mbps", by=("scheme", "loss_rate"))
-    return [
-        {"loss": loss, **{scheme: goodput[(scheme, loss)]
-                          for scheme in _F7_SCHEMES}}
-        for loss in _F7_LOSSES
-    ]
 
 
 register_report_spec(ReportSpec(
@@ -390,7 +377,7 @@ register_report_spec(ReportSpec(
         duration=15.0,
         reverse_loss=True,
     ),), base_seed=4),
-    rows=_fig7_rows,
+    rows=_goodput_rows("loss_rate", _F7_LOSSES, _F7_SCHEMES, "loss"),
     columns=("loss",) + _F7_SCHEMES,
     claims=(
         Claim(
@@ -419,7 +406,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig7)",
         ),
     ),
-    sim_seconds=len(_F7_SCHEMES) * len(_F7_LOSSES) * 15.0,
 ))
 
 
@@ -456,25 +442,19 @@ def _fig8_cells() -> List[SweepCell]:
     ]
 
 
-def _fig8_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Long/short delivered-byte ratio once the short flow has joined.
-
-    Counted from one second after it joins to the end of the run.
-    """
-    first = int(record["cell"]["stagger"] + 1.0)
-    long_bytes, short_bytes = (sum(flow["delivered_bytes"][first:])
-                               for flow in record["flows"])
-    return {"ratio": throughput_ratio(long_bytes, short_bytes)}
-
-
 def _fig8_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per long RTT with every scheme's long/short ratio."""
+    """One row per long RTT with every scheme's long/short delivered-byte
+    ratio, counted from one second after the short flow joins to the end of
+    the run."""
     rows = []
     for long_rtt in _F8_LONG_RTTS:
         row: Dict[str, Any] = {"long_rtt_ms": long_rtt * MS_PER_S}
         for scheme in _F8_SCHEMES:
-            row[scheme] = _fig8_metrics(
-                _record(result, scheme=scheme, rtt=long_rtt))["ratio"]
+            record = result.one(scheme=scheme, rtt=long_rtt)
+            first = int(record["cell"]["stagger"] + 1.0)
+            long_bytes, short_bytes = (sum(flow["delivered_bytes"][first:])
+                                       for flow in record["flows"])
+            row[scheme] = throughput_ratio(long_bytes, short_bytes)
         rows.append(row)
     return rows
 
@@ -503,7 +483,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig8): 0.3 floor instead of the paper's near-1 ratios",
         ),
     ),
-    sim_seconds=len(_F8_SCHEMES) * len(_F8_LONG_RTTS) * 40.0,
 ))
 
 
@@ -513,18 +492,6 @@ register_report_spec(ReportSpec(
 _F9_SCHEMES = ("pcc", "reno_paced", "cubic")
 # Buffer depths in packets (x MSS): 1-packet "shallow" up to deep/BDP-scale.
 _F9_BUFFERS = tuple(packets * float(DEFAULT_MSS) for packets in (1, 6, 30, 250))
-
-
-def _fig9_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per buffer size with every scheme's goodput."""
-    rows = []
-    for buffer_bytes in _F9_BUFFERS:
-        row: Dict[str, Any] = {"buffer_kb": buffer_bytes / BYTES_PER_KB}
-        for scheme in _F9_SCHEMES:
-            row[scheme] = result.goodput_mbps(scheme=scheme,
-                                              buffer_bytes=buffer_bytes)
-        rows.append(row)
-    return rows
 
 
 register_report_spec(ReportSpec(
@@ -538,7 +505,8 @@ register_report_spec(ReportSpec(
         buffers_bytes=_F9_BUFFERS,
         duration=15.0,
     ),), base_seed=5),
-    rows=_fig9_rows,
+    rows=_goodput_rows("buffer_bytes", _F9_BUFFERS, _F9_SCHEMES, "buffer_kb",
+                       BYTES_PER_KB),
     columns=("buffer_kb",) + _F9_SCHEMES,
     claims=(
         Claim(
@@ -563,7 +531,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig9): ordering asserted, not the paper's 35x factor",
         ),
     ),
-    sim_seconds=len(_F9_SCHEMES) * len(_F9_BUFFERS) * 15.0,
 ))
 
 
@@ -660,7 +627,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig10): 30% floor of the fabric rate",
         ),
     ),
-    sim_seconds=len(_F10_BLOCKS_KB) * len(_F10_SENDERS) * 2 * 5.0,
 ))
 
 
@@ -670,20 +636,20 @@ register_report_spec(ReportSpec(
 _F11_SCHEMES = ("pcc", "cubic", "illinois")
 
 
-def _fig11_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """The flow's goodput against the link's time-weighted mean capacity."""
-    (flow,) = record["flows"]
-    goodput = flow["goodput_mbps"]
-    optimal = record["link"]["mean_optimal_mbps"]
-    return {"goodput_mbps": goodput, "optimal_mbps": optimal,
-            "fraction_of_optimal": goodput / optimal if optimal > 0 else 0.0}
-
-
 def _fig11_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per scheme with goodput vs the time-weighted optimum."""
-    return [{"scheme": scheme,
-             **_fig11_metrics(_record(result, scheme=scheme))}
-            for scheme in _F11_SCHEMES]
+    """One row per scheme: its flow's goodput against the link's
+    time-weighted mean capacity."""
+    rows = []
+    for scheme in _F11_SCHEMES:
+        record = result.one(scheme=scheme)
+        (flow,) = record["flows"]
+        goodput = flow["goodput_mbps"]
+        optimal = record["link"]["mean_optimal_mbps"]
+        rows.append({"scheme": scheme, "goodput_mbps": goodput,
+                     "optimal_mbps": optimal,
+                     "fraction_of_optimal": (goodput / optimal if optimal > 0
+                                             else 0.0)})
+    return rows
 
 
 register_report_spec(ReportSpec(
@@ -719,7 +685,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig11): 1.5x/1.2x floors instead of the paper's 14x/5.6x",
         ),
     ),
-    sim_seconds=len(_F11_SCHEMES) * 50.0,
 ))
 
 
@@ -732,31 +697,21 @@ _F12_FLOW_DURATION = 60.0
 _F12_BANDWIDTH = _CONTENTION_BANDWIDTH
 
 
-def _fig12_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Each flow's mean and stddev of per-second goodput at steady state.
-
-    Steady state runs from 5 s after the last flow joins to 1 s before the
-    end.
-    """
-    cell = record["cell"]
-    start = cell["stagger"] * (cell["num_flows"] - 1) + 5.0
-    series = [_mbps_series(flow, start, cell["duration"] - 1.0)
-              for flow in record["flows"]]
-    return {"flow_means": [statistics.mean(s) for s in series],
-            "rate_stddevs": [statistics.pstdev(s) for s in series]}
-
-
 def _fig12_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per scheme with per-flow steady-state statistics."""
+    """One row per scheme with its flows' mean and stddev of per-second
+    goodput at steady state: from 5 s after the last flow joins to 1 s
+    before the end."""
     rows = []
     for scheme in ("pcc", "cubic"):
-        metrics = _fig12_metrics(_record(result, scheme=scheme))
+        series = _joined_series(result.one(scheme=scheme), 5.0)
+        means = [statistics.mean(s) for s in series]
         rows.append({
             "scheme": scheme,
-            "min_flow_mean": min(metrics["flow_means"]),
-            "max_flow_mean": max(metrics["flow_means"]),
-            "sum_flow_means": sum(metrics["flow_means"]),
-            "avg_rate_stddev": statistics.mean(metrics["rate_stddevs"]),
+            "min_flow_mean": min(means),
+            "max_flow_mean": max(means),
+            "sum_flow_means": sum(means),
+            "avg_rate_stddev": statistics.mean(
+                [statistics.pstdev(s) for s in series]),
         })
     return rows
 
@@ -796,7 +751,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig12): 1.5x allowance instead of the paper's clear separation",
         ),
     ),
-    sim_seconds=2 * (_F12_STAGGER * (_F12_FLOWS - 1) + _F12_FLOW_DURATION),
 ))
 
 
@@ -807,26 +761,15 @@ _F13_SCHEMES = ("pcc", "cubic", "reno")
 _F13_TIMESCALES = (1.0, 5.0, 15.0, 30.0)
 
 
-def _fig13_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Jain's index per averaging time scale while every flow is active.
-
-    That interval starts 1 s after the last flow joins.
-    """
-    cell = record["cell"]
-    start = cell["stagger"] * (cell["num_flows"] - 1) + 1.0
-    series = [_mbps_series(flow, start, cell["duration"] - 1.0)
-              for flow in record["flows"]]
-    return {"jain": {f"{t:g}": jain_index_over_timescales(series, 1.0, t)
-                     for t in _F13_TIMESCALES}}
-
-
 def _fig13_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per scheme with the Jain index at each time scale."""
+    """One row per scheme with Jain's index at each averaging time scale
+    while every flow is active, from 1 s after the last flow joins."""
     rows = []
     for scheme in _F13_SCHEMES:
-        jain = _fig13_metrics(_record(result, scheme=scheme))["jain"]
+        series = _joined_series(result.one(scheme=scheme), 1.0)
         rows.append({"scheme": scheme,
-                     **{f"{t:g}s": jain[f"{t:g}"] for t in _F13_TIMESCALES}})
+                     **{f"{t:g}s": jain_index_over_timescales(series, 1.0, t)
+                        for t in _F13_TIMESCALES}})
     return rows
 
 
@@ -868,7 +811,6 @@ register_report_spec(ReportSpec(
             "all indices within (0, 1]",
         ),
     ),
-    sim_seconds=len(_F13_SCHEMES) * (10.0 * 2 + 60.0),
 ))
 
 
@@ -895,18 +837,14 @@ def _fig14_cells() -> List[SweepCell]:
     ]
 
 
-def _fig14_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """The normal TCP flow's goodput."""
-    return {"normal_tcp_mbps": record["flows"][0]["goodput_mbps"]}
-
-
 def _fig14_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per selfish count with the relative-unfriendliness ratio."""
+    """One row per selfish count with the normal TCP flow's (flow 0's)
+    goodput against each selfish kind and the relative-unfriendliness
+    ratio."""
     rows = []
     for count in _F14_COUNTS:
         vs_pcc, vs_bundle = (
-            _fig14_metrics(_record(result, scheme=kind,
-                                   num_flows=1 + count))["normal_tcp_mbps"]
+            result.one(scheme=kind, num_flows=1 + count)["flows"][0]["goodput_mbps"]
             for kind in _F14_KINDS)
         rows.append({
             "num_selfish": count,
@@ -943,7 +881,6 @@ register_report_spec(ReportSpec(
             "N={num_selfish}: {tcp_vs_pcc_mbps:.2f} Mbps",
         ),
     ),
-    sim_seconds=len(_F14_COUNTS) * 2 * 30.0,
 ))
 
 
@@ -962,8 +899,10 @@ def _fig15_rows(result: ResultSet) -> List[Dict[str, Any]]:
     for load in _F15_LOADS:
         row: Dict[str, Any] = {"load": load}
         for scheme in _F15_SCHEMES:
+            record = result.one(scheme=scheme,
+                                workload_kwargs=_has("load", load))
             summary = flow_completion_times(
-                flow["fct"] for flow in _fct_flows(result, scheme, load))
+                flow["fct"] for flow in record["flows"])
             row.update({f"{scheme}_{key}": summary[key]
                         for key in ("median", "p95", "count")})
         rows.append(row)
@@ -1004,7 +943,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig15): FCTs land ~3-4x TCP's rather than comparable",
         ),
     ),
-    sim_seconds=len(_F15_LOADS) * len(_F15_SCHEMES) * 40.0,
 ))
 
 
@@ -1040,36 +978,28 @@ def _fig16_cells() -> List[SweepCell]:
     ]
 
 
-def _fig16_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """The second flow's convergence time and post-convergence rate stddev.
+def _fig16_rows(result: ResultSet) -> List[Dict[str, Any]]:
+    """One row per configuration: the second flow's convergence time and
+    post-convergence rate stddev.
 
     Converged means within 25 % of its fair share for 5 s, counted from when
     it joins; the stddev covers the 30 s after that, or its whole run if it
     never converges.
     """
-    cell = record["cell"]
-    series = _mbps_series(record["flows"][1], cell["stagger"],
-                          cell["duration"] - 1.0)
-    conv = convergence_time(series, cell["bandwidth_bps"] / 2.0 / BPS_PER_MBPS,
-                            tolerance=0.25, window=5.0)
-    if conv is None:
-        stddev = rate_std_dev(series, 0.0)
-    else:
-        stddev = rate_std_dev(series, conv, duration=30.0)
-    return {"convergence_time": conv, "rate_std_dev_mbps": stddev}
-
-
-def _fig16_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per configuration on the two trade-off axes."""
     rows = []
     for record in result.cells:
-        identity = record["cell"]
-        metrics = _fig16_metrics(record)
+        cell = record["cell"]
+        series = _mbps_series(record["flows"][1], cell["stagger"],
+                              cell["duration"] - 1.0)
+        conv = convergence_time(series,
+                                cell["bandwidth_bps"] / 2.0 / BPS_PER_MBPS,
+                                tolerance=0.25, window=5.0)
         rows.append({
-            "configuration": _F16_LABELS[identity["index"]],
-            "scheme": identity["scheme"],
-            "convergence_time_s": metrics["convergence_time"],
-            "rate_stddev_mbps": metrics["rate_std_dev_mbps"],
+            "configuration": _F16_LABELS[cell["index"]],
+            "scheme": cell["scheme"],
+            "convergence_time_s": conv,
+            "rate_stddev_mbps": (rate_std_dev(series, 0.0) if conv is None
+                                 else rate_std_dev(series, conv, duration=30.0)),
         })
     return rows
 
@@ -1114,7 +1044,6 @@ register_report_spec(ReportSpec(
                       "of the paper's full Tm x eps frontier",
         ),
     ),
-    sim_seconds=(len(_F16_PCC_CONFIGS) + len(_F16_TCP_SCHEMES)) * 50.0,
 ))
 
 
@@ -1169,29 +1098,24 @@ def _fig17_cells() -> List[SweepCell]:
     ]
 
 
-def _fig17_metrics(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Mean per-flow power and mean RTT over the cell's flows.
+def _fig17_rows(result: ResultSet) -> List[Dict[str, Any]]:
+    """One row per (scheme, AQM) with the mean per-flow power and mean RTT
+    over the cell's flows.
 
     Power is delivered bits per second divided by mean RTT.
     """
-    flows = record["flows"]
-    rtts = [flow["mean_rtt_ms"] / MS_PER_S for flow in flows]
-    powers = [power(flow["goodput_mbps"] * BPS_PER_MBPS, rtt)
-              for flow, rtt in zip(flows, rtts, strict=True)]
-    return {"mean_power": sum(powers) / len(powers),
-            "mean_rtt_ms": sum(rtts) / len(rtts) * MS_PER_S}
-
-
-def _fig17_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per (scheme, AQM) with power and mean RTT."""
     rows = []
     for (scheme, aqm), index in _FIG17_INDEX.items():
-        metrics = _fig17_metrics(_record(result, index=index))
+        flows = result.one(index=index)["flows"]
+        rtts = [flow["mean_rtt_ms"] / MS_PER_S for flow in flows]
+        powers = [power(flow["goodput_mbps"] * BPS_PER_MBPS, rtt)
+                  for flow, rtt in zip(flows, rtts, strict=True)]
+        mean_power = sum(powers) / len(powers)
         rows.append({
             "configuration": _fig17_label(scheme, aqm),
-            "power_gbps_per_s": metrics["mean_power"] / BPS_PER_GBPS,
-            "mean_rtt_ms": metrics["mean_rtt_ms"],
-            "scheme": scheme, "aqm": aqm, "power": metrics["mean_power"],
+            "power_gbps_per_s": mean_power / BPS_PER_GBPS,
+            "mean_rtt_ms": sum(rtts) / len(rtts) * MS_PER_S,
+            "scheme": scheme, "aqm": aqm, "power": mean_power,
         })
     return rows
 
@@ -1292,7 +1216,6 @@ register_report_spec(ReportSpec(
             "red {red:.1f}x, pie {pie:.1f}x, fq_codel {fq_codel:.1f}x",
         ),
     ),
-    sim_seconds=len(_FIG17_QDISCS) * len(_FIG17_SCHEMES) * 25.0,
 ))
 
 
@@ -1351,7 +1274,6 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (sec442): 5x floor instead of the paper's 151x",
         ),
     ),
-    sim_seconds=len(_S442_LOSSES) * 2 * 20.0,
 ))
 
 
@@ -1383,8 +1305,7 @@ def _sec44_rows(result: ResultSet) -> List[Dict[str, Any]]:
     rows = []
     for environment, (loss, _buffer) in _S44_ENVIRONMENTS.items():
         for utility in _S44_UTILITIES:
-            (record,) = result.find(loss_rate=loss, utility=utility)
-            (flow,) = record["flows"]
+            (flow,) = result.one(loss_rate=loss, utility=utility)["flows"]
             rows.append({
                 "environment": environment,
                 "utility": utility or "safe",
@@ -1437,7 +1358,6 @@ register_report_spec(ReportSpec(
             "deep buffer RTT: latency {latency_mean_rtt_ms:.1f} vs safe {safe_mean_rtt_ms:.1f} ms",
         ),
     ),
-    sim_seconds=2 * len(_S44_UTILITIES) * 20.0,
 ))
 
 
@@ -1453,9 +1373,9 @@ def _parking_lot_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per scheme: long-flow vs per-hop cross-flow goodput."""
     rows = []
     for scheme in _PL_SCHEMES:
-        (record,) = result.filter(scheme=scheme)
-        long_mbps = record["flows"][0]["goodput_mbps"]
-        cross = [flow["goodput_mbps"] for flow in record["flows"][1:]]
+        long_flow, *cross_flows = result.one(scheme=scheme)["flows"]
+        long_mbps = long_flow["goodput_mbps"]
+        cross = [flow["goodput_mbps"] for flow in cross_flows]
         rows.append({
             "scheme": scheme,
             "long_mbps": long_mbps,
@@ -1496,7 +1416,6 @@ register_report_spec(ReportSpec(
             "{scheme}: long {long_mbps:.2f} vs cross {mean_cross_mbps:.2f} Mbps",
         ),
     ),
-    sim_seconds=len(_PL_SCHEMES) * 12.0,
 ))
 
 
@@ -1511,11 +1430,11 @@ def _variable_bw_rows(result: ResultSet) -> List[Dict[str, Any]]:
     """One row per (trace, scheme) with the achieved goodput."""
     rows = []
     for trace in SYNTHETIC_TRACES:
-        sub = result.filter(
-            topology_kwargs=lambda kwargs, t=trace: kwargs["trace"] == t)
         for scheme in _VB_SCHEMES:
+            goodput = result.goodput_mbps(
+                scheme=scheme, topology_kwargs=_has("trace", trace))
             rows.append({"trace": trace, "scheme": scheme,
-                         "goodput_mbps": sub.goodput_mbps(scheme=scheme)})
+                         "goodput_mbps": goodput})
     return rows
 
 
@@ -1545,7 +1464,6 @@ register_report_spec(ReportSpec(
             "{trace}/{scheme}: {goodput_mbps:.1f} Mbps",
         ),
     ),
-    sim_seconds=len(SYNTHETIC_TRACES) * len(_VB_SCHEMES) * 12.0,
 ))
 
 
@@ -1647,7 +1565,6 @@ register_report_spec(ReportSpec(
             "converged at step {converged_step} to {final_rates}",
         ),
     ),
-    sim_seconds=0.0,
     notes="Analytical fluid-model results; no packet-level simulation.",
 ))
 
@@ -1660,30 +1577,22 @@ _FCT_LOADS = (0.2, 0.6)
 _FCT_SIZE_KB = 100.0
 
 
-def _fct_stats(result: ResultSet, scheme: str,
-               load: float) -> Dict[str, float]:
-    """Arrived/completed counts and the mean FCT of the completed flows."""
-    flows = _fct_flows(result, scheme, load)
-    fcts = [flow["fct"] for flow in flows if flow["fct"] is not None]
-    return {
-        "arrived": float(len(flows)),
-        "completed": float(len(fcts)),
-        "mean_fct_s": sum(fcts) / len(fcts) if fcts else float("inf"),
-    }
-
-
 def _fct_rows(result: ResultSet) -> List[Dict[str, Any]]:
-    """One row per (load, scheme) with completion and mean FCT."""
+    """One row per (load, scheme): the flows that arrived, the fraction of
+    them that completed, and the mean FCT of those."""
     rows = []
     for load in _FCT_LOADS:
         for scheme in _FCT_SCHEMES:
-            stats = _fct_stats(result, scheme, load)
+            flows = result.one(scheme=scheme,
+                               workload_kwargs=_has("load", load))["flows"]
+            fcts = [flow["fct"] for flow in flows if flow["fct"] is not None]
+            mean_fct_s = sum(fcts) / len(fcts) if fcts else float("inf")
             rows.append({
                 "load": load,
                 "scheme": scheme,
-                "flows": int(stats["arrived"]),
-                "completed_frac": stats["completed"] / stats["arrived"],
-                "mean_fct_ms": stats["mean_fct_s"] * MS_PER_S,
+                "flows": len(flows),
+                "completed_frac": len(fcts) / len(flows),
+                "mean_fct_ms": mean_fct_s * MS_PER_S,
             })
     return rows
 
@@ -1749,5 +1658,4 @@ register_report_spec(ReportSpec(
             + " (floor 1.5x)",
         ),
     ),
-    sim_seconds=len(_FCT_SCHEMES) * len(_FCT_LOADS) * 10.0,
 ))

@@ -30,8 +30,9 @@ Suffix     Meaning                     Notes
 ``_s``     time, seconds               canonical time unit
 ``_ms``    time, milliseconds          presentation/claims only
 ``_seconds`` time, seconds             grandfathered verbose alias —
-                                       ``sim_seconds`` is a cell-identity
-                                       key; new code uses ``_s``
+                                       the record's archived
+                                       ``engine.simulated_seconds`` key;
+                                       new code uses ``_s``
 ``_packets`` count of packets          dimensionless in arithmetic
 ========== =========================== ==============================
 

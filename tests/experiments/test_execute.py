@@ -294,7 +294,6 @@ def _pinned_spec():
         columns=("goodput",),
         claims=(Claim("moves", "every cell moves traffic", None,
                       (("goodput", ">", 0),), "{goodput:.3f}"),),
-        sim_seconds=2.0,
     )
 
 

@@ -56,10 +56,10 @@ _TINY_LOSSES = (0.0, 0.01)
 
 
 def _tiny_grid_rows(result):
-    goodput = result.aggregate("goodput_mbps", by=("scheme", "loss_rate"))
     return [
         {"loss": loss,
-         **{scheme: goodput[(scheme, loss)] for scheme in _TINY_SCHEMES}}
+         **{scheme: result.goodput_mbps(scheme=scheme, loss_rate=loss)
+            for scheme in _TINY_SCHEMES}}
         for loss in _TINY_LOSSES
     ]
 
@@ -93,7 +93,6 @@ register_report_spec(ReportSpec(
             deviation="EXPERIMENTS.md (test pointer)",
         ),
     ),
-    sim_seconds=4.0,
 ))
 
 
@@ -123,7 +122,6 @@ register_report_spec(ReportSpec(
             "{loss}: {goodput_mbps:.3f} Mbps",
         ),
     ),
-    sim_seconds=3.0,
 ))
 
 
@@ -378,7 +376,6 @@ class TestClaimEvaluation:
             spec_id="throwaway", title="t", paper_section="t",
             run=ScenarioRun(cells_list=(), base_seed=0),
             rows=lambda result: [], columns=(), claims=tuple(claims),
-            sim_seconds=0.0,
         )
 
     def test_pass_fail_deviation_statuses(self):
@@ -597,6 +594,16 @@ class TestCli:
         with open(report) as handle:
             text = handle.read()
         assert "Tiny test pinned-cell list" in text
+
+    def test_list_prints_cells_and_their_simulated_seconds(self, capsys):
+        """``--list`` reads a spec's cost off its cells: how many, and the
+        sum of their durations."""
+        assert report_main(["--list", "--only", "tiny_grid,tiny_pinned"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:4] == ["spec", "§", "cells", "sim_s"]
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["tiny_grid", "test", "4", "4"],
+            ["tiny_pinned", "test", "3", "3"]]
 
     def test_a_failed_render_leaves_the_existing_report(self, tmp_path,
                                                         monkeypatch):

@@ -207,58 +207,10 @@ class TestMemoryBounds:
         assert peak <= retained + 2 * longest
 
 
-class TestQueries:
-    def _result(self):
-        return ResultSet(0, [
-            _record(0, scheme="cubic", loss=0.0, goodput=4.5),
-            _record(1, scheme="cubic", loss=0.01, goodput=2.0),
-            _record(2, scheme="pcc", loss=0.0, goodput=4.8),
-            _record(3, scheme="pcc", loss=0.01, goodput=4.4),
-        ])
-
-    def test_filter_returns_resultset(self):
-        cubic = self._result().filter(scheme="cubic")
-        assert isinstance(cubic, ResultSet)
-        assert len(cubic) == 2
-        assert cubic.goodput_mbps(loss_rate=0.01) == 2.0
-
-    def test_filter_accepts_predicates(self):
-        lossy = self._result().filter(loss_rate=lambda v: v > 0)
-        assert [r["cell"]["index"] for r in lossy] == [1, 3]
-
-    def test_groupby_single_key(self):
-        groups = self._result().groupby("scheme")
-        assert set(groups) == {"cubic", "pcc"}
-        assert len(groups["pcc"]) == 2
-
-    def test_groupby_multiple_keys(self):
-        groups = self._result().groupby("scheme", "loss_rate")
-        assert ("pcc", 0.01) in groups
-        assert len(groups[("pcc", 0.01)]) == 1
-
-    def test_aggregate_scalar(self):
-        assert self._result().aggregate("goodput_mbps", reduce=sum) == \
-            pytest.approx(4.5 + 2.0 + 4.8 + 4.4)
-
-    def test_aggregate_by_key(self):
-        means = self._result().aggregate("goodput_mbps", by="scheme")
-        assert means["cubic"] == pytest.approx((4.5 + 2.0) / 2)
-        assert means["pcc"] == pytest.approx((4.8 + 4.4) / 2)
-
-    def test_aggregate_callable_metric(self):
-        worst = self._result().aggregate(
-            lambda record: record["flows"][0]["loss_rate"],
-            by="scheme", reduce=max)
-        assert worst["cubic"] == 0.01
-
-    def test_aggregate_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ResultSet(0).aggregate("goodput_mbps")
-
-
-class TestGoodputLookupErrors:
-    """The zero-match and many-match cases raise distinct, parameter-naming
-    errors (previously both were a bare count message)."""
+class TestOne:
+    """``one()`` is the one record lookup: exactly one match returns it, and
+    the zero-match and many-match cases raise distinct, parameter-naming
+    errors."""
 
     def _result(self):
         return ResultSet(0, [
@@ -267,9 +219,12 @@ class TestGoodputLookupErrors:
             _record(2, scheme="pcc", loss=0.0),
         ])
 
+    def test_single_match_returns_the_record(self):
+        assert self._result().one(scheme="pcc") == _record(2, scheme="pcc")
+
     def test_zero_matches_names_the_bad_parameter_and_observed_values(self):
         with pytest.raises(KeyError) as excinfo:
-            self._result().goodput_mbps(scheme="no-such-scheme")
+            self._result().one(scheme="no-such-scheme")
         message = str(excinfo.value)
         assert "no cells match" in message
         assert "scheme='no-such-scheme'" in message
@@ -277,11 +232,11 @@ class TestGoodputLookupErrors:
 
     def test_zero_matches_from_a_bad_combination(self):
         with pytest.raises(KeyError, match="no single cell satisfies"):
-            self._result().goodput_mbps(scheme="pcc", loss_rate=0.01)
+            self._result().one(scheme="pcc", loss_rate=0.01)
 
     def test_many_matches_names_the_disambiguating_parameters(self):
         with pytest.raises(KeyError) as excinfo:
-            self._result().goodput_mbps(scheme="cubic")
+            self._result().one(scheme="cubic")
         message = str(excinfo.value)
         assert "2 cells match" in message
         assert "loss_rate" in message
@@ -290,10 +245,36 @@ class TestGoodputLookupErrors:
 
     def test_empty_resultset_zero_match_message(self):
         with pytest.raises(KeyError, match="empty"):
-            ResultSet(0).goodput_mbps(scheme="pcc")
+            ResultSet(0).one(scheme="pcc")
 
-    def test_single_match_returns_flow_sum(self):
-        assert self._result().goodput_mbps(scheme="pcc") == 4.0
+    def test_a_predicate_constrains_like_a_value(self):
+        result = self._result()
+        assert result.one(scheme="cubic", loss_rate=lambda v: v > 0) \
+            == _record(1, scheme="cubic", loss=0.01)
+        with pytest.raises(KeyError, match="2 cells match"):
+            result.one(loss_rate=lambda v: v == 0.0)
+        with pytest.raises(KeyError, match="loss_rate .no cell's value"):
+            result.one(loss_rate=lambda v: v > 0.5)
+
+    def test_a_dict_valued_key_is_matched_by_a_predicate(self):
+        records = [_record(index) for index in range(2)]
+        for record, load in zip(records, (0.25, 0.5), strict=True):
+            record["cell"]["workload_kwargs"] = {"load": load, "size_kb": 100.0}
+        result = ResultSet(0, records)
+        assert result.one(
+            workload_kwargs=lambda kw: kw["load"] == 0.5) == records[1]
+        assert result.one(workload_kwargs={"load": 0.25, "size_kb": 100.0}) \
+            == records[0]
+        with pytest.raises(KeyError, match="size_kb"):
+            result.one(workload_kwargs={"load": 0.75, "size_kb": 100.0})
+
+    def test_goodput_mbps_sums_the_flows_of_the_one_record(self):
+        two_flows = _record(3, scheme="pcc", loss=0.01, goodput=1.5)
+        two_flows["flows"] *= 2
+        result = ResultSet(0, [*self._result().cells, two_flows])
+        assert result.goodput_mbps(scheme="pcc", loss_rate=0.01) == 3.0
+        with pytest.raises(KeyError, match="2 cells match"):
+            result.goodput_mbps(scheme="cubic")
 
 
 class TestSweepStreamingAndResume:
@@ -458,7 +439,3 @@ class TestUnreadableFiles:
             ResultSet.load(str(path))
         assert "garbage.bin" in str(excinfo.value)
         assert not isinstance(excinfo.value, json.JSONDecodeError)
-
-    def test_records_property_aliases_cells(self):
-        rs = ResultSet(0, [_record(1), _record(0)])
-        assert rs.records == rs.cells

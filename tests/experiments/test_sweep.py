@@ -314,7 +314,10 @@ class TestSweepRecords:
 
     def test_lookup_helpers(self):
         result = sweep(tiny_grid(), base_seed=1)
-        assert len(result.find(scheme="pcc")) == 2
+        # Each (scheme, loss) pair picks out a different one of the 4 cells.
+        assert sorted(result.one(scheme=scheme, loss_rate=loss)["cell"]["index"]
+                      for scheme in ("cubic", "pcc")
+                      for loss in (0.0, 0.01)) == [0, 1, 2, 3]
         goodput = result.goodput_mbps(scheme="cubic", loss_rate=0.0)
         assert goodput > 1.0
         with pytest.raises(KeyError):

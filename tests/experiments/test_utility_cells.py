@@ -32,7 +32,7 @@ class TestLossResilientUtilityCell:
         assert resilient >= 0.9 * fair_share_mbps
         assert safe < 0.1 * fair_share_mbps  # the safe utility collapses
         # The identity JSON records which utility produced which cell.
-        (cell,) = result.find(utility="loss_resilient")
+        cell = result.one(utility="loss_resilient")
         assert cell["cell"]["scheme_kwargs"] == {"utility": "loss_resilient"}
 
 
@@ -52,7 +52,7 @@ class TestLatencyUtilityCell:
         )
         result = sweep(grid, base_seed=0, workers=2)
         (safe_cell,) = [c for c in result.cells if "utility" not in c["cell"]]
-        (latency_cell,) = result.find(utility="latency")
+        latency_cell = result.one(utility="latency")
         safe_queue_ms = safe_cell["flows"][0]["mean_rtt_ms"] - base_rtt * 1e3
         latency_queue_ms = (latency_cell["flows"][0]["mean_rtt_ms"]
                             - base_rtt * 1e3)

@@ -93,7 +93,7 @@ class TestThirdPartySchemeEndToEnd:
                          bandwidths_bps=(5e6,), duration=2.0)
         result = sweep(grid, base_seed=3, workers=1)
         assert result.goodput_mbps(scheme="halfreno") > 1.0
-        (cell,) = result.find(scheme="halfreno")
+        cell = result.one(scheme="halfreno")
         assert cell["cell"]["scheme_kwargs"] == {"beta": 0.7}
 
     def test_cli_accepts_the_scheme(self, tmp_path):
