@@ -1,23 +1,23 @@
-"""``repro.devtools.lint`` — AST contract checker for determinism invariants.
+"""``repro.devtools.lint`` — the repo's one static checker.
 
 Every reproduced claim in this repo rests on invariants that used to be
 enforced only by convention: simulations draw time and randomness exclusively
 from the engine clock and attached RNGs, registries are populated at import
 time so ``spawn``-method workers can resolve names, every ordering that
-reaches a result record or rendered report row is canonical, and no numeric
+reaches a result record or rendered report row is canonical, no numeric
 literal quietly shadows a configured constant (the seed's duplicated 8 kbps
-MI floor was exactly that bug).  This module turns those unwritten contracts
-into a standalone static-analysis pass::
+MI floor was exactly that bug), and every rate, size and time is combined in
+one unit.  One command checks all of it::
 
     python -m repro.devtools.lint src
-    python -m repro.devtools.lint --explain RPL003
-    python -m repro.devtools.lint --json src
 
-Rules are plain functions over a parsed module, registered into a
-:class:`~repro.registry.NameRegistry` exactly like schemes, topologies and
-policies — a third-party check is one ``register_lint_rule`` call away.  Only
-the standard library (``ast`` + ``tokenize``) is used: the linter never
-imports the code it checks.
+Each file is parsed once.  The per-module rules in :data:`CHECKS` run on
+every module, the whole-program units pass (:mod:`repro.devtools.units`,
+RPL011–RPL015) runs over all of them, and one suppression table per module
+filters both.  Each rule's contract is its check function's docstring; the
+README's "Static analysis" table is the one-line index.  Only the standard
+library (``ast`` + ``tokenize``) is used: the checker never imports the code
+it checks.
 
 Findings print as ``path:line:col RPLnnn message`` and the process exits
 non-zero when any finding survives.  A finding is suppressed only by an
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import re
 import sys
 import tokenize
@@ -51,17 +50,15 @@ from typing import (
     Union,
 )
 
-from ..registry import NameRegistry
+from . import units
 
 __all__ = [
+    "CHECKS",
+    "CODES",
     "Finding",
-    "LintRule",
     "lint_paths",
     "lint_sources",
-    "lint_rule_names",
-    "get_lint_rule",
     "main",
-    "register_lint_rule",
 ]
 
 
@@ -78,11 +75,6 @@ class Finding:
     def render(self) -> str:
         """The human-readable ``path:line:col RPLnnn message`` form."""
         return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
-
-    def as_json(self) -> Dict[str, Union[str, int]]:
-        """The machine-readable form emitted by ``--json``."""
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "code": self.code, "message": self.message}
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -144,64 +136,7 @@ class ModuleContext:
         return ".".join(reversed(parts))
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """A registered contract check: stable code, one-line summary, rationale.
-
-    ``check`` is the per-module rule function run by :func:`lint_sources`.
-    Whole-program rules (the RPL01x units checks, which need a cross-file
-    call graph) register with ``check=None``: they share this registry — one
-    code universe for ``--explain``, ``--list`` and suppression validation —
-    but are driven by their own pass (:mod:`repro.devtools.units`).
-    """
-
-    code: str
-    name: str
-    summary: str
-    explain: str
-    check: Optional[Callable[[ModuleContext], Iterable[Finding]]] = None
-
-
-RULES: NameRegistry[LintRule] = NameRegistry("lint rule")
-
 _CODE_PATTERN = re.compile(r"RPL\d{3}\Z")
-
-
-def register_lint_rule(code: str, name: str, summary: str, explain: str,
-                       check: Optional[Callable[[ModuleContext],
-                                                Iterable[Finding]]] = None) -> None:
-    """Register a rule under its stable ``RPLnnn`` code.
-
-    Like every other registry in this repo, registration must happen at
-    module import time; the built-in rules below are the example.  Rules
-    without a per-module ``check`` are documentation-and-suppression entries
-    for a separate whole-program pass.
-    """
-    if not _CODE_PATTERN.match(code):
-        raise ValueError(f"lint rule codes look like 'RPL001', got {code!r}")
-    RULES.register(code, LintRule(code=code, name=name, summary=summary,
-                                  explain=explain, check=check))
-
-
-def _ensure_all_rules() -> None:
-    """Import every module that registers rules into :data:`RULES`.
-
-    The units checker registers RPL011–RPL016 at import time; loading it
-    lazily (mirroring ``repro.schemes._ensure_builtins``) keeps suppression
-    validation and ``--explain`` aware of those codes without a circular
-    import at module load.
-    """
-    from . import units  # noqa: F401  (import-time registration side effect)
-
-
-def lint_rule_names() -> List[str]:
-    """All registered rule codes, sorted."""
-    return RULES.names()
-
-
-def get_lint_rule(code: str) -> LintRule:
-    """Resolve one rule by its ``RPLnnn`` code."""
-    return RULES.get(code)
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +213,10 @@ def _collect_suppressions(ctx: ModuleContext) -> None:
                 ctx.suppression_issues.append(
                     (line, col, "RPL008 (suppression hygiene) cannot itself "
                                 "be suppressed"))
-            elif code not in RULES:
+            elif code not in CODES:
                 ctx.suppression_issues.append(
                     (line, col, f"unknown lint rule {code!r}; known rules: "
-                                f"{', '.join(RULES.names())}"))
+                                f"{', '.join(sorted(CODES))}"))
             else:
                 valid.add(code)
         if valid:
@@ -409,6 +344,20 @@ _NUMPY_RNG_ALLOWED = {
 
 
 def _check_wall_clock(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL001: no wall-clock or global-RNG calls inside the simulation tree.
+
+    Simulation, experiment and report code (``src/repro/{netsim,core,cc,
+    experiments,report}``) must produce results that are a pure function of
+    the cell parameters and the derived seed.  Reading the wall clock
+    (``time.time``, ``time.perf_counter``, ``datetime.now``, ...) or the
+    process-global RNG (``random.random``, ``numpy.random.*`` without an
+    attached Generator) injects state that differs across runs, worker counts
+    and resume, which breaks the byte-identity every golden file pins.  Take
+    simulated time from the engine clock and randomness from a seeded
+    ``random.Random`` / numpy Generator attached to the component.  Wall-time
+    *telemetry* stripped from canonical output (``ResultSet`` timings) is the
+    one legitimate exception: suppress it with a reason.
+    """
     if not _in_scope(ctx, _SIM_SCOPES):
         return
     for node in ast.walk(ctx.tree):
@@ -442,6 +391,15 @@ def _check_wall_clock(ctx: ModuleContext) -> Iterable[Finding]:
 
 
 def _check_import_time_registration(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL002: ``register_*()`` calls must execute at module top level.
+
+    Sweep cells cross process boundaries carrying registry *names*;
+    spawn-method workers re-import modules from scratch and then resolve
+    those names.  A ``register_*()`` call inside a function or class body,
+    or under a conditional, runs on some import paths and not others: the
+    worker imports the module and still cannot resolve the name.  Top-level
+    loops and try blocks are fine because they still execute at import.
+    """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -502,6 +460,17 @@ def _unordered_reason(node: ast.expr) -> Optional[str]:
 
 
 def _check_unsorted_iteration(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL003: iterating a set or ``dict.values()`` needs ``sorted(...)``.
+
+    Everything this repo emits — result records, JSONL lines, rendered
+    report rows — must be byte-identical across worker counts, completion
+    orders and resume.  Iterating a set (hash order) or a dict's
+    ``.values()`` (insertion order, i.e. completion order when workers fill
+    the dict) bakes an accidental ordering into the output.  Aggregations
+    that cannot observe order (``sum``, ``min``, ``max``, ``any``, ``all``,
+    ``len``, or feeding ``set``/``sorted``) are exempt; anything else that is
+    genuinely order-free deserves a suppression saying why.
+    """
     for node in ast.walk(ctx.tree):
         iters: List[ast.expr] = []
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -528,6 +497,17 @@ def _check_unsorted_iteration(ctx: ModuleContext) -> Iterable[Finding]:
 
 
 def _check_shadow_constants(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL004: numeric literals must not duplicate named constants.
+
+    The seed's worst control-loop bug was a duplicated constant: the monitor
+    hard-coded an 8 kbps MI floor while the controller honoured a configured
+    ``min_rate_bps`` of 16 kbps, and the two silently disagreed.  Every
+    module-level ALL_CAPS numeric constant across the checked tree is
+    collected, and literals elsewhere that repeat a distinctive value are
+    flagged (small counts and round powers of ten are coincidental).  Use the
+    named constant, or thread the configured parameter through, so the value
+    has exactly one owner.
+    """
     if not ctx.constants:
         return
     for node in ast.walk(ctx.tree):
@@ -565,6 +545,15 @@ def _is_broad(node: Optional[ast.expr]) -> bool:
 
 
 def _check_swallowed_exceptions(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL005: no bare or broad ``except`` that swallows the exception.
+
+    A bare ``except:`` or ``except Exception:`` without a re-raise turns a
+    crashed worker cell into a silently missing record — a sweep that
+    "succeeds" with holes is far worse than one that fails loudly.  Catch
+    the narrowest exception you can handle; if a broad catch is genuinely
+    required (a claim evaluator that converts any error into a FAIL
+    verdict), suppress with the reason.
+    """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ExceptHandler):
             continue
@@ -587,262 +576,36 @@ def _check_swallowed_exceptions(ctx: ModuleContext) -> Iterable[Finding]:
 
 
 # --------------------------------------------------------------------------
-# RPL006 — mutable default arguments.
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-
-_MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray", "defaultdict",
-                      "deque", "Counter", "OrderedDict"}
-
-
-def _check_mutable_defaults(ctx: ModuleContext) -> Iterable[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, _FUNCTION_NODES):
-            continue
-        defaults = list(node.args.defaults)
-        defaults.extend(d for d in node.args.kw_defaults if d is not None)
-        for default in defaults:
-            mutable = isinstance(default, _MUTABLE_LITERALS) or (
-                isinstance(default, ast.Call)
-                and _call_name(default) in _MUTABLE_FACTORIES)
-            if mutable:
-                yield _finding(
-                    ctx, default, "RPL006",
-                    "mutable default argument is shared across calls (and "
-                    "across sweep cells within a worker); default to None "
-                    "and construct inside the function")
-
-
-# --------------------------------------------------------------------------
-# RPL007 — registered factories must not swallow **kwargs.
-
-
-def _module_functions(ctx: ModuleContext) -> Dict[str, ast.AST]:
-    functions: Dict[str, ast.AST] = {}
-    for stmt in ctx.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions[stmt.name] = stmt
-        elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-              and isinstance(stmt.targets[0], ast.Name)
-              and isinstance(stmt.value, ast.Lambda)):
-            functions[stmt.targets[0].id] = stmt.value
-    return functions
-
-
-def _swallows_kwargs(fn: ast.AST) -> Optional[str]:
-    """The ``**kwargs`` name when ``fn`` accepts but never reads it."""
-    args = fn.args if isinstance(fn, _FUNCTION_NODES) else None
-    if args is None or args.kwarg is None:
-        return None
-    kwarg = args.kwarg.arg
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Name) and sub.id == kwarg:
-                return None
-    return kwarg
-
-
-def _check_kwargs_swallowing_factories(ctx: ModuleContext) -> Iterable[Finding]:
-    functions = _module_functions(ctx)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name is None or not name.startswith("register_"):
-            continue
-        candidates: List[ast.expr] = list(node.args)
-        candidates.extend(kw.value for kw in node.keywords
-                          if kw.arg is not None)
-        for arg in candidates:
-            fn: Optional[ast.AST] = None
-            if isinstance(arg, ast.Lambda):
-                fn = arg
-            elif isinstance(arg, ast.Name):
-                fn = functions.get(arg.id)
-            if fn is None:
-                continue
-            kwarg = _swallows_kwargs(fn)
-            if kwarg is not None:
-                yield _finding(
-                    ctx, arg, "RPL007",
-                    f"factory registered by {name}() accepts **{kwarg} but "
-                    f"never uses it, so misspelled or stale config keys "
-                    f"vanish silently; drop **{kwarg} or forward it")
-
-
-# --------------------------------------------------------------------------
-# RPL017 — qdisc factories draw no randomness at construction time.
-
-_RNG_DRAW_METHODS = frozenset({
-    "random", "randint", "randrange", "uniform", "expovariate",
-    "paretovariate", "gauss", "normalvariate", "lognormvariate",
-    "betavariate", "gammavariate", "triangular", "vonmisesvariate",
-    "weibullvariate", "choice", "choices", "sample", "shuffle",
-    "getrandbits", "randbytes",
-})
-
-
-def _check_qdisc_factory_rng(ctx: ModuleContext) -> Iterable[Finding]:
-    functions = _module_functions(ctx)
-    for node in ast.walk(ctx.tree):
-        if (not isinstance(node, ast.Call)
-                or _call_name(node) != "register_qdisc"):
-            continue
-        candidates: List[ast.expr] = list(node.args)
-        candidates.extend(kw.value for kw in node.keywords
-                          if kw.arg is not None)
-        for arg in candidates:
-            fn: Optional[ast.AST] = None
-            if isinstance(arg, ast.Lambda):
-                fn = arg
-            elif isinstance(arg, ast.Name):
-                fn = functions.get(arg.id)
-            if fn is None:
-                continue
-            body = fn.body if isinstance(fn.body, list) else [fn.body]
-            for stmt in body:
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in _RNG_DRAW_METHODS):
-                        yield _finding(
-                            ctx, sub, "RPL017",
-                            f"qdisc factory draws randomness "
-                            f"(.{sub.func.attr}()) at construction time; "
-                            f"disciplines are built RNG-free and receive "
-                            f"the engine RNG via attach_rng() after the "
-                            f"link wires them")
-
-
-# --------------------------------------------------------------------------
 # RPL008 — suppression hygiene.
 
 
 def _check_suppression_hygiene(ctx: ModuleContext) -> Iterable[Finding]:
+    """RPL008: suppressions need a known rule code and a reason.
+
+    The only way to silence a finding is an inline
+    ``# repro-lint: disable=RPLnnn <reason>`` comment on the flagged line
+    (or alone on the line above).  The reason is mandatory: a suppression is
+    a reviewed, documented exception to a contract, not an opt-out.
+    Malformed directives, unknown codes and reasonless disables are findings
+    themselves, and RPL008 cannot be suppressed.
+    """
     for line, col, message in ctx.suppression_issues:
         yield Finding(path=ctx.path, line=line, col=col, code="RPL008",
                       message=message)
 
 
-# --------------------------------------------------------------------------
-# Rule registration (module top level — the contract RPL002 itself enforces).
+#: The per-module rules, by code.
+CHECKS: Dict[str, Callable[[ModuleContext], Iterable[Finding]]] = {
+    "RPL001": _check_wall_clock,
+    "RPL002": _check_import_time_registration,
+    "RPL003": _check_unsorted_iteration,
+    "RPL004": _check_shadow_constants,
+    "RPL005": _check_swallowed_exceptions,
+    "RPL008": _check_suppression_hygiene,
+}
 
-register_lint_rule(
-    "RPL001", "no-wall-clock-or-global-rng",
-    "No wall-clock or global-RNG calls inside the simulation tree.",
-    """Simulation, experiment and report code (src/repro/{netsim,core,cc,
-experiments,report}) must produce results that are a pure function of the
-cell parameters and the derived seed.  Reading the wall clock (time.time,
-time.perf_counter, datetime.now, ...) or the process-global RNG
-(random.random, random.seed, numpy.random.* without an attached Generator)
-injects state that differs across runs, worker counts and resume -- which
-breaks the byte-identity guarantee every golden file and CI smoke job pins.
-Take simulated time from the engine clock and randomness from a seeded
-random.Random / numpy Generator attached to the component.  Wall-time
-*telemetry* that is stripped from canonical output (ResultSet timings) is
-the one legitimate exception: suppress it with a reason.""",
-    _check_wall_clock)
-
-register_lint_rule(
-    "RPL002", "import-time-registration",
-    "register_*() calls must execute at module top level.",
-    """Sweep cells cross process boundaries carrying registry *names*;
-spawn-method workers re-import modules from scratch and then resolve those
-names.  A register_*() call inside a function or class body, or under a
-conditional, runs on some import paths and not others -- the worker imports
-the module and still cannot resolve the name (or resolves it only when some
-unrelated code path ran first).  Registration belongs at module top level;
-top-level loops and try blocks are fine because they still execute at
-import.""",
-    _check_import_time_registration)
-
-register_lint_rule(
-    "RPL003", "no-unsorted-unordered-iteration",
-    "Iterating sets or dict .values() requires an explicit sorted(...).",
-    """Everything this repo emits -- result records, JSONL lines, rendered
-report rows -- must be byte-identical across worker counts, completion
-orders and resume.  Iterating a set (hash order) or a dict's .values()
-(insertion order, i.e. completion order when workers fill the dict) bakes
-an accidental ordering into the output.  Wrap the iterable in sorted(...)
-with an explicit key.  Aggregations that cannot observe order (sum, min,
-max, any, all, len, or feeding set/sorted) are exempt; anything else that
-is genuinely order-free deserves a suppression comment saying why.""",
-    _check_unsorted_iteration)
-
-register_lint_rule(
-    "RPL004", "no-shadow-constants",
-    "Numeric literals must not duplicate named constants.",
-    """The seed's worst control-loop bug was a duplicated constant: the
-monitor hard-coded an 8 kbps MI floor while the controller honoured a
-configured min_rate_bps of 16 kbps, and the two silently disagreed.  This
-rule collects every module-level ALL_CAPS numeric constant across the
-linted tree and flags literals elsewhere that repeat a distinctive value
-(small counts and round powers of ten are ignored as coincidental).  Use
-the named constant, or thread the configured parameter through, so the
-value has exactly one owner.""",
-    _check_shadow_constants)
-
-register_lint_rule(
-    "RPL005", "no-swallowed-broad-except",
-    "No bare/broad except that swallows the exception.",
-    """A bare 'except:' or 'except Exception:' without a re-raise turns a
-crashed worker cell into a silently missing record -- a sweep that
-"succeeds" with holes is far worse than one that fails loudly, because
-resume will never re-run the hole.  Catch the narrowest exception you can
-handle; if a broad catch is genuinely required (a claim evaluator that
-must convert any error into a FAIL verdict), suppress with the reason.""",
-    _check_swallowed_exceptions)
-
-register_lint_rule(
-    "RPL006", "no-mutable-default-arguments",
-    "No mutable default arguments in function signatures.",
-    """A mutable default ([], {}, set(), dict(), ...) is created once at
-definition time and shared by every call -- state leaks across calls, and
-in a pooled worker across *cells*, which is exactly the cross-cell
-contamination the per-cell derived seeds exist to prevent.  Default to
-None and construct the container inside the function.""",
-    _check_mutable_defaults)
-
-register_lint_rule(
-    "RPL007", "no-kwargs-swallowing-factories",
-    "Registered factories must not accept **kwargs they never use.",
-    """A factory registered into a NameRegistry is called with config
-resolved from cell identity JSON.  If it accepts **kwargs and never reads
-them, a misspelled knob or a stale key is absorbed without error: the cell
-*records* a configuration it never applied, poisoning every archived
-result.  PRs 3-4 closed this class case by case (droppable min_rate_bps,
-policy kwargs); this rule closes it for every future registration.  Drop
-the **kwargs, or forward it to a constructor that validates keys.""",
-    _check_kwargs_swallowing_factories)
-
-register_lint_rule(
-    "RPL008", "suppression-hygiene",
-    "Suppressions need a rule code and a reason; nothing else is honoured.",
-    """The only way to silence a finding is an inline
-'# repro-lint: disable=RPLnnn <reason>' comment on the flagged line (or
-alone on the line above).  The reason is mandatory: a suppression is a
-reviewed, documented exception to a determinism contract, not an opt-out.
-Malformed directives, unknown codes and reasonless disables are findings
-themselves, and RPL008 cannot be suppressed.""",
-    _check_suppression_hygiene)
-
-register_lint_rule(
-    "RPL017", "qdisc-factories-attach-rng",
-    "Qdisc factories must not draw randomness at construction time.",
-    """A queue discipline is constructed by its registered factory before
-the link wires it to a simulator, so at construction time there is no
-engine RNG to draw from -- the shared random.Random arrives afterwards via
-QueueDiscipline.attach_rng().  A factory that draws at build time either
-reaches the process-global RNG (breaking byte-identity across workers and
-resume, the RPL001 failure mode) or seeds a private stream the cell
-identity does not record.  Keep factories pure constructors; random-drop
-decisions belong in enqueue/dequeue paths guarded by the attached rng
-(which raises RuntimeError when missing).  Import-time registration of the
-factory itself is RPL002's job; this rule pins the attach-rng half of the
-qdisc contract.""",
-    _check_qdisc_factory_rng)
+#: Every code the checker reports: the per-module rules plus the units pass.
+CODES = frozenset(CHECKS) | frozenset(units.CODES)
 
 
 # --------------------------------------------------------------------------
@@ -850,13 +613,12 @@ qdisc contract.""",
 
 
 def lint_sources(sources: Dict[str, str]) -> List[Finding]:
-    """Lint ``{path: source}`` pairs and return surviving findings, sorted.
+    """Check ``{path: source}`` pairs and return surviving findings, sorted.
 
-    The path is significant: RPL001's scope (the simulation tree) and
-    RPL004's cross-file constant table both key off it.  Raises
+    The path is significant: RPL001's scope, RPL004's cross-file constant
+    table and the units pass's module names all key off it.  Raises
     ``SyntaxError`` if any source does not parse.
     """
-    _ensure_all_rules()
     contexts = [_parse_module(path, source)
                 for path, source in sorted(sources.items())]
     constants: Dict[Union[int, float], _ConstantDef] = {}
@@ -867,16 +629,15 @@ def lint_sources(sources: Dict[str, str]) -> List[Finding]:
     findings: List[Finding] = []
     for ctx in contexts:
         ctx.constants = constants
-        for _code, rule in RULES.items():
-            if rule.check is None:
-                continue  # whole-program rule, driven by repro.devtools.units
-            for finding in rule.check(ctx):
-                if (finding.code != "RPL008"
-                        and finding.code in ctx.suppressions.get(finding.line,
-                                                                 set())):
-                    continue
-                findings.append(finding)
-    return sorted(findings, key=Finding.sort_key)
+        for code in sorted(CHECKS):
+            findings.extend(CHECKS[code](ctx))
+    findings.extend(Finding(*raw) for raw in units.check_program(
+        [(ctx.path, ctx.tree) for ctx in contexts]))
+    suppressions = {ctx.path: ctx.suppressions for ctx in contexts}
+    return sorted(
+        (finding for finding in findings
+         if finding.code not in suppressions[finding.path].get(finding.line, ())),
+        key=Finding.sort_key)
 
 
 def _collect_files(paths: Sequence[str]) -> List[Path]:
@@ -898,21 +659,9 @@ def _collect_files(paths: Sequence[str]) -> List[Path]:
 
 
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
+    """Check every ``.py`` file under ``paths`` (files or directories)."""
     files = _collect_files(paths)
     return lint_sources({str(path): path.read_text() for path in files})
-
-
-def _print_explanations(codes: Sequence[str]) -> None:
-    expanded = RULES.names() if list(codes) == ["all"] else list(codes)
-    for position, code in enumerate(expanded):
-        rule = RULES.get(code)
-        if position:
-            print()
-        print(f"{rule.code} ({rule.name})")
-        print(f"  {rule.summary}")
-        for line in rule.explain.splitlines():
-            print(f"  {line}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -922,32 +671,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
-        description="AST contract checker for the repro determinism and "
-                    "registry invariants.")
+        description="Static checker for the repro determinism, registry and "
+                    "units-of-measure contracts.")
     parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON array for CI annotation")
-    parser.add_argument("--explain", nargs="+", metavar="RPLnnn",
-                        help="print the rationale for the given rule codes "
-                             "('all' for every rule) and exit")
-    parser.add_argument("--list", action="store_true",
-                        help="list every registered rule code and exit")
+                        help="files or directories to check (default: src)")
     args = parser.parse_args(argv)
-    _ensure_all_rules()
-
-    if args.list:
-        for code in RULES.names():
-            rule = RULES.get(code)
-            print(f"{rule.code}  {rule.name:36s} {rule.summary}")
-        return 0
-    if args.explain:
-        try:
-            _print_explanations(args.explain)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0
 
     try:
         findings = lint_paths(args.paths)
@@ -959,16 +687,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"syntax error: {exc.msg}", file=sys.stderr)
         return 2
 
-    if args.json:
-        print(json.dumps([finding.as_json() for finding in findings],
-                         indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        if findings:
-            count = len(findings)
-            print(f"\n{count} finding{'s' if count != 1 else ''} "
-                  f"(see --explain <code> for the contract behind each rule)")
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        count = len(findings)
+        print(f"\n{count} finding{'s' if count != 1 else ''} (each rule's "
+              f"contract is its check's docstring in repro.devtools)")
     return 1 if findings else 0
 
 

@@ -1,23 +1,21 @@
-"""``repro.devtools.units`` — units-of-measure static checker (RPL011–RPL016).
+"""``repro.devtools.units`` — the whole-program units-of-measure pass.
 
 Every figure and claim verdict in this repo is arithmetic over quantities in
 several unit conventions: rates in bits/s (``_bps``) and megabits/s
 (``_mbps``), sizes in bytes (``_bytes``) and bits, times in seconds (``_s``)
 and milliseconds (``_ms``).  A single bits/bytes or s/ms slip silently
 corrupts every downstream number, and nothing at runtime can notice — the
-arithmetic is perfectly legal Python.  This module makes the unit contracts
-machine-checked::
+arithmetic is perfectly legal Python.  :func:`check_program` makes the unit
+contracts machine-checked; ``python -m repro.devtools.lint`` runs it next to
+the per-module rules, over the same parsed trees and suppression table.
 
-    python -m repro.devtools.units src
-    python -m repro.devtools.units --explain RPL012
-    python -m repro.devtools.units --json src
+The pass uses stdlib ``ast`` only and never imports the checked code.  It
+infers a *dimension* (rate, size, time, dimensionless) and *scale* (bps vs
+Mbps, bits vs bytes, s vs ms) for every expression from
 
-The checker is a whole-program pass (stdlib ``ast`` only, never imports the
-checked code).  It infers a *dimension* (rate, size, time, dimensionless) and
-*scale* (bps vs Mbps, bits vs bytes, s vs ms) for every expression from
-
-* name suffixes (``rtt_ms``, ``bandwidth_bps``, ``buffer_bytes``, ...) and
-  the ``bytes_`` prefix family (``bytes_sent``, ``bytes_queued``),
+* name suffixes (``rtt_ms``, ``bandwidth_bps``, ``buffer_bytes``, ...; every
+  spelling of a unit, ``_s``/``_sec``/``_seconds`` alike) and the ``bytes_``
+  prefix family (``bytes_sent``, ``bytes_queued``),
 * ``Annotated`` unit aliases from :mod:`repro.units` in parameter,
   return and variable annotations (``Bps``, ``Seconds``, ...),
 * the named conversion constants (``BITS_PER_BYTE``, ``BPS_PER_MBPS``,
@@ -26,50 +24,30 @@ checked code).  It infers a *dimension* (rate, size, time, dimensionless) and
 * a function-level call graph across all checked files, so a call's return
   unit flows from its definition (``flow.goodput_bps(...)`` is a rate in
   bits/s wherever the call appears).
-
-Checked contracts:
-
-========  ===========================================================
-RPL011    no ``+``/``-``/comparison between mismatched units
-RPL012    arguments must match parameter units across the call graph
-RPL013    returned values must match the declared return unit
-RPL014    unit conversions must use the named constants, not literals
-RPL015    a name's suffix must agree with its annotation / assignment
-RPL016    non-canonical unit suffixes (``_sec``, ``_msec``, ...)
-========  ===========================================================
-
-Findings, suppressions (``# repro-lint: disable=RPL01x <reason>``), ``--json``
-and ``--explain`` reuse :mod:`repro.devtools.lint`'s machinery verbatim; the
-RPL01x codes live in the same rule registry, so both checkers agree on the
-code universe and suppression hygiene (RPL008) stays enforced here too.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from .lint import (
-    Finding,
-    ModuleContext,
-    _check_suppression_hygiene,
-    _collect_files,
-    _parse_module,
-    register_lint_rule,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
+    "CODES",
     "UnitInfo",
-    "units_findings",
-    "units_paths",
-    "main",
+    "check_program",
 ]
+
+#: The codes :func:`check_program` reports.
+CODES = ("RPL011", "RPL012", "RPL013", "RPL014", "RPL015")
+
+#: One finding as ``(path, line, col, code, message)``.
+RawFinding = Tuple[str, int, int, str, str]
+
+#: One parsed module as ``(path, tree)``.
+ParsedFile = Tuple[str, ast.Module]
 
 
 # --------------------------------------------------------------------------
@@ -122,22 +100,19 @@ class UnitInfo:
         return _canonical(self.bits, self.seconds, self.scale / factor)
 
 
-def _unit(bits: int, seconds: int, scale: float, label: str) -> UnitInfo:
-    return UnitInfo(bits=bits, seconds=seconds, scale=scale, label=label)
+BPS = UnitInfo(1, -1, 1.0, "bps")
+MBPS = UnitInfo(1, -1, 1e6, "Mbps")
+GBPS = UnitInfo(1, -1, 1e9, "Gbps")
+BITS = UnitInfo(1, 0, 1.0, "bits")
+BYTES = UnitInfo(1, 0, 8.0, "bytes")
+KB = UnitInfo(1, 0, 8000.0, "KB")  # repro-lint: disable=RPL004 unit-table scale (bits per KB), not a rate floor
+SECONDS = UnitInfo(0, 1, 1.0, "s")
+MS = UnitInfo(0, 1, 1e-3, "ms")
+US = UnitInfo(0, 1, 1e-6, "us")
+COUNT = UnitInfo(0, 0, 1.0, "count")
 
-
-#: Canonical named units, keyed by (bits, seconds, scale) for pretty labels.
-_NAMED_UNITS: Tuple[UnitInfo, ...] = (
-    _unit(1, -1, 1.0, "bps"),
-    _unit(1, -1, 1e6, "Mbps"),
-    _unit(1, -1, 1e9, "Gbps"),
-    _unit(1, 0, 1.0, "bits"),
-    _unit(1, 0, 8.0, "bytes"),
-    _unit(1, 0, 8000.0, "KB"),  # repro-lint: disable=RPL004 unit-table scale (bits per KB), not a rate floor
-    _unit(0, 1, 1.0, "s"),
-    _unit(0, 1, 1e-3, "ms"),
-    _unit(0, 0, 1.0, "count"),
-)
+#: Canonical named units, for pretty labels.
+_NAMED_UNITS = (BPS, MBPS, GBPS, BITS, BYTES, KB, SECONDS, MS, US, COUNT)
 
 
 def _canonical(bits: int, seconds: int, scale: float) -> UnitInfo:
@@ -150,40 +125,29 @@ def _canonical(bits: int, seconds: int, scale: float) -> UnitInfo:
                     label=f"<bits^{bits}·s^{seconds}·x{scale:g}>")
 
 
-BPS = _NAMED_UNITS[0]
-MBPS = _NAMED_UNITS[1]
-GBPS = _NAMED_UNITS[2]
-BITS = _NAMED_UNITS[3]
-BYTES = _NAMED_UNITS[4]
-SECONDS = _NAMED_UNITS[6]
-MS = _NAMED_UNITS[7]
-COUNT = _NAMED_UNITS[8]
-
-#: Canonical suffix → unit.  Longest suffix wins; matching is done on the
-#: lower-cased name so ``MIN_RATE_BPS`` and ``min_rate_bps`` agree.
+#: Suffix → unit.  Longest suffix wins; matching is done on the lower-cased
+#: name so ``MIN_RATE_BPS`` and ``min_rate_bps`` agree.  Every spelling of a
+#: unit is listed, so ``rtt_sec + delay_ms`` is a unit mismatch.
 _SUFFIX_UNITS: Dict[str, UnitInfo] = {
     "_bps": BPS,
     "_mbps": MBPS,
     "_gbps": GBPS,
     "_bytes": BYTES,
     "_bits": BITS,
-    "_kb": _NAMED_UNITS[5],
+    "_kb": KB,
     "_s": SECONDS,
+    "_sec": SECONDS,
+    "_secs": SECONDS,
     "_seconds": SECONDS,
     "_ms": MS,
+    "_msec": MS,
+    "_msecs": MS,
+    "_millis": MS,
+    "_us": US,
+    "_usec": US,
+    "_usecs": US,
     "_packets": COUNT,
     "_pkts": COUNT,
-}
-
-#: Deprecated suffix → the canonical spelling (RPL016).
-_DEPRECATED_SUFFIXES: Dict[str, str] = {
-    "_sec": "_s",
-    "_secs": "_s",
-    "_msec": "_ms",
-    "_msecs": "_ms",
-    "_millis": "_ms",
-    "_usec": "_us",
-    "_usecs": "_us",
 }
 
 #: Named conversion constants (repro.units) → the factor the carried
@@ -239,17 +203,6 @@ def suffix_unit(name: str) -> Optional[UnitInfo]:
             if best is None or len(suffix) > best[0]:
                 best = (len(suffix), unit)
     return best[1] if best is not None else None
-
-
-def deprecated_suffix(name: str) -> Optional[Tuple[str, str]]:
-    """``(bad_suffix, canonical_suffix)`` when ``name`` uses a deprecated one."""
-    lowered = name.lower()
-    if "_per_" in lowered:
-        return None
-    for suffix, canonical in _DEPRECATED_SUFFIXES.items():
-        if lowered.endswith(suffix) and len(lowered) > len(suffix):
-            return suffix, canonical
-    return None
 
 
 def annotation_unit(node: Optional[ast.expr]) -> Optional[UnitInfo]:
@@ -391,18 +344,18 @@ def _dataclass_constructor(node: ast.ClassDef, qualname: str,
                        node=synthetic, path=path)
 
 
-def _build_index(contexts: Sequence[ModuleContext]) -> ProgramIndex:
+def _build_index(modules: Sequence[ParsedFile]) -> ProgramIndex:
     by_qualname: Dict[str, FunctionSig] = {}
     by_bare_name: Dict[str, List[FunctionSig]] = {}
     constructors: Dict[str, FunctionSig] = {}
-    for ctx in contexts:
-        module = _module_name(ctx.path)
+    for path, tree in modules:
+        module = _module_name(path)
 
         def visit(body: Sequence[ast.stmt], prefix: str, in_class: bool) -> None:
             for stmt in body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}.{stmt.name}" if prefix else stmt.name
-                    sig = _signature_of(stmt, qualname, ctx.path, in_class)
+                    sig = _signature_of(stmt, qualname, path, in_class)
                     by_qualname[qualname] = sig
                     by_bare_name.setdefault(stmt.name, []).append(sig)
                 elif isinstance(stmt, ast.ClassDef):
@@ -410,11 +363,11 @@ def _build_index(contexts: Sequence[ModuleContext]) -> ProgramIndex:
                     visit(stmt.body, class_qual, True)
                     init = by_qualname.get(f"{class_qual}.__init__")
                     if init is None:
-                        init = _dataclass_constructor(stmt, class_qual, ctx.path)
+                        init = _dataclass_constructor(stmt, class_qual, path)
                     if init is not None:
                         constructors[class_qual] = init
 
-        visit(ctx.tree.body, module, False)
+        visit(tree.body, module, False)
     return ProgramIndex(by_qualname=by_qualname, by_bare_name=by_bare_name,
                         constructors=constructors)
 
@@ -466,25 +419,25 @@ class _Scope:
 class _ModuleChecker:
     """Runs the RPL01x checks over one parsed module."""
 
-    def __init__(self, ctx: ModuleContext, index: ProgramIndex,
+    def __init__(self, path: str, tree: ast.Module, index: ProgramIndex,
                  imports: Dict[str, str], module: str) -> None:
-        self.ctx = ctx
+        self.path = path
+        self.tree = tree
         self.index = index
         self.imports = imports
         self.module = module
-        self.findings: List[Finding] = []
+        self.findings: List[RawFinding] = []
         #: Module-level names (functions/classes) for bare-call resolution.
         self.local_defs: Dict[str, str] = {}
-        for stmt in ctx.tree.body:
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 self.local_defs[stmt.name] = f"{module}.{stmt.name}"
 
     # -- plumbing ----------------------------------------------------------
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        self.findings.append(Finding(
-            path=self.ctx.path, line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0), code=code, message=message))
+        self.findings.append((self.path, getattr(node, "lineno", 1),
+                              getattr(node, "col_offset", 0), code, message))
 
     def _resolve_qualname(self, node: ast.expr) -> Optional[str]:
         """Dotted program-index name for a Name/Attribute chain, if known."""
@@ -516,41 +469,10 @@ class _ModuleChecker:
         return name, factor
 
     # -- checking entry points --------------------------------------------
-    def run(self) -> List[Finding]:
-        module_scope = _Scope(self, {}, None, f"module {self.module}")
-        self._check_body(self.ctx.tree.body, module_scope)
-        self._check_suffix_spelling()
+    def run(self) -> List[RawFinding]:
+        self._check_body(self.tree.body,
+                         _Scope(self, {}, None, f"module {self.module}"))
         return self.findings
-
-    def _check_suffix_spelling(self) -> None:
-        """RPL016 — deprecated unit suffixes on definitions and bindings."""
-        seen: set = set()
-
-        def flag(node: ast.AST, name: str, kind: str) -> None:
-            found = deprecated_suffix(name)
-            if found is None:
-                return
-            key = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0), name)
-            if key in seen:
-                return
-            seen.add(key)
-            bad, canonical = found
-            self._emit(node, "RPL016",
-                       f"{kind} {name!r} uses non-canonical unit suffix "
-                       f"'{bad}'; the policy spelling is '{canonical}' "
-                       f"(see repro.units)")
-
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                flag(node, node.name, "function name")
-                for arg in (list(node.args.posonlyargs) + list(node.args.args)
-                            + list(node.args.kwonlyargs)):
-                    flag(arg, arg.arg, "parameter")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                flag(node, node.id, "name")
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Store)):
-                flag(node, node.attr, "attribute")
 
     # -- statement walking -------------------------------------------------
     def _function_scope(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
@@ -978,176 +900,44 @@ class _ModuleChecker:
 # Driver.
 
 
-def units_findings(sources: Dict[str, str]) -> List[Finding]:
-    """Check ``{path: source}`` pairs; return surviving findings, sorted.
+def check_program(modules: Sequence[ParsedFile]) -> List[RawFinding]:
+    """Run RPL011–RPL015 over every ``(path, tree)``; return raw findings.
 
-    Shares :mod:`repro.devtools.lint`'s parse, suppression and finding
-    machinery: inline ``# repro-lint: disable=RPL01x <reason>`` comments
-    suppress findings here exactly as they do for the per-module rules, and
-    malformed suppressions surface as RPL008.  Raises ``SyntaxError`` if any
-    source does not parse.
+    One call graph is built over all modules first, so a unit flows across
+    files.  The caller filters suppressions.  The contracts:
+
+    RPL011 — no ``+``, ``-``, comparison, ``+=``/``-=`` or ``min``/``max``
+    between mismatched units.  ``rate_bps + rate_mbps``, ``rtt_ms < rtt_s``
+    and ``rtt_sec + delay_ms`` are off by the conversion factor, and Python
+    cannot notice.  Multiplication and division compose dimensions
+    (``size_bytes * BITS_PER_BYTE / duration_s`` is a rate in bps).
+
+    RPL012 — an argument must match its parameter's unit across the call
+    graph: ``measure(rtt_ms)`` into ``def measure(rtt_s)`` is a 1000x error
+    inside the callee.  Calls resolve through imports (relative ones too) and
+    module-level definitions; a method call on an unknown object is checked
+    only when every definition of that method name agrees on parameter
+    units, and dataclass keyword construction binds like a call.
+
+    RPL013 — a function whose name carries a unit suffix (``goodput_bps``)
+    or whose return annotation is a :mod:`repro.units` alias (``-> Bps``)
+    must return that unit; a wrong return poisons every caller at once.
+
+    RPL014 — unit conversions use the named constants, not bare literals.
+    An anonymous ``* 8.0``, ``/ 1e6`` or ``* 1000`` next to a dimensioned
+    quantity hides a conversion (1024 vs 1000, ``*`` vs ``/``) from review;
+    with the named constant the scale change is declared and tracked.
+    Ordinary arithmetic (``rate / 2.0``, ``* 10``) is untouched.
+
+    RPL015 — a name's unit suffix must agree with its annotation and with
+    the unit of what is assigned to it (dict literals with suffixed string
+    keys included): ``rtt_s: Ms`` or ``goodput_mbps = flow.goodput_bps(t)``
+    makes two contradictory unit claims.
     """
-    contexts = [_parse_module(path, source)
-                for path, source in sorted(sources.items())]
-    index = _build_index(contexts)
-    findings: List[Finding] = []
-    for ctx in contexts:
-        module = _module_name(ctx.path)
-        imports = _resolve_imports(ctx.tree, module)
-        checker = _ModuleChecker(ctx, index, imports, module)
-        for finding in checker.run():
-            if finding.code in ctx.suppressions.get(finding.line, set()):
-                continue
-            findings.append(finding)
-        for finding in _check_suppression_hygiene(ctx):
-            findings.append(finding)
-    return sorted(findings, key=Finding.sort_key)
-
-
-def units_paths(paths: Sequence[str]) -> List[Finding]:
-    """Check every ``.py`` file under ``paths`` (files or directories)."""
-    files = _collect_files(paths)
-    return units_findings({str(path): path.read_text() for path in files})
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code.
-
-    0: no findings.  1: findings reported.  2: usage or parse error.
-    """
-    from .lint import RULES, _print_explanations
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.units",
-        description="Units-of-measure static checker: dimension- and "
-                    "scale-checks every rate, size and time in the tree.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to check (default: src)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON array for CI annotation")
-    parser.add_argument("--explain", nargs="+", metavar="RPLnnn",
-                        help="print the rationale for the given rule codes "
-                             "('all' for every rule) and exit")
-    parser.add_argument("--list", action="store_true",
-                        help="list the units rules and exit")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for code in _UNITS_RULE_CODES:
-            rule = RULES.get(code)
-            print(f"{rule.code}  {rule.name:36s} {rule.summary}")
-        return 0
-    if args.explain:
-        try:
-            _print_explanations(args.explain)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0
-
-    try:
-        findings = units_paths(args.paths)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except SyntaxError as exc:
-        print(f"{exc.filename}:{exc.lineno}:{exc.offset or 0} "
-              f"syntax error: {exc.msg}", file=sys.stderr)
-        return 2
-
-    if args.json:
-        print(json.dumps([finding.as_json() for finding in findings],
-                         indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        if findings:
-            count = len(findings)
-            print(f"\n{count} finding{'s' if count != 1 else ''} "
-                  f"(see --explain <code> for the contract behind each rule)")
-    return 1 if findings else 0
-
-
-# --------------------------------------------------------------------------
-# Rule registration — shared registry with repro.devtools.lint, so --explain,
-# --list and suppression validation agree on one code universe.
-
-_UNITS_RULE_CODES = ("RPL011", "RPL012", "RPL013",
-                     "RPL014", "RPL015", "RPL016")
-
-register_lint_rule(
-    "RPL011", "no-mixed-unit-arithmetic",
-    "No +, -, comparison, or min/max between mismatched units.",
-    """Adding a rate in bits/s to one in Mbit/s, subtracting milliseconds
-from seconds, or comparing bytes against bits is always a bug: the result is
-off by the conversion factor and Python cannot notice.  The checker infers a
-dimension (rate, size, time) and scale (bps vs Mbps, s vs ms, bits vs bytes)
-for every expression from name suffixes, repro.units annotations and
-the cross-file call graph, and flags additive/comparison operators whose two
-sides disagree.  Multiplication and division compose dimensions (bytes *
-BITS_PER_BYTE / seconds is a rate in bps) and are checked via the other
-rules.  Convert one side explicitly with the named constants before
-combining.""")
-
-register_lint_rule(
-    "RPL012", "no-mismatched-argument-units",
-    "Arguments must match the callee parameter's unit across the call graph.",
-    """A function-level call graph binds every argument to its parameter:
-passing rtt_ms into a parameter named rtt_s (or annotated Seconds) silently
-injects a 1000x error into whatever the callee computes.  Calls are resolved
-through imports (including relative imports) and module-level definitions;
-method calls on unknown objects are checked only when every definition of
-that method name in the tree agrees on parameter units, so the rule cannot
-misfire on polymorphic call sites.  Dataclass field bindings (keyword
-construction) are checked the same way.  Convert at the call site with the
-repro.units constants.""")
-
-register_lint_rule(
-    "RPL013", "no-mismatched-return-units",
-    "Returned values must match the declared return unit.",
-    """A function whose name carries a unit suffix (goodput_bps) or whose
-return annotation is a repro.units alias (-> Bps) declares a contract
-for every caller; returning bytes, Mbit/s or a raw seconds value from it
-poisons all downstream arithmetic at once — the worst-case version of the
-bug class, because the error multiplies across call sites.  The checker
-infers each return expression's unit and compares it against the
-declaration.  Convert before returning, or fix the declaration.""")
-
-register_lint_rule(
-    "RPL014", "no-magic-conversion-literals",
-    "Unit conversions must use the named constants, not bare literals.",
-    """An anonymous `* 8.0`, `/ 1e6` or `* 1000` next to a unit-carrying
-quantity is a unit conversion hiding as arithmetic: nothing distinguishes
-bits-per-byte from a batch size of 8, so neither reviewers nor this checker
-can verify the intent — and a wrong factor (1024 vs 1000, * vs /) is
-invisible.  Convert with the named constants from repro.units
-(BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, BYTES_PER_KB): the name declares
-the conversion, and the checker then tracks the scale change through the
-expression.  Ordinary arithmetic with non-conversion-shaped literals
-(`rate / 2.0`, `* 10`) is untouched.""")
-
-register_lint_rule(
-    "RPL015", "no-suffix-annotation-conflicts",
-    "A name's unit suffix must agree with its annotation and its value.",
-    """A parameter spelled rtt_ms but annotated Seconds, or an assignment
-`goodput_mbps = flow.goodput_bps(t)`, carries two contradictory unit claims
-— whichever one a reader (or the checker) trusts, half the call sites are
-wrong.  The rule flags (a) suffix-vs-annotation conflicts on parameters and
-variables and (b) assignments (including dict literals with suffixed string
-keys) whose value's inferred unit contradicts the target's declared unit.
-Rename the target, fix the annotation, or convert the value.""")
-
-register_lint_rule(
-    "RPL016", "canonical-unit-suffixes",
-    "Unit suffixes use the canonical spellings (_s, _ms, _bps, _bytes).",
-    """One quantity, one suffix: `_s` for seconds (never `_sec`/`_secs`),
-`_ms` for milliseconds (never `_msec`/`_millis`), `_bps`/`_mbps` for rates,
-`_bytes`/`_bits` for sizes.  Non-canonical spellings fracture the suffix
-convention that both this checker and every human reader rely on for unit
-inference.  `_seconds` is grandfathered as a verbose alias of `_s` because
-every record carries an archived `engine.simulated_seconds` key that cannot
-be renamed without invalidating every stored result; new code uses `_s`.""")
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    index = _build_index(modules)
+    findings: List[RawFinding] = []
+    for path, tree in modules:
+        module = _module_name(path)
+        imports = _resolve_imports(tree, module)
+        findings.extend(_ModuleChecker(path, tree, index, imports, module).run())
+    return findings

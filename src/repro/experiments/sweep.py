@@ -207,7 +207,8 @@ class SweepCell:
                     f"kwargs recorded for scheme {self.scheme!r}")
         # Building the queue once validates its name, its kwargs and what the
         # factory checks itself (fq's child); factories draw no randomness
-        # (lint rule RPL017), so the throwaway has no side effect.
+        # (tests/netsim/test_queues.py::TestConstructionDrawsNoRandomness),
+        # so the throwaway has no side effect.
         make_qdisc(self.qdisc, self.resolved_buffer_bytes(), **self.qdisc_kwargs)
         topology = _TOPOLOGIES.get(self.topology)
         kwargs = resolve_topology_kwargs(self.topology, self.topology_kwargs)

@@ -101,8 +101,8 @@ class Link:
         self.queue.on_drop = self._record_queue_drop
         # Randomized disciplines (RED, PIE) draw from the simulator RNG;
         # attaching it here — never at construction — is what keeps queue
-        # building free of RNG side effects (the attach-rng pattern, lint
-        # rule RPL017).
+        # building free of RNG side effects (the attach-rng pattern, pinned by
+        # tests/netsim/test_queues.py::TestConstructionDrawsNoRandomness).
         self.queue.attach_rng(sim.rng)
         self.name = name
         self.stats = LinkStats()

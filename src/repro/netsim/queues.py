@@ -29,8 +29,9 @@ packets carry no congestion mark.  Disciplines whose drop decisions are
 randomized (RED, PIE) are constructed *without* an RNG and receive one via
 :meth:`QueueDiscipline.attach_rng` afterwards — links attach ``sim.rng``
 automatically.  Factories must never draw from the simulator RNG at
-construction time (lint rule RPL017), so building a queue never perturbs the
-deterministic event stream.
+construction time (``TestConstructionDrawsNoRandomness`` in
+``tests/netsim/test_queues.py`` builds every registered discipline), so
+building a queue never perturbs the deterministic event stream.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class QueueDiscipline:
         """Attach the seeded RNG randomized disciplines draw from.
 
         Construction must never consume simulator randomness (the attach-rng
-        pattern, pinned by lint rule RPL017); the link attaches ``sim.rng``
+        pattern, pinned by ``TestConstructionDrawsNoRandomness`` in
+        ``tests/netsim/test_queues.py``); the link attaches ``sim.rng``
         right after wiring the queue, so drop decisions share the simulator's
         deterministic stream.
         """
@@ -549,9 +551,10 @@ def register_qdisc(name: str, factory: Callable[..., QueueDiscipline]) -> None:
 
     ``factory(buffer_bytes, **kwargs)`` must return a *fresh*
     :class:`QueueDiscipline` on every call (links never share queues),
-    RNG-free (the module's attach-rng convention; lint rule RPL017), and —
-    like every registry entry (:mod:`repro.registry`) — be registered at
-    module import time, or multi-worker sweeps fail with "unknown queue
+    RNG-free (the module's attach-rng convention, pinned by
+    ``TestConstructionDrawsNoRandomness`` in ``tests/netsim/test_queues.py``),
+    and — like every registry entry (:mod:`repro.registry`) — be registered
+    at module import time, or multi-worker sweeps fail with "unknown queue
     discipline".
 
     The keyword parameters after ``buffer_bytes`` in the factory's signature

@@ -7,7 +7,7 @@ those conventions first-class:
 
 * **Unit aliases** — ``Annotated`` type aliases (:data:`Bps`, :data:`Mbps`,
   :data:`Bytes`, :data:`Seconds`, ...) used in signatures so that both human
-  readers and the static units checker (:mod:`repro.devtools.units`) know the
+  readers and the static checker (``python -m repro.devtools.lint``) know the
   dimension and scale of a parameter or return value.  At runtime they are
   plain ``float``/``int`` — annotating a signature changes nothing.
 * **Named conversion constants** — :data:`BITS_PER_BYTE`,
@@ -18,7 +18,7 @@ those conventions first-class:
   :func:`bytes_to_bits`, :func:`s_to_ms`, ...) whose signatures carry the
   unit change for call sites that prefer a name over an expression.
 
-The canonical suffix policy (enforced by RPL016):
+The suffix policy:
 
 ========== =========================== ==============================
 Suffix     Meaning                     Notes
@@ -29,16 +29,14 @@ Suffix     Meaning                     Notes
 ``_bits``  size, bits                  transient (rate arithmetic)
 ``_s``     time, seconds               canonical time unit
 ``_ms``    time, milliseconds          presentation/claims only
-``_seconds`` time, seconds             grandfathered verbose alias —
-                                       the record's archived
-                                       ``engine.simulated_seconds`` key;
-                                       new code uses ``_s``
 ``_packets`` count of packets          dimensionless in arithmetic
 ========== =========================== ==============================
 
-``_sec``/``_secs``/``_msec`` and friends are non-canonical (RPL016); bare
-time names (``delay``, ``rtt``) are being migrated to suffixed forms where
-they do not appear in archived cell-identity JSON.
+New code uses these spellings.  The checker reads the others it knows
+(``_sec``, ``_seconds``, ``_msec``, ``_millis``, ...) as the same units, so
+mixing them is a unit mismatch like any other; bare time names (``delay``,
+``rtt``) are being migrated to suffixed forms where they do not appear in
+archived cell-identity JSON.
 """
 
 from __future__ import annotations

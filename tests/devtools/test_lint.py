@@ -1,21 +1,17 @@
-"""Fixture-snippet tests for every RPL rule, suppression hygiene, and the
-self-check that keeps the checked-in tree lint-clean."""
+"""Fixture-snippet tests for the per-module RPL rules, suppression hygiene,
+the one CLI, and the self-check that keeps the checked-in tree finding-free.
+The units rules' snippets live in ``test_units.py``."""
 
-import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import (
-    get_lint_rule,
-    lint_paths,
-    lint_rule_names,
-    lint_sources,
-    main,
-)
+from repro.devtools import units
+from repro.devtools.lint import CHECKS, CODES, lint_paths, lint_sources, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -25,7 +21,7 @@ SIM_PATH = "src/repro/netsim/snippet.py"
 
 
 def codes_for(source, path=SIM_PATH, extra=None):
-    """Lint one snippet (plus optional extra files) and return finding codes."""
+    """Check one snippet (plus optional extra files) and return finding codes."""
     sources = {path: source}
     if extra:
         sources.update(extra)
@@ -51,6 +47,14 @@ class TestRPL001:
 
     def test_numpy_module_rng_triggers(self):
         snippet = "import numpy as np\n\ndef f():\n    return np.random.rand()\n"
+        assert "RPL001" in codes_for(snippet)
+
+    def test_datetime_now_triggers(self):
+        snippet = "import datetime\n\ndef f():\n    return datetime.datetime.now()\n"
+        assert "RPL001" in codes_for(snippet)
+
+    def test_global_seeding_triggers(self):
+        snippet = "import random\n\ndef f():\n    random.seed(1)\n"
         assert "RPL001" in codes_for(snippet)
 
     def test_seeded_instances_are_clean(self):
@@ -79,6 +83,10 @@ class TestRPL002:
 
     def test_register_under_conditional_triggers(self):
         snippet = "import os\nif os.environ.get('X'):\n    register_utility('x', object)\n"
+        assert "RPL002" in codes_for(snippet)
+
+    def test_register_in_class_body_triggers(self):
+        snippet = "class Plugin:\n    register_scheme('x', object, 'rate')\n"
         assert "RPL002" in codes_for(snippet)
 
     def test_top_level_and_top_level_loop_are_clean(self):
@@ -116,6 +124,10 @@ class TestRPL003:
         snippet = "def f(d):\n    return [v['x'] for v in d.values()]\n"
         assert "RPL003" in codes_for(snippet)
 
+    def test_comprehension_over_set_comprehension_triggers(self):
+        snippet = "def f(xs):\n    return [x for x in {y for y in xs}]\n"
+        assert "RPL003" in codes_for(snippet)
+
     def test_sorted_wrapping_is_clean(self):
         snippet = (
             "def f(xs, d):\n"
@@ -142,6 +154,10 @@ class TestRPL004:
         codes = codes_for(snippet,
                           extra={"src/repro/core/config.py": self.CONSTANTS})
         assert "RPL004" in codes
+
+    def test_duplicate_literal_triggers_in_the_defining_file(self):
+        snippet = self.CONSTANTS + "\ndef floor(rate):\n    return max(rate, 8000.0)\n"
+        assert codes_for(snippet) == ["RPL004"]
 
     def test_named_constant_use_is_clean(self):
         snippet = (
@@ -183,6 +199,13 @@ class TestRPL005:
         )
         assert "RPL005" in codes_for(snippet)
 
+    def test_broad_exception_inside_a_tuple_triggers(self):
+        snippet = (
+            "def f():\n    try:\n        g()\n"
+            "    except (ValueError, Exception):\n        return None\n"
+        )
+        assert "RPL005" in codes_for(snippet)
+
     def test_reraising_broad_except_is_clean(self):
         snippet = (
             "def f():\n    try:\n        g()\n"
@@ -199,116 +222,33 @@ class TestRPL005:
 
 
 # --------------------------------------------------------------------------
-# RPL006 — mutable defaults
+# RPL008 + suppression mechanics, for per-module and units codes alike
 
-
-class TestRPL006:
-    def test_list_literal_default_triggers(self):
-        snippet = "def f(items=[]):\n    return items\n"
-        assert "RPL006" in codes_for(snippet)
-
-    def test_dict_call_default_triggers(self):
-        snippet = "def f(*, options=dict()):\n    return options\n"
-        assert "RPL006" in codes_for(snippet)
-
-    def test_none_default_is_clean(self):
-        snippet = (
-            "def f(items=None):\n"
-            "    return list(items or [])\n"
-        )
-        assert codes_for(snippet) == []
-
-
-# --------------------------------------------------------------------------
-# RPL007 — kwargs-swallowing factories
-
-
-class TestRPL007:
-    def test_swallowing_factory_triggers(self):
-        snippet = (
-            "def make_thing(rate, **kwargs):\n"
-            "    return rate\n\n"
-            "register_scheme('thing', make_thing, 'rate')\n"
-        )
-        assert "RPL007" in codes_for(snippet)
-
-    def test_forwarding_factory_is_clean(self):
-        snippet = (
-            "def make_thing(rate, **kwargs):\n"
-            "    return build(rate, **kwargs)\n\n"
-            "register_scheme('thing', make_thing, 'rate')\n"
-        )
-        assert codes_for(snippet) == []
-
-    def test_unregistered_function_is_clean(self):
-        snippet = "def helper(**kwargs):\n    return None\n"
-        assert codes_for(snippet) == []
-
-
-# --------------------------------------------------------------------------
-# RPL017 — qdisc factories must not draw randomness at construction
-
-
-class TestRPL017:
-    def test_factory_drawing_rng_triggers(self):
-        snippet = (
-            "import random\n\n"
-            "def make_jitter(buffer_bytes):\n"
-            "    queue = DropTailQueue(buffer_bytes)\n"
-            "    queue.threshold = random.Random(1).uniform(0.1, 0.9)\n"
-            "    return queue\n\n"
-            "register_qdisc('jitter', make_jitter)\n"
-        )
-        assert "RPL017" in codes_for(snippet)
-
-    def test_lambda_factory_drawing_triggers(self):
-        snippet = (
-            "register_qdisc('noisy', lambda buffer_bytes: "
-            "NoisyQueue(buffer_bytes, rng.random()))\n"
-        )
-        assert "RPL017" in codes_for(snippet)
-
-    def test_pure_constructor_factory_is_clean(self):
-        snippet = (
-            "def make_half(buffer_bytes, fraction=0.5):\n"
-            "    return DropTailQueue(buffer_bytes * fraction)\n\n"
-            "register_qdisc('half', make_half)\n"
-        )
-        assert codes_for(snippet) == []
-
-    def test_drawing_outside_register_qdisc_is_not_this_rules_business(self):
-        snippet = (
-            "def helper(rng):\n"
-            "    return rng.random()\n"
-        )
-        assert "RPL017" not in codes_for(snippet)
-
-
-# --------------------------------------------------------------------------
-# RPL008 + suppression mechanics
+# One trigger per pass: (lines before the flagged line, the flagged line).
+TRIGGERS = {
+    "RPL001": ("import time\n\ndef f():\n", "    return time.time()"),
+    "RPL011": ("def f(rate_bps, rate_mbps):\n", "    return rate_bps + rate_mbps"),
+}
 
 
 class TestSuppression:
-    TRIGGER = "import time\n\ndef f():\n    return time.time()"
-
-    def test_same_line_suppression_with_reason(self):
-        snippet = ("import time\n\ndef f():\n"
-                   "    return time.time()  "
-                   "# repro-lint: disable=RPL001 boot banner only\n")
+    @pytest.mark.parametrize("code", sorted(TRIGGERS))
+    def test_same_line_suppression_with_reason(self, code):
+        head, flagged = TRIGGERS[code]
+        snippet = f"{head}{flagged}  # repro-lint: disable={code} fixture\n"
         assert codes_for(snippet) == []
 
-    def test_standalone_line_above_suppression(self):
-        snippet = ("import time\n\ndef f():\n"
-                   "    # repro-lint: disable=RPL001 boot banner only\n"
-                   "    return time.time()\n")
+    @pytest.mark.parametrize("code", sorted(TRIGGERS))
+    def test_standalone_line_above_suppression(self, code):
+        head, flagged = TRIGGERS[code]
+        snippet = f"{head}    # repro-lint: disable={code} fixture\n{flagged}\n"
         assert codes_for(snippet) == []
 
-    def test_missing_reason_is_a_finding_and_does_not_suppress(self):
-        snippet = ("import time\n\ndef f():\n"
-                   "    return time.time()  # repro-lint: disable=RPL001\n")
-        codes = codes_for(snippet)
-        assert "RPL008" in codes
-        assert "RPL001" in codes  # the reasonless disable bought nothing
+    @pytest.mark.parametrize("code", sorted(TRIGGERS))
+    def test_missing_reason_is_a_finding_and_does_not_suppress(self, code):
+        head, flagged = TRIGGERS[code]
+        snippet = f"{head}{flagged}  # repro-lint: disable={code}\n"
+        assert sorted(codes_for(snippet)) == sorted([code, "RPL008"])
 
     def test_unknown_code_is_a_finding(self):
         snippet = "x = 1  # repro-lint: disable=RPL999 because\n"
@@ -326,51 +266,46 @@ class TestSuppression:
         snippet = "x = 1  # a normal comment\n"
         assert codes_for(snippet) == []
 
+    def test_per_module_and_units_codes_share_one_table(self):
+        snippet = ("x = [1]  # repro-lint: disable=RPL005 fixture\n"
+                   "y = [2]  # repro-lint: disable=RPL014 fixture\n")
+        assert codes_for(snippet) == []
+
+    def test_malformed_suppression_is_reported_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("x = 1  # repro-lint: disable=RPL011\n")
+        assert main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.count(" RPL008 ") == 1
+
 
 # --------------------------------------------------------------------------
-# CLI behaviour
+# CLI behaviour: one command, one option (the paths)
 
 
 class TestCli:
-    def test_explain_documents_every_rule(self, capsys):
-        assert main(["--explain", "all"]) == 0
-        out = capsys.readouterr().out
-        for code in lint_rule_names():
-            assert code in out
-            assert get_lint_rule(code).summary in out
-
-    def test_explain_unknown_code_fails(self, capsys):
-        assert main(["--explain", "RPL999"]) == 2
-
-    def test_list_names_every_rule(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for code in lint_rule_names():
-            assert code in out
-
-    def test_findings_exit_nonzero_and_print_location(self, tmp_path, capsys):
+    def test_findings_of_both_passes_exit_nonzero_with_locations(
+            self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "netsim" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import time\n\ndef f():\n    return time.time()\n")
+        bad.write_text("import time\n\ndef f(rtt_ms, rtt_s):\n"
+                       "    return time.time() + rtt_ms - rtt_s\n")
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert f"{bad}:4:11 RPL001" in out
+        assert f"{bad}:4:11 RPL011" in out
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
-        good.write_text("X = 1\n")
+        good.write_text("def f(rate_bps):\n    return rate_bps * 2.0\n")
         assert main([str(good)]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_json_output_is_machine_readable(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(xs=[]):\n    return xs\n")
-        assert main(["--json", str(bad)]) == 1
-        findings = json.loads(capsys.readouterr().out)
-        assert findings == [{"path": str(bad), "line": 1, "col": 9,
-                             "code": "RPL006",
-                             "message": findings[0]["message"]}]
-        assert "mutable default" in findings[0]["message"]
+    @pytest.mark.parametrize("option", ["--json", "--list", "--explain"])
+    def test_paths_are_the_only_option(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([option, "src"])
+        assert exc.value.code == 2
 
     def test_missing_path_is_a_usage_error(self, capsys):
         assert main(["does/not/exist"]) == 2
@@ -383,18 +318,19 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("def f(xs=[]):\n    return xs\n")
+        bad.write_text("def f(rate_mbps):\n    return rate_mbps * 1e6\n")
         proc = subprocess.run(
             [sys.executable, "-m", "repro.devtools.lint", str(bad)],
             capture_output=True, text=True, cwd=REPO_ROOT,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert proc.returncode == 1
-        assert "RPL006" in proc.stdout
+        assert "RPL014" in proc.stdout
 
 
 # --------------------------------------------------------------------------
-# The contract the CI job enforces: the checked-in tree is finding-free.
+# The contract the CI job enforces: the checked-in tree is finding-free, and
+# the README's rule table indexes exactly the codes the checker reports.
 
 
 class TestSelfCheck:
@@ -402,18 +338,13 @@ class TestSelfCheck:
         findings = lint_paths([str(REPO_ROOT / "src")])
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_every_rule_has_explanation_and_summary(self):
-        assert len(lint_rule_names()) >= 8
-        for code in lint_rule_names():
-            rule = get_lint_rule(code)
-            assert rule.summary.strip()
-            assert len(rule.explain.strip()) > 100
+    def test_readme_table_lists_exactly_the_checkers_codes(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        listed = re.findall(r"^\| (RPL\d{3}) \|", readme, re.MULTILINE)
+        assert sorted(listed) == sorted(CODES)
 
-
-@pytest.mark.parametrize("code", [
-    "RPL001", "RPL002", "RPL003", "RPL004",
-    "RPL005", "RPL006", "RPL007", "RPL008",
-    "RPL017",
-])
-def test_all_shipped_codes_are_registered(code):
-    assert code in lint_rule_names()
+    def test_every_check_states_its_contract(self):
+        for code, check in CHECKS.items():
+            assert check.__doc__.startswith(f"{code}: ")
+        for code in units.CODES:
+            assert f"\n    {code} — " in units.check_program.__doc__

@@ -1,23 +1,11 @@
-"""Fixture-snippet tests for the RPL01x units-of-measure rules, the shared
-suppression grammar, the CLI, and the self-check that keeps the checked-in
-tree dimension-clean."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Fixture-snippet tests for the RPL01x units-of-measure rules, run through
+the one checker (suppressions, CLI and self-check live in ``test_lint.py``)."""
 
 import pytest
 
-from repro.devtools.lint import get_lint_rule, lint_rule_names
-from repro.devtools.units import main, units_findings, units_paths
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.devtools.lint import lint_sources
 
 SNIP_PATH = "src/repro/netsim/snippet.py"
-
-UNITS_CODES = ("RPL011", "RPL012", "RPL013", "RPL014", "RPL015", "RPL016")
 
 
 def codes_for(source, path=SNIP_PATH, extra=None):
@@ -25,7 +13,7 @@ def codes_for(source, path=SNIP_PATH, extra=None):
     sources = {path: source}
     if extra:
         sources.update(extra)
-    return [f.code for f in units_findings(sources)]
+    return [f.code for f in lint_sources(sources)]
 
 
 # --------------------------------------------------------------------------
@@ -65,9 +53,34 @@ class TestRPL011:
         )
         assert codes_for(snippet) == []
 
+    def test_augmented_assignment_mixing_units_triggers(self):
+        snippet = (
+            "def f(total_bytes, size_bits):\n"
+            "    total_bytes += size_bits\n"
+            "    return total_bytes\n"
+        )
+        assert codes_for(snippet) == ["RPL011"]
+
     def test_min_max_arguments_are_checked(self):
         snippet = "def f(rtt_ms, rtt_s):\n    return min(rtt_ms, rtt_s)\n"
         assert "RPL011" in codes_for(snippet)
+
+    def test_every_suffix_spelling_is_unit_checked(self):
+        snippet = "def f(rtt_sec, delay_ms):\n    return rtt_sec + delay_ms\n"
+        assert codes_for(snippet) == ["RPL011"]
+
+    @pytest.mark.parametrize("first, second", [
+        ("rtt_msecs", "delay_s"),
+        ("rtt_millis", "delay_seconds"),
+        ("rtt_usec", "delay_ms"),
+    ])
+    def test_other_spellings_mix_like_canonical_ones(self, first, second):
+        snippet = f"def f({first}, {second}):\n    return {first} < {second}\n"
+        assert codes_for(snippet) == ["RPL011"]
+
+    def test_spellings_of_one_unit_agree(self):
+        snippet = "def f(rtt_sec, delay_s):\n    return rtt_sec + delay_s\n"
+        assert codes_for(snippet) == []
 
 
 # --------------------------------------------------------------------------
@@ -94,6 +107,18 @@ class TestRPL012:
             extra={"src/repro/netsim/helper.py": helper},
         ) == ["RPL012"]
 
+    def test_relative_import_call_triggers(self):
+        helper = "def measure(rtt_s):\n    return rtt_s * 2.0\n"
+        caller = (
+            "from .helper import measure\n\n"
+            "def f(rtt_ms):\n    return measure(rtt_ms)\n"
+        )
+        assert codes_for(
+            caller,
+            path="src/repro/netsim/caller.py",
+            extra={"src/repro/netsim/helper.py": helper},
+        ) == ["RPL012"]
+
     def test_dataclass_keyword_construction_triggers(self):
         config = (
             "from dataclasses import dataclass\n\n"
@@ -108,6 +133,44 @@ class TestRPL012:
             path="src/repro/netsim/use.py",
             extra={"src/repro/netsim/cfg.py": config},
         ) == ["RPL012"]
+
+    def test_kb_attribute_into_bytes_field_triggers(self):
+        # The one bug in the history: ``--buffer-kb`` reached a
+        # ``buffers_bytes`` field unconverted.
+        grid = (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass Grid:\n    buffers_bytes: float\n"
+        )
+        use = (
+            "from repro.netsim.grid import Grid\n\n"
+            "def f(args):\n    return Grid(buffers_bytes=args.buffer_kb)\n"
+        )
+        extra = {"src/repro/netsim/grid.py": grid}
+        assert codes_for(use, path="src/repro/netsim/use.py",
+                         extra=extra) == ["RPL012"]
+        converted = use.replace(
+            "from repro.netsim.grid import Grid\n",
+            "from repro.netsim.grid import Grid\n"
+            "from repro.units import BYTES_PER_KB\n").replace(
+            "args.buffer_kb", "args.buffer_kb * BYTES_PER_KB")
+        assert codes_for(converted, path="src/repro/netsim/use.py",
+                         extra=extra) == []
+
+    def test_method_call_binds_when_every_definition_agrees(self):
+        snippet = (
+            "class A:\n    def wait(self, delay_s):\n        return delay_s\n\n"
+            "class B:\n    def wait(self, delay_s):\n        return delay_s\n\n"
+            "def f(obj, delay_ms):\n    return obj.wait(delay_ms)\n"
+        )
+        assert codes_for(snippet) == ["RPL012"]
+
+    def test_method_call_with_disagreeing_definitions_is_unchecked(self):
+        snippet = (
+            "class A:\n    def wait(self, delay_s):\n        return delay_s\n\n"
+            "class B:\n    def wait(self, delay_ms):\n        return delay_ms\n\n"
+            "def f(obj, delay_ms):\n    return obj.wait(delay_ms)\n"
+        )
+        assert codes_for(snippet) == []
 
     def test_matching_units_are_clean(self):
         snippet = (
@@ -151,6 +214,10 @@ class TestRPL013:
         )
         assert "RPL013" in codes_for(snippet)
 
+    def test_suffixed_function_name_declares_its_return_unit(self):
+        snippet = "def rate_bps(size_bytes):\n    return size_bytes\n"
+        assert codes_for(snippet) == ["RPL013"]
+
     def test_matching_return_is_clean(self):
         snippet = (
             "from repro.units import Bps\n\n"
@@ -183,6 +250,10 @@ class TestRPL014:
     def test_literal_8_on_bytes_triggers(self):
         snippet = "def f(size_bytes):\n    size_bits = size_bytes * 8.0\n    return size_bits\n"
         assert "RPL014" in codes_for(snippet)
+
+    def test_dividing_by_literal_1e6_triggers(self):
+        snippet = "def f(rate_bps):\n    return rate_bps / 1e6\n"
+        assert codes_for(snippet) == ["RPL014"]
 
     def test_named_constant_is_clean(self):
         snippet = (
@@ -231,6 +302,14 @@ class TestRPL015:
         )
         assert "RPL015" in codes_for(snippet)
 
+    def test_assigning_another_unit_triggers(self):
+        snippet = "def f(rate_bps):\n    rate_mbps = rate_bps\n    return rate_mbps\n"
+        assert codes_for(snippet) == ["RPL015"]
+
+    def test_dict_literal_suffixed_key_triggers(self):
+        snippet = "def f(rtt_s):\n    return {'rtt_ms': rtt_s}\n"
+        assert codes_for(snippet) == ["RPL015"]
+
     def test_matching_annotation_is_clean(self):
         snippet = (
             "from repro.units import Seconds\n\n"
@@ -241,157 +320,3 @@ class TestRPL015:
     def test_plain_float_annotation_is_clean(self):
         snippet = "def f(rtt_s: float):\n    return rtt_s\n"
         assert codes_for(snippet) == []
-
-
-# --------------------------------------------------------------------------
-# RPL016 — non-canonical unit suffix spelling
-
-
-class TestRPL016:
-    def test_sec_suffix_triggers(self):
-        snippet = "def f(x):\n    delay_sec = x\n    return delay_sec\n"
-        assert "RPL016" in codes_for(snippet)
-
-    def test_msec_parameter_triggers(self):
-        snippet = "def f(rtt_msec):\n    return rtt_msec\n"
-        assert "RPL016" in codes_for(snippet)
-
-    def test_canonical_spellings_are_clean(self):
-        snippet = (
-            "def f(rtt_s, rtt_ms, sim_seconds):\n"
-            "    return rtt_s + sim_seconds + rtt_ms / 1000.0\n"
-        )
-        codes = codes_for(snippet)
-        assert "RPL016" not in codes
-
-    def test_seconds_suffix_is_grandfathered(self):
-        snippet = "def f(sim_seconds):\n    return sim_seconds\n"
-        assert codes_for(snippet) == []
-
-
-# --------------------------------------------------------------------------
-# Suppression grammar — shared with repro.devtools.lint
-
-
-class TestSuppression:
-    def test_same_line_suppression_with_reason(self):
-        snippet = (
-            "def f(rate_bps, rate_mbps):\n"
-            "    return rate_bps + rate_mbps  "
-            "# repro-lint: disable=RPL011 historical fixture\n"
-        )
-        assert codes_for(snippet) == []
-
-    def test_standalone_line_above_suppression(self):
-        snippet = (
-            "def f(rate_bps, rate_mbps):\n"
-            "    # repro-lint: disable=RPL011 historical fixture\n"
-            "    return rate_bps + rate_mbps\n"
-        )
-        assert codes_for(snippet) == []
-
-    def test_missing_reason_is_rpl008_and_does_not_suppress(self):
-        snippet = (
-            "def f(rate_bps, rate_mbps):\n"
-            "    return rate_bps + rate_mbps  # repro-lint: disable=RPL011\n"
-        )
-        codes = codes_for(snippet)
-        assert "RPL008" in codes
-        assert "RPL011" in codes
-
-    def test_lint_codes_are_valid_in_units_pass(self):
-        # The registries are shared: suppressing a *lint* code in a file seen
-        # by the units checker is not an unknown-code RPL008.
-        snippet = "x = [1]  # repro-lint: disable=RPL006 fixture default\n"
-        assert "RPL008" not in codes_for(snippet)
-
-
-# --------------------------------------------------------------------------
-# CLI behaviour
-
-
-class TestCli:
-    def test_explain_documents_every_units_rule(self, capsys):
-        assert main(["--explain", *UNITS_CODES]) == 0
-        out = capsys.readouterr().out
-        for code in UNITS_CODES:
-            assert code in out
-            assert get_lint_rule(code).summary in out
-
-    def test_explain_unknown_code_fails(self, capsys):
-        assert main(["--explain", "RPL999"]) == 2
-
-    def test_list_names_every_units_rule(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for code in UNITS_CODES:
-            assert code in out
-
-    def test_findings_exit_nonzero_and_print_location(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(rtt_msec):\n    return rtt_msec\n")
-        assert main([str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert f"{bad}:1" in out
-        assert "RPL016" in out
-
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text("def f(rate_bps):\n    return rate_bps * 2.0\n")
-        assert main([str(good)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_json_output_is_machine_readable(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(rate_mbps):\n    return rate_mbps * 1e6\n")
-        assert main(["--json", str(bad)]) == 1
-        findings = json.loads(capsys.readouterr().out)
-        assert len(findings) == 1
-        assert findings[0]["code"] == "RPL014"
-        assert findings[0]["path"] == str(bad)
-        assert findings[0]["line"] == 2
-
-    def test_missing_path_is_a_usage_error(self, capsys):
-        assert main(["does/not/exist"]) == 2
-
-    def test_syntax_error_is_reported_not_crashed(self, tmp_path, capsys):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def f(:\n")
-        assert main([str(bad)]) == 2
-        assert "syntax error" in capsys.readouterr().err
-
-    def test_module_entry_point(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(rate_mbps):\n    return rate_mbps * 1e6\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.devtools.units", str(bad)],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        )
-        assert proc.returncode == 1
-        assert "RPL014" in proc.stdout
-
-
-# --------------------------------------------------------------------------
-# The contract the CI job enforces: the checked-in tree is dimension-clean,
-# and every units rule participates in the shared registry.
-
-
-class TestSelfCheck:
-    def test_src_is_units_finding_free(self):
-        findings = units_paths([str(REPO_ROOT / "src")])
-        assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_units_rules_are_registered_with_lint(self):
-        names = lint_rule_names()
-        for code in UNITS_CODES:
-            assert code in names
-            rule = get_lint_rule(code)
-            assert rule.summary
-            assert len(rule.explain.strip()) > 100
-
-    def test_units_rules_have_no_per_module_check(self):
-        # Whole-program rules must not run inside lint_sources' per-module
-        # loop; they are owned by the units driver.
-        for code in UNITS_CODES:
-            assert get_lint_rule(code).check is None

@@ -1,9 +1,18 @@
 """Unit tests for the queue disciplines."""
 
+import random
+
 import pytest
 
 from repro.netsim.packet import Packet
-from repro.netsim.queues import CoDelQueue, DropTailQueue, FairQueue, InfiniteQueue
+from repro.netsim.queues import (
+    CoDelQueue,
+    DropTailQueue,
+    FairQueue,
+    InfiniteQueue,
+    make_qdisc,
+    qdisc_names,
+)
 
 
 def make_packet(flow_id=1, packet_id=0, size=1500):
@@ -213,3 +222,36 @@ class TestFairQueueDropContract:
         assert queue._flows[1].rng is rng
         assert queue.enqueue(make_packet(flow_id=2, packet_id=1), 0.0)
         assert queue._flows[2].rng is rng
+
+
+BUFFER_BYTES = 15_000
+
+# Every registered discipline, plus ``fq`` over each child that is not
+# itself composed.
+CONSTRUCTIONS = [(name, {}) for name in qdisc_names()] + [
+    ("fq", {"child": name}) for name in qdisc_names()
+    if not isinstance(make_qdisc(name, BUFFER_BYTES), FairQueue)]
+
+
+class TestConstructionDrawsNoRandomness:
+    """Building a queue never perturbs a random stream: RED and PIE draw
+    only from the RNG the link attaches after wiring the queue."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs", CONSTRUCTIONS,
+        ids=["/".join([name, *(f"{k}={v}" for k, v in kw.items())])
+             for name, kw in CONSTRUCTIONS])
+    def test_no_draw_and_no_rng_until_attach_rng(self, name, kwargs):
+        before = random.getstate()
+        queue = make_qdisc(name, BUFFER_BYTES, **kwargs)
+        # fq builds each flow's child at the flow's first packet.
+        assert queue.enqueue(make_packet(), 0.0)
+        assert random.getstate() == before
+        parts = [queue, *getattr(queue, "_flows", {}).values()]
+        assert all(part.rng is None for part in parts)
+
+        rng = random.Random(7)
+        rng_state = rng.getstate()
+        queue.attach_rng(rng)
+        assert all(part.rng is rng for part in parts)
+        assert rng.getstate() == rng_state
