@@ -8,7 +8,8 @@ byte-identity guarantees are implemented (and tested) exactly once:
 * **what still needs running** is decided by the content-addressed ``store``
   (:class:`~repro.experiments.store.CellStore`) alone: a cell whose identity
   (the canonical JSON of its params) is stored is reused without execution,
-  and every fresh outcome is ``put`` back the moment it completes;
+  and every fresh outcome is ``put`` back — one write-once file — the moment
+  it completes;
 * **how the pending cells run**: in this process when ``workers == 1`` or a
   single cell is pending, otherwise on one process pool.  Outcomes arrive in
   completion order and the returned
@@ -35,7 +36,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Uni
 
 from .progress import ProgressReporter
 from .results import ResultSet, ResultSetWriter
-from .store import CellStore, open_store
+from .store import CellStore
 
 __all__ = ["execute_cells"]
 
@@ -153,8 +154,8 @@ def execute_cells(
             "profile requires workers=1: per-cell profiles from concurrent "
             "worker processes would interleave and misattribute time"
         )
-    opened_store = open_store(store)
-    close_store = opened_store is not None and not isinstance(store, CellStore)
+    opened_store = (store if store is None or isinstance(store, CellStore)
+                    else CellStore(store))
     outcomes: Dict[int, Tuple[Dict[str, Any], float]] = {}
     if opened_store is not None:
         for position, cell in enumerate(cells):
@@ -190,8 +191,6 @@ def execute_cells(
         reporter.finish()
         if writer is not None:
             writer.close()
-        if close_store and opened_store is not None:
-            opened_store.close()
     result = ResultSet(base_seed=base_seed)
     for position in sorted(outcomes):
         record, wall = outcomes[position]

@@ -45,7 +45,6 @@ from .topology import (
 from .dynamics import (
     SYNTHETIC_TRACES,
     RandomLinkDynamics,
-    ScheduledLinkDynamics,
     TraceLinkDynamics,
     cellular_trace,
     make_synthetic_trace,
@@ -92,7 +91,6 @@ __all__ = [
     "parking_lot",
     "single_bottleneck",
     "RandomLinkDynamics",
-    "ScheduledLinkDynamics",
     "TraceLinkDynamics",
     "SYNTHETIC_TRACES",
     "cellular_trace",

@@ -3,16 +3,14 @@
 Figure 11 of the paper evaluates a "rapidly changing network": every 5 seconds
 the available bandwidth, latency and loss rate of the path are re-drawn from
 uniform distributions.  :class:`RandomLinkDynamics` reproduces that process on
-a simulated link; :class:`ScheduledLinkDynamics` applies an explicit schedule
-(useful for tests and for the Table 1 rate-limiter scenario); and
-:class:`TraceLinkDynamics` drives bandwidth (and optionally loss) from a
-piecewise-constant ``(time, value)`` trace, with a few bundled synthetic
-traces (:func:`step_trace`, :func:`sawtooth_trace`, :func:`cellular_trace`) so
-time-varying-capacity scenarios are one import away.
+a simulated link, and :class:`TraceLinkDynamics` drives bandwidth (and
+optionally loss) from a piecewise-constant ``(time, value)`` trace, with a few
+bundled synthetic traces (:func:`step_trace`, :func:`sawtooth_trace`,
+:func:`cellular_trace`) so time-varying-capacity scenarios are one import away.
 
-All of them record the applied values so experiments can plot "optimal" (the
-actual available bandwidth over time) against each protocol's chosen rate,
-exactly as the paper's Figure 11 does.
+Both record the applied values so experiments can plot "optimal" (the actual
+available bandwidth over time) against each protocol's chosen rate, exactly
+as the paper's Figure 11 does.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .link import Link
 
 __all__ = [
     "RandomLinkDynamics",
-    "ScheduledLinkDynamics",
     "TraceLinkDynamics",
     "step_trace",
     "sawtooth_trace",
@@ -138,47 +135,6 @@ class RandomLinkDynamics(_OptimalRateHistory):
             self.link.set_loss_rate(loss)
         self.history.append((self.sim.now, bandwidth, rtt, loss))
         self.sim.schedule(self.period, self._apply)
-
-
-class ScheduledLinkDynamics(_OptimalRateHistory):
-    """Apply an explicit (time, bandwidth_bps, rtt, loss_rate) schedule to a link.
-
-    Entries with ``None`` leave the corresponding parameter unchanged.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        schedule: Sequence[Tuple[float, Optional[float], Optional[float], Optional[float]]],
-        reverse_link: Optional[Link] = None,
-    ):
-        self.sim = sim
-        self.link = link
-        self._initial_bandwidth_bps = link.bandwidth_bps
-        self.reverse_link = reverse_link
-        self.schedule = sorted(schedule, key=lambda entry: entry[0])
-        self.history: List[Tuple[float, float, float, float]] = []
-
-    def start(self) -> None:
-        """Schedule every entry in the schedule."""
-        for time, bandwidth, rtt, loss in self.schedule:
-            self.sim.schedule_at(time, self._apply, bandwidth, rtt, loss)
-
-    def _apply(self, bandwidth: Optional[float], rtt: Optional[float],
-               loss: Optional[float]) -> None:
-        if bandwidth is not None:
-            self.link.set_bandwidth(bandwidth)
-        if rtt is not None:
-            self.link.set_delay(rtt / 2.0)
-            if self.reverse_link is not None:
-                self.reverse_link.set_delay(rtt / 2.0)
-        if loss is not None:
-            self.link.set_loss_rate(loss)
-        self.history.append(
-            (self.sim.now, self.link.bandwidth_bps, self.link.delay_s * 2.0,
-             self.link.loss_rate)
-        )
 
 
 class TraceLinkDynamics(_OptimalRateHistory):

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 
 from ..experiments.execute import PROFILE_TOP_N
 from ..experiments.results import write_atomic
-from ..experiments.store import CellStore
 from .render import matrix_drift, render_matrix, render_report
 from .run import SpecOutcome, run_report_spec
 from .spec import ReportSpec, list_report_specs, report_spec_ids
@@ -141,30 +140,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_path = "REPORT.md"
     if args.jsonl is not None:
         os.makedirs(args.jsonl, exist_ok=True)
-    # One store instance spans every spec, so the segment scan happens once
-    # and cells computed by an earlier spec in this very run are reusable by
-    # a later one.
-    store = CellStore(args.store) if args.store is not None else None
+    # Cells computed by an earlier spec in this very run are reusable by a
+    # later one: every spec reads and writes the same store directory.
     outcomes: List[SpecOutcome] = []
-    try:
-        for spec in specs:
-            jsonl_path = (None if args.jsonl is None else
-                          os.path.join(args.jsonl, f"{spec.spec_id}.jsonl"))
-            outcome = run_report_spec(spec, workers=args.workers,
-                                      jsonl_path=jsonl_path,
-                                      profile=args.profile, store=store,
-                                      progress=(True if args.progress
-                                                else None))
-            outcomes.append(outcome)
-            counts = outcome.status_counts()
-            print(f"{spec.spec_id}: {len(outcome.result)} cells; claims "
-                  f"{counts['PASS']} PASS, {counts['DEVIATION']} DEVIATION, "
-                  f"{counts['FAIL']} FAIL")
-            for failed in outcome.failed():
-                print(f"  FAIL {failed.claim.claim_id}: {failed.measured}")
-    finally:
-        if store is not None:
-            store.close()
+    for spec in specs:
+        jsonl_path = (None if args.jsonl is None else
+                      os.path.join(args.jsonl, f"{spec.spec_id}.jsonl"))
+        outcome = run_report_spec(spec, workers=args.workers,
+                                  jsonl_path=jsonl_path,
+                                  profile=args.profile, store=args.store,
+                                  progress=(True if args.progress else None))
+        outcomes.append(outcome)
+        counts = outcome.status_counts()
+        print(f"{spec.spec_id}: {len(outcome.result)} cells; claims "
+              f"{counts['PASS']} PASS, {counts['DEVIATION']} DEVIATION, "
+              f"{counts['FAIL']} FAIL")
+        for failed in outcome.failed():
+            print(f"  FAIL {failed.claim.claim_id}: {failed.measured}")
     # Rendered in full before the destination is touched, and renamed into
     # place: a row that fails to format cannot empty the checked-in ledger.
     write_atomic(report_path, (render_report(outcomes),))

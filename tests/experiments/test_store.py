@@ -1,14 +1,16 @@
 """Tests for the content-addressed cell store.
 
 The load-bearing properties: keys are a stable pure function of the cell
-identity (pinned by a golden fixture), concurrent writer processes never
-corrupt each other, and loading is corruption-tolerant for the one crash
-shape the append-only format can produce (a truncated final line).
+identity (pinned by a golden fixture), each key is written once and a
+different record under it is an error, concurrent writer processes never
+corrupt each other, and the one thing a crash can leave (a temp file) is
+invisible.
 """
 
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -17,7 +19,6 @@ from repro.experiments.store import (
     STORE_FORMAT,
     STORE_KEY_ALGORITHM,
     CellStore,
-    open_store,
     store_key,
 )
 
@@ -77,9 +78,44 @@ class TestRoundTrip:
 
     def test_put_is_idempotent(self, tmp_path):
         with CellStore(str(tmp_path / "store")) as store:
-            assert store.put(record_for(0))
-            assert not store.put(record_for(0))
+            assert store.put(record_for(0), wall_time_s=0.25)
+            assert not store.put(record_for(0), wall_time_s=9.0)
             assert len(store) == 1
+            # The first writer's file stays, wall time included.
+            assert store.get(record_for(0)["cell"]) == (record_for(0), 0.25)
+
+    def test_repeat_put_compares_the_record_as_stored(self, tmp_path):
+        """A tuple comes back from JSON as a list; the same record put again
+        is still the same record, not a conflict."""
+        with CellStore(str(tmp_path / "store")) as store:
+            assert store.put(record_for(0, value=(1, 2.5)))
+            assert not store.put(record_for(0, value=(1, 2.5)))
+
+    def test_conflicting_put_raises_naming_the_key(self, tmp_path):
+        """Two different payloads under one identity mean the store would mix
+        incompatible computations; the second put must fail loudly, and the
+        first record must stay."""
+        with CellStore(str(tmp_path / "store")) as store:
+            store.put(record_for(0, value=111))
+            key = store_key(record_for(0)["cell"])
+            with pytest.raises(ValueError, match=key):
+                store.put(record_for(0, value=222))
+            assert store.get(record_for(0)["cell"])[0] == \
+                record_for(0, value=111)
+            assert len(store) == 1
+
+    def test_one_file_per_cell(self, tmp_path):
+        root = str(tmp_path / "store")
+        with CellStore(root) as store:
+            for index in range(3):
+                store.put(record_for(index), wall_time_s=0.5)
+        names = sorted(os.listdir(os.path.join(root, "cells")))
+        assert names == sorted(f"{store_key(record_for(index)['cell'])}.json"
+                               for index in range(3))
+        with open(os.path.join(root, "cells", names[0])) as handle:
+            entry = json.load(handle)
+        assert set(entry) == {"record", "wall_time_s"}
+        assert entry["wall_time_s"] == 0.5
 
     def test_record_without_identity_rejected(self, tmp_path):
         with CellStore(str(tmp_path / "store")) as store:
@@ -95,27 +131,11 @@ class TestRoundTrip:
             assert len(store) == 2
             assert store.get(record_for(1)["cell"])[0] == record_for(1)
 
-    def test_records_iterates_in_sorted_key_order(self, tmp_path):
-        with CellStore(str(tmp_path / "store")) as store:
-            for index in range(5):
-                store.put(record_for(index))
-            records = [record for record, _wall in store.records()]
-            assert sorted(store_key(r["cell"]) for r in records) == store.keys()
-            assert {r["cell"]["index"] for r in records} == set(range(5))
-
-    def test_open_store_normalizes(self, tmp_path):
-        root = str(tmp_path / "store")
-        assert open_store(None) is None
-        opened = open_store(root)
-        assert isinstance(opened, CellStore)
-        assert open_store(opened) is opened
-        opened.close()
-
 
 class TestMetadata:
     def test_meta_written_on_create(self, tmp_path):
         root = str(tmp_path / "store")
-        CellStore(root).close()
+        CellStore(root)
         with open(os.path.join(root, "meta.json")) as handle:
             meta = json.load(handle)
         assert meta == {"format": STORE_FORMAT,
@@ -129,6 +149,18 @@ class TestMetadata:
                        "key_algorithm": STORE_KEY_ALGORITHM}, handle)
         with pytest.raises(ValueError, match="format"):
             CellStore(root)
+
+    def test_v1_store_rejected_with_advice(self, tmp_path):
+        """A store of the old segment layout is refused, not migrated."""
+        root = str(tmp_path / "store")
+        os.makedirs(os.path.join(root, "segments"))
+        with open(os.path.join(root, "meta.json"), "w") as handle:
+            json.dump({"format": "repro.cellstore/v1",
+                       "key_algorithm": STORE_KEY_ALGORITHM}, handle)
+        with pytest.raises(ValueError,
+                           match="repro.cellstore/v1.*fresh --store"):
+            CellStore(root)
+        assert sorted(os.listdir(root)) == ["meta.json", "segments"]
 
     def test_foreign_key_algorithm_rejected(self, tmp_path):
         root = str(tmp_path / "store")
@@ -148,134 +180,51 @@ class TestMetadata:
             CellStore(root)
 
 
-def _segment_paths(root):
-    segment_dir = os.path.join(root, "segments")
-    return [os.path.join(segment_dir, name)
-            for name in sorted(os.listdir(segment_dir))
-            if name.endswith(".jsonl")]
+def _cell_path(root, index):
+    return os.path.join(root, "cells",
+                        f"{store_key(record_for(index)['cell'])}.json")
 
 
-class TestCorruptionTolerance:
-    def test_truncated_tail_dropped_on_scan(self, tmp_path):
-        """A crash mid-append leaves a partial final line; every finished
-        record must stay recoverable and the partial one must vanish."""
+class TestCrashAndCorruption:
+    def test_leftover_temp_file_is_invisible(self, tmp_path):
+        """A crash between writing the temp file and linking it leaves
+        ``<key>.json.tmp.<pid>``: no reader sees it, and a later put of the
+        same key publishes normally and cleans up after itself."""
         root = str(tmp_path / "store")
+        CellStore(root)
+        leftover = _cell_path(root, 0) + ".tmp.99999"
+        with open(leftover, "w") as handle:
+            handle.write('{"record": {"cel')  # torn mid-write
         with CellStore(root) as store:
-            for index in range(3):
-                store.put(record_for(index))
-        (segment,) = _segment_paths(root)
-        with open(segment, "a") as handle:
-            handle.write('{"key": "deadbeef", "record": {"cel')  # no newline
-        os.remove(os.path.join(root, "index.json"))  # force a raw rescan
-        with CellStore(root) as store:
-            assert len(store) == 3
-
-    def test_truncated_tail_repaired_before_append(self, tmp_path):
-        """Re-appending to a crash-truncated segment must first cut the
-        partial line, or the next record would be glued onto it (corrupting
-        two records instead of losing none)."""
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-        (segment,) = _segment_paths(root)
-        with open(segment, "a") as handle:
-            handle.write('{"key": "deadbeef"')  # partial, no newline
-        os.remove(os.path.join(root, "index.json"))
-        with CellStore(root) as store:
-            # Same pid -> same segment file as the first open.
-            store.put(record_for(1))
-        with open(segment) as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 2
-        assert [json.loads(line)["record"] for line in lines] == [
-            record_for(0), record_for(1)]
-
-    def test_mid_file_corruption_is_an_error(self, tmp_path):
-        """Only the *tail* can be torn by the crash model (append-only,
-        flushed lines); corruption anywhere else means the file was damaged
-        and neither record universe can be trusted silently."""
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-            store.put(record_for(1))
-        (segment,) = _segment_paths(root)
-        lines = open(segment).read().splitlines()
-        with open(segment, "w") as handle:
-            handle.write("garbage not json\n")
-            handle.write(lines[1] + "\n")
-        os.remove(os.path.join(root, "index.json"))
-        with pytest.raises(ValueError, match="corrupt"):
-            CellStore(root)
-
-    def test_mismatched_key_is_an_error(self, tmp_path):
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-        (segment,) = _segment_paths(root)
-        entry = json.loads(open(segment).read())
-        entry["key"] = "0" * 64
-        with open(segment, "w") as handle:
-            handle.write(json.dumps(entry) + "\n")
-        os.remove(os.path.join(root, "index.json"))
-        with pytest.raises(ValueError, match="hashes differently"):
-            CellStore(root)
-
-    def test_conflicting_records_for_one_key_is_an_error(self, tmp_path):
-        """Two different payloads under one identity mean the store mixes
-        incompatible computations; serving either silently would poison every
-        later run."""
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0, value=111))
-        (segment,) = _segment_paths(root)
-        line = open(segment).read()
-        conflicting = json.loads(line)
-        conflicting["record"]["value"] = 222
-        other = os.path.join(os.path.dirname(segment), "seg-99999.jsonl")
-        with open(other, "w") as handle:
-            handle.write(json.dumps(conflicting) + "\n")
-        os.remove(os.path.join(root, "index.json"))
-        with pytest.raises(ValueError, match="conflicting"):
-            CellStore(root)
-
-    def test_identical_duplicates_collapse_and_count(self, tmp_path):
-        """Two processes deterministically recomputing one cell write
-        identical lines; that is benign and tracked in stats."""
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-        (segment,) = _segment_paths(root)
-        other = os.path.join(os.path.dirname(segment), "seg-99999.jsonl")
-        with open(other, "w") as handle:
-            handle.write(open(segment).read())
-        os.remove(os.path.join(root, "index.json"))
-        with CellStore(root) as store:
-            assert len(store) == 1
-            assert store.stats()["duplicates"] == 1
-
-    def test_torn_index_snapshot_falls_back_to_rescan(self, tmp_path):
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-        with open(os.path.join(root, "index.json"), "w") as handle:
-            handle.write('{"form')
-        with CellStore(root) as store:
-            assert len(store) == 1
-
-    def test_shrunk_segment_invalidates_snapshot(self, tmp_path):
-        """A segment smaller than the snapshot recorded (e.g. another
-        process gc'd) makes every cached offset suspect: full rescan."""
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-            store.put(record_for(1))
-        (segment,) = _segment_paths(root)
-        lines = open(segment).read().splitlines()
-        with open(segment, "w") as handle:
-            handle.write(lines[0] + "\n")
-        with CellStore(root) as store:
+            assert len(store) == 0
+            assert store.get(record_for(0)["cell"]) is None
+            assert record_for(0)["cell"] not in store
+            assert store.put(record_for(0))
             assert len(store) == 1
             assert store.get(record_for(0)["cell"])[0] == record_for(0)
+        own_tmp = _cell_path(root, 0) + f".tmp.{os.getpid()}"
+        assert not os.path.exists(own_tmp)
+
+    def test_non_json_cell_file_is_an_error(self, tmp_path):
+        root = str(tmp_path / "store")
+        with CellStore(root) as store:
+            store.put(record_for(0))
+        path = _cell_path(root, 0)
+        with open(path, "w") as handle:
+            handle.write("garbage not json")
+        with pytest.raises(ValueError, match=re.escape(path)):
+            CellStore(root).get(record_for(0)["cell"])
+
+    def test_mis_keyed_cell_file_is_an_error(self, tmp_path):
+        """A file whose record identity hashes to another key (damaged, or
+        moved by hand) must not be served as the cell its name says."""
+        root = str(tmp_path / "store")
+        with CellStore(root) as store:
+            store.put(record_for(1))
+        os.rename(_cell_path(root, 1), _cell_path(root, 0))
+        path = _cell_path(root, 0)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            CellStore(root).get(record_for(0)["cell"])
 
 
 def _writer_process(root, indices, barrier):
@@ -284,16 +233,17 @@ def _writer_process(root, indices, barrier):
     barrier.wait()
     for index in indices:
         store.put(record_for(index))
-    store.close()
 
 
 class TestConcurrentWriters:
     def test_two_processes_interleave_puts_without_loss(self, tmp_path):
-        """Per-pid segments make concurrent cross-process writes safe by
-        construction: both batches (including an overlapping cell both
-        processes compute) must be fully present afterwards."""
+        """Write-once files published by ``os.link`` make concurrent
+        cross-process writes safe by construction: both batches (including
+        the overlapping cells both processes compute) must be fully present
+        afterwards, visible to a store opened before either wrote, with no
+        temp file left behind."""
         root = str(tmp_path / "store")
-        CellStore(root).close()
+        store = CellStore(root)
         barrier = multiprocessing.Barrier(2)
         procs = [
             multiprocessing.Process(target=_writer_process,
@@ -303,72 +253,12 @@ class TestConcurrentWriters:
         for proc in procs:
             proc.start()
         for proc in procs:
-            proc.join()
+            proc.join(timeout=60)
         assert [proc.exitcode for proc in procs] == [0, 0]
-        with CellStore(root) as store:
-            assert len(store) == 55
-            for index in range(55):
-                assert store.get(record_for(index)["cell"])[0] == \
-                    record_for(index)
-            stats = store.stats()
-            # Two pids -> two segments (plus possibly the parent's empty one).
-            assert stats["segments"] >= 2
-
-    def test_refresh_picks_up_other_writers(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = CellStore(root)
-        barrier = multiprocessing.Barrier(1)
-        proc = multiprocessing.Process(target=_writer_process,
-                                       args=(root, [0, 1], barrier))
-        proc.start()
-        proc.join()
-        assert proc.exitcode == 0
-        assert len(store) == 0  # opened before the child wrote
-        store.refresh()
-        assert len(store) == 2
-        store.close()
-
-
-class TestStatsAndGc:
-    def test_stats_shape(self, tmp_path):
-        with CellStore(str(tmp_path / "store")) as store:
-            store.put(record_for(0))
-            stats = store.stats()
-        assert stats["cells"] == 1
-        assert stats["segments"] == 1
-        assert stats["bytes"] > 0
-        assert stats["duplicates"] == 0
-
-    def test_gc_compacts_to_one_segment(self, tmp_path):
-        root = str(tmp_path / "store")
-        with CellStore(root) as store:
-            store.put(record_for(0))
-        # A second "process": duplicate of cell 0 plus a fresh cell 1.
-        (segment,) = _segment_paths(root)
-        other = os.path.join(os.path.dirname(segment), "seg-99999.jsonl")
-        with open(other, "w") as handle:
-            handle.write(open(segment).read())
-            entry = {"key": store_key(record_for(1)["cell"]),
-                     "record": record_for(1), "wall_time_s": 0.5}
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        os.remove(os.path.join(root, "index.json"))
-        store = CellStore(root)
-        assert store.stats()["segments"] == 2
-        report = store.gc()
-        assert report["cells"] == 2
-        assert report["segments_removed"] == 2
-        assert report["duplicates_dropped"] == 1
-        assert report["bytes_reclaimed"] > 0
-        assert store.stats()["segments"] == 1
-        assert store.get(record_for(1)["cell"]) == (record_for(1), 0.5)
-        store.close()
-        # The compacted store reloads cleanly and completely.
-        with CellStore(root) as reopened:
-            assert reopened.keys() == store.keys()
-
-    def test_put_still_works_after_gc(self, tmp_path):
-        with CellStore(str(tmp_path / "store")) as store:
-            store.put(record_for(0))
-            store.gc()
-            assert store.put(record_for(1))
-            assert len(store) == 2
+        assert len(store) == 55
+        for index in range(55):
+            assert store.get(record_for(index)["cell"])[0] == \
+                record_for(index)
+        names = os.listdir(os.path.join(root, "cells"))
+        assert len(names) == 55
+        assert not [name for name in names if ".tmp." in name]

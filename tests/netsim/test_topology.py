@@ -6,7 +6,6 @@ from repro.netsim import (
     SYNTHETIC_TRACES,
     LinkConfig,
     RandomLinkDynamics,
-    ScheduledLinkDynamics,
     Simulator,
     TraceLinkDynamics,
     bdp_bytes,
@@ -148,9 +147,9 @@ class TestDynamics:
         that entry, and a tie resolves to the last co-timed entry."""
         sim = Simulator()
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        schedule = [(1.0, 50e6, None, None), (2.0, 30e6, None, None),
-                    (2.0, 20e6, None, None)]
-        dyn = ScheduledLinkDynamics(sim, topo.forward, schedule)
+        dyn = TraceLinkDynamics(
+            sim, topo.forward,
+            bandwidth_trace=[(1.0, 50e6), (2.0, 30e6), (2.0, 20e6)])
         dyn.start()
         sim.run(3.0)
         assert dyn.optimal_rate_at(0.5) == 100e6  # before the first entry
@@ -166,21 +165,6 @@ class TestDynamics:
         sim.run(10.0)
         expected = (dyn.history[0][1] + dyn.history[1][1]) / 2.0
         assert dyn.mean_optimal_rate(0.0, 10.0) == pytest.approx(expected)
-
-    def test_scheduled_dynamics_applies_schedule(self):
-        sim = Simulator()
-        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        schedule = [(1.0, 50e6, None, None), (2.0, None, 0.06, 0.02)]
-        dyn = ScheduledLinkDynamics(sim, topo.forward, schedule,
-                                    reverse_link=topo.reverse)
-        dyn.start()
-        sim.run(0.5)
-        assert topo.forward.bandwidth_bps == 100e6
-        sim.run(1.5)
-        assert topo.forward.bandwidth_bps == 50e6
-        sim.run(2.5)
-        assert topo.forward.delay_s == pytest.approx(0.03)
-        assert topo.forward.loss_rate == pytest.approx(0.02)
 
 
 class TestTraceDynamics:
