@@ -11,6 +11,7 @@ summary and progress line) never touching canonical output.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ import pytest
 from repro.experiments.execute import execute_cells
 from repro.experiments.progress import ProgressReporter, _format_eta
 from repro.experiments.results import ResultSet
-from repro.experiments.store import CellStore
+from repro.experiments.store import CellStore, store_key
 from repro.experiments.sweep import SweepCell, SweepGrid
 from repro.experiments.sweep import main as sweep_main
 from repro.experiments.sweep import sweep
@@ -185,6 +186,31 @@ class TestReuseLayers:
         store = CellStore(str(tmp_path / "store"))
         execute_cells(fake_cells(2), run_fake, base_seed=7, store=store)
         assert len(store) == 2
+
+    def test_store_hits_keep_their_recorded_wall_time(self, tmp_path):
+        """A reused cell reports the wall time of its original execution,
+        not the (near-zero) cost of reading it back."""
+        store = CellStore(str(tmp_path / "store"))
+        cells = fake_cells(2)
+        record = run_fake(cells[0])
+        del record["wall_time_s"]
+        store.put(record, wall_time_s=4.5)
+        result = execute_cells(cells, run_fake, base_seed=7, store=store)
+        assert result.reuse["store_hits"] == 1
+        assert result.timings[0] == 4.5
+
+    def test_corrupt_store_cell_fails_the_run_naming_it(self, tmp_path):
+        """A damaged cell file is an error, never silently re-executed or
+        served as a result."""
+        store_dir = str(tmp_path / "store")
+        cells = fake_cells(3)
+        execute_cells(cells, run_fake, base_seed=7, store=store_dir)
+        path = os.path.join(store_dir, "cells",
+                            f"{store_key(cells[1].params())}.json")
+        with open(path, "w") as handle:
+            handle.write("garbage not json")
+        with pytest.raises(ValueError, match=re.escape(path)):
+            execute_cells(cells, run_fake, base_seed=7, store=store_dir)
 
     def test_fresh_jsonl_carries_reused_records(self, tmp_path):
         """A fresh stream file must be complete on its own even when some

@@ -595,6 +595,20 @@ class TestCli:
             text = handle.read()
         assert "Tiny test pinned-cell list" in text
 
+    def test_store_flag_second_run_executes_zero(self, tmp_path, capsys):
+        """Every spec of one run opens the same ``--store`` directory; run
+        again over it, no spec executes a cell and the ledger is the same."""
+        store = str(tmp_path / "store")
+        first = tmp_path / "first.md"
+        second = tmp_path / "second.md"
+        args = ["--only", "tiny_grid,tiny_pinned", "--store", store]
+        assert report_main([*args, "--report", str(first)]) == 0
+        capsys.readouterr()
+        assert report_main([*args, "--report", str(second)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("executing 0") == 2
+        assert second.read_bytes() == first.read_bytes()
+
     def test_list_prints_cells_and_their_simulated_seconds(self, capsys):
         """``--list`` reads a spec's cost off its cells: how many, and the
         sum of their durations."""

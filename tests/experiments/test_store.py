@@ -131,6 +131,37 @@ class TestRoundTrip:
             assert len(store) == 2
             assert store.get(record_for(1)["cell"])[0] == record_for(1)
 
+    def test_second_instance_sees_puts_at_once(self, tmp_path):
+        """No in-memory index: a store opened earlier sees a cell the moment
+        another instance publishes it, and two instances agree on a key."""
+        root = str(tmp_path / "store")
+        reader = CellStore(root)
+        writer = CellStore(root)
+        assert writer.put(record_for(0), wall_time_s=1.5)
+        assert record_for(0)["cell"] in reader
+        assert len(reader) == 1
+        assert reader.get(record_for(0)["cell"]) == (record_for(0), 1.5)
+        assert not reader.put(record_for(0))
+
+    def test_conflicting_put_leaves_no_temp_file(self, tmp_path):
+        root = str(tmp_path / "store")
+        with CellStore(root) as store:
+            store.put(record_for(0, value=111))
+            with pytest.raises(ValueError, match="conflicting"):
+                store.put(record_for(0, value=222))
+        assert os.listdir(os.path.join(root, "cells")) == [
+            f"{store_key(record_for(0)['cell'])}.json"]
+
+    def test_context_manager_yields_the_store(self, tmp_path):
+        """``with CellStore(...)`` hands back the store itself, and leaving
+        the block releases nothing: the instance stays usable."""
+        store = CellStore(str(tmp_path / "store"))
+        with store as entered:
+            assert entered is store
+            entered.put(record_for(0))
+        assert store.put(record_for(1))
+        assert len(store) == 2
+
 
 class TestMetadata:
     def test_meta_written_on_create(self, tmp_path):
@@ -170,6 +201,15 @@ class TestMetadata:
                        "key_algorithm": "md5/legacy"}, handle)
         with pytest.raises(ValueError, match="key algorithm"):
             CellStore(root)
+
+    def test_existing_empty_directory_becomes_a_store(self, tmp_path):
+        """``--store`` may name a directory made beforehand."""
+        root = tmp_path / "store"
+        root.mkdir()
+        with CellStore(str(root)) as store:
+            assert len(store) == 0
+            assert store.put(record_for(0))
+        assert sorted(os.listdir(root)) == ["cells", "meta.json"]
 
     def test_non_json_meta_rejected(self, tmp_path):
         root = str(tmp_path / "store")
@@ -214,6 +254,38 @@ class TestCrashAndCorruption:
             handle.write("garbage not json")
         with pytest.raises(ValueError, match=re.escape(path)):
             CellStore(root).get(record_for(0)["cell"])
+
+    @pytest.mark.parametrize("entry", [
+        [1, 2],
+        {"wall_time_s": 0.5},
+        {"record": {"value": 1}, "wall_time_s": 0.5},
+        {"record": {"cell": {}}, "wall_time_s": "slow"},
+    ], ids=["not-an-object", "no-record", "no-identity", "bad-wall-time"])
+    def test_malformed_cell_entry_is_an_error(self, tmp_path, entry):
+        """Valid JSON that is not a store entry is refused like garbage."""
+        root = str(tmp_path / "store")
+        CellStore(root)
+        path = _cell_path(root, 0)
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            CellStore(root).get(record_for(0)["cell"])
+
+    def test_put_over_a_corrupt_cell_file_raises_and_keeps_it(self,
+                                                               tmp_path):
+        """A put never overwrites a cell file: over a damaged one it raises
+        naming the path, leaves the file for inspection and no temp file."""
+        root = str(tmp_path / "store")
+        CellStore(root)
+        path = _cell_path(root, 0)
+        with open(path, "w") as handle:
+            handle.write("garbage not json")
+        with pytest.raises(ValueError, match=re.escape(path)):
+            CellStore(root).put(record_for(0))
+        with open(path) as handle:
+            assert handle.read() == "garbage not json"
+        assert os.listdir(os.path.join(root, "cells")) == [
+            os.path.basename(path)]
 
     def test_mis_keyed_cell_file_is_an_error(self, tmp_path):
         """A file whose record identity hashes to another key (damaged, or
