@@ -8,7 +8,9 @@ repro.devtools.lint`` is the one static checker: :mod:`repro.devtools.lint`
 holds the per-module rules, the driver and the CLI, and
 :mod:`repro.devtools.units` the whole-program pass that dimension- and
 scale-checks every rate, size and time, so a bits/bytes or s/ms slip is a
-finding, not a silently corrupted figure.
+finding, not a silently corrupted figure.  ``python -m
+repro.devtools.rebaseline STORE_DIR`` regenerates every behaviour golden
+and prints each value that moved.
 """
 
-__all__ = ["lint", "units"]
+__all__ = ["lint", "rebaseline", "units"]

@@ -2,26 +2,25 @@
 
 The tiny specs registered at module import time (so fork-method workers
 inherit them) keep the packet-level work small enough for the tier-1 suite:
-a 2x2 one-second grid and three hand-listed one-second cells with a pinned
-seed.
+a 2x2 one-second grid (``repro.devtools.rebaseline.TINY_GRID``, whose
+rendered report is a behaviour golden) and three hand-listed one-second
+cells with a pinned seed.
 """
 
-import dataclasses
 import importlib.util
 import json
 import os
-import statistics
 import subprocess
 import sys
 
 import pytest
 
+from repro.devtools.rebaseline import TINY_GRID
 from repro.experiments.execute import execute_cells
 from repro.experiments.results import ResultSet
 from repro.experiments.store import store_key
 from repro.experiments.sweep import (
     SweepCell,
-    SweepGrid,
     resolve_topology_kwargs,
     resolve_workload_kwargs,
     run_cell,
@@ -29,7 +28,6 @@ from repro.experiments.sweep import (
 from repro.netsim import resolve_qdisc_kwargs
 from repro.report import (
     Claim,
-    GridRun,
     ReportSpec,
     ScenarioRun,
     SpecOutcome,
@@ -42,59 +40,14 @@ from repro.report import (
     report_spec_ids,
     run_report_spec,
 )
-from repro.report import specs as catalog
 from repro.report.cli import main as report_main
 from repro.schemes import get_scheme
-from repro.units import MS_PER_S
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-_TINY_SCHEMES = ("pcc", "cubic")
-_TINY_LOSSES = (0.0, 0.01)
-
-
-def _tiny_grid_rows(result):
-    return [
-        {"loss": loss,
-         **{scheme: result.goodput_mbps(scheme=scheme, loss_rate=loss)
-            for scheme in _TINY_SCHEMES}}
-        for loss in _TINY_LOSSES
-    ]
-
-
-register_report_spec(ReportSpec(
-    spec_id="tiny_grid",
-    title="Tiny test grid",
-    paper_section="test",
-    run=GridRun(grids=(SweepGrid(
-        schemes=_TINY_SCHEMES,
-        bandwidths_bps=(5e6,),
-        rtts=(0.03,),
-        loss_rates=_TINY_LOSSES,
-        duration=1.0,
-    ),), base_seed=1),
-    rows=_tiny_grid_rows,
-    columns=("loss",) + _TINY_SCHEMES,
-    claims=(
-        Claim(
-            "goodput-positive",
-            "Every cell moves traffic",
-            lambda rows: {"lowest": min(row[scheme] for row in rows
-                                        for scheme in _TINY_SCHEMES)},
-            (("lowest", ">", 0),),
-            "min cell goodput {lowest:.3f} Mbps",
-        ),
-        Claim(
-            "weakened-claim",
-            "A deliberately weakened claim reports DEVIATION",
-            lambda rows: {}, (), "always holds",
-            deviation="EXPERIMENTS.md (test pointer)",
-        ),
-    ),
-))
-
+register_report_spec(TINY_GRID)
 
 _PINNED_LOSSES = (0.0, 0.01, 0.02)
 
@@ -254,122 +207,6 @@ class TestCatalog:
             == set(allowed_options)
 
 
-def _row(rows, **values):
-    """The one row holding every ``key=value``."""
-    (row,) = [row for row in rows
-              if all(row[key] == value for key, value in values.items())]
-    return row
-
-
-#: Where each ported spec's rows hold what the runner it replaced returned
-#: for one cell: ``(rows, cell, metrics, golden index) -> (row, values)``.
-#: fig16 has a row per cell and fig17 a row per golden entry, in order.
-_PORTED_ROWS = {
-    "fig8": lambda rows, cell, metrics, i: (
-        _row(rows, long_rtt_ms=cell.rtt * MS_PER_S),
-        {cell.scheme: metrics["ratio"]}),
-    "fig11": lambda rows, cell, metrics, i: (
-        _row(rows, scheme=cell.scheme), metrics),
-    "fig12": lambda rows, cell, metrics, i: (_row(rows, scheme=cell.scheme), {
-        "min_flow_mean": min(metrics["flow_means"]),
-        "max_flow_mean": max(metrics["flow_means"]),
-        "sum_flow_means": sum(metrics["flow_means"]),
-        "avg_rate_stddev": statistics.mean(metrics["rate_stddevs"])}),
-    "fig13": lambda rows, cell, metrics, i: (
-        _row(rows, scheme=cell.scheme),
-        {f"{scale}s": jain for scale, jain in metrics["jain"].items()}),
-    "fig14": lambda rows, cell, metrics, i: (
-        _row(rows, num_selfish=cell.num_flows - 1),
-        {("tcp_vs_pcc_mbps" if cell.scheme == "pcc"
-          else "tcp_vs_bundle_mbps"): metrics["normal_tcp_mbps"]}),
-    "fig16": lambda rows, cell, metrics, i: (rows[i], {
-        "convergence_time_s": metrics["convergence_time"],
-        "rate_stddev_mbps": metrics["rate_std_dev_mbps"]}),
-    "fig17": lambda rows, cell, metrics, i: (rows[i], {
-        "power": metrics["mean_power"], "mean_rtt_ms": metrics["mean_rtt_ms"]}),
-}
-
-
-class TestPinnedCellPort:
-    def test_sweep_cells_match_the_scenario_runners_they_replaced(self):
-        """The golden file holds what the ``internet_path`` /
-        ``interdc_pair`` / ``utility_ablation`` scenario runners measured at
-        the last commit that had them (first ``fig4_5`` path, first
-        ``table1`` pair, every ``sec44_ablation`` cell; durations capped);
-        the pinned-seed sweep cells that replaced them must reproduce every
-        number exactly."""
-        with open(os.path.join(_DATA_DIR, "golden_pinned_cells.json")) as fh:
-            golden = json.load(fh)
-        for entry in golden["cells"]:
-            cell = get_report_spec(entry["spec"]).run.cells()[entry["index"]]
-            assert cell.seed == entry["seed"]
-            capped = dataclasses.replace(
-                cell, duration=min(cell.duration, golden["max_duration_s"]))
-            (flow,) = run_cell(capped)["flows"]
-            assert {key: flow[key] for key in entry["metrics"]} \
-                == entry["metrics"], (entry["spec"], entry["index"])
-
-    def test_sec442_grid_cells_match_the_extreme_loss_scenario(self):
-        """The golden file holds what ``extreme_loss_scenario`` measured for
-        its one flow at seed 14 and 20 s, at the last commit that had it.
-        Each ``sec442`` grid cell, given that seed in place of its derived
-        one, must reproduce every number exactly."""
-        with open(os.path.join(_DATA_DIR,
-                               "golden_extreme_loss_seed14.json")) as fh:
-            golden = json.load(fh)
-        cells = get_report_spec("sec442").run.cells()
-        assert len(cells) == len(golden["records"])
-        for entry in golden["records"]:
-            (cell,) = [cell for cell in cells
-                       if cell.scheme == entry["scheme"]
-                       and cell.loss_rate == entry["loss_rate"]]
-            assert (cell.bandwidth_bps, cell.duration) \
-                == (golden["bandwidth_bps"], golden["duration_s"])
-            (flow,) = run_cell(dataclasses.replace(
-                cell, seed=golden["seed"]))["flows"]
-            assert {key: flow[key] for key in entry["metrics"]} \
-                == entry["metrics"], (entry["scheme"], entry["loss_rate"])
-
-    def test_ported_cells_and_rows_match_the_runners_they_replaced(self):
-        """The golden file holds what the ``rtt_fairness`` /
-        ``dynamic_network`` / ``convergence_stats`` / ``jain_timescales`` /
-        ``friendliness`` / ``tradeoff`` / ``aqm_power`` runners returned at
-        the last commit that had them, for catalog cells shortened as each
-        entry's ``replace`` says.  The spec's ``rows()`` over the sweep cells
-        that replaced them, read back from JSON as the store would hand them
-        over, must carry every number the runner's value becomes in a row
-        (``_PORTED_ROWS``), exactly.  ``rows()`` needs every cell of its
-        spec; a cell with no entry runs for one simulated second and its
-        row is not checked."""
-        with open(os.path.join(_DATA_DIR, "golden_ported_cells.json")) as fh:
-            golden = json.load(fh)
-        for spec_id in sorted({entry["spec"] for entry in golden["cells"]}):
-            spec = get_report_spec(spec_id)
-            catalog_cells = spec.run.cells()
-            cells = [dataclasses.replace(cell, duration=1.0)
-                     for cell in catalog_cells]
-            checks = []
-            for entry in golden["cells"]:
-                if entry["spec"] != spec_id:
-                    continue
-                index = entry["index"]
-                if spec_id == "fig17":
-                    # Cell i was row i until the two fq_codel rows began to
-                    # render from the codel cells, the same construction.
-                    index = list(catalog._FIG17_INDEX.values())[index]
-                cell = catalog_cells[index]
-                assert cell.seed == entry["seed"]
-                cells[index] = dataclasses.replace(cell, **entry["replace"])
-                checks.append((entry, cell))
-            rows = spec.rows(ResultSet(spec.run.base_seed, [
-                json.loads(json.dumps(run_cell(cell))) for cell in cells]))
-            for entry, cell in checks:
-                row, want = _PORTED_ROWS[spec_id](
-                    rows, cell, entry["metrics"], entry["index"])
-                assert {key: row[key] for key in want} == want, (
-                    spec_id, entry["index"])
-
-
 class TestClaimEvaluation:
     def _spec_with(self, *claims):
         return ReportSpec(
@@ -496,26 +333,6 @@ class TestLedgerFromRows:
             assert set(columns) <= set(row), (spec_id, row)
 
 
-#: The simulated seconds each cell of ``golden_capped_rows.json`` is cut to.
-_ROWS_CAP_S = 1.0
-
-
-def _capped(spec_id, cell):
-    if spec_id == "fig12":
-        # Its rows read from 5 s after the last flow joins to 1 s before the
-        # end: four flows 2 s apart, the last one running 10 s.
-        return dataclasses.replace(cell, duration=16.0, stagger=2.0)
-    return dataclasses.replace(cell, duration=min(cell.duration, _ROWS_CAP_S))
-
-
-def _capped_rows(spec_id):
-    """``spec_id``'s rows over its own cells, each cut to ``_ROWS_CAP_S``
-    (fig12's to the shape its rows need)."""
-    spec = get_report_spec(spec_id)
-    cells = [_capped(spec_id, cell) for cell in spec.run.cells()]
-    return spec.rows(execute_cells(cells, run_cell, spec.run.base_seed))
-
-
 def _golden_capped_rows():
     with open(os.path.join(_DATA_DIR, "golden_capped_rows.json")) as handle:
         return json.load(handle)
@@ -523,20 +340,12 @@ def _golden_capped_rows():
 
 class TestCappedRows:
     """``golden_capped_rows.json`` holds every simulated spec's rows over
-    its own cells cut to one simulated second (fig12's four flows join 2 s
-    apart and run 16 s: its rows read from 5 s after the last join), so the
-    step from records to rows is checked in seconds.
-    Regenerate with ``{spec_id: _capped_rows(spec_id)}`` only when a row is
-    meant to move, and say so in CHANGES.md."""
+    its own cells cut short (``repro.devtools.rebaseline``), so the step from
+    records to rows is checked in seconds."""
 
     def test_golden_covers_every_simulated_spec(self):
         assert set(_golden_capped_rows()) == set(report_spec_ids()) - {
             "theorems", "tiny_grid", "tiny_pinned"}
-
-    @pytest.mark.parametrize("spec_id", sorted(_golden_capped_rows()))
-    def test_rows_over_capped_cells(self, spec_id):
-        assert json.dumps(_capped_rows(spec_id), sort_keys=True) \
-            == json.dumps(_golden_capped_rows()[spec_id], sort_keys=True)
 
 
 class TestDeterminism:
@@ -561,17 +370,6 @@ class TestDeterminism:
         assert render_report([resumed]) == baseline
         # The stream is complete and self-contained.
         assert len(ResultSet.load(stream)) == len(cells)
-
-    def test_golden_tiny_report(self):
-        golden_path = os.path.join(_DATA_DIR, "golden_tiny_report.md")
-        with open(golden_path) as handle:
-            golden = handle.read()
-        rendered = render_report([run_report_spec("tiny_grid")])
-        assert rendered == golden, (
-            "rendered tiny report deviates from the golden file; if the "
-            "renderer changed intentionally, regenerate "
-            "tests/experiments/data/golden_tiny_report.md"
-        )
 
 
 class TestCli:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import LatencyUtility, LossResilientUtility, SafeUtility
 from repro.experiments import runner
-from repro.experiments.execute import execute_cells
 from repro.experiments.store import store_key
 from repro.experiments.sweep import (
     SweepCell,
@@ -480,87 +479,6 @@ class TestCli:
         assert cell["cell"]["topology"] == "trace_bottleneck"
         assert cell["cell"]["topology_kwargs"]["trace"] == "sawtooth"
         assert cell["flows"][0]["goodput_mbps"] > 0.0
-
-
-#: Fixed-seed grids whose canonical JSON is committed under ``data/``: the
-#: default PCC grid (rate-paced senders, captured before the
-#: RateControlPolicy extraction), four CUBIC flows over a lossy link behind
-#: droptail and CoDel (windowed senders, ACK loss, AQM drops), and the churn
-#: path (a Poisson storm of 30 KB ``web`` flows under PCC and CUBIC and two
-#: 8-sender ``incast`` waves: flows that start mid-run, finish, and leave
-#: packets and timers behind them; captured while every endpoint was still
-#: built before the run and kept to its end).
-GOLDEN_GRIDS = {
-    "golden_pcc_sweep_seed7.json": (
-        SweepGrid(schemes=("pcc",), bandwidths_bps=(5e6, 20e6), rtts=(0.03,),
-                  loss_rates=(0.0, 0.01), flow_counts=(1, 2), duration=3.0,
-                  stagger=0.5),
-    ),
-    "golden_cubic_aqm_seed7.json": tuple(
-        SweepGrid(schemes=("cubic",), bandwidths_bps=(20e6,), rtts=(0.03,),
-                  loss_rates=(0.005,), flow_counts=(4,), duration=2.0,
-                  reverse_loss=True, qdisc=qdisc)
-        for qdisc in ("droptail", "codel")
-    ),
-    "golden_churn_seed7.json": (
-        SweepGrid(schemes=("pcc", "cubic"), bandwidths_bps=(20e6,),
-                  rtts=(0.03,), duration=2.0, workload="web",
-                  workload_kwargs={"load": 0.7, "size_kb": 30.0}),
-        SweepGrid(schemes=("cubic",), bandwidths_bps=(20e6,), rtts=(0.03,),
-                  flow_counts=(8,), duration=2.0, workload="incast",
-                  workload_kwargs={"waves": 2, "wave_interval": 0.5,
-                                   "size_kb": 30.0}),
-    ),
-}
-
-#: Two flows of each scheme behind each randomized or composed discipline.
-#: ``golden_aqm_seed7.json`` holds each cell's ``engine`` and ``flows`` but
-#: not its identity, so it moves only when a trajectory moves.
-AQM_GRIDS = tuple(
-    SweepGrid(schemes=("cubic", "pcc"), bandwidths_bps=(20e6,), rtts=(0.03,),
-              flow_counts=(2,), duration=2.0, qdisc=qdisc, qdisc_kwargs=kwargs)
-    for qdisc, kwargs in (("red", {}), ("pie", {}), ("fq_codel", {}),
-                          ("fq", {"child": "infinite"}))
-)
-
-
-def aqm_trajectories(base_seed):
-    """What ``golden_aqm_seed7.json`` holds, measured now."""
-    cells = [cell for grid in AQM_GRIDS for cell in grid.cells(base_seed)]
-    return json.loads(json.dumps([
-        {"scheme": cell.scheme, "qdisc": cell.qdisc,
-         "qdisc_kwargs": cell.qdisc_kwargs,
-         "engine": record["engine"], "flows": record["flows"]}
-        for cell, record in zip(cells, map(run_cell, cells))
-    ]))
-
-
-class TestGoldenBehaviorPreservation:
-    def test_aqm_cells_match_golden_trajectories(self):
-        """RED, PIE, FQ-CoDel and FQ over an infinite child: every engine
-        count and flow number equals the committed capture."""
-        import pathlib
-
-        golden_path = pathlib.Path(__file__).parent / "data" / \
-            "golden_aqm_seed7.json"
-        golden = json.loads(golden_path.read_text())
-        assert aqm_trajectories(golden["base_seed"]) == golden["cells"]
-
-    @pytest.mark.parametrize("golden", sorted(GOLDEN_GRIDS))
-    def test_default_pcc_grid_matches_pre_refactor_golden_json(self, golden,
-                                                               tmp_path):
-        """Refactors must change structure, not trajectories: each
-        fixed-seed grid reproduces its committed JSON byte for byte, at any
-        worker count."""
-        import pathlib
-
-        golden_path = pathlib.Path(__file__).parent / "data" / golden
-        cells = [cell for grid in GOLDEN_GRIDS[golden]
-                 for cell in grid.cells(7)]
-        result = execute_cells(cells, run_cell, base_seed=7, workers=2)
-        out = tmp_path / "sweep.json"
-        result.write(str(out))
-        assert out.read_bytes() == golden_path.read_bytes()
 
 
 class TestUtilitiesAxis:

@@ -11,6 +11,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devtools.rebaseline import GOLDEN_GRIDS
 from repro.experiments.results import ResultSet, _canonical_pieces
 
 _DATA = os.path.join(os.path.dirname(__file__), os.pardir, "experiments",
@@ -96,9 +97,7 @@ def test_pieces_join_to_json_dumps_whatever_the_key_type(document):
             == json.dumps(document, indent=2, sort_keys=True))
 
 
-@pytest.mark.parametrize("name", ["golden_pcc_sweep_seed7.json",
-                                  "golden_cubic_aqm_seed7.json",
-                                  "golden_churn_seed7.json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRIDS))
 def test_goldens_round_trip_through_load_and_write(name, tmp_path):
     path = os.path.join(_DATA, name)
     with open(path) as handle:
