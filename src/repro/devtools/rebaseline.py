@@ -1,27 +1,12 @@
 """Regenerate every behaviour golden with one command and print what moved.
 
-A *behaviour golden* is a committed file whose bytes are simulated numbers:
-``REPORT.md``, the report's rows, the rows over capped cells, a rendered tiny
-report and four fixed-seed sweeps.  :data:`GOLDENS` maps each one to the
-function that produces it, so a change that is meant to move behaviour
-re-baselines them all with one command::
-
-    python -m repro.devtools.rebaseline /tmp/cells
-
-and reads one table of every moved value — file, key path, old, new and
-relative change — ending in a one-line summary to paste into CHANGES.md.
-``STORE_DIR`` is a cell store (:mod:`repro.experiments.store`), so a second
-run over it simulates nothing.  Output is byte-identical for any worker
-count; the command uses every CPU.
-
-The *identity* goldens, ``golden_identities.json`` and
-``golden_store_keys.json``, are deliberately not in the table: a behaviour
-fix must not move a cell's identity, and those files are regenerated by hand
-only when an identity is meant to move.
-
-Tier-1 regenerates the :data:`CHEAP` entries on every run and asserts them
-equal to the committed files, with :func:`format_moved` over :func:`diff` as
-the failure message.
+``python -m repro.devtools.rebaseline STORE_DIR`` writes each file in
+:data:`GOLDENS` from its producer, then prints one table of every moved value
+(file, key path, old, new, relative change) and a summary line.  STORE_DIR is
+a cell store, so a second run simulates nothing; output is byte-identical for
+any worker count, and the command uses every CPU.  The identity goldens
+``golden_identities.json`` and ``golden_store_keys.json`` are not in the
+table: a behaviour fix must not move a cell's identity.
 """
 
 from __future__ import annotations
@@ -40,249 +25,146 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Se
 from ..experiments.execute import execute_cells
 from ..experiments.results import write_atomic
 from ..experiments.sweep import SweepCell, SweepGrid, run_cell
-from ..report import (
-    Claim,
-    GridRun,
-    ReportSpec,
-    SpecOutcome,
-    list_report_specs,
-    render_report,
-    run_report_spec,
-)
+from ..report import Claim, GridRun, ReportSpec, list_report_specs, render_report, run_report_spec
 
-__all__ = ["ABSENT", "AQM_GRIDS", "CHEAP", "GOLDENS", "GOLDEN_GRIDS", "ROOT",
-           "TINY_GRID", "Moved", "diff", "format_moved", "main"]
+__all__ = ["ABSENT", "CHEAP", "GOLDENS", "GOLDEN_GRIDS", "ROOT", "TINY_GRID", "Moved", "diff",
+           "format_moved", "main"]
 
 #: The checkout every path in :data:`GOLDENS` is relative to.
 ROOT = Path(__file__).resolve().parents[3]
-
 _DATA = "tests/experiments/data/"
-
 #: The base seed of every fixed-seed sweep golden.
 _SEED = 7
-
 #: The bottleneck the fixed-seed sweep goldens share (but PCC's 5 Mbps cells).
 _LINK_BPS = 20e6
-
-
-# --------------------------------------------------------------------------
-# Producers.
-
-
-def _catalog() -> List[ReportSpec]:
-    """Return the built-in report specs, in catalog order.
-
-    A test suite registers its own beside them, under paper section ``test``.
-    """
-    return [spec for spec in list_report_specs() if spec.paper_section != "test"]
-
-
-def _rows_file(rows_by_spec: Dict[str, List[Dict[str, Any]]]) -> str:
-    """Lay out ``{spec: [rows]}`` with one ``json.dumps(row)`` per line.
-
-    Specs stay in the order given, and a moved number shows as one changed
-    line in a git diff.
-    """
-    return "{\n" + ",\n".join(
-        f" {json.dumps(spec_id)}: [\n"
-        + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"
-        for spec_id, rows in rows_by_spec.items()) + "\n}\n"
-
-
-@functools.lru_cache(maxsize=1)
-def _report_pass(store: Optional[str], workers: int) -> Tuple[SpecOutcome, ...]:
-    """Run every catalog spec once; ``REPORT.md`` and its rows share it."""
-    return tuple(run_report_spec(spec, workers=workers, store=store)
-                 for spec in _catalog())
-
-
-def _report(store: Optional[str], workers: int) -> str:
-    return render_report(list(_report_pass(store, workers)))
-
-
-def _report_rows(store: Optional[str], workers: int) -> str:
-    return _rows_file({outcome.spec.spec_id: outcome.rows
-                       for outcome in _report_pass(store, workers)})
-
-
 #: The simulated seconds each cell of ``golden_capped_rows.json`` is cut to.
 _ROWS_CAP_S = 1.0
 
 
+def _rows_file(rows_by_spec: Dict[str, List[Dict[str, Any]]]) -> str:
+    """Lay out ``{spec: [rows]}`` one row per line, so a moved number is one diff line."""
+    return "{\n" + ",\n".join(
+        f" {json.dumps(spec_id)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in rows)
+        + "\n ]" for spec_id, rows in rows_by_spec.items()) + "\n}\n"
+
+
+def _catalog() -> List[ReportSpec]:
+    """Return the built-in specs; a test suite registers its own under section ``test``."""
+    return [spec for spec in list_report_specs() if spec.paper_section != "test"]
+
+
+@functools.lru_cache(maxsize=1)
+def _report_pass(store: Optional[str], workers: int) -> List[Any]:
+    """Run every catalog spec once: ``REPORT.md`` and its rows share the pass."""
+    return [run_report_spec(spec, workers=workers, store=store) for spec in _catalog()]
+
+
 def _capped(spec_id: str, cell: SweepCell) -> SweepCell:
     if spec_id == "fig12":
-        # Its rows read from 5 s after the last flow joins to 1 s before the
-        # end: four flows 2 s apart, the last one running 10 s.
+        # Its rows read from 5 s after the last of four flows joins to 1 s
+        # before the end.
         return dataclasses.replace(cell, duration=16.0, stagger=2.0)
     return dataclasses.replace(cell, duration=min(cell.duration, _ROWS_CAP_S))
 
 
 def _capped_rows(store: Optional[str], workers: int) -> str:
-    """Return every simulated spec's rows over its own cells, cut short.
-
-    Cells are cut to ``_ROWS_CAP_S``, so the step from records to rows is
-    checked in seconds.
-    """
-    rows = {}
-    for spec in _catalog():
-        cells = [_capped(spec.spec_id, cell) for cell in spec.run.cells()]
-        if cells:
-            rows[spec.spec_id] = spec.rows(execute_cells(
-                cells, run_cell, spec.run.base_seed, workers=workers,
-                store=store))
-    return _rows_file(rows)
+    """Return every simulated spec's rows over its own cells cut short."""
+    return _rows_file({spec.spec_id: spec.rows(execute_cells(
+        [_capped(spec.spec_id, cell) for cell in spec.run.cells()], run_cell,
+        spec.run.base_seed, workers=workers, store=store))
+        for spec in _catalog() if spec.run.cells()})
 
 
 _TINY_SCHEMES = ("pcc", "cubic")
-_TINY_LOSSES = (0.0, 0.01)
 
-
-def _tiny_grid_rows(result: Any) -> List[Dict[str, Any]]:
-    return [
-        {"loss": loss,
-         **{scheme: result.goodput_mbps(scheme=scheme, loss_rate=loss)
-            for scheme in _TINY_SCHEMES}}
-        for loss in _TINY_LOSSES
-    ]
-
-
-#: A 2x2 one-second grid whose whole rendered report is a golden: the
-#: renderer's every part (summary table, section, both claim statuses) at a
-#: cost of four cells.
+#: A 2x2 one-second grid whose rendered report pins the renderer: summary
+#: table, section and both claim statuses for four cells.
 TINY_GRID = ReportSpec(
-    spec_id="tiny_grid",
-    title="Tiny test grid",
-    paper_section="test",
-    run=GridRun(grids=(SweepGrid(
-        schemes=_TINY_SCHEMES,
-        bandwidths_bps=(5e6,),
-        rtts=(0.03,),
-        loss_rates=_TINY_LOSSES,
-        duration=1.0,
-    ),), base_seed=1),
-    rows=_tiny_grid_rows,
-    columns=("loss",) + _TINY_SCHEMES,
+    spec_id="tiny_grid", title="Tiny test grid", paper_section="test",
+    run=GridRun(grids=(SweepGrid(schemes=_TINY_SCHEMES, bandwidths_bps=(5e6,), rtts=(0.03,),
+                                 loss_rates=(0.0, 0.01), duration=1.0),), base_seed=1),
+    rows=lambda result: [{"loss": loss, **{scheme: result.goodput_mbps(
+        scheme=scheme, loss_rate=loss) for scheme in _TINY_SCHEMES}} for loss in (0.0, 0.01)],
+    columns=("loss", *_TINY_SCHEMES),
     claims=(
-        Claim(
-            "goodput-positive",
-            "Every cell moves traffic",
-            lambda rows: {"lowest": min(row[scheme] for row in rows
-                                        for scheme in _TINY_SCHEMES)},
-            (("lowest", ">", 0),),
-            "min cell goodput {lowest:.3f} Mbps",
-        ),
-        Claim(
-            "weakened-claim",
-            "A deliberately weakened claim reports DEVIATION",
-            lambda rows: {}, (), "always holds",
-            deviation="EXPERIMENTS.md (test pointer)",
-        ),
+        Claim("goodput-positive", "Every cell moves traffic",
+              lambda rows: {"lowest": min(row[s] for row in rows for s in _TINY_SCHEMES)},
+              (("lowest", ">", 0),), "min cell goodput {lowest:.3f} Mbps"),
+        Claim("weakened-claim", "A deliberately weakened claim reports DEVIATION",
+              lambda rows: {}, (), "always holds", deviation="EXPERIMENTS.md (test pointer)"),
     ),
 )
 
-
-def _tiny_report(store: Optional[str], workers: int) -> str:
-    return render_report([run_report_spec(TINY_GRID, workers=workers,
-                                          store=store)])
-
-
-#: Two flows of each scheme behind each randomized or composed discipline.
-#: ``golden_aqm_seed7.json`` holds each cell's ``engine`` and ``flows`` but
-#: not its identity, so it moves only when a trajectory moves.
+#: Two flows of each scheme behind each randomized or composed discipline;
+#: the golden holds each cell's ``engine`` and ``flows``, not its identity.
 AQM_GRIDS = tuple(
     SweepGrid(schemes=("cubic", "pcc"), bandwidths_bps=(_LINK_BPS,), rtts=(0.03,),
               flow_counts=(2,), duration=2.0, qdisc=qdisc, qdisc_kwargs=kwargs)
     for qdisc, kwargs in (("red", {}), ("pie", {}), ("fq_codel", {}),
-                          ("fq", {"child": "infinite"}))
-)
+                          ("fq", {"child": "infinite"})))
 
 
 def _aqm_trajectories(store: Optional[str], workers: int) -> str:
     trajectories = []
     for grid in AQM_GRIDS:
         cells = grid.cells(_SEED)
-        result = execute_cells(cells, run_cell, _SEED, workers=workers,
-                               store=store)
-        trajectories += [
-            {"scheme": cell.scheme, "qdisc": cell.qdisc,
-             "qdisc_kwargs": cell.qdisc_kwargs,
-             "engine": record["engine"], "flows": record["flows"]}
-            for cell, record in zip(cells, result.cells, strict=True)]
+        result = execute_cells(cells, run_cell, _SEED, workers=workers, store=store)
+        trajectories += [{"scheme": cell.scheme, "qdisc": cell.qdisc,
+                          "qdisc_kwargs": cell.qdisc_kwargs,
+                          "engine": record["engine"], "flows": record["flows"]}
+                         for cell, record in zip(cells, result.cells, strict=True)]
     return json.dumps({"base_seed": _SEED, "cells": trajectories},
                       indent=2, sort_keys=True) + "\n"
 
 
 #: Fixed-seed grids whose canonical JSON is a golden: the default PCC grid
-#: (rate-paced senders, captured before the RateControlPolicy extraction),
-#: four CUBIC flows over a lossy link behind droptail and CoDel (windowed
-#: senders, ACK loss, AQM drops), and the churn path (a Poisson storm of
-#: 30 KB ``web`` flows under PCC and CUBIC and two 8-sender ``incast``
-#: waves: flows that start mid-run, finish, and leave packets and timers
-#: behind them; captured while every endpoint was still built before the run
-#: and kept to its end).
+#: (rate-paced senders), four CUBIC flows over a lossy link behind droptail
+#: and CoDel (windowed senders, ACK loss, AQM drops), and the churn path (a
+#: Poisson storm of 30 KB ``web`` flows and two 8-sender ``incast`` waves:
+#: flows that start mid-run, finish, and leave packets and timers behind).
 GOLDEN_GRIDS: Dict[str, Tuple[SweepGrid, ...]] = {
     "golden_pcc_sweep_seed7.json": (
         SweepGrid(schemes=("pcc",), bandwidths_bps=(5e6, _LINK_BPS), rtts=(0.03,),
-                  loss_rates=(0.0, 0.01), flow_counts=(1, 2), duration=3.0,
-                  stagger=0.5),
-    ),
+                  loss_rates=(0.0, 0.01), flow_counts=(1, 2), duration=3.0, stagger=0.5),),
     "golden_cubic_aqm_seed7.json": tuple(
         SweepGrid(schemes=("cubic",), bandwidths_bps=(_LINK_BPS,), rtts=(0.03,),
-                  loss_rates=(0.005,), flow_counts=(4,), duration=2.0,
-                  reverse_loss=True, qdisc=qdisc)
-        for qdisc in ("droptail", "codel")
-    ),
+                  loss_rates=(0.005,), flow_counts=(4,), duration=2.0, reverse_loss=True,
+                  qdisc=qdisc) for qdisc in ("droptail", "codel")),
     "golden_churn_seed7.json": (
-        SweepGrid(schemes=("pcc", "cubic"), bandwidths_bps=(_LINK_BPS,),
-                  rtts=(0.03,), duration=2.0, workload="web",
-                  workload_kwargs={"load": 0.7, "size_kb": 30.0}),
+        SweepGrid(schemes=("pcc", "cubic"), bandwidths_bps=(_LINK_BPS,), rtts=(0.03,),
+                  duration=2.0, workload="web", workload_kwargs={"load": 0.7, "size_kb": 30.0}),
         SweepGrid(schemes=("cubic",), bandwidths_bps=(_LINK_BPS,), rtts=(0.03,),
                   flow_counts=(8,), duration=2.0, workload="incast",
-                  workload_kwargs={"waves": 2, "wave_interval": 0.5,
-                                   "size_kb": 30.0}),
-    ),
+                  workload_kwargs={"waves": 2, "wave_interval": 0.5, "size_kb": 30.0})),
 }
 
 
-def _sweep(grids: Tuple[SweepGrid, ...], store: Optional[str],
-           workers: int) -> str:
-    cells = [cell for grid in grids for cell in grid.cells(_SEED)]
-    return execute_cells(cells, run_cell, _SEED, workers=workers,
-                         store=store).to_json() + "\n"
+def _sweep(grids: Tuple[SweepGrid, ...], store: Optional[str], workers: int) -> str:
+    return execute_cells([cell for grid in grids for cell in grid.cells(_SEED)], run_cell,
+                         _SEED, workers=workers, store=store).to_json() + "\n"
 
 
-Producer = Callable[[Optional[str], int], str]
+_FULL_PASS = ("REPORT.md", _DATA + "golden_report_rows.json")
 
 #: Every behaviour golden, by path from :data:`ROOT`, and the function that
 #: produces its text from ``(store, workers)``.
-GOLDENS: Dict[str, Producer] = {
-    "REPORT.md": _report,
-    _DATA + "golden_report_rows.json": _report_rows,
+GOLDENS: Dict[str, Callable[[Optional[str], int], str]] = {
+    _FULL_PASS[0]: lambda store, workers: render_report(_report_pass(store, workers)),
+    _FULL_PASS[1]: lambda store, workers: _rows_file(
+        {outcome.spec.spec_id: outcome.rows for outcome in _report_pass(store, workers)}),
     _DATA + "golden_capped_rows.json": _capped_rows,
-    _DATA + "golden_tiny_report.md": _tiny_report,
+    _DATA + "golden_tiny_report.md": lambda store, workers: render_report(
+        [run_report_spec(TINY_GRID, workers=workers, store=store)]),
     _DATA + "golden_aqm_seed7.json": _aqm_trajectories,
-    **{_DATA + name: functools.partial(_sweep, grids)
-       for name, grids in GOLDEN_GRIDS.items()},
+    **{_DATA + name: functools.partial(_sweep, grids) for name, grids in GOLDEN_GRIDS.items()},
 }
 
-#: The entries tier-1 regenerates on every run: all but the two that need
-#: the full report pass (about two minutes cold on two cores).
-CHEAP = tuple(path for path in GOLDENS
-              if path not in ("REPORT.md", _DATA + "golden_report_rows.json"))
+#: What tier-1 regenerates: all but the full report pass (two minutes cold).
+CHEAP = tuple(path for path in GOLDENS if path not in _FULL_PASS)
 
 
-# --------------------------------------------------------------------------
-# What moved.
-
-
-class _Absent:
-    def __repr__(self) -> str:
-        return "(absent)"
-
-
-#: The old value of an added key, row or line, and the new value of a
-#: removed one.
-ABSENT: Any = _Absent()
+#: The old value of an added key, list item or line; the new one of a removed one.
+ABSENT = "(absent)"
 
 
 class Moved(NamedTuple):
@@ -295,107 +177,68 @@ class Moved(NamedTuple):
 
 
 def _json_moved(key: str, old: Any, new: Any) -> Iterator[Tuple[str, Any, Any]]:
-    """Compare leaf by leaf; an added or removed key or item is one value."""
     if isinstance(old, dict) and isinstance(new, dict):
         for name in [*old, *(name for name in new if name not in old)]:
-            yield from _json_moved(f"{key}.{name}" if key else str(name),
+            yield from _json_moved(f"{key}.{name}" if key else name,
                                    old.get(name, ABSENT), new.get(name, ABSENT))
     elif isinstance(old, list) and isinstance(new, list):
-        for i, (was, now) in enumerate(
-                itertools.zip_longest(old, new, fillvalue=ABSENT)):
-            yield from _json_moved(f"{key}[{i}]", was, now)
+        for i, pair in enumerate(itertools.zip_longest(old, new, fillvalue=ABSENT)):
+            yield from _json_moved(f"{key}[{i}]", *pair)
     elif old != new or type(old) is not type(new):
         yield key, old, new
 
 
-def _lines_moved(old: str, new: str) -> Iterator[Tuple[str, Any, Any]]:
-    """Compare line by line, numbered in the new text.
-
-    :mod:`difflib` aligns the two, so an inserted line is one value, not a
-    shift of every line after it; a removed line has its old number.
-    """
-    was, now = old.splitlines(), new.splitlines()
-    matcher = difflib.SequenceMatcher(None, was, now, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        for k, (before, after) in enumerate(itertools.zip_longest(
-                was[i1:i2], now[j1:j2], fillvalue=ABSENT)):
-            line = (j1 if after is not ABSENT else i1) + k + 1
-            yield f"line {line}", before, after
+def _lines_moved(old: List[str], new: List[str]) -> Iterator[Tuple[str, Any, Any]]:
+    # Aligned, so an inserted line is one value, not a shift of every line after it.
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, old, new, autojunk=False).get_opcodes():
+        if tag != "equal":
+            for k, (was, now) in enumerate(itertools.zip_longest(
+                    old[i1:i2], new[j1:j2], fillvalue=ABSENT)):
+                yield f"line {(j1 if now != ABSENT else i1) + k + 1}", was, now
 
 
-def diff(path: str, old: Optional[str], new: str) -> List[Moved]:
-    """Return every value that moved from ``old`` to ``new``.
+def diff(path: str, old: str, new: str) -> List[Moved]:
+    """Return every value that moved between two texts of the golden at ``path``.
 
-    The two are texts of the golden at ``path``; ``old`` is ``None`` for a
-    file not yet written.
-
-    ``.json`` compares leaf by leaf with key paths like ``fig7[2].pcc``,
-    anything else line by line.  Equal texts yield no rows, and unequal
-    texts at least one: a difference in layout alone is one ``(layout)``
-    row.
+    JSON compares leaf by leaf (key paths like ``fig7[2].pcc``; an added or
+    removed key or list item is one value), anything else line by line.
+    Equal texts yield no rows and unequal ones at least one.
     """
     if old == new:
         return []
-    if old is None:
-        return [Moved(path, "", ABSENT, f"({len(new.splitlines())} lines)")]
-    if path.endswith(".json"):
-        moved = _json_moved("", json.loads(old), json.loads(new))
-    else:
-        moved = _lines_moved(old, new)
-    return ([Moved(path, *row) for row in moved]
-            or [Moved(path, "(layout)", ABSENT, ABSENT)])
-
-
-def _relative(old: Any, new: Any) -> str:
-    if not all(isinstance(value, (int, float)) and not isinstance(value, bool)
-               for value in (old, new)) or old == 0:
-        return ""
-    return f"{(new - old) / abs(old):+.2%}"
+    moved = (_json_moved("", json.loads(old), json.loads(new)) if path.endswith(".json")
+             else _lines_moved(old.splitlines(), new.splitlines()))
+    return [Moved(path, *row) for row in moved] or [Moved(path, "(layout)", ABSENT, ABSENT)]
 
 
 def _show(value: Any) -> str:
-    if value is ABSENT:
-        return repr(value)
     return value if isinstance(value, str) else json.dumps(value)
 
 
 def format_moved(moved: Sequence[Moved], files: int) -> str:
-    """Format ``moved`` as one table and a last line summing it."""
-    table = [("file", "key", "old", "new", "change")] + [
-        (os.path.basename(row.file), row.key, _show(row.old), _show(row.new),
-         _relative(row.old, row.new)) for row in moved]
-    widths = [max(len(line[column]) for line in table) for column in range(5)]
-    lines = ["  ".join(cell.ljust(width) for cell, width
-                       in zip(line, widths, strict=True)).rstrip()
-             for line in table] if moved else []
-    changed = len({row.file for row in moved})
-    lines.append(f"rebaseline: {len(moved)} value"
-                 f"{'' if len(moved) == 1 else 's'} moved in {changed} of "
-                 f"{files} behaviour goldens")
-    return "\n".join(lines)
+    """Format ``moved`` as one table and a summary line over ``files`` goldens."""
+    lines = ["file\tkey\told\tnew\tchange"] if moved else []
+    for row in moved:
+        numbers = all(type(value) in (int, float) for value in (row.old, row.new))
+        change = f"{(row.new - row.old) / abs(row.old):+.2%}" if numbers and row.old else ""
+        lines.append("\t".join((os.path.basename(row.file), row.key, _show(row.old),
+                                _show(row.new), change)))
+    return "\n".join([*lines, f"rebaseline: {len(moved)} values moved in "
+                      f"{len({row.file for row in moved})} of {files} behaviour goldens"])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Regenerate every golden in :data:`GOLDENS`, then print what moved."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.rebaseline",
-        description="Regenerate every behaviour golden and REPORT.md, then "
-                    "print each moved value.")
-    parser.add_argument("store", metavar="STORE_DIR",
-                        help="cell store to read finished cells from and "
-                             "write fresh ones to")
-    args = parser.parse_args(argv)
-    workers = os.cpu_count() or 1
-    texts = {path: produce(args.store, workers)
-             for path, produce in GOLDENS.items()}
+    parser = argparse.ArgumentParser(prog="python -m repro.devtools.rebaseline",
+                                     description="Regenerate every behaviour golden.")
+    parser.add_argument("store", metavar="STORE_DIR", help="cell store to reuse and fill")
+    store = parser.parse_args(argv).store
+    texts = {path: produce(store, os.cpu_count() or 1) for path, produce in GOLDENS.items()}
     moved = []
     for path, text in texts.items():
-        target = ROOT / path
-        old = target.read_text() if target.exists() else None
-        write_atomic(str(target), (text,))
-        moved += diff(path, old, text)
+        moved += diff(path, (ROOT / path).read_text(), text)
+        write_atomic(str(ROOT / path), (text,))
     print(format_moved(moved, len(GOLDENS)))
     return 0
 

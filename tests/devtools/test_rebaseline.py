@@ -1,28 +1,15 @@
-"""Tests for ``python -m repro.devtools.rebaseline``: every behaviour golden
-regenerates from its producer, the table names every golden, and the diff
-reports each moved value once under its key path."""
+"""``python -m repro.devtools.rebaseline``: every behaviour golden regenerates
+from its producer, every golden has one, and the diff reports each moved value
+once under its key path."""
 
 import json
 import os
 
 import pytest
 
-from repro.devtools.rebaseline import (
-    ABSENT,
-    CHEAP,
-    GOLDENS,
-    ROOT,
-    Moved,
-    diff,
-    format_moved,
-    main,
-)
+from repro.devtools.rebaseline import ABSENT, CHEAP, GOLDENS, ROOT, Moved, diff, format_moved
 
-_DATA = os.path.join("tests", "experiments", "data")
-
-#: Goldens of cell identity, which a behaviour fix must not move: the
-#: command never writes them.
-_IDENTITY = {"golden_identities.json", "golden_store_keys.json"}
+_DATA = "tests/experiments/data/"
 
 
 @pytest.mark.parametrize("path", CHEAP)
@@ -31,87 +18,44 @@ def test_golden_regenerates_from_its_producer(path):
     producer writes its committed bytes exactly, at two workers."""
     committed = (ROOT / path).read_text()
     regenerated = GOLDENS[path](None, 2)
-    assert regenerated == committed, format_moved(
-        diff(path, committed, regenerated), 1)
+    assert regenerated == committed, format_moved(diff(path, committed, regenerated), 1)
 
 
-def test_every_golden_has_a_producer():
-    data = {os.path.join(_DATA, name) for name in os.listdir(ROOT / _DATA)}
-    assert data == {path for path in GOLDENS if path.startswith(_DATA)} \
-        | {os.path.join(_DATA, name) for name in _IDENTITY}
-    assert not {os.path.basename(path) for path in GOLDENS} & _IDENTITY
-    assert "REPORT.md" in GOLDENS and "REPORT.md" not in CHEAP
+def test_every_golden_has_a_producer_and_none_is_an_identity():
+    identity = {_DATA + "golden_identities.json", _DATA + "golden_store_keys.json"}
+    assert {_DATA + name for name in os.listdir(ROOT / _DATA)} \
+        == {path for path in GOLDENS if path.startswith(_DATA)} | identity
+    assert not identity & set(GOLDENS)
 
 
-def _keys(rows):
-    return [row.key for row in rows]
+@pytest.mark.parametrize("path, old, new, moved", [
+    ("a.json", {"f": [{"x": 1.5}]}, {"f": [{"x": 1.5}]}, []),
+    ("a.json", {"f": [{"l": 0, "x": 2.0}, {"l": 1, "x": 1.5}]},
+     {"f": [{"l": 0, "x": 2.0}, {"l": 1, "x": 1.2}]}, [("f[1].x", 1.5, 1.2)]),
+    ("a.json", {"a": {"b": 1}}, {"a": {"b": 1, "c": {"d": 2}}}, [("a.c", ABSENT, {"d": 2})]),
+    ("a.json", {"a": 1, "b": [1, 2]}, {"a": 1}, [("b", [1, 2], ABSENT)]),
+    ("a.json", {"f": [{"x": 1}]}, {"f": [{"x": 1}, {"x": 2}]}, [("f[1]", ABSENT, {"x": 2})]),
+    ("a.json", [1, 2, 3, 4], [1, 2], [("[2]", 3, ABSENT), ("[3]", 4, ABSENT)]),
+    ("a.json", {"a": 1}, {"a": 1.0}, [("a", 1, 1.0)]),
+    ("R.md", "x\ny\n", "x\ny\n", []),
+    ("R.md", "# R\n| pcc | 1.50 |\n| cubic | 0.20 |\n", "# R\n| pcc | 1.20 |\n| cubic | 0.20 |\n",
+     [("line 2", "| pcc | 1.50 |", "| pcc | 1.20 |")]),
+    ("R.md", "a\nb\nc\n", "a\nnew\nb\nc\n", [("line 2", ABSENT, "new")]),
+])
+def test_diff_reports_each_moved_value_once(path, old, new, moved):
+    dump = json.dumps if path.endswith(".json") else str
+    assert diff(path, dump(old), dump(new)) == [Moved(path, *row) for row in moved]
 
 
-class TestDiff:
-    def test_identical_inputs_yield_no_rows(self):
-        text = json.dumps({"fig7": [{"pcc": 1.5}]})
-        assert diff("a.json", text, text) == []
-        assert diff("a.md", "x\ny\n", "x\ny\n") == []
-
-    def test_a_moved_leaf_is_one_row_with_its_key_path(self):
-        old = {"fig7": [{"loss": 0.0, "pcc": 2.0}, {"loss": 0.01, "pcc": 1.5}]}
-        new = {"fig7": [{"loss": 0.0, "pcc": 2.0}, {"loss": 0.01, "pcc": 1.2}]}
-        assert diff("a.json", json.dumps(old), json.dumps(new)) == [
-            Moved("a.json", "fig7[1].pcc", 1.5, 1.2)]
-
-    def test_an_added_key_is_one_row(self):
-        old, new = {"a": {"b": 1}}, {"a": {"b": 1, "c": {"d": 2, "e": 3}}}
-        assert diff("a.json", json.dumps(old), json.dumps(new)) == [
-            Moved("a.json", "a.c", ABSENT, {"d": 2, "e": 3})]
-
-    def test_a_removed_key_is_one_row(self):
-        old, new = {"a": 1, "b": [1, 2]}, {"a": 1}
-        assert diff("a.json", json.dumps(old), json.dumps(new)) == [
-            Moved("a.json", "b", [1, 2], ABSENT)]
-
-    def test_an_added_row_is_one_row(self):
-        old = {"fig7": [{"pcc": 1.0}]}
-        new = {"fig7": [{"pcc": 1.0}, {"pcc": 2.0}]}
-        assert diff("a.json", json.dumps(old), json.dumps(new)) == [
-            Moved("a.json", "fig7[1]", ABSENT, {"pcc": 2.0})]
-
-    def test_unequal_list_lengths_are_reported_not_zipped_short(self):
-        rows = diff("a.json", json.dumps([1, 2, 3, 4]), json.dumps([1, 2]))
-        assert rows == [Moved("a.json", "[2]", 3, ABSENT),
-                        Moved("a.json", "[3]", 4, ABSENT)]
-
-    def test_a_changed_markdown_line_is_one_row(self):
-        old = "# R\n\n| pcc | 1.50 |\n| cubic | 0.20 |\n"
-        new = "# R\n\n| pcc | 1.20 |\n| cubic | 0.20 |\n"
-        assert diff("R.md", old, new) == [
-            Moved("R.md", "line 3", "| pcc | 1.50 |", "| pcc | 1.20 |")]
-
-    def test_an_inserted_markdown_line_does_not_shift_the_rest(self):
-        assert diff("R.md", "a\nb\nc\n", "a\nnew\nb\nc\n") == [
-            Moved("R.md", "line 2", ABSENT, "new")]
-
-    def test_a_type_or_layout_change_is_still_a_row(self):
-        assert _keys(diff("a.json", '{"a": 1}', '{"a": 1.0}')) == ["a"]
-        assert _keys(diff("a.json", '{"a": 1}', '{"a":1}')) == ["(layout)"]
-        assert _keys(diff("a.md", "x\n", "x")) == ["(layout)"]
-
-    def test_format_ends_in_one_summary_line(self):
-        rows = [Moved("d/a.json", "fig7[1].pcc", 1.5, 1.2),
-                Moved("d/a.json", "fig7[2]", ABSENT, {"pcc": 2.0})]
-        table = format_moved(rows, 8).splitlines()
-        assert table[1].split() == ["a.json", "fig7[1].pcc", "1.5", "1.2",
-                                    "-20.00%"]
-        assert table[2].split() == ["a.json", "fig7[2]", "(absent)", "{\"pcc\":",
-                                    "2.0}"]
-        assert table[-1] == "rebaseline: 2 values moved in 1 of 8 behaviour " \
-                            "goldens"
-        assert format_moved([], 8) \
-            == "rebaseline: 0 values moved in 0 of 8 behaviour goldens"
+def test_a_difference_in_layout_alone_is_still_a_row():
+    assert [row.key for row in diff("a.json", '{"a": 1}', '{"a":1}')] == ["(layout)"]
+    assert [row.key for row in diff("a.md", "x\n", "x")] == ["(layout)"]
 
 
-def test_store_dir_is_the_only_argument(capsys):
-    with pytest.raises(SystemExit):
-        main([])
-    with pytest.raises(SystemExit):
-        main(["store", "--workers", "2"])
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_table_ends_in_one_summary_line():
+    rows = [Moved("d/a.json", "f[1].x", 1.5, 1.2), Moved("d/a.json", "f[2]", ABSENT, {"x": 2})]
+    assert format_moved(rows, 8).splitlines()[1:] == [
+        "a.json\tf[1].x\t1.5\t1.2\t-20.00%", 'a.json\tf[2]\t(absent)\t{"x": 2}\t',
+        "rebaseline: 2 values moved in 1 of 8 behaviour goldens"]
+    assert format_moved([], 8) == "rebaseline: 0 values moved in 0 of 8 behaviour goldens"
+

@@ -333,21 +333,6 @@ class TestLedgerFromRows:
             assert set(columns) <= set(row), (spec_id, row)
 
 
-def _golden_capped_rows():
-    with open(os.path.join(_DATA_DIR, "golden_capped_rows.json")) as handle:
-        return json.load(handle)
-
-
-class TestCappedRows:
-    """``golden_capped_rows.json`` holds every simulated spec's rows over
-    its own cells cut short (``repro.devtools.rebaseline``), so the step from
-    records to rows is checked in seconds."""
-
-    def test_golden_covers_every_simulated_spec(self):
-        assert set(_golden_capped_rows()) == set(report_spec_ids()) - {
-            "theorems", "tiny_grid", "tiny_pinned"}
-
-
 class TestDeterminism:
     def test_workers_do_not_change_rendered_report(self):
         one = run_report_spec("tiny_grid", workers=1)
