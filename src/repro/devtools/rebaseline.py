@@ -27,8 +27,8 @@ from ..experiments.results import write_atomic
 from ..experiments.sweep import SweepCell, SweepGrid, run_cell
 from ..report import Claim, GridRun, ReportSpec, list_report_specs, render_report, run_report_spec
 
-__all__ = ["ABSENT", "CHEAP", "GOLDENS", "GOLDEN_GRIDS", "ROOT", "TINY_GRID", "Moved", "diff",
-           "format_moved", "main"]
+__all__ = ["ABSENT", "CAPPED", "CHEAP", "GOLDENS", "GOLDEN_GRIDS", "ROOT", "TINY_GRID", "Moved",
+           "capped_rows", "diff", "format_moved", "main", "rows_file", "simulated_spec_ids"]
 
 #: The checkout every path in :data:`GOLDENS` is relative to.
 ROOT = Path(__file__).resolve().parents[3]
@@ -41,7 +41,7 @@ _LINK_BPS = 20e6
 _ROWS_CAP_S = 1.0
 
 
-def _rows_file(rows_by_spec: Dict[str, List[Dict[str, Any]]]) -> str:
+def rows_file(rows_by_spec: Dict[str, List[Dict[str, Any]]]) -> str:
     """Lay out ``{spec: [rows]}`` one row per line, so a moved number is one diff line."""
     return "{\n" + ",\n".join(
         f" {json.dumps(spec_id)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in rows)
@@ -67,12 +67,21 @@ def _capped(spec_id: str, cell: SweepCell) -> SweepCell:
     return dataclasses.replace(cell, duration=min(cell.duration, _ROWS_CAP_S))
 
 
+def simulated_spec_ids() -> List[str]:
+    """Return, in catalog order, the specs with cells: the keys of :data:`CAPPED`."""
+    return [spec.spec_id for spec in _catalog() if spec.run.cells()]
+
+
+def capped_rows(spec_id: str, store: Optional[str], workers: int) -> List[Dict[str, Any]]:
+    """Return ``spec_id``'s rows over its own cells cut short."""
+    (spec,) = [spec for spec in _catalog() if spec.spec_id == spec_id]
+    return spec.rows(execute_cells([_capped(spec_id, cell) for cell in spec.run.cells()],
+                                   run_cell, spec.run.base_seed, workers=workers, store=store))
+
+
 def _capped_rows(store: Optional[str], workers: int) -> str:
-    """Return every simulated spec's rows over its own cells cut short."""
-    return _rows_file({spec.spec_id: spec.rows(execute_cells(
-        [_capped(spec.spec_id, cell) for cell in spec.run.cells()], run_cell,
-        spec.run.base_seed, workers=workers, store=store))
-        for spec in _catalog() if spec.run.cells()})
+    return rows_file({spec_id: capped_rows(spec_id, store, workers)
+                      for spec_id in simulated_spec_ids()})
 
 
 _TINY_SCHEMES = ("pcc", "cubic")
@@ -145,14 +154,16 @@ def _sweep(grids: Tuple[SweepGrid, ...], store: Optional[str], workers: int) -> 
 
 
 _FULL_PASS = ("REPORT.md", _DATA + "golden_report_rows.json")
+#: Every simulated spec's rows over its own cells cut short, keyed by spec.
+CAPPED = _DATA + "golden_capped_rows.json"
 
 #: Every behaviour golden, by path from :data:`ROOT`, and the function that
 #: produces its text from ``(store, workers)``.
 GOLDENS: Dict[str, Callable[[Optional[str], int], str]] = {
     _FULL_PASS[0]: lambda store, workers: render_report(_report_pass(store, workers)),
-    _FULL_PASS[1]: lambda store, workers: _rows_file(
+    _FULL_PASS[1]: lambda store, workers: rows_file(
         {outcome.spec.spec_id: outcome.rows for outcome in _report_pass(store, workers)}),
-    _DATA + "golden_capped_rows.json": _capped_rows,
+    CAPPED: _capped_rows,
     _DATA + "golden_tiny_report.md": lambda store, workers: render_report(
         [run_report_spec(TINY_GRID, workers=workers, store=store)]),
     _DATA + "golden_aqm_seed7.json": _aqm_trajectories,

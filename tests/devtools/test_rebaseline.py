@@ -7,18 +7,45 @@ import os
 
 import pytest
 
-from repro.devtools.rebaseline import ABSENT, CHEAP, GOLDENS, ROOT, Moved, diff, format_moved
+from repro.devtools.rebaseline import (
+    ABSENT,
+    CAPPED,
+    CHEAP,
+    GOLDENS,
+    ROOT,
+    Moved,
+    capped_rows,
+    diff,
+    format_moved,
+    rows_file,
+    simulated_spec_ids,
+)
 
 _DATA = "tests/experiments/data/"
 
+#: Each cheap golden whole, but the capped rows one spec at a time, so a
+#: moved row fails under its spec's name.
+_CHEAP_CASES = [pytest.param(path, None, id=path) for path in CHEAP if path != CAPPED] + [
+    pytest.param(CAPPED, spec_id, id=f"{CAPPED}:{spec_id}") for spec_id in simulated_spec_ids()]
 
-@pytest.mark.parametrize("path", CHEAP)
-def test_golden_regenerates_from_its_producer(path):
+
+@pytest.mark.parametrize("path, spec_id", _CHEAP_CASES)
+def test_golden_regenerates_from_its_producer(path, spec_id):
     """Refactors change structure, not trajectories: each cheap golden's
     producer writes its committed bytes exactly, at two workers."""
     committed = (ROOT / path).read_text()
-    regenerated = GOLDENS[path](None, 2)
+    if spec_id is None:
+        regenerated = GOLDENS[path](None, 2)
+    else:
+        committed = rows_file({spec_id: json.loads(committed)[spec_id]})
+        regenerated = rows_file({spec_id: capped_rows(spec_id, None, 2)})
     assert regenerated == committed, format_moved(diff(path, committed, regenerated), 1)
+
+
+def test_capped_golden_covers_every_simulated_spec_in_its_layout():
+    committed = (ROOT / CAPPED).read_text()
+    assert list(json.loads(committed)) == simulated_spec_ids()
+    assert rows_file(json.loads(committed)) == committed
 
 
 def test_every_golden_has_a_producer_and_none_is_an_identity():
