@@ -13,9 +13,9 @@ Packages
     family (New Reno, CUBIC, Illinois, Hybla, Vegas, Westwood, paced Reno,
     parallel bundles) and the rate-based SABUL/UDT and PCP.
 ``repro.schemes``
-    The scheme registry: every congestion-control scheme registers a factory
-    plus sender-kind metadata once, and is then usable from ``run_flows``,
-    sweep grids and the sweep CLI with no further edits.
+    The scheme table: every congestion-control scheme is one line (a factory
+    plus its sender kind), and is then usable from ``run_flows``, sweep grids
+    and the sweep CLI with no further edits.
 ``repro.core``
     PCC itself: monitor intervals, utility functions, and the learning
     control algorithm (starting / decision with RCTs / rate adjusting).
@@ -27,8 +27,8 @@ Packages
     streaming/resumable ``ResultSet`` API used by the examples and the
     report layer.
 ``repro.report``
-    The declarative report layer: every paper figure/table as a registered
-    spec, regenerated by ``python -m repro.report`` into the REPORT.md claim
+    The declarative report layer: every paper figure/table as a spec in one
+    catalog, regenerated by ``python -m repro.report`` into the REPORT.md claim
     ledger.
 """
 

@@ -26,9 +26,9 @@ the two terms are commensurate regardless of link speed.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
-from ..registry import NameRegistry
+from ..registry import lookup
 from ..units import BPS_PER_MBPS
 from .metrics import MonitorIntervalStats
 
@@ -39,7 +39,6 @@ __all__ = [
     "LossResilientUtility",
     "LatencyUtility",
     "sigmoid",
-    "register_utility",
     "make_utility",
     "utility_names",
 ]
@@ -150,32 +149,22 @@ class LatencyUtility:
 
 
 # --------------------------------------------------------------------------- #
-# Utility registry
+# Utility table
 # --------------------------------------------------------------------------- #
-_UTILITIES: NameRegistry[Callable[..., UtilityFunction]] = NameRegistry("utility")
-
-
-def register_utility(name: str, factory: Callable[..., UtilityFunction]) -> None:
-    """Register ``factory`` (a utility class or callable) under ``name``.
-
-    Names are the JSON-serializable currency of the experiment layers; like
-    every :class:`~repro.registry.NameRegistry`, registration must happen at
-    module import time so spawn-method sweep workers can resolve the name.
-    """
-    _UTILITIES.register(name, factory)
+#: Every utility a cell's ``utility`` may name.
+_UTILITIES: Dict[str, Callable[..., UtilityFunction]] = {
+    "safe": SafeUtility,
+    "simple": SimpleUtility,
+    "loss_resilient": LossResilientUtility,
+    "latency": LatencyUtility,
+}
 
 
 def make_utility(name: str, **kwargs) -> UtilityFunction:
-    """Instantiate the utility function registered under ``name``."""
-    return _UTILITIES.get(name)(**kwargs)
+    """Instantiate the utility function named ``name``."""
+    return lookup(_UTILITIES, "utility", name)(**kwargs)
 
 
 def utility_names() -> List[str]:
-    """All registered utility names, sorted."""
-    return _UTILITIES.names()
-
-
-register_utility("safe", SafeUtility)
-register_utility("simple", SimpleUtility)
-register_utility("loss_resilient", LossResilientUtility)
-register_utility("latency", LatencyUtility)
+    """All utility names, sorted."""
+    return sorted(_UTILITIES)

@@ -2,12 +2,11 @@
 
 Every reproduced claim in this repo rests on invariants that used to be
 enforced only by convention: simulations draw time and randomness exclusively
-from the engine clock and attached RNGs, registries are populated at import
-time so ``spawn``-method workers can resolve names, every ordering that
-reaches a result record or rendered report row is canonical, no numeric
-literal quietly shadows a configured constant (the seed's duplicated 8 kbps
-MI floor was exactly that bug), and every rate, size and time is combined in
-one unit.  One command checks all of it::
+from the engine clock and attached RNGs, every ordering that reaches a
+result record or rendered report row is canonical, no numeric literal
+quietly shadows a configured constant (the seed's duplicated 8 kbps MI floor
+was exactly that bug), and every rate, size and time is combined in one
+unit.  One command checks all of it::
 
     python -m repro.devtools.lint src
 
@@ -296,8 +295,6 @@ def _parse_module(path: str, source: str) -> ModuleContext:
 # --------------------------------------------------------------------------
 # Shared AST helpers.
 
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
 
 def _call_name(node: ast.Call) -> Optional[str]:
     """The bare called name: ``f(...)`` -> ``f``; ``a.b.f(...)`` -> ``f``."""
@@ -384,53 +381,6 @@ def _check_wall_clock(ctx: ModuleContext) -> Iterable[Finding]:
                 ctx, node, "RPL001",
                 f"global numpy RNG call {resolved}(): use an attached "
                 f"numpy.random.Generator (default_rng(seed)) instead")
-
-
-# --------------------------------------------------------------------------
-# RPL002 — registration must execute at module import time.
-
-
-def _check_import_time_registration(ctx: ModuleContext) -> Iterable[Finding]:
-    """RPL002: ``register_*()`` calls must execute at module top level.
-
-    Sweep cells cross process boundaries carrying registry *names*;
-    spawn-method workers re-import modules from scratch and then resolve
-    those names.  A ``register_*()`` call inside a function or class body,
-    or under a conditional, runs on some import paths and not others: the
-    worker imports the module and still cannot resolve the name.  Top-level
-    loops and try blocks are fine because they still execute at import.
-    """
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name is None or not name.startswith("register_"):
-            continue
-        ancestor = ctx.parent(node)
-        while ancestor is not None:
-            if isinstance(ancestor, _FUNCTION_NODES):
-                where = getattr(ancestor, "name", "<lambda>")
-                yield _finding(
-                    ctx, node, "RPL002",
-                    f"{name}() inside function {where!r} does not run at "
-                    f"import time, so spawn-method workers re-importing the "
-                    f"module cannot resolve the name; move it to module "
-                    f"top level")
-                break
-            if isinstance(ancestor, ast.ClassDef):
-                yield _finding(
-                    ctx, node, "RPL002",
-                    f"{name}() inside class {ancestor.name!r} body; move "
-                    f"registration to module top level")
-                break
-            if isinstance(ancestor, ast.If):
-                yield _finding(
-                    ctx, node, "RPL002",
-                    f"{name}() under a conditional registers the name only "
-                    f"on some import paths; spawn-method workers need "
-                    f"unconditional module-top-level registration")
-                break
-            ancestor = ctx.parent(ancestor)
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +547,6 @@ def _check_suppression_hygiene(ctx: ModuleContext) -> Iterable[Finding]:
 #: The per-module rules, by code.
 CHECKS: Dict[str, Callable[[ModuleContext], Iterable[Finding]]] = {
     "RPL001": _check_wall_clock,
-    "RPL002": _check_import_time_registration,
     "RPL003": _check_unsorted_iteration,
     "RPL004": _check_shadow_constants,
     "RPL005": _check_swallowed_exceptions,
@@ -671,7 +620,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
-        description="Static checker for the repro determinism, registry and "
+        description="Static checker for the repro determinism and "
                     "units-of-measure contracts.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to check (default: src)")

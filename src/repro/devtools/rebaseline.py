@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Se
 from ..experiments.execute import execute_cells
 from ..experiments.results import write_atomic
 from ..experiments.sweep import SweepCell, SweepGrid, run_cell
-from ..report import Claim, GridRun, ReportSpec, list_report_specs, render_report, run_report_spec
+from ..report import (Claim, GridRun, ReportSpec, get_report_spec, list_report_specs,
+                      render_report, run_report_spec)
 
 __all__ = ["ABSENT", "CAPPED", "CHEAP", "GOLDENS", "GOLDEN_GRIDS", "ROOT", "TINY_GRID", "Moved",
            "capped_rows", "diff", "format_moved", "main", "rows_file", "simulated_spec_ids"]
@@ -48,15 +49,10 @@ def rows_file(rows_by_spec: Dict[str, List[Dict[str, Any]]]) -> str:
         + "\n ]" for spec_id, rows in rows_by_spec.items()) + "\n}\n"
 
 
-def _catalog() -> List[ReportSpec]:
-    """Return the built-in specs; a test suite registers its own under section ``test``."""
-    return [spec for spec in list_report_specs() if spec.paper_section != "test"]
-
-
 @functools.lru_cache(maxsize=1)
 def _report_pass(store: Optional[str], workers: int) -> List[Any]:
     """Run every catalog spec once: ``REPORT.md`` and its rows share the pass."""
-    return [run_report_spec(spec, workers=workers, store=store) for spec in _catalog()]
+    return [run_report_spec(spec, workers=workers, store=store) for spec in list_report_specs()]
 
 
 def _capped(spec_id: str, cell: SweepCell) -> SweepCell:
@@ -69,12 +65,12 @@ def _capped(spec_id: str, cell: SweepCell) -> SweepCell:
 
 def simulated_spec_ids() -> List[str]:
     """Return, in catalog order, the specs with cells: the keys of :data:`CAPPED`."""
-    return [spec.spec_id for spec in _catalog() if spec.run.cells()]
+    return [spec.spec_id for spec in list_report_specs() if spec.run.cells()]
 
 
 def capped_rows(spec_id: str, store: Optional[str], workers: int) -> List[Dict[str, Any]]:
     """Return ``spec_id``'s rows over its own cells cut short."""
-    (spec,) = [spec for spec in _catalog() if spec.spec_id == spec_id]
+    spec = get_report_spec(spec_id)
     return spec.rows(execute_cells([_capped(spec_id, cell) for cell in spec.run.cells()],
                                    run_cell, spec.run.base_seed, workers=workers, store=store))
 

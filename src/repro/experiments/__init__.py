@@ -6,7 +6,6 @@ from .store import CellStore, store_key
 from .workload import (
     DEFAULT_WORKLOAD,
     build_workload,
-    register_workload,
     resolve_workload_kwargs,
     workload_names,
 )
@@ -22,7 +21,6 @@ _SWEEP_EXPORTS = (
     "SweepCell",
     "SweepGrid",
     "derive_seed",
-    "register_topology",
     "resolve_topology_kwargs",
     "topology_names",
 )
@@ -52,13 +50,11 @@ __all__ = [
     "store_key",
     "DEFAULT_WORKLOAD",
     "build_workload",
-    "register_workload",
     "resolve_workload_kwargs",
     "workload_names",
     "SweepCell",
     "SweepGrid",
     "derive_seed",
-    "register_topology",
     "resolve_topology_kwargs",
     "topology_names",
 ]

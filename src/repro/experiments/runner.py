@@ -1,8 +1,8 @@
 """Experiment runner: turn flow specs into senders and collect results.
 
 Scheme names (the strings used in :class:`repro.netsim.flows.FlowSpec`) are
-resolved against the :mod:`repro.schemes` registry — a scheme registered once
-there is usable here, in sweep grids and in the sweep CLI with no further
+resolved against the :mod:`repro.schemes` table — a scheme added there once
+is usable here, in sweep grids and in the sweep CLI with no further
 edits.  Every sweep cell, scenario and example goes through
 :func:`run_flows`, so scenarios stay declarative: build a topology, list the
 flows, pick a duration.

@@ -6,14 +6,13 @@ rate x RTT x loss rate x buffer size x flow count).  This module is the one
 place that fan-out lives:
 
 * :class:`SweepGrid` declares the grid declaratively; its ``topology`` names a
-  registered **topology builder** (``single_bottleneck`` by default, plus
+  **topology builder** (``single_bottleneck`` by default, plus
   ``parking_lot`` multi-bottleneck chains, ``dumbbell`` per-flow access
   links, the ``incast`` fan-in, and the ``trace_bottleneck`` /
-  ``random_dynamics`` time-varying links; extendable via
-  :func:`register_topology`);
-* scheme entries are names registered in :mod:`repro.schemes`; a PCC flow's
+  ``random_dynamics`` time-varying links; one line each in ``_TOPOLOGIES``);
+* scheme entries are names in :mod:`repro.schemes`' table; a PCC flow's
   utility is the cell's ``utility`` (a grid's ``utilities`` axis crosses
-  registered utility names with every other axis, the §4.4 flexibility
+  utility names with every other axis, the §4.4 flexibility
   experiments as a first-class sweep dimension) and an ablation is
   ``controller_kwargs`` (``{"use_rct": False}``);
 * :func:`sweep` fans the cells out across CPU cores, seeding every cell
@@ -76,7 +75,6 @@ from .runner import run_flows
 from .workload import (
     DEFAULT_WORKLOAD,
     build_workload,
-    register_workload,
     resolve_workload_kwargs,
     validate_workload,
     workload_names,
@@ -89,8 +87,6 @@ __all__ = [
     "SweepGrid",
     "cell_identity_key",
     "derive_seed",
-    "register_topology",
-    "register_workload",
     "resolve_topology_kwargs",
     "resolve_workload_kwargs",
     "build_workload",
@@ -139,24 +135,24 @@ class SweepCell:
     reverse_loss: bool = False
     stagger: float = 0.0
     controller_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Name of the registered topology builder that lays out this cell's
-    #: links/paths (see :func:`register_topology`).
+    #: Name of the topology builder that lays out this cell's links/paths
+    #: (see ``_TOPOLOGIES``).
     topology: str = "single_bottleneck"
     #: Extra JSON-serializable arguments interpreted by the topology builder
     #: (e.g. ``{"num_hops": 3}`` for ``parking_lot``).
     topology_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered utility-function name for this cell's PCC flows (``None``
-    #: means the scheme default, i.e. the safe utility).
+    #: Utility-function name for this cell's PCC flows (``None`` means the
+    #: scheme default, i.e. the safe utility).
     utility: Optional[str] = None
-    #: Registered queue discipline on the cell's bottleneck link(s) (see
-    #: :func:`repro.netsim.register_qdisc`).  Part of the identity when
+    #: Queue discipline on the cell's bottleneck link(s) (see
+    #: :func:`repro.netsim.qdisc_names`).  Part of the identity when
     #: non-default; access links keep their plain drop-tail queues.
     qdisc: str = DEFAULT_QDISC
     #: Extra JSON-serializable arguments for the qdisc factory
     #: (e.g. ``{"child": "codel"}`` for fq).
     qdisc_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered workload generator emitting this cell's flow schedule (see
-    #: :func:`repro.experiments.register_workload`).  Part of the identity
+    #: Workload generator emitting this cell's flow schedule (see
+    #: :func:`repro.experiments.workload_names`).  Part of the identity
     #: when non-default.
     workload: str = DEFAULT_WORKLOAD
     #: Extra JSON-serializable arguments for the workload builder
@@ -179,7 +175,7 @@ class SweepCell:
                 raise ValueError(
                     f"the utilities axis applies only to pcc schemes, not "
                     f"{self.scheme!r}")
-            # Instantiating validates the name with the registry's canonical
+            # Instantiating validates the name with the table's canonical
             # unknown-name error; the throwaway instance is trivial.
             make_utility(self.utility)
         if self.controller_kwargs:
@@ -210,14 +206,10 @@ class SweepCell:
         # (tests/netsim/test_queues.py::TestConstructionDrawsNoRandomness),
         # so the throwaway has no side effect.
         make_qdisc(self.qdisc, self.resolved_buffer_bytes(), **self.qdisc_kwargs)
-        topology = _TOPOLOGIES.get(self.topology)
         kwargs = resolve_topology_kwargs(self.topology, self.topology_kwargs)
-        if self.reverse_loss and not topology.supports_reverse_loss:
-            raise ValueError(
-                f"topology {self.topology!r} does not support reverse_loss"
-            )
-        if topology.validate is not None:
-            topology.validate(self, kwargs)
+        check = _TOPOLOGY_CHECKS.get(self.topology)
+        if check is not None:
+            check(self, kwargs)
         validate_workload(self)
 
     def resolved_scheme_kwargs(self) -> Dict[str, Any]:
@@ -308,7 +300,7 @@ class SweepCell:
 
 
 # --------------------------------------------------------------------------- #
-# Topology builder registry
+# Topology builders
 # --------------------------------------------------------------------------- #
 #: A topology builder lays a cell's links out inside ``sim`` and returns
 #: ``(paths, link_metrics)``.  Flow ``i`` of the cell is attached to
@@ -317,44 +309,6 @@ class SweepCell:
 #: evaluated after the run whose JSON-friendly dict becomes the record's
 #: ``link`` entry (what a time-varying link measured about itself).
 LinkMetrics = Optional[Callable[[], Dict[str, float]]]
-TopologyBuilder = Callable[..., Tuple[Sequence[Path], LinkMetrics]]
-
-
-_TOPOLOGIES = KwargRegistry("topology", "topology_kwargs", ("sim", "cell"))
-
-
-def register_topology(
-    name: str,
-    builder: TopologyBuilder,
-    supports_reverse_loss: bool = True,
-    validate: Optional[Callable[[SweepCell, Dict[str, Any]], None]] = None,
-) -> None:
-    """Register ``builder`` under ``name`` for use as a grid's ``topology``.
-
-    ``builder(sim, cell, **kwargs)``: the keyword parameters after ``sim,
-    cell`` in its signature are the ``topology_kwargs`` keys it accepts,
-    each with its default value.  The defaults are merged under a cell's
-    explicit kwargs, so the *resolved* values are recorded in each cell's
-    identity JSON (archived sweeps keep their meaning even if a builder
-    default changes later), and unknown keys are rejected when a cell is
-    constructed.  Builders that do not honor ``reverse_loss`` register with
-    ``supports_reverse_loss=False`` so a cell combining the two is rejected
-    at construction rather than mid-sweep in a worker;
-    ``validate(cell, resolved_kwargs)``, called from
-    :meth:`SweepCell.__post_init__`, does the same for topology-specific
-    mis-configurations.
-
-    Builders must be deterministic given ``(sim, cell)``.  Cells cross the
-    process boundary carrying only the topology *name*; each worker resolves
-    it against its own registry.  Under the ``spawn`` start method workers
-    re-import modules from scratch, so custom topologies must be registered
-    at module import time (top level of an imported module), not inside an
-    ``if __name__ == "__main__":`` block or an interactive session —
-    otherwise multi-worker sweeps fail with "unknown topology".
-    """
-    _TOPOLOGIES.register(name, builder,
-                         supports_reverse_loss=supports_reverse_loss,
-                         validate=validate)
 
 
 def resolve_topology_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -364,7 +318,7 @@ def resolve_topology_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]
 
 
 def topology_names() -> List[str]:
-    """All registered topology names, sorted."""
+    """All topology names, sorted."""
     return _TOPOLOGIES.names()
 
 
@@ -499,7 +453,15 @@ def _build_incast(sim: Simulator,
                   buffer_bytes=cell.resolved_buffer_bytes()).paths, None
 
 
+def _refuse_reverse_loss(cell: SweepCell) -> None:
+    """For the builders that apply ``loss_rate`` to forward links only."""
+    if cell.reverse_loss:
+        raise ValueError(
+            f"topology {cell.topology!r} does not support reverse_loss")
+
+
 def _validate_parking_lot(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    _refuse_reverse_loss(cell)
     _parking_lot_hop_delay(cell.rtt, kwargs["num_hops"])
 
 
@@ -509,12 +471,14 @@ def _validate_trace_bottleneck(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
 
 
 def _validate_incast(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    _refuse_reverse_loss(cell)
     if cell.loss_rate or cell.qdisc_kwargs or cell.qdisc != DEFAULT_QDISC:
         raise ValueError("the incast topology runs loss-free drop-tail "
                          "links; it takes no loss_rate or qdisc")
 
 
 def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
+    _refuse_reverse_loss(cell)
     delays = kwargs["access_delays"]
     if kwargs["bottleneck_delay"] is None or delays is None:
         raise ValueError("the dumbbell topology needs topology_kwargs "
@@ -526,18 +490,33 @@ def _validate_dumbbell(cell: SweepCell, kwargs: Dict[str, Any]) -> None:
             f"{cell.num_flows} flows; name one per flow")
 
 
-register_topology("single_bottleneck", _build_single_bottleneck)
-register_topology("parking_lot", _build_parking_lot,
-                  supports_reverse_loss=False,
-                  validate=_validate_parking_lot)
-register_topology("trace_bottleneck", _build_trace_bottleneck,
-                  validate=_validate_trace_bottleneck)
-register_topology("dumbbell", _build_dumbbell,
-                  supports_reverse_loss=False,
-                  validate=_validate_dumbbell)
-register_topology("random_dynamics", _build_random_dynamics)
-register_topology("incast", _build_incast, supports_reverse_loss=False,
-                  validate=_validate_incast)
+#: Every topology a cell's ``topology`` may name.
+#:
+#: ``builder(sim, cell, **kwargs)``: the keyword parameters after ``sim,
+#: cell`` in its signature are the ``topology_kwargs`` keys it accepts, each
+#: with its default value.  The defaults are merged under a cell's explicit
+#: kwargs, so the *resolved* values are recorded in each cell's identity JSON
+#: (archived sweeps keep their meaning even if a builder default changes
+#: later), and unknown keys are rejected when a cell is constructed.
+#: Builders must be deterministic given ``(sim, cell)``.
+_TOPOLOGIES = KwargRegistry("topology", "topology_kwargs", ("sim", "cell"), {
+    "single_bottleneck": _build_single_bottleneck,
+    "parking_lot": _build_parking_lot,
+    "trace_bottleneck": _build_trace_bottleneck,
+    "dumbbell": _build_dumbbell,
+    "random_dynamics": _build_random_dynamics,
+    "incast": _build_incast,
+})
+
+#: What :meth:`SweepCell.__post_init__` checks, given the resolved kwargs, on
+#: a cell naming the topology: each mis-configuration fails when the cell is
+#: built rather than mid-sweep in a worker.
+_TOPOLOGY_CHECKS: Dict[str, Callable[[SweepCell, Dict[str, Any]], None]] = {
+    "parking_lot": _validate_parking_lot,
+    "trace_bottleneck": _validate_trace_bottleneck,
+    "dumbbell": _validate_dumbbell,
+    "incast": _validate_incast,
+}
 
 
 @dataclass
@@ -569,19 +548,19 @@ class SweepGrid:
     stagger: float = 0.0
     #: Extra keyword arguments forwarded to every flow's controller.
     controller_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered topology builder resolved per cell (see
-    #: :func:`register_topology`); every cell of the grid shares one shape.
+    #: Topology builder resolved per cell (see ``_TOPOLOGIES``); every cell
+    #: of the grid shares one shape.
     topology: str = "single_bottleneck"
     #: JSON-serializable arguments interpreted by the topology builder.
     topology_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered queue discipline on every cell's bottleneck link(s) (see
-    #: :func:`repro.netsim.register_qdisc`).  Part of the cell identity when
+    #: Queue discipline on every cell's bottleneck link(s) (see
+    #: :func:`repro.netsim.qdisc_names`).  Part of the cell identity when
     #: non-default.
     qdisc: str = DEFAULT_QDISC
     #: JSON-serializable arguments for the qdisc factory.
     qdisc_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Registered workload generator shared by every cell (see
-    #: :func:`repro.experiments.register_workload`).  Part of the cell
+    #: Workload generator shared by every cell (see
+    #: :func:`repro.experiments.workload_names`).  Part of the cell
     #: identity when non-default.
     workload: str = DEFAULT_WORKLOAD
     #: JSON-serializable arguments for the workload builder.

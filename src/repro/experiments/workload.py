@@ -3,9 +3,9 @@
 The paper's figures mostly run a handful of long bulk flows, but its FCT
 experiment (Figure 15) and its incast one (Figure 10) need arrival processes:
 web-style short-flow storms and N-sender incast waves.  This module puts
-those generators behind a :class:`~repro.registry.KwargRegistry` — the same
-pluggable-by-JSON-name pattern schemes, topologies and queue disciplines
-use — so a sweep cell selects its traffic with a ``workload``
+those generators in a :class:`~repro.registry.KwargRegistry` table — the
+same pluggable-by-JSON-name pattern schemes, topologies and queue
+disciplines use — so a sweep cell selects its traffic with a ``workload``
 name plus declarative kwargs.
 
 Determinism contract: :func:`build_workload` hands every builder a private
@@ -27,7 +27,7 @@ artifacts stay byte-comparable.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..registry import KwargRegistry
 from ..schemes import get_scheme
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "DEFAULT_WORKLOAD",
     "build_workload",
-    "register_workload",
     "resolve_workload_kwargs",
     "validate_workload",
     "workload_names",
@@ -53,29 +52,6 @@ DEFAULT_WORKLOAD = "bulk"
 #: Stream tag ("WKLD") mixed into ``derive_seed`` so the workload's random
 #: stream never collides with the simulator RNG seeded from the cell seed.
 _WORKLOAD_STREAM = 0x574B4C44
-
-#: A workload builder: ``builder(cell, rng, **kwargs) -> List[FlowSpec]``.
-WorkloadBuilder = Callable[..., List[FlowSpec]]
-
-_WORKLOADS = KwargRegistry("workload", "workload_kwargs", ("cell", "rng"))
-
-
-def register_workload(name: str, builder: WorkloadBuilder) -> None:
-    """Register ``builder`` under ``name`` for use as a cell's ``workload``.
-
-    ``builder(cell, rng, **kwargs)`` must derive its schedule only from the
-    cell's identity fields and the provided ``rng`` (never wall clock or
-    global randomness), so the schedule is byte-identical across worker
-    counts.  The keyword parameters after ``cell, rng`` in its signature are
-    the kwargs it accepts, each with its default; unknown keys are rejected
-    at grid-construction time.
-
-    Cells cross the process boundary carrying only the workload *name*;
-    each worker resolves it against its own registry, so custom workloads
-    must be registered at module import time (top level of an imported
-    module) — otherwise multi-worker sweeps fail with "unknown workload".
-    """
-    _WORKLOADS.register(name, builder)
 
 
 def resolve_workload_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -111,7 +87,7 @@ def validate_workload(cell: "SweepCell") -> None:
 
 
 def build_workload(cell: "SweepCell") -> List[FlowSpec]:
-    """Emit the cell's flow schedule from its registered workload.
+    """Emit the cell's flow schedule from its workload.
 
     The builder's random stream is derived from the cell seed (not drawn
     from the simulator RNG), so schedule generation leaves the event stream
@@ -125,7 +101,7 @@ def build_workload(cell: "SweepCell") -> List[FlowSpec]:
 
 
 def workload_names() -> List[str]:
-    """All registered workload names, sorted."""
+    """All workload names, sorted."""
     return _WORKLOADS.names()
 
 
@@ -210,6 +186,16 @@ def _incast(cell: "SweepCell", rng: random.Random, waves: int = 5,
     return specs
 
 
-register_workload("bulk", _bulk)
-register_workload("web", _web)
-register_workload("incast", _incast)
+#: Every workload a cell's ``workload`` may name.
+#:
+#: ``builder(cell, rng, **kwargs)`` must derive its schedule only from the
+#: cell's identity fields and the provided ``rng`` (never wall clock or
+#: global randomness), so the schedule is byte-identical across worker
+#: counts.  The keyword parameters after ``cell, rng`` in its signature are
+#: the kwargs it accepts, each with its default; unknown keys are rejected
+#: when a cell is constructed.
+_WORKLOADS = KwargRegistry("workload", "workload_kwargs", ("cell", "rng"), {
+    "bulk": _bulk,
+    "web": _web,
+    "incast": _incast,
+})

@@ -20,7 +20,6 @@ from .queues import (
     REDQueue,
     make_qdisc,
     qdisc_names,
-    register_qdisc,
     resolve_qdisc_kwargs,
 )
 from .link import Link
@@ -69,7 +68,6 @@ __all__ = [
     "REDQueue",
     "make_qdisc",
     "qdisc_names",
-    "register_qdisc",
     "resolve_qdisc_kwargs",
     "Link",
     "Path",

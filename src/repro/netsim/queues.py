@@ -19,10 +19,11 @@ The canonical AQM baselines the reproduction's Figure 17 matrix extends to —
 RED (Floyd & Jacobson), PIE (RFC 8033, simplified) and FQ-CoDel (DRR fair
 queueing composed over CoDel children) — live here too, each tuned by
 constants next to its algorithm.  Every discipline sits behind a
-:class:`~repro.registry.KwargRegistry` — the same pluggable-by-JSON-name
-pattern schemes and topologies use — so sweep cells, report specs and the
-CLIs select queueing behavior by a ``qdisc`` name; ``fq``'s ``child`` is the
-one built-in option (:func:`register_qdisc` states the contract).
+:class:`~repro.registry.KwargRegistry` table (``_QDISCS``) — the same
+pluggable-by-JSON-name pattern schemes and topologies use — so sweep cells,
+report specs and the CLIs select queueing behavior by a ``qdisc`` name;
+``fq``'s ``child`` is the one built-in option (``_QDISCS`` states the
+contract).
 
 A discipline signals congestion by dropping: PCC needs no router support, so
 packets carry no congestion mark.  Disciplines whose drop decisions are
@@ -30,7 +31,7 @@ randomized (RED, PIE) are constructed *without* an RNG and receive one via
 :meth:`QueueDiscipline.attach_rng` afterwards — links attach ``sim.rng``
 automatically.  Factories must never draw from the simulator RNG at
 construction time (``TestConstructionDrawsNoRandomness`` in
-``tests/netsim/test_queues.py`` builds every registered discipline), so
+``tests/netsim/test_queues.py`` builds every discipline in ``_QDISCS``), so
 building a queue never perturbs the deterministic event stream.
 """
 
@@ -56,7 +57,6 @@ __all__ = [
     "REDQueue",
     "make_qdisc",
     "qdisc_names",
-    "register_qdisc",
     "resolve_qdisc_kwargs",
 ]
 
@@ -536,35 +536,12 @@ class FairQueue(QueueDiscipline):
 
 
 # --------------------------------------------------------------------------
-# The registry.
+# Disciplines by name.
 
 #: The discipline every entry point uses unless told otherwise.  Cell
 #: identities record ``qdisc`` only when it differs from this, so all golden
 #: JSON artifacts produced before the registry existed stay byte-comparable.
 DEFAULT_QDISC = "droptail"
-
-_QDISCS = KwargRegistry("queue discipline", "qdisc_kwargs", ("buffer_bytes",))
-
-
-def register_qdisc(name: str, factory: Callable[..., QueueDiscipline]) -> None:
-    """Register ``factory`` under ``name`` for use as a cell's ``qdisc``.
-
-    ``factory(buffer_bytes, **kwargs)`` must return a *fresh*
-    :class:`QueueDiscipline` on every call (links never share queues),
-    RNG-free (the module's attach-rng convention, pinned by
-    ``TestConstructionDrawsNoRandomness`` in ``tests/netsim/test_queues.py``),
-    and — like every registry entry (:mod:`repro.registry`) — be registered
-    at module import time, or multi-worker sweeps fail with "unknown queue
-    discipline".
-
-    The keyword parameters after ``buffer_bytes`` in the factory's signature
-    are the kwargs it accepts, each with its default (a discipline class
-    whose constructor takes the buffer alone registers as its own factory).
-    :func:`make_qdisc` merges explicit kwargs over the defaults and rejects
-    unknown keys, so typos fail loudly and archived cell identities record
-    fully-resolved values.
-    """
-    _QDISCS.register(name, factory)
 
 
 def resolve_qdisc_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -574,7 +551,7 @@ def resolve_qdisc_kwargs(name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def make_qdisc(name: str, buffer_bytes: Bytes, **kwargs: Any) -> QueueDiscipline:
-    """Build a fresh queue discipline by registered name.
+    """Build a fresh queue discipline by name.
 
     ``buffer_bytes`` is the link's configured buffer size; disciplines that
     bound occupancy use it as their byte capacity (the infinite queue
@@ -586,7 +563,7 @@ def make_qdisc(name: str, buffer_bytes: Bytes, **kwargs: Any) -> QueueDiscipline
 
 
 def qdisc_names() -> List[str]:
-    """All registered queue-discipline names, sorted."""
+    """All queue-discipline names, sorted."""
     return _QDISCS.names()
 
 
@@ -595,12 +572,12 @@ def _make_infinite(buffer_bytes: Bytes) -> QueueDiscipline:
 
 
 def _make_fq(buffer_bytes: Bytes, child: str = "droptail") -> QueueDiscipline:
-    """DRR fair queueing composed over registered children by name.
+    """DRR fair queueing composed over children by name.
 
     Each flow's child is built via :func:`make_qdisc`, so ``child`` may be
-    any registered discipline — including third-party ones — and each child
-    gets the full ``buffer_bytes`` as its per-flow capacity.  The name is
-    checked here, not at a flow's first packet.
+    any non-composed discipline in ``_QDISCS``, and each child gets the
+    full ``buffer_bytes`` as its per-flow capacity.  The name is checked
+    here, not at a flow's first packet.
     """
     if child == "fq" or child == "fq_codel":
         raise ValueError("fq children must be non-composed disciplines")
@@ -612,12 +589,24 @@ def _make_fq_codel(buffer_bytes: Bytes) -> QueueDiscipline:
     return FairQueue(child_factory=lambda: CoDelQueue(buffer_bytes))
 
 
-# The four classes' constructors take the buffer alone, so each is its own
-# factory.
-register_qdisc("droptail", DropTailQueue)
-register_qdisc("infinite", _make_infinite)
-register_qdisc("codel", CoDelQueue)
-register_qdisc("red", REDQueue)
-register_qdisc("pie", PIEQueue)
-register_qdisc("fq", _make_fq)
-register_qdisc("fq_codel", _make_fq_codel)
+#: Every queue discipline a cell's ``qdisc`` may name.
+#:
+#: ``factory(buffer_bytes, **kwargs)`` must return a *fresh*
+#: :class:`QueueDiscipline` on every call (links never share queues) and be
+#: RNG-free (the module's attach-rng convention, pinned by
+#: ``TestConstructionDrawsNoRandomness`` in ``tests/netsim/test_queues.py``).
+#: The keyword parameters after ``buffer_bytes`` in the factory's signature
+#: are the kwargs it accepts, each with its default (a discipline class whose
+#: constructor takes the buffer alone is its own factory).  :func:`make_qdisc`
+#: merges explicit kwargs over the defaults and rejects unknown keys, so
+#: typos fail loudly and archived cell identities record fully-resolved
+#: values.
+_QDISCS = KwargRegistry("queue discipline", "qdisc_kwargs", ("buffer_bytes",), {
+    "droptail": DropTailQueue,
+    "infinite": _make_infinite,
+    "codel": CoDelQueue,
+    "red": REDQueue,
+    "pie": PIEQueue,
+    "fq": _make_fq,
+    "fq_codel": _make_fq_codel,
+})

@@ -1,16 +1,14 @@
-"""Shared name-registry primitives for the pluggable layers.
+"""Shared lookup primitives for the name tables of the pluggable layers.
 
-Schemes and utility functions are selected by JSON-serializable *name*:
-sweep cells cross process boundaries carrying names, and every worker
-resolves them against its own registry.  That imposes one shared contract —
-entries must be registered at module import time (top level of an imported
-module), because ``spawn``-method workers re-import modules from scratch —
-and one shared error shape, both implemented once here instead of once per
-registry.
+Schemes, utility functions, queue disciplines, topologies, workloads and
+report specs are selected by JSON-serializable *name*: sweep cells cross
+process boundaries carrying names, and every worker resolves them against
+the same literal table, written once in the module that defines its
+entries.  :func:`lookup` gives every table one error shape.
 
 Queue disciplines, topologies and workloads are selected by a name *plus
 keyword options* that become cell identity; :class:`KwargRegistry` is their
-one registry.  A builder's options are the keyword parameters of its own
+one table type.  A builder's options are the keyword parameters of its own
 signature, so a default is written once, where the builder uses it.
 """
 
@@ -19,57 +17,22 @@ from __future__ import annotations
 import inspect
 import json
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Generic, List, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Tuple, TypeVar
 
-__all__ = ["KwargRegistry", "NameRegistry"]
+__all__ = ["KwargRegistry", "lookup"]
 
 T = TypeVar("T")
 
 
-class NameRegistry(Generic[T]):
-    """A write-once mapping from names to entries with uniform error text."""
-
-    def __init__(self, kind: str) -> None:
-        #: Human-readable entry kind used in error messages ("scheme", ...).
-        self.kind = kind
-        self._entries: Dict[str, T] = {}
-
-    def register(self, name: str, entry: T) -> None:
-        """Add ``entry`` under ``name``; duplicate names are an error."""
-        if name in self._entries:
-            raise ValueError(f"{self.kind} {name!r} is already registered")
-        self._entries[name] = entry
-
-    def get(self, name: str) -> T:
-        """Resolve ``name``, listing the valid names when it is unknown."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown {self.kind} {name!r}; registered: "
-                f"{', '.join(self.names())}"
-            ) from None
-
-    def discard(self, name: str) -> None:
-        """Remove ``name`` if present.
-
-        Exists solely so import-time registration blocks can roll back after
-        a failed import (a half-registered catalog would turn every retry
-        into a duplicate-name error masking the original exception); it is
-        not a license to mutate registries at runtime.
-        """
-        self._entries.pop(name, None)
-
-    def names(self) -> List[str]:
-        """All registered names, sorted."""
-        return sorted(self._entries)
-
-    def items(self) -> List[Tuple[str, T]]:
-        """``(name, entry)`` pairs, sorted by name."""
-        return [(name, self._entries[name]) for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
+def lookup(table: Mapping[str, T], kind: str, name: str) -> T:
+    """Resolve ``name`` in ``table``, listing the valid names when it is
+    unknown."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {kind} {name!r}; registered: {', '.join(sorted(table))}"
+        ) from None
 
 
 class KwargRegistry:
@@ -80,25 +43,28 @@ class KwargRegistry:
     parameter after them is an option and must declare a JSON-serializable
     default, because the resolved options are recorded in cell identities.
     ``*args`` / ``**kwargs`` are refused, so a key no builder declared fails
-    in :meth:`resolve` instead of vanishing into a sink.
+    in :meth:`resolve` instead of vanishing into a sink.  Every builder is
+    checked when the table is built, so a bad one fails at import.
     """
 
     def __init__(self, kind: str, kwargs_field: str,
-                 context: Tuple[str, ...]) -> None:
+                 context: Tuple[str, ...],
+                 builders: Mapping[str, Callable[..., Any]]) -> None:
+        self.kind = kind
         #: The cell field the options arrive in ("qdisc_kwargs", ...), named
         #: by the unknown-key error.
         self.kwargs_field = kwargs_field
         self.context = context
-        self._entries: NameRegistry[SimpleNamespace] = NameRegistry(kind)
+        self._entries: Dict[str, SimpleNamespace] = {
+            name: SimpleNamespace(builder=builder,
+                                  defaults=self._options(builder))
+            for name, builder in builders.items()}
 
-    def register(self, name: str, builder: Callable[..., Any],
-                 **entry_fields: Any) -> None:
-        """Add ``builder`` under ``name``, reading its options off its
-        signature; ``entry_fields`` ride along as attributes of the entry
-        :meth:`get` returns."""
+    def _options(self, builder: Callable[..., Any]) -> Dict[str, Any]:
+        """The options ``builder`` declares, each with its default."""
         def refuse(why: str) -> TypeError:
             label = getattr(builder, "__qualname__", repr(builder))
-            return TypeError(f"{self._entries.kind} builder {label} {why}")
+            return TypeError(f"{self.kind} builder {label} {why}")
 
         parameters = list(inspect.signature(builder).parameters.values())
         leading = parameters[:len(self.context)]
@@ -122,17 +88,15 @@ class KwargRegistry:
                     f"{p.default!r}; resolved options are recorded in cell "
                     f"identities and must be JSON-serializable") from None
             defaults[p.name] = p.default
-        self._entries.register(name, SimpleNamespace(
-            builder=builder, defaults=defaults, **entry_fields))
+        return defaults
 
     def get(self, name: str) -> SimpleNamespace:
-        """The entry for ``name``: ``builder``, ``defaults`` and the fields
-        it was registered with."""
-        return self._entries.get(name)
+        """The entry for ``name``: its ``builder`` and option ``defaults``."""
+        return lookup(self._entries, self.kind, name)
 
     def names(self) -> List[str]:
-        """All registered names, sorted."""
-        return self._entries.names()
+        """All names in the table, sorted."""
+        return sorted(self._entries)
 
     def resolve(self, name: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
         """Merge ``kwargs`` over the builder's declared defaults, rejecting

@@ -1,6 +1,6 @@
 """Declarative report layer: regenerate every paper figure/table on command.
 
-``python -m repro.report`` executes the registered
+``python -m repro.report`` executes the
 :class:`~repro.report.spec.ReportSpec` catalog — each spec one figure/table
 of the paper's evaluation, expressed as a sweep grid or a list of pinned
 sweep cells plus metric extraction and claim predicates — into per-figure
@@ -29,7 +29,6 @@ from .spec import (
     ScenarioRun,
     get_report_spec,
     list_report_specs,
-    register_report_spec,
     report_spec_ids,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "get_report_spec",
     "list_report_specs",
     "matrix_drift",
-    "register_report_spec",
     "render_matrix",
     "render_report",
     "render_spec_section",

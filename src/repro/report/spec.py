@@ -18,10 +18,9 @@ evidence as a machine-checkable artifact:
   evaluated into PASS / FAIL / DEVIATION for the generated ``REPORT.md``
   claim ledger.
 
-Specs register in a :class:`~repro.registry.NameRegistry`-backed catalog
-(:func:`register_report_spec`); the built-in catalog in
-:mod:`repro.report.specs` covers every figure/table of the paper's evaluation
-and is loaded lazily on first lookup.
+The catalog is one tuple, ``CATALOG`` in :mod:`repro.report.specs`; it
+covers every figure/table of the paper's evaluation and is imported on first
+lookup, so a process that never looks a spec up never pays for it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments.results import ResultSet
 from ..experiments.sweep import SweepCell, SweepGrid
-from ..registry import NameRegistry
+from ..registry import lookup
 
 __all__ = [
     "CLAIM_STATUSES",
@@ -43,7 +42,6 @@ __all__ = [
     "ScenarioRun",
     "get_report_spec",
     "list_report_specs",
-    "register_report_spec",
     "report_spec_ids",
 ]
 
@@ -223,59 +221,23 @@ class ReportSpec:
     notes: str = ""
 
 
-_SPECS: NameRegistry[ReportSpec] = NameRegistry("report spec")
-_SPEC_ORDER: List[str] = []
-
-_catalog_loaded = False
-
-
-def _ensure_catalog() -> None:
-    """Import the built-in spec catalog exactly once before any lookup."""
-    global _catalog_loaded
-    if _catalog_loaded:
-        return
-    # Set the flag before importing: the catalog module calls back into this
-    # module's register functions, and the guard keeps that re-entrancy from
-    # recursing.  A failed import resets it *and rolls back any partial
-    # registrations* (Python drops the half-initialized module from
-    # sys.modules, so the next lookup re-runs specs.py from the top; stale
-    # entries would turn that retry into a duplicate-name error masking the
-    # original exception).
-    _catalog_loaded = True
-    specs_before = list(_SPEC_ORDER)
-    try:
-        from . import specs  # noqa: F401  (registration side effects)
-    except BaseException:
-        _catalog_loaded = False
-        for spec_id in sorted(set(_SPEC_ORDER) - set(specs_before)):
-            _SPECS.discard(spec_id)
-        _SPEC_ORDER[:] = specs_before
-        raise
-
-
-def register_report_spec(spec: ReportSpec) -> None:
-    """Add ``spec`` to the catalog (duplicate ids are an error).
-
-    Catalog order is registration order, which the built-in catalog keeps
-    aligned with the paper's presentation order.
-    """
-    _SPECS.register(spec.spec_id, spec)
-    _SPEC_ORDER.append(spec.spec_id)
-
-
 def get_report_spec(spec_id: str) -> ReportSpec:
     """Resolve a spec id, listing the valid ids when it is unknown."""
-    _ensure_catalog()
-    return _SPECS.get(spec_id)
+    from .specs import CATALOG
+
+    return lookup({spec.spec_id: spec for spec in CATALOG}, "report spec",
+                  spec_id)
 
 
 def report_spec_ids() -> List[str]:
-    """All registered spec ids, in catalog (paper presentation) order."""
-    _ensure_catalog()
-    return list(_SPEC_ORDER)
+    """All spec ids, in catalog (paper presentation) order."""
+    from .specs import CATALOG
+
+    return [spec.spec_id for spec in CATALOG]
 
 
 def list_report_specs() -> List[ReportSpec]:
-    """All registered specs, in catalog order."""
-    _ensure_catalog()
-    return [_SPECS.get(spec_id) for spec_id in _SPEC_ORDER]
+    """All specs, in catalog order."""
+    from .specs import CATALOG
+
+    return list(CATALOG)

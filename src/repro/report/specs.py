@@ -7,7 +7,8 @@ simulated spec lists :class:`~repro.experiments.sweep.SweepCell`\\ s (a grid
 or pinned cells); the analytical ``theorems`` spec lists none and computes
 its rows from the fluid model in :mod:`repro.analysis`.
 
-Registration order is the paper's presentation order.
+``CATALOG`` at the end of the module lists every spec once, in the paper's
+presentation order.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from .spec import (
     GridRun,
     ReportSpec,
     ScenarioRun,
-    register_report_spec,
 )
 
-__all__: List[str] = []
+__all__ = ["CATALOG"]
 
 #: Shorthand deviation-note pointers into EXPERIMENTS.md.
 _SCALING = "EXPERIMENTS.md § per-experiment scaling notes"
@@ -188,7 +188,7 @@ def _fig45_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG4_5 = ReportSpec(
     spec_id="fig4_5",
     title="Wild-Internet throughput improvement over baselines",
     paper_section="4.1.1",
@@ -224,7 +224,7 @@ register_report_spec(ReportSpec(
     ),
     notes="510 PlanetLab/GENI pairs replaced by a synthetic wide-area path "
           "sampler (see EXPERIMENTS.md).",
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -268,7 +268,7 @@ def _table1_means(rows: List[Dict[str, Any]]) -> Dict[str, float]:
             for scheme in _T1_SCHEMES}
 
 
-register_report_spec(ReportSpec(
+TABLE1 = ReportSpec(
     spec_id="table1",
     title="Inter-data-center reserved-bandwidth transfers",
     paper_section="4.1.2",
@@ -301,7 +301,7 @@ register_report_spec(ReportSpec(
         ),
     ),
     notes="Reserved paths modelled as a small-buffer rate limiter.",
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -311,7 +311,7 @@ _F6_SCHEMES = ("pcc", "hybla", "illinois", "cubic")
 _F6_BUFFERS = (7_500.0, 1_000_000.0)
 
 
-register_report_spec(ReportSpec(
+FIG6 = ReportSpec(
     spec_id="fig6",
     title="Satellite link goodput vs bottleneck buffer",
     paper_section="4.1.3",
@@ -351,7 +351,7 @@ register_report_spec(ReportSpec(
                       "paper measured",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -361,7 +361,7 @@ _F7_SCHEMES = ("pcc", "illinois", "cubic")
 _F7_LOSSES = (0.001, 0.01, 0.02, 0.04)
 
 
-register_report_spec(ReportSpec(
+FIG7 = ReportSpec(
     spec_id="fig7",
     title="Throughput under random loss",
     paper_section="4.1.4",
@@ -406,7 +406,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig7)",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -459,7 +459,7 @@ def _fig8_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG8 = ReportSpec(
     spec_id="fig8",
     title="RTT fairness between a short-RTT and a long-RTT flow",
     paper_section="4.1.5",
@@ -483,7 +483,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig8): 0.3 floor instead of the paper's near-1 ratios",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -494,7 +494,7 @@ _F9_SCHEMES = ("pcc", "reno_paced", "cubic")
 _F9_BUFFERS = tuple(packets * float(DEFAULT_MSS) for packets in (1, 6, 30, 250))
 
 
-register_report_spec(ReportSpec(
+FIG9 = ReportSpec(
     spec_id="fig9",
     title="Throughput vs bottleneck buffer size",
     paper_section="4.1.6",
@@ -531,7 +531,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig9): ordering asserted, not the paper's 35x factor",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -578,7 +578,7 @@ def _fig10_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG10 = ReportSpec(
     spec_id="fig10",
     title="Incast goodput vs number of senders",
     paper_section="4.1.8",
@@ -627,7 +627,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig10): 30% floor of the fabric rate",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -652,7 +652,7 @@ def _fig11_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG11 = ReportSpec(
     spec_id="fig11",
     title="Rapidly changing network rate tracking",
     paper_section="4.1.7",
@@ -685,7 +685,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig11): 1.5x/1.2x floors instead of the paper's 14x/5.6x",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -716,7 +716,7 @@ def _fig12_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG12 = ReportSpec(
     spec_id="fig12",
     title="Convergence of four staggered flows",
     paper_section="4.2.1",
@@ -751,7 +751,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig12): 1.5x allowance instead of the paper's clear separation",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -779,7 +779,7 @@ def _fig13_span(rows: List[Dict[str, Any]]) -> Dict[str, float]:
     return {"lowest": min(indices), "highest": max(indices)}
 
 
-register_report_spec(ReportSpec(
+FIG13 = ReportSpec(
     spec_id="fig13",
     title="Jain's fairness index vs time scale",
     paper_section="4.2.1",
@@ -811,7 +811,7 @@ register_report_spec(ReportSpec(
             "all indices within (0, 1]",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -856,7 +856,7 @@ def _fig14_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG14 = ReportSpec(
     spec_id="fig14",
     title="TCP friendliness vs parallel-TCP selfishness",
     paper_section="4.3.1",
@@ -881,7 +881,7 @@ register_report_spec(ReportSpec(
             "N={num_selfish}: {tcp_vs_pcc_mbps:.2f} Mbps",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -909,7 +909,7 @@ def _fig15_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+FIG15 = ReportSpec(
     spec_id="fig15",
     title="Short-flow completion time vs load",
     paper_section="4.3.2",
@@ -943,7 +943,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (fig15): FCTs land ~3-4x TCP's rather than comparable",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1015,7 +1015,7 @@ def _fig16_frontier(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return [{**row, **bounds} for row in converged]
 
 
-register_report_spec(ReportSpec(
+FIG16 = ReportSpec(
     spec_id="fig16",
     title="Stability/reactiveness trade-off (+ RCT ablation)",
     paper_section="4.2.2",
@@ -1044,7 +1044,7 @@ register_report_spec(ReportSpec(
                       "of the paper's full Tm x eps frontier",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1156,7 +1156,7 @@ def _fig17_rescue(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {**ratios, "worst": worst, "worst_ratio": ratios[worst]}
 
 
-register_report_spec(ReportSpec(
+FIG17 = ReportSpec(
     spec_id="fig17",
     title="Power under AQM/FQ combinations",
     paper_section="4.4.1",
@@ -1216,7 +1216,7 @@ register_report_spec(ReportSpec(
             "red {red:.1f}x, pie {pie:.1f}x, fq_codel {fq_codel:.1f}x",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1236,7 +1236,7 @@ def _sec442_rows(result: ResultSet) -> List[Dict[str, Any]]:
     } for loss in _S442_LOSSES]
 
 
-register_report_spec(ReportSpec(
+SEC442 = ReportSpec(
     spec_id="sec442",
     title="Extreme random loss with the loss-resilient utility",
     paper_section="4.4.2",
@@ -1274,7 +1274,7 @@ register_report_spec(ReportSpec(
             deviation=f"{_SCALING} (sec442): 5x floor instead of the paper's 151x",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1325,7 +1325,7 @@ def _sec44_environment(environment: str) -> Callable[[List[Dict[str, Any]]], Dic
         for key in ("goodput_mbps", "mean_rtt_ms")}
 
 
-register_report_spec(ReportSpec(
+SEC44_ABLATION = ReportSpec(
     spec_id="sec44_ablation",
     title="Utility-function ablation across environments",
     paper_section="4.4",
@@ -1358,7 +1358,7 @@ register_report_spec(ReportSpec(
             "deep buffer RTT: latency {latency_mean_rtt_ms:.1f} vs safe {safe_mean_rtt_ms:.1f} ms",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1385,7 +1385,7 @@ def _parking_lot_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+PARKING_LOT = ReportSpec(
     spec_id="parking_lot",
     title="Multi-bottleneck parking lot with per-hop cross traffic",
     paper_section="4.3",
@@ -1416,7 +1416,7 @@ register_report_spec(ReportSpec(
             "{scheme}: long {long_mbps:.2f} vs cross {mean_cross_mbps:.2f} Mbps",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1438,7 +1438,7 @@ def _variable_bw_rows(result: ResultSet) -> List[Dict[str, Any]]:
     return rows
 
 
-register_report_spec(ReportSpec(
+VARIABLE_BW = ReportSpec(
     spec_id="variable_bw",
     title="Trace-driven time-varying bottleneck capacity",
     paper_section="4.1.7",
@@ -1464,7 +1464,7 @@ register_report_spec(ReportSpec(
             "{trace}/{scheme}: {goodput_mbps:.1f} Mbps",
         ),
     ),
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1536,7 +1536,7 @@ def _theorem2_rates(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {**row, "final_rates": [round(r, 2) for r in row["final_rates"]]}
 
 
-register_report_spec(ReportSpec(
+THEOREMS = ReportSpec(
     spec_id="theorems",
     title="Theorem 1 (equilibrium) and Theorem 2 (dynamics)",
     paper_section="2.2",
@@ -1566,7 +1566,7 @@ register_report_spec(ReportSpec(
         ),
     ),
     notes="Analytical fluid-model results; no packet-level simulation.",
-))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -1609,7 +1609,7 @@ def _fct_ratios(rows: List[Dict[str, Any]]) -> Dict[str, float]:
     return ratios
 
 
-register_report_spec(ReportSpec(
+FCT_LOAD = ReportSpec(
     spec_id="fct_load",
     title="Short-flow FCT vs offered load (web workload)",
     paper_section="4.4.3",
@@ -1658,4 +1658,13 @@ register_report_spec(ReportSpec(
             + " (floor 1.5x)",
         ),
     ),
-))
+)
+
+
+#: Every spec, in the paper's presentation order: the table
+#: :func:`~repro.report.spec.get_report_spec` reads.
+CATALOG: Tuple[ReportSpec, ...] = (
+    FIG4_5, TABLE1, FIG6, FIG7, FIG8, FIG9, FIG10, FIG11, FIG12, FIG13, FIG14,
+    FIG15, FIG16, FIG17, SEC442, SEC44_ABLATION, PARKING_LOT, VARIABLE_BW,
+    THEOREMS, FCT_LOAD,
+)

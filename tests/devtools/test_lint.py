@@ -73,41 +73,6 @@ class TestRPL001:
 
 
 # --------------------------------------------------------------------------
-# RPL002 — import-time registration
-
-
-class TestRPL002:
-    def test_register_inside_function_triggers(self):
-        snippet = "def setup():\n    register_scheme('x', object, 'rate')\n"
-        assert "RPL002" in codes_for(snippet)
-
-    def test_register_under_conditional_triggers(self):
-        snippet = "import os\nif os.environ.get('X'):\n    register_utility('x', object)\n"
-        assert "RPL002" in codes_for(snippet)
-
-    def test_register_in_class_body_triggers(self):
-        snippet = "class Plugin:\n    register_scheme('x', object, 'rate')\n"
-        assert "RPL002" in codes_for(snippet)
-
-    def test_top_level_and_top_level_loop_are_clean(self):
-        snippet = (
-            "register_scheme('a', object, 'rate')\n"
-            "for _name in ('b', 'c'):\n"
-            "    register_scheme(_name, object, 'rate')\n"
-        )
-        assert codes_for(snippet) == []
-
-    def test_registry_method_inside_wrapper_is_clean(self):
-        # NameRegistry.register called inside the public register_* wrapper
-        # functions is the supported idiom, not a violation.
-        snippet = (
-            "def register_thing(name, entry):\n"
-            "    _THINGS.register(name, entry)\n"
-        )
-        assert codes_for(snippet) == []
-
-
-# --------------------------------------------------------------------------
 # RPL003 — unordered iteration
 
 

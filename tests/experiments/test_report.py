@@ -1,17 +1,16 @@
 """Tests for the repro.report layer: determinism, store resume, CLI, catalog.
 
-The tiny specs registered at module import time (so fork-method workers
-inherit them) keep the packet-level work small enough for the tier-1 suite:
+Two tiny specs keep the packet-level work small enough for the tier-1 suite:
 a 2x2 one-second grid (``repro.devtools.rebaseline.TINY_GRID``, whose
 rendered report is a behaviour golden) and three hand-listed one-second
-cells with a pinned seed.
+cells with a pinned seed.  Tests run them as spec objects, and the CLI tests
+see them through the ``tiny_catalog`` fixture, which appends them to the
+catalog table for one test.
 """
 
 import importlib.util
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -24,8 +23,10 @@ from repro.experiments.sweep import (
     resolve_topology_kwargs,
     resolve_workload_kwargs,
     run_cell,
+    topology_names,
+    workload_names,
 )
-from repro.netsim import resolve_qdisc_kwargs
+from repro.netsim import qdisc_names, resolve_qdisc_kwargs
 from repro.report import (
     Claim,
     ReportSpec,
@@ -34,24 +35,23 @@ from repro.report import (
     evaluate_claims,
     get_report_spec,
     list_report_specs,
-    register_report_spec,
     render_report,
     render_spec_section,
     report_spec_ids,
     run_report_spec,
 )
+from repro.core import utility_names
+from repro.report import specs
 from repro.report.cli import main as report_main
-from repro.schemes import get_scheme
+from repro.schemes import available_schemes, get_scheme
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-register_report_spec(TINY_GRID)
-
 _PINNED_LOSSES = (0.0, 0.01, 0.02)
 
-register_report_spec(ReportSpec(
+TINY_PINNED = ReportSpec(
     spec_id="tiny_pinned",
     title="Tiny test pinned-cell list",
     paper_section="test",
@@ -75,7 +75,14 @@ register_report_spec(ReportSpec(
             "{loss}: {goodput_mbps:.3f} Mbps",
         ),
     ),
-))
+)
+
+
+@pytest.fixture
+def tiny_catalog(monkeypatch):
+    """The catalog with the two tiny specs appended, for one test."""
+    monkeypatch.setattr(specs, "CATALOG",
+                        specs.CATALOG + (TINY_GRID, TINY_PINNED))
 
 
 def _bench_cells():
@@ -99,9 +106,11 @@ class TestCatalog:
         figure/table id is a spec, and every scheme any cell names — a sweep
         cell's ``scheme`` and per-flow ``schemes`` — resolves against the
         scheme registry."""
+        ids = report_spec_ids()
         assert {"fig4_5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10",
                 "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-                "fig17", "sec442", "theorems"} <= set(report_spec_ids())
+                "fig17", "sec442", "theorems"} <= set(ids)
+        assert len(set(ids)) == len(ids)
         for spec in list_report_specs():
             for cell in spec.run.cells():
                 for scheme in [cell.scheme,
@@ -127,7 +136,7 @@ class TestCatalog:
         every catalog cell and every bench cell at seed 0, as captured before
         the registries read their defaults from the builders' signatures.
         Whole dicts, so a builder that exposes one option more fails here by
-        name.  Names the tests themselves register are not in the file."""
+        name."""
         with open(os.path.join(_DATA_DIR, "golden_identities.json")) as handle:
             golden = json.load(handle)
         resolvers = {"qdisc": resolve_qdisc_kwargs,
@@ -143,13 +152,12 @@ class TestCatalog:
                 for batch in golden["store_keys"]} == golden["store_keys"]
 
     def test_registered_names_can_only_shrink(self):
-        """A registered name, or a declared option, is one the evidence
-        uses: every built-in scheme, utility, qdisc, topology and workload is
-        named by a catalog sweep cell, and every option of every registered
-        qdisc, topology and workload is set in some catalog sweep cell's
+        """A name in a table, or a declared option, is one the evidence
+        uses: every scheme, utility, qdisc, topology and workload is named by
+        a catalog sweep cell, and every option of every qdisc, topology and
+        workload is set in some catalog sweep cell's
         ``*_kwargs``, or is allowed here with its reason — and no allowance
-        is stale.  A fresh interpreter, so names this suite registers for its
-        own use are not counted."""
+        is stale."""
         allowed = {
             ("scheme", "newreno"): "bench endpoints driver",
             ("qdisc", "codel"): "bench tcp_aqm workload",
@@ -160,51 +168,35 @@ class TestCatalog:
         allowed_options = {
             ("workload", "incast", "wave_interval"): "bench flow_churn",
         }
-        unused = json.loads(subprocess.run(
-            [sys.executable, "-c",
-             "import json\n"
-             "from repro.core import utility_names\n"
-             "from repro.experiments.sweep import (\n"
-             "    resolve_topology_kwargs, resolve_workload_kwargs,\n"
-             "    topology_names, workload_names)\n"
-             "from repro.netsim import qdisc_names, resolve_qdisc_kwargs\n"
-             "from repro.report import list_report_specs\n"
-             "from repro.schemes import available_schemes\n"
-             "names = {(kind, name) for kind, listed in [\n"
-             "    ('scheme', available_schemes()), ('utility', utility_names()),\n"
-             "    ('qdisc', qdisc_names()), ('topology', topology_names()),\n"
-             "    ('workload', workload_names())] for name in listed}\n"
-             "options = {(kind, name, option) for kind, listed, resolve in [\n"
-             "    ('qdisc', qdisc_names(), resolve_qdisc_kwargs),\n"
-             "    ('topology', topology_names(), resolve_topology_kwargs),\n"
-             "    ('workload', workload_names(), resolve_workload_kwargs)]\n"
-             "    for name in listed for option in resolve(name, {})}\n"
-             "for spec in list_report_specs():\n"
-             "    for cell in spec.run.cells():\n"
-             "        names -= {\n"
-             "            ('scheme', cell.scheme), ('utility', cell.utility),\n"
-             "            *(('scheme', scheme) for scheme in\n"
-             "              cell.workload_kwargs.get('schemes') or ()),\n"
-             "            ('qdisc', cell.qdisc),\n"
-             "            ('qdisc', cell.qdisc_kwargs.get('child')),\n"
-             "            ('topology', cell.topology),\n"
-             "            ('workload', cell.workload)}\n"
-             "        options -= {(kind, name, option)\n"
-             "                    for kind, name, kwargs in [\n"
-             "                        ('qdisc', cell.qdisc, cell.qdisc_kwargs),\n"
-             "                        ('topology', cell.topology,\n"
-             "                         cell.topology_kwargs),\n"
-             "                        ('workload', cell.workload,\n"
-             "                         cell.workload_kwargs)]\n"
-             "                    for option in kwargs}\n"
-             "print(json.dumps({'names': sorted(names),\n"
-             "                  'options': sorted(options)}))"],
-            check=True, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.join(_REPO_ROOT, "src")},
-        ).stdout)
-        assert {tuple(pair) for pair in unused["names"]} == set(allowed)
-        assert {tuple(triple) for triple in unused["options"]} \
-            == set(allowed_options)
+        names = {(kind, name) for kind, listed in [
+            ("scheme", available_schemes()), ("utility", utility_names()),
+            ("qdisc", qdisc_names()), ("topology", topology_names()),
+            ("workload", workload_names())] for name in listed}
+        options = {(kind, name, option) for kind, listed, resolve in [
+            ("qdisc", qdisc_names(), resolve_qdisc_kwargs),
+            ("topology", topology_names(), resolve_topology_kwargs),
+            ("workload", workload_names(), resolve_workload_kwargs)]
+            for name in listed for option in resolve(name, {})}
+        for spec in list_report_specs():
+            for cell in spec.run.cells():
+                names -= {
+                    ("scheme", cell.scheme), ("utility", cell.utility),
+                    *(("scheme", scheme) for scheme in
+                      cell.workload_kwargs.get("schemes") or ()),
+                    ("qdisc", cell.qdisc),
+                    ("qdisc", cell.qdisc_kwargs.get("child")),
+                    ("topology", cell.topology),
+                    ("workload", cell.workload)}
+                options -= {(kind, name, option)
+                            for kind, name, kwargs in [
+                                ("qdisc", cell.qdisc, cell.qdisc_kwargs),
+                                ("topology", cell.topology,
+                                 cell.topology_kwargs),
+                                ("workload", cell.workload,
+                                 cell.workload_kwargs)]
+                            for option in kwargs}
+        assert names == set(allowed)
+        assert options == set(allowed_options)
 
 
 class TestClaimEvaluation:
@@ -306,8 +298,7 @@ class TestLedgerFromRows:
     without simulating, so a threshold edit is checked in milliseconds."""
 
     def test_golden_covers_the_catalog(self):
-        assert set(_golden_report_rows()) == set(report_spec_ids()) - {
-            "tiny_grid", "tiny_pinned"}
+        assert set(_golden_report_rows()) == set(report_spec_ids())
 
     def test_theorems_compute_their_rows_without_cells(self):
         """The §2.2 theorems are closed-form: the spec executes no cell and
@@ -335,20 +326,20 @@ class TestLedgerFromRows:
 
 class TestDeterminism:
     def test_workers_do_not_change_rendered_report(self):
-        one = run_report_spec("tiny_grid", workers=1)
-        two = run_report_spec("tiny_grid", workers=2)
+        one = run_report_spec(TINY_GRID, workers=1)
+        two = run_report_spec(TINY_GRID, workers=2)
         assert render_report([one]) == render_report([two])
         assert one.result.to_json() == two.result.to_json()
 
     def test_grid_resume_is_byte_identical(self, tmp_path):
         stream = str(tmp_path / "tiny_grid.jsonl")
         store = str(tmp_path / "store")
-        baseline = render_report([run_report_spec("tiny_grid")])
+        baseline = render_report([run_report_spec(TINY_GRID)])
         # Simulate a crash: a store that is missing the spec's last cell.
-        run = get_report_spec("tiny_grid").run
+        run = TINY_GRID.run
         cells = run.cells()
         execute_cells(cells[:-1], run_cell, run.base_seed, store=store)
-        resumed = run_report_spec("tiny_grid", jsonl_path=stream, store=store)
+        resumed = run_report_spec(TINY_GRID, jsonl_path=stream, store=store)
         assert resumed.result.reuse == {"cells": len(cells),
                                         "store_hits": len(cells) - 1,
                                         "executed": 1}
@@ -372,7 +363,8 @@ class TestCli:
             report_main(["--check", "EXPERIMENTS.md"])
         assert "--check requires --matrix" in capsys.readouterr().err
 
-    def test_cli_runs_tiny_spec_and_writes_report(self, tmp_path, capsys):
+    def test_cli_runs_tiny_spec_and_writes_report(self, tmp_path, capsys,
+                                                  tiny_catalog):
         report = str(tmp_path / "REPORT.md")
         jsonl_dir = str(tmp_path / "cells")
         code = report_main(["--only", "tiny_pinned", "--report", report,
@@ -386,7 +378,8 @@ class TestCli:
             text = handle.read()
         assert "Tiny test pinned-cell list" in text
 
-    def test_store_flag_second_run_executes_zero(self, tmp_path, capsys):
+    def test_store_flag_second_run_executes_zero(self, tmp_path, capsys,
+                                                 tiny_catalog):
         """Every spec of one run opens the same ``--store`` directory; run
         again over it, no spec executes a cell and the ledger is the same."""
         store = str(tmp_path / "store")
@@ -400,7 +393,8 @@ class TestCli:
         assert err.count("executing 0") == 2
         assert second.read_bytes() == first.read_bytes()
 
-    def test_list_prints_cells_and_their_simulated_seconds(self, capsys):
+    def test_list_prints_cells_and_their_simulated_seconds(self, capsys,
+                                                           tiny_catalog):
         """``--list`` reads a spec's cost off its cells: how many, and the
         sum of their durations."""
         assert report_main(["--list", "--only", "tiny_grid,tiny_pinned"]) == 0
@@ -411,7 +405,8 @@ class TestCli:
             ["tiny_pinned", "test", "3", "3"]]
 
     def test_a_failed_render_leaves_the_existing_report(self, tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        tiny_catalog):
         # A row value a format spec rejects used to leave a 0-byte ledger:
         # the destination was opened for writing before the render ran.
         report = tmp_path / "REPORT.md"
@@ -426,22 +421,15 @@ class TestCli:
         assert report.read_text() == "the checked-in ledger\n"
         assert os.listdir(tmp_path) == ["REPORT.md"]
 
-    def test_only_without_explicit_report_path_errors(self, capsys):
+    def test_only_without_explicit_report_path_errors(self, capsys,
+                                                      tiny_catalog):
         # A partial ledger written to the default path would silently
         # replace the checked-in full REPORT.md.
         with pytest.raises(SystemExit):
             report_main(["--only", "tiny_pinned"])
         assert "--report" in capsys.readouterr().err
 
-    def test_matrix_check_against_experiments_md(self):
-        # A clean interpreter: the tiny specs this module registers must not
-        # leak into the checked matrix.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.report", "--matrix", "--check",
-             "EXPERIMENTS.md"],
-            cwd=_REPO_ROOT, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr or proc.stdout
+    def test_matrix_check_against_experiments_md(self, monkeypatch, capsys):
+        monkeypatch.chdir(_REPO_ROOT)
+        assert report_main(["--matrix", "--check", "EXPERIMENTS.md"]) == 0, \
+            capsys.readouterr()

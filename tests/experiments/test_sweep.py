@@ -17,7 +17,6 @@ from repro.experiments.sweep import (
     SweepGrid,
     derive_seed,
     main,
-    register_topology,
     run_cell,
     sweep,
     topology_names,
@@ -102,10 +101,6 @@ class TestTopologyRegistry:
         for name in ("single_bottleneck", "parking_lot", "trace_bottleneck",
                      "dumbbell", "random_dynamics", "incast"):
             assert name in names
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_topology("single_bottleneck", lambda sim, cell: [])
 
     def test_unknown_topology_rejected_at_grid_construction(self):
         with pytest.raises(ValueError):

@@ -198,12 +198,14 @@ def test_report_and_sweep_start_without_numpy():
     """Every CLI start, spawn worker and ``setup_s`` sample pays for what
     ``repro.report`` and ``repro.experiments.sweep`` import; numpy alone was
     0.19 s of 0.22 s, for scalar loops over at most six rates.  The process
-    pool is imported where ``workers > 1`` opens one, not at start-up."""
+    pool is imported where ``workers > 1`` opens one, and the report catalog
+    (about 50 ms) where a spec is looked up, not at start-up."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     subprocess.run(
         [sys.executable, "-c",
          "import sys, repro.report, repro.experiments.sweep; "
          "assert not {'numpy', 'multiprocessing', "
-         "'concurrent.futures.process'} & set(sys.modules)"],
+         "'concurrent.futures.process', 'repro.report.specs'} "
+         "& set(sys.modules)"],
         check=True, env={**os.environ, "PYTHONPATH": src},
     )

@@ -226,7 +226,7 @@ class TestFairQueueDropContract:
 
 BUFFER_BYTES = 15_000
 
-# Every registered discipline, plus ``fq`` over each child that is not
+# Every discipline in the table, plus ``fq`` over each child that is not
 # itself composed.
 CONSTRUCTIONS = [(name, {}) for name in qdisc_names()] + [
     ("fq", {"child": name}) for name in qdisc_names()

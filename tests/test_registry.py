@@ -1,50 +1,69 @@
-"""Tests for the shared name-registry primitives."""
+"""Tests for the shared name-table primitives."""
 
 import pytest
 
-from repro.experiments.sweep import SweepCell, SweepGrid, register_topology
-from repro.experiments.workload import register_workload
-from repro.netsim import register_qdisc
-from repro.registry import KwargRegistry, NameRegistry
+from repro.core import make_utility, utility_names
+from repro.experiments.sweep import (
+    SweepCell,
+    SweepGrid,
+    resolve_topology_kwargs,
+    resolve_workload_kwargs,
+    topology_names,
+    workload_names,
+)
+from repro.netsim import make_qdisc, qdisc_names
+from repro.registry import KwargRegistry, lookup
+from repro.report import get_report_spec, report_spec_ids
+from repro.schemes import available_schemes, get_scheme
 
 
-class TestNameRegistry:
-    def test_register_get_names(self):
-        registry = NameRegistry("widget")
-        registry.register("b", 2)
-        registry.register("a", 1)
-        assert registry.get("a") == 1
-        assert registry.names() == ["a", "b"]
-        assert "a" in registry and "c" not in registry
-
-    def test_duplicate_rejected_with_kind_in_message(self):
-        registry = NameRegistry("widget")
-        registry.register("a", 1)
-        with pytest.raises(ValueError, match="widget 'a' is already registered"):
-            registry.register("a", 2)
-
-    def test_unknown_name_lists_registered(self):
-        registry = NameRegistry("widget")
-        registry.register("a", 1)
-        registry.register("b", 2)
+class TestLookup:
+    def test_unknown_name_lists_the_table_sorted(self):
+        assert lookup({"b": 2, "a": 1}, "widget", "a") == 1
         with pytest.raises(ValueError, match="unknown widget 'c'; registered: a, b"):
-            registry.get("c")
+            lookup({"b": 2, "a": 1}, "widget", "c")
+
+    @pytest.mark.parametrize("resolve, names, message", [
+        (get_scheme, available_schemes,
+         "unknown congestion-control scheme 'nope'; known schemes: {}"),
+        (make_utility, utility_names, "unknown utility 'nope'; registered: {}"),
+        (lambda name: make_qdisc(name, 1e4), qdisc_names,
+         "unknown queue discipline 'nope'; registered: {}"),
+        (lambda name: resolve_topology_kwargs(name, {}), topology_names,
+         "unknown topology 'nope'; registered: {}"),
+        (lambda name: resolve_workload_kwargs(name, {}), workload_names,
+         "unknown workload 'nope'; registered: {}"),
+        (get_report_spec, report_spec_ids,
+         "unknown report spec 'nope'; registered: {}"),
+    ], ids=["scheme", "utility", "qdisc", "topology", "workload", "report_spec"])
+    def test_each_table_names_itself_and_lists_its_names_sorted(
+            self, resolve, names, message):
+        with pytest.raises(ValueError) as caught:
+            resolve("nope")
+        assert str(caught.value) == message.format(", ".join(sorted(names())))
 
 
-def _widgets():
-    return KwargRegistry("widget", "widget_kwargs", ("size",))
+def _widgets(**builders):
+    return KwargRegistry("widget", "widget_kwargs", ("size",), builders)
+
+
+# Builders whose options cannot all be read off their signatures.
+def _sink(size, **options): ...
+def _star(size, *rest): ...
+def _no_context(): ...
+def _keyword_only_context(*, size=1): ...
+def _object_default(size, probe=object()): ...
+def _no_default(size, colour="red", *, probe): ...
 
 
 class TestKwargRegistry:
     def test_options_are_the_builders_keyword_parameters(self):
-        registry = _widgets()
-
         def make(size, colour="red", *, weight=1.5):
             return (size, colour, weight)
 
-        registry.register("plain", make, tested=True)
+        registry = _widgets(plain=make)
         assert registry.names() == ["plain"]
-        assert registry.get("plain").tested is True
+        assert registry.get("plain").builder is make
         assert registry.resolve("plain", {}) == {"colour": "red", "weight": 1.5}
         assert registry.resolve("plain", {"weight": 2}) == {
             "colour": "red", "weight": 2}
@@ -55,14 +74,12 @@ class TestKwargRegistry:
             def __init__(self, size, colour="red"):
                 self.made = (size, colour)
 
-        registry = _widgets()
-        registry.register("widget", Widget)
+        registry = _widgets(widget=Widget)
         assert registry.resolve("widget", {}) == {"colour": "red"}
         assert registry.build("widget", 2).made == (2, "red")
 
     def test_unknown_keys_are_rejected_by_name(self):
-        registry = _widgets()
-        registry.register("plain", lambda size, colour="red": None)
+        registry = _widgets(plain=lambda size, colour="red": None)
         with pytest.raises(
                 ValueError,
                 match=r"unknown widget_kwargs for 'plain': \['color', 'hue'\]"):
@@ -73,49 +90,31 @@ class TestKwargRegistry:
             registry.resolve("other", {})
 
     def test_resolve_leaves_its_inputs_alone(self):
-        registry = _widgets()
-        registry.register("plain", lambda size, colour="red": None)
+        registry = _widgets(plain=lambda size, colour="red": None)
         given = {"colour": "blue"}
         resolved = registry.resolve("plain", given)
         resolved["colour"] = "green"
         assert given == {"colour": "blue"}
         assert registry.resolve("plain", {}) == {"colour": "red"}
 
-    def test_a_builder_that_hides_its_options_is_refused_at_register(self):
+    @pytest.mark.parametrize("builder, message", [
+        (_sink, r"takes \*\*options"),
+        (_star, r"takes \*rest"),
+        (_no_context, r"must take \(size\) as its leading positional"),
+        (_keyword_only_context, r"must take \(size\) as its leading"),
+        (_object_default, "option 'probe' with the default <object .*must "
+                          "be JSON-serializable"),
+        (_no_default, "declares option 'probe' without a default"),
+    ], ids=["sink", "star", "no_context", "keyword_only_context",
+            "object_default", "no_default"])
+    def test_a_builder_that_hides_its_options_is_refused_at_build(
+            self, builder, message):
         """Whatever cannot be read off the signature would be simulated but
-        never recorded (or never rejected), so it fails where the builder is
-        registered, naming the builder."""
-        def sink(size, **options): ...
-        def star(size, *rest): ...
-        def no_context(): ...
-        def keyword_only_context(*, size=1): ...
-        def object_default(size, probe=object()): ...
-        def no_default(size, colour="red", *, probe): ...
-
-        registry = _widgets()
-        for builder, message in [
-            (sink, r"takes \*\*options"),
-            (star, r"takes \*rest"),
-            (no_context, r"must take \(size\) as its leading positional"),
-            (keyword_only_context, r"must take \(size\) as its leading"),
-            (object_default, "option 'probe' with the default <object .*must "
-                             "be JSON-serializable"),
-            (no_default, "declares option 'probe' without a default"),
-        ]:
-            with pytest.raises(TypeError, match=message) as caught:
-                registry.register(builder.__name__, builder)
-            assert f"widget builder {builder.__qualname__}" in str(caught.value)
-        assert registry.names() == []
-
-    @pytest.mark.parametrize("register", [
-        register_qdisc, register_topology, register_workload])
-    def test_the_three_public_registers_refuse_the_same_way(self, register):
-        def sink(*args, **kwargs): ...
-        def undeclared(a, b, c, probe): ...
-
-        for builder in (sink, undeclared):
-            with pytest.raises(TypeError, match=builder.__qualname__):
-                register("never_registered", builder)
+        never recorded (or never rejected), so it fails where the table is
+        built, naming the builder."""
+        with pytest.raises(TypeError, match=message) as caught:
+            _widgets(fine=lambda size: None, bad=builder)
+        assert f"widget builder {builder.__qualname__}" in str(caught.value)
 
     @pytest.mark.parametrize("fields, message", [
         (dict(qdisc="fq", qdisc_kwargs={"chidl": "codel"}),

@@ -1,8 +1,8 @@
-"""Tests for the first-class scheme registry (``repro.schemes``).
+"""Tests for the scheme table (``repro.schemes``).
 
-The acceptance property is end-to-end pluggability: a scheme registered once
-is usable, untouched elsewhere, from ``run_flows``, a ``SweepGrid`` scheme
-entry, and the sweep CLI.
+The acceptance property is end-to-end pluggability: a scheme that is one
+line in the table is usable, untouched elsewhere, from ``run_flows``, a
+``SweepGrid`` scheme entry, and the sweep CLI.
 """
 
 import json
@@ -11,23 +11,25 @@ import pytest
 
 from repro.cc import NewRenoController
 from repro.experiments import run_flows
-from repro.experiments.sweep import SweepGrid, main, sweep
+from repro import schemes
+from repro.experiments.sweep import SweepCell, SweepGrid, main, sweep
 from repro.netsim import FlowSpec, Simulator, single_bottleneck
-from repro.schemes import available_schemes, get_scheme, register_scheme
+from repro.schemes import SchemeInfo, available_schemes, get_scheme
 
 
-# A third-party scheme registered once, at module import time (the same
-# contract every registry in the repo imposes, so spawn-method sweep workers
-# could re-import it).  A plain Reno subclass keeps the simulation cheap.
+# A scheme the table does not hold, added as one more line for the tests that
+# use it; a plain Reno subclass with a declared kwarg keeps the simulation
+# cheap.
 class _HalfBetaReno(NewRenoController):
     def __init__(self, beta: float = 0.7, **kwargs):
         super().__init__(**kwargs)
         self.beta = beta
 
 
-register_scheme("halfreno", _HalfBetaReno, "windowed",
-                kwarg_defaults={"beta": 0.7},
-                description="test-only Reno with a gentler backoff")
+@pytest.fixture
+def halfreno(monkeypatch):
+    monkeypatch.setitem(schemes._SCHEMES, "halfreno", SchemeInfo(
+        "halfreno", _HalfBetaReno, "windowed", {"beta": 0.7}))
 
 
 class TestRegistry:
@@ -35,7 +37,7 @@ class TestRegistry:
         names = available_schemes()
         for name in ["pcc", "cubic", "reno", "newreno", "illinois", "hybla",
                      "vegas", "westwood", "reno_paced", "sabul", "pcp",
-                     "parallel_tcp", "halfreno"]:
+                     "parallel_tcp"]:
             assert name in names
 
     def test_sender_kind_metadata(self):
@@ -45,50 +47,59 @@ class TestRegistry:
         assert get_scheme("parallel_tcp").sender_kind == "bundle"
 
     def test_unknown_scheme_error_lists_known_schemes(self):
-        with pytest.raises(ValueError, match="known schemes: .*halfreno.*pcc"):
+        with pytest.raises(ValueError, match="known schemes: cubic, .*, pcc, "):
             get_scheme("no-such-scheme")
         # A scheme string is a registered name and nothing more.
         with pytest.raises(ValueError, match="known schemes"):
             get_scheme("pcc:latency")
 
-    def test_scheme_strings_are_case_insensitive(self):
-        assert get_scheme("CUBIC").name == "cubic"
-        assert get_scheme(" Pcc ").name == "pcc"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheme("cubic", NewRenoController, "windowed")
-
-    def test_invalid_sender_kind_rejected(self):
-        with pytest.raises(ValueError, match="sender_kind"):
-            register_scheme("bogus_kind_scheme", NewRenoController, "warped")
-
-    def test_uppercase_names_rejected(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            register_scheme("Cubic2", NewRenoController, "windowed")
+    def test_one_spelling_of_a_scheme_is_one_simulation(self):
+        """A cell records its scheme verbatim, so a second spelling of the
+        same scheme would label one simulation under two store keys; names
+        are looked up exactly as spelled, and a cell refuses any other."""
+        for spelling in ("CUBIC", " Pcc ", "cubic "):
+            with pytest.raises(ValueError, match="known schemes"):
+                get_scheme(spelling)
+        with pytest.raises(ValueError, match="unknown congestion-control "
+                                             "scheme ' CUBIC'"):
+            SweepCell(index=0, scheme=" CUBIC", bandwidth_bps=5e6, rtt=0.03,
+                      loss_rate=0.0, buffer_bytes=None, num_flows=1,
+                      duration=1.0, seed=1)
 
 
-class TestThirdPartySchemeEndToEnd:
-    """One registration, three consumers — the tentpole acceptance property."""
+@pytest.mark.parametrize("name", available_schemes())
+def test_every_table_line_builds_a_flow_that_delivers(name):
+    """Nothing checks a table line when it is written: its sender kind must
+    be one the runner builds, and a flow of the scheme must move data."""
+    assert get_scheme(name).sender_kind in ("windowed", "rate", "bundle")
+    sim = Simulator(seed=1)
+    topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
+    result = run_flows(sim, [topo.path], [FlowSpec(scheme=name)], duration=2.0)
+    assert result.flow(0).goodput_bps(2.0) > 0
 
-    def test_run_flows_builds_the_scheme(self):
+
+class TestNewSchemeEndToEnd:
+    """One table line, three consumers — the tentpole acceptance property."""
+
+    def test_run_flows_builds_the_scheme(self, halfreno):
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
         result = run_flows(sim, [topo.path], [FlowSpec(scheme="halfreno")],
                            duration=3.0)
         controller = result.flow(0).schemes[0]
         assert isinstance(controller, _HalfBetaReno)
-        assert controller.beta == 0.7  # registry default applied
+        assert controller.beta == 0.7  # the table's default applied
         assert result.flow(0).goodput_bps(3.0) > 1e6
 
-    def test_flow_spec_kwargs_override_registry_defaults(self):
+    def test_flow_spec_kwargs_override_registry_defaults(self, halfreno):
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=50_000)
         spec = FlowSpec(scheme="halfreno", controller_kwargs={"beta": 0.5})
         result = run_flows(sim, [topo.path], [spec], duration=1.0)
         assert result.flow(0).schemes[0].beta == 0.5
 
-    def test_sweep_grid_accepts_the_scheme_and_records_its_defaults(self):
+    def test_sweep_grid_accepts_the_scheme_and_records_its_defaults(
+            self, halfreno):
         grid = SweepGrid(schemes=("halfreno",),
                          bandwidths_bps=(5e6,), duration=2.0)
         result = sweep(grid, base_seed=3, workers=1)
@@ -96,7 +107,7 @@ class TestThirdPartySchemeEndToEnd:
         cell = result.one(scheme="halfreno")
         assert cell["cell"]["scheme_kwargs"] == {"beta": 0.7}
 
-    def test_cli_accepts_the_scheme(self, tmp_path):
+    def test_cli_accepts_the_scheme(self, tmp_path, halfreno):
         out = tmp_path / "sweep.json"
         code = main([
             "--schemes", "halfreno",
@@ -110,8 +121,8 @@ class TestThirdPartySchemeEndToEnd:
         assert cell["cell"]["scheme_kwargs"] == {"beta": 0.7}
 
     def test_unknown_scheme_fails_at_grid_construction(self):
-        """Pre-registry, a typo'd scheme survived grid construction and died
-        mid-sweep inside a worker; now the grid rejects it immediately."""
+        """A typo'd scheme must not survive grid construction to die
+        mid-sweep inside a worker; the grid rejects it immediately."""
         with pytest.raises(ValueError, match="known schemes"):
             SweepGrid(schemes=("cubik",))
 
@@ -140,7 +151,8 @@ class TestBundleSchemes:
 
 
 class TestBundleSubSchemeDefaults:
-    def test_subflow_controllers_receive_the_subscheme_registry_defaults(self):
+    def test_subflow_controllers_receive_the_subscheme_registry_defaults(
+            self, halfreno):
         """The bundle path must merge the sub-scheme's kwarg_defaults exactly
         like the direct path does."""
         sim = Simulator(seed=3)
