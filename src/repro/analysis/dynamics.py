@@ -11,14 +11,13 @@ the only one changing.  Theorem 2 states every x_j converges into
 
 :func:`simulate_dynamics` runs these synchronized updates on the fluid model
 and reports the trajectory, and whether/when each sender entered the Theorem 2
-band.  It also supports heterogeneous step functions (AIMD/MIMD/MIAD mixes) to
-check the paper's claim that convergence is independent of step-size policy.
+band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from .equilibrium import symmetric_equilibrium_rate
 from .model import FluidModel
@@ -35,7 +34,6 @@ class DynamicsResult:
     epsilon: float
     converged_step: Optional[int]   # first step at which all senders are in band
     band: tuple[float, float]
-    history_utilities: List[List[float]] = field(default_factory=list)
 
     @property
     def final_rates(self) -> List[float]:
@@ -66,25 +64,13 @@ def simulate_dynamics(
     initial_rates: Sequence[float],
     epsilon: float = 0.01,
     steps: int = 2000,
-    step_policies: Optional[Sequence[Callable[[float, int], float]]] = None,
-    record_utilities: bool = False,
 ) -> DynamicsResult:
-    """Run the synchronized update dynamics of §2.2.
-
-    Parameters
-    ----------
-    step_policies:
-        Optional per-sender functions mapping ``(current_rate, direction)`` to
-        the next rate, overriding the default multiplicative ``(1 ± eps)``
-        step.  Directions are +1/-1.  Used to verify that heterogeneous
-        AIAD/AIMD/MIMD mixes still converge to the same point.
-    """
+    """Run the synchronized update dynamics of §2.2 for ``steps`` steps."""
     rates = [float(rate) for rate in initial_rates]
     n = len(rates)
     equilibrium = symmetric_equilibrium_rate(model, n)
     band = theorem2_band(equilibrium, epsilon)
     trajectory = [rates]
-    utilities: List[List[float]] = []
     converged_step: Optional[int] = None
     for step in range(1, steps + 1):
         new_rates = list(rates)
@@ -94,14 +80,9 @@ def simulate_dynamics(
             up[j] = rates[j] * (1.0 + epsilon)
             down[j] = rates[j] * (1.0 - epsilon)
             direction = 1 if model.utility(up, j) > model.utility(down, j) else -1
-            if step_policies is not None:
-                new_rates[j] = max(step_policies[j](rates[j], direction), 1e-9)
-            else:
-                new_rates[j] = rates[j] * (1.0 + direction * epsilon)
+            new_rates[j] = rates[j] * (1.0 + direction * epsilon)
         rates = new_rates
         trajectory.append(rates)
-        if record_utilities:
-            utilities.append(model.utilities(rates))
         if converged_step is None and _all_in_band(rates, band):
             converged_step = step
     return DynamicsResult(
@@ -110,5 +91,4 @@ def simulate_dynamics(
         epsilon=epsilon,
         converged_step=converged_step,
         band=band,
-        history_utilities=utilities,
     )

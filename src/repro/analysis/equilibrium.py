@@ -14,12 +14,20 @@ numerically by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .model import FluidModel, sequential_sum
 
 __all__ = ["EquilibriumResult", "find_equilibrium", "best_response_iteration",
            "symmetric_equilibrium_rate"]
+
+#: The symmetric fixed point is bisected to this fraction of the capacity.
+_SYMMETRIC_TOLERANCE = 1e-9
+
+#: Best-response rounds stop once no rate moves by this fraction of the
+#: capacity, or after this many rounds.
+_ITERATION_TOLERANCE = 1e-6
+_MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -44,8 +52,7 @@ class EquilibriumResult:
         return max(abs(rate - mean) for rate in self.rates) / mean
 
 
-def symmetric_equilibrium_rate(model: FluidModel, n: int,
-                               tolerance: float = 1e-9) -> float:
+def symmetric_equilibrium_rate(model: FluidModel, n: int) -> float:
     """The symmetric fixed point: every sender's best response to n-1 peers at x.
 
     Solved by bisection on ``f(x) = best_response(x, others at x) - x`` which is
@@ -68,7 +75,7 @@ def symmetric_equilibrium_rate(model: FluidModel, n: int,
         expand += 1
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if hi - lo < tolerance * model.capacity:
+        if hi - lo < _SYMMETRIC_TOLERANCE * model.capacity:
             break
         if excess(mid) > 0:
             lo = mid
@@ -80,32 +87,25 @@ def symmetric_equilibrium_rate(model: FluidModel, n: int,
 def best_response_iteration(
     model: FluidModel,
     initial_rates: Sequence[float],
-    max_iterations: int = 500,
-    tolerance: float = 1e-6,
 ) -> EquilibriumResult:
     """Iterate best responses (round robin) until the profile stops moving."""
     rates = [float(rate) for rate in initial_rates]
     n = len(rates)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         previous = list(rates)
         for i in range(n):
             rates[i] = model.best_response(rates, i, lo=1e-9,
                                            hi=2.0 * model.capacity)
         if max(abs(new - old) for new, old in zip(rates, previous)) \
-                < tolerance * model.capacity:
+                < _ITERATION_TOLERANCE * model.capacity:
             return EquilibriumResult(rates=rates, iterations=iteration, converged=True)
-    return EquilibriumResult(rates=rates, iterations=max_iterations, converged=False)
+    return EquilibriumResult(rates=rates, iterations=_MAX_ITERATIONS, converged=False)
 
 
-def find_equilibrium(
-    capacity: float,
-    n: int,
-    alpha: Optional[float] = None,
-    initial_rates: Optional[Sequence[float]] = None,
-) -> EquilibriumResult:
-    """Convenience wrapper: build the model (Theorem 1 alpha) and iterate."""
-    model = FluidModel(capacity, alpha=alpha or max(2.2 * (n - 1), 100.0))
-    if initial_rates is None:
-        # A deliberately unfair starting point exercises convergence-to-fairness.
-        initial_rates = [capacity * (i + 1) / n for i in range(n)]
-    return best_response_iteration(model, initial_rates)
+def find_equilibrium(capacity: float, n: int) -> EquilibriumResult:
+    """Build the model with Theorem 1's alpha, ``max(2.2 (n - 1), 100)``, and
+    iterate best responses from a deliberately unfair starting point, which
+    exercises convergence to fairness."""
+    model = FluidModel(capacity, alpha=max(2.2 * (n - 1), 100.0))
+    return best_response_iteration(
+        model, [capacity * (i + 1) / n for i in range(n)])

@@ -1,7 +1,8 @@
 """Measurement analysis: the derived metrics the paper's figures report.
 
 These helpers operate on the per-flow time series collected by
-:class:`repro.netsim.stats.FlowStats`:
+:class:`repro.netsim.stats.FlowStats`, one entry per
+:data:`~repro.netsim.stats.BIN_WIDTH` bin:
 
 * :func:`convergence_time` — Figure 16's "forward-looking" definition: the
   earliest time ``t`` such that throughput in every second from ``t`` to
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence
 
+from ..netsim.stats import BIN_WIDTH
 from ..units import Bps, Seconds
 
 __all__ = [
@@ -32,10 +34,8 @@ __all__ = [
 def convergence_time(
     throughput_series: Sequence[float],
     ideal_rate: float,
-    bin_width: float = 1.0,
     tolerance: float = 0.25,
     window: float = 5.0,
-    start_offset: float = 0.0,
 ) -> Optional[float]:
     """Figure 16's convergence time.
 
@@ -46,14 +46,14 @@ def convergence_time(
     """
     if ideal_rate <= 0:
         raise ValueError("ideal_rate must be positive")
-    bins_per_window = max(1, int(round(window / bin_width)))
+    bins_per_window = max(1, int(round(window / BIN_WIDTH)))
     lower = ideal_rate * (1.0 - tolerance)
     upper = ideal_rate * (1.0 + tolerance)
     n = len(throughput_series)
     for start in range(0, n - bins_per_window + 1):
         segment = throughput_series[start:start + bins_per_window]
         if all(lower <= value <= upper for value in segment):
-            return start_offset + start * bin_width
+            return start * BIN_WIDTH
     return None
 
 
@@ -61,13 +61,12 @@ def rate_std_dev(
     throughput_series: Sequence[float],
     from_time: float = 0.0,
     duration: Optional[float] = None,
-    bin_width: float = 1.0,
 ) -> float:
     """Standard deviation of per-bin throughput starting at ``from_time``."""
-    start_bin = int(from_time / bin_width)
+    start_bin = int(from_time / BIN_WIDTH)
     values = list(throughput_series[start_bin:])
     if duration is not None:
-        values = values[: max(1, int(round(duration / bin_width)))]
+        values = values[: max(1, int(round(duration / BIN_WIDTH)))]
     if len(values) < 2:
         return 0.0
     mean = sum(values) / len(values)

@@ -16,9 +16,15 @@ numerically and benchmarked against the packet-level simulator.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = ["FluidModel"]
+
+#: Loss rate at which the safe utility's sigmoid cuts off (0.05 in the paper).
+_LOSS_THRESHOLD = 0.05
+
+#: A best response is located to within this fraction of the capacity.
+_BEST_RESPONSE_TOLERANCE = 1e-6
 
 
 def sequential_sum(values: Sequence[float]) -> float:
@@ -36,15 +42,13 @@ def sequential_sum(values: Sequence[float]) -> float:
 class FluidModel:
     """The n-sender single-bottleneck fluid model with the safe utility."""
 
-    def __init__(self, capacity: float, alpha: float = 100.0,
-                 loss_threshold: float = 0.05):
+    def __init__(self, capacity: float, alpha: float = 100.0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.capacity = float(capacity)
         self.alpha = float(alpha)
-        self.loss_threshold = loss_threshold
 
     # ------------------------------------------------------------------ #
     # Model primitives
@@ -73,22 +77,14 @@ class FluidModel:
         """Sender ``i``'s safe utility u_i(x)."""
         loss = self.loss(rates)
         throughput = rates[i] * (1.0 - loss)
-        return throughput * self.sigmoid(loss - self.loss_threshold) - rates[i] * loss
-
-    def utilities(self, rates: Sequence[float]) -> List[float]:
-        """All senders' utilities at the rate profile ``rates``."""
-        return [self.utility(rates, i) for i in range(len(rates))]
+        return throughput * self.sigmoid(loss - _LOSS_THRESHOLD) - rates[i] * loss
 
     # ------------------------------------------------------------------ #
     # Helpers used by the theorem checks
     # ------------------------------------------------------------------ #
-    def recommended_alpha(self, n: int) -> float:
-        """Theorem 1's lower bound on alpha: max(2.2 (n - 1), 100)."""
-        return max(2.2 * (n - 1), 100.0)
-
     def best_response(self, rates: Sequence[float], i: int,
-                      lo: Optional[float] = None, hi: Optional[float] = None,
-                      tolerance: float = 1e-6) -> float:
+                      lo: Optional[float] = None,
+                      hi: Optional[float] = None) -> float:
         """Sender ``i``'s best response to the other senders' current rates.
 
         Golden-section search over x_i in [lo, hi]; the utility is unimodal in
@@ -108,7 +104,7 @@ class FluidModel:
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
         fc, fd = objective(c), objective(d)
-        while abs(b - a) > tolerance * self.capacity:
+        while abs(b - a) > _BEST_RESPONSE_TOLERANCE * self.capacity:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - inv_phi * (b - a)

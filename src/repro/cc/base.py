@@ -31,8 +31,16 @@ __all__ = ["WindowController", "RateController", "MIN_CWND", "MIN_RATE_BPS"]
 #: Congestion windows never drop below this many packets.
 MIN_CWND = 1.0
 
+#: Every window controller starts a flow at two packets, in slow start with
+#: no threshold (``ssthresh`` is set by the first loss).
+INITIAL_CWND = 2.0
+INITIAL_SSTHRESH = 1e9
+
 #: Sending rates never drop below this (bits per second) so pacing timers stay sane.
 MIN_RATE_BPS = 8_000.0
+
+#: SABUL and PCP start every flow at this rate (bits per second).
+INITIAL_RATE_BPS = 1_000_000.0
 
 
 class WindowController(ABC):

@@ -14,27 +14,21 @@ and shallow-buffer experiments.
 
 from __future__ import annotations
 
-from .base import WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, WindowController
 
 __all__ = ["CubicController"]
+
+#: RFC 8312's scaling constant C and multiplicative decrease beta.
+_C = 0.4
+_BETA = 0.7
 
 
 class CubicController(WindowController):
     """RFC 8312 CUBIC window dynamics."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        c: float = 0.4,
-        beta: float = 0.7,
-        fast_convergence: bool = True,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.c = c
-        self.beta = beta
-        self.fast_convergence = fast_convergence
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         # Cubic state.
         self.w_max = 0.0
         self.w_last_max = 0.0
@@ -45,7 +39,7 @@ class CubicController(WindowController):
 
     # ------------------------------------------------------------------ #
     def _cubic_window(self, t: float) -> float:
-        return self.c * (t - self.k) ** 3 + self.w_max
+        return _C * (t - self.k) ** 3 + self.w_max
 
     def on_ack(self, rtt: float, now: float) -> None:
         if self.cwnd < self.ssthresh:
@@ -56,7 +50,7 @@ class CubicController(WindowController):
             self.epoch_start = now
             self.ack_count = 0
             if self.cwnd < self.w_max:
-                self.k = ((self.w_max - self.cwnd) / self.c) ** (1.0 / 3.0)
+                self.k = ((self.w_max - self.cwnd) / _C) ** (1.0 / 3.0)
             else:
                 self.k = 0.0
                 self.w_max = self.cwnd
@@ -65,7 +59,7 @@ class CubicController(WindowController):
         target = self._cubic_window(t + rtt)
         # TCP-friendly region (RFC 8312 §4.2): emulate Reno's average growth.
         self.ack_count += 1
-        self.w_tcp += 3.0 * (1.0 - self.beta) / (1.0 + self.beta) / self.cwnd
+        self.w_tcp += 3.0 * (1.0 - _BETA) / (1.0 + _BETA) / self.cwnd
         target = max(target, self.w_tcp)
         if target > self.cwnd:
             self.cwnd += (target - self.cwnd) / self.cwnd
@@ -76,18 +70,20 @@ class CubicController(WindowController):
 
     def on_loss(self, now: float) -> None:
         self.epoch_start = None
-        if self.fast_convergence and self.cwnd < self.w_last_max:
+        # Fast convergence (RFC 8312 §4.6): a flow whose window peaks lower
+        # than last time releases bandwidth to newer flows.
+        if self.cwnd < self.w_last_max:
             self.w_last_max = self.cwnd
-            self.w_max = self.cwnd * (1.0 + self.beta) / 2.0
+            self.w_max = self.cwnd * (1.0 + _BETA) / 2.0
         else:
             self.w_last_max = self.cwnd
             self.w_max = self.cwnd
-        self.cwnd = max(self.cwnd * self.beta, 2.0)
+        self.cwnd = max(self.cwnd * _BETA, 2.0)
         self.ssthresh = self.cwnd
         self._clamp()
 
     def on_timeout(self, now: float) -> None:
         self.epoch_start = None
         self.w_max = self.cwnd
-        self.ssthresh = max(self.cwnd * self.beta, 2.0)
+        self.ssthresh = max(self.cwnd * _BETA, 2.0)
         self.cwnd = 1.0

@@ -13,31 +13,27 @@ satellite link's capacity.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["HyblaController"]
+
+#: The reference RTT0 growth is normalised to, and the cap on rho.
+_REFERENCE_RTT = 0.025
+_MAX_RHO = 64.0
 
 
 class HyblaController(WindowController):
     """TCP Hybla window dynamics with RTT-compensated growth."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        reference_rtt: float = 0.025,
-        max_rho: float = 64.0,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.reference_rtt = reference_rtt
-        self.max_rho = max_rho
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.rho = 1.0
         self._min_rtt = float("inf")
 
     def _update_rho(self, rtt: float) -> None:
         self._min_rtt = min(self._min_rtt, rtt)
-        self.rho = max(1.0, min(self.max_rho, self._min_rtt / self.reference_rtt))
+        self.rho = max(1.0, min(_MAX_RHO, self._min_rtt / _REFERENCE_RTT))
 
     def on_ack(self, rtt: float, now: float) -> None:
         self._update_rho(rtt)

@@ -17,36 +17,31 @@ observed queueing delay).
 
 from __future__ import annotations
 
-from .base import MIN_CWND, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["IllinoisController"]
+
+#: Bounds of the additive increase (packets per RTT) and of the
+#: multiplicative decrease.
+_ALPHA_MAX = 10.0
+_ALPHA_MIN = 0.3
+_BETA_MIN = 0.125
+_BETA_MAX = 0.5
+
+#: Below this window size Illinois behaves like Reno (alpha=1, beta=1/2).
+_WINDOW_THRESHOLD = 15
 
 
 class IllinoisController(WindowController):
     """TCP Illinois window dynamics with delay-adaptive alpha/beta."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        alpha_max: float = 10.0,
-        alpha_min: float = 0.3,
-        beta_min: float = 0.125,
-        beta_max: float = 0.5,
-        window_threshold: int = 15,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.alpha_max = alpha_max
-        self.alpha_min = alpha_min
-        self.beta_min = beta_min
-        self.beta_max = beta_max
-        #: Below this window size Illinois behaves like Reno (alpha=1, beta=1/2).
-        self.window_threshold = window_threshold
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.base_rtt = float("inf")
         self.max_rtt = 0.0
         self._alpha = 1.0
-        self._beta = beta_max
+        self._beta = _BETA_MAX
         # Per-RTT averaging of RTT samples.
         self._rtt_sum = 0.0
         self._rtt_count = 0
@@ -63,34 +58,34 @@ class IllinoisController(WindowController):
         self._rtt_count = 0
         max_queue_delay = self.max_rtt - self.base_rtt
         if max_queue_delay <= 0:
-            self._alpha = self.alpha_max
-            self._beta = self.beta_min
+            self._alpha = _ALPHA_MAX
+            self._beta = _BETA_MIN
             return
         queue_delay = max(avg_rtt - self.base_rtt, 0.0)
         d1 = 0.01 * max_queue_delay
         # alpha: alpha_max below d1, then a hyperbolic decrease to alpha_min at dm.
         if queue_delay <= d1:
-            self._alpha = self.alpha_max
+            self._alpha = _ALPHA_MAX
         else:
-            k1 = (max_queue_delay - d1) * self.alpha_min * self.alpha_max / (
-                self.alpha_max - self.alpha_min
+            k1 = (max_queue_delay - d1) * _ALPHA_MIN * _ALPHA_MAX / (
+                _ALPHA_MAX - _ALPHA_MIN
             )
-            k2 = k1 / self.alpha_max - d1
-            self._alpha = max(self.alpha_min, min(self.alpha_max, k1 / (k2 + queue_delay)))
+            k2 = k1 / _ALPHA_MAX - d1
+            self._alpha = max(_ALPHA_MIN, min(_ALPHA_MAX, k1 / (k2 + queue_delay)))
         # beta: beta_min below d2, beta_max above d3, linear in between.
         d2 = 0.1 * max_queue_delay
         d3 = 0.8 * max_queue_delay
         if queue_delay <= d2:
-            self._beta = self.beta_min
+            self._beta = _BETA_MIN
         elif queue_delay >= d3:
-            self._beta = self.beta_max
+            self._beta = _BETA_MAX
         else:
-            k3 = (self.alpha_min * d3 - self.beta_max * d2) / (d3 - d2)
-            k4 = (self.beta_max - self.beta_min) / (d3 - d2)
-            self._beta = max(self.beta_min, min(self.beta_max, k3 + k4 * queue_delay))
-        if self.cwnd < self.window_threshold:
+            k3 = (_ALPHA_MIN * d3 - _BETA_MAX * d2) / (d3 - d2)
+            k4 = (_BETA_MAX - _BETA_MIN) / (d3 - d2)
+            self._beta = max(_BETA_MIN, min(_BETA_MAX, k3 + k4 * queue_delay))
+        if self.cwnd < _WINDOW_THRESHOLD:
             self._alpha = 1.0
-            self._beta = self.beta_max
+            self._beta = _BETA_MAX
 
     @property
     def alpha(self) -> float:
@@ -126,4 +121,4 @@ class IllinoisController(WindowController):
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
         self.cwnd = MIN_CWND
         self._alpha = 1.0
-        self._beta = self.beta_max
+        self._beta = _BETA_MAX

@@ -9,23 +9,20 @@ random corruption.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["NewRenoController"]
+
+#: Multiplicative decrease on a loss event: Reno halves its window.
+_BETA = 0.5
 
 
 class NewRenoController(WindowController):
     """Classic Reno/New Reno window dynamics (RFC 5681 congestion avoidance)."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        beta: float = 0.5,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.beta = beta
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
 
     def on_ack(self, rtt: float, now: float) -> None:
         if self.cwnd < self.ssthresh:
@@ -37,7 +34,7 @@ class NewRenoController(WindowController):
         self._clamp()
 
     def on_loss(self, now: float) -> None:
-        self.ssthresh = max(self.cwnd * self.beta, 2.0)
+        self.ssthresh = max(self.cwnd * _BETA, 2.0)
         self.cwnd = self.ssthresh
         self._clamp()
 

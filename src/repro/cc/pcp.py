@@ -21,31 +21,27 @@ from __future__ import annotations
 
 from ..units import BITS_PER_BYTE
 from ..netsim.packet import DEFAULT_MSS
-from .base import MIN_RATE_BPS, RateController
+from .base import INITIAL_RATE_BPS, MIN_RATE_BPS, RateController
 
 __all__ = ["PcpController"]
+
+#: Seconds between probe trains, and packets per train.
+_PROBE_INTERVAL = 0.2
+_TRAIN_LENGTH = 8
+
+#: Queueing-delay growth (seconds) above which a probe is "congested".
+_DELAY_THRESHOLD = 0.003
+
+#: Fraction of the way the rate moves toward a successful probe estimate.
+_GAIN = 0.5
 
 
 class PcpController(RateController):
     """Packet-train probing rate control in the style of PCP."""
 
-    def __init__(
-        self,
-        initial_rate_bps: float = 1_000_000.0,
-        mss: int = DEFAULT_MSS,
-        probe_interval: float = 0.2,
-        train_length: int = 8,
-        delay_threshold: float = 0.003,
-        gain: float = 0.5,
-    ):
-        self._rate_bps = float(initial_rate_bps)
+    def __init__(self, mss: int = DEFAULT_MSS):
+        self._rate_bps = INITIAL_RATE_BPS
         self.mss = mss
-        self.probe_interval = probe_interval
-        self.train_length = train_length
-        #: Queueing-delay growth (seconds) above which a probe is "congested".
-        self.delay_threshold = delay_threshold
-        #: Fraction of the way the rate moves toward a successful probe estimate.
-        self.gain = gain
         self._sender = None
         self._sim = None
         self._min_rtt = float("inf")
@@ -66,14 +62,14 @@ class PcpController(RateController):
     def _schedule_probe(self) -> None:
         if self._sim is None:
             return
-        self._sim.schedule(self.probe_interval, self._send_probe_train)
+        self._sim.schedule(_PROBE_INTERVAL, self._send_probe_train)
 
     def _send_probe_train(self) -> None:
         if self._sender is None or self._sender.completed:
             return
         self._train_acks = []
         self._collecting = True
-        self._sender.send_probe_train(self.train_length)
+        self._sender.send_probe_train(_TRAIN_LENGTH)
         self._schedule_probe()
 
     # ------------------------------------------------------------------ #
@@ -81,7 +77,7 @@ class PcpController(RateController):
         self._min_rtt = min(self._min_rtt, rtt)
         if record.is_probe and self._collecting:
             self._train_acks.append((now, rtt))
-            if len(self._train_acks) >= self.train_length:
+            if len(self._train_acks) >= _TRAIN_LENGTH:
                 self._evaluate_train()
 
     def _evaluate_train(self) -> None:
@@ -99,7 +95,7 @@ class PcpController(RateController):
             return
         estimate_bps = self.mss * BITS_PER_BYTE / dispersion
         delay_growth = last_rtt - first_rtt
-        if delay_growth > self.delay_threshold:
+        if delay_growth > _DELAY_THRESHOLD:
             # The probe built queue: assume we are at (or above) the available
             # rate and back off.
             self._rate_bps = max(self._rate_bps * 0.9, MIN_RATE_BPS)
@@ -109,7 +105,7 @@ class PcpController(RateController):
             # traffic, ACK-path queueing and shallow buffers distort — exactly
             # the fragility the paper describes.
             target = min(estimate_bps, self._rate_bps * 4.0)
-            self._rate_bps += self.gain * (target - self._rate_bps)
+            self._rate_bps += _GAIN * (target - self._rate_bps)
             self._rate_bps = max(self._rate_bps, MIN_RATE_BPS)
 
     def on_loss(self, record, now: float) -> None:

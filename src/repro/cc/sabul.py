@@ -32,9 +32,18 @@ import math
 
 from ..units import BITS_PER_BYTE
 from ..netsim.packet import DEFAULT_MSS
-from .base import MIN_RATE_BPS, RateController
+from .base import INITIAL_RATE_BPS, MIN_RATE_BPS, RateController
 
 __all__ = ["SabulController"]
+
+#: A congestion event multiplies the inter-packet period by this factor.
+_DECREASE_FACTOR = 1.125
+
+#: SYN intervals without a rate increase after a decrease.
+_FREEZE_INTERVALS = 2
+
+#: Multiplicative rate growth per slow-start round (one round = 10 SYNs).
+_SLOW_START_GAIN = 2.0
 
 
 class SabulController(RateController):
@@ -42,20 +51,9 @@ class SabulController(RateController):
 
     SYN_INTERVAL = 0.01  # seconds, per the UDT specification
 
-    def __init__(
-        self,
-        initial_rate_bps: float = 1_000_000.0,
-        mss: int = DEFAULT_MSS,
-        decrease_factor: float = 1.125,
-        freeze_intervals: int = 2,
-        slow_start_gain: float = 2.0,
-    ):
-        self._rate_bps = float(initial_rate_bps)
+    def __init__(self, mss: int = DEFAULT_MSS):
+        self._rate_bps = INITIAL_RATE_BPS
         self.mss = mss
-        self.decrease_factor = decrease_factor
-        self.freeze_intervals = freeze_intervals
-        #: Multiplicative rate growth per slow-start round (one round = 10 SYNs).
-        self.slow_start_gain = slow_start_gain
         self.in_slow_start = True
         # Capacity estimate from minimum inter-ACK spacing (packets per second).
         self._capacity_estimate_pps = 0.0
@@ -110,7 +108,7 @@ class SabulController(RateController):
         if self.in_slow_start:
             if now - self._last_slow_start_round >= 10 * self.SYN_INTERVAL:
                 self._last_slow_start_round = now
-                self._rate_bps *= self.slow_start_gain
+                self._rate_bps *= _SLOW_START_GAIN
             return
         if now - self._last_syn_time < self.SYN_INTERVAL:
             return
@@ -150,12 +148,12 @@ class SabulController(RateController):
             if fallback_pps > 0:
                 self._rate_bps = fallback_pps * self.mss * BITS_PER_BYTE
             self._last_decrease_time = now
-            self._frozen_until = now + self.freeze_intervals * self.SYN_INTERVAL
+            self._frozen_until = now + _FREEZE_INTERVALS * self.SYN_INTERVAL
             return
         # UDT decreases once per congestion event: a loss only triggers a rate
         # cut if the lost packet was sent *after* the previous cut (losses of
         # packets already in flight at decrease time are part of the same event).
         if record is None or record.sent_time >= self._last_decrease_time:
-            self._rate_bps = max(self._rate_bps / self.decrease_factor, MIN_RATE_BPS)
+            self._rate_bps = max(self._rate_bps / _DECREASE_FACTOR, MIN_RATE_BPS)
             self._last_decrease_time = now
-            self._frozen_until = now + self.freeze_intervals * self.SYN_INTERVAL
+            self._frozen_until = now + _FREEZE_INTERVALS * self.SYN_INTERVAL

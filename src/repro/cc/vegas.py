@@ -16,28 +16,23 @@ starvation behaviour.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["VegasController"]
+
+#: Queue-occupancy targets in packets: grow below alpha, shrink above beta,
+#: and leave slow start once the estimate passes gamma.
+_ALPHA = 2.0
+_BETA = 4.0
+_GAMMA = 1.0
 
 
 class VegasController(WindowController):
     """TCP Vegas window dynamics (alpha/beta queue-occupancy targets)."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        alpha: float = 2.0,
-        beta: float = 4.0,
-        gamma: float = 1.0,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.alpha = alpha
-        self.beta = beta
-        #: Slow-start exit threshold on the queue estimate.
-        self.gamma = gamma
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.base_rtt = float("inf")
         self._rtt_sum = 0.0
         self._rtt_count = 0
@@ -66,18 +61,18 @@ class VegasController(WindowController):
         self._round_end_time = now + rtt
         diff = self._queue_estimate(avg_rtt)
         if self.cwnd < self.ssthresh:
-            if diff > self.gamma:
+            if diff > _GAMMA:
                 # Leave slow start: fall back to the window that kept queues small.
                 self.ssthresh = min(self.ssthresh, self.cwnd)
-                self.cwnd = max(self.cwnd - (diff - self.gamma), 2.0)
+                self.cwnd = max(self.cwnd - (diff - _GAMMA), 2.0)
             else:
                 self._slow_start_grow_this_round = not self._slow_start_grow_this_round
                 if self._slow_start_grow_this_round:
                     self.cwnd += 1.0
         else:
-            if diff < self.alpha:
+            if diff < _ALPHA:
                 self.cwnd += 1.0
-            elif diff > self.beta:
+            elif diff > _BETA:
                 self.cwnd -= 1.0
         self._clamp()
 

@@ -11,23 +11,20 @@ RTT, multiplied by the minimum observed RTT to obtain a window in packets.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["WestwoodController"]
+
+#: Weight of the previous estimate in the bandwidth filter.
+_FILTER_GAIN = 0.9
 
 
 class WestwoodController(WindowController):
     """TCP Westwood+ window dynamics with ACK-rate bandwidth estimation."""
 
-    def __init__(
-        self,
-        initial_cwnd: float = 2.0,
-        initial_ssthresh: float = 1e9,
-        filter_gain: float = 0.9,
-    ):
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.filter_gain = filter_gain
+    def __init__(self) -> None:
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.min_rtt = float("inf")
         #: Filtered bandwidth estimate in packets per second.
         self.bandwidth_estimate_pps = 0.0
@@ -44,8 +41,8 @@ class WestwoodController(WindowController):
                 self.bandwidth_estimate_pps = sample
             else:
                 self.bandwidth_estimate_pps = (
-                    self.filter_gain * self.bandwidth_estimate_pps
-                    + (1.0 - self.filter_gain) * sample
+                    _FILTER_GAIN * self.bandwidth_estimate_pps
+                    + (1.0 - _FILTER_GAIN) * sample
                 )
             self._acked_since_sample = 0
             self._sample_start = now

@@ -32,8 +32,6 @@ class MonitorIntervalStats:
         "packets_lost",
         "rtt_sum",
         "rtt_count",
-        "first_rtt",
-        "last_rtt",
         "first_ack_time",
         "last_ack_time",
         "send_phase_over",
@@ -57,8 +55,6 @@ class MonitorIntervalStats:
         self.packets_lost = 0
         self.rtt_sum = 0.0
         self.rtt_count = 0
-        self.first_rtt: Optional[float] = None
-        self.last_rtt: Optional[float] = None
         self.first_ack_time: Optional[float] = None
         self.last_ack_time: Optional[float] = None
         self.send_phase_over = False
@@ -80,9 +76,6 @@ class MonitorIntervalStats:
         if rtt > 0:
             self.rtt_sum += rtt
             self.rtt_count += 1
-            if self.first_rtt is None:
-                self.first_rtt = rtt
-            self.last_rtt = rtt
         if ack_time is not None:
             if self.first_ack_time is None:
                 self.first_ack_time = ack_time
@@ -150,13 +143,6 @@ class MonitorIntervalStats:
     def mean_rtt(self) -> float:
         """Average RTT of packets acknowledged from this MI (seconds)."""
         return self.rtt_sum / self.rtt_count if self.rtt_count else 0.0
-
-    @property
-    def rtt_gradient(self) -> float:
-        """Last-minus-first RTT over the MI, a cheap latency-trend signal."""
-        if self.first_rtt is None or self.last_rtt is None:
-            return 0.0
-        return self.last_rtt - self.first_rtt
 
     def force_account_missing_as_lost(self) -> None:
         """Treat still-unaccounted packets as lost (completion deadline expired)."""

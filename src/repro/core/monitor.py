@@ -43,6 +43,13 @@ DEFAULT_MI_RTT_RANGE = (1.7, 2.2)
 #: in EXPERIMENTS.md and the paper's value remains configurable.
 DEFAULT_MIN_PACKETS_PER_MI = 25
 
+#: A closed MI still missing feedback this many RTTs after its sending phase
+#: ended is completed with the missing packets counted as lost.
+_COMPLETION_TIMEOUT_RTTS = 4.0
+
+#: Completed MIs kept in :attr:`PerformanceMonitor.completed_intervals`.
+_MAX_COMPLETED_HISTORY = 100_000
+
 
 class PerformanceMonitor:
     """Tracks monitor intervals and converts SACK feedback into utilities."""
@@ -56,9 +63,7 @@ class PerformanceMonitor:
         mss: int = DEFAULT_MSS,
         min_packets_per_mi: int = DEFAULT_MIN_PACKETS_PER_MI,
         mi_rtt_range: Tuple[float, float] = DEFAULT_MI_RTT_RANGE,
-        completion_timeout_rtts: float = 4.0,
         min_rate_bps: Bps = MIN_RATE_BPS,
-        max_completed_history: int = 100_000,
     ):
         self.sim = sim
         self._rate_provider = rate_provider
@@ -67,7 +72,6 @@ class PerformanceMonitor:
         self.mss = mss
         self.min_packets_per_mi = min_packets_per_mi
         self.mi_rtt_range = mi_rtt_range
-        self.completion_timeout_rtts = completion_timeout_rtts
         if min_rate_bps <= 0:
             raise ValueError("min_rate_bps must be positive (it divides the "
                              "MI-duration computation)")
@@ -91,7 +95,7 @@ class PerformanceMonitor:
         #: once the cap is hit the *oldest* MIs are evicted, so long-run analysis
         #: always sees the most recent window rather than a truncated prefix.
         self.completed_intervals: Deque[MonitorIntervalStats] = deque(
-            maxlen=max_completed_history
+            maxlen=_MAX_COMPLETED_HISTORY
         )
         #: Number of completed MIs evicted from :attr:`completed_intervals`.
         self.dropped_history = 0
@@ -143,7 +147,7 @@ class PerformanceMonitor:
             return
         mi.send_phase_over = True
         # Give feedback one RTT (plus slack) to arrive before forcing completion.
-        deadline = self.completion_timeout_rtts * max(rtt_estimate, 1e-4)
+        deadline = _COMPLETION_TIMEOUT_RTTS * max(rtt_estimate, 1e-4)
         self._deadline_events[mi.mi_id] = self.sim.schedule(
             deadline, self._force_complete, mi.mi_id
         )
@@ -164,13 +168,13 @@ class PerformanceMonitor:
             mi.packets_sent += 1
             mi.bytes_sent += size_bytes
 
-    def record_ack(self, mi_id: Optional[int], size_bytes: int, rtt: float,
-                   ack_time: Optional[float] = None) -> None:
-        """Account an acknowledgement to its MI and check for completion."""
+    def record_ack(self, mi_id: Optional[int], size_bytes: int, rtt: float) -> None:
+        """Account an acknowledgement, arriving now, to its MI and check for
+        completion."""
         mi = self._active.get(mi_id)
         if mi is None:
             return
-        mi.record_ack(size_bytes, rtt, ack_time if ack_time is not None else self.sim.now)
+        mi.record_ack(size_bytes, rtt, self.sim.now)
         if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
             self._complete(mi)
 
@@ -207,25 +211,7 @@ class PerformanceMonitor:
             deadline_event.cancel()
         mi.utility = self.utility_function(mi, self._last_completed)
         self._last_completed = mi
-        if len(self.completed_intervals) == self.max_completed_history:
+        if len(self.completed_intervals) == _MAX_COMPLETED_HISTORY:
             self.dropped_history += 1
         self.completed_intervals.append(mi)
         self._on_mi_complete(mi)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def max_completed_history(self) -> int:
-        """Cap on retained completed MIs (the history deque's fixed maxlen).
-
-        Read-only: the bound is set at construction.  A writable attribute
-        here would silently desynchronize from the deque's maxlen and skew
-        :attr:`dropped_history`.
-        """
-        return self.completed_intervals.maxlen
-
-    @property
-    def active_interval_count(self) -> int:
-        """MIs still awaiting feedback (including the one being sent)."""
-        return len(self._active)

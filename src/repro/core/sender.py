@@ -174,9 +174,8 @@ class PCCScheme:
     def completed_intervals(self) -> list[MonitorIntervalStats]:
         """Completed MIs as a list (empty before the flow starts).
 
-        The monitor keeps a bounded deque of the most recent
-        ``max_completed_history`` MIs; see ``monitor.dropped_history`` for how
-        many older ones were evicted.
+        The monitor keeps a bounded deque of the most recent MIs; see
+        ``monitor.dropped_history`` for how many older ones were evicted.
         """
         if self.monitor is None:
             return []

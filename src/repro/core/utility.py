@@ -44,6 +44,15 @@ __all__ = [
 ]
 
 
+#: Sigmoid steepness of the safe and latency utilities.  Theorem 1 requires
+#: ``alpha >= max(2.2 (n-1), 100)`` for ``n`` competing senders; 100 covers
+#: n <= 46.
+_ALPHA = 100.0
+
+#: Loss rate at which the sigmoid cuts off (0.05 in the paper).
+_LOSS_THRESHOLD = 0.05
+
+
 def sigmoid(y: float, alpha: float) -> float:
     """The paper's cut-off sigmoid: 1 / (1 + e^{alpha * y}).
 
@@ -67,35 +76,15 @@ class UtilityFunction(Protocol):
 
 
 class SafeUtility:
-    """The §2.2 "safe" utility: throughput gated by a ~5% loss cap.
-
-    Parameters
-    ----------
-    alpha:
-        Sigmoid steepness.  Theorem 1 requires ``alpha >= max(2.2 (n-1), 100)``
-        for ``n`` competing senders; the default 100 covers n <= 46.
-    loss_threshold:
-        Loss rate at which the sigmoid cuts off (0.05 in the paper).
-    """
-
-    def __init__(self, alpha: float = 100.0, loss_threshold: float = 0.05):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 < loss_threshold < 1.0:
-            raise ValueError("loss_threshold must be in (0, 1)")
-        self.alpha = alpha
-        self.loss_threshold = loss_threshold
+    """The §2.2 "safe" utility: throughput gated by a ~5% loss cap."""
 
     def __call__(self, mi: MonitorIntervalStats,
                  previous: Optional[MonitorIntervalStats] = None) -> float:
         loss = mi.loss_rate
         throughput_mbps = mi.throughput_bps / BPS_PER_MBPS
         rate_mbps = mi.sending_rate_bps / BPS_PER_MBPS
-        gate = sigmoid(loss - self.loss_threshold, self.alpha)
+        gate = sigmoid(loss - _LOSS_THRESHOLD, _ALPHA)
         return throughput_mbps * gate - rate_mbps * loss
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SafeUtility(alpha={self.alpha}, threshold={self.loss_threshold})"
 
 
 class SimpleUtility:
@@ -130,10 +119,6 @@ class LatencyUtility:
     actions that *grow* latency, which keeps self-inflicted queueing near zero.
     """
 
-    def __init__(self, alpha: float = 100.0, loss_threshold: float = 0.05):
-        self.alpha = alpha
-        self.loss_threshold = loss_threshold
-
     def __call__(self, mi: MonitorIntervalStats,
                  previous: Optional[MonitorIntervalStats] = None) -> float:
         rtt_now = mi.mean_rtt
@@ -143,7 +128,7 @@ class LatencyUtility:
             else rtt_now
         throughput_mbps = mi.throughput_bps / BPS_PER_MBPS
         rate_mbps = mi.sending_rate_bps / BPS_PER_MBPS
-        gate = sigmoid(mi.loss_rate - self.loss_threshold, self.alpha)
+        gate = sigmoid(mi.loss_rate - _LOSS_THRESHOLD, _ALPHA)
         numerator = throughput_mbps * gate * (rtt_prev / rtt_now) - rate_mbps * mi.loss_rate
         return numerator / rtt_now
 
@@ -152,7 +137,7 @@ class LatencyUtility:
 # Utility table
 # --------------------------------------------------------------------------- #
 #: Every utility a cell's ``utility`` may name.
-_UTILITIES: Dict[str, Callable[..., UtilityFunction]] = {
+_UTILITIES: Dict[str, Callable[[], UtilityFunction]] = {
     "safe": SafeUtility,
     "simple": SimpleUtility,
     "loss_resilient": LossResilientUtility,
@@ -160,9 +145,9 @@ _UTILITIES: Dict[str, Callable[..., UtilityFunction]] = {
 }
 
 
-def make_utility(name: str, **kwargs) -> UtilityFunction:
+def make_utility(name: str) -> UtilityFunction:
     """Instantiate the utility function named ``name``."""
-    return lookup(_UTILITIES, "utility", name)(**kwargs)
+    return lookup(_UTILITIES, "utility", name)()
 
 
 def utility_names() -> List[str]:

@@ -33,6 +33,7 @@ from ..netsim import (
     WindowedSender,
     connect,
 )
+from ..netsim.stats import BIN_WIDTH
 
 __all__ = ["FlowResult", "ScenarioResult", "run_flows", "available_schemes"]
 
@@ -102,10 +103,9 @@ class FlowResult:
         return max(fcts)
 
     def delivered_bytes(self, end: float) -> List[float]:
-        """Receiver-side unique bytes per 1 s bin (:class:`FlowStats`'
-        default width) over ``[0, end]``, zeros included, summed across the
-        bundle."""
-        combined = [0.0] * (int(end) + 1)
+        """Receiver-side unique bytes per :data:`~repro.netsim.stats.BIN_WIDTH`
+        bin over ``[0, end]``, zeros included, summed across the bundle."""
+        combined = [0.0] * (int(end / BIN_WIDTH) + 1)
         for stats in self.stats_list:
             for i, value in enumerate(stats.delivered_bins.bin_values(0.0, end)):
                 combined[i] += value
@@ -157,7 +157,6 @@ def _start_flow(
     sim: Simulator,
     flow_id: int,
     path: Path,
-    mss: int,
     info: SchemeInfo,
 ) -> None:
     """The event at a flow's start time: instantiate its sender(s),
@@ -197,16 +196,16 @@ def _start_flow(
         # pair's callbacks.
         sub_path = Path(path.forward_links, path.reverse_links)
         if info.sender_kind == "rate":
-            controller = info.factory(mss=mss, **kwargs)
+            controller = info.factory(mss=DEFAULT_MSS, **kwargs)
             sender: SenderBase = RateBasedSender(
                 sim, sub_id, sub_path, controller, stats,
-                total_bytes=size, mss=mss, start_time=spec.start_time,
+                total_bytes=size, start_time=spec.start_time,
             )
         else:  # "windowed"
             controller = info.factory(**kwargs)
             sender = WindowedSender(
                 sim, sub_id, sub_path, controller, stats,
-                total_bytes=size, mss=mss, start_time=spec.start_time,
+                total_bytes=size, start_time=spec.start_time,
                 pacing=bool(getattr(controller, "requires_pacing", False)),
             )
         connect(sender, receiver, sub_path)
@@ -222,7 +221,6 @@ def run_flows(
     paths: Sequence[Path],
     flow_specs: Sequence[FlowSpec],
     duration: float,
-    mss: int = DEFAULT_MSS,
 ) -> ScenarioResult:
     """Schedule every flow spec's start on its path, run the simulation,
     return results.
@@ -242,6 +240,6 @@ def run_flows(
         spec = flow.spec
         sim.schedule_at(
             max(spec.start_time, sim.now), _start_flow, flow, sim, index + 1,
-            paths[spec.path_index % len(paths)], mss, schemes[spec.scheme])
+            paths[spec.path_index % len(paths)], schemes[spec.scheme])
     sim.run(duration)
     return ScenarioResult(simulator=sim, duration=duration, flows=flows)

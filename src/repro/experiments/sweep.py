@@ -70,7 +70,7 @@ from ..netsim import (
     resolve_qdisc_kwargs,
     single_bottleneck,
 )
-from ..netsim.topology import SingleBottleneck
+from ..netsim.topology import PARKING_LOT_ACCESS_DELAY, SingleBottleneck
 from .runner import run_flows
 from .workload import (
     DEFAULT_WORKLOAD,
@@ -341,24 +341,20 @@ def _build_single_bottleneck(sim: Simulator,
     return [_single_bottleneck(sim, cell).path], None
 
 
-#: One-way delay of every parking-lot access link.
-_PARKING_LOT_ACCESS_DELAY = 0.0005
-
-
 def _parking_lot_hop_delay(rtt: float, num_hops: int) -> float:
     """Per-hop one-way delay for a parking lot whose *long* flow has base RTT
     ``rtt``.  One shared implementation backs both the grid-construction
     validator and the worker-side builder, so the two can never disagree."""
     if num_hops < 1:
         raise ValueError("a parking lot needs at least one hop")
-    hop_delay = (rtt / 2.0 - _PARKING_LOT_ACCESS_DELAY) / num_hops
+    hop_delay = (rtt / 2.0 - PARKING_LOT_ACCESS_DELAY) / num_hops
     if hop_delay < 1e-5:
         # Refuse rather than clamp: a clamped hop delay would simulate an
         # RTT different from the one recorded in the cell identity, turning
         # an RTT sweep into identical points with different labels.
         raise ValueError(
             f"rtt={rtt} is too small for a {num_hops}-hop parking lot; need "
-            f"rtt >= {2 * (_PARKING_LOT_ACCESS_DELAY + num_hops * 1e-5)}"
+            f"rtt >= {2 * (PARKING_LOT_ACCESS_DELAY + num_hops * 1e-5)}"
         )
     return hop_delay
 
@@ -379,7 +375,6 @@ def _build_parking_lot(
         hop_delay=_parking_lot_hop_delay(cell.rtt, num_hops),
         buffer_bytes=cell.resolved_buffer_bytes(),
         loss_rate=cell.loss_rate,
-        access_delay=_PARKING_LOT_ACCESS_DELAY,
         queue_factory=cell.queue_factory(),
     )
     return topo.paths, None
@@ -428,7 +423,7 @@ def _build_random_dynamics(sim: Simulator,
                            cell: SweepCell) -> Tuple[List[Path], LinkMetrics]:
     """The §4.1.7 rapidly changing network: a single bottleneck whose
     bandwidth, RTT and loss are re-drawn from the simulator RNG every 5 s
-    (:class:`RandomLinkDynamics`' defaults are the paper's ranges: 10-100
+    (:class:`RandomLinkDynamics` draws from the paper's ranges: 10-100
     Mbps, 10-100 ms, 0-1 %).  The first draw happens here, before the
     workload attaches any flow, so ``cell.bandwidth_bps`` / ``cell.rtt`` only
     size the buffer and fix the ACK link's rate.  Reports the time-weighted

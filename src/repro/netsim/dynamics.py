@@ -3,9 +3,9 @@
 Figure 11 of the paper evaluates a "rapidly changing network": every 5 seconds
 the available bandwidth, latency and loss rate of the path are re-drawn from
 uniform distributions.  :class:`RandomLinkDynamics` reproduces that process on
-a simulated link, and :class:`TraceLinkDynamics` drives bandwidth (and
-optionally loss) from a piecewise-constant ``(time, value)`` trace, with a few
-bundled synthetic traces (:func:`step_trace`, :func:`sawtooth_trace`,
+a simulated link, and :class:`TraceLinkDynamics` drives bandwidth from a
+piecewise-constant ``(time, value)`` trace, with a few bundled synthetic
+traces (:func:`step_trace`, :func:`sawtooth_trace`,
 :func:`cellular_trace`) so time-varying-capacity scenarios are one import away.
 
 Both record the applied values so experiments can plot "optimal" (the actual
@@ -80,32 +80,29 @@ class _OptimalRateHistory:
         return total / (end - start)
 
 
-class RandomLinkDynamics(_OptimalRateHistory):
-    """Re-draw link bandwidth / delay / loss every ``period`` seconds.
+#: §4.1.7's rapidly changing network: every 5 s the bandwidth is re-drawn
+#: uniformly from [10, 100] Mbps, the RTT from [10, 100] ms and the loss rate
+#: from [0, 1] %.
+_REDRAW_PERIOD = 5.0
+_BANDWIDTH_RANGE_BPS = (10e6, 100e6)
+_RTT_RANGE = (0.010, 0.100)
+_LOSS_RANGE = (0.0, 0.01)
 
-    Parameters mirror §4.1.7: bandwidth uniform in [10, 100] Mbps, one-way delay
-    uniform such that RTT is in [10, 100] ms, loss uniform in [0, 1]%.  Any of
-    the ranges can be disabled by passing ``None``.
+
+class RandomLinkDynamics(_OptimalRateHistory):
+    """Re-draw link bandwidth / delay / loss every 5 seconds (§4.1.7).
+
+    Bandwidth is uniform in [10, 100] Mbps, the one-way delay uniform such
+    that the RTT is in [10, 100] ms (on ``reverse_link`` too, if given) and
+    loss uniform in [0, 1]%.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        period: float = 5.0,
-        bandwidth_range_bps: Optional[Tuple[float, float]] = (10e6, 100e6),
-        rtt_range: Optional[Tuple[float, float]] = (0.010, 0.100),
-        loss_range: Optional[Tuple[float, float]] = (0.0, 0.01),
-        reverse_link: Optional[Link] = None,
-    ):
+    def __init__(self, sim: Simulator, link: Link,
+                 reverse_link: Optional[Link] = None):
         self.sim = sim
         self.link = link
         self._initial_bandwidth_bps = link.bandwidth_bps
         self.reverse_link = reverse_link
-        self.period = period
-        self.bandwidth_range_bps = bandwidth_range_bps
-        self.rtt_range = rtt_range
-        self.loss_range = loss_range
         #: History of applied settings: (time, bandwidth_bps, rtt, loss_rate).
         self.history: List[Tuple[float, float, float, float]] = []
         self._running = False
@@ -119,48 +116,34 @@ class RandomLinkDynamics(_OptimalRateHistory):
 
     def _apply(self) -> None:
         rng = self.sim.rng
-        bandwidth = self.link.bandwidth_bps
-        if self.bandwidth_range_bps is not None:
-            bandwidth = rng.uniform(*self.bandwidth_range_bps)
-            self.link.set_bandwidth(bandwidth)
-        rtt = self.link.delay_s * 2.0
-        if self.rtt_range is not None:
-            rtt = rng.uniform(*self.rtt_range)
-            self.link.set_delay(rtt / 2.0)
-            if self.reverse_link is not None:
-                self.reverse_link.set_delay(rtt / 2.0)
-        loss = self.link.loss_rate
-        if self.loss_range is not None:
-            loss = rng.uniform(*self.loss_range)
-            self.link.set_loss_rate(loss)
+        bandwidth = rng.uniform(*_BANDWIDTH_RANGE_BPS)
+        self.link.set_bandwidth(bandwidth)
+        rtt = rng.uniform(*_RTT_RANGE)
+        self.link.set_delay(rtt / 2.0)
+        if self.reverse_link is not None:
+            self.reverse_link.set_delay(rtt / 2.0)
+        loss = rng.uniform(*_LOSS_RANGE)
+        self.link.set_loss_rate(loss)
         self.history.append((self.sim.now, bandwidth, rtt, loss))
-        self.sim.schedule(self.period, self._apply)
+        self.sim.schedule(_REDRAW_PERIOD, self._apply)
 
 
 class TraceLinkDynamics(_OptimalRateHistory):
-    """Drive a link's bandwidth (and optionally loss) from a piecewise trace.
+    """Drive a link's bandwidth from a piecewise trace.
 
-    ``bandwidth_trace`` and ``loss_trace`` are sequences of ``(time, value)``
-    pairs; each value takes effect at its time and holds until the next entry
+    ``bandwidth_trace`` is a sequence of ``(time, bandwidth_bps)`` pairs; each
+    value takes effect at its time and holds until the next entry
     (piecewise-constant, like a cellular or rate-limiter capacity trace).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        bandwidth_trace: Optional[Sequence[Tuple[float, float]]] = None,
-        loss_trace: Optional[Sequence[Tuple[float, float]]] = None,
-        reverse_link: Optional[Link] = None,
-    ):
-        if not bandwidth_trace and not loss_trace:
-            raise ValueError("need a bandwidth trace and/or a loss trace")
+    def __init__(self, sim: Simulator, link: Link,
+                 bandwidth_trace: Sequence[Tuple[float, float]]):
+        if not bandwidth_trace:
+            raise ValueError("need a non-empty bandwidth trace")
         self.sim = sim
         self.link = link
         self._initial_bandwidth_bps = link.bandwidth_bps
-        self.reverse_link = reverse_link
-        self.bandwidth_trace = sorted(bandwidth_trace or [], key=lambda e: e[0])
-        self.loss_trace = sorted(loss_trace or [], key=lambda e: e[0])
+        self.bandwidth_trace = sorted(bandwidth_trace, key=lambda e: e[0])
         self.history: List[Tuple[float, float, float, float]] = []
         self._started = False
 
@@ -171,24 +154,13 @@ class TraceLinkDynamics(_OptimalRateHistory):
         self._started = True
         for time, bandwidth in self.bandwidth_trace:
             self.sim.schedule_at(time, self._apply_bandwidth, bandwidth)
-        for time, loss in self.loss_trace:
-            self.sim.schedule_at(time, self._apply_loss, loss)
 
-    def _record(self) -> None:
+    def _apply_bandwidth(self, bandwidth: float) -> None:
+        self.link.set_bandwidth(bandwidth)
         self.history.append(
             (self.sim.now, self.link.bandwidth_bps, self.link.delay_s * 2.0,
              self.link.loss_rate)
         )
-
-    def _apply_bandwidth(self, bandwidth: float) -> None:
-        self.link.set_bandwidth(bandwidth)
-        self._record()
-
-    def _apply_loss(self, loss: float) -> None:
-        self.link.set_loss_rate(loss)
-        if self.reverse_link is not None:
-            self.reverse_link.set_loss_rate(loss)
-        self._record()
 
 
 # --------------------------------------------------------------------------- #
@@ -204,16 +176,23 @@ def step_trace(
     period: float,
     duration: float,
 ) -> List[Tuple[float, float]]:
-    """A square wave: ``high_bps`` and ``low_bps`` alternating every ``period``."""
+    """A square wave: ``high_bps`` and ``low_bps`` alternating every ``period``.
+
+    Entry ``k`` is at ``k * period``: a running sum of periods drifts below
+    ``duration`` and would add one last toggle at the end of the run.
+    """
     if period <= 0 or duration <= 0:
         raise ValueError("period and duration must be positive")
     trace: List[Tuple[float, float]] = []
-    time, high = 0.0, True
-    while time < duration:
-        trace.append((time, high_bps if high else low_bps))
-        time += period
-        high = not high
+    k = 0
+    while k * period < duration:
+        trace.append((k * period, low_bps if k % 2 else high_bps))
+        k += 1
     return trace
+
+
+#: Entries per sawtooth cycle.
+_SAWTOOTH_STEPS = 8
 
 
 def sawtooth_trace(
@@ -221,55 +200,52 @@ def sawtooth_trace(
     high_bps: float,
     period: float,
     duration: float,
-    steps: int = 8,
 ) -> List[Tuple[float, float]]:
-    """A sawtooth: ramp from ``low_bps`` to ``high_bps`` in ``steps`` increments
-    over each ``period``, then drop back and ramp again."""
+    """A sawtooth: ramp from ``low_bps`` to ``high_bps`` in 8 increments over
+    each ``period``, then drop back and ramp again."""
     if period <= 0 or duration <= 0:
         raise ValueError("period and duration must be positive")
-    if steps < 2:
-        raise ValueError("a sawtooth needs at least 2 steps")
     trace: List[Tuple[float, float]] = []
     cycle_start = 0.0
     while cycle_start < duration:
-        for i in range(steps):
-            time = cycle_start + i * period / steps
+        for i in range(_SAWTOOTH_STEPS):
+            time = cycle_start + i * period / _SAWTOOTH_STEPS
             if time >= duration:
                 break
-            trace.append((time, low_bps + (high_bps - low_bps) * i / (steps - 1)))
+            trace.append((time, low_bps + (high_bps - low_bps) * i
+                          / (_SAWTOOTH_STEPS - 1)))
         cycle_start += period
     return trace
 
 
-def cellular_trace(
-    mean_bps: float,
-    duration: float,
-    step: float = 0.5,
-    spread: float = 0.25,
-    seed: int = 0,
-) -> List[Tuple[float, float]]:
+#: The cellular walk moves every half second by a factor drawn from
+#: [0.75, 1.25], from a fixed seed.
+_CELLULAR_STEP = 0.5
+_CELLULAR_SPREAD = 0.25
+_CELLULAR_SEED = 0
+
+
+def cellular_trace(mean_bps: float, duration: float) -> List[Tuple[float, float]]:
     """A cellular-like capacity trace: a bounded multiplicative random walk.
 
-    Every ``step`` seconds the rate is multiplied by a factor drawn uniformly
-    from ``[1 - spread, 1 + spread]`` and clamped to ``[mean_bps / 5,
-    2 * mean_bps]`` — the bursty, mean-reverting shape of an LTE downlink.
-    The walk uses its own :class:`random.Random` seeded with ``seed``, so a
-    trace is a pure function of its arguments (simulator RNG draws are not
-    consumed, which keeps sweep cells deterministic).
+    Every half second the rate is multiplied by a factor drawn uniformly
+    from ``[0.75, 1.25]`` and clamped to ``[mean_bps / 5, 2 * mean_bps]`` —
+    the bursty, mean-reverting shape of an LTE downlink.  The walk uses its
+    own :class:`random.Random` with a fixed seed, so a trace is a pure
+    function of its arguments (simulator RNG draws are not consumed, which
+    keeps sweep cells deterministic).
     """
-    if step <= 0 or duration <= 0:
-        raise ValueError("step and duration must be positive")
-    if not 0.0 < spread < 1.0:
-        raise ValueError("spread must be in (0, 1)")
-    rng = random.Random(seed)
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    rng = random.Random(_CELLULAR_SEED)
     trace: List[Tuple[float, float]] = []
     rate = mean_bps
-    time = 0.0
-    while time < duration:
-        trace.append((time, rate))
-        rate *= rng.uniform(1.0 - spread, 1.0 + spread)
+    k = 0
+    while k * _CELLULAR_STEP < duration:
+        trace.append((k * _CELLULAR_STEP, rate))
+        rate *= rng.uniform(1.0 - _CELLULAR_SPREAD, 1.0 + _CELLULAR_SPREAD)
         rate = min(max(rate, mean_bps / 5.0), 2.0 * mean_bps)
-        time += step
+        k += 1
     return trace
 
 
@@ -282,7 +258,7 @@ def make_synthetic_trace(
 
     ``"step"`` toggles between the peak and a quarter of it every eighth of the
     run; ``"sawtooth"`` ramps a quarter-to-peak cycle four times; ``"cellular"``
-    walks around half the peak (:func:`cellular_trace` at its default seed).
+    walks around half the peak (:func:`cellular_trace`).
     """
     if name == "step":
         return step_trace(peak_bps / 4.0, peak_bps, duration / 8.0, duration)

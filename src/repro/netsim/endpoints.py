@@ -33,7 +33,7 @@ from typing import Callable, Deque, Optional, Sequence
 
 from ..units import BITS_PER_BYTE
 from .engine import Event, Simulator
-from .packet import ACK_SIZE_BYTES, DEFAULT_MSS, Packet
+from .packet import DEFAULT_MSS, Packet
 from .route import Path
 from .stats import FlowStats, RTTEstimator, SequenceTracker
 
@@ -49,16 +49,25 @@ __all__ = [
 #: (the classic triple-duplicate-ACK threshold).
 DUPACK_THRESHOLD = 3
 
+#: User-space rate-based transports (PCC's UDT skeleton, SABUL, PCP) run
+#: their own fine-grained timers instead of the kernel's 200 ms floor and 1 s
+#: initial RTO, which is what lets PCC recover tail losses quickly under
+#: incast (the kernel defaults stay in place for the TCP family).
+_RATE_MIN_RTO = 0.01
+_RATE_INITIAL_RTO = 0.1
+
+#: A rate-based sender stops pacing new packets out while this many are in
+#: flight.
+_RATE_INFLIGHT_CAP = 100_000
+
 
 class Receiver:
     """Receives data packets, accounts goodput and returns one ACK per packet."""
 
-    def __init__(self, sim: Simulator, flow_id: int, stats: FlowStats,
-                 ack_size: int = ACK_SIZE_BYTES):
+    def __init__(self, sim: Simulator, flow_id: int, stats: FlowStats):
         self.sim = sim
         self.flow_id = flow_id
         self.stats = stats
-        self.ack_size = ack_size
         self.delivered = SequenceTracker()
         self._ack_packet_id = 0
         self._reverse_route = None  # bound via connect()
@@ -81,7 +90,7 @@ class Receiver:
         if route is None:
             return
         self._ack_packet_id += 1
-        route.send(packet.make_ack(self._ack_packet_id, self.ack_size, now))
+        route.send(packet.make_ack(self._ack_packet_id, now))
 
 
 class SenderBase:
@@ -394,11 +403,11 @@ class WindowedSender(SenderBase):
         controller,
         stats: FlowStats,
         total_bytes: Optional[float] = None,
-        mss: int = DEFAULT_MSS,
         start_time: float = 0.0,
         pacing: bool = False,
     ):
-        super().__init__(sim, flow_id, path, stats, total_bytes, mss, start_time)
+        super().__init__(sim, flow_id, path, stats, total_bytes, DEFAULT_MSS,
+                         start_time)
         self.controller = controller
         self.pacing = pacing
         self._recovery_exit_packet_id = -1
@@ -505,23 +514,15 @@ class RateBasedSender(SenderBase):
         total_bytes: Optional[float] = None,
         mss: int = DEFAULT_MSS,
         start_time: float = 0.0,
-        max_inflight_packets: int = 100_000,
-        min_rto: float = 0.01,
-        initial_rto: float = 0.1,
     ):
-        # User-space rate-based transports (PCC's UDT skeleton, SABUL, PCP) run
-        # their own fine-grained timers instead of the kernel's 200 ms floor and
-        # 1 s initial RTO, which is what lets PCC recover tail losses quickly
-        # under incast (the kernel defaults stay in place for the TCP family).
         super().__init__(sim, flow_id, path, stats, total_bytes, mss, start_time,
-                         min_rto=min_rto, initial_rto=initial_rto)
+                         min_rto=_RATE_MIN_RTO, initial_rto=_RATE_INITIAL_RTO)
         self.controller = controller
         # Optional controller hooks, resolved once: a bound method or None.
         self._controller_mi_id = getattr(controller, "current_mi_id", None)
         self._controller_packet_sent = getattr(controller, "on_packet_sent", None)
         self._controller_timeout = getattr(controller, "on_timeout", None)
         self._controller_flow_start = getattr(controller, "on_flow_start", None)
-        self.max_inflight_packets = max_inflight_packets
         self._pacing_timer: Optional[Event] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -564,7 +565,7 @@ class RateBasedSender(SenderBase):
             return
         if (
             self.has_data_to_send()
-            and len(self._outstanding) < self.max_inflight_packets
+            and len(self._outstanding) < _RATE_INFLIGHT_CAP
         ):
             mi_id = None
             if self._controller_mi_id is not None:

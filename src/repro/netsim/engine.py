@@ -146,9 +146,9 @@ class Simulator:
         if not self._stopped:
             self.now = until
 
-    def run_until_idle(self, max_time: float = math.inf) -> None:
-        """Run until there are no pending events (or ``max_time`` is reached)."""
-        self._drain(max_time)
+    def run_until_idle(self) -> None:
+        """Run until there are no pending events."""
+        self._drain(math.inf)
 
     def _drain(self, limit: float) -> None:
         """Fire events in time order up to ``limit`` or until :meth:`stop`.

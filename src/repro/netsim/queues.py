@@ -411,6 +411,9 @@ class PIEQueue(QueueDiscipline):
 #: Bytes a backlogged flow may send per deficit-round-robin round.
 _DRR_QUANTUM_BYTES = DEFAULT_MSS
 
+#: Capacity of each flow's default drop-tail child queue (bytes).
+_FQ_CHILD_CAPACITY_BYTES = 10_000_000.0
+
 
 class FairQueue(QueueDiscipline):
     """Per-flow fair queueing via deficit round robin (DRR).
@@ -422,14 +425,10 @@ class FairQueue(QueueDiscipline):
     isolation Section 4.4 relies on.
     """
 
-    def __init__(
-        self,
-        child_factory: Optional[Callable[[], QueueDiscipline]] = None,
-        per_flow_capacity_bytes: float = 10_000_000.0,
-    ):
+    def __init__(self, child_factory: Optional[Callable[[], QueueDiscipline]] = None):
         super().__init__()
         if child_factory is None:
-            child_factory = lambda: DropTailQueue(per_flow_capacity_bytes)  # noqa: E731
+            child_factory = lambda: DropTailQueue(_FQ_CHILD_CAPACITY_BYTES)  # noqa: E731
         self._child_factory = child_factory
         self._flows: "OrderedDict[int, QueueDiscipline]" = OrderedDict()
         self._deficits: dict[int, float] = {}

@@ -12,39 +12,43 @@ flows that finished: the :class:`FlowStats` is what is left of them.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
 
-__all__ = ["BinnedSeries", "SequenceTracker", "FlowStats", "RTTEstimator"]
+__all__ = ["BIN_WIDTH", "BinnedSeries", "SequenceTracker", "FlowStats", "RTTEstimator"]
+
+
+#: Width of the delivered-bytes bins (seconds): every per-second series a
+#: figure reads is one bin per entry.
+BIN_WIDTH = 1.0
+
+#: Upper bound on the retransmission timeout (seconds).
+_MAX_RTO = 60.0
 
 
 class BinnedSeries:
-    """Accumulates values into fixed-width time bins starting at t=0."""
+    """Accumulates values into :data:`BIN_WIDTH` time bins starting at t=0."""
 
-    def __init__(self, bin_width: float = 1.0):
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        self.bin_width = bin_width
+    def __init__(self) -> None:
         self._bins: dict[int, float] = {}
 
     def add(self, time: float, value: float) -> None:
         """Add ``value`` to the bin containing ``time``."""
-        index = int(time / self.bin_width)
+        index = int(time / BIN_WIDTH)
         self._bins[index] = self._bins.get(index, 0.0) + value
 
     def bin_values(self, start: float = 0.0, end: Optional[float] = None) -> List[float]:
         """Dense list of per-bin totals between ``start`` and ``end`` (inclusive bins)."""
         if not self._bins:
             return []
-        first = int(start / self.bin_width)
-        last = int(end / self.bin_width) if end is not None else max(self._bins)
+        first = int(start / BIN_WIDTH)
+        last = int(end / BIN_WIDTH) if end is not None else max(self._bins)
         return [self._bins.get(i, 0.0) for i in range(first, last + 1)]
 
     def series(self) -> List[Tuple[float, float]]:
         """Sorted list of (bin start time, total value)."""
-        return [(i * self.bin_width, v) for i, v in sorted(self._bins.items())]
+        return [(i * BIN_WIDTH, v) for i, v in sorted(self._bins.items())]
 
     def total(self) -> float:
         """Sum over all bins."""
@@ -83,12 +87,6 @@ class SequenceTracker:
     def __contains__(self, seq: int) -> bool:
         return seq < self.next_expected or seq in self._above
 
-    def missing_below_frontier(self) -> int:
-        """Number of gaps between the frontier and the highest seen sequence."""
-        if not self._above:
-            return 0
-        return max(self._above) - self.next_expected + 1 - len(self._above)
-
 
 class RTTEstimator:
     """RFC 6298 smoothed RTT / RTT variance estimator with a minimum RTO.
@@ -97,14 +95,10 @@ class RTTEstimator:
     per-packet timer code reads it without evaluating anything.
     """
 
-    def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0,
-                 initial_rto: float = 1.0):
+    def __init__(self, min_rto: float = 0.2, initial_rto: float = 1.0):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.min_rtt = math.inf
-        self.latest_rtt: Optional[float] = None
         self.min_rto = min_rto
-        self.max_rto = max_rto
         self.initial_rto = initial_rto
         #: Current retransmission timeout (seconds).
         self.rto = max(initial_rto, min_rto)
@@ -113,9 +107,6 @@ class RTTEstimator:
         """Fold one RTT sample into the smoothed estimate and the RTO."""
         if sample <= 0:
             return
-        self.latest_rtt = sample
-        if sample < self.min_rtt:
-            self.min_rtt = sample
         srtt = self.srtt
         if srtt is None:
             srtt = sample
@@ -128,19 +119,19 @@ class RTTEstimator:
             srtt = 0.875 * srtt + 0.125 * sample
         self.srtt = srtt
         self.rttvar = rttvar
-        # min(max_rto, max(min_rto, srtt + max(4 * rttvar, 1 ms))) by compares:
+        # min(_MAX_RTO, max(min_rto, srtt + max(4 * rttvar, 1 ms))) by compares:
         # this runs once per ACK, and a builtin call costs as much as a frame.
         variance_term = 4.0 * rttvar
         rto = srtt + (variance_term if variance_term > 0.001 else 0.001)
         if rto < self.min_rto:
             rto = self.min_rto
-        self.rto = rto if rto < self.max_rto else self.max_rto
+        self.rto = rto if rto < _MAX_RTO else _MAX_RTO
 
 
 class FlowStats:
     """All counters and series for one flow."""
 
-    def __init__(self, flow_id: int, bin_width: float = 1.0):
+    def __init__(self, flow_id: int):
         self.flow_id = flow_id
         # Sender-side counters.
         self.packets_sent = 0
@@ -158,14 +149,12 @@ class FlowStats:
         # RTT statistics.
         self.rtt_sum = 0.0
         self.rtt_count = 0
-        self.rtt_min = math.inf
-        self.rtt_max = 0.0
         # Lifetime.
         self.start_time: Optional[float] = None
         self.first_send_time: Optional[float] = None
         self.completion_time: Optional[float] = None
         # Time series.
-        self.delivered_bins = BinnedSeries(bin_width)
+        self.delivered_bins = BinnedSeries()
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -184,10 +173,6 @@ class FlowStats:
         if rtt > 0:
             self.rtt_sum += rtt
             self.rtt_count += 1
-            if rtt < self.rtt_min:
-                self.rtt_min = rtt
-            if rtt > self.rtt_max:
-                self.rtt_max = rtt
 
     def record_loss(self, count: int = 1) -> None:
         self.packets_lost += count
@@ -225,16 +210,6 @@ class FlowStats:
         if duration <= 0:
             return 0.0
         return self.unique_bytes_delivered * BITS_PER_BYTE / duration
-
-    def throughput_series_mbps(
-        self, start: float = 0.0, end: Optional[float] = None
-    ) -> List[float]:
-        """Per-bin receiver goodput (Mbps) between ``start`` and ``end``."""
-        width = self.delivered_bins.bin_width
-        return [
-            v * BITS_PER_BYTE / width / BPS_PER_MBPS
-            for v in self.delivered_bins.bin_values(start, end)
-        ]
 
     @property
     def flow_completion_time(self) -> Optional[float]:

@@ -36,6 +36,16 @@ __all__ = [
     "bdp_bytes",
 ]
 
+#: Buffer of every link none of the paper's experiments congests: the ACK
+#: direction and the access links (bytes).
+_UNCONGESTED_BUFFER_BYTES = 3_000_000.0
+
+#: Access links run this many times faster than the bottleneck they feed.
+_ACCESS_SPEEDUP = 10.0
+
+#: One-way delay of every parking-lot access link (seconds).
+PARKING_LOT_ACCESS_DELAY = 0.0005
+
 
 def bdp_bytes(bandwidth_bps: Bps, rtt: Seconds) -> Bytes:
     """Bandwidth-delay product in bytes."""
@@ -86,15 +96,14 @@ def single_bottleneck(
     loss_rate: float = 0.0,
     reverse_loss_rate: Optional[float] = None,
     queue_factory: Optional[Callable[[], QueueDiscipline]] = None,
-    ack_bandwidth_bps: Optional[float] = None,
 ) -> SingleBottleneck:
     """Build one bottleneck link pair (forward data, reverse ACK).
 
     The one-way propagation delay is ``rtt / 2`` in each direction.  The
-    reverse (ACK) direction gets the same bandwidth unless overridden and a
-    generous buffer, because none of the paper's experiments congest the ACK
-    path; its loss rate defaults to the forward loss rate only when
-    ``reverse_loss_rate`` is given (Figure 7 uses loss on both directions).
+    reverse (ACK) direction gets the same bandwidth and a generous buffer,
+    because none of the paper's experiments congest the ACK path; it is lossy
+    only when ``reverse_loss_rate`` is given (Figure 7 uses loss on both
+    directions).
     """
     forward_cfg = LinkConfig(
         bandwidth_bps=bandwidth_bps,
@@ -105,10 +114,10 @@ def single_bottleneck(
         name="bottleneck-fwd",
     )
     reverse_cfg = LinkConfig(
-        bandwidth_bps=ack_bandwidth_bps or bandwidth_bps,
+        bandwidth_bps=bandwidth_bps,
         delay_s=rtt / 2.0,
         loss_rate=reverse_loss_rate if reverse_loss_rate is not None else 0.0,
-        buffer_bytes=max(buffer_bytes, 3_000_000.0),
+        buffer_bytes=max(buffer_bytes, _UNCONGESTED_BUFFER_BYTES),
         name="bottleneck-rev",
     )
     forward = forward_cfg.build(sim)
@@ -132,8 +141,6 @@ def dumbbell(
     sim: Simulator,
     bottleneck: LinkConfig,
     access_delays: Sequence[float],
-    access_bandwidth_bps: Optional[float] = None,
-    access_buffer_bytes: float = 3_000_000.0,
 ) -> Dumbbell:
     """Build a dumbbell shared by ``len(access_delays)`` flows.
 
@@ -142,12 +149,12 @@ def dumbbell(
     bottleneck; ACKs return over a mirrored reverse topology.  Per-flow base
     RTT is ``2 * (access_delays[i] + bottleneck.delay_s)``.
     """
-    access_bw = access_bandwidth_bps or bottleneck.bandwidth_bps * 10.0
+    access_bw = bottleneck.bandwidth_bps * _ACCESS_SPEEDUP
     bottleneck_forward = bottleneck.build(sim)
     reverse_cfg = LinkConfig(
         bandwidth_bps=bottleneck.bandwidth_bps,
         delay_s=bottleneck.delay_s,
-        buffer_bytes=max(bottleneck.buffer_bytes, 3_000_000.0),
+        buffer_bytes=max(bottleneck.buffer_bytes, _UNCONGESTED_BUFFER_BYTES),
         name="bottleneck-rev",
     )
     bottleneck_reverse = reverse_cfg.build(sim)
@@ -159,14 +166,14 @@ def dumbbell(
             sim,
             bandwidth_bps=access_bw,
             delay_s=delay_s,
-            queue=DropTailQueue(access_buffer_bytes),
+            queue=DropTailQueue(_UNCONGESTED_BUFFER_BYTES),
             name=f"access-fwd-{i}",
         )
         rev = Link(
             sim,
             bandwidth_bps=access_bw,
             delay_s=delay_s,
-            queue=DropTailQueue(access_buffer_bytes),
+            queue=DropTailQueue(_UNCONGESTED_BUFFER_BYTES),
             name=f"access-rev-{i}",
         )
         topo.access_forward.append(fwd)
@@ -258,8 +265,6 @@ def parking_lot(
     hop_delay: float,
     buffer_bytes: float,
     loss_rate: float = 0.0,
-    access_delay: float = 0.0005,
-    access_bandwidth_bps: Optional[float] = None,
     queue_factory: Optional[Callable[[], QueueDiscipline]] = None,
 ) -> ParkingLot:
     """Build a multi-bottleneck parking-lot chain.
@@ -270,12 +275,13 @@ def parking_lot(
     ACKs return over a mirrored chain of reverse hops; cross flow ``i`` enters
     through a private access link, shares only hop ``i``, and returns over
     reverse hop ``i``.  Base RTTs are therefore RTT-diverse by construction:
-    ``2 * (access_delay + num_hops * hop_delay)`` for the long flow versus
-    ``2 * (access_delay + hop_delay)`` for each cross flow.
+    ``2 * (PARKING_LOT_ACCESS_DELAY + num_hops * hop_delay)`` for the long
+    flow versus ``2 * (PARKING_LOT_ACCESS_DELAY + hop_delay)`` for each cross
+    flow.
     """
     if num_hops < 1:
         raise ValueError("a parking lot needs at least one hop")
-    access_bw = access_bandwidth_bps or bandwidth_bps * 10.0
+    access_bw = bandwidth_bps * _ACCESS_SPEEDUP
     topo = ParkingLot()
     for i in range(num_hops):
         forward_cfg = LinkConfig(
@@ -294,16 +300,20 @@ def parking_lot(
                 sim,
                 bandwidth_bps=bandwidth_bps,
                 delay_s=hop_delay,
-                queue=DropTailQueue(max(buffer_bytes, 3_000_000.0)),
+                queue=DropTailQueue(max(buffer_bytes, _UNCONGESTED_BUFFER_BYTES)),
                 name=f"hop-rev-{i}",
             )
         )
 
     def access_pair(label: str) -> Tuple[Link, Link]:
-        fwd = Link(sim, bandwidth_bps=access_bw, delay_s=access_delay,
-                   queue=DropTailQueue(3_000_000.0), name=f"access-fwd-{label}")
-        rev = Link(sim, bandwidth_bps=access_bw, delay_s=access_delay,
-                   queue=DropTailQueue(3_000_000.0), name=f"access-rev-{label}")
+        fwd = Link(sim, bandwidth_bps=access_bw,
+                   delay_s=PARKING_LOT_ACCESS_DELAY,
+                   queue=DropTailQueue(_UNCONGESTED_BUFFER_BYTES),
+                   name=f"access-fwd-{label}")
+        rev = Link(sim, bandwidth_bps=access_bw,
+                   delay_s=PARKING_LOT_ACCESS_DELAY,
+                   queue=DropTailQueue(_UNCONGESTED_BUFFER_BYTES),
+                   name=f"access-rev-{label}")
         topo.access_forward.append(fwd)
         topo.access_reverse.append(rev)
         return fwd, rev

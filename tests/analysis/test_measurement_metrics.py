@@ -62,10 +62,6 @@ class TestConvergenceTime:
         series = [10.0, 90.0] * 10
         assert convergence_time(series, ideal_rate=50.0, window=5.0) is None
 
-    def test_start_offset_added(self):
-        series = [50.0] * 10
-        assert convergence_time(series, 50.0, window=5.0, start_offset=20.0) == 20.0
-
     def test_invalid_ideal_rate(self):
         with pytest.raises(ValueError):
             convergence_time([1.0], 0.0)

@@ -37,11 +37,6 @@ class TestFluidModel:
         # Total 200 -> 50% loss: sigmoid ~ 0, utility ~ -x * L < 0.
         assert model.utility([100.0, 100.0], 0) < 0.0
 
-    def test_recommended_alpha(self):
-        model = FluidModel(100.0)
-        assert model.recommended_alpha(2) == 100.0
-        assert model.recommended_alpha(100) == pytest.approx(2.2 * 99)
-
     def test_best_response_unilateral_optimality(self):
         model = FluidModel(100.0)
         rates = [40.0, 30.0, 20.0]
@@ -126,19 +121,6 @@ class TestTheorem2:
         result = simulate_dynamics(model, [95.0, 5.0], epsilon=0.05, steps=1000)
         final = result.final_rates
         assert abs(final[0] - final[1]) / (sum(final) / len(final)) < 0.25
-
-    def test_heterogeneous_step_policies_still_converge(self):
-        """§2.2: the argument is independent of the step function mix."""
-        model = FluidModel(100.0, alpha=100.0)
-        policies = [
-            lambda rate, direction: rate + direction * 1.0,          # AIAD
-            lambda rate, direction: rate * (1.0 + 0.04 * direction), # MIMD
-        ]
-        result = simulate_dynamics(model, [80.0, 10.0], epsilon=0.05, steps=2000,
-                                   step_policies=policies)
-        final = result.final_rates
-        # Both senders end near the fair share despite different step rules.
-        assert abs(final[0] - final[1]) / (sum(final) / len(final)) < 0.3
 
     def test_trajectory_shape(self):
         model = FluidModel(100.0, alpha=100.0)

@@ -21,9 +21,16 @@ def record(packet_id=0, is_probe=False):
     return Packet(0, packet_id, packet_id, 1500, 0.0, is_probe=is_probe)
 
 
+def at_rate(controller_cls, rate_bps):
+    """A controller whose rate is ``rate_bps`` (SABUL and PCP start at 1 Mbps)."""
+    controller = controller_cls()
+    controller._rate_bps = rate_bps
+    return controller
+
+
 class TestSabulUnit:
     def test_rate_increases_without_loss(self):
-        controller = SabulController(initial_rate_bps=1e6)
+        controller = SabulController()
         controller.on_flow_start(None, 0.0)
         now = 0.0
         for i in range(500):
@@ -32,13 +39,13 @@ class TestSabulUnit:
         assert controller.rate_bps > 1e6
 
     def test_first_loss_exits_slow_start(self):
-        controller = SabulController(initial_rate_bps=10e6)
+        controller = at_rate(SabulController, 10e6)
         assert controller.in_slow_start
         controller.on_loss(record(), 1.0)
         assert not controller.in_slow_start
 
     def test_loss_decreases_rate_multiplicatively(self):
-        controller = SabulController(initial_rate_bps=10e6)
+        controller = at_rate(SabulController, 10e6)
         controller.in_slow_start = False
         before = controller.rate_bps
         loss = record()
@@ -47,7 +54,7 @@ class TestSabulUnit:
         assert controller.rate_bps == pytest.approx(before / 1.125)
 
     def test_one_decrease_per_congestion_event(self):
-        controller = SabulController(initial_rate_bps=10e6)
+        controller = at_rate(SabulController, 10e6)
         controller.in_slow_start = False
         first = record(0)
         first.sent_time = 1.0
@@ -61,7 +68,7 @@ class TestSabulUnit:
         assert controller.rate_bps == pytest.approx(after_first)
 
     def test_increase_frozen_right_after_loss(self):
-        controller = SabulController(initial_rate_bps=10e6)
+        controller = at_rate(SabulController, 10e6)
         controller.on_flow_start(None, 0.0)
         controller.in_slow_start = False
         loss = record()
@@ -73,7 +80,7 @@ class TestSabulUnit:
         assert controller.rate_bps <= after_loss
 
     def test_rate_never_below_floor(self):
-        controller = SabulController(initial_rate_bps=10_000)
+        controller = at_rate(SabulController, 10_000)
         controller.in_slow_start = False
         for i in range(200):
             loss = record(i)
@@ -88,7 +95,7 @@ class TestSabulEndToEnd:
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 20e6, 0.03, buffer_bytes=75_000)
         stats = FlowStats(1)
-        controller = SabulController(initial_rate_bps=1e6)
+        controller = SabulController()
         receiver = Receiver(sim, 1, stats)
         sender = RateBasedSender(sim, 1, topo.path, controller, stats)
         connect(sender, receiver, topo.path)
@@ -103,7 +110,7 @@ class TestPcpUnit:
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 20e6, 0.03, buffer_bytes=200_000)
         stats = FlowStats(1)
-        controller = PcpController(initial_rate_bps=1e6, probe_interval=0.1)
+        controller = PcpController()
         receiver = Receiver(sim, 1, stats)
         sender = RateBasedSender(sim, 1, topo.path, controller, stats)
         connect(sender, receiver, topo.path)
@@ -113,35 +120,35 @@ class TestPcpUnit:
         assert controller._min_rtt < float("inf")
 
     def test_lost_probe_backs_off(self):
-        controller = PcpController(initial_rate_bps=10e6)
+        controller = at_rate(PcpController, 10e6)
         controller._collecting = True
         controller.on_loss(record(is_probe=True), 1.0)
         assert controller._collecting is False
 
     def test_data_loss_small_backoff(self):
-        controller = PcpController(initial_rate_bps=10e6)
+        controller = at_rate(PcpController, 10e6)
         controller.on_loss(record(), 1.0)
         assert controller.rate_bps == pytest.approx(9.5e6)
 
     def test_delay_growth_causes_backoff(self):
-        controller = PcpController(initial_rate_bps=10e6, train_length=4,
-                                   delay_threshold=0.001)
+        controller = at_rate(PcpController, 10e6)
         controller._collecting = True
         controller._train_acks = []
-        # Four probe ACKs whose RTT climbs sharply (queue building).
-        for i, (t, rtt) in enumerate([(1.0, 0.03), (1.001, 0.034),
-                                      (1.002, 0.038), (1.003, 0.045)]):
-            controller.on_ack(record(i, is_probe=True), rtt, t)
+        # A train of eight probe ACKs whose RTT climbs 14 ms (queue building).
+        for i in range(8):
+            controller.on_ack(record(i, is_probe=True), 0.03 + 0.002 * i,
+                              1.0 + 0.001 * i)
         assert controller.rate_bps < 10e6
 
     def test_clean_train_moves_toward_dispersion_estimate(self):
-        controller = PcpController(initial_rate_bps=1e6, train_length=4, gain=1.0)
+        controller = PcpController()
         controller._collecting = True
         controller._train_acks = []
         # Probe ACKs arrive 1 ms apart with flat RTT -> estimate 12 Mbps.
-        for i, t in enumerate([1.000, 1.001, 1.002, 1.003]):
-            controller.on_ack(record(i, is_probe=True), 0.03, t)
-        assert controller.rate_bps == pytest.approx(4e6, rel=0.01)  # capped at 4x
+        for i in range(8):
+            controller.on_ack(record(i, is_probe=True), 0.03, 1.0 + 0.001 * i)
+        # Half way from 1 Mbps to the estimate, capped at 4x: 2.5 Mbps.
+        assert controller.rate_bps == pytest.approx(2.5e6, rel=0.01)
 
 
 class TestPcpEndToEnd:
@@ -152,7 +159,7 @@ class TestPcpEndToEnd:
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=75_000,
                                  loss_rate=0.003)
         stats = FlowStats(1)
-        controller = PcpController(initial_rate_bps=1e6)
+        controller = PcpController()
         receiver = Receiver(sim, 1, stats)
         sender = RateBasedSender(sim, 1, topo.path, controller, stats)
         connect(sender, receiver, topo.path)
@@ -239,9 +246,9 @@ class TestPublishedRate:
         return controller._rate_bps
 
     def test_sabul_property_follows_every_rate_mutation(self):
-        controller = SabulController(initial_rate_bps=1_000.0)
+        controller = at_rate(SabulController, 1_000.0)
         assert controller.rate_bps == MIN_RATE_BPS  # floored, never the raw 1 kbps
-        controller = SabulController(initial_rate_bps=1e6)
+        controller = SabulController()
         controller.on_flow_start(None, 0.0)
         seen = [self.published(controller)]
 
@@ -268,10 +275,9 @@ class TestPublishedRate:
             controller.rate_bps = 5e6           # read-only: mutate _rate_bps
 
     def test_pcp_property_follows_every_rate_mutation(self):
-        controller = PcpController(initial_rate_bps=1_000.0)
+        controller = at_rate(PcpController, 1_000.0)
         assert controller.rate_bps == MIN_RATE_BPS
-        controller = PcpController(initial_rate_bps=10e6, train_length=4,
-                                   delay_threshold=0.001)
+        controller = at_rate(PcpController, 10e6)
         seen = [self.published(controller)]
 
         def train(rtts):
@@ -284,12 +290,13 @@ class TestPublishedRate:
         controller.on_loss(record(), 1.0)           # data loss: * 0.95
         seen.append(self.published(controller))
         assert seen[-1] == pytest.approx(seen[-2] * 0.95)
-        train([0.03, 0.034, 0.038, 0.045])          # delay growth: * 0.9
+        train([0.03 + 0.002 * i for i in range(8)])  # delay growth: * 0.9
         assert seen[-1] == pytest.approx(seen[-2] * 0.9)
-        train([0.03, 0.03, 0.03, 0.03])             # clean train: toward 12 Mbps
+        train([0.03] * 8)                           # clean train: toward 12 Mbps
         assert seen[-1] > seen[-2]
-        controller.train_length = 1                 # a one-ACK train: probes lost
-        train([0.03])
+        controller._train_acks = [(1.0, 0.03)]      # a one-ACK train: probes lost
+        controller._evaluate_train()
+        seen.append(self.published(controller))
         assert seen[-1] == pytest.approx(seen[-2] * 0.8)
         with pytest.raises(AttributeError):
             controller.rate_bps = 5e6

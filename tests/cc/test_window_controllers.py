@@ -18,6 +18,15 @@ ALL_WINDOW_CONTROLLERS = [
 ]
 
 
+def started(controller_cls, cwnd, ssthresh):
+    """A controller part-way into a flow, at window ``cwnd`` and threshold
+    ``ssthresh`` (every controller starts at 2 packets in slow start)."""
+    controller = controller_cls()
+    controller.cwnd = float(cwnd)
+    controller.ssthresh = float(ssthresh)
+    return controller
+
+
 def drive_acks(controller, count, rtt=0.03, start=0.0, spacing=0.001):
     now = start
     for _ in range(count):
@@ -59,7 +68,7 @@ class TestSharedBehaviour:
 
     @pytest.mark.parametrize("controller_cls", ALL_WINDOW_CONTROLLERS)
     def test_slow_start_property_reflects_ssthresh(self, controller_cls):
-        controller = controller_cls(initial_cwnd=2.0, initial_ssthresh=100.0)
+        controller = started(controller_cls, 2.0, 100.0)
         assert controller.in_slow_start
         controller.cwnd = 200.0
         assert not controller.in_slow_start
@@ -67,24 +76,24 @@ class TestSharedBehaviour:
 
 class TestNewReno:
     def test_slow_start_doubles_per_rtt(self):
-        controller = NewRenoController(initial_cwnd=2, initial_ssthresh=1000)
+        controller = started(NewRenoController, 2, 1000)
         # One ACK per outstanding packet: 2 -> 4 after one round.
         drive_acks(controller, 2)
         assert controller.cwnd == pytest.approx(4.0)
 
     def test_congestion_avoidance_adds_one_per_rtt(self):
-        controller = NewRenoController(initial_cwnd=10, initial_ssthresh=5)
+        controller = started(NewRenoController, 10, 5)
         drive_acks(controller, 10)
         assert controller.cwnd == pytest.approx(11.0, rel=0.02)
 
     def test_loss_halves_window(self):
-        controller = NewRenoController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(NewRenoController, 100, 5)
         controller.on_loss(0.0)
         assert controller.cwnd == pytest.approx(50.0)
         assert controller.ssthresh == pytest.approx(50.0)
 
     def test_timeout_resets_to_one(self):
-        controller = NewRenoController(initial_cwnd=64, initial_ssthresh=5)
+        controller = started(NewRenoController, 64, 5)
         controller.on_timeout(0.0)
         assert controller.cwnd == 1.0
         assert controller.ssthresh == pytest.approx(32.0)
@@ -92,12 +101,12 @@ class TestNewReno:
 
 class TestCubic:
     def test_beta_reduction_on_loss(self):
-        controller = CubicController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(CubicController, 100, 5)
         controller.on_loss(0.0)
         assert controller.cwnd == pytest.approx(70.0)
 
     def test_window_recovers_toward_w_max(self):
-        controller = CubicController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(CubicController, 100, 5)
         controller.on_loss(0.0)
         # Drive ACKs over several seconds of simulated time.
         now = 0.0
@@ -107,7 +116,7 @@ class TestCubic:
         assert controller.cwnd >= 95.0
 
     def test_cubic_growth_is_slow_near_w_max_fast_far_away(self):
-        controller = CubicController(initial_cwnd=200, initial_ssthresh=5)
+        controller = started(CubicController, 200, 5)
         controller.on_loss(0.0)
         # Near the loss event (plateau region) growth per ACK is small compared
         # with Reno-style slow start.
@@ -117,21 +126,21 @@ class TestCubic:
         assert near_growth < 1.0
 
     def test_fast_convergence_lowers_w_max_on_consecutive_losses(self):
-        controller = CubicController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(CubicController, 100, 5)
         controller.on_loss(0.0)
         w_max_first = controller.w_max
         controller.on_loss(1.0)
         assert controller.w_max < w_max_first
 
     def test_timeout_resets_window_to_one(self):
-        controller = CubicController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(CubicController, 100, 5)
         controller.on_timeout(0.0)
         assert controller.cwnd == 1.0
 
 
 class TestIllinois:
     def test_alpha_high_when_delay_low(self):
-        controller = IllinoisController(initial_cwnd=50, initial_ssthresh=5)
+        controller = started(IllinoisController, 50, 5)
         # All samples at base RTT: queueing delay ~ 0 -> alpha should go high.
         now = 0.0
         controller.max_rtt = 0.1
@@ -142,7 +151,7 @@ class TestIllinois:
         assert controller.alpha > 5.0
 
     def test_alpha_low_and_beta_high_when_delay_high(self):
-        controller = IllinoisController(initial_cwnd=50, initial_ssthresh=5)
+        controller = started(IllinoisController, 50, 5)
         now = 0.0
         # Establish the delay range first.
         controller.on_ack(0.03, now)
@@ -153,14 +162,14 @@ class TestIllinois:
         assert controller.beta >= 0.4
 
     def test_loss_reduces_by_current_beta(self):
-        controller = IllinoisController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(IllinoisController, 100, 5)
         controller._beta = 0.5
         controller.on_loss(0.0)
         assert controller.cwnd == pytest.approx(50.0)
 
     def test_growth_faster_than_reno_with_empty_queue(self):
-        illinois = IllinoisController(initial_cwnd=20, initial_ssthresh=5)
-        reno = NewRenoController(initial_cwnd=20, initial_ssthresh=5)
+        illinois = started(IllinoisController, 20, 5)
+        reno = started(NewRenoController, 20, 5)
         illinois.max_rtt = 0.1
         illinois.base_rtt = 0.03
         now = 0.0
@@ -183,22 +192,22 @@ class TestHybla:
         assert controller.rho == 1.0
 
     def test_long_rtt_flow_grows_much_faster_per_ack(self):
-        short = HyblaController(initial_cwnd=50, initial_ssthresh=5)
-        long = HyblaController(initial_cwnd=50, initial_ssthresh=5)
+        short = started(HyblaController, 50, 5)
+        long = started(HyblaController, 50, 5)
         for _ in range(100):
             short.on_ack(0.025, 0.0)
             long.on_ack(0.5, 0.0)
         assert (long.cwnd - 50) > 10 * (short.cwnd - 50)
 
     def test_loss_still_halves(self):
-        controller = HyblaController(initial_cwnd=80, initial_ssthresh=5)
+        controller = started(HyblaController, 80, 5)
         controller.on_loss(0.0)
         assert controller.cwnd == pytest.approx(40.0)
 
 
 class TestVegas:
     def test_stays_stable_when_queue_in_target_band(self):
-        controller = VegasController(initial_cwnd=30, initial_ssthresh=5)
+        controller = started(VegasController, 30, 5)
         controller.base_rtt = 0.030
         # RTT corresponding to ~3 queued packets (between alpha=2 and beta=4).
         rtt = 0.030 * 30 / (30 - 3)
@@ -211,7 +220,7 @@ class TestVegas:
         assert max(cwnds[100:]) - min(cwnds[100:]) <= 2.0
 
     def test_decreases_when_queue_estimate_high(self):
-        controller = VegasController(initial_cwnd=40, initial_ssthresh=5)
+        controller = started(VegasController, 40, 5)
         controller.base_rtt = 0.030
         now = 0.0
         for _ in range(400):
@@ -220,7 +229,7 @@ class TestVegas:
         assert controller.cwnd < 40
 
     def test_increases_when_no_queue(self):
-        controller = VegasController(initial_cwnd=10, initial_ssthresh=5)
+        controller = started(VegasController, 10, 5)
         controller.base_rtt = 0.030
         now = 0.0
         for _ in range(300):
@@ -231,7 +240,7 @@ class TestVegas:
 
 class TestWestwood:
     def test_bandwidth_estimate_converges_to_ack_rate(self):
-        controller = WestwoodController(initial_cwnd=50, initial_ssthresh=5)
+        controller = started(WestwoodController, 50, 5)
         now = 0.0
         # 1000 ACKs per second.
         for _ in range(3000):
@@ -240,7 +249,7 @@ class TestWestwood:
         assert controller.bandwidth_estimate_pps == pytest.approx(1000, rel=0.15)
 
     def test_loss_sets_ssthresh_to_bdp_not_half(self):
-        controller = WestwoodController(initial_cwnd=100, initial_ssthresh=5)
+        controller = started(WestwoodController, 100, 5)
         now = 0.0
         for _ in range(2000):
             controller.on_ack(0.05, now)
@@ -251,8 +260,8 @@ class TestWestwood:
 
     def test_random_loss_resilience_vs_reno(self):
         """Westwood should keep a larger window than Reno under random loss."""
-        westwood = WestwoodController(initial_cwnd=50, initial_ssthresh=5)
-        reno = NewRenoController(initial_cwnd=50, initial_ssthresh=5)
+        westwood = started(WestwoodController, 50, 5)
+        reno = started(NewRenoController, 50, 5)
         now = 0.0
         for i in range(5000):
             westwood.on_ack(0.05, now)
@@ -269,8 +278,8 @@ class TestPacedReno:
         assert PacedRenoController.requires_pacing is True
 
     def test_window_dynamics_identical_to_reno(self):
-        paced = PacedRenoController(initial_cwnd=10, initial_ssthresh=100)
-        reno = NewRenoController(initial_cwnd=10, initial_ssthresh=100)
+        paced = started(PacedRenoController, 10, 100)
+        reno = started(NewRenoController, 10, 100)
         drive_acks(paced, 50)
         drive_acks(reno, 50)
         assert paced.cwnd == pytest.approx(reno.cwnd)

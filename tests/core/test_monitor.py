@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.controller import MIN_RATE_BPS
+from repro.core import monitor as monitor_module
 from repro.core.monitor import PerformanceMonitor
 from repro.core.utility import SafeUtility
 from repro.netsim import Simulator
@@ -131,7 +132,7 @@ class TestFeedbackAccounting:
         monitor.record_ack(999, 1500, 0.03)
         monitor.record_loss(None)
         monitor.record_send(None, 1500)
-        assert monitor.active_interval_count == 0
+        assert not monitor._active
 
     def test_completion_when_all_packets_accounted(self):
         sim = Simulator()
@@ -213,11 +214,11 @@ class TestFeedbackAccounting:
                 done.packets_lost) == (1, 1, 0)
         assert (live.packets_sent, live.packets_acked,
                 live.packets_lost) == (1, 0, 0)
-        assert monitor.active_interval_count == 1
+        assert list(monitor._active) == [live_id]
 
     def test_force_completion_after_deadline(self):
         sim = Simulator()
-        monitor, _, completed = make_monitor(sim, completion_timeout_rtts=2.0)
+        monitor, _, completed = make_monitor(sim)
         mi_id = monitor.current_mi_id(0.0, 0.03)
         for _ in range(5):
             monitor.record_send(mi_id, 1500)
@@ -249,9 +250,9 @@ class TestFeedbackAccounting:
     def test_normal_completion_cancels_deadline_timer(self):
         """A normally-completed MI must not leave its completion-deadline
         event live in the simulator heap (one stale timer per MI used to
-        linger for completion_timeout_rtts * rtt each)."""
+        linger for four RTTs each)."""
         sim = Simulator()
-        monitor, _, completed = make_monitor(sim, completion_timeout_rtts=4.0)
+        monitor, _, completed = make_monitor(sim)
         now = 0.0
         for _ in range(10):
             mi_id = monitor.current_mi_id(now, 0.03)
@@ -270,7 +271,7 @@ class TestFeedbackAccounting:
 
     def test_forced_completion_clears_deadline_handle(self):
         sim = Simulator()
-        monitor, _, completed = make_monitor(sim, completion_timeout_rtts=2.0)
+        monitor, _, completed = make_monitor(sim)
         mi_id = monitor.current_mi_id(0.0, 0.03)
         monitor.record_send(mi_id, 1500)
         end = monitor.current_interval.send_end_time
@@ -296,11 +297,12 @@ class TestFeedbackAccounting:
         assert len(completed) == 3
         assert monitor.dropped_history == 0
 
-    def test_completed_history_keeps_most_recent_when_capped(self):
+    def test_completed_history_keeps_most_recent_when_capped(self, monkeypatch):
         """Past the cap the *oldest* MIs are evicted (and counted), so a long
         run's history is the most recent window, not a truncated prefix."""
+        monkeypatch.setattr(monitor_module, "_MAX_COMPLETED_HISTORY", 3)
         sim = Simulator()
-        monitor, _, completed = make_monitor(sim, max_completed_history=3)
+        monitor, _, completed = make_monitor(sim)
         now = 0.0
         for _round_index in range(5):
             mi_id = monitor.current_mi_id(now, 0.03)
@@ -313,12 +315,3 @@ class TestFeedbackAccounting:
         assert len(completed) == 5  # the controller still saw every MI
         assert [mi.mi_id for mi in monitor.completed_intervals] == [2, 3, 4]
         assert monitor.dropped_history == 2
-
-    def test_history_cap_is_read_only(self):
-        """The cap is the deque's fixed maxlen; a writable attribute would
-        silently desynchronize retention from the dropped counter."""
-        sim = Simulator()
-        monitor, _, _ = make_monitor(sim, max_completed_history=3)
-        assert monitor.max_completed_history == 3
-        with pytest.raises(AttributeError):
-            monitor.max_completed_history = 10

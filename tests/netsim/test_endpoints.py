@@ -10,7 +10,6 @@ import pytest
 from repro.cc import NewRenoController
 from repro.core import PCCScheme
 from repro.netsim import (
-    ACK_SIZE_BYTES,
     DEFAULT_MSS,
     FlowStats,
     Path,
@@ -40,7 +39,7 @@ class FixedRateController:
 
 def build_windowed(sim, topo, total_bytes=None, controller=None, start_time=0.0,
                    flow_id=1, pacing=False):
-    stats = FlowStats(flow_id, bin_width=0.5)
+    stats = FlowStats(flow_id)
     receiver = Receiver(sim, flow_id, stats)
     sender = WindowedSender(
         sim, flow_id, topo.path, controller or NewRenoController(), stats,
@@ -85,8 +84,7 @@ class TestReliableDelivery:
         topo = single_bottleneck(sim, 100e6, 0.05, buffer_bytes=500_000)
         sender, receiver, stats = build_windowed(sim, topo, total_bytes=30_000)
         sim.run(5.0)
-        assert stats.rtt_min >= 0.05
-        assert stats.rtt_min < 0.06
+        assert 0.05 <= stats.mean_rtt < 0.06
 
 
 class TestLossDetectionAndRecovery:
@@ -126,7 +124,8 @@ class TestWindowedSenderBehaviour:
     def test_inflight_never_exceeds_cwnd_plus_one(self):
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 10e6, 0.04, buffer_bytes=100_000)
-        controller = NewRenoController(initial_cwnd=4, initial_ssthresh=8)
+        controller = NewRenoController()
+        controller.cwnd, controller.ssthresh = 4.0, 8.0
         sender, receiver, stats = build_windowed(sim, topo, controller=controller)
 
         violations = []
@@ -266,7 +265,9 @@ class TestReceiveAckShortCuts:
         sim = Simulator(seed=1)
         topo = single_bottleneck(sim, 100e6, 1.0, buffer_bytes=500_000)
         stats = FlowStats(1)
-        sender = SpySender(sim, 1, topo.path, NewRenoController(initial_cwnd=8),
+        controller = NewRenoController()
+        controller.cwnd = 8.0
+        sender = SpySender(sim, 1, topo.path, controller,
                            stats, total_bytes=total_bytes)
         connect(sender, Receiver(sim, 1, stats), topo.path)
         sender.start()
@@ -275,7 +276,7 @@ class TestReceiveAckShortCuts:
 
     @staticmethod
     def ack(sim, sender, packet):
-        sender.receive_ack(packet.make_ack(packet.packet_id, ACK_SIZE_BYTES, sim.now))
+        sender.receive_ack(packet.make_ack(packet.packet_id, sim.now))
 
     def test_usual_ack_leaves_what_the_methods_would(self):
         sim, sender, sent = self.in_flight()

@@ -140,7 +140,7 @@ class TestFairQueue:
         assert [queue.dequeue(0.0).packet_id for _ in range(5)] == list(range(5))
 
     def test_isolation_one_flow_overflowing_does_not_drop_other(self):
-        queue = FairQueue(per_flow_capacity_bytes=3000)
+        queue = FairQueue(lambda: DropTailQueue(3000))
         # Flow 1 overflows its own child queue.
         accepted_flow1 = [queue.enqueue(make_packet(flow_id=1, packet_id=i), 0.0)
                           for i in range(10)]
@@ -149,7 +149,7 @@ class TestFairQueue:
         assert queue.enqueue(make_packet(flow_id=2, packet_id=100), 0.0)
 
     def test_aggregate_occupancy_consistent_after_drops(self):
-        queue = FairQueue(per_flow_capacity_bytes=3000)
+        queue = FairQueue(lambda: DropTailQueue(3000))
         for i in range(10):
             queue.enqueue(make_packet(flow_id=1, packet_id=i), 0.0)
         # Drain everything; occupancy must return to exactly zero.
@@ -181,7 +181,7 @@ class TestFairQueueDropContract:
     surfaces loudly instead of double-counting silently."""
 
     def test_well_behaved_child_reject_accounts_exactly_once(self):
-        queue = FairQueue(per_flow_capacity_bytes=3000)
+        queue = FairQueue(lambda: DropTailQueue(3000))
         drops = []
         queue.on_drop = drops.append
         assert queue.enqueue(make_packet(flow_id=1, packet_id=0), 0.0)
@@ -215,7 +215,7 @@ class TestFairQueueDropContract:
     def test_attach_rng_reaches_existing_and_future_children(self):
         import random
 
-        queue = FairQueue(per_flow_capacity_bytes=10_000)
+        queue = FairQueue(lambda: DropTailQueue(10_000))
         assert queue.enqueue(make_packet(flow_id=1, packet_id=0), 0.0)
         rng = random.Random(5)
         queue.attach_rng(rng)

@@ -5,41 +5,43 @@ import random
 
 import pytest
 
-from repro.netsim.stats import BinnedSeries, FlowStats, RTTEstimator, SequenceTracker
+from repro.netsim.stats import (
+    _MAX_RTO,
+    BinnedSeries,
+    FlowStats,
+    RTTEstimator,
+    SequenceTracker,
+)
 
 
 class TestBinnedSeries:
     def test_values_accumulate_in_bins(self):
-        series = BinnedSeries(bin_width=1.0)
+        series = BinnedSeries()
         series.add(0.2, 10.0)
         series.add(0.9, 5.0)
         series.add(1.1, 7.0)
         assert series.bin_values(0.0, 1.9) == [15.0, 7.0]
 
     def test_missing_bins_are_zero(self):
-        series = BinnedSeries(bin_width=1.0)
+        series = BinnedSeries()
         series.add(0.5, 1.0)
         series.add(3.5, 2.0)
         assert series.bin_values(0.0, 3.5) == [1.0, 0.0, 0.0, 2.0]
 
     def test_total(self):
-        series = BinnedSeries(bin_width=0.5)
+        series = BinnedSeries()
         for t in [0.1, 0.6, 1.4, 2.2]:
             series.add(t, 2.0)
         assert series.total() == pytest.approx(8.0)
 
     def test_series_sorted_by_time(self):
-        series = BinnedSeries(bin_width=1.0)
+        series = BinnedSeries()
         series.add(5.5, 1.0)
         series.add(0.5, 1.0)
         assert [t for t, _ in series.series()] == [0.0, 5.0]
 
     def test_empty(self):
         assert BinnedSeries().bin_values() == []
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            BinnedSeries(bin_width=0.0)
 
 
 class TestSequenceTracker:
@@ -63,7 +65,6 @@ class TestSequenceTracker:
         tracker.add(2)
         tracker.add(3)
         assert tracker.next_expected == 1
-        assert tracker.missing_below_frontier() == 0 or tracker.missing_below_frontier() >= 0
         tracker.add(1)
         assert tracker.next_expected == 4
         assert tracker.count == 4
@@ -89,7 +90,6 @@ class TestRTTEstimator:
         rtt = RTTEstimator()
         rtt.update(0.1)
         assert rtt.srtt == pytest.approx(0.1)
-        assert rtt.min_rtt == pytest.approx(0.1)
 
     def test_smoothing_follows_samples(self):
         rtt = RTTEstimator()
@@ -127,7 +127,7 @@ class TestRTTEstimator:
             if est.srtt is None:
                 return max(est.initial_rto, est.min_rto)
             rto = est.srtt + max(4.0 * (est.rttvar or 0.0), 0.001)
-            return min(est.max_rto, max(est.min_rto, rto))
+            return min(_MAX_RTO, max(est.min_rto, rto))
 
         rtt = RTTEstimator(min_rto=0.2, initial_rto=1.0)
         rtt.update(0.0)
@@ -151,14 +151,12 @@ class TestRTTEstimator:
         def reference_update(est, sample):
             if sample <= 0:
                 return
-            est.latest_rtt = sample
-            est.min_rtt = min(est.min_rtt, sample)
             if est.srtt is None:
                 est.srtt, est.rttvar = sample, sample / 2.0
             else:
                 est.rttvar = 0.75 * est.rttvar + 0.25 * abs(est.srtt - sample)
                 est.srtt = 0.875 * est.srtt + 0.125 * sample
-            est.rto = min(est.max_rto, max(
+            est.rto = min(_MAX_RTO, max(
                 est.min_rto, est.srtt + max(4.0 * est.rttvar, 0.001)))
 
         rng = random.Random(20)
@@ -182,7 +180,7 @@ class TestRTTEstimator:
                 seen.add("variance floor" if 4.0 * reference.rttvar < 0.001
                          else "variance term")
                 seen.add("min_rto floor" if unclamped < reference.min_rto else
-                         "max_rto cap" if unclamped > reference.max_rto else
+                         "max_rto cap" if unclamped > _MAX_RTO else
                          "unclamped")
             assert seen == {"ignored sample", "variance floor", "variance term",
                             "min_rto floor", "max_rto cap", "unclamped"}
@@ -211,8 +209,6 @@ class TestFlowStats:
         stats.record_ack(1500, 0.010)
         stats.record_ack(1500, 0.030)
         assert stats.mean_rtt == pytest.approx(0.020)
-        assert stats.rtt_min == pytest.approx(0.010)
-        assert stats.rtt_max == pytest.approx(0.030)
 
     def test_record_ack_equals_its_builtin_reference_to_the_bit(self):
         def reference_record_ack(stats, size_bytes, rtt):
@@ -221,8 +217,6 @@ class TestFlowStats:
             if rtt > 0:
                 stats.rtt_sum += rtt
                 stats.rtt_count += 1
-                stats.rtt_min = min(stats.rtt_min, rtt)
-                stats.rtt_max = max(stats.rtt_max, rtt)
 
         def counters(stats):
             return {name: value for name, value in vars(stats).items()
@@ -236,7 +230,6 @@ class TestFlowStats:
             reference_record_ack(reference, 1500, rtt)
             assert counters(actual) == counters(reference)
         assert 0 < actual.rtt_count < actual.packets_acked
-        assert actual.rtt_min < 0.03 < actual.rtt_max
 
     def test_flow_completion_time(self):
         stats = FlowStats(1)
@@ -248,13 +241,6 @@ class TestFlowStats:
         stats = FlowStats(1)
         stats.start_time = 2.0
         assert stats.flow_completion_time is None
-
-    def test_throughput_series_in_mbps(self):
-        stats = FlowStats(1, bin_width=1.0)
-        for _i in range(10):
-            stats.record_delivery(0.5, 125_000, is_new=True)  # 1 Mbit each
-        series = stats.throughput_series_mbps(0.0, 0.0)
-        assert series[0] == pytest.approx(10.0)
 
     def test_summary_keys(self):
         stats = FlowStats(3)

@@ -74,11 +74,11 @@ class TestTopologyBuilders:
 
 
 class TestParkingLot:
-    def make(self, num_hops=3, hop_delay=0.005, access_delay=0.0005):
+    def make(self, num_hops=3, hop_delay=0.005):
         sim = Simulator()
         return parking_lot(
             sim, num_hops=num_hops, bandwidth_bps=50e6, hop_delay=hop_delay,
-            buffer_bytes=100_000, access_delay=access_delay,
+            buffer_bytes=100_000,
         )
 
     def test_long_path_crosses_every_hop(self):
@@ -99,7 +99,7 @@ class TestParkingLot:
             assert cross.reverse_links[0] is topo.reverse_hops[i]
 
     def test_rtt_diversity(self):
-        topo = self.make(num_hops=4, hop_delay=0.005, access_delay=0.0005)
+        topo = self.make(num_hops=4, hop_delay=0.005)  # 0.5 ms access links
         assert topo.long_path.base_rtt == pytest.approx(2 * (0.0005 + 4 * 0.005))
         for cross in topo.cross_paths:
             assert cross.base_rtt == pytest.approx(2 * (0.0005 + 0.005))
@@ -122,8 +122,7 @@ class TestDynamics:
     def test_random_dynamics_redraws_every_period(self):
         sim = Simulator(seed=9)
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        dyn = RandomLinkDynamics(sim, topo.forward, period=5.0,
-                                 reverse_link=topo.reverse)
+        dyn = RandomLinkDynamics(sim, topo.forward, reverse_link=topo.reverse)
         dyn.start()
         sim.run(26.0)
         assert len(dyn.history) == 6  # t = 0, 5, 10, 15, 20, 25
@@ -135,7 +134,7 @@ class TestDynamics:
     def test_optimal_rate_at_lookup(self):
         sim = Simulator(seed=9)
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        dyn = RandomLinkDynamics(sim, topo.forward, period=5.0)
+        dyn = RandomLinkDynamics(sim, topo.forward)
         dyn.start()
         sim.run(12.0)
         assert dyn.optimal_rate_at(2.0) == dyn.history[0][1]
@@ -160,7 +159,7 @@ class TestDynamics:
     def test_mean_optimal_rate_time_weighted(self):
         sim = Simulator(seed=9)
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        dyn = RandomLinkDynamics(sim, topo.forward, period=5.0)
+        dyn = RandomLinkDynamics(sim, topo.forward)
         dyn.start()
         sim.run(10.0)
         expected = (dyn.history[0][1] + dyn.history[1][1]) / 2.0
@@ -183,19 +182,6 @@ class TestTraceDynamics:
         sim.run(2.5)
         assert topo.forward.bandwidth_bps == 60e6
         assert [h[0] for h in dyn.history] == [0.0, 1.0, 2.0]
-
-    def test_loss_trace_applies_to_both_directions(self):
-        sim = Simulator()
-        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
-        dyn = TraceLinkDynamics(
-            sim, topo.forward,
-            loss_trace=[(1.0, 0.05)],
-            reverse_link=topo.reverse,
-        )
-        dyn.start()
-        sim.run(1.5)
-        assert topo.forward.loss_rate == pytest.approx(0.05)
-        assert topo.reverse.loss_rate == pytest.approx(0.05)
 
     def test_last_entry_holds_past_the_trace_end(self):
         """A trace plays once: its last value stays in force to the end of
@@ -242,7 +228,7 @@ class TestTraceDynamics:
         sim = Simulator()
         topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
         with pytest.raises(ValueError):
-            TraceLinkDynamics(sim, topo.forward)
+            TraceLinkDynamics(sim, topo.forward, bandwidth_trace=[])
 
 
 class TestSyntheticTraces:
@@ -250,20 +236,28 @@ class TestSyntheticTraces:
         trace = step_trace(10e6, 40e6, period=1.0, duration=4.0)
         assert trace == [(0.0, 40e6), (1.0, 10e6), (2.0, 40e6), (3.0, 10e6)]
 
+    def test_step_trace_toggles_eight_times_at_any_duration(self):
+        """Entry ``k`` is at ``k * duration / 8``.  A running sum of periods
+        fell short of the duration at these lengths, and the ninth entry it
+        added (at t = 1.0999999999999999 for 1.1 s) still fired in the run."""
+        for duration in (0.1, 1.1, 2.9):
+            trace = make_synthetic_trace("step", peak_bps=40e6, duration=duration)
+            assert len(trace) == 8, duration
+            assert trace[-1][0] < duration
+
     def test_sawtooth_trace_ramps_and_resets(self):
-        trace = sawtooth_trace(10e6, 40e6, period=1.0, duration=2.0, steps=4)
+        trace = sawtooth_trace(10e6, 38e6, period=1.0, duration=2.0)
         times = [t for t, _ in trace]
         values = [v for _, v in trace]
-        assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75])
-        assert values[:4] == pytest.approx([10e6, 20e6, 30e6, 40e6])
-        assert values[4] == pytest.approx(10e6)  # reset at the cycle boundary
+        assert times == pytest.approx([i / 8 for i in range(16)])
+        assert values[:8] == pytest.approx([10e6 + 4e6 * i for i in range(8)])
+        assert values[8] == pytest.approx(10e6)  # reset at the cycle boundary
 
     def test_cellular_trace_deterministic_and_bounded(self):
-        a = cellular_trace(20e6, duration=30.0, seed=7)
-        b = cellular_trace(20e6, duration=30.0, seed=7)
-        c = cellular_trace(20e6, duration=30.0, seed=8)
-        assert a == b
-        assert a != c
+        a = cellular_trace(20e6, duration=30.0)
+        assert a == cellular_trace(20e6, duration=30.0)
+        assert [t for t, _ in a] == [0.5 * k for k in range(60)]
+        assert len({rate for _, rate in a}) > 30    # it walks
         assert all(20e6 / 5.0 <= rate <= 2 * 20e6 for _, rate in a)
 
     def test_make_synthetic_trace_names(self):
@@ -276,7 +270,7 @@ class TestSyntheticTraces:
 
     def test_cellular_trace_is_the_default_seed_walk(self):
         """The bundled ``"cellular"`` trace is :func:`cellular_trace` around
-        half the peak at its default seed, the same on every call."""
+        half the peak, the same on every call."""
         trace = make_synthetic_trace("cellular", peak_bps=40e6, duration=16.0)
         assert trace == cellular_trace(20e6, duration=16.0)
         assert trace == make_synthetic_trace("cellular", peak_bps=40e6,
@@ -286,6 +280,6 @@ class TestSyntheticTraces:
         with pytest.raises(ValueError):
             step_trace(1e6, 2e6, period=0.0, duration=1.0)
         with pytest.raises(ValueError):
-            sawtooth_trace(1e6, 2e6, period=1.0, duration=1.0, steps=1)
+            sawtooth_trace(1e6, 2e6, period=1.0, duration=0.0)
         with pytest.raises(ValueError):
-            cellular_trace(1e6, duration=1.0, spread=1.5)
+            cellular_trace(1e6, duration=0.0)

@@ -43,7 +43,7 @@ def test_droptail_capacity_and_conservation(capacity, sizes):
     flows=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=100),
 )
 def test_fairqueue_conserves_packets(flows):
-    queue = FairQueue(per_flow_capacity_bytes=1_000_000)
+    queue = FairQueue(lambda: DropTailQueue(1_000_000))
     for i, flow_id in enumerate(flows):
         packet = Packet(flow_id=flow_id, packet_id=i, data_seq=i,
                         size_bytes=1500, sent_time=0.0)
@@ -96,10 +96,9 @@ def test_sequence_tracker_counts_unique(seqs):
                   st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
         max_size=200,
     ),
-    bin_width=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
 )
-def test_binned_series_total_preserved(entries, bin_width):
-    series = BinnedSeries(bin_width=bin_width)
+def test_binned_series_total_preserved(entries):
+    series = BinnedSeries()
     for time, value in entries:
         series.add(time, value)
     assert math.isclose(series.total(), sum(v for _, v in entries),
