@@ -315,3 +315,14 @@ class TestFeedbackAccounting:
         assert len(completed) == 5  # the controller still saw every MI
         assert [mi.mi_id for mi in monitor.completed_intervals] == [2, 3, 4]
         assert monitor.dropped_history == 2
+
+    def test_history_cap_is_read_only(self):
+        """The cap is the deque's fixed maxlen, equal to the module constant
+        the dropped counter compares against; a rebindable cap would
+        silently desynchronize retention from that counter."""
+        sim = Simulator()
+        monitor, _, _ = make_monitor(sim)
+        history = monitor.completed_intervals
+        assert history.maxlen == monitor_module._MAX_COMPLETED_HISTORY
+        with pytest.raises(AttributeError):
+            history.maxlen = 10

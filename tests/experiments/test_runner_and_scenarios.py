@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments import available_schemes, run_flows
+from repro.experiments import runner as runner_module
 from repro.experiments.sweep import SweepCell, run_cell
+from repro.netsim import stats as stats_module
 from repro.netsim import FlowSpec, Simulator, single_bottleneck
 
 
@@ -162,6 +164,22 @@ class TestFlowLifetime:
         with pytest.raises(IndexError):
             late.stats
         assert len(result.by_label("on").delivered_bytes(2.0)) == 3
+
+    def test_delivered_bytes_has_one_entry_per_stats_bin(self, monkeypatch):
+        """The series is sized from the bin width the receiver's stats use,
+        so at half-second bins a 2 s run has five entries, and the bins hold
+        every delivered byte."""
+        monkeypatch.setattr(stats_module, "BIN_WIDTH", 0.5)
+        monkeypatch.setattr(runner_module, "BIN_WIDTH", 0.5)
+        sim = Simulator(seed=2)
+        topo = single_bottleneck(sim, 20e6, 0.02, buffer_bytes=75_000)
+        result = run_flows(sim, [topo.path], [FlowSpec(scheme="cubic")],
+                           duration=2.0)
+        flow = result.flow(0)
+        series = flow.delivered_bytes(2.0)
+        assert len(series) == 5
+        assert series == flow.stats.delivered_bins.bin_values(0.0, 2.0)
+        assert sum(series) > 0
 
     def test_bulk_flow_staggered_past_the_duration(self):
         cell = SweepCell(index=0, scheme="cubic", bandwidth_bps=10e6, rtt=0.03,

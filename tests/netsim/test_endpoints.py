@@ -230,6 +230,18 @@ class TestRateBasedSender:
         assert all(p.is_probe for p in packets)
         assert stats.packets_sent == before + 5
 
+    def test_rate_sender_keeps_tighter_rto_bounds_than_windowed(self):
+        """A paced sender starts at a 100 ms RTO floored at 10 ms; the TCP
+        family keeps RFC 6298's 1 s start and 200 ms floor."""
+        sim = Simulator()
+        topo = single_bottleneck(sim, 10e6, 0.02, buffer_bytes=100_000)
+        rate = RateBasedSender(sim, 1, topo.path, FixedRateController(1e6),
+                               FlowStats(1))
+        windowed = WindowedSender(sim, 2, topo.path, NewRenoController(),
+                                  FlowStats(2))
+        assert (rate.rtt.rto, rate.rtt.min_rto) == (0.1, 0.01)
+        assert (windowed.rtt.rto, windowed.rtt.min_rto) == (1.0, 0.2)
+
 
 class SpySender(WindowedSender):
     """Counts entries into the three methods ``receive_ack`` short-cuts and

@@ -18,6 +18,7 @@ from repro.netsim import (
     single_bottleneck,
     step_trace,
 )
+from repro.netsim.topology import PARKING_LOT_ACCESS_DELAY
 
 
 class TestTopologyBuilders:
@@ -55,6 +56,18 @@ class TestTopologyBuilders:
         topo = dumbbell(sim, config, access_delays=[0.001, 0.001, 0.001])
         bottlenecks = {path.forward_links[-1] for path in topo.paths}
         assert bottlenecks == {topo.bottleneck_forward}
+
+    def test_dumbbell_access_links_outrun_the_bottleneck(self):
+        """Access links run ten times the bottleneck rate with an uncongested
+        3 MB buffer, so only the shared bottleneck queues."""
+        sim = Simulator()
+        config = LinkConfig(bandwidth_bps=20e6, delay_s=0.005, buffer_bytes=50_000)
+        topo = dumbbell(sim, config, access_delays=[0.001, 0.002])
+        for link in (*topo.access_forward, *topo.access_reverse):
+            assert link.bandwidth_bps == 200e6
+            assert link.queue.capacity_bytes == 3_000_000.0
+        assert topo.bottleneck_forward.queue.capacity_bytes == 50_000
+        assert topo.bottleneck_reverse.queue.capacity_bytes == 3_000_000.0
 
     def test_incast_topology_fan_in(self):
         sim = Simulator()
@@ -104,6 +117,14 @@ class TestParkingLot:
         for cross in topo.cross_paths:
             assert cross.base_rtt == pytest.approx(2 * (0.0005 + 0.005))
 
+    def test_access_links_use_the_shared_access_delay(self):
+        """Every access link has the delay the sweep subtracts when it sizes
+        hop delays from a target RTT, so a swept RTT is the one built."""
+        topo = self.make(num_hops=2)
+        assert len(topo.access_forward) == len(topo.access_reverse) == 3
+        for link in (*topo.access_forward, *topo.access_reverse):
+            assert link.delay_s == PARKING_LOT_ACCESS_DELAY
+
     def test_loss_applies_to_forward_hops_only(self):
         sim = Simulator()
         topo = parking_lot(sim, num_hops=2, bandwidth_bps=10e6, hop_delay=0.005,
@@ -130,6 +151,21 @@ class TestDynamics:
             assert 10e6 <= bw <= 100e6
             assert 0.010 <= rtt <= 0.100
             assert 0.0 <= loss <= 0.01
+
+    def test_random_dynamics_applies_every_draw(self):
+        """Each draw sets the forward bandwidth, delay and loss and the
+        reverse delay; the reverse link's rate and loss stay as built."""
+        sim = Simulator(seed=4)
+        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000)
+        dyn = RandomLinkDynamics(sim, topo.forward, reverse_link=topo.reverse)
+        dyn.start()
+        sim.run(7.0)
+        _, bandwidth, rtt, loss = dyn.history[-1]
+        assert topo.forward.bandwidth_bps == bandwidth
+        assert topo.forward.delay_s == topo.reverse.delay_s == rtt / 2.0
+        assert topo.forward.loss_rate == loss
+        assert topo.reverse.bandwidth_bps == 100e6
+        assert topo.reverse.loss_rate == 0.0
 
     def test_optimal_rate_at_lookup(self):
         sim = Simulator(seed=9)
@@ -197,6 +233,22 @@ class TestTraceDynamics:
         assert topo.forward.bandwidth_bps == 20e6
         assert [h[0] for h in dyn.history] == [0.0, 1.0]
         assert dyn.optimal_rate_at(4.5) == 20e6
+
+    def test_trace_changes_only_the_forward_bandwidth(self):
+        """A bandwidth trace leaves the link's delay and loss, and the whole
+        reverse link, as the topology built them."""
+        sim = Simulator()
+        topo = single_bottleneck(sim, 100e6, 0.03, buffer_bytes=100_000,
+                                 loss_rate=0.01)
+        dyn = TraceLinkDynamics(sim, topo.forward,
+                                bandwidth_trace=[(0.0, 80e6), (1.0, 20e6)])
+        dyn.start()
+        sim.run(1.5)
+        assert topo.forward.bandwidth_bps == 20e6
+        assert (topo.forward.delay_s, topo.forward.loss_rate) == (0.015, 0.01)
+        assert (topo.reverse.bandwidth_bps, topo.reverse.delay_s,
+                topo.reverse.loss_rate) == (100e6, 0.015, 0.0)
+        assert dyn.history[-1] == (1.0, 20e6, 0.03, 0.01)
 
     def test_optimal_rate_helpers(self):
         sim = Simulator()
