@@ -13,6 +13,7 @@ per-flow throughput, take Jain's index per window, and average.
 
 from __future__ import annotations
 
+import sys
 from typing import List, Sequence
 
 __all__ = ["jain_index", "jain_index_over_timescales", "throughput_ratio"]
@@ -24,11 +25,17 @@ def jain_index(allocations: Sequence[float]) -> float:
     if not values:
         raise ValueError("jain_index needs at least one allocation")
     total = sum(values)
+    if total == 0:
+        return 1.0  # all-zero allocations are (vacuously) fair
     squares = sum(v * v for v in values)
-    if total == 0 or squares == 0.0:
-        # All-zero allocations are (vacuously) fair; squares can also underflow
-        # to zero for subnormal inputs even when the sum does not.
-        return 1.0
+    if squares < sys.float_info.min:
+        # Squares of allocations near 1e-154 and below are subnormal or zero
+        # and have lost their precision; the index is scale-free, so it is
+        # taken over the allocations divided by the largest.
+        largest = max(values)
+        values = [v / largest for v in values]
+        total = sum(values)
+        squares = sum(v * v for v in values)
     return total * total / (len(values) * squares)
 
 

@@ -14,7 +14,7 @@ and shallow-buffer experiments.
 
 from __future__ import annotations
 
-from .base import INITIAL_CWND, INITIAL_SSTHRESH, WindowController
+from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
 
 __all__ = ["CubicController"]
 
@@ -38,13 +38,14 @@ class CubicController(WindowController):
         self.w_tcp = 0.0
 
     # ------------------------------------------------------------------ #
-    def _cubic_window(self, t: float) -> float:
-        return _C * (t - self.k) ** 3 + self.w_max
-
+    # This runs once per ACK, so the cubic target W(t + rtt) = C (t + rtt -
+    # K)^3 + W_max, the TCP-friendly max and the MIN_CWND clamp are written
+    # out in its frame.
     def on_ack(self, rtt: float, now: float) -> None:
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0
-            self._clamp()
+            if self.cwnd < MIN_CWND:
+                self.cwnd = MIN_CWND
             return
         if self.epoch_start is None:
             self.epoch_start = now
@@ -56,17 +57,19 @@ class CubicController(WindowController):
                 self.w_max = self.cwnd
             self.w_tcp = self.cwnd
         t = now - self.epoch_start
-        target = self._cubic_window(t + rtt)
+        target = _C * (t + rtt - self.k) ** 3 + self.w_max
         # TCP-friendly region (RFC 8312 §4.2): emulate Reno's average growth.
         self.ack_count += 1
         self.w_tcp += 3.0 * (1.0 - _BETA) / (1.0 + _BETA) / self.cwnd
-        target = max(target, self.w_tcp)
+        if self.w_tcp > target:
+            target = self.w_tcp
         if target > self.cwnd:
             self.cwnd += (target - self.cwnd) / self.cwnd
         else:
             # Max-probing plateau: grow very slowly.
             self.cwnd += 0.01 / self.cwnd
-        self._clamp()
+        if self.cwnd < MIN_CWND:
+            self.cwnd = MIN_CWND
 
     def on_loss(self, now: float) -> None:
         self.epoch_start = None

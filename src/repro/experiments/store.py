@@ -4,7 +4,8 @@ This module makes the identity→result contract durable across every sweep,
 benchmark and report run.  A :class:`CellStore` is a directory of
 **write-once files, one per cell**::
 
-    meta.json          {"format": "repro.cellstore/v2", "key_algorithm": ...}
+    meta.json          {"code": ..., "format": "repro.cellstore/v2",
+                        "key_algorithm": ...}
     cells/<key>.json   {"record": {...}, "wall_time_s": 1.23}
 
 * the store key of a record is a stable hash
@@ -22,7 +23,12 @@ benchmark and report run.  A :class:`CellStore` is a directory of
   :class:`ValueError` — the store would mix incompatible computations;
 * ``get`` checks that the record's identity hashes to the file's key, so a
   damaged or misplaced file is an error naming its path, never a silently
-  wrong result.
+  wrong result;
+* ``meta.json``'s ``code`` is :func:`code_digest` of the code that made the
+  store, and a store made by other code is refused: a key names a cell's
+  identity, not the code that computed it, so a store warmed before a
+  behaviour change would serve the old numbers.  Keys, and so every cell
+  file name, do not depend on the code.
 
 The store holds no open handle and no in-memory index: every call looks at
 the directory, so any number of processes may share one store.  It serves a
@@ -39,10 +45,11 @@ cell ever computed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .results import cell_identity_key, write_atomic
 
@@ -50,6 +57,7 @@ __all__ = [
     "STORE_FORMAT",
     "STORE_KEY_ALGORITHM",
     "CellStore",
+    "code_digest",
     "store_key",
 ]
 
@@ -62,6 +70,36 @@ STORE_KEY_ALGORITHM = "sha256/cell-identity-json/v1"
 
 _CELL_DIR = "cells"
 _META_NAME = "meta.json"
+
+#: The ``repro`` package directory, whose ``.py`` files :func:`code_digest`
+#: covers.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``.py`` file
+    in the ``repro`` package: 64 lowercase hex chars, computed once per
+    process.  Each file enters as its ``/``-separated path, a NUL, its byte
+    length and its bytes, so no two trees share a digest by shifting bytes
+    from one file to the next.  Documentation outside the package does not
+    enter, so a docs-only change keeps a store warm.
+    """
+    files: List[Tuple[str, str]] = []
+    for directory, _, names in os.walk(_PACKAGE_DIR):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                relative = os.path.relpath(path, _PACKAGE_DIR)
+                files.append((relative.replace(os.sep, "/"), path))
+    digest = hashlib.sha256()
+    for relative, path in sorted(files):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest.update(relative.encode("utf-8") + b"\0")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def store_key(cell_params: Dict[str, Any]) -> str:
@@ -117,8 +155,16 @@ class CellStore:
                     f"{meta.get('key_algorithm')!r}, this code uses "
                     f"{STORE_KEY_ALGORITHM!r}; refusing to mix key universes"
                 )
+            if meta.get("code") != code_digest():
+                raise ValueError(
+                    f"{self.root} holds cells computed by other code (its "
+                    f"code digest {meta.get('code')!r}, this code's "
+                    f"{code_digest()!r}); delete it or pass a fresh --store "
+                    f"directory"
+                )
             return
         write_atomic(meta_path, (json.dumps({
+            "code": code_digest(),
             "format": STORE_FORMAT,
             "key_algorithm": STORE_KEY_ALGORITHM,
         }, sort_keys=True), "\n"))

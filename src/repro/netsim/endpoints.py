@@ -33,9 +33,9 @@ from typing import Callable, Deque, Optional, Sequence
 
 from ..units import BITS_PER_BYTE
 from .engine import Event, Simulator
-from .packet import DEFAULT_MSS, Packet
+from .packet import ACK_SIZE_BYTES, DEFAULT_MSS, Packet
 from .route import Path
-from .stats import FlowStats, RTTEstimator, SequenceTracker
+from .stats import BIN_WIDTH, FlowStats, RTTEstimator, SequenceTracker
 
 __all__ = [
     "Receiver",
@@ -77,20 +77,45 @@ class Receiver:
         self._reverse_route = route
 
     def receive(self, packet: Packet) -> None:
-        """Handle one arriving data packet: account it and echo an ACK."""
+        """Handle one arriving data packet: account it and echo an ACK.
+
+        The ACK echoes the data packet's ``packet_id``, ``data_seq`` and send
+        timestamp, so the sender takes an exact RTT sample from it.
+        """
         if packet.is_ack:
             raise RuntimeError("receiver got an ACK packet on the data path")
-        if packet.is_probe:
-            is_new = False
-        else:
-            is_new = self.delivered.add(packet.data_seq)
         now = self.sim.now
-        self.stats.record_delivery(now, packet.size_bytes, is_new)
+        size = packet.size_bytes
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += size
+        is_new = False
+        if not packet.is_probe:
+            delivered = self.delivered
+            seq = packet.data_seq
+            if seq == delivered.next_expected and not delivered._above:
+                delivered.next_expected = seq + 1
+                delivered.count += 1
+                is_new = True
+            else:
+                is_new = delivered.add(seq)
+        if is_new:
+            stats.unique_bytes_delivered += size
+            bins = stats.delivered_bins._bins
+            index = int(now / BIN_WIDTH)
+            bins[index] = bins.get(index, 0.0) + size
+        else:
+            stats.duplicate_packets += 1
         route = self._reverse_route
         if route is None:
             return
-        self._ack_packet_id += 1
-        route.send(packet.make_ack(self._ack_packet_id, now))
+        self._ack_packet_id = ack_id = self._ack_packet_id + 1
+        ack = Packet(packet.flow_id, ack_id, packet.data_seq, ACK_SIZE_BYTES, now,
+                     is_ack=True, is_probe=packet.is_probe)
+        ack.acked_packet_id = packet.packet_id
+        ack.ack_sent_time = packet.sent_time
+        ack.route = route
+        route.links[0].enqueue(ack)
 
 
 class SenderBase:
@@ -135,6 +160,10 @@ class SenderBase:
         self._rto_deadline = math.inf
         self._started = False
         self.completed = False
+        #: Called with every packet sent and its send time, or ``None``: a
+        #: rate controller's ``on_packet_sent``; window controllers hear
+        #: nothing per packet sent.
+        self._packet_sent_hook: Optional[Callable[[Packet, float], None]] = None
         #: Called once when a finite flow finishes (all segments acknowledged),
         #: after the sender has let go of its path and controller;
         #: ``run_flows`` sets it so the flow's record drops the endpoints too.
@@ -179,7 +208,8 @@ class SenderBase:
     # Transmission
     # ------------------------------------------------------------------ #
     def _next_data_seq(self) -> Optional[tuple[int, bool]]:
-        """Pick the next segment to transmit: retransmissions take priority."""
+        """Pick the next segment to transmit: retransmissions take priority
+        (``_transmit`` takes new data itself when none is queued)."""
         while self._retransmit_queue:
             seq = self._retransmit_queue.popleft()
             self._retransmit_pending.discard(seq)
@@ -198,11 +228,17 @@ class SenderBase:
             return None
         if is_probe:
             seq, retransmission = -1, False
-        else:
+        elif self._retransmit_queue:
             choice = self._next_data_seq()
             if choice is None:
                 return None
             seq, retransmission = choice
+        else:
+            seq = self._next_new_seq
+            if self.total_segments is not None and seq >= self.total_segments:
+                return None
+            self._next_new_seq = seq + 1
+            retransmission = False
         packet_id = self._next_packet_id
         self._next_packet_id += 1
         sim = self.sim
@@ -213,17 +249,23 @@ class SenderBase:
             mi_id=mi_id, is_retransmission=retransmission, is_probe=is_probe,
         )
         self._outstanding[packet_id] = packet
-        self.stats.record_send(now, mss, retransmission)
+        stats = self.stats
+        if stats.first_send_time is None:
+            stats.first_send_time = now
+        stats.packets_sent += 1
+        stats.bytes_sent += mss
+        if retransmission:
+            stats.retransmissions += 1
         # Push the RTO deadline out; arm the timer only if none is pending.
         self._rto_deadline = deadline = now + self.rtt.rto
         if self._rto_event is None:
             self._rto_event = sim.schedule_at(deadline, self._handle_rto)
-        self.path.forward_route.send(packet)
-        self._on_packet_sent(packet)
+        route = self.path.forward_route
+        packet.route = route
+        route.links[0].enqueue(packet)
+        if self._packet_sent_hook is not None:
+            self._packet_sent_hook(packet, now)
         return packet
-
-    def _on_packet_sent(self, record: Packet) -> None:
-        """Hook for subclasses (e.g. notify the rate controller)."""
 
     # ------------------------------------------------------------------ #
     # Acknowledgement handling
@@ -242,9 +284,21 @@ class SenderBase:
         self.rtt.update(rtt_sample)
         newly_acked = False
         if record is not None:
-            self.stats.record_ack(record.size_bytes, rtt_sample)
+            stats = self.stats
+            stats.packets_acked += 1
+            stats.bytes_acked += record.size_bytes
+            if rtt_sample > 0:
+                stats.rtt_sum += rtt_sample
+                stats.rtt_count += 1
             if not record.is_probe:
-                newly_acked = self._acked_segments.add(record.data_seq)
+                acked = self._acked_segments
+                seq = record.data_seq
+                if seq == acked.next_expected and not acked._above:
+                    acked.next_expected = seq + 1
+                    acked.count += 1
+                    newly_acked = True
+                else:
+                    newly_acked = acked.add(seq)
             if record.packet_id > self._highest_acked_packet_id:
                 self._highest_acked_packet_id = record.packet_id
         # Loss inference: everything sent DUPACK_THRESHOLD packet-ids before the
@@ -520,7 +574,7 @@ class RateBasedSender(SenderBase):
         self.controller = controller
         # Optional controller hooks, resolved once: a bound method or None.
         self._controller_mi_id = getattr(controller, "current_mi_id", None)
-        self._controller_packet_sent = getattr(controller, "on_packet_sent", None)
+        self._packet_sent_hook = getattr(controller, "on_packet_sent", None)
         self._controller_timeout = getattr(controller, "on_timeout", None)
         self._controller_flow_start = getattr(controller, "on_flow_start", None)
         self._pacing_timer: Optional[Event] = None
@@ -537,7 +591,7 @@ class RateBasedSender(SenderBase):
             self._pacing_timer = None
         # The controller holds this sender (PCC binds to it at flow start).
         self.controller = None
-        self._controller_mi_id = self._controller_packet_sent = None
+        self._controller_mi_id = self._packet_sent_hook = None
         self._controller_timeout = self._controller_flow_start = None
 
     # -- pacing ---------------------------------------------------------------
@@ -586,10 +640,6 @@ class RateBasedSender(SenderBase):
         return packets
 
     # -- controller callbacks -------------------------------------------------
-    def _on_packet_sent(self, record: Packet) -> None:
-        if self._controller_packet_sent is not None:
-            self._controller_packet_sent(record, record.sent_time)
-
     def _on_ack(self, record, rtt_sample: float, newly_acked: bool) -> None:
         if record is None:
             return

@@ -4,10 +4,13 @@ The engine is a classic binary-heap event-list simulator built on
 :mod:`heapq`.  It is deliberately small and allocation-light because every
 packet transmission, propagation, queue service and timer in the network
 simulator turns into one or more events, and the PCC evaluation scenarios push
-hundreds of thousands of packets through it.  Heap entries are
-``(time, seq, event)`` tuples, so ordering is C tuple comparison that never
-looks past the unique ``seq``, and :meth:`Simulator.schedule_at` is the one
-place that pushes.
+hundreds of thousands of packets through it.  A heap entry is a four-item
+list ``[time, seq, callback, args]``, so ordering is C list comparison that
+never looks past the unique ``seq``.  :meth:`Simulator.schedule_at` pushes an
+:class:`Event`, the entry itself with a cancel handle; a
+:class:`~repro.netsim.link.Link`, whose event times are always now plus a
+finite, non-negative amount, pushes plain entries through :attr:`Simulator.push`
+and :attr:`Simulator.seq` without a frame of its own.
 
 Determinism matters: two runs with the same seed must produce identical
 results so that experiments and tests are reproducible.  Ties in event time are
@@ -19,8 +22,10 @@ simulator.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
+from functools import partial
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -30,38 +35,43 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the heap entry ``[time, seq, callback, args]``.
 
     Events are returned by :meth:`Simulator.schedule` so callers can cancel
     them later (for example, a retransmission timer that is no longer needed).
-    Cancellation is lazy: the event stays in the heap but is skipped when it
-    reaches the front.  The owning simulator counts its cancelled backlog and
-    compacts the heap once dead events dominate, so heavy cancellation (e.g.
-    per-MI completion timers) cannot inflate heap operations for a whole run.
+    Cancellation is lazy: the entry stays in the heap with its callback and
+    arguments cleared and is skipped when it reaches the front.  The owning
+    simulator counts its cancelled backlog and compacts the heap once dead
+    entries dominate, so heavy cancellation (e.g. per-MI completion timers)
+    cannot inflate heap operations for a whole run.  A fired entry has its
+    callback cleared but keeps its arguments, so a late :meth:`cancel` is a
+    no-op and :attr:`cancelled` stays false.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "sim")
+    __slots__ = ("sim",)
 
-    def __init__(self, time: float, callback: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
+    @property
+    def time(self) -> float:
+        """Absolute simulated time the callback runs at."""
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` took the event out before it fired."""
+        return self[3] is None
 
     def cancel(self) -> None:
         """Mark the event so it will not fire."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.sim is not None:
-                self.sim._note_cancelled()
+        if self[2] is not None:
+            self[2] = self[3] = None
+            self.sim._cancelled_pending += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, {name}, {state})"
+        state = ("cancelled" if self.cancelled else
+                 "fired" if self[2] is None else "pending")
+        name = getattr(self[2], "__qualname__", repr(self[2]))
+        return f"Event(t={self[0]:.6f}, {name}, {state})"
 
 
 class Simulator:
@@ -79,10 +89,14 @@ class Simulator:
     def __init__(self, seed: Optional[int] = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        #: Heap of ``(time, seq, event)``; ``seq`` is unique, so comparison
-        #: never reaches the event.
-        self._queue: list[tuple[float, int, Event]] = []
-        self._seq = 0
+        #: Heap of ``[time, seq, callback, args]``; ``seq`` is unique, so
+        #: comparison never reaches the callback.
+        self._queue: list[list] = []
+        #: ``next(seq)`` numbers entries in push order, the tie-break at one
+        #: instant; ``push(entry)`` is ``heappush`` bound to the heap at C
+        #: level.  A link pushes its own entries with the two.
+        self.seq = itertools.count()
+        self.push = partial(heapq.heappush, self._queue)
         self._events_processed = 0
         self._cancelled_pending = 0
         self._stopped = False
@@ -98,22 +112,18 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.9f}, which is before now={self.now:.9f}"
-            )
-        if not math.isfinite(time):
+        if not self.now <= time < math.inf:
+            if time < self.now:
+                raise SimulationError(
+                    f"cannot schedule at t={time:.9f}, which is before now={self.now:.9f}"
+                )
             raise SimulationError("event time must be finite")
-        event = Event(time, callback, args, self)
-        heapq.heappush(self._queue, (time, self._seq, event))
-        self._seq += 1
+        event = Event((time, next(self.seq), callback, args))
+        event.sim = self
+        self.push(event)
         if self._cancelled_pending > 256 and self._cancelled_pending * 2 > len(self._queue):
             self._compact()
         return event
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` to account the lazily-dead backlog."""
-        self._cancelled_pending += 1
 
     def _compact(self) -> None:
         """Drop cancelled events from the heap in place and re-heapify.
@@ -122,7 +132,7 @@ class Simulator:
         an event callback is seen by the local heap reference held by
         :meth:`_drain`.
         """
-        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
+        self._queue[:] = [entry for entry in self._queue if entry[2] is not None]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -162,15 +172,16 @@ class Simulator:
         while queue and not self._stopped:
             if queue[0][0] > limit:
                 break
-            time, _, event = heappop(queue)
-            if event.cancelled:
+            entry = heappop(queue)
+            time, _, callback, args = entry
+            if callback is None:
                 self._cancelled_pending -= 1
                 continue
-            # Detach fired events so a late cancel() (a handle cancelled
-            # after firing) cannot inflate the heap-backlog counter.
-            event.sim = None
+            # Clear the fired entry's callback so a late cancel() (a handle
+            # cancelled after firing) cannot inflate the heap-backlog counter.
+            entry[2] = None
             self.now = time
-            event.callback(*event.args)
+            callback(*args)
             self._events_processed += 1
 
     def stop(self) -> None:

@@ -18,10 +18,11 @@ modelled by rescheduling parameter changes (see :mod:`repro.netsim.dynamics`).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
-from .engine import Event, Simulator
+from .engine import Simulator
 from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
 
@@ -87,16 +88,10 @@ class Link:
         loss_rate: float = 0.0,
         name: str = "",
     ):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         self.sim = sim
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.delay_s = float(delay_s)
-        self.loss_rate = float(loss_rate)
+        self.set_bandwidth(bandwidth_bps)
+        self.set_delay(delay_s)
+        self.set_loss_rate(loss_rate)
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
         self.queue.on_drop = self._record_queue_drop
         # Randomized disciplines (RED, PIE) draw from the simulator RNG;
@@ -108,12 +103,19 @@ class Link:
         self.stats = LinkStats()
         #: Absolute simulated time at which the current serialization ends.
         self._busy_until = 0.0
-        #: The single chained service-completion event, live only while a
-        #: packet is being serialized *and* more packets are waiting (or one
-        #: arrived mid-serialization).  Packets that find the link idle are
-        #: served inline with no service event at all, so an uncongested link
-        #: costs one event per packet (the delivery) instead of two.
-        self._service_event: Optional[Event] = None
+        #: Whether the single chained service entry is in the heap: only
+        #: while a packet is being serialized *and* more packets are waiting
+        #: (or one arrived mid-serialization).  Packets that find the link
+        #: idle are served inline with no service entry at all, so an
+        #: uncongested link costs one event per packet (the delivery) instead
+        #: of two.  The entry calls :meth:`_serve_next`, which clears this.
+        self._service_pending = False
+        # Every time this link schedules is now plus a finite, non-negative
+        # amount (the parameters are checked on every write), so it pushes
+        # its own heap entries, ``[time, seq, callback, args]``, without
+        # the simulator's checks or an Event handle: nothing cancels them.
+        self._push = sim.push
+        self._seq = sim.seq
         #: Optional hook invoked for every packet lost on this link (random loss
         #: or queue drop); receives the packet.  Used by per-flow statistics.
         self.on_loss: Optional[Callable[[Packet], None]] = None
@@ -123,13 +125,13 @@ class Link:
     # ------------------------------------------------------------------ #
     def set_bandwidth(self, bandwidth_bps: Bps) -> None:
         """Change the serialization rate; takes effect for the next packet."""
-        if bandwidth_bps <= 0:
+        if not 0.0 < bandwidth_bps < math.inf:
             raise ValueError("bandwidth_bps must be positive")
         self.bandwidth_bps = float(bandwidth_bps)
 
     def set_delay(self, delay_s: Seconds) -> None:
         """Change the propagation delay; packets already in flight are unaffected."""
-        if delay_s < 0:
+        if not 0.0 <= delay_s < math.inf:
             raise ValueError("delay_s must be non-negative")
         self.delay_s = float(delay_s)
 
@@ -145,32 +147,31 @@ class Link:
     def enqueue(self, packet: Packet) -> None:
         """Offer ``packet`` to the link: queue it and start serializing if idle."""
         now = self.sim.now
-        accepted = self.queue.enqueue(packet, now)
-        if not accepted:
+        if not self.queue.enqueue(packet, now):
             return
-        if self._service_event is not None:
-            return  # a chained service completion will pick the packet up
+        if self._service_pending:
+            return  # a chained service entry will pick the packet up
         if now >= self._busy_until:
             self._serve_next()
         else:
             # Arrived mid-serialization with no chain pending: wake the link
-            # when the in-flight packet finishes.
-            self._service_event = self.sim.schedule(
-                self._busy_until - now, self._service_done
-            )
+            # when the in-flight packet finishes.  The time is ``now + (busy -
+            # now)``, not ``busy``: the two can differ in the last bit, and
+            # every seeded result rests on these times bit for bit.
+            self._service_pending = True
+            self._push([now + (self._busy_until - now), next(self._seq),
+                        self._serve_next, ()])
 
     def _record_queue_drop(self, packet: Packet) -> None:
         self.stats.packets_queue_dropped += 1
         if self.on_loss is not None:
             self.on_loss(packet)
 
-    def _service_done(self) -> None:
-        self._service_event = None
-        self._serve_next()
-
     def _serve_next(self) -> None:
-        sim = self.sim
-        now = sim.now
+        """Start serializing the next queued packet (the chained service
+        entry's callback, or inline for a packet that found the link idle)."""
+        self._service_pending = False
+        now = self.sim.now
         packet = self.queue.dequeue(now)
         if packet is None:
             return
@@ -185,18 +186,24 @@ class Link:
         stats.packets_sent += 1
         stats.bytes_sent += size_bytes
         # Chain the next service completion BEFORE invoking the loss hook: a
-        # re-entrant enqueue from on_loss must see either the chain event or a
-        # consistent busy window, never overwrite the handle set below.
+        # re-entrant enqueue from on_loss must see either the chain entry or
+        # a consistent busy window.
         if self.queue.packets_queued > 0:
-            self._service_event = sim.schedule_at(busy_until, self._service_done)
-        if self.loss_rate > 0.0 and sim.rng.random() < self.loss_rate:
+            self._service_pending = True
+            self._push([busy_until, next(self._seq), self._serve_next, ()])
+        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
             stats.packets_randomly_lost += 1
             if self.on_loss is not None:
                 self.on_loss(packet)
         else:
-            # ``now + delay`` is the addition ``schedule(delay, ...)`` performs,
-            # so event times are bit-identical to going through it.
-            sim.schedule_at(now + (serialization + self.delay_s), route.advance, packet)
+            # The delivery entry calls the next hop directly: the next link's
+            # enqueue, or the destination after the last link.  The time is
+            # ``now + (serialization + delay)`` in that grouping, for the
+            # same bit-for-bit reason as in ``enqueue``.
+            hop = packet.hop
+            packet.hop = hop + 1
+            self._push([now + (serialization + self.delay_s), next(self._seq),
+                        route.hops[hop], (packet,)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "link"

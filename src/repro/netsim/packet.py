@@ -82,19 +82,6 @@ class Packet:
         # Probe packets (e.g. PCP packet trains) carry no application data.
         self.is_probe = is_probe
 
-    def make_ack(self, packet_id: int, now: float) -> "Packet":
-        """Build the :data:`ACK_SIZE_BYTES` acknowledgement for this data packet.
-
-        The ACK echoes the data packet's ``packet_id``, ``data_seq`` and send
-        timestamp so that the sender can compute an exact RTT sample.
-        """
-        ack = Packet(self.flow_id, packet_id, self.data_seq, ACK_SIZE_BYTES, now,
-                     is_ack=True)
-        ack.acked_packet_id = self.packet_id
-        ack.ack_sent_time = self.sent_time
-        ack.is_probe = self.is_probe
-        return ack
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"
         return (

@@ -220,31 +220,40 @@ class CoDelQueue(QueueDiscipline):
         self._drop_count = 0
         self._last_drop_count = 0
 
-    # -- CoDel helpers -------------------------------------------------------
     def _control_law(self, t: float) -> float:
         return t + _CODEL_INTERVAL / (self._drop_count ** 0.5)
 
-    def _should_drop(self, packet: Packet, now: float) -> bool:
-        sojourn = now - packet.enqueue_time
-        if sojourn < _CODEL_TARGET or self.bytes_queued <= 2 * DEFAULT_MSS:
-            self._first_above_time = 0.0
-            return False
-        if self._first_above_time == 0.0:
-            self._first_above_time = now + _CODEL_INTERVAL
-            return False
-        return now >= self._first_above_time
-
+    # Both do the base class's admit / release bookkeeping and the sojourn
+    # test in their own frame, as DropTailQueue does.
     def enqueue(self, packet: Packet, now: float) -> bool:
-        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+        size = packet.size_bytes
+        if self.bytes_queued + size > self.capacity_bytes:
             return self._drop(packet)
-        self._admit(packet, now)
+        packet.enqueue_time = now
+        self.bytes_queued += size
+        self.packets_queued += 1
+        self.stats.enqueued += 1
         self._fifo.append(packet)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        while self._fifo:
-            packet = self._release(self._fifo.popleft())
-            ok_to_drop = self._should_drop(packet, now)
+        fifo = self._fifo
+        while fifo:
+            packet = fifo.popleft()
+            self.bytes_queued -= packet.size_bytes
+            self.packets_queued -= 1
+            self.stats.dequeued += 1
+            # Sojourn above target, with more than two packets' worth left,
+            # for a whole interval makes the packet a drop candidate.
+            if (now - packet.enqueue_time < _CODEL_TARGET
+                    or self.bytes_queued <= 2 * DEFAULT_MSS):
+                self._first_above_time = 0.0
+                ok_to_drop = False
+            elif self._first_above_time == 0.0:
+                self._first_above_time = now + _CODEL_INTERVAL
+                ok_to_drop = False
+            else:
+                ok_to_drop = now >= self._first_above_time
             if self._dropping:
                 if not ok_to_drop:
                     self._dropping = False
@@ -442,14 +451,13 @@ class FairQueue(QueueDiscipline):
             child.attach_rng(rng)
 
     def _child(self, flow_id: int) -> QueueDiscipline:
-        child = self._flows.get(flow_id)
-        if child is None:
-            child = self._child_factory()
-            child.on_drop = self._child_drop
-            if self.rng is not None:
-                child.attach_rng(self.rng)
-            self._flows[flow_id] = child
-            self._deficits[flow_id] = 0.0
+        """Build the child of a flow seen for the first time."""
+        child = self._child_factory()
+        child.on_drop = self._child_drop
+        if self.rng is not None:
+            child.attach_rng(self.rng)
+        self._flows[flow_id] = child
+        self._deficits[flow_id] = 0.0
         return child
 
     def _child_drop(self, packet: Packet) -> None:
@@ -462,7 +470,9 @@ class FairQueue(QueueDiscipline):
             self.on_drop(packet)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        child = self._child(packet.flow_id)
+        child = self._flows.get(packet.flow_id)
+        if child is None:
+            child = self._child(packet.flow_id)
         # Admit into aggregate book-keeping first.  Child disciplines own
         # their drop accounting: every packet a child rejects or AQM-drops
         # must pass through the child's own ``_drop``, whose ``on_drop`` hook
@@ -496,18 +506,18 @@ class FairQueue(QueueDiscipline):
         # one at a time).  Each iteration either returns a packet, removes an
         # emptied flow from the active list, or grants the head flow a quantum
         # and rotates it to the back — so the loop terminates whenever packets
-        # remain and the quantum is positive.
+        # remain and the quantum is positive.  Every child keeps its packets
+        # in ``_fifo``, head first, so a backlogged child's head is read
+        # there without a call.
         while self._active and self.packets_queued > 0:
             flow_id = self._active[0]
             child = self._flows[flow_id]
-            if len(child) == 0:
+            if child.packets_queued == 0:
                 self._active.popleft()
                 self._active_set.discard(flow_id)
                 self._deficits[flow_id] = 0.0
                 continue
-            head = self._peek_child(child)
-            head_size = head.size_bytes if head is not None else _DRR_QUANTUM_BYTES
-            if self._deficits[flow_id] < head_size:
+            if self._deficits[flow_id] < child._fifo[0].size_bytes:
                 self._deficits[flow_id] += _DRR_QUANTUM_BYTES
                 self._active.rotate(-1)
                 continue
@@ -519,18 +529,11 @@ class FairQueue(QueueDiscipline):
             self.bytes_queued -= packet.size_bytes
             self.packets_queued -= 1
             self.stats.dequeued += 1
-            if len(child) == 0:
+            if child.packets_queued == 0:
                 self._active.popleft()
                 self._active_set.discard(flow_id)
                 self._deficits[flow_id] = 0.0
             return packet
-        return None
-
-    @staticmethod
-    def _peek_child(child: QueueDiscipline) -> Optional[Packet]:
-        fifo = getattr(child, "_fifo", None)
-        if fifo:
-            return fifo[0]
         return None
 
 

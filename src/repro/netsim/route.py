@@ -3,9 +3,10 @@
 All experiments in the paper use static paths (an Emulab/GENI path does not
 re-route during a run), so instead of modelling routers and forwarding tables
 we attach a :class:`Route` to every packet: an ordered list of links ending at
-a destination callback.  Links schedule :meth:`Route.advance` as the delivery
-event itself (no link-side frame in between); the route either injects the
-packet into the next link or hands it to the endpoint.
+a destination callback.  ``Route.hops[i]`` is what a packet leaving link ``i``
+reaches: the next link's ``enqueue``, or the destination after the last link.
+A link's delivery event calls that entry directly, so no frame of the route's
+sits between two hops.
 
 The same mechanism is used for the forward (data) and reverse (ACK) direction;
 a :class:`Path` bundles the two for convenience.
@@ -25,7 +26,7 @@ __all__ = ["Route", "Path"]
 class Route:
     """An ordered sequence of links terminating at a destination callback."""
 
-    __slots__ = ("links", "destination")
+    __slots__ = ("links", "hops", "_destination")
 
     def __init__(self, links: Sequence[Link], destination: Callable[[Packet], None]):
         if not links:
@@ -33,20 +34,22 @@ class Route:
         self.links = tuple(links)
         self.destination = destination
 
+    @property
+    def destination(self) -> Callable[[Packet], None]:
+        """Where a packet goes after the last link."""
+        return self._destination
+
+    @destination.setter
+    def destination(self, destination: Callable[[Packet], None]) -> None:
+        self._destination = destination
+        #: The callable a packet leaving link ``i`` is handed to.
+        self.hops = tuple(link.enqueue for link in self.links[1:]) + (destination,)
+
     def send(self, packet: Packet) -> None:
         """Inject ``packet`` at the head of the route."""
         packet.route = self
         packet.hop = 0
         self.links[0].enqueue(packet)
-
-    def advance(self, packet: Packet) -> None:
-        """Move ``packet`` to its next hop (the event a link schedules per delivery)."""
-        packet.hop = hop = packet.hop + 1
-        links = self.links
-        if hop < len(links):
-            links[hop].enqueue(packet)
-        else:
-            self.destination(packet)
 
     @property
     def propagation_delay(self) -> Seconds:

@@ -28,7 +28,11 @@ _MAX_RTO = 60.0
 
 
 class BinnedSeries:
-    """Accumulates values into :data:`BIN_WIDTH` time bins starting at t=0."""
+    """Accumulates values into :data:`BIN_WIDTH` time bins starting at t=0.
+
+    The receiver adds each delivered packet to ``_bins`` in its own frame,
+    with the arithmetic of :meth:`add`.
+    """
 
     def __init__(self) -> None:
         self._bins: dict[int, float] = {}
@@ -60,7 +64,9 @@ class SequenceTracker:
 
     Keeps the contiguous frontier (``next_expected``) plus the sparse set of
     out-of-order sequences above it, so memory stays proportional to the
-    reordering window rather than the whole flow.
+    reordering window rather than the whole flow.  The endpoints advance the
+    frontier in place for the in-order sequence with nothing above it, and
+    call :meth:`add` for every other one.
     """
 
     def __init__(self) -> None:
@@ -157,34 +163,11 @@ class FlowStats:
         self.delivered_bins = BinnedSeries()
 
     # ------------------------------------------------------------------ #
-    # Recording
+    # Recording: the endpoint that holds a packet writes the per-packet
+    # counters and ``delivered_bins`` in its own frame; losses come here.
     # ------------------------------------------------------------------ #
-    def record_send(self, time: float, size_bytes: int, retransmission: bool) -> None:
-        if self.first_send_time is None:
-            self.first_send_time = time
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
-        if retransmission:
-            self.retransmissions += 1
-
-    def record_ack(self, size_bytes: int, rtt: float) -> None:
-        self.packets_acked += 1
-        self.bytes_acked += size_bytes
-        if rtt > 0:
-            self.rtt_sum += rtt
-            self.rtt_count += 1
-
     def record_loss(self, count: int = 1) -> None:
         self.packets_lost += count
-
-    def record_delivery(self, time: float, size_bytes: int, is_new: bool) -> None:
-        self.packets_delivered += 1
-        self.bytes_delivered += size_bytes
-        if is_new:
-            self.unique_bytes_delivered += size_bytes
-            self.delivered_bins.add(time, size_bytes)
-        else:
-            self.duplicate_packets += 1
 
     # ------------------------------------------------------------------ #
     # Derived metrics

@@ -27,6 +27,16 @@ class TestJainIndex:
     def test_all_zero_is_fair(self):
         assert jain_index([0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("allocations, index", [
+        ([1.2313128469527142e-157] * 3, 1.0),   # subnormal squares: was 1+3.6e-11
+        ([1e-170, 0.0], 0.5),                   # squares underflow to 0: was 1.0
+        ([5e-324, 5e-324, 0.0, 0.0], 0.5),
+    ])
+    def test_tiny_allocations_keep_their_index(self, allocations, index):
+        """Found by ``test_jain_index_bounds``: squares below the smallest
+        normal float lose their precision, so the index left [1/n, 1]."""
+        assert jain_index(allocations) == pytest.approx(index, rel=1e-12)
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             jain_index([])

@@ -7,6 +7,7 @@ corrupt each other, and the one thing a crash can leave (a temp file) is
 invisible.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,10 +16,12 @@ import re
 import pytest
 
 from repro.experiments.results import cell_identity_key
+from repro.experiments import store as store_module
 from repro.experiments.store import (
     STORE_FORMAT,
     STORE_KEY_ALGORITHM,
     CellStore,
+    code_digest,
     store_key,
 )
 
@@ -169,8 +172,56 @@ class TestMetadata:
         CellStore(root)
         with open(os.path.join(root, "meta.json")) as handle:
             meta = json.load(handle)
-        assert meta == {"format": STORE_FORMAT,
+        assert meta == {"code": code_digest(), "format": STORE_FORMAT,
                         "key_algorithm": STORE_KEY_ALGORITHM}
+
+    def test_store_written_by_other_code_rejected(self, tmp_path,
+                                                  monkeypatch):
+        """A key names a cell's identity, not the code that computed it, so
+        a store warmed by other code would serve that code's numbers: it is
+        refused, naming both digests, and left as it was found."""
+        root = str(tmp_path / "store")
+        with CellStore(root) as store:
+            store.put(record_for(0))
+        written = code_digest()
+        monkeypatch.setattr(store_module, "code_digest", lambda: "f" * 64)
+        with pytest.raises(ValueError, match=(
+                f"other code .*{written}.*{'f' * 64}.*fresh --store")):
+            CellStore(root)
+        monkeypatch.undo()
+        assert CellStore(root).get(record_for(0)["cell"]) is not None
+
+    def test_store_without_a_code_digest_rejected(self, tmp_path):
+        """A store whose ``meta.json`` names no code (one made before the
+        digest was recorded) is refused too."""
+        root = str(tmp_path / "store")
+        os.makedirs(root)
+        with open(os.path.join(root, "meta.json"), "w") as handle:
+            json.dump({"format": STORE_FORMAT,
+                       "key_algorithm": STORE_KEY_ALGORITHM}, handle)
+        with pytest.raises(ValueError, match="other code .*None"):
+            CellStore(root)
+        assert os.listdir(root) == ["meta.json"]
+
+    def test_code_digest_covers_every_module_of_the_package(self):
+        """64 hex chars, one value per process, and a function of the
+        package's ``.py`` files: the digest of their paths and bytes,
+        recomputed here independently, matches."""
+        package = os.path.dirname(os.path.dirname(store_module.__file__))
+        files = sorted(
+            os.path.relpath(os.path.join(directory, name), package)
+            .replace(os.sep, "/")
+            for directory, _, names in os.walk(package)
+            for name in names if name.endswith(".py"))
+        assert "experiments/store.py" in files and len(files) > 50
+        digest = hashlib.sha256()
+        for relative in files:
+            with open(os.path.join(package, relative), "rb") as handle:
+                data = handle.read()
+            digest.update(relative.encode() + b"\0"
+                          + len(data).to_bytes(8, "big") + data)
+        assert code_digest() == digest.hexdigest()
+        assert code_digest() is code_digest()
 
     def test_foreign_format_rejected(self, tmp_path):
         root = str(tmp_path / "store")

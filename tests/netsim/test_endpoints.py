@@ -10,8 +10,10 @@ import pytest
 from repro.cc import NewRenoController
 from repro.core import PCCScheme
 from repro.netsim import (
+    ACK_SIZE_BYTES,
     DEFAULT_MSS,
     FlowStats,
+    Packet,
     Path,
     Receiver,
     Simulator,
@@ -288,7 +290,12 @@ class TestReceiveAckShortCuts:
 
     @staticmethod
     def ack(sim, sender, packet):
-        sender.receive_ack(packet.make_ack(packet.packet_id, sim.now))
+        """Hand ``sender`` the ACK a receiver echoes for ``packet`` now."""
+        ack = Packet(packet.flow_id, packet.packet_id, packet.data_seq,
+                     ACK_SIZE_BYTES, sim.now, is_ack=True)
+        ack.acked_packet_id = packet.packet_id
+        ack.ack_sent_time = packet.sent_time
+        sender.receive_ack(ack)
 
     def test_usual_ack_leaves_what_the_methods_would(self):
         sim, sender, sent = self.in_flight()

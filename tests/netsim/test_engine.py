@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from repro.netsim.engine import SimulationError, Simulator
+from repro.netsim.engine import Event, SimulationError, Simulator
+from repro.netsim.link import Link
+from repro.netsim.packet import Packet
+from repro.netsim.route import Route
 
 
 class TestScheduling:
@@ -56,6 +59,39 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_at(math.inf, lambda: None)
+
+    @pytest.mark.parametrize("time, message", [
+        (math.inf, "must be finite"), (math.nan, "must be finite"),
+        (-math.inf, "before now"), (0.5, "before now"),
+    ])
+    def test_one_compare_keeps_both_messages(self, time, message):
+        sim = Simulator()
+        sim.run(1.0)
+        with pytest.raises(SimulationError, match=message):
+            sim.schedule_at(time, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_an_event_is_its_own_heap_entry(self):
+        sim = Simulator()
+        sim.schedule(1.0, print)
+        event = sim.schedule_at(2.0, print, "x")
+        assert isinstance(event, Event) and isinstance(event, list)
+        assert sim._queue[1] is event
+        assert event == [2.0, 1, print, ("x",)]
+        assert (event.time, event.cancelled) == (2.0, False)
+
+    def test_link_and_scheduled_entries_at_one_instant_fire_in_push_order(self):
+        """A link pushes its own entries with the simulator's counter, so at
+        one instant they interleave with ``schedule_at``'s in push order."""
+        sim = Simulator()
+        order = []
+        link = Link(sim, bandwidth_bps=12_000, delay_s=0.0)   # 1 s per packet
+        route = Route([link], lambda packet: order.append(packet.packet_id))
+        sim.schedule_at(1.0, order.append, "before")
+        sim.schedule_at(0.0, route.send, Packet(1, 0, 0, 1500, 0.0))
+        sim.schedule_at(0.0, sim.schedule_at, 1.0, order.append, "after")
+        sim.run(2.0)
+        assert order == ["before", 0, "after"]
 
     def test_same_instant_entries_never_compare_payloads(self):
         """Heap entries order on (time, seq) alone: lambdas and dicts, which
@@ -155,6 +191,38 @@ class TestHeapCompaction:
         sim.run(10.0)
         assert fired == list(range(300)) + [1000, 1001, 1002, "last"]
         assert sim.events_processed == 304
+
+    def test_cancel_after_firing_leaves_the_counter_alone(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, fired.append, "x")
+        sim.run(1.0)
+        event.cancel()
+        assert fired == ["x"] and sim._cancelled_pending == 0
+        assert not event.cancelled
+        pending = sim.schedule(2.0, fired.append, "y")
+        pending.cancel()
+        assert pending.cancelled and sim._cancelled_pending == 1
+
+    def test_compaction_keeps_link_pushed_entries(self):
+        """Entries a link pushed (serialization chain and deliveries) have no
+        handle and survive a compaction triggered by dead timers."""
+        sim = Simulator()
+        arrivals = []
+        link = Link(sim, bandwidth_bps=12_000_000, delay_s=0.5)
+        route = Route([link], lambda packet: arrivals.append(packet.packet_id))
+        for packet_id in range(5):
+            route.send(Packet(1, packet_id, packet_id, 1500, 0.0))
+        link_entries = sim.pending_events
+        assert link_entries == 2      # the first delivery and the chain
+        for event in [sim.schedule(0.1, arrivals.append, "dead")
+                      for _ in range(300)]:
+            event.cancel()
+        sim.schedule(0.2, arrivals.append, "live")
+        assert sim.pending_events == link_entries + 1
+        sim.run_until_idle()
+        assert arrivals == ["live", 0, 1, 2, 3, 4]
+        assert sim.events_processed == 1 + 5 + 4
 
     def test_double_cancel_counts_once(self):
         sim = Simulator()

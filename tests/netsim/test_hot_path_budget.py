@@ -4,8 +4,8 @@ packet and per finished flow, and on what start-up imports.
 Counts, not seconds: the same cell makes the same calls on any machine, so
 this cannot flake, and a change that adds a frame to the per-packet path has
 to raise a number here in the open.  The cells are the benchmark's shapes
-(``tcp_aqm``'s droptail part and ``pcc_lossy``'s flow count, clean and at 1 %
-loss both ways) cut to one simulated second.
+(``tcp_aqm``'s droptail, CoDel and FQ-CoDel parts and ``pcc_lossy``'s flow
+count, clean and at 1 % loss both ways) cut to one simulated second.
 """
 
 import cProfile
@@ -38,26 +38,37 @@ from repro.netsim import (
 
 HOT_PACKAGES = ("/repro/netsim/", "/repro/cc/", "/repro/core/")
 
-#: Calls per delivered MSS packet.  Measured when set: cubic 40.9, pcc 67.1,
-#: pcc_lossy (1 % loss on data and ACKs, so ``on_loss -> record_loss`` and the
-#: retransmission queue run) 63.1; before the per-ACK rate series was deleted
-#: and the usual ACK became one sender frame: cubic 51.7, pcc 74.1, pcc_lossy
-#: 70.2; before the pacing rate became a published attribute and the monitor
-#: hooks one frame each: cubic 51.7, pcc 109.5, pcc_lossy 102.6; before tuple
-#: heap entries, single-frame delivery and the packet as its own sent-record:
-#: cubic 99.9, pcc 181.7.
-BUDGETS = {"cubic": 43, "pcc": 69, "pcc_lossy": 65}
+#: Calls per delivered MSS packet.  Measured when set: cubic 19.0, cubic
+#: over CoDel 19.2 and over FQ-CoDel 20.9, pcc 41.2, pcc_lossy (1 % loss on
+#: data and ACKs, so ``on_loss -> record_loss`` and the retransmission queue
+#: run) 39.2; before the event became its own heap entry, links pushed their
+#: own entries and called the next hop, the qdiscs, endpoints and CUBIC did
+#: their bookkeeping in the frame holding the packet: cubic 40.9, cubic_codel
+#: 43.8, cubic_fq_codel 50.8, pcc 67.1, pcc_lossy 63.1; before the per-ACK
+#: rate series was deleted and the usual ACK became one sender frame: cubic
+#: 51.7, pcc 74.1, pcc_lossy 70.2; before the pacing rate became a published
+#: attribute and the monitor hooks one frame each: cubic 51.7, pcc 109.5,
+#: pcc_lossy 102.6; before tuple heap entries, single-frame delivery and the
+#: packet as its own sent-record: cubic 99.9, pcc 181.7.
+BUDGETS = {"cubic": 20, "cubic_codel": 20, "cubic_fq_codel": 21, "pcc": 42,
+           "pcc_lossy": 40}
 
-#: Case -> (scheme, loss rate on the data and the ACK direction).
-CELLS = {"cubic": ("cubic", 0.0), "pcc": ("pcc", 0.0), "pcc_lossy": ("pcc", 0.01)}
+#: Case -> (scheme, loss rate on the data and the ACK direction, qdisc).
+CELLS = {
+    "cubic": ("cubic", 0.0, "droptail"),
+    "cubic_codel": ("cubic", 0.0, "codel"),
+    "cubic_fq_codel": ("cubic", 0.0, "fq_codel"),
+    "pcc": ("pcc", 0.0, "droptail"),
+    "pcc_lossy": ("pcc", 0.01, "droptail"),
+}
 
 
 def calls_per_packet(case: str) -> float:
-    scheme, loss_rate = CELLS[case]
+    scheme, loss_rate, qdisc = CELLS[case]
     cell = SweepCell(index=0, scheme=scheme, bandwidth_bps=100e6, rtt=0.03,
                      loss_rate=loss_rate, reverse_loss=loss_rate > 0,
                      buffer_bytes=None, num_flows=4, duration=1.0,
-                     seed=1, qdisc="droptail")
+                     seed=1, qdisc=qdisc)
     profile = cProfile.Profile()
     try:
         record = profile.runcall(run_cell, cell)

@@ -1,5 +1,7 @@
 """Unit tests for links, routes and paths."""
 
+import math
+
 import pytest
 
 from repro.netsim.engine import Simulator
@@ -106,6 +108,33 @@ class TestLinkLossAndDrops:
         with pytest.raises(ValueError):
             Link(sim, bandwidth_bps=1e6, delay_s=0.0, loss_rate=1.5)
 
+    @pytest.mark.parametrize("bandwidth_bps, delay_s", [
+        (math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01),
+        (1e6, math.nan), (1e6, math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, bandwidth_bps, delay_s):
+        """A link pushes its own heap entries at now plus serialization plus
+        delay, past the engine's finite-time check, so NaN and infinity are
+        refused where they are set, not at the first packet."""
+        sim = Simulator()
+        match = ("bandwidth_bps must be positive"
+                 if not 0 < bandwidth_bps < math.inf
+                 else "delay_s must be non-negative")
+        with pytest.raises(ValueError, match=match):
+            Link(sim, bandwidth_bps=bandwidth_bps, delay_s=delay_s)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_setters_reject_non_finite_values_and_keep_the_old(self, value):
+        sim = Simulator()
+        link = Link(sim, bandwidth_bps=1e6, delay_s=0.01)
+        with pytest.raises(ValueError, match="bandwidth_bps must be positive"):
+            link.set_bandwidth(value)
+        with pytest.raises(ValueError, match="delay_s must be non-negative"):
+            link.set_delay(value)
+        assert (link.bandwidth_bps, link.delay_s) == (1e6, 0.01)
+        assert send_over(sim, [link], [make_packet(0)])[0][1] == \
+            pytest.approx(1500 * 8 / 1e6 + 0.01)
+
 
 class TestLinkMutation:
     def test_bandwidth_change_affects_subsequent_packets(self):
@@ -163,3 +192,21 @@ class TestPath:
     def test_route_requires_links(self):
         with pytest.raises(ValueError):
             Route([], lambda p: None)
+
+    def test_hops_name_the_next_link_then_the_destination(self):
+        """``hops[i]`` is what a packet leaving link ``i`` is handed to, and
+        rebinding the destination rebuilds the table."""
+        sim = Simulator()
+        a = Link(sim, bandwidth_bps=1e6, delay_s=0.001)
+        b = Link(sim, bandwidth_bps=1e6, delay_s=0.002)
+        first, second = [], []
+        route = Route([a, b, a], first.append)
+        assert route.hops == (b.enqueue, a.enqueue, first.append)
+        route.destination = second.append
+        assert route.hops == (b.enqueue, a.enqueue, second.append)
+        assert route.destination == second.append
+        packet = make_packet(0)
+        route.send(packet)
+        sim.run_until_idle()
+        assert first == [] and second == [packet] and packet.hop == 3
+        assert sim.now == pytest.approx(3 * 1500 * 8 / 1e6 + 0.004)

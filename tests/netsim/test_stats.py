@@ -5,6 +5,16 @@ import random
 
 import pytest
 
+from repro.cc import NewRenoController
+from repro.netsim import (
+    ACK_SIZE_BYTES,
+    Packet,
+    Receiver,
+    Simulator,
+    WindowedSender,
+    connect,
+    single_bottleneck,
+)
 from repro.netsim.stats import (
     _MAX_RTO,
     BinnedSeries,
@@ -189,29 +199,37 @@ class TestRTTEstimator:
 class TestFlowStats:
     def test_loss_rate_and_throughput(self):
         stats = FlowStats(1)
-        for _ in range(100):
-            stats.record_send(0.0, 1500, retransmission=False)
+        stats.packets_sent, stats.bytes_sent = 100, 100 * 1500
         for _ in range(10):
             stats.record_loss()
         assert stats.loss_rate == pytest.approx(0.1)
         assert stats.throughput_bps(1.0) == pytest.approx(100 * 1500 * 8)
 
     def test_goodput_counts_only_new_data(self):
+        """The receiver writes the delivery counters and the bin itself."""
+        sim = Simulator()
         stats = FlowStats(1)
-        stats.record_delivery(0.5, 1500, is_new=True)
-        stats.record_delivery(0.6, 1500, is_new=False)
+        receiver = Receiver(sim, 1, stats)
+        for at in (0.5, 0.6):
+            sim.schedule_at(at, receiver.receive, Packet(1, 0, 0, 1500, 0.0))
+        sim.run(1.0)
+        assert stats.packets_delivered == 2
         assert stats.unique_bytes_delivered == 1500
         assert stats.duplicate_packets == 1
         assert stats.goodput_bps(1.0) == pytest.approx(1500 * 8)
+        assert stats.delivered_bins.series() == [(0.0, 1500.0)]
 
     def test_rtt_statistics(self):
         stats = FlowStats(1)
-        stats.record_ack(1500, 0.010)
-        stats.record_ack(1500, 0.030)
+        stats.rtt_sum, stats.rtt_count = 0.040, 2
         assert stats.mean_rtt == pytest.approx(0.020)
 
-    def test_record_ack_equals_its_builtin_reference_to_the_bit(self):
-        def reference_record_ack(stats, size_bytes, rtt):
+    def test_ack_counters_equal_their_reference_to_the_bit(self):
+        """The sender writes the per-ACK counters in ``receive_ack``'s own
+        frame; they equal the reference, bit for bit, over RTT samples that
+        are zero, negative (neither is averaged) or positive, and an ACK of
+        a packet no longer outstanding counts nothing."""
+        def reference_ack(stats, size_bytes, rtt):
             stats.packets_acked += 1
             stats.bytes_acked += size_bytes
             if rtt > 0:
@@ -219,17 +237,33 @@ class TestFlowStats:
                 stats.rtt_count += 1
 
         def counters(stats):
-            return {name: value for name, value in vars(stats).items()
-                    if name != "delivered_bins"}
+            return (stats.packets_acked, stats.bytes_acked, stats.rtt_sum,
+                    stats.rtt_count)
 
-        rng = random.Random(20)
+        sim = Simulator(seed=1)
+        topo = single_bottleneck(sim, 100e6, 1.0, buffer_bytes=500_000)
         actual, reference = FlowStats(1), FlowStats(1)
-        for _ in range(1000):
+        controller = NewRenoController()
+        controller.cwnd = 1_100.0
+        sender = WindowedSender(sim, 1, topo.path, controller, actual)
+        connect(sender, Receiver(sim, 1, FlowStats(1)), topo.path)
+        sender.start()
+        sim.run(0.01)
+        sent = list(sender._outstanding.values())[:1_000]
+        rng = random.Random(20)
+        for packet in sent:
             rtt = rng.choice((0.0, -0.01, 0.03, rng.uniform(0.001, 2.0)))
-            actual.record_ack(1500, rtt)
-            reference_record_ack(reference, 1500, rtt)
+            ack = Packet(1, packet.packet_id, packet.data_seq, ACK_SIZE_BYTES,
+                         sim.now, is_ack=True)
+            ack.acked_packet_id = packet.packet_id
+            ack.ack_sent_time = sim.now - rtt
+            sender.receive_ack(ack)
+            sample = sim.now - ack.ack_sent_time
+            reference_ack(reference, packet.size_bytes, sample)
             assert counters(actual) == counters(reference)
-        assert 0 < actual.rtt_count < actual.packets_acked
+            sender.receive_ack(ack)     # no longer outstanding
+            assert counters(actual) == counters(reference)
+        assert 0 < actual.rtt_count < actual.packets_acked == len(sent) == 1_000
 
     def test_flow_completion_time(self):
         stats = FlowStats(1)
@@ -252,6 +286,6 @@ class TestFlowStats:
 
     def test_zero_duration_throughput_is_zero(self):
         stats = FlowStats(1)
-        stats.record_send(0.0, 1500, retransmission=False)
+        stats.packets_sent, stats.bytes_sent = 1, 1500
         assert stats.throughput_bps(0.0) == 0.0
         assert stats.goodput_bps(-1.0) == 0.0
