@@ -8,6 +8,13 @@ canonical JSON next to this script.  Because the run passes ``store``,
 re-running this script after interrupting it simulates only the cells that
 were not yet stored.
 
+A cell store refuses cells computed by other code, so the store lives in a
+directory named after the code's digest (``store.code_digest()``) under
+``sweep_quickstart.store/``: after an edit under ``src/repro`` the script
+starts a fresh store beside the old ones instead of failing, and an
+unchanged tree keeps reusing its own.  Delete ``sweep_quickstart.store/`` to
+drop them all.
+
 Run with:  python examples/sweep_quickstart.py
 
 The same sweep is available from the command line:
@@ -21,6 +28,7 @@ The same sweep is available from the command line:
 import os
 
 from repro.experiments import SweepGrid
+from repro.experiments.store import code_digest
 from repro.experiments.sweep import sweep
 
 
@@ -34,7 +42,7 @@ def main() -> None:
     )
     workers = min(4, os.cpu_count() or 1)
     here = os.path.dirname(__file__)
-    store = os.path.join(here, "sweep_quickstart.store")
+    store = os.path.join(here, "sweep_quickstart.store", code_digest()[:16])
     # Idempotent, crash-restartable: finished cells are put into the store as
     # they complete, and a re-run executes only what is not already there.
     result = sweep(grid, base_seed=1, workers=workers, store=store)

@@ -14,8 +14,8 @@ Two families of controllers drive the two sender types in
     A sending-rate abstraction used by PCC and the other rate-based baselines
     (SABUL/UDT, PCP).  The controller owns a target rate in bits per second
     (``rate_bps``, an attribute the sender reads exactly as it reads ``cwnd``)
-    and receives per-packet send/ACK/loss callbacks plus flow-start
-    notification.
+    and receives per-packet ACK/loss callbacks plus flow-start notification;
+    a controller may add ``on_packet_sent`` (SABUL) or ``current_mi`` (PCC).
 
 The senders are duck-typed, so these classes exist to document and enforce the
 protocol (and to hold shared numeric guards), not for mandatory inheritance.
@@ -24,7 +24,6 @@ protocol (and to hold shared numeric guards), not for mandatory inheritance.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 __all__ = ["WindowController", "RateController", "MIN_CWND", "MIN_RATE_BPS"]
 
@@ -85,6 +84,11 @@ class RateController(ABC):
     once per control decision (PCC publishes it once per monitor interval;
     SABUL and PCP, whose rate moves on ACKs and losses, expose a read-only
     property that floors ``_rate_bps``).
+
+    Two per-packet hooks are optional and absent here: ``on_packet_sent(
+    record, now)`` (SABUL's SYN clock) and ``current_mi(now)`` (PCC's monitor
+    interval, which tags the packet).  The sender resolves a hook a controller
+    does not define to ``None`` once, so it costs no frame per packet.
     """
 
     #: Current target sending rate in bits per second.
@@ -101,17 +105,10 @@ class RateController(ABC):
     def on_flow_start(self, sender, now: float) -> None:
         """The owning sender started; ``sender`` gives access to path properties."""
 
-    def on_packet_sent(self, record, now: float) -> None:
-        """A packet was handed to the network."""
-
     def on_timeout(self, expired, now: float) -> None:
         """The retransmission timer expired; ``expired`` lists the outstanding packets."""
         for record in expired:
             self.on_loss(record, now)
-
-    def current_mi_id(self, now: float) -> Optional[int]:
-        """Monitor-interval tag for packets sent now (PCC only; others return None)."""
-        return None
 
     @staticmethod
     def _floor_rate(rate: float) -> float:

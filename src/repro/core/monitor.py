@@ -86,8 +86,8 @@ class PerformanceMonitor:
         self._deadline_events: Dict[int, Event] = {}
         #: The MI currently being used to tag outgoing packets.  A plain
         #: attribute: :class:`~repro.core.sender.PCCScheme` reads it once per
-        #: transmitted packet.  Only :meth:`current_mi_id` and :meth:`realign`
-        #: replace it.
+        #: transmitted packet and tags the packet with it.  Only
+        #: :meth:`current_mi_id` and :meth:`realign` replace it.
         self.current_interval: Optional[MonitorIntervalStats] = None
         self._next_id = 0
         self._last_completed: Optional[MonitorIntervalStats] = None
@@ -157,8 +157,11 @@ class PerformanceMonitor:
     # ------------------------------------------------------------------ #
     # Feedback
     # ------------------------------------------------------------------ #
-    # One frame per packet event: each hook finds the MI (``None`` and the ids
-    # of completed MIs are simply not in ``_active``), moves its counters and —
+    # Feedback keyed by MI id.  In a simulated flow the packet carries its MI
+    # and :class:`~repro.core.sender.PCCScheme`'s hooks account it directly
+    # (calling :meth:`_complete`); these are the same accounting for a caller
+    # that holds ids.  Each hook finds the MI (``None`` and the ids of
+    # completed MIs are simply not in ``_active``), moves its counters and —
     # where the counters it moved can finish the MI — tests
     # ``MonitorIntervalStats.all_packets_accounted``'s condition in place.
     def record_send(self, mi_id: Optional[int], size_bytes: int) -> None:

@@ -116,8 +116,10 @@ class PCCScheme:
         # controller's (just reset) starting rate.
         self.rate_bps = self.controller.rate_bps
 
-    def current_mi_id(self, now: float) -> Optional[int]:
-        """MI tag for a packet sent now (opens a new MI at interval boundaries).
+    def current_mi(self, now: float) -> Optional[MonitorIntervalStats]:
+        """The MI a packet sent now belongs to (opens a new MI at interval
+        boundaries); the sender tags the packet with it and counts the send
+        on it.
 
         If the control algorithm moved its base rate substantially away from
         the in-flight MI's rate (it learned mid-interval that the rate was
@@ -127,15 +129,19 @@ class PCCScheme:
         monitor = self.monitor
         if monitor is None:
             return None
-        # Both tests run here, once per packet; the monitor is only entered
-        # when an MI actually opens.
+        # Both tests run here, once per packet, with compares (abs() is a
+        # builtin call); the monitor is only entered when an MI actually opens.
         current = monitor.current_interval
         if current is None or now >= current.send_end_time:
             current = self._open_mi(monitor.current_mi_id, now)
         target = current.target_rate_bps
-        if target > 0 and abs(self.controller.rate_bps - target) / target > 0.25:
-            current = self._open_mi(monitor.realign, now)
-        return current.mi_id
+        if target > 0:
+            moved = self.controller.rate_bps - target
+            if moved < 0:
+                moved = -moved
+            if moved / target > 0.25:
+                current = self._open_mi(monitor.realign, now)
+        return current
 
     def _open_mi(self, open_mi, now: float) -> MonitorIntervalStats:
         """Open the next MI with ``open_mi`` and publish its rate."""
@@ -144,21 +150,43 @@ class PCCScheme:
         self.rate_bps = current.target_rate_bps
         return current
 
-    def on_packet_sent(self, record, now: float) -> None:
-        if self.monitor is not None:
-            self.monitor.record_send(record.mi_id, record.size_bytes)
+    # The per-packet hooks.  The packet carries its MI (``record.mi``); an
+    # MI that has completed is no longer counted to.  Each hook moves the
+    # MI's counters — ``MonitorIntervalStats.record_ack`` /
+    # ``record_loss``'s arithmetic — and tests the monitor's completion
+    # condition in its own frame.
+    def record_ack(self, record, rtt: float, now: float) -> None:
+        """Account the ACK of ``record``, arriving now, to its MI."""
+        mi = record.mi
+        if mi is None or mi.completed:
+            return
+        mi.packets_acked += 1
+        mi.bytes_acked += record.size_bytes
+        if rtt > 0:
+            mi.rtt_sum += rtt
+            mi.rtt_count += 1
+        if mi.first_ack_time is None:
+            mi.first_ack_time = now
+        mi.last_ack_time = now
+        if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
+            self.monitor._complete(mi)
 
-    def on_ack(self, record, rtt: float, now: float) -> None:
-        if self.monitor is not None:
-            self.monitor.record_ack(record.mi_id, record.size_bytes, rtt)
+    def record_loss(self, record, now: float) -> None:
+        """Account the declared loss of ``record`` to its MI."""
+        mi = record.mi
+        if mi is None or mi.completed:
+            return
+        mi.packets_lost += 1
+        if mi.send_phase_over and mi.packets_acked + mi.packets_lost >= mi.packets_sent:
+            self.monitor._complete(mi)
 
-    def on_loss(self, record, now: float) -> None:
-        if self.monitor is not None:
-            self.monitor.record_loss(record.mi_id)
+    #: The :class:`repro.cc.base.RateController` names of the two hooks.
+    on_ack = record_ack
+    on_loss = record_loss
 
     def on_timeout(self, expired, now: float) -> None:
         for record in expired:
-            self.on_loss(record, now)
+            self.record_loss(record, now)
 
     # ------------------------------------------------------------------ #
     # Helpers / introspection

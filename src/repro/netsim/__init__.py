@@ -14,7 +14,6 @@ from .queues import (
     CoDelQueue,
     DropTailQueue,
     FairQueue,
-    InfiniteQueue,
     PIEQueue,
     QueueDiscipline,
     REDQueue,
@@ -61,7 +60,6 @@ __all__ = [
     "CoDelQueue",
     "DropTailQueue",
     "FairQueue",
-    "InfiniteQueue",
     "QueueDiscipline",
     "DEFAULT_QDISC",
     "PIEQueue",

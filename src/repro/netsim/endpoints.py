@@ -32,10 +32,10 @@ from collections import OrderedDict, deque
 from typing import Callable, Deque, Optional, Sequence
 
 from ..units import BITS_PER_BYTE
-from .engine import Event, Simulator
+from .engine import Event, SimulationError, Simulator
 from .packet import ACK_SIZE_BYTES, DEFAULT_MSS, Packet
 from .route import Path
-from .stats import BIN_WIDTH, FlowStats, RTTEstimator, SequenceTracker
+from .stats import _MAX_RTO, BIN_WIDTH, FlowStats, RTTEstimator, SequenceTracker
 
 __all__ = [
     "Receiver",
@@ -93,8 +93,13 @@ class Receiver:
         if not packet.is_probe:
             delivered = self.delivered
             seq = packet.data_seq
-            if seq == delivered.next_expected and not delivered._above:
+            frontier = delivered.next_expected
+            if seq == frontier and not delivered._above:
                 delivered.next_expected = seq + 1
+                delivered.count += 1
+                is_new = True
+            elif seq > frontier and seq not in delivered._above:
+                delivered._above.add(seq)
                 delivered.count += 1
                 is_new = True
             else:
@@ -111,7 +116,7 @@ class Receiver:
             return
         self._ack_packet_id = ack_id = self._ack_packet_id + 1
         ack = Packet(packet.flow_id, ack_id, packet.data_seq, ACK_SIZE_BYTES, now,
-                     is_ack=True, is_probe=packet.is_probe)
+                     True, None, False, packet.is_probe)
         ack.acked_packet_id = packet.packet_id
         ack.ack_sent_time = packet.sent_time
         ack.route = route
@@ -149,7 +154,7 @@ class SenderBase:
         #: Transmitted-but-unacknowledged packets by ``packet_id``.  The
         #: :class:`Packet` is its own sent-record: the fields the sender and
         #: the controllers read back (``packet_id``, ``data_seq``,
-        #: ``size_bytes``, ``sent_time``, ``mi_id``, ``is_retransmission``,
+        #: ``size_bytes``, ``sent_time``, ``mi``, ``is_retransmission``,
         #: ``is_probe``) are never written after construction.
         self._outstanding: "OrderedDict[int, Packet]" = OrderedDict()
         self._retransmit_queue: Deque[int] = deque()
@@ -161,8 +166,8 @@ class SenderBase:
         self._started = False
         self.completed = False
         #: Called with every packet sent and its send time, or ``None``: a
-        #: rate controller's ``on_packet_sent``; window controllers hear
-        #: nothing per packet sent.
+        #: rate controller's ``on_packet_sent`` where it has one (SABUL);
+        #: window controllers hear nothing per packet sent.
         self._packet_sent_hook: Optional[Callable[[Packet, float], None]] = None
         #: Called once when a finite flow finishes (all segments acknowledged),
         #: after the sender has let go of its path and controller;
@@ -210,10 +215,11 @@ class SenderBase:
     def _next_data_seq(self) -> Optional[tuple[int, bool]]:
         """Pick the next segment to transmit: retransmissions take priority
         (``_transmit`` takes new data itself when none is queued)."""
+        acked = self._acked_segments
         while self._retransmit_queue:
             seq = self._retransmit_queue.popleft()
             self._retransmit_pending.discard(seq)
-            if seq not in self._acked_segments:
+            if seq >= acked.next_expected and seq not in acked._above:
                 return seq, True
         if self.total_segments is None or self._next_new_seq < self.total_segments:
             seq = self._next_new_seq
@@ -221,9 +227,9 @@ class SenderBase:
             return seq, False
         return None
 
-    def _transmit(self, mi_id: Optional[int] = None,
-                  is_probe: bool = False) -> Optional[Packet]:
-        """Send one packet (retransmission first, then new data)."""
+    def _transmit(self, is_probe: bool = False) -> Optional[Packet]:
+        """Send one packet (retransmission first, then new data); a rate
+        sender's tick sends its packets itself."""
         if self.completed:
             return None
         if is_probe:
@@ -244,10 +250,8 @@ class SenderBase:
         sim = self.sim
         now = sim.now
         mss = self.mss
-        packet = Packet(
-            self.flow_id, packet_id, seq, mss, now,
-            mi_id=mi_id, is_retransmission=retransmission, is_probe=is_probe,
-        )
+        packet = Packet(self.flow_id, packet_id, seq, mss, now, False, None,
+                        retransmission, is_probe)
         self._outstanding[packet_id] = packet
         stats = self.stats
         if stats.first_send_time is None:
@@ -281,8 +285,26 @@ class SenderBase:
         sim = self.sim
         now = sim.now
         rtt_sample = now - ack.ack_sent_time
-        self.rtt.update(rtt_sample)
-        newly_acked = False
+        rtt = self.rtt
+        if rtt_sample > 0:
+            # RTTEstimator.update(rtt_sample), in this frame.
+            srtt = rtt.srtt
+            if srtt is None:
+                srtt = rtt_sample
+                rttvar = rtt_sample / 2.0
+            else:
+                deviation = srtt - rtt_sample
+                if deviation < 0:
+                    deviation = -deviation
+                rttvar = 0.75 * rtt.rttvar + 0.25 * deviation
+                srtt = 0.875 * srtt + 0.125 * rtt_sample
+            rtt.srtt = srtt
+            rtt.rttvar = rttvar
+            variance_term = 4.0 * rttvar
+            rto = srtt + (variance_term if variance_term > 0.001 else 0.001)
+            if rto < rtt.min_rto:
+                rto = rtt.min_rto
+            rtt.rto = rto if rto < _MAX_RTO else _MAX_RTO
         if record is not None:
             stats = self.stats
             stats.packets_acked += 1
@@ -291,14 +313,19 @@ class SenderBase:
                 stats.rtt_sum += rtt_sample
                 stats.rtt_count += 1
             if not record.is_probe:
+                # SequenceTracker.add(seq) for a new sequence number, in this
+                # frame: the in-order one, or one above the frontier.
                 acked = self._acked_segments
                 seq = record.data_seq
-                if seq == acked.next_expected and not acked._above:
+                frontier = acked.next_expected
+                if seq == frontier and not acked._above:
                     acked.next_expected = seq + 1
                     acked.count += 1
-                    newly_acked = True
+                elif seq > frontier and seq not in acked._above:
+                    acked._above.add(seq)
+                    acked.count += 1
                 else:
-                    newly_acked = acked.add(seq)
+                    acked.add(seq)
             if record.packet_id > self._highest_acked_packet_id:
                 self._highest_acked_packet_id = record.packet_id
         # Loss inference: everything sent DUPACK_THRESHOLD packet-ids before the
@@ -309,24 +336,28 @@ class SenderBase:
         lost: Sequence[Packet] = ()
         if outstanding and (next(iter(outstanding))
                             >= self._highest_acked_packet_id - DUPACK_THRESHOLD):
-            self._rto_deadline = deadline = now + self.rtt.rto
+            self._rto_deadline = deadline = now + rtt.rto
             if self._rto_event is None:
                 self._rto_event = sim.schedule_at(deadline, self._handle_rto)
         else:
             lost = self._detect_losses()
             self._restart_rto_timer()
-        self._on_ack(record, rtt_sample, newly_acked)
+        if record is not None:
+            self._on_ack(record, rtt_sample, now)
         for lost_record in lost:
-            self._on_loss(lost_record)
+            self._on_loss(lost_record, now)
         if self.total_segments is not None:
             self._check_completion()
             if self.completed:
                 return
-        self._after_ack_processing()
+        after = self._after_ack_processing
+        if after is not None:
+            after()
 
     def _detect_losses(self) -> list[Packet]:
         outstanding = self._outstanding
         threshold = self._highest_acked_packet_id - DUPACK_THRESHOLD
+        stats = self.stats
         lost: list[Packet] = []
         while outstanding:
             first_id = next(iter(outstanding))
@@ -334,7 +365,7 @@ class SenderBase:
                 break
             record = outstanding.pop(first_id)
             lost.append(record)
-            self.stats.record_loss()
+            stats.packets_lost += 1
             self._queue_retransmission(record)
         return lost
 
@@ -342,7 +373,9 @@ class SenderBase:
         if record.is_probe:
             return
         seq = record.data_seq
-        if seq in self._acked_segments or seq in self._retransmit_pending:
+        acked = self._acked_segments
+        if (seq < acked.next_expected or seq in acked._above
+                or seq in self._retransmit_pending):
             return
         self._retransmit_queue.append(seq)
         self._retransmit_pending.add(seq)
@@ -406,11 +439,12 @@ class SenderBase:
             # subclass is waiting for a transmission opportunity.
             self._after_timeout(had_outstanding=False)
             return
-        self.stats.timeouts += 1
+        stats = self.stats
+        stats.timeouts += 1
         expired = list(self._outstanding.values())
         self._outstanding.clear()
         for record in expired:
-            self.stats.record_loss()
+            stats.packets_lost += 1
             self._queue_retransmission(record)
         self._restart_rto_timer()
         self._on_timeout(expired)
@@ -419,18 +453,20 @@ class SenderBase:
     # ------------------------------------------------------------------ #
     # Subclass hooks
     # ------------------------------------------------------------------ #
-    def _on_ack(self, record: Optional[Packet], rtt_sample: float,
-                newly_acked: bool) -> None:
+    def _on_ack(self, record: Packet, rtt_sample: float, now: float) -> None:
+        """Called for every ACK of a packet still outstanding."""
         raise NotImplementedError
 
-    def _on_loss(self, record: Packet) -> None:
+    def _on_loss(self, record: Packet, now: float) -> None:
         raise NotImplementedError
 
     def _on_timeout(self, expired: list[Packet]) -> None:
         raise NotImplementedError
 
-    def _after_ack_processing(self) -> None:
-        """Called after every ACK once controller state is updated."""
+    #: Called after every ACK once controller state is updated, or ``None``
+    #: where there is nothing to do (a rate sender's next packet waits for
+    #: its tick).
+    _after_ack_processing: Optional[Callable[[], None]] = None
 
     def _after_timeout(self, had_outstanding: bool) -> None:
         """Called after RTO processing."""
@@ -520,19 +556,17 @@ class WindowedSender(SenderBase):
         self._schedule_paced_send()
 
     # -- controller callbacks -------------------------------------------------
-    def _on_ack(self, record, rtt_sample: float, newly_acked: bool) -> None:
-        if record is None:
-            return
-        self.controller.on_ack(rtt_sample, self.sim.now)
+    def _on_ack(self, record, rtt_sample: float, now: float) -> None:
+        self.controller.on_ack(rtt_sample, now)
         if record.packet_id >= self._recovery_exit_packet_id:
             self._recovery_exit_packet_id = -1
 
-    def _on_loss(self, record) -> None:
+    def _on_loss(self, record, now: float) -> None:
         # One congestion response per window of data: further losses detected
         # before the recovery point is acknowledged do not shrink cwnd again.
         if self._recovery_exit_packet_id < 0:
             self._recovery_exit_packet_id = self._next_packet_id
-            self.controller.on_loss(self.sim.now)
+            self.controller.on_loss(now)
 
     def _on_timeout(self, expired) -> None:
         self._recovery_exit_packet_id = self._next_packet_id
@@ -556,6 +590,13 @@ class RateBasedSender(SenderBase):
     counterpart of the windowed sender's ``controller.cwnd`` — once per packet,
     after the tick's transmission: the controller publishes its rate when it
     changes it, the per-packet path never asks for it to be worked out.
+
+    The controller's ``on_ack`` / ``on_loss`` are bound as the sender's
+    ``_on_ack(record, rtt, now)`` / ``_on_loss(record, now)``, so feedback
+    reaches the controller with no sender frame in between.  A controller with
+    ``current_mi(now)`` (PCC) tags every packet with the monitor interval it
+    returns, and the tick counts the send on that interval; optional hooks a
+    controller does not implement resolve to ``None`` and cost nothing.
     """
 
     def __init__(
@@ -572,40 +613,23 @@ class RateBasedSender(SenderBase):
         super().__init__(sim, flow_id, path, stats, total_bytes, mss, start_time,
                          min_rto=_RATE_MIN_RTO, initial_rto=_RATE_INITIAL_RTO)
         self.controller = controller
+        self._on_ack = controller.on_ack
+        self._on_loss = controller.on_loss
         # Optional controller hooks, resolved once: a bound method or None.
-        self._controller_mi_id = getattr(controller, "current_mi_id", None)
+        self._current_mi = getattr(controller, "current_mi", None)
         self._packet_sent_hook = getattr(controller, "on_packet_sent", None)
         self._controller_timeout = getattr(controller, "on_timeout", None)
         self._controller_flow_start = getattr(controller, "on_flow_start", None)
-        self._pacing_timer: Optional[Event] = None
+        #: The pending tick's heap entry ``[time, seq, _tick, ()]``.
+        self._pacing_timer: Optional[list] = None
 
     # -- lifecycle ----------------------------------------------------------
     def _on_start(self) -> None:
         if self._controller_flow_start is not None:
             self._controller_flow_start(self, self.sim.now)
-        self._schedule_tick()
-
-    def _on_flow_complete(self) -> None:
-        if self._pacing_timer is not None:
-            self._pacing_timer.cancel()
-            self._pacing_timer = None
-        # The controller holds this sender (PCC binds to it at flow start).
-        self.controller = None
-        self._controller_mi_id = self._packet_sent_hook = None
-        self._controller_timeout = self._controller_flow_start = None
-
-    # -- pacing ---------------------------------------------------------------
-    # The controller's rate is floored at 1 kbps so the tick interval stays
-    # finite.  It is read once per packet, after the tick's transmission, with
-    # a compare, not ``max(float(...), 1e3)``: two builtin calls cost as much
-    # as five frames.
-    def _schedule_tick(self) -> None:
-        """Arm the pacing timer one packet time ahead at the controller's rate.
-
-        Only a starting flow and a tick that just fired call this, so no tick
-        is ever pending here; from then on the timer is re-armed by every tick
-        until completion cancels it, and ACKs and timeouts need not look at it.
-        """
+        # The first tick one packet time ahead at the starting rate; from then
+        # on every tick re-arms itself until completion cancels it, so ACKs
+        # and timeouts never look at the timer.
         rate = self.controller.rate_bps
         if rate < 1e3:
             rate = 1e3
@@ -613,21 +637,85 @@ class RateBasedSender(SenderBase):
         interval = self.mss * BITS_PER_BYTE / rate
         self._pacing_timer = sim.schedule_at(sim.now + interval, self._tick)
 
-    def _tick(self) -> None:
+    def _on_flow_complete(self) -> None:
+        timer = self._pacing_timer
+        if timer is not None and timer[2] is not None:
+            # Event.cancel() on the tick's entry: the drain skips it.
+            timer[2] = timer[3] = None
+            self.sim._cancelled_pending += 1
         self._pacing_timer = None
-        if self.completed:
-            return
-        if (
-            self.has_data_to_send()
-            and len(self._outstanding) < _RATE_INFLIGHT_CAP
-        ):
-            mi_id = None
-            if self._controller_mi_id is not None:
-                mi_id = self._controller_mi_id(self.sim.now)
-            self._transmit(mi_id=mi_id)
-        # _schedule_tick() reads the rate only now: _transmit() can open a new
-        # monitor interval and change it.
-        self._schedule_tick()
+        # The controller holds this sender (PCC binds to it at flow start).
+        self.controller = None
+        self._on_ack = self._on_loss = None
+        self._current_mi = self._packet_sent_hook = None
+        self._controller_timeout = self._controller_flow_start = None
+
+    # -- pacing ---------------------------------------------------------------
+    def _tick(self) -> None:
+        """Send one packet if there is one to send, then re-arm one packet
+        time ahead at the controller's rate.
+
+        A finished flow has no tick (completion cancels it), so the test of
+        ``has_data_to_send()`` left here is the data test, and the
+        transmission is ``_transmit()`` written out, the packet tagged with
+        the monitor interval ``current_mi`` returns.  The rate is read only
+        after the transmission, which can open a new monitor interval and
+        change it; it is floored at 1 kbps, with a compare, so the interval
+        stays finite.
+        """
+        sim = self.sim
+        now = sim.now
+        total = self.total_segments
+        if ((self._retransmit_queue or total is None or self._next_new_seq < total)
+                and len(self._outstanding) < _RATE_INFLIGHT_CAP):
+            current_mi = self._current_mi
+            mi = None if current_mi is None else current_mi(now)
+            seq = -1
+            retransmission = False
+            if not self._retransmit_queue:
+                seq = self._next_new_seq
+                self._next_new_seq = seq + 1
+            else:
+                choice = self._next_data_seq()
+                if choice is not None:
+                    seq, retransmission = choice
+            if seq >= 0:
+                packet_id = self._next_packet_id
+                self._next_packet_id = packet_id + 1
+                mss = self.mss
+                packet = Packet(self.flow_id, packet_id, seq, mss, now, False, mi,
+                                retransmission, False)
+                self._outstanding[packet_id] = packet
+                stats = self.stats
+                if stats.first_send_time is None:
+                    stats.first_send_time = now
+                stats.packets_sent += 1
+                stats.bytes_sent += mss
+                if retransmission:
+                    stats.retransmissions += 1
+                self._rto_deadline = deadline = now + self.rtt.rto
+                if self._rto_event is None:
+                    self._rto_event = sim.schedule_at(deadline, self._handle_rto)
+                route = self.path.forward_route
+                packet.route = route
+                route.links[0].enqueue(packet)
+                if self._packet_sent_hook is not None:
+                    self._packet_sent_hook(packet, now)
+                if mi is not None:
+                    mi.packets_sent += 1
+                    mi.bytes_sent += mss
+        rate = self.controller.rate_bps
+        if rate < 1e3:
+            rate = 1e3
+        elif rate != rate:
+            raise SimulationError("event time must be finite")
+        # schedule_at's push and heap-compaction test, without its checks
+        # (the time is now plus a finite, positive interval) or an Event.
+        self._pacing_timer = entry = [
+            now + self.mss * BITS_PER_BYTE / rate, next(sim.seq), self._tick, ()]
+        sim.push(entry)
+        if sim._cancelled_pending > 256 and sim._cancelled_pending * 2 > len(sim._queue):
+            sim._compact()
 
     def send_probe_train(self, count: int) -> list[Packet]:
         """Send ``count`` back-to-back probe packets (used by PCP-style probing)."""
@@ -640,20 +728,14 @@ class RateBasedSender(SenderBase):
         return packets
 
     # -- controller callbacks -------------------------------------------------
-    def _on_ack(self, record, rtt_sample: float, newly_acked: bool) -> None:
-        if record is None:
-            return
-        self.controller.on_ack(record, rtt_sample, self.sim.now)
-
-    def _on_loss(self, record) -> None:
-        self.controller.on_loss(record, self.sim.now)
-
+    # _on_ack and _on_loss are the controller's own bound methods (__init__).
     def _on_timeout(self, expired) -> None:
+        now = self.sim.now
         if self._controller_timeout is not None:
-            self._controller_timeout(expired, self.sim.now)
+            self._controller_timeout(expired, now)
         else:
             for record in expired:
-                self.controller.on_loss(record, self.sim.now)
+                self._on_loss(record, now)
 
 
 def connect(sender: SenderBase, receiver: Receiver, path: Path) -> None:

@@ -164,25 +164,35 @@ class Simulator:
         """Fire events in time order up to ``limit`` or until :meth:`stop`.
 
         A ``stop()`` ends only the run it interrupted: the flag is cleared on
-        entry, so the next ``run`` / ``run_until_idle`` resumes normally.
+        entry, so the next ``run`` / ``run_until_idle`` resumes normally.  Only
+        a callback can call ``stop()``, so the flag is tested after each one.
+        Fired events are counted in a local and added to
+        :attr:`events_processed` when the drain ends, also by an exception.
         """
         self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
-        while queue and not self._stopped:
-            if queue[0][0] > limit:
-                break
-            entry = heappop(queue)
-            time, _, callback, args = entry
-            if callback is None:
-                self._cancelled_pending -= 1
-                continue
-            # Clear the fired entry's callback so a late cancel() (a handle
-            # cancelled after firing) cannot inflate the heap-backlog counter.
-            entry[2] = None
-            self.now = time
-            callback(*args)
-            self._events_processed += 1
+        fired = 0
+        try:
+            while queue:
+                if queue[0][0] > limit:
+                    break
+                entry = heappop(queue)
+                time, _, callback, args = entry
+                if callback is None:
+                    self._cancelled_pending -= 1
+                    continue
+                # Clear the fired entry's callback so a late cancel() (a
+                # handle cancelled after firing) cannot inflate the
+                # heap-backlog counter.
+                entry[2] = None
+                self.now = time
+                callback(*args)
+                fired += 1
+                if self._stopped:
+                    break
+        finally:
+            self._events_processed += fired
 
     def stop(self) -> None:
         """Stop the current run after the in-flight event completes."""
@@ -193,7 +203,9 @@ class Simulator:
     # ------------------------------------------------------------------ #
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
+        """Number of events executed by the runs that have returned
+        (cancelled events excluded); a callback reads the count at its run's
+        start."""
         return self._events_processed
 
     @property

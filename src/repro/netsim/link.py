@@ -14,6 +14,14 @@ what the "wild Internet" paths of Figure 4/5 reduce to.
 Bandwidth, delay and loss are mutable at runtime so that the rapidly-changing
 network of Figure 11 and the bandwidth-reserving rate limiter of Table 1 can be
 modelled by rescheduling parameter changes (see :mod:`repro.netsim.dynamics`).
+
+Most links in every cell hold a plain drop-tail FIFO (every access and reverse
+link, and the bottleneck unless a cell names an AQM).  ``Link(...)`` with a
+queue that is exactly :class:`~repro.netsim.queues.DropTailQueue` builds a
+:class:`Link` subclass that admits, serves and releases packets in its own
+arrival and chained-service frames, keeping the queue's counters; every other
+discipline is driven through its ``enqueue`` / ``dequeue``.  Both give the
+same events, drops and counters, bit for bit.
 """
 
 from __future__ import annotations
@@ -78,6 +86,21 @@ class Link:
     name:
         Optional human-readable name used in reprs and traces.
     """
+
+    def __new__(
+        cls,
+        sim: Simulator,
+        bandwidth_bps: Bps,
+        delay_s: Seconds,
+        queue: Optional[QueueDiscipline] = None,
+        loss_rate: float = 0.0,
+        name: str = "",
+    ) -> "Link":
+        # The path is chosen once, here, from the queue's exact type: a
+        # DropTailQueue subclass may change what enqueue / dequeue do.
+        if cls is Link and (queue is None or type(queue) is DropTailQueue):
+            cls = _DropTailLink
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -211,3 +234,102 @@ class Link:
             f"Link({label}, {self.bandwidth_bps / BPS_PER_MBPS:.2f} Mbps, "
             f"{self.delay_s * MS_PER_S:.1f} ms, loss={self.loss_rate:.4f})"
         )
+
+
+class _DropTailLink(Link):
+    """A link whose queue is exactly :class:`DropTailQueue`, built by
+    ``Link(...)``.
+
+    The queue's ``enqueue`` / ``dequeue`` are written out here, in the frame
+    that holds the packet: the arrival admits it, or drops it with the
+    queue's ``_drop`` and the link's drop hook (the queue's ``on_drop``,
+    which ``Link.__init__`` sets), and when the link is idle — so the queue
+    is empty — releases and serializes it at once; the chained service entry
+    releases the head and serializes it.  The queue's counters and FIFO are
+    the ones ``DropTailQueue`` keeps, and the serialization block is
+    :meth:`Link._serve_next`'s.
+    """
+
+    queue: DropTailQueue
+
+    def enqueue(self, packet: Packet) -> None:
+        """Offer ``packet`` to the link: queue it and start serializing if idle."""
+        now = self.sim.now
+        queue = self.queue
+        size_bytes = packet.size_bytes
+        if queue.bytes_queued + size_bytes > queue.capacity_bytes:
+            # The queue's _drop and its drop hook, _record_queue_drop.
+            queue.stats.dropped += 1
+            self.stats.packets_queue_dropped += 1
+            if self.on_loss is not None:
+                self.on_loss(packet)
+            return
+        packet.enqueue_time = now
+        queue.stats.enqueued += 1
+        if self._service_pending or now < self._busy_until:
+            queue.bytes_queued += size_bytes
+            queue.packets_queued += 1
+            queue._fifo.append(packet)
+            if not self._service_pending:
+                # Same entry, same time expression, as Link.enqueue.
+                self._service_pending = True
+                self._push([now + (self._busy_until - now), next(self._seq),
+                            self._serve_next, ()])
+            return
+        # Idle with nothing pending: the queue is empty, so the packet is
+        # released as it is admitted and nothing is chained behind it.
+        queue.stats.dequeued += 1
+        route = packet.route
+        if route is None:
+            raise RuntimeError("packet has no route attached")
+        serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
+        stats = self.stats
+        stats.busy_time += serialization
+        self._busy_until = now + serialization
+        stats.packets_sent += 1
+        stats.bytes_sent += size_bytes
+        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
+            stats.packets_randomly_lost += 1
+            if self.on_loss is not None:
+                self.on_loss(packet)
+        else:
+            hop = packet.hop
+            packet.hop = hop + 1
+            self._push([now + (serialization + self.delay_s), next(self._seq),
+                        route.hops[hop], (packet,)])
+
+    def _serve_next(self) -> None:
+        """Release the head packet and start serializing it (the chained
+        service entry's callback)."""
+        self._service_pending = False
+        queue = self.queue
+        fifo = queue._fifo
+        if not fifo:
+            return
+        packet = fifo.popleft()
+        size_bytes = packet.size_bytes
+        queue.bytes_queued -= size_bytes
+        queue.packets_queued -= 1
+        queue.stats.dequeued += 1
+        now = self.sim.now
+        route = packet.route
+        if route is None:
+            raise RuntimeError("packet has no route attached")
+        serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
+        stats = self.stats
+        stats.busy_time += serialization
+        self._busy_until = busy_until = now + serialization
+        stats.packets_sent += 1
+        stats.bytes_sent += size_bytes
+        if fifo:
+            self._service_pending = True
+            self._push([busy_until, next(self._seq), self._serve_next, ()])
+        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
+            stats.packets_randomly_lost += 1
+            if self.on_loss is not None:
+                self.on_loss(packet)
+        else:
+            hop = packet.hop
+            packet.hop = hop + 1
+            self._push([now + (serialization + self.delay_s), next(self._seq),
+                        route.hops[hop], (packet,)])

@@ -14,13 +14,16 @@ Two identifiers are kept on purpose:
     ``data_seq`` of the original segment.
 ``packet_id``
     A unique, monotonically increasing identifier per transmission attempt.
-    Loss detection, RTT sampling and PCC monitor-interval accounting all key on
-    ``packet_id`` so that a retransmission is never confused with its original.
+    Loss detection and RTT sampling key on ``packet_id`` so that a
+    retransmission is never confused with its original.
+
+A PCC data packet also carries its monitor interval itself (``mi``), so the
+per-packet hooks account it without a lookup.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any
 
 __all__ = ["Packet", "DEFAULT_MSS", "ACK_SIZE_BYTES"]
 
@@ -32,7 +35,11 @@ ACK_SIZE_BYTES = 40
 
 
 class Packet:
-    """One packet (data segment or acknowledgement) in flight."""
+    """One packet (data segment or acknowledgement) in flight.
+
+    The endpoints build it with positional arguments only: one per packet,
+    so keyword parsing would be a per-packet cost.
+    """
 
     __slots__ = (
         "flow_id",
@@ -46,7 +53,7 @@ class Packet:
         "hop",
         "acked_packet_id",
         "ack_sent_time",
-        "mi_id",
+        "mi",
         "is_retransmission",
         "is_probe",
     )
@@ -58,9 +65,8 @@ class Packet:
         data_seq: int,
         size_bytes: int,
         sent_time: float,
-        *,
         is_ack: bool = False,
-        mi_id: Optional[int] = None,
+        mi: Any = None,
         is_retransmission: bool = False,
         is_probe: bool = False,
     ):
@@ -76,8 +82,9 @@ class Packet:
         # Fields used only on ACK packets, describing what is acknowledged.
         self.acked_packet_id = -1
         self.ack_sent_time = 0.0
-        # PCC monitor interval this transmission belongs to (None for non-PCC flows).
-        self.mi_id = mi_id
+        # The PCC monitor interval (a MonitorIntervalStats) this transmission
+        # belongs to; None for every other scheme.
+        self.mi = mi
         self.is_retransmission = is_retransmission
         # Probe packets (e.g. PCP packet trains) carry no application data.
         self.is_probe = is_probe

@@ -37,6 +37,7 @@ building a queue never perturbs the deterministic event stream.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict, deque
 from typing import Any, Callable, Deque, Dict, List, Optional
@@ -48,7 +49,6 @@ from .packet import DEFAULT_MSS, Packet
 __all__ = [
     "QueueDiscipline",
     "DropTailQueue",
-    "InfiniteQueue",
     "CoDelQueue",
     "FairQueue",
     "QueueStats",
@@ -141,7 +141,10 @@ class DropTailQueue(QueueDiscipline):
     """Classic FIFO with a byte-capacity limit; arrivals that do not fit are dropped.
 
     ``capacity_bytes`` models the router buffer size that the paper sweeps from a
-    single packet (1.5 KB) up to one bandwidth-delay product or 1 MB.
+    single packet (1.5 KB) up to one bandwidth-delay product or 1 MB;
+    ``math.inf`` is the unbounded "bufferbloat" FIFO of Fig 17 (the
+    ``infinite`` qdisc).  A :class:`~repro.netsim.link.Link` whose queue is
+    exactly this class does this bookkeeping in its own frames.
     """
 
     def __init__(self, capacity_bytes: Bytes):
@@ -172,24 +175,6 @@ class DropTailQueue(QueueDiscipline):
         self.packets_queued -= 1
         self.stats.dequeued += 1
         return packet
-
-
-class InfiniteQueue(QueueDiscipline):
-    """An (effectively) unbounded FIFO — the "bufferbloat" configuration of Fig 17."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._fifo: Deque[Packet] = deque()
-
-    def enqueue(self, packet: Packet, now: float) -> bool:
-        self._admit(packet, now)
-        self._fifo.append(packet)
-        return True
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        if not self._fifo:
-            return None
-        return self._release(self._fifo.popleft())
 
 
 #: CoDel's sojourn-time target and control interval (RFC 8289's 5 ms / 100 ms).
@@ -482,12 +467,14 @@ class FairQueue(QueueDiscipline):
         # double-count — and a child that rejects without invoking its hook
         # violates the contract, which is enforced below rather than papered
         # over.
-        expected = (self.bytes_queued, self.packets_queued)
-        self.bytes_queued += packet.size_bytes
-        self.packets_queued += 1
+        bytes_before = self.bytes_queued
+        packets_before = self.packets_queued
+        self.bytes_queued = bytes_before + packet.size_bytes
+        self.packets_queued = packets_before + 1
         accepted = child.enqueue(packet, now)
         if not accepted:
-            if (self.bytes_queued, self.packets_queued) != expected:
+            if (self.bytes_queued != bytes_before
+                    or self.packets_queued != packets_before):
                 raise RuntimeError(
                     "child discipline rejected a packet without routing it "
                     "through its drop hook; child disciplines own their drop "
@@ -570,7 +557,8 @@ def qdisc_names() -> List[str]:
 
 
 def _make_infinite(buffer_bytes: Bytes) -> QueueDiscipline:
-    return InfiniteQueue()
+    """The unbounded FIFO: a drop-tail queue that never fills."""
+    return DropTailQueue(math.inf)
 
 
 def _make_fq(buffer_bytes: Bytes, child: str = "droptail") -> QueueDiscipline:

@@ -64,9 +64,11 @@ class SequenceTracker:
 
     Keeps the contiguous frontier (``next_expected``) plus the sparse set of
     out-of-order sequences above it, so memory stays proportional to the
-    reordering window rather than the whole flow.  The endpoints advance the
-    frontier in place for the in-order sequence with nothing above it, and
-    call :meth:`add` for every other one.
+    reordering window rather than the whole flow.  The endpoints record a new
+    sequence number in place — the in-order one with nothing above it, or one
+    above the frontier — test membership on ``next_expected`` and ``_above``
+    directly, and call :meth:`add` for the rest (a duplicate, or the in-order
+    one that closes a gap).
     """
 
     def __init__(self) -> None:
@@ -82,10 +84,13 @@ class SequenceTracker:
             return False
         self.count += 1
         if seq == self.next_expected:
-            self.next_expected += 1
-            while self.next_expected in self._above:
-                self._above.discard(self.next_expected)
-                self.next_expected += 1
+            # Closing a gap walks every sequence buffered above it: in locals.
+            above = self._above
+            seq += 1
+            while seq in above:
+                above.discard(seq)
+                seq += 1
+            self.next_expected = seq
         else:
             self._above.add(seq)
         return True
@@ -98,7 +103,8 @@ class RTTEstimator:
     """RFC 6298 smoothed RTT / RTT variance estimator with a minimum RTO.
 
     ``rto`` is a plain attribute recomputed once per accepted sample, so the
-    per-packet timer code reads it without evaluating anything.
+    per-packet timer code reads it without evaluating anything.  The sender
+    folds each ACK's sample in its own frame with :meth:`update`'s arithmetic.
     """
 
     def __init__(self, min_rto: float = 0.2, initial_rto: float = 1.0):
@@ -135,7 +141,11 @@ class RTTEstimator:
 
 
 class FlowStats:
-    """All counters and series for one flow."""
+    """All counters and series for one flow.
+
+    The endpoint that holds a packet writes the per-packet counters, the
+    losses and ``delivered_bins`` in its own frame; this class only reads them.
+    """
 
     def __init__(self, flow_id: int):
         self.flow_id = flow_id
@@ -161,13 +171,6 @@ class FlowStats:
         self.completion_time: Optional[float] = None
         # Time series.
         self.delivered_bins = BinnedSeries()
-
-    # ------------------------------------------------------------------ #
-    # Recording: the endpoint that holds a packet writes the per-packet
-    # counters and ``delivered_bins`` in its own frame; losses come here.
-    # ------------------------------------------------------------------ #
-    def record_loss(self, count: int = 1) -> None:
-        self.packets_lost += count
 
     # ------------------------------------------------------------------ #
     # Derived metrics

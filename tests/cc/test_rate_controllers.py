@@ -209,9 +209,15 @@ class TestPublishedRate:
                 reads["total"] += 1
                 assert scheme.rate_bps == pulled
 
-            def _schedule_tick(self):
+            # The rate is read last in both: nothing runs between the read
+            # and the check.
+            def _on_start(self):
+                super()._on_start()
+                self.check()    # the read that sets the first tick's interval
+
+            def _tick(self):
+                super()._tick()
                 self.check()    # the read that sets the next tick's interval
-                super()._schedule_tick()
 
             def receive_ack(self, ack):
                 self.check()    # an ACK may complete an MI and move the policy

@@ -1,12 +1,16 @@
 """Unit tests for the performance monitor (MI lifecycle)."""
 
+import random
+
 import pytest
 
 from repro.core.controller import MIN_RATE_BPS
+from repro.core import make_pcc_sender
 from repro.core import monitor as monitor_module
+from repro.core.metrics import MonitorIntervalStats
 from repro.core.monitor import PerformanceMonitor
 from repro.core.utility import SafeUtility
-from repro.netsim import Simulator
+from repro.netsim import Packet, Simulator, single_bottleneck
 
 
 class RecordingProvider:
@@ -326,3 +330,77 @@ class TestFeedbackAccounting:
         assert history.maxlen == monitor_module._MAX_COMPLETED_HISTORY
         with pytest.raises(AttributeError):
             history.maxlen = 10
+
+
+class TestSchemeHooksEqualTheirReference:
+    """In a simulated flow the packet carries its MI and ``PCCScheme``'s
+    ``record_ack`` / ``record_loss`` account it in one frame.  Driven with
+    forged ACKs and losses, they must leave every MI, the completion order
+    and the controller exactly where the monitor's id-keyed hooks —
+    ``MonitorIntervalStats.record_ack`` / ``record_loss`` plus the
+    completion test — leave them, bit for bit."""
+
+    MI_FIELDS = tuple(MonitorIntervalStats.__slots__)
+
+    @staticmethod
+    def world(seed):
+        """A PCC scheme bound to an unstarted sender on its own simulator."""
+        sim = Simulator(seed=seed)
+        topo = single_bottleneck(sim, 20e6, 0.03, 100_000)
+        sender, _, scheme = make_pcc_sender(sim, 1, topo.path)
+        scheme.on_flow_start(sender, 0.0)
+        return sim, scheme
+
+    @classmethod
+    def state(cls, scheme):
+        monitor = scheme.monitor
+        intervals = list(monitor.completed_intervals) + sorted(
+            monitor._active.values(), key=lambda mi: mi.mi_id)
+        return ([tuple(getattr(mi, name) for name in cls.MI_FIELDS)
+                 for mi in intervals],
+                scheme.rate_bps, scheme.controller.rate_bps)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_forged_feedback_matches_the_id_keyed_hooks(self, seed):
+        rng = random.Random(seed)
+        (sim, scheme), (ref_sim, reference) = self.world(seed), self.world(seed)
+        sent = []       # (packet tagged with the MI, the reference MI id)
+        unaccounted = 0     # sent[unaccounted:] have had no feedback yet
+        seen = {"completed_before": 0, "completed_by_hook": 0, "rtt<=0": 0,
+                "rtt>0": 0}
+        now = 0.0
+        for step in range(4_000):
+            now += rng.choice((0.0, 0.0002, 0.001, 0.004))
+            sim.run(now)
+            ref_sim.run(now)
+            action = rng.random()
+            if action < 0.35 or unaccounted == len(sent):
+                mi, ref_mi = scheme.current_mi(now), reference.current_mi(now)
+                size = rng.choice((40, 1500))
+                mi.record_send(size)            # the tick's count
+                reference.monitor.record_send(ref_mi.mi_id, size)
+                sent.append((Packet(1, step, step, size, now, False, mi),
+                             ref_mi.mi_id))
+                continue
+            # Mostly the oldest packet without feedback, so MIs complete in
+            # the hooks; else any packet, so repeats and feedback for
+            # completed MIs happen too.
+            if rng.random() < 0.8:
+                packet, ref_id = sent[unaccounted]
+                unaccounted += 1
+            else:
+                packet, ref_id = sent[rng.randrange(len(sent))]
+            seen["completed_before"] += packet.mi.completed
+            if action < 0.85:
+                rtt = rng.choice((0.0, -0.01, 0.03, rng.uniform(0.001, 0.5)))
+                seen["rtt>0" if rtt > 0 else "rtt<=0"] += 1
+                scheme.record_ack(packet, rtt, now)
+                reference.monitor.record_ack(ref_id, packet.size_bytes, rtt)
+            else:
+                scheme.record_loss(packet, now)
+                reference.monitor.record_loss(ref_id)
+            seen["completed_by_hook"] += packet.mi.completed
+            assert self.state(scheme) == self.state(reference)
+        seen["completed_by_hook"] -= seen["completed_before"]
+        assert len(scheme.monitor.completed_intervals) > 10
+        assert all(seen.values()), seen

@@ -38,10 +38,15 @@ from repro.netsim import (
 
 HOT_PACKAGES = ("/repro/netsim/", "/repro/cc/", "/repro/core/")
 
-#: Calls per delivered MSS packet.  Measured when set: cubic 19.0, cubic
-#: over CoDel 19.2 and over FQ-CoDel 20.9, pcc 41.2, pcc_lossy (1 % loss on
-#: data and ACKs, so ``on_loss -> record_loss`` and the retransmission queue
-#: run) 39.2; before the event became its own heap entry, links pushed their
+#: Calls per delivered MSS packet.  Measured when set: cubic 12.1, cubic
+#: over CoDel 14.4 and over FQ-CoDel 15.6, pcc 15.1, pcc_lossy (1 % loss on
+#: data and ACKs, so ``record_loss`` and the retransmission queue run) 14.2;
+#: before the packet carried its monitor interval, PCC's hooks and the rate
+#: tick (which sends the packet itself) each became one frame, the sender
+#: folded RTT and sequence bookkeeping into ``receive_ack`` and a drop-tail
+#: link kept its queue's books: cubic
+#: 19.0, cubic_codel 19.2, cubic_fq_codel 20.9, pcc 41.2, pcc_lossy 39.2;
+#: before the event became its own heap entry, links pushed their
 #: own entries and called the next hop, the qdiscs, endpoints and CUBIC did
 #: their bookkeeping in the frame holding the packet: cubic 40.9, cubic_codel
 #: 43.8, cubic_fq_codel 50.8, pcc 67.1, pcc_lossy 63.1; before the per-ACK
@@ -50,8 +55,8 @@ HOT_PACKAGES = ("/repro/netsim/", "/repro/cc/", "/repro/core/")
 #: attribute and the monitor hooks one frame each: cubic 51.7, pcc 109.5,
 #: pcc_lossy 102.6; before tuple heap entries, single-frame delivery and the
 #: packet as its own sent-record: cubic 99.9, pcc 181.7.
-BUDGETS = {"cubic": 20, "cubic_codel": 20, "cubic_fq_codel": 21, "pcc": 42,
-           "pcc_lossy": 40}
+BUDGETS = {"cubic": 13, "cubic_codel": 15, "cubic_fq_codel": 16, "pcc": 16,
+           "pcc_lossy": 15}
 
 #: Case -> (scheme, loss rate on the data and the ACK direction, qdisc).
 CELLS = {

@@ -3,11 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.netsim.queues import DropTailQueue
+from repro.netsim.queues import CoDelQueue, DropTailQueue
 from repro.netsim.route import Path, Route
 
 
@@ -210,3 +211,76 @@ class TestPath:
         sim.run_until_idle()
         assert first == [] and second == [packet] and packet.hop == 3
         assert sim.now == pytest.approx(3 * 1500 * 8 / 1e6 + 0.004)
+
+
+class PlainDropTailQueue(DropTailQueue):
+    """Behaves as ``DropTailQueue``, but is not exactly that type, so a link
+    drives it through its ``enqueue`` / ``dequeue`` (the generic path)."""
+
+
+#: (gap before the event in s, what happens, its value): a packet of that
+#: size, or a new bandwidth (bps) or delay (s) for the link.
+LINK_TRACES = st.lists(
+    st.tuples(
+        st.sampled_from((0.0, 0.0002, 0.001, 0.004, 0.02)),
+        st.one_of(
+            st.tuples(st.just("packet"), st.sampled_from((40, 200, 1500, 9000))),
+            st.tuples(st.just("bandwidth"), st.sampled_from((1e6, 12e6, 100e6))),
+            st.tuples(st.just("delay"), st.sampled_from((0.0, 0.001, 0.02))),
+        ),
+    ),
+    min_size=1, max_size=150,
+)
+
+
+class TestDropTailPath:
+    """A link whose queue is exactly ``DropTailQueue`` admits, serves and
+    releases in its own frames; it must match the generic path bit for
+    bit."""
+
+    def test_the_path_is_chosen_from_the_exact_queue_type(self):
+        sim = Simulator()
+        for queue, generic in ((None, False), (DropTailQueue(3000), False),
+                               (PlainDropTailQueue(3000), True),
+                               (CoDelQueue(3000), True)):
+            link = Link(sim, 1e6, 0.0, queue=queue)
+            assert isinstance(link, Link)
+            assert (type(link).enqueue is Link.enqueue) == generic
+            assert (type(link)._serve_next is Link._serve_next) == generic
+
+    @staticmethod
+    def run(queue, trace, loss_rate, seed):
+        sim = Simulator(seed=seed)
+        link = Link(sim, 12e6, 0.002, queue=queue, loss_rate=loss_rate)
+        log = []
+        link.on_loss = lambda packet: log.append(("lost", packet.packet_id, sim.now))
+        route = Route([link], lambda packet: log.append(
+            ("delivered", packet.packet_id, sim.now, packet.enqueue_time)))
+        at = 0.0
+        for packet_id, (gap, (kind, value)) in enumerate(trace):
+            at += gap
+            if kind == "packet":
+                sim.schedule_at(at, route.send,
+                                Packet(1, packet_id, packet_id, value, at))
+            elif kind == "bandwidth":
+                sim.schedule_at(at, link.set_bandwidth, value)
+            else:
+                sim.schedule_at(at, link.set_delay, value)
+        sim.run_until_idle()
+        stats, queue_stats = link.stats, queue.stats
+        return (log,
+                tuple(getattr(stats, name) for name in stats.__slots__),
+                tuple(getattr(queue_stats, name) for name in queue_stats.__slots__),
+                queue.bytes_queued, queue.packets_queued,
+                sim.events_processed, sim.pending_events, sim.now)
+
+    @given(trace=LINK_TRACES,
+           capacity=st.sampled_from((1000, 3000, 20_000, math.inf)),
+           loss_rate=st.sampled_from((0.0, 0.1, 0.5)),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_fifo_path_equals_the_generic_path(self, trace, capacity,
+                                               loss_rate, seed):
+        fifo = self.run(DropTailQueue(capacity), trace, loss_rate, seed)
+        generic = self.run(PlainDropTailQueue(capacity), trace, loss_rate, seed)
+        assert fifo == generic

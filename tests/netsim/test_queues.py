@@ -1,5 +1,6 @@
 """Unit tests for the queue disciplines."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from repro.netsim.queues import (
     CoDelQueue,
     DropTailQueue,
     FairQueue,
-    InfiniteQueue,
     make_qdisc,
     qdisc_names,
 )
@@ -71,15 +71,19 @@ class TestDropTail:
 
 
 class TestInfiniteQueue:
+    """The ``infinite`` qdisc is a drop-tail FIFO of unbounded capacity,
+    whatever buffer the link is configured with."""
+
     def test_never_drops(self):
-        queue = InfiniteQueue()
+        queue = make_qdisc("infinite", 1500)
+        assert type(queue) is DropTailQueue and queue.capacity_bytes == math.inf
         for i in range(1000):
             assert queue.enqueue(make_packet(packet_id=i), 0.0)
         assert queue.stats.dropped == 0
         assert queue.packets_queued == 1000
 
     def test_fifo_order(self):
-        queue = InfiniteQueue()
+        queue = make_qdisc("infinite", 1500)
         for i in range(5):
             queue.enqueue(make_packet(packet_id=i), 0.0)
         assert [queue.dequeue(0.0).packet_id for _ in range(5)] == list(range(5))

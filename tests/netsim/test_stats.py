@@ -200,8 +200,7 @@ class TestFlowStats:
     def test_loss_rate_and_throughput(self):
         stats = FlowStats(1)
         stats.packets_sent, stats.bytes_sent = 100, 100 * 1500
-        for _ in range(10):
-            stats.record_loss()
+        stats.packets_lost = 10
         assert stats.loss_rate == pytest.approx(0.1)
         assert stats.throughput_bps(1.0) == pytest.approx(100 * 1500 * 8)
 
@@ -228,7 +227,11 @@ class TestFlowStats:
         """The sender writes the per-ACK counters in ``receive_ack``'s own
         frame; they equal the reference, bit for bit, over RTT samples that
         are zero, negative (neither is averaged) or positive, and an ACK of
-        a packet no longer outstanding counts nothing."""
+        a packet no longer outstanding counts nothing.  The RTT estimate and
+        the acknowledged-segment tracker it also advances in place equal
+        ``RTTEstimator.update`` and ``SequenceTracker.add`` fed the same
+        samples and segments; the ACKs of each pair of packets arrive in
+        reverse order, so every other segment lands above the frontier."""
         def reference_ack(stats, size_bytes, rtt):
             stats.packets_acked += 1
             stats.bytes_acked += size_bytes
@@ -250,6 +253,9 @@ class TestFlowStats:
         sender.start()
         sim.run(0.01)
         sent = list(sender._outstanding.values())[:1_000]
+        sent[0::2], sent[1::2] = sent[1::2], sent[0::2]
+        # The windowed sender's RTO bounds are the estimator's defaults.
+        rtt_reference, acked_reference = RTTEstimator(), SequenceTracker()
         rng = random.Random(20)
         for packet in sent:
             rtt = rng.choice((0.0, -0.01, 0.03, rng.uniform(0.001, 2.0)))
@@ -260,10 +266,17 @@ class TestFlowStats:
             sender.receive_ack(ack)
             sample = sim.now - ack.ack_sent_time
             reference_ack(reference, packet.size_bytes, sample)
+            rtt_reference.update(sample)
+            acked_reference.add(packet.data_seq)
             assert counters(actual) == counters(reference)
+            assert vars(sender.rtt) == vars(rtt_reference)
+            assert vars(sender._acked_segments) == vars(acked_reference)
             sender.receive_ack(ack)     # no longer outstanding
+            rtt_reference.update(sample)
             assert counters(actual) == counters(reference)
+            assert vars(sender.rtt) == vars(rtt_reference)
         assert 0 < actual.rtt_count < actual.packets_acked == len(sent) == 1_000
+        assert acked_reference.count == 1_000 and not acked_reference._above
 
     def test_flow_completion_time(self):
         stats = FlowStats(1)

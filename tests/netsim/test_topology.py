@@ -78,12 +78,12 @@ class TestTopologyBuilders:
         assert shared == {topo.shared_link}
 
     def test_link_config_custom_queue_factory(self):
-        from repro.netsim import InfiniteQueue
+        from repro.netsim import CoDelQueue
         sim = Simulator()
         config = LinkConfig(bandwidth_bps=1e6, delay_s=0.01,
-                            queue_factory=InfiniteQueue)
+                            queue_factory=lambda: CoDelQueue(64_000))
         link = config.build(sim)
-        assert isinstance(link.queue, InfiniteQueue)
+        assert isinstance(link.queue, CoDelQueue)
 
 
 class TestParkingLot:

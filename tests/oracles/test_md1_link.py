@@ -12,6 +12,7 @@ band widens or narrows with the run's own noise rather than with the seed.
 """
 
 import math
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from repro.netsim import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.netsim.queues import InfiniteQueue
+from repro.netsim.queues import DropTailQueue
 from repro.netsim.route import Route
 from repro.units import BITS_PER_BYTE
 
@@ -37,7 +38,7 @@ def queueing_waits(rho, seed):
     """Simulate ``ARRIVALS`` Poisson arrivals at load ``rho``; return each
     packet's wait before service, in arrival order, and the service time."""
     sim = Simulator(seed=seed)
-    link = Link(sim, BANDWIDTH_BPS, 0.0, queue=InfiniteQueue())
+    link = Link(sim, BANDWIDTH_BPS, 0.0, queue=DropTailQueue(math.inf))
     service = PACKET_BYTES * BITS_PER_BYTE / BANDWIDTH_BPS
     waits = []
     # With no propagation delay a packet is delivered when its serialization

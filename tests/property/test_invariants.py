@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import FluidModel, jain_index
 from repro.core.metrics import MonitorIntervalStats
 from repro.core.utility import LossResilientUtility, SafeUtility, sigmoid
+from repro.netsim import FlowStats, Receiver, Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue, FairQueue
 from repro.netsim.stats import BinnedSeries, SequenceTracker
@@ -88,6 +89,22 @@ def test_sequence_tracker_counts_unique(seqs):
     assert tracker.duplicates == len(seqs) - len(set(seqs))
     for seq in set(seqs):
         assert seq in tracker
+
+
+@given(seqs=st.lists(st.integers(min_value=0, max_value=60), max_size=200))
+def test_receiver_tracks_sequences_as_the_tracker_does(seqs):
+    """The receiver records a new segment in its own frame (in order, or
+    above the frontier) and calls ``add`` for the rest: its tracker and
+    goodput counters must equal a tracker fed every segment with ``add``."""
+    stats = FlowStats(1)
+    receiver = Receiver(Simulator(), 1, stats)
+    reference = SequenceTracker()
+    for packet_id, seq in enumerate(seqs):
+        receiver.receive(Packet(1, packet_id, seq, 1500, 0.0))
+        reference.add(seq)
+        assert vars(receiver.delivered) == vars(reference)
+    assert stats.unique_bytes_delivered == 1500 * reference.count
+    assert stats.duplicate_packets == reference.duplicates
 
 
 @given(
