@@ -5,12 +5,12 @@ interruption nor pays for its result several times over in memory:
 
 * :class:`ResultSetWriter` appends **identity-keyed JSONL records** to disk as
   cells complete — one canonical (sorted-key) JSON object per line, headed by
-  a format/base-seed line — so an interrupted sweep leaves every finished cell
-  usable;
+  a format/base-seed line — for the library's ``jsonl_path`` argument (the
+  restart path is the :class:`~repro.experiments.store.CellStore`);
 * :class:`ResultSet` is the in-memory view: built incrementally by
-  :func:`repro.experiments.sweep.sweep`, reconstructed from prior runs with
-  :meth:`ResultSet.load` (JSONL *or* the monolithic JSON), and read one
-  record at a time with :meth:`~ResultSet.one`.
+  :func:`repro.experiments.sweep.sweep`, read back from such a stream with
+  :meth:`ResultSet.load`, and read one record at a time with
+  :meth:`~ResultSet.one`.
 
 :meth:`ResultSet.to_json` emits one sorted-key, cell-index-ordered payload,
 byte-identical for the same set of cells whatever the worker count or
@@ -27,8 +27,7 @@ with ``tracemalloc`` in ``tests/experiments/test_results.py``):
 * :meth:`ResultSet.write` — one slice's tokens and the file buffer, whatever
   the size of the result, into a temp file renamed over the destination
   (:func:`write_atomic`): a failed write leaves the previous file;
-* :meth:`ResultSet.load` — the records plus one line of a JSONL stream
-  (a legacy monolithic file is still read whole: it is one JSON value).
+* :meth:`ResultSet.load` — the records plus one line of the JSONL stream.
 
 A record's **identity** is the canonical JSON of its ``cell`` parameters
 (everything but the measured outcome); the
@@ -46,7 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "RESULTSET_FORMAT",
@@ -203,7 +202,6 @@ class ResultSet:
         self,
         base_seed: int,
         records: Optional[Iterable[Dict[str, Any]]] = None,
-        timings: Optional[Sequence[float]] = None,
     ) -> None:
         self.base_seed = int(base_seed)
         self._records: List[Dict[str, Any]] = []
@@ -214,15 +212,8 @@ class ResultSet:
         #: for result sets built any other way.  Telemetry only — never part
         #: of the canonical JSON view.
         self.reuse: Optional[Dict[str, int]] = None
-        records = list(records or [])
-        if timings is not None and len(timings) != len(records):
-            raise ValueError(
-                f"{len(timings)} timings for {len(records)} records; "
-                f"the two lists must align"
-            )
-        for position, record in enumerate(records):
-            self.append(record,
-                        None if timings is None else timings[position])
+        for record in records or ():
+            self.append(record)
 
     # -- accumulation ---------------------------------------------------------
     def append(self, record: Dict[str, Any],
@@ -265,30 +256,22 @@ class ResultSet:
         return iter(self.cells)
 
     # -- persistence ----------------------------------------------------------
-    def _json_pieces(self, include_timing: bool) -> Iterator[str]:
-        payload: Dict[str, Any] = {"base_seed": self.base_seed, "cells": self.cells}
-        if include_timing:
-            timings = self.timings
-            payload["timing"] = {
-                "wall_time_s": timings,
-                "total_wall_time_s": sum(timings),
-            }
-        return _canonical_pieces(payload)
+    def _json_pieces(self) -> Iterator[str]:
+        return _canonical_pieces({"base_seed": self.base_seed,
+                                  "cells": self.cells})
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: sorted keys, fixed layout, byte-identical for the
         same set of cells regardless of worker count or completion order —
         the stdlib's ``indent=2, sort_keys=True`` bytes, encoded a slice of
-        flow rows at a time.  ``include_timing`` adds the (non-deterministic)
-        per-cell wall times for profiling runs."""
-        return "".join(self._json_pieces(include_timing))
+        flow rows at a time.  Wall times are never part of it."""
+        return "".join(self._json_pieces())
 
-    def write(self, path: str, include_timing: bool = False) -> None:
+    def write(self, path: str) -> None:
         """Persist the canonical view to ``path`` (trailing newline for POSIX
         tools), streamed piece by piece and atomically: a failed write leaves
         the file that was there."""
-        write_atomic(path, itertools.chain(self._json_pieces(include_timing),
-                                           ("\n",)))
+        write_atomic(path, itertools.chain(self._json_pieces(), ("\n",)))
 
     def write_jsonl(self, path: str) -> None:
         """Persist as a streaming-format JSONL file (see :meth:`load`)."""
@@ -298,14 +281,14 @@ class ResultSet:
 
     @classmethod
     def load(cls, path: str) -> "ResultSet":
-        """Reconstruct a prior run from ``path``.
+        """Reconstruct a prior run from the JSONL stream at ``path``, as
+        :class:`ResultSetWriter` wrote it.
 
-        Accepts both the streaming JSONL layout written by
-        :class:`ResultSetWriter` (detected by its header line) and the legacy
-        monolithic JSON written by :meth:`write` — so pre-migration archives
-        remain loadable.  Duplicate identities with identical payloads
-        collapse to one record; conflicting payloads for the same identity
-        are an error (the file mixes incompatible runs).
+        A file that does not open with the stream's header line — the
+        canonical JSON of :meth:`write` among them — is refused.  Duplicate
+        identities with identical payloads collapse to one record;
+        conflicting payloads for the same identity are an error (the file
+        mixes incompatible runs).
         """
         with open(path) as handle:
             # Non-blank lines, numbered as in the file, read one at a time.
@@ -318,20 +301,14 @@ class ResultSet:
             try:
                 header = json.loads(first)
             except json.JSONDecodeError:
-                pass  # multi-line canonical JSON: first line alone is not a value
+                pass  # not one JSON value, so no header (canonical JSON's "{")
             if not (isinstance(header, dict)
                     and header.get("format") == RESULTSET_FORMAT):
-                handle.seek(0)
-                try:
-                    payload = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path} is neither a ResultSet JSONL stream nor "
-                        f"canonical sweep JSON ({exc}); if a crash truncated "
-                        f"the stream's header line, delete the file and rerun"
-                    ) from None
-                timings = payload.get("timing", {}).get("wall_time_s")
-                return cls(payload["base_seed"], payload["cells"], timings)
+                raise ValueError(
+                    f"{path} has no {RESULTSET_FORMAT!r} header line, so it "
+                    f"is not a ResultSet JSONL stream; if a crash truncated "
+                    f"the header line, delete the file and rerun"
+                )
             result = cls(base_seed=header["base_seed"])
             seen: Dict[str, Dict[str, Any]] = {}
             corrupt: Optional[int] = None

@@ -117,8 +117,8 @@ def store_key(cell_params: Dict[str, Any]) -> str:
 class CellStore:
     """A directory-backed, content-addressed map from cell identity to record.
 
-    ``get``/``contains``/``len`` read the ``cells/`` directory; ``put``
-    publishes one write-once file.  Many processes may ``put`` into one
+    ``get`` reads one file of the ``cells/`` directory; ``put`` publishes one
+    write-once file.  Many processes may ``put`` into one
     store concurrently, and each sees every cell the moment its file is
     linked.
     """
@@ -171,18 +171,6 @@ class CellStore:
 
     def _path(self, key: str) -> str:
         return os.path.join(self._cell_dir, f"{key}.json")
-
-    # -- the map API ----------------------------------------------------------
-    def contains(self, cell_params: Dict[str, Any]) -> bool:
-        """Whether a record for this cell identity is in the store."""
-        return os.path.exists(self._path(store_key(cell_params)))
-
-    def __contains__(self, cell_params: Dict[str, Any]) -> bool:
-        return self.contains(cell_params)
-
-    def __len__(self) -> int:
-        return sum(name.endswith(".json")
-                   for name in os.listdir(self._cell_dir))
 
     def get(self, cell_params: Dict[str, Any],
             ) -> Optional[Tuple[Dict[str, Any], float]]:

@@ -18,16 +18,14 @@ place that fan-out lives:
 * :func:`sweep` fans the cells out across CPU cores, seeding every cell
   deterministically from ``(base_seed, cell_index)`` via :func:`derive_seed`,
   so the result is **bit-identical regardless of worker count**;
-* results are a streaming
-  :class:`~repro.experiments.results.ResultSet`: pass ``jsonl_path`` to
-  append identity-keyed records to disk as cells complete, and ``store`` to
-  skip every cell a prior (possibly interrupted) run already put in the
-  :class:`~repro.experiments.store.CellStore`; the canonical
+* results are a :class:`~repro.experiments.results.ResultSet`; pass
+  ``store`` to skip every cell a prior (possibly interrupted) run already put
+  in the :class:`~repro.experiments.store.CellStore`; the canonical
   :meth:`~repro.experiments.results.ResultSet.to_json` view keeps per-cell
   wall times out of the payload, so two runs of the same grid — restarted or
   not — produce byte-identical files;
 * ``python -m repro.experiments.sweep`` exposes the same machinery as a CLI
-  (``--jsonl`` / ``--store`` included).
+  (``--store`` to restart, ``--output`` for the canonical JSON).
 
 The report catalog (:mod:`repro.report.specs`) declares its grids and pinned
 cells here instead of hand-rolling serial loops over
@@ -49,7 +47,7 @@ from ..registry import KwargRegistry
 from ..units import BPS_PER_MBPS, BYTES_PER_KB, MS_PER_S
 from ..schemes import available_schemes, get_scheme
 from .execute import PROFILE_TOP_N, execute_cells
-from .results import ResultSet, ResultSetWriter, cell_identity_key
+from .results import ResultSet
 from .store import CellStore
 from ..netsim import (
     DEFAULT_QDISC,
@@ -81,17 +79,11 @@ from .workload import (
 )
 
 __all__ = [
-    "ResultSet",
-    "ResultSetWriter",
     "SweepCell",
     "SweepGrid",
-    "cell_identity_key",
     "derive_seed",
     "resolve_topology_kwargs",
-    "resolve_workload_kwargs",
-    "build_workload",
     "topology_names",
-    "workload_names",
     "sweep",
     "main",
 ]
@@ -770,10 +762,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes (results identical for any value)")
     parser.add_argument("--output", default=None,
                         help="write canonical sweep JSON to this path")
-    parser.add_argument("--jsonl", default=None, metavar="PATH",
-                        help="stream per-cell records to this JSON-Lines file "
-                             "as they complete (a fresh, complete file each "
-                             "run)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed cell store directory: cells "
                              "already stored skip execution (across every "
@@ -783,8 +771,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--progress", action="store_true",
                         help="force the live progress/ETA line on stderr "
                              "(default: only when stderr is a terminal)")
-    parser.add_argument("--timing", action="store_true",
-                        help="include per-cell wall times in the JSON output")
     parser.add_argument("--profile", action="store_true",
                         help="profile each cell with cProfile and print the "
                              f"top {PROFILE_TOP_N} cumulative entries to "
@@ -803,9 +789,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--hops requires --topology parking_lot")
     if args.trace is not None and args.topology != "trace_bottleneck":
         parser.error("--trace requires --topology trace_bottleneck")
-    if args.profile and args.workers != 1:
-        parser.error("--profile requires --workers 1 (per-cell profiles from "
-                     "concurrent workers would interleave)")
     utilities: List[Optional[str]] = [None]
     if args.utility is not None:
         utilities = [None if name == "default" else name for name in args.utility]
@@ -849,11 +832,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(exc))
     try:
         result = sweep(grid, base_seed=args.seed, workers=args.workers,
-                       jsonl_path=args.jsonl, profile=args.profile,
-                       store=args.store,
+                       profile=args.profile, store=args.store,
                        progress=True if args.progress else None)
     except ValueError as exc:
-        # e.g. --workers 0, or a --store directory of another format.
+        # e.g. --workers 0, --profile with --workers 2, or a --store
+        # directory of another format.
         parser.error(str(exc))
 
     if args.topology != "single_bottleneck":
@@ -874,10 +857,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"{len(result.cells)} cells, {result.total_events:,} events in "
           f"{result.total_wall_time_s:.2f} s of simulation work "
           f"({result.events_per_second():,.0f} events/s)")
-    if args.jsonl:
-        print(f"streamed per-cell records to {args.jsonl}")
     if args.output:
-        result.write(args.output, include_timing=args.timing)
+        result.write(args.output)
         print(f"wrote {args.output}")
     return 0
 

@@ -6,20 +6,18 @@ One command regenerates the paper's evidence::
     python -m repro.report --only fig7,table1 \\
         --report subset.md                         # a subset (explicit path)
     python -m repro.report --workers 4 \\
-        --jsonl out/ --store cells/                # streamed + restartable
+        --store cells/                             # restartable
     python -m repro.report --list                  # catalog with costs
     python -m repro.report --matrix                # claim matrix (static)
     python -m repro.report --matrix --check EXPERIMENTS.md   # CI drift gate
 
-``--jsonl`` takes a *directory*; each spec streams to
-``<dir>/<spec_id>.jsonl``.  The rendered report is byte-identical for any
-``--workers`` value and across ``--store`` restarts.
+The rendered report is byte-identical for any ``--workers`` value and across
+``--store`` restarts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -55,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "name a path explicitly so a partial ledger "
                              "cannot silently overwrite the checked-in full "
                              "one)")
-    parser.add_argument("--jsonl", default=None, metavar="DIR",
-                        help="stream per-cell records to <DIR>/<spec>.jsonl "
-                             "as cells complete")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="content-addressed cell store shared by every "
                              "spec: stored cells skip execution (across "
@@ -125,11 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{spec.spec_id:<16} {spec.paper_section:<6} {len(cells):>5} "
                   f"{sim_s:>7.0f}  {spec.title}")
         return 0
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.profile and args.workers != 1:
-        parser.error("--profile requires --workers 1 (per-cell profiles from "
-                     "concurrent workers would interleave)")
     report_path = args.report
     if report_path is None:
         if args.only is not None:
@@ -138,18 +128,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--only produces a partial ledger; name its "
                          "destination explicitly with --report PATH")
         report_path = "REPORT.md"
-    if args.jsonl is not None:
-        os.makedirs(args.jsonl, exist_ok=True)
     # Cells computed by an earlier spec in this very run are reusable by a
     # later one: every spec reads and writes the same store directory.
     outcomes: List[SpecOutcome] = []
     for spec in specs:
-        jsonl_path = (None if args.jsonl is None else
-                      os.path.join(args.jsonl, f"{spec.spec_id}.jsonl"))
-        outcome = run_report_spec(spec, workers=args.workers,
-                                  jsonl_path=jsonl_path,
-                                  profile=args.profile, store=args.store,
-                                  progress=(True if args.progress else None))
+        try:
+            outcome = run_report_spec(
+                spec, workers=args.workers, profile=args.profile,
+                store=args.store, progress=(True if args.progress else None))
+        except ValueError as exc:
+            # e.g. --workers 0, --profile with --workers 2, or a --store
+            # directory of another format.
+            parser.error(str(exc))
         outcomes.append(outcome)
         counts = outcome.status_counts()
         print(f"{spec.spec_id}: {len(outcome.result)} cells; claims "

@@ -4,9 +4,9 @@ Every spec's cells are :class:`~repro.experiments.sweep.SweepCell`\\ s
 handed to :func:`repro.experiments.execute.execute_cells` with
 :func:`~repro.experiments.sweep.run_cell`, exactly as
 :func:`~repro.experiments.sweep.sweep` does, so every spec inherits the sweep
-layer's guarantees verbatim: streaming JSONL as cells complete, cell-exact
-reuse of a prior (possibly interrupted) run's cell store, and results that
-are byte-identical for any worker count.
+layer's guarantees verbatim: cell-exact reuse of a prior (possibly
+interrupted) run's cell store, and results that are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations

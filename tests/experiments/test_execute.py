@@ -131,8 +131,9 @@ class TestWorkerCrash:
         cells = [CrashOnceCell(index, 7, str(tmp_path), crash=(index == 3))
                  for index in range(6)]
         with CellStore(store_dir) as store:
-            stored = sum(store.contains(cell.params()) for cell in cells)
-            assert not store.contains(cells[3].params())
+            stored = sum(store.get(cell.params()) is not None
+                         for cell in cells)
+            assert store.get(cells[3].params()) is None
         assert 0 < stored < 6
         rerun = execute_cells(cells, run_crash_once, base_seed=7, workers=2,
                               store=store_dir)
@@ -185,7 +186,8 @@ class TestReuseLayers:
     def test_cellstore_instance_is_accepted(self, tmp_path):
         store = CellStore(str(tmp_path / "store"))
         execute_cells(fake_cells(2), run_fake, base_seed=7, store=store)
-        assert len(store) == 2
+        assert all(store.get(cell.params()) is not None
+                   for cell in fake_cells(2))
 
     def test_store_hits_keep_their_recorded_wall_time(self, tmp_path):
         """A reused cell reports the wall time of its original execution,
@@ -238,13 +240,13 @@ class TestProfileFlag:
         with pytest.raises(SystemExit):
             sweep_main(["--schemes", "cubic", "--duration", "1",
                         "--profile", "--workers", "2"])
-        assert "--workers 1" in capsys.readouterr().err
+        assert "profile requires workers=1" in capsys.readouterr().err
 
     def test_report_cli_profile_requires_serial(self, capsys):
         with pytest.raises(SystemExit):
             report_main(["--only", "theorems", "--report", "/dev/null",
                          "--profile", "--workers", "2"])
-        assert "--workers 1" in capsys.readouterr().err
+        assert "profile requires workers=1" in capsys.readouterr().err
 
     def test_profile_prints_stats_to_stderr_not_stdout(self, tmp_path,
                                                        capsys):
@@ -293,12 +295,24 @@ class TestCli:
         # Canonical output is untouched by telemetry.
         assert json.loads(out.read_text())["base_seed"] == 1
 
-    @pytest.mark.parametrize("flag", ["--executor", "--resume-from"])
+    @pytest.mark.parametrize("flag", ["--executor", "--resume-from",
+                                      "--jsonl", "--timing"])
     def test_removed_flags_are_unknown_arguments(self, flag, capsys):
         for main in (sweep_main, report_main):
             with pytest.raises(SystemExit):
                 main([flag, "x"])
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_executor_argument_errors_are_usage_errors(self, capsys):
+        """The CLIs leave argument checks to ``execute_cells`` and report its
+        ``ValueError`` as a usage error (exit code 2), not a traceback."""
+        for main, extra in ((sweep_main, self.BASE),
+                            (report_main, ["--only", "theorems",
+                                           "--report", "/dev/null"])):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*extra, "--workers", "0"])
+            assert excinfo.value.code == 2
+            assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def _pinned_spec():

@@ -21,11 +21,10 @@ from repro.experiments.store import store_key
 from repro.experiments.sweep import (
     SweepCell,
     resolve_topology_kwargs,
-    resolve_workload_kwargs,
     run_cell,
     topology_names,
-    workload_names,
 )
+from repro.experiments.workload import resolve_workload_kwargs, workload_names
 from repro.netsim import qdisc_names, resolve_qdisc_kwargs
 from repro.report import (
     Claim,
@@ -366,14 +365,10 @@ class TestCli:
     def test_cli_runs_tiny_spec_and_writes_report(self, tmp_path, capsys,
                                                   tiny_catalog):
         report = str(tmp_path / "REPORT.md")
-        jsonl_dir = str(tmp_path / "cells")
-        code = report_main(["--only", "tiny_pinned", "--report", report,
-                            "--jsonl", jsonl_dir])
+        code = report_main(["--only", "tiny_pinned", "--report", report])
         assert code == 0
         out = capsys.readouterr().out
         assert "tiny_pinned: 3 cells" in out
-        assert os.path.exists(os.path.join(jsonl_dir,
-                                           "tiny_pinned.jsonl"))
         with open(report) as handle:
             text = handle.read()
         assert "Tiny test pinned-cell list" in text

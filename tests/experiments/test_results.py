@@ -85,15 +85,13 @@ class TestCanonicalView:
         with pytest.raises(ValueError, match="cell"):
             ResultSet(0, [{"flows": []}])
 
-    def test_misaligned_timings_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            ResultSet(0, [_record(0)], timings=[0.1, 0.2])
-
 
 class TestJsonlRoundTrip:
     def test_write_jsonl_then_load(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        rs = ResultSet(7, [_record(0), _record(1)], timings=[0.25, 0.5])
+        rs = ResultSet(7)
+        rs.append(_record(0), wall_time_s=0.25)
+        rs.append(_record(1), wall_time_s=0.5)
         rs.write_jsonl(str(path))
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
@@ -107,14 +105,14 @@ class TestJsonlRoundTrip:
         assert loaded.to_json() == rs.to_json()
         assert loaded.timings == [0.25, 0.5]
 
-    def test_load_legacy_canonical_json(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        rs = ResultSet(3, [_record(0)], timings=[0.125])
-        rs.write(str(path), include_timing=True)
-        loaded = ResultSet.load(str(path))
-        assert loaded.base_seed == 3
-        assert loaded.to_json() == rs.to_json()
-        assert loaded.timings == [0.125]
+    def test_canonical_json_is_refused_naming_the_header(self, tmp_path):
+        """``load`` reads only the JSONL stream: the canonical ``--output``
+        file is no stream, and the error names the header it lacks."""
+        path = tmp_path / "sweep.json"
+        ResultSet(3, [_record(0)]).write(str(path))
+        with pytest.raises(ValueError,
+                           match=f"no '{RESULTSET_FORMAT}' header line"):
+            ResultSet.load(str(path))
 
     def test_load_identical_duplicates_collapse(self, tmp_path):
         path = tmp_path / "dup.jsonl"

@@ -7,10 +7,9 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepGrid,
     resolve_topology_kwargs,
-    resolve_workload_kwargs,
     topology_names,
-    workload_names,
 )
+from repro.experiments.workload import resolve_workload_kwargs, workload_names
 from repro.netsim import make_qdisc, qdisc_names
 from repro.registry import KwargRegistry, lookup
 from repro.report import get_report_spec, report_spec_ids
