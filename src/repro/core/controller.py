@@ -42,8 +42,10 @@ from .metrics import MonitorIntervalStats
 
 __all__ = ["PCCController", "ControllerState", "MIPurpose"]
 
-#: Smallest rate the controller will ever choose (bits per second).
+#: Smallest and largest rates the controller will ever choose (bits per
+#: second).  The monitor sizes its intervals against the same floor.
 MIN_RATE_BPS = 16_000.0
+MAX_RATE_BPS = 1e12
 
 
 class ControllerState(enum.Enum):
@@ -74,18 +76,12 @@ class PCCController:
         epsilon_min: float = 0.01,
         epsilon_max: float = 0.05,
         use_rct: bool = True,
-        max_rate_bps: Bps = 1e12,
-        min_rate_bps: Bps = MIN_RATE_BPS,
     ):
         if epsilon_min <= 0 or epsilon_max < epsilon_min:
             raise ValueError("need 0 < epsilon_min <= epsilon_max")
-        if min_rate_bps <= 0 or max_rate_bps < min_rate_bps:
-            raise ValueError("need 0 < min_rate_bps <= max_rate_bps")
         self.epsilon_min = epsilon_min
         self.epsilon_max = epsilon_max
         self.use_rct = use_rct
-        self.max_rate_bps = max_rate_bps
-        self.min_rate_bps = min_rate_bps
         self.state = ControllerState.STARTING
         self.rate_bps = self._clamp(initial_rate_bps)
         self.epsilon = epsilon_min
@@ -116,7 +112,7 @@ class PCCController:
         self._rng = rng
 
     def _clamp(self, rate: float) -> float:
-        return min(max(rate, self.min_rate_bps), self.max_rate_bps)
+        return min(max(rate, MIN_RATE_BPS), MAX_RATE_BPS)
 
     def reset_initial_rate(self, rate_bps: Bps) -> None:
         """Restart the rate search from ``rate_bps`` (clamped to the bounds).

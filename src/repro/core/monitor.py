@@ -25,7 +25,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..netsim.engine import Event, Simulator
 from ..netsim.packet import DEFAULT_MSS
-from ..units import BITS_PER_BYTE, Bps
+from ..units import BITS_PER_BYTE
 from .controller import MIN_RATE_BPS
 from .metrics import MonitorIntervalStats
 from .utility import SafeUtility, UtilityFunction
@@ -40,7 +40,7 @@ DEFAULT_MI_RTT_RANGE = (1.7, 2.2)
 #: measured loss rate of a small MI past the safe utility's 5% sigmoid
 #: threshold (with 10 packets one loss reads as 10% loss and flips the utility
 #: sign, which makes low-rate decisions pure noise).  The deviation is recorded
-#: in EXPERIMENTS.md and the paper's value remains configurable.
+#: in EXPERIMENTS.md; the paper's value is this one constant away.
 DEFAULT_MIN_PACKETS_PER_MI = 25
 
 #: A closed MI still missing feedback this many RTTs after its sending phase
@@ -61,24 +61,12 @@ class PerformanceMonitor:
         on_mi_complete: Callable[[MonitorIntervalStats], None],
         utility_function: Optional[UtilityFunction] = None,
         mss: int = DEFAULT_MSS,
-        min_packets_per_mi: int = DEFAULT_MIN_PACKETS_PER_MI,
-        mi_rtt_range: Tuple[float, float] = DEFAULT_MI_RTT_RANGE,
-        min_rate_bps: Bps = MIN_RATE_BPS,
     ):
         self.sim = sim
         self._rate_provider = rate_provider
         self._on_mi_complete = on_mi_complete
         self.utility_function = utility_function or SafeUtility()
         self.mss = mss
-        self.min_packets_per_mi = min_packets_per_mi
-        self.mi_rtt_range = mi_rtt_range
-        if min_rate_bps <= 0:
-            raise ValueError("min_rate_bps must be positive (it divides the "
-                             "MI-duration computation)")
-        #: Floor applied to the rate used for MI-duration sizing.  Defaults to —
-        #: and should be kept equal to — the controller's configured rate floor,
-        #: so that the two layers never disagree about the slowest legal rate.
-        self.min_rate_bps = min_rate_bps
         self._active: Dict[int, MonitorIntervalStats] = {}
         #: Completion-deadline timer per closed-but-unfinished MI, cancelled on
         #: normal completion so long runs do not accumulate one dead event per
@@ -124,10 +112,12 @@ class PerformanceMonitor:
 
     def _open_new(self, now: float, rtt_estimate: float) -> MonitorIntervalStats:
         rate_bps, purpose = self._rate_provider(now)
-        rate_bps = max(rate_bps, self.min_rate_bps)
-        min_duration = self.min_packets_per_mi * self.mss * BITS_PER_BYTE / rate_bps
+        # Sized against the controller's own rate floor, so the two never
+        # disagree about the slowest rate.
+        rate_bps = max(rate_bps, MIN_RATE_BPS)
+        min_duration = DEFAULT_MIN_PACKETS_PER_MI * self.mss * BITS_PER_BYTE / rate_bps
         rtt = max(rtt_estimate, 1e-4)
-        random_duration = self.sim.rng.uniform(*self.mi_rtt_range) * rtt
+        random_duration = self.sim.rng.uniform(*DEFAULT_MI_RTT_RANGE) * rtt
         duration = max(min_duration, random_duration)
         mi = MonitorIntervalStats(
             mi_id=self._next_id,

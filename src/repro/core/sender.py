@@ -24,9 +24,9 @@ from ..netsim.packet import DEFAULT_MSS
 from ..netsim.route import Path
 from ..netsim.stats import FlowStats
 from ..units import BITS_PER_BYTE
-from .controller import MIN_RATE_BPS, PCCController
+from .controller import PCCController
 from .metrics import MonitorIntervalStats
-from .monitor import DEFAULT_MI_RTT_RANGE, DEFAULT_MIN_PACKETS_PER_MI, PerformanceMonitor
+from .monitor import PerformanceMonitor
 from .utility import SafeUtility, UtilityFunction, make_utility
 
 __all__ = ["PCCScheme", "make_pcc_sender"]
@@ -35,9 +35,11 @@ __all__ = ["PCCScheme", "make_pcc_sender"]
 class PCCScheme:
     """The complete PCC endpoint logic, exposed as a rate controller.
 
-    ``epsilon_min`` / ``epsilon_max`` / ``use_rct`` and the rate bounds
-    configure the :class:`~repro.core.controller.PCCController` the scheme
-    builds (``scheme.controller``).  ``utility`` selects a registered utility
+    ``epsilon_min`` / ``epsilon_max`` / ``use_rct`` configure the
+    :class:`~repro.core.controller.PCCController` the scheme builds
+    (``scheme.controller``); its rate bounds and the monitor's interval
+    sizing are module constants (``MIN_RATE_BPS`` / ``MAX_RATE_BPS``,
+    ``DEFAULT_MI_RTT_RANGE`` / ``DEFAULT_MIN_PACKETS_PER_MI``).  ``utility`` selects a registered utility
     name (``"safe"``, ``"simple"``, ``"loss_resilient"``, ``"latency"``) —
     what the sweep layers ship across process boundaries — and
     ``utility_function`` passes a bespoke instance in single-process code.
@@ -51,13 +53,9 @@ class PCCScheme:
         epsilon_min: float = 0.01,
         epsilon_max: float = 0.05,
         use_rct: bool = True,
-        mi_rtt_range: tuple[float, float] = DEFAULT_MI_RTT_RANGE,
-        min_packets_per_mi: int = DEFAULT_MIN_PACKETS_PER_MI,
         initial_rate_bps: Optional[float] = None,
         mss: int = DEFAULT_MSS,
         utility: Optional[str] = None,
-        min_rate_bps: float = MIN_RATE_BPS,
-        max_rate_bps: float = 1e12,
     ):
         if utility is not None and utility_function is not None:
             raise ValueError("pass either utility (a registered name) or "
@@ -71,11 +69,7 @@ class PCCScheme:
             epsilon_min=epsilon_min,
             epsilon_max=epsilon_max,
             use_rct=use_rct,
-            min_rate_bps=min_rate_bps,
-            max_rate_bps=max_rate_bps,
         )
-        self.mi_rtt_range = mi_rtt_range
-        self.min_packets_per_mi = min_packets_per_mi
         self.initial_rate_bps = initial_rate_bps
         self.mss = mss
         #: The pacing rate (:class:`repro.cc.base.RateController`), published
@@ -106,11 +100,6 @@ class PCCScheme:
             on_mi_complete=self.controller.on_mi_complete,
             utility_function=self.utility_function,
             mss=sender.mss,
-            min_packets_per_mi=self.min_packets_per_mi,
-            mi_rtt_range=self.mi_rtt_range,
-            # The monitor's MI-sizing floor is kept equal to the controller's
-            # rate floor, so the two never disagree about the slowest rate.
-            min_rate_bps=self.controller.min_rate_bps,
         )
         # Until the first packet opens the first MI the flow paces at the
         # controller's (just reset) starting rate.
@@ -144,8 +133,14 @@ class PCCScheme:
         return current
 
     def _open_mi(self, open_mi, now: float) -> MonitorIntervalStats:
-        """Open the next MI with ``open_mi`` and publish its rate."""
-        open_mi(now, self._rtt_estimate())
+        """Open the next MI with ``open_mi``, sized against the smoothed RTT
+        (the path's base RTT before the first sample), and publish its
+        rate."""
+        sender = self._sender
+        rtt = sender.rtt.srtt
+        if rtt is None:
+            rtt = max(sender.path.base_rtt, 1e-4)
+        open_mi(now, rtt)
         current = self.monitor.current_interval
         self.rate_bps = current.target_rate_bps
         return current
@@ -191,13 +186,6 @@ class PCCScheme:
     # ------------------------------------------------------------------ #
     # Helpers / introspection
     # ------------------------------------------------------------------ #
-    def _rtt_estimate(self) -> float:
-        if self._sender is not None and self._sender.rtt.srtt is not None:
-            return self._sender.rtt.srtt
-        if self._sender is not None:
-            return max(self._sender.path.base_rtt, 1e-4)
-        return 0.05
-
     @property
     def completed_intervals(self) -> list[MonitorIntervalStats]:
         """Completed MIs as a list (empty before the flow starts).

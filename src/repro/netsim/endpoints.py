@@ -638,12 +638,9 @@ class RateBasedSender(SenderBase):
         self._pacing_timer = sim.schedule_at(sim.now + interval, self._tick)
 
     def _on_flow_complete(self) -> None:
-        timer = self._pacing_timer
-        if timer is not None and timer[2] is not None:
-            # Event.cancel() on the tick's entry: the drain skips it.
-            timer[2] = timer[3] = None
-            self.sim._cancelled_pending += 1
-        self._pacing_timer = None
+        if self._pacing_timer is not None:
+            Event.cancel(self._pacing_timer, self.sim)
+            self._pacing_timer = None
         # The controller holds this sender (PCC binds to it at flow start).
         self.controller = None
         self._on_ack = self._on_loss = None

@@ -61,11 +61,16 @@ class Event(list):
         """Whether :meth:`cancel` took the event out before it fired."""
         return self[3] is None
 
-    def cancel(self) -> None:
-        """Mark the event so it will not fire."""
+    def cancel(self, sim: Optional["Simulator"] = None) -> None:
+        """Mark the event so it will not fire.
+
+        This is the one way to cancel a heap entry: ``Event.cancel(entry,
+        sim)`` cancels a plain ``[time, seq, callback, args]`` entry pushed
+        into ``sim`` without a handle (a rate sender's tick) the same way.
+        """
         if self[2] is not None:
             self[2] = self[3] = None
-            self.sim._cancelled_pending += 1
+            (self.sim if sim is None else sim)._cancelled_pending += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled else

@@ -22,44 +22,24 @@ queue that is exactly :class:`~repro.netsim.queues.DropTailQueue` builds a
 arrival and chained-service frames, keeping the queue's counters; every other
 discipline is driven through its ``enqueue`` / ``dequeue``.  Both give the
 same events, drops and counters, bit for bit.
+
+Each event on a link is counted once, by the object that decides it: the
+queue counts what it admits, releases and drops (``queue.stats``), and the
+link counts the one thing no queue sees, a packet lost in transit
+(:attr:`Link.packets_randomly_lost`).  Nothing is called back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
 from .engine import Simulator
 from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
 
-__all__ = ["Link", "LinkStats"]
-
-
-class LinkStats:
-    """Counters kept by every link."""
-
-    __slots__ = (
-        "packets_sent",
-        "bytes_sent",
-        "packets_randomly_lost",
-        "packets_queue_dropped",
-        "busy_time",
-    )
-
-    def __init__(self) -> None:
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self.packets_randomly_lost = 0
-        self.packets_queue_dropped = 0
-        self.busy_time = 0.0
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the link spent serializing packets."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
+__all__ = ["Link"]
 
 
 class Link:
@@ -81,8 +61,8 @@ class Link:
         transmitted-but-lost model, matching lossy radio/satellite links where
         the bits are sent but never arrive intact).  A lost packet still
         occupies the link for its full serialization time but is never
-        delivered; the loss is decided — and counted in :attr:`stats` /
-        reported via :attr:`on_loss` — when the packet begins serialization.
+        delivered; the loss is decided — and counted in
+        :attr:`packets_randomly_lost` — when the packet begins serialization.
     name:
         Optional human-readable name used in reprs and traces.
     """
@@ -116,14 +96,15 @@ class Link:
         self.set_delay(delay_s)
         self.set_loss_rate(loss_rate)
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
-        self.queue.on_drop = self._record_queue_drop
         # Randomized disciplines (RED, PIE) draw from the simulator RNG;
         # attaching it here — never at construction — is what keeps queue
         # building free of RNG side effects (the attach-rng pattern, pinned by
         # tests/netsim/test_queues.py::TestConstructionDrawsNoRandomness).
         self.queue.attach_rng(sim.rng)
         self.name = name
-        self.stats = LinkStats()
+        #: Packets lost in transit (the Bernoulli ``loss_rate``); what the
+        #: queue admits, releases and drops is counted in ``queue.stats``.
+        self.packets_randomly_lost = 0
         #: Absolute simulated time at which the current serialization ends.
         self._busy_until = 0.0
         #: Whether the single chained service entry is in the heap: only
@@ -139,9 +120,6 @@ class Link:
         # the simulator's checks or an Event handle: nothing cancels them.
         self._push = sim.push
         self._seq = sim.seq
-        #: Optional hook invoked for every packet lost on this link (random loss
-        #: or queue drop); receives the packet.  Used by per-flow statistics.
-        self.on_loss: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------ #
     # Parameter mutation (Figure 11 dynamics, Table 1 rate limiting)
@@ -185,11 +163,6 @@ class Link:
             self._push([now + (self._busy_until - now), next(self._seq),
                         self._serve_next, ()])
 
-    def _record_queue_drop(self, packet: Packet) -> None:
-        self.stats.packets_queue_dropped += 1
-        if self.on_loss is not None:
-            self.on_loss(packet)
-
     def _serve_next(self) -> None:
         """Start serializing the next queued packet (the chained service
         entry's callback, or inline for a packet that found the link idle)."""
@@ -201,23 +174,15 @@ class Link:
         route = packet.route
         if route is None:
             raise RuntimeError("packet has no route attached")
-        size_bytes = packet.size_bytes
-        serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-        stats = self.stats
-        stats.busy_time += serialization
+        serialization = packet.size_bytes * BITS_PER_BYTE / self.bandwidth_bps
         self._busy_until = busy_until = now + serialization
-        stats.packets_sent += 1
-        stats.bytes_sent += size_bytes
-        # Chain the next service completion BEFORE invoking the loss hook: a
-        # re-entrant enqueue from on_loss must see either the chain entry or
-        # a consistent busy window.
+        # The chain entry is pushed before the delivery, so a same-instant
+        # tie fires the service first.
         if self.queue.packets_queued > 0:
             self._service_pending = True
             self._push([busy_until, next(self._seq), self._serve_next, ()])
         if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            stats.packets_randomly_lost += 1
-            if self.on_loss is not None:
-                self.on_loss(packet)
+            self.packets_randomly_lost += 1
         else:
             # The delivery entry calls the next hop directly: the next link's
             # enqueue, or the destination after the last link.  The time is
@@ -241,13 +206,12 @@ class _DropTailLink(Link):
     ``Link(...)``.
 
     The queue's ``enqueue`` / ``dequeue`` are written out here, in the frame
-    that holds the packet: the arrival admits it, or drops it with the
-    queue's ``_drop`` and the link's drop hook (the queue's ``on_drop``,
-    which ``Link.__init__`` sets), and when the link is idle — so the queue
-    is empty — releases and serializes it at once; the chained service entry
-    releases the head and serializes it.  The queue's counters and FIFO are
-    the ones ``DropTailQueue`` keeps, and the serialization block is
-    :meth:`Link._serve_next`'s.
+    that holds the packet: the arrival admits it, or drops it and counts the
+    drop in ``queue.stats`` as the queue's ``_drop`` does, and when the link
+    is idle — so the queue is empty — releases and serializes it at once; the
+    chained service entry releases the head and serializes it.  The queue's
+    counters and FIFO are the ones ``DropTailQueue`` keeps, and the
+    serialization block is :meth:`Link._serve_next`'s.
     """
 
     queue: DropTailQueue
@@ -258,11 +222,7 @@ class _DropTailLink(Link):
         queue = self.queue
         size_bytes = packet.size_bytes
         if queue.bytes_queued + size_bytes > queue.capacity_bytes:
-            # The queue's _drop and its drop hook, _record_queue_drop.
-            queue.stats.dropped += 1
-            self.stats.packets_queue_dropped += 1
-            if self.on_loss is not None:
-                self.on_loss(packet)
+            queue.stats.dropped += 1  # the queue's _drop
             return
         packet.enqueue_time = now
         queue.stats.enqueued += 1
@@ -283,15 +243,9 @@ class _DropTailLink(Link):
         if route is None:
             raise RuntimeError("packet has no route attached")
         serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-        stats = self.stats
-        stats.busy_time += serialization
         self._busy_until = now + serialization
-        stats.packets_sent += 1
-        stats.bytes_sent += size_bytes
         if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            stats.packets_randomly_lost += 1
-            if self.on_loss is not None:
-                self.on_loss(packet)
+            self.packets_randomly_lost += 1
         else:
             hop = packet.hop
             packet.hop = hop + 1
@@ -316,18 +270,12 @@ class _DropTailLink(Link):
         if route is None:
             raise RuntimeError("packet has no route attached")
         serialization = size_bytes * BITS_PER_BYTE / self.bandwidth_bps
-        stats = self.stats
-        stats.busy_time += serialization
         self._busy_until = busy_until = now + serialization
-        stats.packets_sent += 1
-        stats.bytes_sent += size_bytes
         if fifo:
             self._service_pending = True
             self._push([busy_until, next(self._seq), self._serve_next, ()])
         if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            stats.packets_randomly_lost += 1
-            if self.on_loss is not None:
-                self.on_loss(packet)
+            self.packets_randomly_lost += 1
         else:
             hop = packet.hop
             packet.hop = hop + 1

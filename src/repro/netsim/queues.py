@@ -13,7 +13,10 @@ Each discipline implements the small :class:`QueueDiscipline` interface used by
 :class:`repro.netsim.link.Link`: ``enqueue`` may accept or drop a packet, and
 ``dequeue`` returns the next packet to serialize (or ``None`` when empty).
 Byte/packet occupancy book-keeping is shared in the base class so that the
-capacity invariants hold for every discipline.
+capacity invariants hold for every discipline.  Each discipline counts what it
+admits, releases and drops in its own :class:`QueueStats`, once, and calls
+nothing back: a link reads ``queue.stats``, and :class:`FairQueue` reads its
+children's occupancy.
 
 The canonical AQM baselines the reproduction's Figure 17 matrix extends to —
 RED (Floyd & Jacobson), PIE (RFC 8033, simplified) and FQ-CoDel (DRR fair
@@ -61,7 +64,13 @@ __all__ = [
 ]
 
 class QueueStats:
-    """Counters shared by all queue disciplines."""
+    """Counters shared by all queue disciplines.
+
+    ``enqueued`` counts admitted packets, ``dequeued`` the packets handed to
+    the link and ``dropped`` every other exit: arrivals rejected and packets
+    dropped after admission.  So packets offered = ``dequeued + dropped +
+    packets_queued``.
+    """
 
     __slots__ = ("enqueued", "dequeued", "dropped")
 
@@ -88,8 +97,6 @@ class QueueDiscipline:
         self.stats = QueueStats()
         self.bytes_queued = 0
         self.packets_queued = 0
-        #: Optional hook invoked with every dropped packet (used by per-flow stats).
-        self.on_drop: Optional[Callable[[Packet], None]] = None
         #: Seeded RNG for randomized drop decisions; ``None`` until
         #: :meth:`attach_rng` is called (links attach ``sim.rng``).
         self.rng: Optional[random.Random] = None
@@ -132,8 +139,6 @@ class QueueDiscipline:
 
     def _drop(self, packet: Packet) -> bool:
         self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(packet)
         return False
 
 
@@ -227,7 +232,6 @@ class CoDelQueue(QueueDiscipline):
             packet = fifo.popleft()
             self.bytes_queued -= packet.size_bytes
             self.packets_queued -= 1
-            self.stats.dequeued += 1
             # Sojourn above target, with more than two packets' worth left,
             # for a whole interval makes the packet a drop candidate.
             if (now - packet.enqueue_time < _CODEL_TARGET
@@ -242,14 +246,12 @@ class CoDelQueue(QueueDiscipline):
             if self._dropping:
                 if not ok_to_drop:
                     self._dropping = False
-                    return packet
-                if now >= self._drop_next:
+                elif now >= self._drop_next:
                     self._drop_count += 1
                     self._drop_next = self._control_law(self._drop_next)
                     self._drop(packet)
                     continue
-                return packet
-            if ok_to_drop:
+            elif ok_to_drop:
                 self._dropping = True
                 delta = self._drop_count - self._last_drop_count
                 if delta > 1 and now - self._drop_next < 16 * _CODEL_INTERVAL:
@@ -260,6 +262,9 @@ class CoDelQueue(QueueDiscipline):
                 self._last_drop_count = self._drop_count
                 self._drop(packet)
                 continue
+            # A head drop is counted as a drop only: dequeued is what the
+            # link is handed.
+            self.stats.dequeued += 1
             return packet
         return None
 
@@ -417,6 +422,12 @@ class FairQueue(QueueDiscipline):
     backlogged flows, giving each a quantum of one MSS per round, which yields
     long-term per-flow fairness independent of per-flow arrival rates — the
     isolation Section 4.4 relies on.
+
+    The aggregate ``bytes_queued`` / ``packets_queued`` and ``stats.dropped``
+    follow each child's own occupancy, read before and after every child
+    ``enqueue`` and ``dequeue``: whatever a child lets go of without handing
+    it out — a rejected arrival, a CoDel head drop — is a drop, so a child
+    needs no hook and keeps no contract with its parent.
     """
 
     def __init__(self, child_factory: Optional[Callable[[], QueueDiscipline]] = None):
@@ -438,49 +449,25 @@ class FairQueue(QueueDiscipline):
     def _child(self, flow_id: int) -> QueueDiscipline:
         """Build the child of a flow seen for the first time."""
         child = self._child_factory()
-        child.on_drop = self._child_drop
         if self.rng is not None:
             child.attach_rng(self.rng)
         self._flows[flow_id] = child
         self._deficits[flow_id] = 0.0
         return child
 
-    def _child_drop(self, packet: Packet) -> None:
-        # A drop inside a child discipline must be reflected in the aggregate
-        # occupancy and surfaced through the parent's drop hook.
-        self.bytes_queued -= packet.size_bytes
-        self.packets_queued -= 1
-        self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(packet)
-
     def enqueue(self, packet: Packet, now: float) -> bool:
         child = self._flows.get(packet.flow_id)
         if child is None:
             child = self._child(packet.flow_id)
-        # Admit into aggregate book-keeping first.  Child disciplines own
-        # their drop accounting: every packet a child rejects or AQM-drops
-        # must pass through the child's own ``_drop``, whose ``on_drop`` hook
-        # (wired to ``_child_drop``) is the single path that rolls the
-        # aggregate occupancy back and surfaces the drop to the parent's
-        # hook.  The parent never accounts a child drop itself — that would
-        # double-count — and a child that rejects without invoking its hook
-        # violates the contract, which is enforced below rather than papered
-        # over.
-        bytes_before = self.bytes_queued
-        packets_before = self.packets_queued
-        self.bytes_queued = bytes_before + packet.size_bytes
-        self.packets_queued = packets_before + 1
+        bytes_before = child.bytes_queued
+        packets_before = child.packets_queued
         accepted = child.enqueue(packet, now)
+        packets_after = child.packets_queued
+        self.bytes_queued += child.bytes_queued - bytes_before
+        self.packets_queued += packets_after - packets_before
+        # The arrival and every packet the child held are resident or dropped.
+        self.stats.dropped += packets_before + 1 - packets_after
         if not accepted:
-            if (self.bytes_queued != bytes_before
-                    or self.packets_queued != packets_before):
-                raise RuntimeError(
-                    "child discipline rejected a packet without routing it "
-                    "through its drop hook; child disciplines own their drop "
-                    "accounting (call QueueDiscipline._drop for every "
-                    "rejected packet)"
-                )
             return False
         self.stats.enqueued += 1
         if packet.flow_id not in self._active_set:
@@ -508,13 +495,19 @@ class FairQueue(QueueDiscipline):
                 self._deficits[flow_id] += _DRR_QUANTUM_BYTES
                 self._active.rotate(-1)
                 continue
+            bytes_before = child.bytes_queued
+            packets_before = child.packets_queued
             packet = child.dequeue(now)
+            packets_after = child.packets_queued
+            self.bytes_queued += child.bytes_queued - bytes_before
+            self.packets_queued += packets_after - packets_before
             if packet is None:
                 # CoDel may have dropped the whole backlog of this flow.
+                self.stats.dropped += packets_before - packets_after
                 continue
+            # Every packet that left the child but this one was head-dropped.
+            self.stats.dropped += packets_before - 1 - packets_after
             self._deficits[flow_id] -= packet.size_bytes
-            self.bytes_queued -= packet.size_bytes
-            self.packets_queued -= 1
             self.stats.dequeued += 1
             if child.packets_queued == 0:
                 self._active.popleft()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import controller as controller_module
 from repro.core.controller import ControllerState, MIPurpose, PCCController
 from repro.core.metrics import MonitorIntervalStats
 
@@ -44,8 +45,10 @@ class TestStartingState:
         assert controller.next_rate(0.0)[0] == 250_000.0
         assert controller.next_rate(0.1)[0] == 500_000.0
 
-    def test_reset_initial_rate_clamps_to_bounds(self):
-        controller = PCCController(min_rate_bps=100_000.0, max_rate_bps=1e9)
+    def test_reset_initial_rate_clamps_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "MIN_RATE_BPS", 100_000.0)
+        monkeypatch.setattr(controller_module, "MAX_RATE_BPS", 1e9)
+        controller = PCCController()
         controller.reset_initial_rate(1.0)
         assert controller.rate_bps == 100_000.0
         controller.reset_initial_rate(1e12)
@@ -356,9 +359,10 @@ class TestAdjustingState:
 
 
 class TestGuards:
-    def test_rate_clamped_to_bounds(self):
-        controller = PCCController(initial_rate_bps=1e3, min_rate_bps=16_000,
-                                   max_rate_bps=1e6)
+    def test_rate_clamped_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_RATE_BPS", 1e6)
+        assert controller_module.MIN_RATE_BPS == 16_000
+        controller = PCCController(initial_rate_bps=1e3)
         rate, _ = controller.next_rate(0.0)
         assert rate == 16_000
         for i in range(40):
@@ -370,11 +374,3 @@ class TestGuards:
             PCCController(epsilon_min=0.0)
         with pytest.raises(ValueError):
             PCCController(epsilon_min=0.05, epsilon_max=0.01)
-
-    def test_invalid_rate_bounds_rejected(self):
-        """The rate floor divides the monitor's MI-duration computation, so a
-        non-positive floor (or inverted bounds) must be rejected up front."""
-        with pytest.raises(ValueError):
-            PCCController(min_rate_bps=0.0)
-        with pytest.raises(ValueError):
-            PCCController(min_rate_bps=1e6, max_rate_bps=1e3)

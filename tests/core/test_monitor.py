@@ -67,8 +67,8 @@ class TestMILifecycle:
 
     def test_duration_respects_rtt_randomisation_range(self):
         sim = Simulator(seed=3)
-        monitor, _, _ = make_monitor(sim, rate_bps=100e6,
-                                     mi_rtt_range=(1.7, 2.2))
+        monitor, _, _ = make_monitor(sim, rate_bps=100e6)
+        assert monitor_module.DEFAULT_MI_RTT_RANGE == (1.7, 2.2)
         durations = []
         now = 0.0
         for _ in range(50):
@@ -94,25 +94,22 @@ class TestMILifecycle:
         sized as if sending at exactly the shared floor."""
         sim = Simulator()
         monitor, _, _ = make_monitor(sim, rate_bps=1.0)
-        assert monitor.min_rate_bps == MIN_RATE_BPS
+        assert monitor_module.MIN_RATE_BPS is MIN_RATE_BPS
         monitor.current_mi_id(0.0, 0.03)
         mi = monitor.current_interval
-        expected = monitor.min_packets_per_mi * monitor.mss * 8.0 / MIN_RATE_BPS
+        expected = (monitor_module.DEFAULT_MIN_PACKETS_PER_MI * monitor.mss * 8.0
+                    / MIN_RATE_BPS)
         assert mi.send_end_time - mi.start_time == pytest.approx(expected)
 
-    def test_rate_floor_configurable(self):
+    def test_mi_sizing_reads_the_constants_when_an_mi_opens(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "MIN_RATE_BPS", 64_000.0)
+        monkeypatch.setattr(monitor_module, "DEFAULT_MIN_PACKETS_PER_MI", 10)
         sim = Simulator()
-        monitor, _, _ = make_monitor(sim, rate_bps=1.0, min_rate_bps=64_000.0)
+        monitor, _, _ = make_monitor(sim, rate_bps=1.0)
         monitor.current_mi_id(0.0, 0.03)
         mi = monitor.current_interval
-        expected = monitor.min_packets_per_mi * monitor.mss * 8.0 / 64_000.0
+        expected = 10 * monitor.mss * 8.0 / 64_000.0
         assert mi.send_end_time - mi.start_time == pytest.approx(expected)
-
-    def test_nonpositive_rate_floor_rejected(self):
-        """The floor divides the MI-duration computation; zero would crash it."""
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            make_monitor(sim, min_rate_bps=0.0)
 
 
 class TestFeedbackAccounting:

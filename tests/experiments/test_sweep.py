@@ -612,8 +612,8 @@ class TestControllerKwargsIdentityIntegrity:
 
     def test_unrelated_controller_kwargs_still_pass(self):
         grid = tiny_grid(schemes=("pcc",),
-                         controller_kwargs={"min_packets_per_mi": 10})
-        assert grid.cells(0)[0].controller_kwargs == {"min_packets_per_mi": 10}
+                         controller_kwargs={"epsilon_min": 0.02})
+        assert grid.cells(0)[0].controller_kwargs == {"epsilon_min": 0.02}
 
     def test_controller_kwargs_are_identity_when_set(self, tmp_path):
         """Two grids differing only in controller_kwargs simulate different

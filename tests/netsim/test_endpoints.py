@@ -103,7 +103,7 @@ class TestLossDetectionAndRecovery:
         topo = single_bottleneck(sim, 20e6, 0.02, buffer_bytes=10_000)
         sender, receiver, stats = build_windowed(sim, topo)
         sim.run(5.0)
-        drops = topo.forward.stats.packets_queue_dropped
+        drops = topo.forward.queue.stats.dropped
         assert drops > 0
         # Every queue drop is eventually detected by the sender (within slack
         # for packets still in flight at the end of the run).

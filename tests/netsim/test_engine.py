@@ -143,6 +143,24 @@ class TestCancellation:
         sim.run(2.0)
         assert sim.events_processed == 1
 
+    def test_a_plain_entry_is_cancelled_as_an_event_is(self):
+        """An entry pushed without a handle is cancelled by the same
+        function, so it counts toward compaction as an Event does."""
+        sim = Simulator()
+        fired = []
+        for i in range(300):
+            entry = [1.0, next(sim.seq), fired.append, (i,)]
+            sim.push(entry)
+            Event.cancel(entry, sim)
+            Event.cancel(entry, sim)
+        assert sim._cancelled_pending == 300
+        # The next schedule_at finds dead entries dominating and compacts.
+        sim.schedule(1.0, fired.append, "live")
+        assert sim.pending_events == 1
+        sim.run(2.0)
+        assert fired == ["live"]
+        assert sim.events_processed == 1
+
 
 class TestHeapCompaction:
     def test_compaction_mid_drain_keeps_survivors_in_order(self):

@@ -3,18 +3,29 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.netsim.queues import CoDelQueue, DropTailQueue
+from repro.netsim.queues import (
+    CoDelQueue,
+    DropTailQueue,
+    FairQueue,
+    make_qdisc,
+    qdisc_names,
+)
 from repro.netsim.route import Path, Route
 
 
 def make_packet(packet_id=0, size=1500, flow_id=1):
     return Packet(flow_id=flow_id, packet_id=packet_id, data_seq=packet_id,
                   size_bytes=size, sent_time=0.0)
+
+
+class PlainDropTailQueue(DropTailQueue):
+    """Behaves as ``DropTailQueue``, but is not exactly that type, so a link
+    drives it through its ``enqueue`` / ``dequeue`` (the generic path)."""
 
 
 def send_over(sim, links, packets):
@@ -86,18 +97,19 @@ class TestLinkLossAndDrops:
         arrivals = send_over(sim, [link], [make_packet(i) for i in range(n)])
         delivered_fraction = len(arrivals) / n
         assert 0.75 <= delivered_fraction <= 0.85
-        assert link.stats.packets_randomly_lost == n - len(arrivals)
+        assert link.packets_randomly_lost == n - len(arrivals)
+        assert link.queue.stats.dropped == 0
 
-    def test_queue_overflow_counted_and_reported(self):
+    @pytest.mark.parametrize("queue_type", [DropTailQueue, PlainDropTailQueue])
+    def test_queue_overflow_counted_once_by_the_queue(self, queue_type):
         sim = Simulator()
-        losses = []
         link = Link(sim, bandwidth_bps=12_000, delay_s=0.0,
-                    queue=DropTailQueue(3000))
-        link.on_loss = losses.append
+                    queue=queue_type(3000))
         arrivals = send_over(sim, [link], [make_packet(i) for i in range(10)])
         # One packet in service + two queued fit; the rest are dropped.
-        assert link.stats.packets_queue_dropped == 7
-        assert len(losses) == 7
+        stats = link.queue.stats
+        assert (stats.enqueued, stats.dequeued, stats.dropped) == (3, 3, 7)
+        assert link.packets_randomly_lost == 0
         assert len(arrivals) == 3
 
     def test_invalid_parameters_rejected(self):
@@ -159,12 +171,6 @@ class TestLinkMutation:
         arrivals = send_over(sim, [link], [make_packet(i) for i in range(200)])
         assert len(arrivals) < 30
 
-    def test_utilization_reflects_busy_time(self):
-        sim = Simulator()
-        link = Link(sim, bandwidth_bps=12_000, delay_s=0.0)
-        send_over(sim, [link], [make_packet(0)])
-        assert link.stats.utilization(2.0) == pytest.approx(0.5)
-
 
 class TestPath:
     def test_base_rtt_sums_both_directions(self):
@@ -213,11 +219,6 @@ class TestPath:
         assert sim.now == pytest.approx(3 * 1500 * 8 / 1e6 + 0.004)
 
 
-class PlainDropTailQueue(DropTailQueue):
-    """Behaves as ``DropTailQueue``, but is not exactly that type, so a link
-    drives it through its ``enqueue`` / ``dequeue`` (the generic path)."""
-
-
 #: (gap before the event in s, what happens, its value): a packet of that
 #: size, or a new bandwidth (bps) or delay (s) for the link.
 LINK_TRACES = st.lists(
@@ -231,6 +232,63 @@ LINK_TRACES = st.lists(
     ),
     min_size=1, max_size=150,
 )
+
+
+#: Every discipline in the table, plus ``fq`` over each non-composed child.
+QDISCS = [(name, {}) for name in qdisc_names()] + [
+    ("fq", {"child": name}) for name in qdisc_names()
+    if not isinstance(make_qdisc(name, 15_000), FairQueue)]
+
+#: (gap before the arrival in s, flow, packet size).
+ARRIVALS = st.lists(
+    st.tuples(st.sampled_from((0.0, 0.0002, 0.001, 0.004, 0.02)),
+              st.integers(min_value=1, max_value=3),
+              st.sampled_from((40, 200, 1500, 9000))),
+    min_size=1, max_size=200,
+)
+
+
+class TestEachPacketCountedOnce:
+    """Per-link conservation from the counters alone: every packet offered
+    to a link is dequeued, dropped by the queue or resident, and every
+    dequeued packet is delivered or lost in transit."""
+
+    @pytest.mark.parametrize("name, kwargs", QDISCS,
+                             ids=[name + "".join(f"/{v}" for v in kwargs.values())
+                                  for name, kwargs in QDISCS])
+    @given(arrivals=ARRIVALS, loss_rate=st.sampled_from((0.0, 0.1)),
+           bandwidth_bps=st.sampled_from((1e6, 12e6)),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=30, deadline=None)
+    # A standing queue for far longer than CoDel's interval: head drops.
+    @example(arrivals=[(0.005, 1 + i % 2, 1500) for i in range(200)],
+             loss_rate=0.0, bandwidth_bps=1e6, seed=0)
+    def test_offered_is_dequeued_dropped_or_resident(
+            self, name, kwargs, arrivals, loss_rate, bandwidth_bps, seed):
+        sim = Simulator(seed=seed)
+        queue = make_qdisc(name, 15_000, **kwargs)
+        link = Link(sim, bandwidth_bps, 0.002, queue=queue, loss_rate=loss_rate)
+        delivered = []
+        route = Route([link], delivered.append)
+        offered = []
+
+        def offer(packet):
+            offered.append(packet)
+            route.send(packet)
+
+        at = 0.0
+        for packet_id, (gap, flow_id, size) in enumerate(arrivals):
+            at += gap
+            sim.schedule_at(at, offer, Packet(flow_id, packet_id, packet_id, size, at))
+        stats = queue.stats
+        while True:
+            sim.run(sim.now + 0.003)
+            assert len(offered) == (stats.dequeued + stats.dropped
+                                    + queue.packets_queued)
+            if not sim.pending_events:
+                break
+        assert queue.packets_queued == 0
+        assert stats.dequeued == len(delivered) + link.packets_randomly_lost
 
 
 class TestDropTailPath:
@@ -252,14 +310,15 @@ class TestDropTailPath:
     def run(queue, trace, loss_rate, seed):
         sim = Simulator(seed=seed)
         link = Link(sim, 12e6, 0.002, queue=queue, loss_rate=loss_rate)
-        log = []
-        link.on_loss = lambda packet: log.append(("lost", packet.packet_id, sim.now))
-        route = Route([link], lambda packet: log.append(
-            ("delivered", packet.packet_id, sim.now, packet.enqueue_time)))
+        delivered = []
+        route = Route([link], lambda packet: delivered.append(
+            (packet.packet_id, sim.now, packet.enqueue_time)))
+        sent = []
         at = 0.0
         for packet_id, (gap, (kind, value)) in enumerate(trace):
             at += gap
             if kind == "packet":
+                sent.append(packet_id)
                 sim.schedule_at(at, route.send,
                                 Packet(1, packet_id, packet_id, value, at))
             elif kind == "bandwidth":
@@ -267,9 +326,9 @@ class TestDropTailPath:
             else:
                 sim.schedule_at(at, link.set_delay, value)
         sim.run_until_idle()
-        stats, queue_stats = link.stats, queue.stats
-        return (log,
-                tuple(getattr(stats, name) for name in stats.__slots__),
+        queue_stats = queue.stats
+        not_delivered = sorted(set(sent) - {packet_id for packet_id, *_ in delivered})
+        return (delivered, not_delivered, link.packets_randomly_lost,
                 tuple(getattr(queue_stats, name) for name in queue_stats.__slots__),
                 queue.bytes_queued, queue.packets_queued,
                 sim.events_processed, sim.pending_events, sim.now)
@@ -284,3 +343,8 @@ class TestDropTailPath:
         fifo = self.run(DropTailQueue(capacity), trace, loss_rate, seed)
         generic = self.run(PlainDropTailQueue(capacity), trace, loss_rate, seed)
         assert fifo == generic
+        # Each packet is counted once: dropped by the queue, lost in transit
+        # or delivered.
+        delivered, not_delivered, lost, (enqueued, dequeued, dropped) = fifo[:4]
+        assert len(not_delivered) == dropped + lost
+        assert enqueued == dequeued == len(delivered) + lost

@@ -5,7 +5,9 @@ including any third-party registration that imports before pytest collects —
 is exercised against the same contracts:
 
 * **conservation**: every admitted packet is eventually delivered, dropped
-  post-admission, or resident; nothing is created or destroyed.  Note that
+  post-admission, or resident; nothing is created or destroyed, and
+  ``stats.dequeued`` counts the packets handed out, so a head drop is a
+  drop and not a dequeue.  Note that
   ``stats.enqueued`` counts only *admitted* packets (enqueue-time rejects
   increment only ``stats.dropped``), so the caller-side accept/reject split
   is part of the bookkeeping.
@@ -93,6 +95,7 @@ def test_conservation(name, events):
     rejects = len(events) - accepted
     post_admission_drops = queue.stats.dropped - rejects
     assert queue.stats.enqueued == accepted
+    assert queue.stats.dequeued == len(delivered)
     assert post_admission_drops >= 0
     assert accepted == len(delivered) + post_admission_drops
     assert queue.bytes_queued == 0
@@ -141,13 +144,49 @@ def test_determinism_same_seed_same_trace(name, events):
     for _ in range(2):
         queue = make_qdisc(name, BUFFER_BYTES)
         queue.attach_rng(random.Random(99))
-        drops = []
-        queue.on_drop = lambda packet, drops=drops: drops.append(
-            packet.packet_id)
         accepted, delivered, now = _drive(queue, events)
         delivered += _drain(queue, now)
-        traces.append((accepted, [p.packet_id for p in delivered], drops))
+        # After the drain every packet not delivered was dropped, so the
+        # delivered ids also fix which packets were dropped.
+        stats = queue.stats
+        traces.append((accepted, [p.packet_id for p in delivered],
+                       (stats.enqueued, stats.dequeued, stats.dropped)))
     assert traces[0] == traces[1]
+
+
+FQ_CHILDREN = tuple(name for name in ALL_QDISCS if name not in ("fq", "fq_codel"))
+
+#: (gap before the operation in s, flow, packet size or None to dequeue):
+#: gaps long enough for CoDel children to drop at dequeue.
+FQ_OPERATIONS = st.lists(
+    st.tuples(st.sampled_from((0.0, 0.001, 0.01, 0.05)),
+              st.integers(min_value=1, max_value=3),
+              st.sampled_from((200, 1500, 9000, None))),
+    min_size=1, max_size=200,
+)
+
+
+@pytest.mark.parametrize("child", FQ_CHILDREN)
+@given(operations=FQ_OPERATIONS)
+@settings(max_examples=40, deadline=None)
+def test_fq_aggregate_is_the_sum_of_its_children(child, operations):
+    """After every enqueue and dequeue, fq's occupancy is its children's,
+    and each admission, release and drop is counted once."""
+    queue = make_qdisc("fq", BUFFER_BYTES, child=child)
+    queue.attach_rng(random.Random(5))
+    now = 0.0
+    for packet_id, (gap, flow_id, size) in enumerate(operations):
+        now += gap
+        if size is None:
+            queue.dequeue(now)
+        else:
+            queue.enqueue(_packet(packet_id, flow_id, size), now)
+        children = queue._flows.values()
+        assert queue.bytes_queued == sum(c.bytes_queued for c in children)
+        assert queue.packets_queued == sum(c.packets_queued for c in children)
+        for slot in queue.stats.__slots__:
+            assert getattr(queue.stats, slot) == sum(
+                getattr(c.stats, slot) for c in children)
 
 
 def _congestion_cycle(queue, start, count=60):

@@ -57,14 +57,6 @@ class TestDropTail:
         assert queue.bytes_queued == 3000
         assert queue.packets_queued == 3
 
-    def test_on_drop_hook_invoked(self):
-        queue = DropTailQueue(capacity_bytes=1500)
-        dropped = []
-        queue.on_drop = dropped.append
-        queue.enqueue(make_packet(packet_id=0), 0.0)
-        queue.enqueue(make_packet(packet_id=1), 0.0)
-        assert [p.packet_id for p in dropped] == [1]
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             DropTailQueue(capacity_bytes=0)
@@ -177,44 +169,61 @@ class TestFairQueue:
         assert abs(bytes_served[1] - bytes_served[2]) <= 1500
 
 
-class TestFairQueueDropContract:
-    """Child disciplines own their drop accounting: every packet a child
-    rejects or AQM-drops must pass through the child's own ``_drop`` (whose
-    hook rolls the aggregate occupancy back exactly once).  A child that
-    rejects without invoking the hook is a contract violation the parent
-    surfaces loudly instead of double-counting silently."""
+class TestFairQueueDropAccounting:
+    """The parent reads each child's occupancy before and after every child
+    ``enqueue`` and ``dequeue``: whatever left the child without being handed
+    out is one drop, whether or not the child counted it."""
 
-    def test_well_behaved_child_reject_accounts_exactly_once(self):
+    def test_child_reject_counted_once(self):
         queue = FairQueue(lambda: DropTailQueue(3000))
-        drops = []
-        queue.on_drop = drops.append
         assert queue.enqueue(make_packet(flow_id=1, packet_id=0), 0.0)
         assert queue.enqueue(make_packet(flow_id=1, packet_id=1), 0.0)
-        # Third 1500-byte packet exceeds the per-flow capacity: the child
-        # drop-tail rejects it through its drop hook.
+        # Third 1500-byte packet exceeds the per-flow capacity.
         assert not queue.enqueue(make_packet(flow_id=1, packet_id=2), 0.0)
-        assert [p.packet_id for p in drops] == [2]
-        assert queue.stats.dropped == 1
+        assert queue.stats.dropped == queue._flows[1].stats.dropped == 1
         assert queue.stats.enqueued == 2
         assert queue.bytes_queued == 3000
         assert queue.packets_queued == 2
 
-    def test_hookless_child_reject_raises(self):
-        class HookSwallowingQueue(DropTailQueue):
-            """Rejects without routing the packet through _drop."""
+    def test_hookless_child_reject_keeps_the_aggregate_and_counts_the_drop(self):
+        class UncountedRejectQueue(DropTailQueue):
+            """Rejects without calling _drop, so it counts no drop itself."""
 
             def enqueue(self, packet, now):
                 if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
-                    return False  # silently, without self._drop(packet)
+                    return False
                 return super().enqueue(packet, now)
 
-        queue = FairQueue(
-            child_factory=lambda: HookSwallowingQueue(3000))
+        queue = FairQueue(child_factory=lambda: UncountedRejectQueue(3000))
         assert queue.enqueue(make_packet(flow_id=1, packet_id=0), 0.0)
         assert queue.enqueue(make_packet(flow_id=1, packet_id=1), 0.0)
-        with pytest.raises(RuntimeError, match="without routing it through "
-                                               "its drop hook"):
-            queue.enqueue(make_packet(flow_id=1, packet_id=2), 0.0)
+        assert not queue.enqueue(make_packet(flow_id=1, packet_id=2), 0.0)
+        child = queue._flows[1]
+        assert child.stats.dropped == 0
+        assert (queue.stats.enqueued, queue.stats.dropped) == (2, 1)
+        assert (queue.bytes_queued, queue.packets_queued) == \
+            (child.bytes_queued, child.packets_queued) == (3000, 2)
+        assert [queue.dequeue(0.0).packet_id for _ in range(2)] == [0, 1]
+        assert queue.dequeue(0.0) is None
+        assert (queue.bytes_queued, queue.packets_queued) == (0, 0)
+
+    def test_codel_head_drops_counted_once(self):
+        """fq_codel drops at dequeue, inside the child; the parent counts
+        each such drop once, and its occupancy follows the child's."""
+        queue = make_qdisc("fq_codel", 10_000_000)
+        for i in range(200):
+            queue.enqueue(make_packet(flow_id=1 + i % 2, packet_id=i), 0.0)
+        delivered, now = 0, 0.5
+        while queue.packets_queued:
+            delivered += queue.dequeue(now) is not None
+            now += 0.01
+            children = queue._flows.values()
+            assert queue.packets_queued == sum(c.packets_queued for c in children)
+            assert queue.bytes_queued == sum(c.bytes_queued for c in children)
+        child_drops = sum(c.stats.dropped for c in queue._flows.values())
+        assert child_drops > 0
+        assert queue.stats.dropped == child_drops
+        assert delivered + queue.stats.dropped == 200 == queue.stats.enqueued
 
     def test_attach_rng_reaches_existing_and_future_children(self):
         import random
