@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-__all__ = ["FluidModel"]
+from ..core.utility import _LOSS_THRESHOLD, sigmoid
 
-#: Loss rate at which the safe utility's sigmoid cuts off (0.05 in the paper).
-_LOSS_THRESHOLD = 0.05
+__all__ = ["FluidModel"]
 
 #: A best response is located to within this fraction of the capacity.
 _BEST_RESPONSE_TOLERANCE = 1e-6
@@ -64,20 +63,12 @@ class FluidModel:
         """Sender ``i``'s throughput T_i(x) = x_i (1 - L(x))."""
         return rates[i] * (1.0 - self.loss(rates))
 
-    def sigmoid(self, y: float) -> float:
-        """The cut-off sigmoid 1 / (1 + e^{alpha y}), numerically clamped."""
-        exponent = self.alpha * y
-        if exponent > 700.0:
-            return 0.0
-        if exponent < -700.0:
-            return 1.0
-        return 1.0 / (1.0 + math.exp(exponent))
-
     def utility(self, rates: Sequence[float], i: int) -> float:
         """Sender ``i``'s safe utility u_i(x)."""
         loss = self.loss(rates)
         throughput = rates[i] * (1.0 - loss)
-        return throughput * self.sigmoid(loss - _LOSS_THRESHOLD) - rates[i] * loss
+        return (throughput * sigmoid(loss - _LOSS_THRESHOLD, self.alpha)
+                - rates[i] * loss)
 
     # ------------------------------------------------------------------ #
     # Helpers used by the theorem checks

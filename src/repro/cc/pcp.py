@@ -39,9 +39,8 @@ _GAIN = 0.5
 class PcpController(RateController):
     """Packet-train probing rate control in the style of PCP."""
 
-    def __init__(self, mss: int = DEFAULT_MSS):
+    def __init__(self) -> None:
         self._rate_bps = INITIAL_RATE_BPS
-        self.mss = mss
         self._sender = None
         self._sim = None
         self._min_rtt = float("inf")
@@ -93,7 +92,7 @@ class PcpController(RateController):
         dispersion = (last_arrival - first_arrival) / (len(acks) - 1)
         if dispersion <= 0:
             return
-        estimate_bps = self.mss * BITS_PER_BYTE / dispersion
+        estimate_bps = DEFAULT_MSS * BITS_PER_BYTE / dispersion
         delay_growth = last_rtt - first_rtt
         if delay_growth > _DELAY_THRESHOLD:
             # The probe built queue: assume we are at (or above) the available

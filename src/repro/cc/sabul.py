@@ -51,9 +51,8 @@ class SabulController(RateController):
 
     SYN_INTERVAL = 0.01  # seconds, per the UDT specification
 
-    def __init__(self, mss: int = DEFAULT_MSS):
+    def __init__(self) -> None:
         self._rate_bps = INITIAL_RATE_BPS
-        self.mss = mss
         self.in_slow_start = True
         # Capacity estimate from minimum inter-ACK spacing (packets per second).
         self._capacity_estimate_pps = 0.0
@@ -115,19 +114,19 @@ class SabulController(RateController):
         self._last_syn_time = now
         if now < self._frozen_until:
             return
-        current_pps = self._rate_bps / (self.mss * BITS_PER_BYTE)
+        current_pps = self._rate_bps / (DEFAULT_MSS * BITS_PER_BYTE)
         # Aim slightly above the packet-pair capacity estimate so the sender
         # keeps probing past the bottleneck (the overshoot the paper describes).
         capacity_pps = max(self._capacity_estimate_pps * 1.05, current_pps * 1.02)
-        spare_bps = max((capacity_pps - current_pps) * self.mss * BITS_PER_BYTE, 0.0)
+        spare_bps = max((capacity_pps - current_pps) * DEFAULT_MSS * BITS_PER_BYTE, 0.0)
         if spare_bps <= 0.0:
-            extra_packets_per_syn = 1.0 / self.mss
+            extra_packets_per_syn = 1.0 / DEFAULT_MSS
         else:
-            # UDT draft: inc = max(10^ceil(log10(spare_bps)) * Beta / mss,
-            # 1/mss) packets per SYN, with Beta = 1.5e-6 and mss in bytes.
+            # UDT draft: inc = max(10^ceil(log10(spare_bps)) * Beta / MSS,
+            # 1/MSS) packets per SYN, with Beta = 1.5e-6 and MSS in bytes.
             magnitude = 10.0 ** math.ceil(math.log10(spare_bps))
-            extra_packets_per_syn = max(magnitude * 1.5e-6 / self.mss, 1.0 / self.mss)
-        self._rate_bps += extra_packets_per_syn * self.mss * BITS_PER_BYTE / self.SYN_INTERVAL
+            extra_packets_per_syn = max(magnitude * 1.5e-6 / DEFAULT_MSS, 1.0 / DEFAULT_MSS)
+        self._rate_bps += extra_packets_per_syn * DEFAULT_MSS * BITS_PER_BYTE / self.SYN_INTERVAL
 
     # ------------------------------------------------------------------ #
     # Feedback
@@ -146,7 +145,7 @@ class SabulController(RateController):
             self.in_slow_start = False
             fallback_pps = self._delivery_rate_pps or self._capacity_estimate_pps
             if fallback_pps > 0:
-                self._rate_bps = fallback_pps * self.mss * BITS_PER_BYTE
+                self._rate_bps = fallback_pps * DEFAULT_MSS * BITS_PER_BYTE
             self._last_decrease_time = now
             self._frozen_until = now + _FREEZE_INTERVALS * self.SYN_INTERVAL
             return

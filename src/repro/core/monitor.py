@@ -60,13 +60,11 @@ class PerformanceMonitor:
         rate_provider: Callable[[float], Tuple[float, object]],
         on_mi_complete: Callable[[MonitorIntervalStats], None],
         utility_function: Optional[UtilityFunction] = None,
-        mss: int = DEFAULT_MSS,
     ):
         self.sim = sim
         self._rate_provider = rate_provider
         self._on_mi_complete = on_mi_complete
         self.utility_function = utility_function or SafeUtility()
-        self.mss = mss
         self._active: Dict[int, MonitorIntervalStats] = {}
         #: Completion-deadline timer per closed-but-unfinished MI, cancelled on
         #: normal completion so long runs do not accumulate one dead event per
@@ -115,7 +113,7 @@ class PerformanceMonitor:
         # Sized against the controller's own rate floor, so the two never
         # disagree about the slowest rate.
         rate_bps = max(rate_bps, MIN_RATE_BPS)
-        min_duration = DEFAULT_MIN_PACKETS_PER_MI * self.mss * BITS_PER_BYTE / rate_bps
+        min_duration = DEFAULT_MIN_PACKETS_PER_MI * DEFAULT_MSS * BITS_PER_BYTE / rate_bps
         rtt = max(rtt_estimate, 1e-4)
         random_duration = self.sim.rng.uniform(*DEFAULT_MI_RTT_RANGE) * rtt
         duration = max(min_duration, random_duration)

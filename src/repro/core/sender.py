@@ -54,7 +54,6 @@ class PCCScheme:
         epsilon_max: float = 0.05,
         use_rct: bool = True,
         initial_rate_bps: Optional[float] = None,
-        mss: int = DEFAULT_MSS,
         utility: Optional[str] = None,
     ):
         if utility is not None and utility_function is not None:
@@ -71,7 +70,6 @@ class PCCScheme:
             use_rct=use_rct,
         )
         self.initial_rate_bps = initial_rate_bps
-        self.mss = mss
         #: The pacing rate (:class:`repro.cc.base.RateController`), published
         #: rather than computed: §3.1 fixes it for a whole monitor interval, so
         #: it is written at flow start and wherever an MI opens
@@ -92,14 +90,13 @@ class PCCScheme:
         if self.initial_rate_bps is None:
             # §3.2: start at 2 * MSS / RTT, exactly like TCP's initial window.
             self.controller.reset_initial_rate(
-                2.0 * sender.mss * BITS_PER_BYTE / base_rtt)
+                2.0 * DEFAULT_MSS * BITS_PER_BYTE / base_rtt)
         self.controller.attach_rng(sender.sim.rng)
         self.monitor = PerformanceMonitor(
             sim=sender.sim,
             rate_provider=self.controller.next_rate,
             on_mi_complete=self.controller.on_mi_complete,
             utility_function=self.utility_function,
-            mss=sender.mss,
         )
         # Until the first packet opens the first MI the flow paces at the
         # controller's (just reset) starting rate.
@@ -205,8 +202,6 @@ def make_pcc_sender(
     stats: Optional[FlowStats] = None,
     total_bytes: Optional[float] = None,
     start_time: float = 0.0,
-    mss: int = DEFAULT_MSS,
-    receiver: Optional[Receiver] = None,
     **scheme_kwargs,
 ) -> tuple[RateBasedSender, Receiver, PCCScheme]:
     """Build a connected PCC sender/receiver pair on ``path``.
@@ -215,7 +210,7 @@ def make_pcc_sender(
     ``sender.start()`` (typically after creating all flows in a scenario).
     """
     stats = stats or FlowStats(flow_id)
-    scheme = PCCScheme(mss=mss, **scheme_kwargs)
+    scheme = PCCScheme(**scheme_kwargs)
     sender = RateBasedSender(
         sim,
         flow_id,
@@ -223,9 +218,8 @@ def make_pcc_sender(
         scheme,
         stats,
         total_bytes=total_bytes,
-        mss=mss,
         start_time=start_time,
     )
-    receiver = receiver or Receiver(sim, flow_id, stats)
+    receiver = Receiver(sim, flow_id, stats)
     connect(sender, receiver, path)
     return sender, receiver, scheme

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 from ..schemes import SchemeInfo, available_schemes, get_scheme
 from ..units import BPS_PER_MBPS, MS_PER_S
 from ..netsim import (
-    DEFAULT_MSS,
     FlowSpec,
     FlowStats,
     Path,
@@ -195,14 +194,13 @@ def _start_flow(
         # because binding a receiver/sender pair to a Path attaches that
         # pair's callbacks.
         sub_path = Path(path.forward_links, path.reverse_links)
+        controller = info.factory(**kwargs)
         if info.sender_kind == "rate":
-            controller = info.factory(mss=DEFAULT_MSS, **kwargs)
             sender: SenderBase = RateBasedSender(
                 sim, sub_id, sub_path, controller, stats,
                 total_bytes=size, start_time=spec.start_time,
             )
         else:  # "windowed"
-            controller = info.factory(**kwargs)
             sender = WindowedSender(
                 sim, sub_id, sub_path, controller, stats,
                 total_bytes=size, start_time=spec.start_time,

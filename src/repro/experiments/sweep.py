@@ -276,16 +276,13 @@ class SweepCell:
             out["delivered_series"] = True
         return out
 
-    def queue_factory(self) -> Optional[Callable[[], QueueDiscipline]]:
-        """Bottleneck queue factory for this cell, or ``None`` for the
-        default.
+    def queue_factory(self) -> Callable[[], QueueDiscipline]:
+        """Bottleneck queue factory for this cell.
 
-        Returning ``None`` on the default path (plain drop-tail, no kwargs)
-        lets topology builders keep their pre-registry construction exactly,
-        so archived default sweeps stay byte-identical.
+        The default ``make_qdisc("droptail", b)`` is exactly
+        ``DropTailQueue(float(b))``, so a default cell's bottleneck is still
+        the drop-tail ``Link`` that keeps its queue's books itself.
         """
-        if self.qdisc == DEFAULT_QDISC and not self.qdisc_kwargs:
-            return None
         buffer_bytes = self.resolved_buffer_bytes()
         return lambda: make_qdisc(self.qdisc, buffer_bytes,
                                   **self.qdisc_kwargs)

@@ -133,7 +133,6 @@ class SenderBase:
         path: Path,
         stats: FlowStats,
         total_bytes: Optional[float] = None,
-        mss: int = DEFAULT_MSS,
         start_time: float = 0.0,
         min_rto: float = 0.2,
         initial_rto: float = 1.0,
@@ -142,10 +141,10 @@ class SenderBase:
         self.flow_id = flow_id
         self.path = path
         self.stats = stats
-        self.mss = mss
         self.start_time = start_time
         self.total_segments: Optional[int] = (
-            None if total_bytes is None else max(1, int(-(-total_bytes // mss)))
+            None if total_bytes is None
+            else max(1, int(-(-total_bytes // DEFAULT_MSS)))
         )
         self.rtt = RTTEstimator(min_rto=min_rto, initial_rto=initial_rto)
         # Transmission state.
@@ -249,15 +248,14 @@ class SenderBase:
         self._next_packet_id += 1
         sim = self.sim
         now = sim.now
-        mss = self.mss
-        packet = Packet(self.flow_id, packet_id, seq, mss, now, False, None,
-                        retransmission, is_probe)
+        packet = Packet(self.flow_id, packet_id, seq, DEFAULT_MSS, now, False,
+                        None, retransmission, is_probe)
         self._outstanding[packet_id] = packet
         stats = self.stats
         if stats.first_send_time is None:
             stats.first_send_time = now
         stats.packets_sent += 1
-        stats.bytes_sent += mss
+        stats.bytes_sent += DEFAULT_MSS
         if retransmission:
             stats.retransmissions += 1
         # Push the RTO deadline out; arm the timer only if none is pending.
@@ -287,7 +285,10 @@ class SenderBase:
         rtt_sample = now - ack.ack_sent_time
         rtt = self.rtt
         if rtt_sample > 0:
-            # RTTEstimator.update(rtt_sample), in this frame.
+            # RFC 6298 (2.2)-(2.3): the first sample sets SRTT and RTTVAR =
+            # R/2, later ones fold in with alpha = 1/8 and beta = 1/4; RTO is
+            # SRTT + max(4 RTTVAR, 1 ms) clamped to [min_rto, _MAX_RTO], by
+            # compares (a builtin call costs as much as a frame).
             srtt = rtt.srtt
             if srtt is None:
                 srtt = rtt_sample
@@ -496,8 +497,7 @@ class WindowedSender(SenderBase):
         start_time: float = 0.0,
         pacing: bool = False,
     ):
-        super().__init__(sim, flow_id, path, stats, total_bytes, DEFAULT_MSS,
-                         start_time)
+        super().__init__(sim, flow_id, path, stats, total_bytes, start_time)
         self.controller = controller
         self.pacing = pacing
         self._recovery_exit_packet_id = -1
@@ -519,7 +519,7 @@ class WindowedSender(SenderBase):
 
     def _pacing_rate_bps(self) -> float:
         srtt = self.rtt.srtt or self.path.base_rtt or 0.05
-        return self.controller.cwnd * self.mss * BITS_PER_BYTE / max(srtt, 1e-6)
+        return self.controller.cwnd * DEFAULT_MSS * BITS_PER_BYTE / max(srtt, 1e-6)
 
     def _fill_window(self) -> None:
         if self.completed:
@@ -544,7 +544,7 @@ class WindowedSender(SenderBase):
         if self.inflight_packets >= self._cwnd_packets() or not self.has_data_to_send():
             return
         rate = max(self._pacing_rate_bps(), 1e3)
-        interval = self.mss * BITS_PER_BYTE / rate
+        interval = DEFAULT_MSS * BITS_PER_BYTE / rate
         self._pacing_timer = self.sim.schedule(interval, self._paced_send)
 
     def _paced_send(self) -> None:
@@ -607,10 +607,9 @@ class RateBasedSender(SenderBase):
         controller,
         stats: FlowStats,
         total_bytes: Optional[float] = None,
-        mss: int = DEFAULT_MSS,
         start_time: float = 0.0,
     ):
-        super().__init__(sim, flow_id, path, stats, total_bytes, mss, start_time,
+        super().__init__(sim, flow_id, path, stats, total_bytes, start_time,
                          min_rto=_RATE_MIN_RTO, initial_rto=_RATE_INITIAL_RTO)
         self.controller = controller
         self._on_ack = controller.on_ack
@@ -634,7 +633,7 @@ class RateBasedSender(SenderBase):
         if rate < 1e3:
             rate = 1e3
         sim = self.sim
-        interval = self.mss * BITS_PER_BYTE / rate
+        interval = DEFAULT_MSS * BITS_PER_BYTE / rate
         self._pacing_timer = sim.schedule_at(sim.now + interval, self._tick)
 
     def _on_flow_complete(self) -> None:
@@ -679,15 +678,14 @@ class RateBasedSender(SenderBase):
             if seq >= 0:
                 packet_id = self._next_packet_id
                 self._next_packet_id = packet_id + 1
-                mss = self.mss
-                packet = Packet(self.flow_id, packet_id, seq, mss, now, False, mi,
-                                retransmission, False)
+                packet = Packet(self.flow_id, packet_id, seq, DEFAULT_MSS, now,
+                                False, mi, retransmission, False)
                 self._outstanding[packet_id] = packet
                 stats = self.stats
                 if stats.first_send_time is None:
                     stats.first_send_time = now
                 stats.packets_sent += 1
-                stats.bytes_sent += mss
+                stats.bytes_sent += DEFAULT_MSS
                 if retransmission:
                     stats.retransmissions += 1
                 self._rto_deadline = deadline = now + self.rtt.rto
@@ -700,7 +698,7 @@ class RateBasedSender(SenderBase):
                     self._packet_sent_hook(packet, now)
                 if mi is not None:
                     mi.packets_sent += 1
-                    mi.bytes_sent += mss
+                    mi.bytes_sent += DEFAULT_MSS
         rate = self.controller.rate_bps
         if rate < 1e3:
             rate = 1e3
@@ -709,7 +707,7 @@ class RateBasedSender(SenderBase):
         # schedule_at's push and heap-compaction test, without its checks
         # (the time is now plus a finite, positive interval) or an Event.
         self._pacing_timer = entry = [
-            now + self.mss * BITS_PER_BYTE / rate, next(sim.seq), self._tick, ()]
+            now + DEFAULT_MSS * BITS_PER_BYTE / rate, next(sim.seq), self._tick, ()]
         sim.push(entry)
         if sim._cancelled_pending > 256 and sim._cancelled_pending * 2 > len(sim._queue):
             sim._compact()

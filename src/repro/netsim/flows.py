@@ -33,6 +33,4 @@ class FlowSpec:
     controller_kwargs: dict = field(default_factory=dict)
     #: Free-form label used in result tables.
     label: str = ""
-    #: Arbitrary metadata propagated to results.
-    meta: dict = field(default_factory=dict)
 

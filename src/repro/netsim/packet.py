@@ -4,8 +4,8 @@ A :class:`Packet` is a mutable record (``__slots__`` for speed) describing one
 segment or acknowledgement travelling through the simulated network.  Sequence
 numbers are segment-granularity, matching how the PCC prototype and the TCP
 models in this repository account for data: a flow of ``N`` bytes is split into
-``ceil(N / mss)`` data segments, each carried by exactly one data packet per
-transmission attempt.
+``ceil(N / DEFAULT_MSS)`` data segments, each carried by exactly one data
+packet per transmission attempt.
 
 Two identifiers are kept on purpose:
 
@@ -27,7 +27,8 @@ from typing import Any
 
 __all__ = ["Packet", "DEFAULT_MSS", "ACK_SIZE_BYTES"]
 
-#: Default maximum segment size used throughout the experiments (bytes).
+#: The maximum segment size (bytes): every data packet carries this many,
+#: and every sender, controller and the PCC monitor read this one constant.
 DEFAULT_MSS = 1500
 
 #: Size of an acknowledgement packet on the wire (bytes).

@@ -427,7 +427,8 @@ class FairQueue(QueueDiscipline):
     follow each child's own occupancy, read before and after every child
     ``enqueue`` and ``dequeue``: whatever a child lets go of without handing
     it out — a rejected arrival, a CoDel head drop — is a drop, so a child
-    needs no hook and keeps no contract with its parent.
+    needs no hook and keeps no contract with its parent.  A drained flow's
+    child is forgotten where a fresh one would behave the same (:meth:`dequeue`).
     """
 
     def __init__(self, child_factory: Optional[Callable[[], QueueDiscipline]] = None):
@@ -439,26 +440,31 @@ class FairQueue(QueueDiscipline):
         self._deficits: dict[int, float] = {}
         self._active: Deque[int] = deque()
         self._active_set: set[int] = set()
+        #: Forgotten children, taken before one is built: at most as many as
+        #: flows were ever queued at once.
+        self._spares: List[QueueDiscipline] = []
 
     def attach_rng(self, rng: random.Random) -> None:
         """Attach the RNG and propagate it to every (current and future) child."""
         self.rng = rng
         for child in self._flows.values():  # repro-lint: disable=RPL003 attaching one shared reference; order cannot be observed
             child.attach_rng(rng)
-
-    def _child(self, flow_id: int) -> QueueDiscipline:
-        """Build the child of a flow seen for the first time."""
-        child = self._child_factory()
-        if self.rng is not None:
-            child.attach_rng(self.rng)
-        self._flows[flow_id] = child
-        self._deficits[flow_id] = 0.0
-        return child
+        for child in self._spares:
+            child.attach_rng(rng)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         child = self._flows.get(packet.flow_id)
         if child is None:
-            child = self._child(packet.flow_id)
+            spares = self._spares
+            if spares:  # index and del: no call
+                child = spares[-1]
+                del spares[-1]
+            else:
+                child = self._child_factory()
+                if self.rng is not None:
+                    child.attach_rng(self.rng)
+            self._flows[packet.flow_id] = child
+            self._deficits[packet.flow_id] = 0.0
         bytes_before = child.bytes_queued
         packets_before = child.packets_queued
         accepted = child.enqueue(packet, now)
@@ -486,34 +492,46 @@ class FairQueue(QueueDiscipline):
         while self._active and self.packets_queued > 0:
             flow_id = self._active[0]
             child = self._flows[flow_id]
-            if child.packets_queued == 0:
-                self._active.popleft()
-                self._active_set.discard(flow_id)
+            packet = None
+            if child.packets_queued:
+                if self._deficits[flow_id] < child._fifo[0].size_bytes:
+                    self._deficits[flow_id] += _DRR_QUANTUM_BYTES
+                    self._active.rotate(-1)
+                    continue
+                bytes_before = child.bytes_queued
+                packets_before = child.packets_queued
+                packet = child.dequeue(now)
+                packets_after = child.packets_queued
+                self.bytes_queued += child.bytes_queued - bytes_before
+                self.packets_queued += packets_after - packets_before
+                if packet is None:
+                    # CoDel may have dropped the whole backlog of this flow.
+                    self.stats.dropped += packets_before - packets_after
+                    continue
+                # Every packet that left the child but this one was head-dropped.
+                self.stats.dropped += packets_before - 1 - packets_after
+                self._deficits[flow_id] -= packet.size_bytes
+                self.stats.dequeued += 1
+                if packets_after:
+                    return packet
+            # The flow is empty and leaves the round.  Its child goes to the
+            # pool where a fresh one would behave the same: drop-tail always,
+            # CoDel outside an episode unless RFC 8289's re-entry would reuse
+            # the last one's count (``delta > 1``); RED and PIE keep averages.
+            self._active.popleft()
+            self._active_set.discard(flow_id)
+            kind = type(child)
+            if kind is DropTailQueue or (
+                    kind is CoDelQueue and not child._dropping
+                    and child._first_above_time == 0.0
+                    and child._drop_count - child._last_drop_count <= 1):
+                del self._flows[flow_id]
+                del self._deficits[flow_id]
+                self._spares += (child,)  # not append: no call
+            else:
                 self._deficits[flow_id] = 0.0
-                continue
-            if self._deficits[flow_id] < child._fifo[0].size_bytes:
-                self._deficits[flow_id] += _DRR_QUANTUM_BYTES
-                self._active.rotate(-1)
-                continue
-            bytes_before = child.bytes_queued
-            packets_before = child.packets_queued
-            packet = child.dequeue(now)
-            packets_after = child.packets_queued
-            self.bytes_queued += child.bytes_queued - bytes_before
-            self.packets_queued += packets_after - packets_before
-            if packet is None:
-                # CoDel may have dropped the whole backlog of this flow.
-                self.stats.dropped += packets_before - packets_after
-                continue
-            # Every packet that left the child but this one was head-dropped.
-            self.stats.dropped += packets_before - 1 - packets_after
-            self._deficits[flow_id] -= packet.size_bytes
-            self.stats.dequeued += 1
-            if child.packets_queued == 0:
-                self._active.popleft()
-                self._active_set.discard(flow_id)
-                self._deficits[flow_id] = 0.0
-            return packet
+            if packet is not None:
+                return packet
         return None
 
 

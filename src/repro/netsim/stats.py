@@ -12,9 +12,9 @@ flows that finished: the :class:`FlowStats` is what is left of them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..units import BITS_PER_BYTE, BPS_PER_MBPS, MS_PER_S, Bps, Seconds
+from ..units import BITS_PER_BYTE, Bps, Seconds
 
 __all__ = ["BIN_WIDTH", "BinnedSeries", "SequenceTracker", "FlowStats", "RTTEstimator"]
 
@@ -28,19 +28,15 @@ _MAX_RTO = 60.0
 
 
 class BinnedSeries:
-    """Accumulates values into :data:`BIN_WIDTH` time bins starting at t=0.
+    """Values summed into :data:`BIN_WIDTH` time bins starting at t=0.
 
-    The receiver adds each delivered packet to ``_bins`` in its own frame,
-    with the arithmetic of :meth:`add`.
+    ``_bins`` maps a bin index to its total.  The receiver writes it in its
+    own frame: a packet delivered at time ``t`` adds its size to bin
+    ``int(t / BIN_WIDTH)``.
     """
 
     def __init__(self) -> None:
         self._bins: dict[int, float] = {}
-
-    def add(self, time: float, value: float) -> None:
-        """Add ``value`` to the bin containing ``time``."""
-        index = int(time / BIN_WIDTH)
-        self._bins[index] = self._bins.get(index, 0.0) + value
 
     def bin_values(self, start: float = 0.0, end: Optional[float] = None) -> List[float]:
         """Dense list of per-bin totals between ``start`` and ``end`` (inclusive bins)."""
@@ -49,14 +45,6 @@ class BinnedSeries:
         first = int(start / BIN_WIDTH)
         last = int(end / BIN_WIDTH) if end is not None else max(self._bins)
         return [self._bins.get(i, 0.0) for i in range(first, last + 1)]
-
-    def series(self) -> List[Tuple[float, float]]:
-        """Sorted list of (bin start time, total value)."""
-        return [(i * BIN_WIDTH, v) for i, v in sorted(self._bins.items())]
-
-    def total(self) -> float:
-        """Sum over all bins."""
-        return sum(self._bins.values())
 
 
 class SequenceTracker:
@@ -100,44 +88,21 @@ class SequenceTracker:
 
 
 class RTTEstimator:
-    """RFC 6298 smoothed RTT / RTT variance estimator with a minimum RTO.
+    """RFC 6298 smoothed RTT, RTT variance and retransmission timeout.
 
-    ``rto`` is a plain attribute recomputed once per accepted sample, so the
-    per-packet timer code reads it without evaluating anything.  The sender
-    folds each ACK's sample in its own frame with :meth:`update`'s arithmetic.
+    ``SenderBase.receive_ack`` folds each positive sample R in, by RFC 6298
+    section 2: the first sets ``srtt = R``, ``rttvar = R / 2``; later ones
+    ``rttvar = 3/4 rttvar + 1/4 |srtt - R|``, then ``srtt = 7/8 srtt + 1/8 R``;
+    ``rto = srtt + max(4 rttvar, 1 ms)`` within ``[min_rto, _MAX_RTO]`` is a
+    plain attribute the per-packet timer code reads.
     """
 
     def __init__(self, min_rto: float = 0.2, initial_rto: float = 1.0):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rto = min_rto
-        self.initial_rto = initial_rto
         #: Current retransmission timeout (seconds).
         self.rto = max(initial_rto, min_rto)
-
-    def update(self, sample: float) -> None:
-        """Fold one RTT sample into the smoothed estimate and the RTO."""
-        if sample <= 0:
-            return
-        srtt = self.srtt
-        if srtt is None:
-            srtt = sample
-            rttvar = sample / 2.0
-        else:
-            deviation = srtt - sample
-            if deviation < 0:
-                deviation = -deviation
-            rttvar = 0.75 * self.rttvar + 0.25 * deviation
-            srtt = 0.875 * srtt + 0.125 * sample
-        self.srtt = srtt
-        self.rttvar = rttvar
-        # min(_MAX_RTO, max(min_rto, srtt + max(4 * rttvar, 1 ms))) by compares:
-        # this runs once per ACK, and a builtin call costs as much as a frame.
-        variance_term = 4.0 * rttvar
-        rto = srtt + (variance_term if variance_term > 0.001 else 0.001)
-        if rto < self.min_rto:
-            rto = self.min_rto
-        self.rto = rto if rto < _MAX_RTO else _MAX_RTO
 
 
 class FlowStats:
@@ -203,15 +168,3 @@ class FlowStats:
         if self.completion_time is None or self.start_time is None:
             return None
         return self.completion_time - self.start_time
-
-    def summary(self, duration: float) -> dict:
-        """A plain-dict summary convenient for printing experiment tables."""
-        return {
-            "flow_id": self.flow_id,
-            "throughput_mbps": self.throughput_bps(duration) / BPS_PER_MBPS,
-            "goodput_mbps": self.goodput_bps(duration) / BPS_PER_MBPS,
-            "loss_rate": self.loss_rate,
-            "mean_rtt_ms": self.mean_rtt * MS_PER_S,
-            "retransmissions": self.retransmissions,
-            "fct": self.flow_completion_time,
-        }

@@ -8,9 +8,9 @@ pluggability lives at the *scheme* level:
 * ``_SCHEMES`` maps a name ("cubic", "pcc", ...) to a controller factory
   plus the **sender kind** — ``"windowed"`` (ack-clocked, drives
   :class:`~repro.netsim.endpoints.WindowedSender`), ``"rate"`` (rate-paced,
-  drives :class:`~repro.netsim.endpoints.RateBasedSender`; the factory
-  receives ``mss``) or ``"bundle"`` (expands into parallel windowed
-  sub-flows) — that the experiment runner needs to build a flow;
+  drives :class:`~repro.netsim.endpoints.RateBasedSender`) or ``"bundle"``
+  (expands into parallel windowed sub-flows) — that the experiment runner
+  needs to build a flow;
 * :func:`get_scheme` resolves a scheme name to its entry, and
   :func:`available_schemes` lists the names it accepts.
 
@@ -60,8 +60,8 @@ class SchemeInfo:
     #: * ``"windowed"`` — ``factory(**kwargs)`` returns a window controller
     #:   for :class:`~repro.netsim.endpoints.WindowedSender`; pacing is taken
     #:   from the controller's ``requires_pacing`` attribute;
-    #: * ``"rate"`` — ``factory(mss=..., **kwargs)`` returns a rate
-    #:   controller for :class:`~repro.netsim.endpoints.RateBasedSender`;
+    #: * ``"rate"`` — ``factory(**kwargs)`` returns a rate controller for
+    #:   :class:`~repro.netsim.endpoints.RateBasedSender`;
     #: * ``"bundle"`` — ``factory(**bundle_kwargs)`` returns an object with
     #:   ``scheme`` (the sub-flows' windowed scheme name) and
     #:   ``split_bytes(total)``; ``bundle_kwargs`` are exactly the keys of

@@ -14,9 +14,6 @@ those conventions first-class:
   :data:`BPS_PER_MBPS`, :data:`MS_PER_S`, :data:`BYTES_PER_KB`.  Converting
   with one of these is a declared, checkable unit change; converting with an
   anonymous ``* 8.0`` or ``/ 1e6`` is an RPL014 finding.
-* **Typed converters** — tiny functions (:func:`bps_to_mbps`,
-  :func:`bytes_to_bits`, :func:`s_to_ms`, ...) whose signatures carry the
-  unit change for call sites that prefer a name over an expression.
 
 The suffix policy:
 
@@ -58,12 +55,6 @@ __all__ = [
     "BPS_PER_GBPS",
     "MS_PER_S",
     "BYTES_PER_KB",
-    "bps_to_mbps",
-    "mbps_to_bps",
-    "bytes_to_bits",
-    "bits_to_bytes",
-    "s_to_ms",
-    "ms_to_s",
 ]
 
 
@@ -115,32 +106,3 @@ MS_PER_S: float = 1000.0
 #: Bytes in one kilobyte (decimal, as used by buffer-size axes): ``kb = bytes / BYTES_PER_KB``.
 BYTES_PER_KB: float = 1000.0
 
-
-def bps_to_mbps(rate_bps: Bps) -> Mbps:
-    """Convert a rate from bits/s to megabits/s."""
-    return rate_bps / BPS_PER_MBPS
-
-
-def mbps_to_bps(rate_mbps: Mbps) -> Bps:
-    """Convert a rate from megabits/s to bits/s."""
-    return rate_mbps * BPS_PER_MBPS
-
-
-def bytes_to_bits(size_bytes: Bytes) -> Bits:
-    """Convert a size from bytes to bits."""
-    return size_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(size_bits: Bits) -> Bytes:
-    """Convert a size from bits to bytes."""
-    return size_bits / BITS_PER_BYTE
-
-
-def s_to_ms(duration_s: Seconds) -> Ms:
-    """Convert a duration from seconds to milliseconds."""
-    return duration_s * MS_PER_S
-
-
-def ms_to_s(duration_ms: Ms) -> Seconds:
-    """Convert a duration from milliseconds to seconds."""
-    return duration_ms / MS_PER_S

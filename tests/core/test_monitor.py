@@ -10,7 +10,7 @@ from repro.core import monitor as monitor_module
 from repro.core.metrics import MonitorIntervalStats
 from repro.core.monitor import PerformanceMonitor
 from repro.core.utility import SafeUtility
-from repro.netsim import Packet, Simulator, single_bottleneck
+from repro.netsim import DEFAULT_MSS, Packet, Simulator, single_bottleneck
 
 
 class RecordingProvider:
@@ -97,7 +97,7 @@ class TestMILifecycle:
         assert monitor_module.MIN_RATE_BPS is MIN_RATE_BPS
         monitor.current_mi_id(0.0, 0.03)
         mi = monitor.current_interval
-        expected = (monitor_module.DEFAULT_MIN_PACKETS_PER_MI * monitor.mss * 8.0
+        expected = (monitor_module.DEFAULT_MIN_PACKETS_PER_MI * DEFAULT_MSS * 8.0
                     / MIN_RATE_BPS)
         assert mi.send_end_time - mi.start_time == pytest.approx(expected)
 
@@ -108,7 +108,7 @@ class TestMILifecycle:
         monitor, _, _ = make_monitor(sim, rate_bps=1.0)
         monitor.current_mi_id(0.0, 0.03)
         mi = monitor.current_interval
-        expected = 10 * monitor.mss * 8.0 / 64_000.0
+        expected = 10 * DEFAULT_MSS * 8.0 / 64_000.0
         assert mi.send_end_time - mi.start_time == pytest.approx(expected)
 
 

@@ -102,6 +102,19 @@ class TestTopologyRegistry:
                      "dumbbell", "random_dynamics", "incast"):
             assert name in names
 
+    def test_a_default_cells_bottleneck_is_the_drop_tail_link(self):
+        """``queue_factory()`` always returns a factory; the default one
+        builds exactly a ``DropTailQueue``, so ``Link`` still picks the
+        drop-tail link that keeps its queue's books itself."""
+        from repro.experiments.sweep import _single_bottleneck
+        from repro.netsim import Simulator
+        from repro.netsim.link import _DropTailLink
+
+        cell = hand_cell()
+        topo = _single_bottleneck(Simulator(seed=cell.seed), cell)
+        assert type(topo.forward) is _DropTailLink
+        assert topo.forward.queue.capacity_bytes == cell.resolved_buffer_bytes()
+
     def test_unknown_topology_rejected_at_grid_construction(self):
         with pytest.raises(ValueError):
             tiny_grid(topology="no-such-topology")

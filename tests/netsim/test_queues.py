@@ -237,6 +237,77 @@ class TestFairQueueDropAccounting:
         assert queue._flows[2].rng is rng
 
 
+def _codel_cycle(queue, start, flow_id=1, count=60):
+    """A burst of ``count`` packets at ``start`` drained one per 20 ms, so
+    sojourn stays above target and CoDel drops; returns (drops, end time)."""
+    for i in range(count):
+        queue.enqueue(make_packet(flow_id=flow_id, packet_id=i), start)
+    dropped_before, now = queue.stats.dropped, start
+    while queue.packets_queued:
+        now += 0.02
+        queue.dequeue(now)
+    return queue.stats.dropped - dropped_before, now
+
+
+class TestFairQueueForgetsDrainedFlows:
+    """A child and its deficit go when the flow drains, wherever a fresh
+    child would behave the same, so the table holds the flows with packets
+    queued and not every flow an ``fq`` link ever saw."""
+
+    @pytest.mark.parametrize("qdisc", ["fq", "fq_codel"])
+    def test_two_thousand_one_packet_flows_leave_nothing(self, qdisc):
+        """Each drained child goes to the pool the next flow takes from, so
+        the 2000 flows are served by one child built once."""
+        queue = make_qdisc(qdisc, 100_000)
+        built = []
+        build_child = queue._child_factory
+        queue._child_factory = lambda: built.append(build_child()) or built[-1]
+        for flow_id in range(2000):
+            now = flow_id * 0.001
+            assert queue.enqueue(make_packet(flow_id=flow_id), now)
+            assert queue.dequeue(now + 0.0005).flow_id == flow_id
+        assert len(queue._flows) == len(queue._deficits) == 0
+        assert queue.stats.enqueued == queue.stats.dequeued == 2000
+        assert len(built) == 1 and queue._spares == built
+
+    def test_a_backlogged_flow_keeps_its_child(self):
+        queue = make_qdisc("fq_codel", 100_000)
+        for packet_id in range(2):
+            queue.enqueue(make_packet(flow_id=1, packet_id=packet_id), 0.0)
+        child = queue._flows[1]
+        assert queue.dequeue(0.001).packet_id == 0
+        assert queue._flows[1] is child
+        assert queue.dequeue(0.002).packet_id == 1
+        assert 1 not in queue._flows and 1 not in queue._deficits
+
+    @pytest.mark.parametrize("child", ["red", "pie"])
+    def test_red_and_pie_children_are_kept(self, child):
+        """Both keep an average (RED's occupancy EWMA, PIE's probability)
+        that a fresh child would not have."""
+        queue = make_qdisc("fq", 100_000, child=child)
+        queue.attach_rng(random.Random(1))
+        queue.enqueue(make_packet(flow_id=1), 0.0)
+        assert queue.dequeue(0.001).flow_id == 1
+        assert list(queue._flows) == [1]
+        assert queue._deficits == {1: 0.0}
+
+    def test_a_codel_child_that_remembers_its_last_episode_is_kept(self):
+        """After an episode of several drops, RFC 8289's re-entry rule
+        (``delta > 1`` within 16 intervals) starts the next episode from the
+        last one's drop count: such a child is not a fresh one, and here a
+        second burst soon after the first loses 26 packets through it
+        against 17 through a fresh child."""
+        queue = make_qdisc("fq_codel", 1_000_000)
+        drops, end = _codel_cycle(queue, 0.0)
+        assert drops == 17
+        child = queue._flows[1]
+        assert not child._dropping and child._first_above_time == 0.0
+        assert child._drop_count - child._last_drop_count > 1
+        assert queue._deficits[1] == 0.0
+        assert _codel_cycle(child, end + 0.1)[0] == 26
+        assert _codel_cycle(CoDelQueue(1_000_000), end + 0.1)[0] == 17
+
+
 BUFFER_BYTES = 15_000
 
 # Every discipline in the table, plus ``fq`` over each child that is not

@@ -10,7 +10,7 @@ from repro.core.utility import LossResilientUtility, SafeUtility, sigmoid
 from repro.netsim import FlowStats, Receiver, Simulator
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue, FairQueue
-from repro.netsim.stats import BinnedSeries, SequenceTracker
+from repro.netsim.stats import BIN_WIDTH, SequenceTracker
 
 
 # --------------------------------------------------------------------------- #
@@ -115,10 +115,22 @@ def test_receiver_tracks_sequences_as_the_tracker_does(seqs):
     ),
 )
 def test_binned_series_total_preserved(entries):
-    series = BinnedSeries()
-    for time, value in entries:
-        series.add(time, value)
-    assert math.isclose(series.total(), sum(v for _, v in entries),
+    """Each new packet ``Receiver.receive`` accepts at time ``t`` adds its
+    size to bin ``int(t / BIN_WIDTH)`` and to no other."""
+    sim = Simulator()
+    stats = FlowStats(1)
+    receiver = Receiver(sim, 1, stats)
+    for seq, (time, size) in enumerate(entries):
+        sim.schedule_at(time, receiver.receive, Packet(1, seq, seq, size, 0.0))
+    sim.run(101.0)
+    expected: dict = {}
+    for time, size in sorted(entries, key=lambda entry: entry[0]):
+        index = int(time / BIN_WIDTH)
+        expected[index] = expected.get(index, 0.0) + size
+    bins = stats.delivered_bins.bin_values()
+    assert bins == [expected.get(i, 0.0) for i in range(len(bins))]
+    assert len(bins) == (max(expected) + 1 if expected else 0)
+    assert math.isclose(sum(bins), sum(size for _, size in entries),
                         rel_tol=1e-9, abs_tol=1e-6)
 
 
