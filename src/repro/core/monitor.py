@@ -186,8 +186,8 @@ class PerformanceMonitor:
         if mi is None:
             return
         # _complete pops this (currently firing) deadline event's handle and
-        # cancel()s it — a safe no-op, because the engine detaches fired
-        # events before invoking their callbacks.
+        # cancel()s it — harmless, because the engine popped the entry off
+        # the heap before invoking its callback.
         mi.force_account_missing_as_lost()
         self._complete(mi)
 

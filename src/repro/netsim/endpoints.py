@@ -638,7 +638,7 @@ class RateBasedSender(SenderBase):
 
     def _on_flow_complete(self) -> None:
         if self._pacing_timer is not None:
-            Event.cancel(self._pacing_timer, self.sim)
+            Event.cancel(self._pacing_timer)
             self._pacing_timer = None
         # The controller holds this sender (PCC binds to it at flow start).
         self.controller = None
@@ -704,13 +704,11 @@ class RateBasedSender(SenderBase):
             rate = 1e3
         elif rate != rate:
             raise SimulationError("event time must be finite")
-        # schedule_at's push and heap-compaction test, without its checks
-        # (the time is now plus a finite, positive interval) or an Event.
+        # schedule_at's push without its checks (the time is now plus a
+        # finite, positive interval) or an Event.
         self._pacing_timer = entry = [
             now + DEFAULT_MSS * BITS_PER_BYTE / rate, next(sim.seq), self._tick, ()]
         sim.push(entry)
-        if sim._cancelled_pending > 256 and sim._cancelled_pending * 2 > len(sim._queue):
-            sim._compact()
 
     def send_probe_train(self, count: int) -> list[Packet]:
         """Send ``count`` back-to-back probe packets (used by PCP-style probing)."""

@@ -169,7 +169,7 @@ def test_a_cell_keeps_endpoints_only_for_running_flows(scheme):
     offered = len(long.flows)
     # A finished sender lives until its cancelled retransmission timer leaves
     # the heap: at most the 1 s initial RTO of the TCP family after its first
-    # packet (the heap compacts earlier when cancelled events dominate it).
+    # packet.
     running = sum(flow.flow_completion_time is None
                   or flow.stats.completion_time > 8.0 - 1.0
                   for flow in long.flows)
