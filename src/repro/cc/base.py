@@ -25,10 +25,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-__all__ = ["WindowController", "RateController", "MIN_CWND", "MIN_RATE_BPS"]
+__all__ = ["WindowController", "RateController", "MIN_CWND", "MAX_CWND",
+           "MIN_RATE_BPS"]
 
 #: Congestion windows never drop below this many packets.
 MIN_CWND = 1.0
+
+#: Nor grow past the receiver's window: Linux's default 6 MB ``tcp_rmem``
+#: maximum over a 1448-byte MSS.  Without it Hybla's slow start at 800 ms
+#: adds 2^16 - 1 packets per ACK, and the bottleneck drops the flood.
+MAX_CWND = 4345.0
 
 #: Every window controller starts a flow at two packets, in slow start with
 #: no threshold (``ssthresh`` is set by the first loss).
@@ -70,6 +76,8 @@ class WindowController(ABC):
     def _clamp(self) -> None:
         if self.cwnd < MIN_CWND:
             self.cwnd = MIN_CWND
+        elif self.cwnd > MAX_CWND:
+            self.cwnd = MAX_CWND
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(cwnd={self.cwnd:.2f}, ssthresh={self.ssthresh:.2f})"

@@ -14,7 +14,8 @@ and shallow-buffer experiments.
 
 from __future__ import annotations
 
-from .base import INITIAL_CWND, INITIAL_SSTHRESH, MIN_CWND, WindowController
+from .base import (INITIAL_CWND, INITIAL_SSTHRESH, MAX_CWND, MIN_CWND,
+                   WindowController)
 
 __all__ = ["CubicController"]
 
@@ -39,13 +40,15 @@ class CubicController(WindowController):
 
     # ------------------------------------------------------------------ #
     # This runs once per ACK, so the cubic target W(t + rtt) = C (t + rtt -
-    # K)^3 + W_max, the TCP-friendly max and the MIN_CWND clamp are written
-    # out in its frame.
+    # K)^3 + W_max, the TCP-friendly max and the MIN_CWND / MAX_CWND clamp
+    # are written out in its frame.
     def on_ack(self, rtt: float, now: float) -> None:
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0
             if self.cwnd < MIN_CWND:
                 self.cwnd = MIN_CWND
+            elif self.cwnd > MAX_CWND:
+                self.cwnd = MAX_CWND
             return
         if self.epoch_start is None:
             self.epoch_start = now
@@ -70,6 +73,8 @@ class CubicController(WindowController):
             self.cwnd += 0.01 / self.cwnd
         if self.cwnd < MIN_CWND:
             self.cwnd = MIN_CWND
+        elif self.cwnd > MAX_CWND:
+            self.cwnd = MAX_CWND
 
     def on_loss(self, now: float) -> None:
         self.epoch_start = None

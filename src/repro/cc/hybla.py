@@ -39,7 +39,8 @@ class HyblaController(WindowController):
         self._update_rho(rtt)
         if self.cwnd < self.ssthresh:
             # 2^rho - 1 additional segments per ACK; clamp the exponent so the
-            # window cannot explode numerically on extreme RTTs.
+            # window cannot explode numerically on extreme RTTs, and _clamp()
+            # holds the window to the receiver's MAX_CWND.
             increment = 2.0 ** min(self.rho, 16.0) - 1.0
             self.cwnd += increment
         else:

@@ -80,7 +80,7 @@ class IllinoisController(WindowController):
         elif queue_delay >= d3:
             self._beta = _BETA_MAX
         else:
-            k3 = (_ALPHA_MIN * d3 - _BETA_MAX * d2) / (d3 - d2)
+            k3 = (_BETA_MIN * d3 - _BETA_MAX * d2) / (d3 - d2)
             k4 = (_BETA_MAX - _BETA_MIN) / (d3 - d2)
             self._beta = max(_BETA_MIN, min(_BETA_MAX, k3 + k4 * queue_delay))
         if self.cwnd < _WINDOW_THRESHOLD:

@@ -43,8 +43,8 @@ class Event(list):
     Cancellation is lazy: the entry stays in the heap with its callback and
     arguments cleared and is skipped when it reaches the front.  Nothing
     sweeps dead entries out: measured traffic never lets them dominate (an
-    8 s CUBIC ``web`` cell peaks at the same 2 598 entries with or without a
-    sweep).  Cancelling an event that already fired changes nothing the
+    8 s CUBIC ``web`` cell peaks at the same 2 518 entries with or without a
+    sweep; ``tests/netsim/test_hot_path_budget.py`` holds that peak).  Cancelling an event that already fired changes nothing the
     simulator reads.
     """
 

@@ -347,8 +347,8 @@ FIG6 = ReportSpec(
             ("buffer_kb", 1000.0), (("pcc", ">", 0.5, "hybla"),),
             "1 MB buffer: pcc {pcc:.1f} vs hybla {hybla:.1f} Mbps (floor 0.5x)",
             deviation=f"{_SCALING} (fig6): our idealized per-packet-SACK "
-                      "Hybla does not collapse as hard as the kernel one the "
-                      "paper measured",
+                      "Hybla, held to the receive window, does not collapse "
+                      "as hard as the kernel one the paper measured",
         ),
     ),
 )

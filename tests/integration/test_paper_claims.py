@@ -14,7 +14,8 @@ from repro.core import make_pcc_sender
 from repro.experiments import run_flows
 from repro.experiments.results import ResultSet
 from repro.experiments.sweep import SweepCell, run_cell
-from repro.netsim import FlowSpec, FlowStats, Simulator, bdp_bytes, single_bottleneck
+from repro.netsim import (DEFAULT_MSS, FlowSpec, FlowStats, Simulator, bdp_bytes,
+                          single_bottleneck)
 from repro.report import get_report_spec, run_report_spec
 
 
@@ -67,6 +68,23 @@ class TestShallowBufferClaim:
         pcc = _goodput_mbps("pcc", 50e6, 10.0, buffer_bytes=4_500)
         cubic = _goodput_mbps("cubic", 50e6, 10.0, buffer_bytes=4_500)
         assert pcc > cubic
+
+
+class TestSatelliteLink:
+    """§4.1.3's link (42 Mbps, 800 ms RTT, 0.74 % loss, 7.5 KB buffer)."""
+
+    def test_hybla_sends_at_most_twice_the_link_capacity(self):
+        """Hybla's slow start at rho = 32 adds 2^16 - 1 packets per ACK; the
+        receive window stops it from flooding a link that delivers a few
+        dozen packets through a five-packet buffer."""
+        duration = 5.0
+        sim = Simulator(seed=3)
+        topo = single_bottleneck(sim, 42e6, 0.8, buffer_bytes=7_500.0,
+                                 loss_rate=0.0074)
+        result = run_flows(sim, [topo.path], [FlowSpec(scheme="hybla")],
+                           duration=duration)
+        capacity_packets = 42e6 * duration / (DEFAULT_MSS * 8)
+        assert result.flows[0].stats.packets_sent <= 2 * capacity_packets
 
 
 class TestRTTFairnessClaim:
