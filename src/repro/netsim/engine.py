@@ -44,8 +44,9 @@ class Event(list):
     arguments cleared and is skipped when it reaches the front.  Nothing
     sweeps dead entries out: measured traffic never lets them dominate (an
     8 s CUBIC ``web`` cell peaks at the same 2 518 entries with or without a
-    sweep; ``tests/netsim/test_hot_path_budget.py`` holds that peak).  Cancelling an event that already fired changes nothing the
-    simulator reads.
+    sweep; ``tests/netsim/test_hot_path_budget.py`` holds that peak).
+    Cancelling an event that already fired changes nothing the simulator
+    reads.
     """
 
     __slots__ = ()
@@ -57,7 +58,7 @@ class Event(list):
 
     @property
     def cancelled(self) -> bool:
-        """Whether :meth:`cancel` took the event out before it fired."""
+        """Whether :meth:`cancel` has been called on the event."""
         return self[3] is None
 
     def cancel(self) -> None:
